@@ -7,7 +7,7 @@ bounds, spectral machinery (eigenvalue chromatic bounds, Gershgorin circle
 theorems, split decomposition), expansion rates, and an end-to-end codec.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .errors import ChromacodeError, GuardExceeded, UsageError, resolve_guard
 from .graphs import (

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import is_valid_coloring
-from .errors import UsageError
+from .errors import UsageError, load_json
 from .graphs import Graph
 
 
@@ -59,7 +59,7 @@ class FunctionSpec:
 
     @classmethod
     def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(load_json(s, "function"))
 
 
 def _parse_rational(v):
@@ -130,7 +130,7 @@ class JointPMF:
 
     @classmethod
     def from_json(cls, s, n1=None, n2=None):
-        v = json.loads(s)
+        v = load_json(s, "PMF")
         if v == "uniform":
             return cls.from_dict("uniform", n1, n2)
         return cls.from_dict(v, n1, n2)

@@ -51,6 +51,14 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, default=str))
 
 
+def _parse_edges(text):
+    """'0-1,1-2' -> [(0, 1), (1, 2)]."""
+    try:
+        return [(int(u), int(v)) for u, v in (e.split("-") for e in text.split(","))]
+    except ValueError:
+        raise UsageError(f"malformed --edges {text!r}: expected u-v pairs like 0-1,1-2") from None
+
+
 def _load_graph(args):
     if getattr(args, "graph", None):
         with open(args.graph) as fh:
@@ -58,7 +66,7 @@ def _load_graph(args):
     if getattr(args, "kind", None):
         edges = None
         if getattr(args, "edges", None):
-            edges = [tuple(map(int, e.split("-"))) for e in args.edges.split(",")]
+            edges = _parse_edges(args.edges)
         return make_graph(args.kind, size=args.size, edges=edges)
     raise UsageError("need --graph FILE or --kind/--size")
 

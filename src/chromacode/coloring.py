@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import GuardExceeded, UsageError, check_guard
-from .graphs import Graph, make_graph
+from .errors import GuardExceeded, UsageError, check_guard, load_json
+from .graphs import Graph, _complement_rows, _maximal_cliques, bits_to_list, make_graph
 from .orpower import or_power
 
 CHI_GUARD_DEFAULT = 64
@@ -54,7 +54,7 @@ class Coloring:
 
     @classmethod
     def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(load_json(s, "coloring"))
 
 
 def is_valid_coloring(g, c):
@@ -84,61 +84,140 @@ def greedy_coloring(g, order=None):
     return Coloring.from_list(colors)
 
 
-def _greedy_clique(g, order):
-    clique = []
+def _greedy_clique_size(adj, order, U):
+    """Size of the clique of G[U] taken greedily along `order`."""
+    size, p = 0, U
     for v in order:
-        if all(g.has_edge(v, u) for u in clique):
-            clique.append(v)
-    return clique
+        if p >> v & 1:
+            size += 1
+            p &= adj[v]
+    return size
+
+
+def _max_clique_size(adj, candidates, tick):
+    """ω of the subgraph induced on `candidates` (adjacency bitsets `adj`),
+    by branch and bound on the candidate count; `tick` runs at every node."""
+    best = 0
+
+    def expand(size, p):
+        nonlocal best
+        tick()
+        if p == 0:
+            best = max(best, size)
+            return
+        while p and size + p.bit_count() > best:
+            v = p.bit_length() - 1
+            p &= ~(1 << v)
+            expand(size + 1, p & adj[v])
+
+    expand(0, candidates)
+    return best
+
+
+def _two_coloring(adj, U):
+    """Independent sets (side 0, side 1) covering U, by breadth-first search;
+    side 1 is empty iff U is independent.  None if G[U] has an odd cycle."""
+    sides = [0, 0]
+    rest = U
+    while rest:
+        frontier = rest & -rest
+        sides[0] |= frontier
+        side = 0
+        while frontier:
+            reach = 0
+            for u in bits_to_list(frontier):
+                reach |= adj[u]
+            reach &= U
+            if reach & sides[side]:
+                return None
+            side ^= 1
+            frontier = reach & ~sides[side]
+            sides[side] |= frontier
+        rest &= ~(sides[0] | sides[1])
+    return sides
 
 
 def exact_chromatic_number(g, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
-    """Minimal palette size and a witness coloring, by branch and bound.
+    """Minimal palette size and a witness coloring, by a search that
+    partitions the vertices into independent sets.
 
-    Vertices are branched in degree-descending order (ties: lowest id); the
-    lower bound is seeded with a greedy clique, the upper with first-fit
-    greedy.  Deterministic.  Raises GuardExceeded on size or timeout, which is
+    The lower bound is seeded with a greedy clique, the upper with first-fit
+    greedy (both in degree-descending order, ties: lowest id).  While they
+    differ, the lower bound is raised to ⌈V/α⌉ and the search colors one
+    class at a time: it takes the uncolored vertex v with the fewest
+    uncolored non-neighbours and branches over the maximal independent sets
+    of the uncolored subgraph that contain v, largest first.  That is
+    complete, since v's class in an optimal partition can always be grown to
+    such a set.  A node whose uncolored set U may take k more classes is
+    pruned when ⌈|U|/α⌉ > k, when a greedy clique of U has more than k
+    vertices, or when U was already proven not to split into k classes;
+    with k <= 2 it is settled by 2-coloring U.  Deterministic.  Raises
+    GuardExceeded on size or timeout (size: the elapsed seconds), which is
     distinct from any coloring outcome.
     """
+    start = time.monotonic()
     V = g.vertex_count
     check_guard("vertex count", V, guard, CHI_GUARD_DEFAULT)
     order = sorted(range(V), key=lambda v: (-g.degree(v), v))
-    clique = _greedy_clique(g, order)
-    lb = max(1, len(clique))
+    adj = [g.neighbors_bitset(v) for v in range(V)]
+    lb = max(1, _greedy_clique_size(adj, order, (1 << V) - 1))
     greedy = greedy_coloring(g, order)
-    best_k = greedy.palette_size
-    best = list(greedy.assignment)
-    if best_k == lb:
-        return best_k, Coloring.from_list(best)
+    if greedy.palette_size <= lb:
+        return greedy.palette_size, greedy
 
-    colors = [-1] * V
-    deadline = time.monotonic() + timeout if timeout else None
+    def tick():
+        elapsed = time.monotonic() - start
+        if timeout and elapsed > timeout:
+            raise GuardExceeded("exact coloring time (s)", elapsed, timeout)
 
-    def bb(i, k):
-        nonlocal best_k, best
-        if k >= best_k:
-            return
-        if i == V:
-            best_k, best = k, colors.copy()
-            return
-        if deadline is not None and time.monotonic() > deadline:
-            raise GuardExceeded("exact coloring time (s)", timeout, timeout)
-        v = order[i]
-        used = 0
-        for u in g.neighbors(v):
-            if colors[u] >= 0:
-                used |= 1 << colors[u]
-        for c in range(min(k + 1, best_k - 1)):
-            if used >> c & 1:
-                continue
-            colors[v] = c
-            bb(i + 1, max(k, c + 1))
-            colors[v] = -1
-            if best_k == lb:
-                return
+    comp = _complement_rows(g)
+    alpha = _max_clique_size(comp, (1 << V) - 1, tick)
+    lb = max(lb, -(-V // alpha))
+    best, best_classes = greedy.palette_size, None
+    refuted = {}  # uncolored set -> largest class count proven too few for it
 
-    bb(0, 0)
-    return best_k, Coloring.from_list(best)
+    def search(U, classes):
+        """Extend `classes` to partitions of U; True once best reaches lb."""
+        nonlocal best, best_classes
+        if not U:
+            best, best_classes = len(classes), classes.copy()
+            return best == lb
+        budget = best - 1 - len(classes)  # classes U may take to improve on best
+        if -(-U.bit_count() // alpha) > budget or refuted.get(U, -1) >= budget:
+            return False
+        if _greedy_clique_size(adj, order, U) > budget:
+            return False
+        tick()
+        if budget <= 2:
+            sides = _two_coloring(adj, U)
+            if sides is None or (budget == 1 and sides[1]):
+                return False
+            best_classes = classes + [s for s in sides if s]
+            best = len(best_classes)
+            return best == lb
+        v = min(bits_to_list(U), key=lambda u: ((U & comp[u]).bit_count(), u))
+        # a class that leaves more than (budget - 1) * alpha vertices cannot pay off
+        least = U.bit_count() - (budget - 1) * alpha - 1
+        sets = sorted(
+            (m | 1 << v for m in _maximal_cliques(comp, U & comp[v], least)),
+            key=lambda s: (-s.bit_count(), s),
+        )
+        for s in sets:
+            classes.append(s)
+            if search(U & ~s, classes):
+                return True
+            classes.pop()
+        refuted[U] = max(refuted.get(U, -1), best - 1 - len(classes))
+        return False
+
+    search((1 << V) - 1, [])
+    if best_classes is None:
+        return best, greedy
+    colors = [0] * V
+    for color, s in enumerate(best_classes):
+        for v in bits_to_list(s):
+            colors[v] = color
+    return best, Coloring.from_list(colors)
 
 
 # -- closed-form schemes for cycle powers ----------------------------------
@@ -255,12 +334,17 @@ def greedy_gain(i, n):
 
 
 def regular_power_chromatic(d, V, n, graph=None, cross_check=False, guard=None):
-    """χ(G_{d,V}^n) = d^n for d-regular graphs with an even number of vertices.
+    """χ(C_V^n) = 2^n = d^n for the even cycle C_V (d = 2, V even).
 
-    With a concrete graph and cross_check=True the exact solver must agree.
+    The closed form holds only there: other d-regular graphs on an even
+    number of vertices break it (K4 has χ = 4 > 3, K2 has χ = 2 > 1), so
+    any d other than 2 is refused.  With a concrete graph and
+    cross_check=True the exact solver must agree.
     """
     if V % 2 == 1:
         raise UsageError("out of proposition scope: V must be even")
+    if d != 2:
+        raise UsageError("out of proposition scope: d must be 2 (the even cycle C_V)")
     if not 1 <= d < V:
         raise UsageError("need 1 <= d < V")
     if n < 1:

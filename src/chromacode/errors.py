@@ -5,6 +5,7 @@ guarded operation takes an explicit ``guard`` argument; when it is None the
 CHROMACODE_GUARD environment variable is consulted, then the built-in default.
 """
 
+import json
 import os
 
 GUARD_ENV = "CHROMACODE_GUARD"
@@ -34,8 +35,19 @@ def resolve_guard(guard, default):
         return guard
     env = os.environ.get(GUARD_ENV)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{GUARD_ENV}={env!r} is not an integer") from None
     return default
+
+
+def load_json(text, what):
+    """json.loads that reports malformed text as a UsageError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed {what} JSON: {exc}") from exc
 
 
 def check_guard(what, size, guard, default):

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .errors import UsageError, check_guard
+from .errors import UsageError, check_guard, load_json
 
 MIS_GUARD_DEFAULT = 24
 
@@ -120,17 +120,15 @@ class Graph:
 
     @classmethod
     def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+        return cls.from_dict(load_json(s, "graph"))
 
 
 def bits_to_list(bits):
     out = []
-    v = 0
     while bits:
-        if bits & 1:
-            out.append(v)
-        bits >>= 1
-        v += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 
@@ -178,6 +176,39 @@ def prism_graph():
     )
 
 
+def _maximal_cliques(adj, candidates, min_size=0):
+    """Bitsets of the maximal cliques of the subgraph induced on `candidates`
+    that have at least `min_size` vertices.
+
+    `adj` holds one adjacency bitset per vertex (no self-bit); pivoted
+    Bron-Kerbosch.  An empty candidate set yields the single empty clique.
+    """
+    out = []
+
+    def expand(r, p, x):
+        if r.bit_count() + p.bit_count() < min_size:
+            return
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        # pivot: vertex of p|x maximizing |p & adj[u]|
+        pivot = max(bits_to_list(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in bits_to_list(p & ~adj[pivot]):
+            bit = 1 << v
+            expand(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    expand(0, candidates, 0)
+    return out
+
+
+def _complement_rows(g):
+    """Adjacency bitsets of the complement of g (no self-bit)."""
+    full = (1 << g.vertex_count) - 1
+    return [full & ~g.neighbors_bitset(v) & ~(1 << v) for v in range(g.vertex_count)]
+
+
 def maximal_independent_sets(g, guard=None):
     """All maximal independent sets, via Bron-Kerbosch cliques of the complement.
 
@@ -185,26 +216,8 @@ def maximal_independent_sets(g, guard=None):
     """
     V = g.vertex_count
     check_guard("vertex count", V, guard, MIS_GUARD_DEFAULT)
-    full = (1 << V) - 1
-    # complement adjacency rows (no self-bit)
-    comp = [full & ~g.neighbors_bitset(v) & ~(1 << v) for v in range(V)]
-    out = []
-
-    def expand(r, p, x):
-        if p == 0 and x == 0:
-            out.append(tuple(bits_to_list(r)))
-            return
-        # pivot: vertex of p|x maximizing |p & comp[u]|
-        pivot = max(bits_to_list(p | x), key=lambda u: (p & comp[u]).bit_count())
-        for v in bits_to_list(p & ~comp[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & comp[v], x & comp[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, full, 0)
-    out.sort()
-    return out
+    cliques = _maximal_cliques(_complement_rows(g), (1 << V) - 1)
+    return sorted(tuple(bits_to_list(r)) for r in cliques)
 
 
 def max_independent_set_size(g, guard=None):

@@ -180,3 +180,30 @@ def test_guard_exit_code(capsys):
 def test_missing_file_exit_code(tmp_path):
     rc = main(["chargraph", "--spec", str(tmp_path / "nope.json"), "--pmf", "uniform"])
     assert rc == 2
+
+
+def _usage_error(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert json.loads(err)["error"] == "usage"
+    return err
+
+
+def test_non_integer_guard_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CHROMACODE_GUARD", "abc")
+    err = _usage_error(capsys, ["power", "--kind", "cycle", "--size", "5", "--power", "2"])
+    assert "CHROMACODE_GUARD" in err
+
+
+@pytest.mark.parametrize("edges", ["0-x", "0-1-2", "0"])
+def test_malformed_edges_is_usage_error(capsys, edges):
+    err = _usage_error(capsys, ["graph", "--kind", "custom", "--size", "3", "--edges", edges])
+    assert "--edges" in err
+
+
+def test_malformed_graph_json_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text('{"vertices": 3, ')
+    err = _usage_error(capsys, ["graph", "--graph", str(p)])
+    assert "malformed graph JSON" in err

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 from chromacode import (
     AmbiguityError,
     FunctionSpec,
+    Graph,
     JointPMF,
     UsageError,
+    build_characteristic_graph,
     build_codec,
+    cycle_graph,
     decode_pair,
     encode_block,
     example1_spec,
@@ -94,3 +98,33 @@ def test_simulate_n2(ex1):
     r = simulate(spec, pmf, 2, 500, seed=0)
     assert r.lossless
     assert all(rate <= 1.0 + 1e-9 for rate in r.expected_rates)
+
+
+# C5 with its vertices relabeled: `auto` cannot use the odd-cycle scheme for
+# it and colors its powers with the exact solver.
+RELABELED_C5_EDGES = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
+
+
+def _relabeled_c5_spec():
+    """x2 = j names edge j of the relabeled C5; it has mass only on that
+    edge's two endpoints, where f tells them apart."""
+    table = [[0] * 5 for _ in range(5)]
+    for j, (a, b) in enumerate(RELABELED_C5_EDGES):
+        table[b if j == 2 else a][j] = 1
+    probs = [[Fraction(1, 10) if x in e else Fraction(0) for e in RELABELED_C5_EDGES] for x in range(5)]
+    return FunctionSpec.from_table(table), JointPMF(tuple(map(tuple, probs)))
+
+
+def test_relabeled_c5_codec_uses_exact_coloring():
+    spec, pmf = _relabeled_c5_spec()
+    g1 = build_characteristic_graph(spec, pmf, 1)
+    assert g1 == Graph.from_edges(5, RELABELED_C5_EDGES) != cycle_graph(5)
+    plan = build_codec(spec, pmf, 1)
+    assert roundtrip_exhaustive(plan) == 10
+    # At n = 2 the exact coloring of the 25-vertex square is fast; the plan
+    # is then refused, because per-source colorings of the OR power do not
+    # separate every pair of blocks once the PMF has zero cells.
+    start = time.monotonic()
+    with pytest.raises(AmbiguityError):
+        build_codec(spec, pmf, 2)
+    assert time.monotonic() - start < 5.0

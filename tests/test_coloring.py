@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from chromacode import (
     Coloring,
+    Graph,
     GuardExceeded,
     UsageError,
     b_fold_coloring_search,
@@ -70,6 +73,119 @@ def test_exact_chi_guard():
         exact_chromatic_number(cycle_graph(100))
 
 
+def test_exact_chi_timeout_reports_elapsed_seconds():
+    with pytest.raises(GuardExceeded) as info:
+        exact_chromatic_number(or_power(cycle_graph(5), 2), timeout=1e-9)
+    assert info.value.what == "exact coloring time (s)"
+    assert info.value.size > info.value.limit == 1e-9
+
+
+def _brute_force_chi(g):
+    """Least k with a proper k-coloring, by plain backtracking over the
+    vertices in degree-descending order."""
+    V = g.vertex_count
+    order = sorted(range(V), key=lambda v: -g.degree(v))
+    rank = {v: i for i, v in enumerate(order)}
+    adj = [[] for _ in range(V)]  # by rank: the earlier-ranked neighbours
+    for u, v in g.edges():
+        adj[max(rank[u], rank[v])].append(min(rank[u], rank[v]))
+    colors = [0] * V
+
+    def fits(i, k, used):
+        if i == V:
+            return True
+        for c in range(min(k, used + 1)):  # a new color only as the next unused one
+            if all(colors[u] != c for u in adj[i]):
+                colors[i] = c
+                if fits(i + 1, k, max(used, c + 1)):
+                    return True
+        return False
+
+    k = 1
+    while not fits(0, k, 0):
+        k += 1
+    return k
+
+
+def _brute_force_clique_number(g):
+    V = g.vertex_count
+    for k in range(V, 1, -1):
+        for S in combinations(range(V), k):
+            if all(g.has_edge(u, v) for u, v in combinations(S, 2)):
+                return k
+    return 1
+
+
+def _random_corpus():
+    """Seeded graphs on 2-8 vertices, plus the OR squares of those on <= 4.
+
+    Two in three graphs on 5+ vertices have an induced C5 or C7 on their
+    first vertices, so that many have chi > omega and need the search.
+    """
+    rng = random.Random(20261018)
+    out = []
+    for i in range(240):
+        V = rng.randint(2, 8)
+        hole = 0 if i % 3 == 0 or V < 5 else 7 if V >= 7 and i % 2 else 5
+        density = rng.choice((0.3, 0.5, 0.7))
+        edges = [
+            (u, v)
+            for u in range(V)
+            for v in range(u + 1, V)
+            if (v - u in (1, hole - 1) if v < hole else rng.random() < density)
+        ]
+        g = Graph.from_edges(V, edges)
+        out.append(g)
+        if V <= 4:
+            out.append(or_power(g, 2))
+    return out
+
+
+def test_exact_chi_matches_brute_force_on_random_corpus():
+    corpus = _random_corpus()
+    assert any(g.vertex_count == 16 for g in corpus)
+    imperfect = 0
+    for g in corpus:
+        chi, c = exact_chromatic_number(g)
+        assert chi == _brute_force_chi(g), g.edges()
+        assert c.palette_size == chi
+        assert is_valid_coloring(g, c)
+        if g.vertex_count <= 8:
+            imperfect += chi > _brute_force_clique_number(g)
+    assert imperfect >= 50
+
+
+@pytest.mark.parametrize("seed", [984, 6345, 7616])
+def test_exact_chi_matches_brute_force_where_memo_decides(seed):
+    # Dense graphs on which the search meets one uncolored set along paths
+    # with different class counts: recording that set as refuted for one
+    # class too many makes the solver return 8 instead of 7 on each.
+    rng = random.Random(seed)
+    V = rng.randint(14, 20)
+    g = Graph.from_edges(V, [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < 0.7])
+    chi, c = exact_chromatic_number(g)
+    assert chi == _brute_force_chi(g) == 7
+    assert c.palette_size == chi
+    assert is_valid_coloring(g, c)
+
+
+# C5 with its vertices relabeled: isomorphic to cycle_graph(5) but not equal
+RELABELED_C5 = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+
+
+@pytest.mark.parametrize(
+    "base,chi",
+    [(cycle_graph(5), 8), (RELABELED_C5, 8), (cycle_graph(7), 7), (prism_graph(), 9)],
+    ids=["C5", "relabeled-C5", "C7", "prism"],
+)
+def test_exact_chi_of_squares(base, chi):
+    g = or_power(base, 2)
+    got, c = exact_chromatic_number(g)
+    assert got == chi
+    assert c.palette_size == chi
+    assert is_valid_coloring(g, c)
+
+
 def test_odd_cycle_chi_sequence():
     assert odd_cycle_chi_sequence(6) == [3, 8, 20, 50, 125, 313]
 
@@ -107,6 +223,13 @@ def test_regular_power_chromatic_even_cycle():
     assert regular_power_chromatic(2, 6, 2) == 4
     got = regular_power_chromatic(2, 4, 2, graph=cycle_graph(4), cross_check=True)
     assert got == 4
+
+
+@pytest.mark.parametrize("d,V", [(3, 4), (1, 2)], ids=["K4", "K2"])
+def test_regular_power_chromatic_refuses_other_degrees(d, V):
+    # d^n is wrong here: chi(K4) = 4 > 3 and chi(K2) = 2 > 1
+    with pytest.raises(UsageError, match="out of proposition scope"):
+        regular_power_chromatic(d, V, 1)
 
 
 def test_product_coloring_always_valid():
