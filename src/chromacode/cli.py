@@ -189,7 +189,7 @@ def cmd_spectral(args):
     g = _load_graph(args)
     gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
     if args.op == "eig":
-        spec = graph_spectrum(gn, tol=args.tol)
+        spec = graph_spectrum(gn)
         _emit(
             {
                 "eigenvalues": list(spec.values),
@@ -215,7 +215,7 @@ def cmd_spectral(args):
     if args.op == "split":
         if args.power < 2:
             raise UsageError("split needs --power >= 2")
-        rep = split_decomposition(gn, tol=args.tol)
+        rep = split_decomposition(gn)
         _emit(
             {
                 "lambda_gr": list(rep.lam_gr),
@@ -232,7 +232,6 @@ def cmd_spectral(args):
             n=args.power,
             V=g.vertex_count,
             power=gn if args.power > 1 else None,
-            tol=args.tol,
         )
         _emit(
             {
@@ -497,7 +496,6 @@ def build_parser():
     sp.add_argument("--op", choices=["eig", "gct", "split", "bounds"], required=True)
     sp.add_argument("--mode", choices=["scalar", "block"], default="scalar")
     sp.add_argument("--variant", choices=list(BOUND_VARIANTS), default="hoffman-direct")
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("expansion", help="expansion rates and bounds")

@@ -1,13 +1,14 @@
-"""Symmetric eigensolving (cyclic Jacobi rotations), Gershgorin enclosures,
-closed-form largest eigenvalues of cycle powers, the split decomposition of
-OR-power adjacency matrices, and the eigenvalue-based chromatic bounds."""
+"""Symmetric eigensolving (LAPACK through numpy, with a cyclic Jacobi solver
+kept as the hand-written reference), Gershgorin enclosures, closed-form
+largest eigenvalues of cycle powers, the split decomposition of OR-power
+adjacency matrices, and the eigenvalue-based chromatic bounds."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, check_guard
+from .errors import ChromacodeError, UsageError, check_guard
 from .orpower import PowerGraph, subgraph_view
 
 DENSE_GUARD_DEFAULT = 10_000
@@ -17,25 +18,48 @@ DISTINCT_TOL = 1e-6
 # -- eigensolver --------------------------------------------------------------
 
 
-def jacobi_eigenvalues(matrix, tol=1e-10, max_sweeps=60, vectors=False):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps 2x2 rotations over all off-diagonal positions until the
-    off-diagonal Frobenius mass is below tol * ||M||_F.
-    """
+def _symmetric_array(matrix):
+    """A float copy of matrix, refused unless it is square and symmetric."""
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise UsageError("matrix must be square")
     if not np.allclose(a, a.T, atol=1e-8):
         raise UsageError("matrix must be symmetric")
+    return a
+
+
+def _eigvalsh(matrix):
+    """Eigenvalues of a symmetric matrix, descending, by LAPACK.
+
+    The symmetry check matters: eigvalsh reads only one triangle, so an
+    asymmetric input would otherwise return a silently wrong spectrum.
+    """
+    return np.linalg.eigvalsh(_symmetric_array(matrix))[::-1]
+
+
+def jacobi_eigenvalues(matrix, tol=1e-10, max_sweeps=60, vectors=False):
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    The hand-written reference that tests check LAPACK against; no library
+    path calls it.  Sweeps 2x2 rotations over all off-diagonal positions until
+    the off-diagonal Frobenius mass is below tol * ||M||_F, and raises
+    ChromacodeError if that has not happened after max_sweeps sweeps.
+    """
+    a = _symmetric_array(matrix)
+    n = a.shape[0]
     vecs = np.eye(n) if vectors else None
     scale = np.linalg.norm(a)
     if n > 1 and scale > 0:
-        for _ in range(max_sweeps):
+        for sweep in range(max_sweeps + 1):
             off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
             if off <= tol * scale:
                 break
+            if sweep == max_sweeps:
+                raise ChromacodeError(
+                    f"Jacobi did not converge in {max_sweeps} sweeps: "
+                    f"off-diagonal norm {off:.3e} > {tol * scale:.3e}"
+                )
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     apq = a[p, q]
@@ -98,23 +122,28 @@ class Spectrum:
         return [(v, m) for v, m in out]
 
 
-def symmetric_eigenvalues(matrix, tol=1e-10, guard=None):
-    """Spectrum of a symmetric matrix (Jacobi solver)."""
+def symmetric_eigenvalues(matrix, guard=None):
+    """Spectrum of a symmetric matrix (LAPACK eigvalsh), as plain floats."""
     m = np.asarray(matrix)
     check_guard("matrix dimension", m.shape[0], guard, DENSE_GUARD_DEFAULT)
-    return Spectrum(tuple(jacobi_eigenvalues(m, tol=tol)))
+    return Spectrum(tuple(_eigvalsh(m).tolist()))
 
 
-def graph_spectrum(g, tol=1e-10, guard=None):
-    return symmetric_eigenvalues(g.adjacency_matrix(), tol=tol, guard=guard)
+def graph_spectrum(g, guard=None):
+    return symmetric_eigenvalues(g.adjacency_matrix(), guard=guard)
 
 
 def spectral_norm(matrix):
-    """2-norm of an arbitrary rectangular matrix via Jacobi on M^T M."""
+    """2-norm of an arbitrary rectangular matrix as sqrt(λ_max(M^T M)).
+
+    Not np.linalg.norm(m, 2): that returns 5.000000000000001 for the 5x5
+    all-ones block, which moves the exact block-Gershgorin envelope of
+    A_f1^2 off (-18, 18).
+    """
     m = np.asarray(matrix, dtype=float)
     if m.size == 0:
         return 0.0
-    ev = jacobi_eigenvalues(m.T @ m)
+    ev = _eigvalsh(m.T @ m)
     return math.sqrt(max(float(ev[0]), 0.0))
 
 
@@ -166,7 +195,7 @@ def gershgorin(matrix, mode="scalar", block_size=None):
                 for t in range(nb)
                 if t != k
             )
-            for lam in jacobi_eigenvalues(diag):
+            for lam in _eigvalsh(diag):
                 intervals.append((float(lam) - radius, float(lam) + radius))
             inner = gershgorin(diag, "scalar").envelope
             scalar_lo.append(inner[0] - radius)
@@ -225,7 +254,7 @@ class SplitReport:
     deviations: tuple  # per-index |lam_sums - lam_full|
 
 
-def split_decomposition(gn, tol=1e-10, guard=None):
+def split_decomposition(gn, guard=None):
     """Split an OR-power adjacency into block-diagonal previous-power copies
     (a_gr) plus the cross-block remainder (a_fc), with an eigen-sum report
     pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
@@ -240,18 +269,18 @@ def split_decomposition(gn, tol=1e-10, guard=None):
         block = subgraph_view(gn, l).adjacency_matrix()
         a_gr[l * size : (l + 1) * size, l * size : (l + 1) * size] = block
     a_fc = full - a_gr
-    lam_gr = jacobi_eigenvalues(a_gr, tol=tol)
-    lam_fc = jacobi_eigenvalues(a_fc, tol=tol)
-    lam_full = jacobi_eigenvalues(full, tol=tol)
+    lam_gr = _eigvalsh(a_gr)
+    lam_fc = _eigvalsh(a_fc)
+    lam_full = _eigvalsh(full)
     sums = lam_gr + lam_fc
     return SplitReport(
         a_gr,
         a_fc,
-        tuple(lam_gr),
-        tuple(lam_fc),
-        tuple(lam_full),
-        tuple(sums),
-        tuple(np.abs(sums - lam_full)),
+        tuple(lam_gr.tolist()),
+        tuple(lam_fc.tolist()),
+        tuple(lam_full.tolist()),
+        tuple(sums.tolist()),
+        tuple(np.abs(sums - lam_full).tolist()),
     )
 
 
@@ -266,9 +295,9 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
 
-def bound_hoffman(g, tol=1e-10):
+def bound_hoffman(g):
     """Hoffman lower / Wilf upper bound directly from the spectrum of g."""
-    spec = graph_spectrum(g, tol=tol)
+    spec = graph_spectrum(g)
     l1, lv = spec.lambda_1, spec.lambda_min
     lower = 1.0 - l1 / lv if lv < 0 else 1.0
     upper = math.floor(l1 + 1e-9) + 1
@@ -290,29 +319,29 @@ def bound_cycle_power(V, n):
     )
 
 
-def bound_degree(gn, tol=1e-10):
+def bound_degree(gn):
     """Degree-flavored bounds on χ of a materialized (power) graph: Hoffman
     ratio against the das lower bound on λ_V; upper is d_max + 1."""
     V = gn.vertex_count
     degrees = gn.degrees()
-    spec = graph_spectrum(gn, tol=tol)
+    spec = graph_spectrum(gn)
     das = smallest_eig_lower_bounds(V, gn.edge_count, degrees)["das"]
     lower = 1.0 - spec.lambda_1 / das if das < 0 else 1.0
     upper = max(degrees) + 1
     return BoundReport("degree", lower, upper, {"lambda_1": spec.lambda_1, "das": das})
 
 
-def bound_general(g, n, power=None, tol=1e-10):
+def bound_general(g, n, power=None):
     """Bounds on χ(G^n) from the base spectrum only: the numerator estimates
     λ1(G^n) by λ1(G) + d_max·Σ V^j.  λ_{V^n} comes from the materialized power
     when supplied, else from the hong bound.  The upper bound carries a +1
     that the floor form needs to stay valid on complete graphs."""
-    spec = graph_spectrum(g, tol=tol)
+    spec = graph_spectrum(g)
     V = g.vertex_count
     dmax = max(g.degrees())
     est = spec.lambda_1 + dmax * sum(V**j for j in range(1, n))
     if power is not None:
-        lam_v = graph_spectrum(power, tol=tol).lambda_min
+        lam_v = graph_spectrum(power).lambda_min
     else:
         lam_v = hong_bound(V**n)
     lower = 1.0 - est / lam_v if lam_v < 0 else 1.0
@@ -322,10 +351,10 @@ def bound_general(g, n, power=None, tol=1e-10):
     )
 
 
-def bound_gct_split(gn, tol=1e-10):
+def bound_gct_split(gn):
     """Bounds on χ(G^n) via the split decomposition: λ1(a_gr) + λ1(a_fc)
     bounds λ1(G^n) from above; hong bounds λ_{V^n} from below."""
-    rep = split_decomposition(gn, tol=tol)
+    rep = split_decomposition(gn)
     s = rep.lam_gr[0] + rep.lam_fc[0]
     lam_v = hong_bound(gn.vertex_count)
     lower = 1.0 - s / lam_v
@@ -338,7 +367,7 @@ def bound_gct_split(gn, tol=1e-10):
     )
 
 
-def lambda1_window(g, n, power=None, tol=1e-10):
+def lambda1_window(g, n, power=None):
     """Enclosures of λ1(G^n): the coarse window [d_avg·V^{n-1}, block-GCT
     envelope] and the refined window [d_avg·V^{n-1}, ⌊λ1(gr)+λ1(fc)⌋+1]."""
     if n < 2:
@@ -351,7 +380,7 @@ def lambda1_window(g, n, power=None, tol=1e-10):
     if power is None:
         power = or_power(g, n)
     gct = gershgorin(power.adjacency_matrix(), "block", block_size=V ** (n - 1))
-    rep = split_decomposition(power, tol=tol)
+    rep = split_decomposition(power)
     s = rep.lam_gr[0] + rep.lam_fc[0]
     return {
         "window": (lo, gct.scalar_envelope[1]),
@@ -371,19 +400,19 @@ BOUND_VARIANTS = (
 )
 
 
-def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, tol=1e-10):
+def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     """Dispatch over the named bound variants (see the individual helpers)."""
     if variant == "hoffman-direct":
-        return bound_hoffman(power if g is None else g, tol=tol)
+        return bound_hoffman(power if g is None else g)
     if variant == "cycle-power":
         return bound_cycle_power(V, n)
     if variant == "degree":
-        return bound_degree(power if power is not None else g, tol=tol)
+        return bound_degree(power if power is not None else g)
     if variant == "general":
-        return bound_general(g, n, power=power, tol=tol)
+        return bound_general(g, n, power=power)
     if variant == "gct-split":
-        return bound_gct_split(power, tol=tol)
+        return bound_gct_split(power)
     if variant == "lambda1-window":
-        w = lambda1_window(g, n, power=power, tol=tol)
+        w = lambda1_window(g, n, power=power)
         return BoundReport("lambda1-window", w["refined"][0], w["refined"][1], w)
     raise UsageError(f"unknown bound variant {variant!r}")

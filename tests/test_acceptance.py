@@ -42,6 +42,7 @@ from chromacode import (
     graph_spectrum,
     is_valid_b_fold,
     is_valid_coloring,
+    jacobi_eigenvalues,
     lambda1_window,
     odd_cycle_chi_sequence,
     odd_cycle_entropy_upper_bound,
@@ -274,6 +275,16 @@ def test_criterion_5_jacobi_vs_numpy_oracle():
         ours = graph_spectrum(g).values
         oracle = np.sort(np.linalg.eigvalsh(np.asarray(g.adjacency_matrix(), dtype=float)))[::-1]
         assert np.allclose(ours, oracle, atol=1e-8)
+
+
+def test_criterion_5_jacobi_reference_vs_eigvalsh():
+    # graph_spectrum itself runs eigvalsh, so the hand-written solver is
+    # checked here directly
+    c5 = cycle_graph(5)
+    for g in (c5, or_power(cycle_graph(4), 2), AF1, or_power(c5, 2), or_power(prism_graph(), 2)):
+        a = np.asarray(g.adjacency_matrix(), dtype=float)
+        oracle = np.sort(np.linalg.eigvalsh(a))[::-1]
+        assert np.allclose(jacobi_eigenvalues(a), oracle, atol=1e-8)
 
 
 # -- criterion 6: eigenvalue lower bounds ---------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chromacode import (
+    ChromacodeError,
     Graph,
     UsageError,
     all_ones_spectrum,
@@ -41,6 +42,49 @@ def test_jacobi_matches_numpy_on_random_symmetric():
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(UsageError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_jacobi_raises_when_not_converged():
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(8, 8))
+    m = (m + m.T) / 2
+    with pytest.raises(ChromacodeError, match="1 sweeps"):
+        jacobi_eigenvalues(m, max_sweeps=1)
+
+
+def test_jacobi_checks_convergence_after_the_last_sweep():
+    # one rotation diagonalizes a 2x2 matrix, so exactly one sweep suffices
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(jacobi_eigenvalues(m, max_sweeps=1), [3.0, 1.0], atol=1e-12)
+    with pytest.raises(ChromacodeError):
+        jacobi_eigenvalues(m, max_sweeps=0)
+
+
+class _MatrixGraph:
+    """Stands in for a graph whose adjacency matrix is malformed."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def adjacency_matrix(self):
+        return self.matrix
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((2, 3))], ids=["asymmetric", "non-square"]
+)
+def test_lapack_path_rejects_malformed_matrices(matrix):
+    with pytest.raises(UsageError):
+        symmetric_eigenvalues(matrix)
+    with pytest.raises(UsageError):
+        graph_spectrum(_MatrixGraph(matrix))
+
+
+def test_spectra_are_plain_floats():
+    assert all(type(v) is float for v in graph_spectrum(cycle_graph(5)).values)
+    rep = split_decomposition(or_power(cycle_graph(5), 2))
+    for values in (rep.lam_gr, rep.lam_fc, rep.lam_full, rep.lam_sums, rep.deviations):
+        assert all(type(v) is float for v in values)
 
 
 def test_c5_spectrum():
