@@ -25,7 +25,7 @@ class FunctionSpec:
 
     @classmethod
     def from_table(cls, table):
-        if not table or any(len(row) != len(table[0]) for row in table):
+        if not table or not table[0] or any(len(row) != len(table[0]) for row in table):
             raise UsageError("function table must be rectangular and nonempty")
         labels = {}
         rows = []
@@ -63,10 +63,11 @@ class FunctionSpec:
 
 
 def _parse_rational(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
+    if isinstance(v, (str, int)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise UsageError(f"probability {v!r} must be an exact rational ('num/den' or int)")
 
 
@@ -118,15 +119,19 @@ class JointPMF:
 
     @classmethod
     def from_dict(cls, d, n1=None, n2=None):
+        if not (d == "uniform" or isinstance(d, dict)):
+            raise UsageError("malformed PMF JSON: expected an object with key 'p'")
         if d == "uniform" or d.get("p") == "uniform":
             if n1 is None or n2 is None:
                 raise UsageError("uniform PMF shorthand needs alphabet sizes")
             return cls.uniform(n1, n2)
         try:
-            rows = d["p"]
-            return cls(tuple(tuple(_parse_rational(v) for v in row) for row in rows))
+            probs = tuple(tuple(_parse_rational(v) for v in row) for row in d["p"])
         except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed PMF JSON: {exc}") from exc
+        if not probs or any(len(row) != len(probs[0]) for row in probs):
+            raise UsageError("PMF rows must be rectangular and nonempty")
+        return cls(probs)
 
     @classmethod
     def from_json(cls, s, n1=None, n2=None):

@@ -160,14 +160,18 @@ def cmd_entropy(args):
     if args.bound == "fractional":
         _emit({"lo": fractional_entropy_lower_bound(V), "bound": "fractional"})
         return 0
-    if args.bound == "odd-cycle":
-        if V % 2 == 0:
-            raise UsageError("odd-cycle bound needs odd V")
-        res = odd_cycle_entropy_upper_bound((V - 1) // 2, args.power)
-    elif args.bound == "general":
-        res = general_entropy_upper_bound(g, args.power, guard=args.guard)
-    else:
-        raise UsageError(f"unknown bound {args.bound!r}")
+    try:
+        if args.bound == "odd-cycle":
+            if V % 2 == 0:
+                raise UsageError("odd-cycle bound needs odd V")
+            res = odd_cycle_entropy_upper_bound((V - 1) // 2, args.power)
+        elif args.bound == "general":
+            res = general_entropy_upper_bound(g, args.power, guard=args.guard)
+        else:
+            raise UsageError(f"unknown bound {args.bound!r}")
+    except AssertionError as exc:
+        # the window functions raise AssertionError when no alpha profile is feasible
+        raise ChromacodeError(f"no entropy window: {exc}") from exc
     pmf = {str(c): str(p) for c, p in res["hi_profile"].pmf().items()}
     _emit(
         {
@@ -526,6 +530,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "power", 1) < 1:
+            raise UsageError("--power must be >= 1")
         return args.func(args)
     except GuardExceeded as exc:
         print(

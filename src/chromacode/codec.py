@@ -5,6 +5,11 @@ Huffman codes on the color PMFs -> receiver lookup table on color pairs.
 The decoder table is built by enumerating every positive-probability pair of
 source blocks, and construction fails loudly if any color pair would have to
 decode to two different outcome blocks.
+
+`encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
+time.  `simulate` measures rates over many blocks in a chunked array pass: it
+draws SIMULATE_CHUNK blocks per chunk from the seeded `random.Random` stream,
+then colors, measures and checks the whole chunk with numpy lookup tables.
 """
 
 import json
@@ -12,6 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .chargraph import build_characteristic_graph
 from .coloring import (
@@ -37,6 +44,8 @@ class AmbiguityError(ChromacodeError):
         )
         self.witness = (pair_a, pair_b)
 
+
+SIMULATE_CHUNK = 4096  # blocks per array pass of `simulate`
 
 STRATEGIES = ("exact", "greedy", "even-cycle", "odd-cycle", "product", "auto")
 
@@ -84,6 +93,7 @@ class CodecPlan:
     color_pmfs: tuple  # exact color PMFs over blocks
     avg_lengths: tuple  # exact Fractions, bits per block
     decoder: dict  # (color1, color2) -> outcome block tuple
+    inverses: tuple  # {codeword: color} per source, the receiver's codebooks
 
 
 def _block_pmf(marginal, n):
@@ -135,9 +145,10 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         pmf2[c] = pmf2.get(c, Fraction(0)) + p
     code1, avg1 = huffman_code(pmf1)
     code2, avg2 = huffman_code(pmf2)
+    inverses = tuple({w: c for c, w in code.items()} for code in (code1, code2))
     return CodecPlan(
         spec, pmf, n, (g1, g2), (gn1, gn2), (c1, c2), (code1, code2),
-        (pmf1, pmf2), (avg1, avg2), decoder,
+        (pmf1, pmf2), (avg1, avg2), decoder, inverses,
     )
 
 
@@ -156,8 +167,7 @@ def encode_block(plan, source, block):
     return code[color]
 
 
-def _decode_prefix(code, bits):
-    inverse = {w: c for c, w in code.items()}
+def _decode_prefix(inverse, bits):
     if "" in inverse:  # single-color code: zero bits
         if bits:
             raise UsageError(f"trailing bits {bits!r} for a zero-bit code")
@@ -169,7 +179,7 @@ def _decode_prefix(code, bits):
 
 def decode_pair(plan, bits1, bits2):
     """Outcome block from the two codewords, via the receiver lookup table."""
-    key = (_decode_prefix(plan.codes[0], bits1), _decode_prefix(plan.codes[1], bits2))
+    key = (_decode_prefix(plan.inverses[0], bits1), _decode_prefix(plan.inverses[1], bits2))
     if key not in plan.decoder:
         raise UsageError(f"unsupported input: color pair {key} has zero probability")
     return plan.decoder[key]
@@ -219,27 +229,74 @@ class RateReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _block_tables(plan, source):
+    """Per block index of one source: (decoded color, codeword length).
+
+    Each color's codeword is decoded once through the plan's inverse codebook.
+    A color without a codeword decodes to -1, the receiver table's empty row.
+    """
+    code = plan.codes[source - 1]
+    inverse = plan.inverses[source - 1]
+    palette = plan.colorings[source - 1].palette_size
+    decoded = np.full(palette, -1, dtype=np.int64)
+    lengths = np.zeros(palette, dtype=np.int64)
+    for c, w in code.items():
+        decoded[c] = _decode_prefix(inverse, w)
+        lengths[c] = len(w)
+    colors = np.array(plan.colorings[source - 1].assignment, dtype=np.int64)
+    return decoded[colors], lengths[colors]
+
+
 def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
-    """Draw i.i.d. blocks, encode, decode, verify, and report empirical rates."""
+    """Draw i.i.d. blocks, encode, decode, verify, and report empirical rates.
+
+    Blocks are handled SIMULATE_CHUNK at a time, so memory does not grow with
+    `samples`.  A chunk of k blocks is one `rng.choices(..., k=k*n)` call on
+    `random.Random(seed)`; `choices` spends one `random()` per cell, so the
+    cells, and the report, are those that drawing block by block would give.
+    A dot product with base powers maps each block to its tuple index, which
+    indexes the decoded color and codeword length of that block
+    (`_block_tables`).  Every sample's decoded color pair is looked up in a
+    dense (color1, color2) -> outcome-index table built from `plan.decoder`
+    and compared with f on the drawn cells; a mismatch raises AssertionError.
+    """
     if samples < 1:
         raise UsageError("samples must be >= 1")
     plan = build_codec(spec, pmf, n, coloring_strategy, guard=guard)
     rng = random.Random(seed)
-    pairs = [(x1, x2) for x1 in range(spec.n1) for x2 in range(spec.n2)]
-    weights = [float(pmf.p(x1, x2)) for x1, x2 in pairs]
+    # cell x1 * n2 + x2 is the pair (x1, x2)
+    cells = range(spec.n1 * spec.n2)
+    weights = [float(pmf.p(x1, x2)) for x1 in range(spec.n1) for x2 in range(spec.n2)]
+    cell_x1 = np.repeat(np.arange(spec.n1), spec.n2)
+    cell_x2 = np.tile(np.arange(spec.n2), spec.n1)
+    pow1 = spec.n1 ** np.arange(n - 1, -1, -1)
+    pow2 = spec.n2 ** np.arange(n - 1, -1, -1)
+    decoded1, lengths1 = _block_tables(plan, 1)
+    decoded2, lengths2 = _block_tables(plan, 2)
+    # outcome blocks as big-endian indices over the outcome ids; -1 is no outcome,
+    # also in the spare last row and column that colors without a codeword hit
+    cell_out = np.array(spec.table).ravel()
+    outcomes = int(cell_out.max()) + 1
+    out_pow = outcomes ** np.arange(n - 1, -1, -1)
+    shape = tuple(c.palette_size + 1 for c in plan.colorings)
+    receiver = np.full(shape, -1, dtype=np.int64)
+    for (k1, k2), out in plan.decoder.items():
+        receiver[k1, k2] = encode_tuple(out, outcomes)
     bits = [0, 0]
-    for _ in range(samples):
-        draws = rng.choices(pairs, weights=weights, k=n)
-        b1 = tuple(x1 for x1, _ in draws)
-        b2 = tuple(x2 for _, x2 in draws)
-        w1 = encode_block(plan, 1, b1)
-        w2 = encode_block(plan, 2, b2)
-        expected = tuple(spec.f(x1, x2) for x1, x2 in draws)
-        got = decode_pair(plan, w1, w2)
-        if got != expected:
+    for start in range(0, samples, SIMULATE_CHUNK):
+        k = min(SIMULATE_CHUNK, samples - start)
+        drawn = np.array(rng.choices(cells, weights=weights, k=k * n)).reshape(k, n)
+        idx1 = cell_x1[drawn] @ pow1
+        idx2 = cell_x2[drawn] @ pow2
+        bits[0] += int(lengths1[idx1].sum())
+        bits[1] += int(lengths2[idx2].sum())
+        got = receiver[decoded1[idx1], decoded2[idx2]]
+        bad = np.flatnonzero(got != cell_out[drawn] @ out_pow)
+        if bad.size:
+            row = drawn[bad[0]]
+            b1 = tuple(int(x) for x in cell_x1[row])
+            b2 = tuple(int(x) for x in cell_x2[row])
             raise AssertionError(f"decode mismatch on sample {b1},{b2}")
-        bits[0] += len(w1)
-        bits[1] += len(w2)
     denom = samples * n
     h1 = entropy_bits(pmf.marginal(1))
     h2 = entropy_bits(pmf.marginal(2))

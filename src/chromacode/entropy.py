@@ -219,12 +219,14 @@ def general_entropy_upper_bound(g, n, guard=None):
     if m == 1:
         # complete graph: every class is a singleton, bound is log2 V exactly
         sizes = tuple(1 for _ in range(n + 1))
-        profile = AlphaProfile((1,) * n + (V**n - n,), sizes, V**n)
+        # K1's power is one vertex: the only class is alpha_0
+        alphas = (1,) * n + (V**n - n,) if V > 1 else (1,) + (0,) * n
+        profile = AlphaProfile(alphas, sizes, V**n)
         h = log2(V)
         return {
             "lo": h,
             "hi": h,
-            "alpha_n_window": (V**n - n, V**n - n),
+            "alpha_n_window": (profile.alphas[-1], profile.alphas[-1]),
             "lo_profile": profile,
             "hi_profile": profile,
         }

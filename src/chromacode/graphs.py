@@ -115,7 +115,7 @@ class Graph:
     def from_dict(cls, d):
         try:
             return cls.from_edges(d["vertices"], [tuple(e) for e in d["edges"]])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed graph JSON: {exc}") from exc
 
     @classmethod

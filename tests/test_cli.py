@@ -207,3 +207,58 @@ def test_malformed_graph_json_is_usage_error(tmp_path, capsys):
     p.write_text('{"vertices": 3, ')
     err = _usage_error(capsys, ["graph", "--graph", str(p)])
     assert "malformed graph JSON" in err
+
+
+def test_graph_json_with_a_one_vertex_edge_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text('{"vertices": 1, "edges": [[0]]}')
+    err = _usage_error(capsys, ["graph", "--graph", str(p)])
+    assert "malformed graph JSON" in err
+
+
+@pytest.mark.parametrize("pmf", ["null", "[1]", '{"p": [["x", "1"]]}', '{"p": [["1/0", "1"]]}'])
+def test_malformed_pmf_json_is_usage_error(ex1_files, tmp_path, capsys, pmf):
+    spec_path, _ = ex1_files
+    p = tmp_path / "bad.json"
+    p.write_text(pmf)
+    _usage_error(capsys, ["simulate", "--spec", spec_path, "--pmf", str(p), "--samples", "5"])
+
+
+def test_ragged_pmf_rows_are_usage_error(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    spec.write_text('{"f": [[0, 1], [1, 0]]}')
+    pmf = tmp_path / "p.json"
+    pmf.write_text('{"p": [["1", "0"], []]}')
+    err = _usage_error(capsys, ["simulate", "--spec", str(spec), "--pmf", str(pmf)])
+    assert "rectangular" in err
+
+
+def test_function_table_with_empty_rows_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    spec.write_text('{"f": [[], []]}')
+    err = _usage_error(capsys, ["chargraph", "--spec", str(spec), "--pmf", "uniform"])
+    assert "rectangular and nonempty" in err
+
+
+def test_power_below_one_is_usage_error(capsys):
+    argv = ["spectral", "--kind", "cycle", "--size", "5", "--power", "0", "--op", "gct"]
+    err = _usage_error(capsys, argv + ["--mode", "block"])
+    assert "--power" in err
+
+
+def test_infeasible_entropy_window_is_a_check_failure(capsys):
+    # C4 has alpha = 2, and 1 + 2 * alpha_1 = 4 has no integer solution
+    rc = main(["entropy", "--kind", "cycle", "--size", "4", "--bound", "general"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert json.loads(err)["error"] == "check"
+
+
+def test_general_entropy_of_k1_power_is_zero(capsys):
+    rc, out = run(
+        capsys, "entropy", "--kind", "complete", "--size", "1", "--power", "2", "--bound", "general"
+    )
+    assert rc == 0
+    d = json.loads(out)
+    assert (d["lo"], d["hi"]) == (0.0, 0.0)
+    assert d["alphas"]["hi_profile"] == [1, 0, 0]

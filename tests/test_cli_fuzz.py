@@ -1,0 +1,171 @@
+"""Property test of the CLI contract over generated argv and JSON inputs.
+
+Whatever the flags and input files, `chromacode` must exit 0, 1, 2 or 3, put
+a JSON error object on stderr when it exits nonzero, and never end in a
+traceback.  The argv is always one that argparse accepts (its own usage
+errors are argparse's business); sizes stay small enough that no exact
+coloring or brute-force search comes near its timeout.  Examples are
+derandomized so Tier-1 runs the same inputs every time.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chromacode.cli import main
+from chromacode.codec import STRATEGIES
+from chromacode.spectral import BOUND_VARIANTS
+
+FUZZ = settings(max_examples=60, deadline=5000, derandomize=True, database=None)
+
+small = st.integers(-1, 6)
+text = st.text(alphabet="0123456789-,/ xu{}[]\":", max_size=12)
+scalars = st.none() | st.booleans() | st.integers(-2, 7) | text | st.sampled_from(["1/2", "uniform"])
+json_values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["vertices", "edges", "f", "p", "x1", "x2"]), kids, max_size=4),
+    max_leaves=10,
+)
+graph_json = st.one_of(
+    st.builds(
+        lambda v, e: json.dumps({"vertices": v, "edges": e}),
+        small,
+        st.lists(st.lists(small, min_size=1, max_size=3), max_size=8),
+    ),
+    json_values.map(json.dumps),
+    text,
+)
+table = st.integers(0, 3).flatmap(
+    lambda n2: st.lists(st.lists(st.integers(0, 2), min_size=n2, max_size=n2), min_size=1, max_size=3)
+)
+spec_json = st.one_of(
+    table.map(lambda t: json.dumps({"f": t})),
+    st.builds(lambda t, x1: json.dumps({"f": t, "x1": x1}), table, small),
+    json_values.map(json.dumps),
+    text,
+)
+cell = st.sampled_from(["0", "1", "1/2", "1/3", "1/4", "2/3", "-1/2", "x", "1/0"]) | st.integers(-1, 1)
+rows = st.lists(st.lists(cell, max_size=3), min_size=1, max_size=3)
+pmf_json = st.one_of(
+    rows.map(lambda r: json.dumps({"p": r})),
+    json_values.map(json.dumps),
+    st.just('"uniform"'),
+    text,
+)
+
+
+@st.composite
+def graph_args(draw):
+    """Flags that name a graph: a JSON file (as FILE=<text>) or --kind/--size/--edges."""
+    if draw(st.booleans()):
+        return ["--graph", ("FILE", draw(graph_json))]
+    args = [f"--kind={draw(st.sampled_from(['cycle', 'complete', 'path', 'edgeless', 'custom']))}"]
+    size = draw(st.none() | small)
+    if size is not None:
+        args.append(f"--size={size}")
+    edges = draw(st.none() | text)
+    if edges is not None:
+        args.append(f"--edges={edges}")
+    return args
+
+
+def _common(draw):
+    args = draw(graph_args()) + [f"--power={draw(st.integers(-1, 2))}"]
+    guard = draw(st.none() | st.integers(-1, 30))
+    if guard is not None:
+        args.append(f"--guard={guard}")
+    return args
+
+
+@st.composite
+def color_argv(draw):
+    scheme = draw(st.sampled_from(["exact", "greedy", "even-cycle", "odd-cycle", "fractional"]))
+    return ["color", *_common(draw), f"--scheme={scheme}", f"--fold={draw(st.integers(-1, 3))}"]
+
+
+@st.composite
+def entropy_argv(draw):
+    bound = draw(st.sampled_from(["brute", "odd-cycle", "general", "fractional"]))
+    return ["entropy", *_common(draw), f"--bound={bound}"]
+
+
+@st.composite
+def spectral_argv(draw):
+    return [
+        "spectral",
+        *_common(draw),
+        f"--op={draw(st.sampled_from(['eig', 'gct', 'split', 'bounds']))}",
+        f"--mode={draw(st.sampled_from(['scalar', 'block']))}",
+        f"--variant={draw(st.sampled_from(BOUND_VARIANTS))}",
+    ]
+
+
+@st.composite
+def simulate_argv(draw):
+    pmf = draw(st.just("uniform") | pmf_json.map(lambda t: ("FILE", t)))
+    return [
+        "simulate",
+        "--spec",
+        ("FILE", draw(spec_json)),
+        "--pmf",
+        pmf,
+        f"--n={draw(st.integers(-1, 2))}",
+        f"--samples={draw(st.integers(-1, 300))}",
+        f"--seed={draw(st.integers(0, 3))}",
+        f"--strategy={draw(st.sampled_from(STRATEGIES) | text)}",
+    ]
+
+
+def _run(argv):
+    """Write FILE inputs to disk, run the CLI in-process, return (rc, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for i, a in enumerate(argv):
+            if isinstance(a, tuple):
+                path = os.path.join(tmp, f"in{i}.json")
+                with open(path, "w") as fh:
+                    fh.write(a[1])
+                a = path
+            args.append(a)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(args)
+    return rc, err.getvalue()
+
+
+def _check_contract(argv):
+    rc, err = _run(argv)
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    assert "Traceback" not in err
+    if rc != 0:
+        assert "error" in json.loads(err), (argv, err)
+
+
+@FUZZ
+@given(color_argv())
+def test_color_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(entropy_argv())
+def test_entropy_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(spectral_argv())
+def test_spectral_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(simulate_argv())
+def test_simulate_cli_contract(argv):
+    _check_contract(argv)

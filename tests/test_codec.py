@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -8,16 +9,19 @@ from chromacode import (
     FunctionSpec,
     Graph,
     JointPMF,
+    RateReport,
     UsageError,
     build_characteristic_graph,
     build_codec,
     cycle_graph,
     decode_pair,
     encode_block,
+    entropy_bits,
     example1_spec,
     roundtrip_exhaustive,
     simulate,
 )
+from chromacode import codec
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +132,108 @@ def test_relabeled_c5_codec_uses_exact_coloring():
     with pytest.raises(AmbiguityError):
         build_codec(spec, pmf, 2)
     assert time.monotonic() - start < 5.0
+
+
+def _reference_simulate(spec, pmf, n, samples, seed, coloring_strategy="auto"):
+    """`simulate` block by block: one scalar encode and decode per block."""
+    plan = build_codec(spec, pmf, n, coloring_strategy)
+    rng = random.Random(seed)
+    pairs = [(x1, x2) for x1 in range(spec.n1) for x2 in range(spec.n2)]
+    weights = [float(pmf.p(x1, x2)) for x1, x2 in pairs]
+    bits = [0, 0]
+    for _ in range(samples):
+        draws = rng.choices(pairs, weights=weights, k=n)
+        b1 = tuple(x1 for x1, _ in draws)
+        b2 = tuple(x2 for _, x2 in draws)
+        w1 = encode_block(plan, 1, b1)
+        w2 = encode_block(plan, 2, b2)
+        assert decode_pair(plan, w1, w2) == tuple(spec.f(x1, x2) for x1, x2 in draws)
+        bits[0] += len(w1)
+        bits[1] += len(w2)
+    denom = samples * n
+    return RateReport(
+        n=n,
+        samples=samples,
+        seed=seed,
+        strategy=coloring_strategy,
+        rates=(bits[0] / denom, bits[1] / denom),
+        expected_rates=(plan.avg_lengths[0] / n, plan.avg_lengths[1] / n),
+        coloring_entropies=(
+            entropy_bits(plan.color_pmfs[0].values()) / n,
+            entropy_bits(plan.color_pmfs[1].values()) / n,
+        ),
+        source_entropies=(entropy_bits(pmf.marginal(1)), entropy_bits(pmf.marginal(2))),
+        lossless=True,
+    )
+
+
+def _example1_weighted():
+    """Example 1 with p(x1, x2) ∝ x1 + x2 + 1: codewords of unequal length."""
+    spec, _ = example1_spec()
+    probs = tuple(tuple(Fraction(a + b + 1, 24) for b in range(2)) for a in range(4))
+    return spec, JointPMF(probs)
+
+
+def _zero_cell():
+    spec = FunctionSpec.from_table([[0, 1], [1, 0]])
+    return spec, JointPMF.from_rows([["1/4", "1/4"], ["0", "1/2"]])
+
+
+def _one_color_source():
+    # f ignores x2, so G_X2 is edgeless and source 2 sends zero bits
+    spec = FunctionSpec.from_table([[0, 0, 0], [1, 1, 1]])
+    return spec, JointPMF.from_rows([["1/6", "1/12", "1/4"], ["1/3", "1/12", "1/12"]])
+
+
+@pytest.mark.parametrize(
+    "make,n,samples,seed",
+    [
+        (_example1_weighted, 1, 3000, 1),
+        (_example1_weighted, 2, 3000, 2),
+        (_example1_weighted, 3, 3000, 3),
+        (example1_spec, 1, 100_000, 12345),
+        (_zero_cell, 2, 3000, 4),
+        (_one_color_source, 2, 3000, 5),
+        (_example1_weighted, 2, codec.SIMULATE_CHUNK + 1, 6),
+    ],
+    ids=["weighted-n1", "weighted-n2", "weighted-n3", "ex1-100k", "zero-cell", "one-color",
+         "chunk+1"],
+)
+def test_simulate_matches_block_by_block_reference(make, n, samples, seed):
+    spec, pmf = make()
+    assert simulate(spec, pmf, n, samples, seed).to_json() == (
+        _reference_simulate(spec, pmf, n, samples, seed).to_json()
+    )
+
+
+def test_simulate_one_color_source_sends_zero_bits():
+    spec, pmf = _one_color_source()
+    plan = build_codec(spec, pmf, 2)
+    assert plan.codes[1] == {0: ""}
+    assert simulate(spec, pmf, 2, 500, seed=0).rates[1] == 0.0
+
+
+def test_simulate_golden_report():
+    spec, pmf = _example1_weighted()
+    assert simulate(spec, pmf, 3, 10_000, 100_000).to_json() == (
+        '{"coloring_entropies": [0.9798687566511529, 0.9798687566511529], '
+        '"expected_rates": [0.9917052469135802, 0.9917052469135802], "lossless": true, '
+        '"n": 3, "rates": [0.9914333333333334, 0.9947333333333334], "samples": 10000, '
+        '"seed": 100000, "source_entropies": [1.8955734405551428, 0.9798687566511528], '
+        '"strategy": "auto"}'
+    )
+
+
+def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
+    build = codec.build_codec
+
+    def lossy(*args, **kwargs):
+        plan = build(*args, **kwargs)
+        key = min(plan.decoder)
+        plan.decoder[key] = tuple(1 - v for v in plan.decoder[key])
+        return plan
+
+    monkeypatch.setattr(codec, "build_codec", lossy)
+    spec, pmf = ex1
+    with pytest.raises(AssertionError, match="decode mismatch"):
+        simulate(spec, pmf, 1, 2000, seed=0)
