@@ -255,8 +255,15 @@ def cmd_expansion(args):
     g = _load_graph(args)
     gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
     if args.subset:
-        subset = [int(v) for v in args.subset.split(",")]
+        try:
+            subset = [int(v) for v in args.subset.split(",")]
+        except ValueError:
+            raise UsageError(f"malformed --subset {args.subset!r}: expected ids like 0,1,2") from None
+        if len(set(subset)) != len(subset):
+            raise UsageError(f"--subset {args.subset!r} repeats a vertex")
     elif args.sample:
+        if not 0 < args.sample <= gn.vertex_count:
+            raise UsageError(f"--sample must lie in 1..{gn.vertex_count}, the vertex count")
         rng = _random.Random(args.seed)
         subset = sorted(rng.sample(range(gn.vertex_count), args.sample))
     else:

@@ -2,9 +2,12 @@
 
 Pipeline: characteristic graphs -> OR powers -> colorings -> per-source
 Huffman codes on the color PMFs -> receiver lookup table on color pairs.
-The decoder table is built by enumerating every positive-probability pair of
-source blocks, and construction fails loudly if any color pair would have to
-decode to two different outcome blocks.
+The decoder table is built over the support only: the positive-probability
+block pairs are the n-tuples of positive cells, enumerated as numpy arrays in
+chunks (one per first-coordinate source-1 symbol) and visited in (b1, b2)
+order.  Construction fails loudly if any color pair would have to decode to
+two different outcome blocks.  The color PMFs are summed in integers over a
+common denominator, with one exact Fraction per color.
 
 `encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
 time.  `simulate` measures rates over many blocks in a chunked array pass: it
@@ -17,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .coloring import (
 from .entropy import entropy_bits, huffman_code
 from .errors import ChromacodeError, UsageError
 from .graphs import make_graph
-from .orpower import decode_index, encode_tuple, or_power
+from .orpower import encode_tuple, or_power
 
 
 class AmbiguityError(ChromacodeError):
@@ -96,16 +100,109 @@ class CodecPlan:
     inverses: tuple  # {codeword: color} per source, the receiver's codebooks
 
 
-def _block_pmf(marginal, n):
-    """Distribution of i.i.d. blocks, indexed by the big-endian tuple index."""
-    V = len(marginal)
-    out = {}
-    for idx in range(V**n):
-        p = Fraction(1)
-        for x in decode_index(idx, V, n):
-            p *= marginal[x]
-        out[idx] = p
-    return out
+def _digits(values, base, n):
+    """Big-endian base-`base` digit tuples of the integers in `values`."""
+    powers = base ** np.arange(n - 1, -1, -1)
+    return [tuple(d) for d in (np.asarray(values)[:, None] // powers % base).tolist()]
+
+
+def _decoder_table(spec, pmf, n, c1, c2):
+    """The receiver table {(color1, color2): outcome block} over every positive
+    block pair; raises AmbiguityError at the first pair, in (b1, b2) order,
+    whose colors already decode to another outcome block.
+
+    A positive block pair is an n-tuple of positive cells.  The tuples are
+    enumerated in chunks, one per first-coordinate source-1 symbol, and
+    sorted by pair index idx1 * n2^n + idx2 within a chunk, which visits the
+    pairs in (b1, b2) order.  Blocks and outcome blocks are big-endian
+    indices; colors come from arrays indexed by block.
+    """
+    cells = [
+        (x1, x2, spec.f(x1, x2))
+        for x1 in range(spec.n1)
+        for x2 in range(spec.n2)
+        if pmf.p(x1, x2) != 0
+    ]
+    cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    outcomes = int(cout.max()) + 1
+    # the last n - 1 coordinates: block and outcome indices of every cell tuple
+    tail1 = tail2 = tail_out = np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        tail1 = (tail1[:, None] * spec.n1 + cx1).ravel()
+        tail2 = (tail2[:, None] * spec.n2 + cx2).ravel()
+        tail_out = (tail_out[:, None] * outcomes + cout).ravel()
+    blocks2 = spec.n2**n
+    colors1 = np.array(c1.assignment, dtype=np.int64)
+    colors2 = np.array(c2.assignment, dtype=np.int64)
+    palette2 = int(colors2.max()) + 1
+    seen_keys = np.zeros(0, dtype=np.int64)  # sorted color-pair keys met so far
+    seen_out = seen_pair = seen_keys
+    decoder = {}
+    for a in range(spec.n1):
+        head = np.flatnonzero(cx1 == a)
+        if not head.size:
+            continue
+        pair = (
+            ((a * spec.n1 ** (n - 1) + tail1) * blocks2)[None, :]
+            + (cx2[head] * spec.n2 ** (n - 1))[:, None]
+            + tail2[None, :]
+        ).ravel()
+        out = ((cout[head] * outcomes ** (n - 1))[:, None] + tail_out[None, :]).ravel()
+        order = np.argsort(pair)
+        pair, out = pair[order], out[order]
+        key = colors1[pair // blocks2] * palette2 + colors2[pair % blocks2]
+        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        # a key met in an earlier chunk keeps that chunk's outcome and witness
+        at = np.searchsorted(seen_keys, keys)
+        known = at < seen_keys.size
+        known[known] = seen_keys[at[known]] == keys[known]
+        ref_out, ref_pair = out[first], pair[first]
+        ref_out[known] = seen_out[at[known]]
+        ref_pair[known] = seen_pair[at[known]]
+        bad = np.flatnonzero(out != ref_out[inverse])
+        if bad.size:
+            j = bad[0]
+            u = inverse[j]
+            pairs = np.array([ref_pair[u], pair[j]])
+            seen1, b1 = _digits(pairs // blocks2, spec.n1, n)
+            seen2, b2 = _digits(pairs % blocks2, spec.n2, n)
+            out_seen, out_b = _digits([ref_out[u], out[j]], outcomes, n)
+            raise AmbiguityError((seen1, seen2), (b1, b2), out_seen, out_b)
+        new = np.flatnonzero(~known)
+        new = new[np.argsort(first[new])]
+        decoder.update(
+            zip(
+                zip((keys[new] // palette2).tolist(), (keys[new] % palette2).tolist()),
+                _digits(ref_out[new], outcomes, n),
+            )
+        )
+        seen_keys = np.concatenate([seen_keys, keys[new]])
+        seen_out = np.concatenate([seen_out, ref_out[new]])
+        seen_pair = np.concatenate([seen_pair, ref_pair[new]])
+        order = np.argsort(seen_keys)
+        seen_keys, seen_out, seen_pair = seen_keys[order], seen_out[order], seen_pair[order]
+    return decoder
+
+
+def _color_pmf(marginal, n, coloring):
+    """Exact color PMF of i.i.d. blocks, colors in order of first appearance.
+
+    The marginal is scaled to integers over one common denominator D; block
+    weights are their repeated outer product, summed per color and divided
+    by D^n once per color.
+    """
+    probs = [Fraction(p) for p in marginal]
+    D = lcm(*(p.denominator for p in probs))
+    base = np.array([p.numerator * (D // p.denominator) for p in probs], dtype=object)
+    weights = base
+    for _ in range(n - 1):
+        weights = np.multiply.outer(weights, base).ravel()
+    colors = np.array(coloring.assignment, dtype=np.int64)
+    palette, first = np.unique(colors, return_index=True)
+    sums = np.zeros(int(palette[-1]) + 1, dtype=object)
+    np.add.at(sums, colors, weights)
+    total = D**n
+    return {c: Fraction(sums[c], total) for c in palette[np.argsort(first)].tolist()}
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
@@ -116,33 +213,9 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     gn1, c1 = _power_coloring(g1, n, coloring_strategy, guard=guard)
     gn2, c2 = _power_coloring(g2, n, coloring_strategy, guard=guard)
     assert is_valid_coloring(gn1, c1) and is_valid_coloring(gn2, c2)
-
-    decoder = {}
-    witness = {}
-    for pair in product(product(range(spec.n1), repeat=n), product(range(spec.n2), repeat=n)):
-        b1, b2 = pair
-        if any(pmf.p(x1, x2) == 0 for x1, x2 in zip(b1, b2)):
-            continue
-        out = tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
-        key = (
-            c1.assignment[encode_tuple(b1, spec.n1)],
-            c2.assignment[encode_tuple(b2, spec.n2)],
-        )
-        if key in decoder:
-            if decoder[key] != out:
-                raise AmbiguityError(witness[key], pair, decoder[key], out)
-        else:
-            decoder[key] = out
-            witness[key] = pair
-
-    pmf1 = {}
-    for idx, p in _block_pmf(pmf.marginal(1), n).items():
-        c = c1.assignment[idx]
-        pmf1[c] = pmf1.get(c, Fraction(0)) + p
-    pmf2 = {}
-    for idx, p in _block_pmf(pmf.marginal(2), n).items():
-        c = c2.assignment[idx]
-        pmf2[c] = pmf2.get(c, Fraction(0)) + p
+    decoder = _decoder_table(spec, pmf, n, c1, c2)
+    pmf1 = _color_pmf(pmf.marginal(1), n, c1)
+    pmf2 = _color_pmf(pmf.marginal(2), n, c2)
     code1, avg1 = huffman_code(pmf1)
     code2, avg2 = huffman_code(pmf2)
     inverses = tuple({w: c for c, w in code.items()} for code in (code1, code2))

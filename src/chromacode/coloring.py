@@ -58,12 +58,23 @@ class Coloring:
 
 
 def is_valid_coloring(g, c):
-    """True iff no edge of g is monochromatic under c."""
+    """True iff no edge of g is monochromatic under c.
+
+    Each color class is ORed into one vertex bitset; vertex u is then checked
+    by one AND of its adjacency row with its class, keeping the bits above u
+    (so each edge is read once, from its lower end, as `g.edges()` lists it).
+    """
     if len(c.assignment) != g.vertex_count:
         raise UsageError(
             f"coloring length {len(c.assignment)} != vertex count {g.vertex_count}"
         )
-    return all(c.assignment[u] != c.assignment[v] for u, v in g.edges())
+    classes = {}
+    for v, color in enumerate(c.assignment):
+        classes[color] = classes.get(color, 0) | 1 << v
+    return not any(
+        (row & classes[color]) >> (u + 1)
+        for u, (row, color) in enumerate(zip(g._rows, c.assignment))
+    )
 
 
 def greedy_coloring(g, order=None):
@@ -246,49 +257,62 @@ def even_cycle_power_coloring(k, n, guard=None):
     return gn, c
 
 
-def odd_cycle_chi_sequence(n):
-    """χ(C_{2k+1}^m) for m = 1..n by the recursion χ' = 2χ + ⌈χ/2⌉, χ(C)=3."""
+def odd_cycle_chi_sequence(n, k=2):
+    """χ(C_{2k+1}^m) for m = 1..n by the recursion χ' = 2χ + ⌈χ/k⌉, χ(C)=3.
+
+    χ(G[H]) = χ_b(G) with b = χ(H) (Geller & Stahl 1975), and
+    χ_b(C_{2k+1}) = 2b + ⌈b/k⌉ (Stahl 1976); at k = 2 this is the C5
+    recursion 2χ + ⌈χ/2⌉.
+    """
+    if k < 2:
+        raise UsageError("need k >= 2 (C_{2k+1} with at least 5 vertices)")
     seq = [3]
     while len(seq) < n:
         chi = seq[-1]
-        seq.append(2 * chi + ceil(chi / 2))
+        seq.append(2 * chi + ceil(chi / k))
     return seq
 
 
-def _window_starts(vertices, size, palette):
-    """Consecutive color windows of `size` from `palette` colors around a cycle.
+def _cycle_window_starts(k, size, palette):
+    """Starts of `size`-color windows, out of `palette` colors, around the
+    cycle C_{2k+1}, such that the windows of adjacent vertices are disjoint.
 
-    Start of window l is l*size mod palette; returns None if adjacent windows
-    (including the wraparound pair) are not disjoint.
+    The 2k+1 steps from one start to the next, the closing step included,
+    are each size + e with 0 <= e <= palette - 2*size, and they sum to the
+    least multiple of `palette` that is at least (2k+1)*size.  The extra
+    colors go to the closing step first, then to the last steps, so the
+    windows sit at stride `size` wherever that closes around the cycle.
+    Possible iff palette/size >= (2k+1)/k (Stahl 1976).
     """
-    starts = [(l * size) % palette for l in range(vertices)]
-
-    def disjoint(s1, s2):
-        w1 = {(s1 + t) % palette for t in range(size)}
-        w2 = {(s2 + t) % palette for t in range(size)}
-        return not (w1 & w2)
-
-    for l in range(vertices):
-        if not disjoint(starts[l], starts[(l + 1) % vertices]):
-            return None
+    extra = palette - 2 * size
+    spare = -(2 * k + 1) * size % palette
+    if extra < 0 or spare > (2 * k + 1) * extra:
+        raise UsageError(f"no {palette}:{size} window coloring of C_{2 * k + 1}")
+    steps = []
+    for _ in range(2 * k + 1):
+        steps.append(size + min(extra, spare))
+        spare -= steps[-1] - size
+    starts = [0]
+    for step in reversed(steps[1:]):  # the extras sit on the last steps
+        starts.append((starts[-1] + step) % palette)
     return starts
 
 
 def odd_cycle_power_coloring(i, n, guard=None, materialize=True):
     """Recursive block coloring of C_i^n (i = 2k+1, k >= 2).
 
-    Returns (chi, coloring, graph): chi follows the 2χ+⌈χ/2⌉ recursion;
+    Returns (chi, coloring, graph): chi follows the 2χ+⌈χ/k⌉ recursion;
     the constructed coloring gives each sub-graph block a consecutive window
-    of colors, shifted block to block, and is validated on the materialized
-    power whenever that is feasible (coloring/graph are None otherwise).
-    The coloring's palette never exceeds chi.
+    of the previous level's χ colors out of the next χ, shifted block to
+    block, and is validated on the materialized power whenever that is
+    feasible (coloring/graph are None otherwise).  Its palette is chi.
     """
     if i < 5 or i % 2 == 0:
         raise UsageError("odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)")
     if n < 1:
         raise UsageError("n must be >= 1")
     k = (i - 1) // 2
-    chis = odd_cycle_chi_sequence(n)
+    chis = odd_cycle_chi_sequence(n, k)
     chi = chis[-1]
     if not materialize:
         return chi, None, None
@@ -298,20 +322,9 @@ def odd_cycle_power_coloring(i, n, guard=None, materialize=True):
         return chi, None, None
 
     colors = [v % 2 for v in range(i - 1)] + [2]
-    palette = 3
     for m in range(2, n + 1):
-        size = palette
-        # try the paper's palette first, then the tight 2s+ceil(s/k) one,
-        # then grow until the window scheme closes around the cycle
-        target = chis[m - 1]
-        starts = None
-        for pal in sorted({target, 2 * size + ceil(size / k)} | set(range(2 * size + 1, target + 1))):
-            starts = _window_starts(i, size, pal)
-            if starts is not None:
-                palette = pal
-                break
-        assert starts is not None, "window scheme failed to close"
-        assert palette <= target
+        size, palette = chis[m - 2], chis[m - 1]
+        starts = _cycle_window_starts(k, size, palette)
         prev = colors
         block = i ** (m - 1)
         colors = [
@@ -319,7 +332,7 @@ def odd_cycle_power_coloring(i, n, guard=None, materialize=True):
             for idx in range(i**m)
         ]
     c = Coloring.from_list(colors)
-    assert c.palette_size <= chi
+    assert c.palette_size == chi
     assert is_valid_coloring(gn, c)
     return chi, c, gn
 
@@ -329,7 +342,7 @@ def greedy_gain(i, n):
     naive per-coordinate 3-coloring.  Exact rational."""
     if i < 5 or i % 2 == 0:
         raise UsageError("greedy gain defined for odd cycles i >= 5")
-    chi = odd_cycle_chi_sequence(n)[-1]
+    chi = odd_cycle_chi_sequence(n, (i - 1) // 2)[-1]
     return Fraction(3**n, chi)
 
 
@@ -451,9 +464,8 @@ def fractional_chromatic_cycle(k, b):
         raise UsageError("need k >= 2 and b >= 1")
     V = 2 * k + 1
     a = ceil(Fraction(V * b, k))
-    # consecutive windows of size b at stride b mod a close around the cycle
     sets = tuple(
-        frozenset((v * b + t) % a for t in range(b)) for v in range(V)
+        frozenset((start + t) % a for t in range(b)) for start in _cycle_window_starts(k, b, a)
     )
     fc = FractionalColoring(a, b, sets)
     g = make_graph("cycle", V)

@@ -8,7 +8,7 @@ import heapq
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import lcm, log2
 
 from .coloring import is_valid_coloring
 from .errors import UsageError, check_guard
@@ -252,8 +252,10 @@ def huffman_code(pmf):
 
     Ties in the merge queue are broken by the lexicographically smallest color
     id contained in a subtree, so the code is deterministic.  Zero-probability
-    colors are dropped with a warning.  Returns (code dict, average length as
-    an exact Fraction).
+    colors are dropped with a warning.  The merges run on integer weights:
+    each probability scaled by the lcm D of the denominators, which keeps
+    their order and ties, so the code is the one exact rationals would give.
+    Returns (code dict, average length as an exact Fraction).
     """
     items = sorted(pmf.items())
     if not items:
@@ -265,15 +267,18 @@ def huffman_code(pmf):
     if len(items) == 1:
         # a lone symbol needs zero bits
         return {items[0][0]: ""}, Fraction(0)
-    heap = [(Fraction(p), (c,)) for c, p in items]
+    probs = [Fraction(p) for _, p in items]
+    D = lcm(*(p.denominator for p in probs))
+    weights = [p.numerator * (D // p.denominator) for p in probs]
+    heap = [(w, (c,)) for w, (c, _) in zip(weights, items)]
     heapq.heapify(heap)
     children = {}
     while len(heap) > 1:
-        p1, key1 = heapq.heappop(heap)
-        p2, key2 = heapq.heappop(heap)
+        w1, key1 = heapq.heappop(heap)
+        w2, key2 = heapq.heappop(heap)
         merged = tuple(sorted(key1 + key2))
         children[merged] = (key1, key2)
-        heapq.heappush(heap, (p1 + p2, merged))
+        heapq.heappush(heap, (w1 + w2, merged))
     root = heap[0][1]
     code = {}
 
@@ -286,5 +291,5 @@ def huffman_code(pmf):
         walk(right, prefix + "1")
 
     walk(root, "")
-    avg = sum(Fraction(p) * len(code[c]) for c, p in items)
-    return code, avg
+    total = sum(w * len(code[c]) for w, (c, _) in zip(weights, items))
+    return code, Fraction(total, D)

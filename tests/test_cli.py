@@ -262,3 +262,31 @@ def test_general_entropy_of_k1_power_is_zero(capsys):
     d = json.loads(out)
     assert (d["lo"], d["hi"]) == (0.0, 0.0)
     assert d["alphas"]["hi_profile"] == [1, 0, 0]
+
+
+def test_color_odd_cycle_power_c7_is_tight(capsys):
+    rc, out = run(
+        capsys, "color", "--kind", "cycle", "--size", "7", "--power", "2",
+        "--scheme", "odd-cycle",
+    )
+    assert rc == 0
+    d = json.loads(out)
+    assert d["chi"] == d["palette"] == 7
+
+
+def test_color_fractional_c11_three_fold(capsys):
+    rc, out = run(
+        capsys, "color", "--kind", "cycle", "--size", "11", "--scheme", "fractional",
+        "--fold", "3",
+    )
+    assert rc == 0
+    assert json.loads(out)["chi_b"] == 7
+
+
+@pytest.mark.parametrize(
+    "flags", [["--subset", "a"], ["--subset", "0,0"], ["--sample", "9"], ["--sample", "-1"]]
+)
+def test_expansion_bad_subset_is_a_usage_error(capsys, flags):
+    rc = main(["expansion", "--kind", "cycle", "--size", "5", *flags])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"

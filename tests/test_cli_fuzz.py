@@ -122,6 +122,39 @@ def simulate_argv(draw):
     ]
 
 
+@st.composite
+def expansion_argv(draw):
+    argv = ["expansion", *_common(draw), f"--seed={draw(st.integers(0, 3))}"]
+    subset = draw(st.none() | st.text(alphabet="0123456789,- a", max_size=8))
+    if subset is not None:
+        argv.append(f"--subset={subset}")
+    sample = draw(st.none() | st.integers(-2, 30))
+    if sample is not None:
+        argv.append(f"--sample={sample}")
+    return argv
+
+
+@st.composite
+def graph_argv(draw):
+    argv = ["graph", *draw(graph_args())]
+    guard = draw(st.none() | st.integers(-1, 30))
+    if guard is not None:
+        argv.append(f"--guard={guard}")
+    return argv
+
+
+@st.composite
+def power_argv(draw):
+    return ["power", *_common(draw)]
+
+
+@st.composite
+def chargraph_argv(draw):
+    pmf = draw(st.just("uniform") | pmf_json.map(lambda t: ("FILE", t)))
+    source = draw(st.sampled_from(["1", "2"]))
+    return ["chargraph", "--spec", ("FILE", draw(spec_json)), "--pmf", pmf, f"--source={source}"]
+
+
 def _run(argv):
     """Write FILE inputs to disk, run the CLI in-process, return (rc, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,4 +201,28 @@ def test_spectral_cli_contract(argv):
 @FUZZ
 @given(simulate_argv())
 def test_simulate_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(expansion_argv())
+def test_expansion_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(graph_argv())
+def test_graph_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(power_argv())
+def test_power_cli_contract(argv):
+    _check_contract(argv)
+
+
+@FUZZ
+@given(chargraph_argv())
+def test_chargraph_cli_contract(argv):
     _check_contract(argv)

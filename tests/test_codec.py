@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,7 @@ from chromacode import (
     roundtrip_exhaustive,
     simulate,
 )
-from chromacode import codec
+from chromacode import codec, decode_index, encode_tuple, huffman_code
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +238,111 @@ def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
     spec, pmf = ex1
     with pytest.raises(AssertionError, match="decode mismatch"):
         simulate(spec, pmf, 1, 2000, seed=0)
+
+
+# -- the decoder table and color PMFs against the per-pair Fraction loops ---------
+
+
+def _reference_decoder(spec, pmf, n, c1, c2):
+    """The receiver table by one Python step per block pair, (b1, b2) in order."""
+    decoder = {}
+    witness = {}
+    for pair in product(product(range(spec.n1), repeat=n), product(range(spec.n2), repeat=n)):
+        b1, b2 = pair
+        if any(pmf.p(x1, x2) == 0 for x1, x2 in zip(b1, b2)):
+            continue
+        out = tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
+        key = (
+            c1.assignment[encode_tuple(b1, spec.n1)],
+            c2.assignment[encode_tuple(b2, spec.n2)],
+        )
+        if key in decoder:
+            if decoder[key] != out:
+                raise AmbiguityError(witness[key], pair, decoder[key], out)
+        else:
+            decoder[key] = out
+            witness[key] = pair
+    return decoder
+
+
+def _reference_color_pmf(marginal, n, coloring):
+    """Color PMF from a Fraction product per block, colors in first-seen order."""
+    out = {}
+    for idx in range(len(marginal) ** n):
+        p = Fraction(1)
+        for x in decode_index(idx, len(marginal), n):
+            p *= marginal[x]
+        c = coloring.assignment[idx]
+        out[c] = out.get(c, Fraction(0)) + p
+    return out
+
+
+def _random_zero_cell_spec(rng, n):
+    top = 4 if n < 3 else 3
+    n1, n2 = rng.randint(2, top), rng.randint(2, top)
+    table = [[rng.randrange(rng.randint(2, 3)) for _ in range(n2)] for _ in range(n1)]
+    weights = [[rng.randint(1, 9) if rng.random() < 0.7 else 0 for _ in range(n2)] for _ in range(n1)]
+    if not any(map(any, weights)):
+        weights[0][0] = 1
+    total = sum(map(sum, weights))
+    probs = tuple(tuple(Fraction(w, total) for w in row) for row in weights)
+    return FunctionSpec.from_table(table), JointPMF(probs)
+
+
+def _assert_matches_reference(spec, pmf, n):
+    """build_codec equals the reference loops: table, PMFs, codes and any
+    AmbiguityError; returns whether the plan was refused."""
+    c1 = codec._power_coloring(build_characteristic_graph(spec, pmf, 1), n, "auto")[1]
+    c2 = codec._power_coloring(build_characteristic_graph(spec, pmf, 2), n, "auto")[1]
+    try:
+        expected = _reference_decoder(spec, pmf, n, c1, c2)
+    except AmbiguityError as exc:
+        with pytest.raises(AmbiguityError) as got:
+            build_codec(spec, pmf, n)
+        assert str(got.value) == str(exc)
+        assert got.value.witness == exc.witness
+        return True
+    plan = build_codec(spec, pmf, n)
+    assert list(plan.decoder.items()) == list(expected.items())
+    pmfs = tuple(
+        _reference_color_pmf(pmf.marginal(s), n, c) for s, c in ((1, c1), (2, c2))
+    )
+    assert tuple(list(p.items()) for p in plan.color_pmfs) == tuple(list(p.items()) for p in pmfs)
+    for code, avg, ref in zip(plan.codes, plan.avg_lengths, pmfs):
+        assert (code, avg) == huffman_code(ref)
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_codec_matches_per_pair_reference(n):
+    rng = random.Random(f"decoder-oracle:{n}")
+    refused = [_assert_matches_reference(*_random_zero_cell_spec(rng, n), n) for _ in range(40)]
+    # the seeded specs reach both outcomes, so both paths are compared
+    assert any(refused) and not all(refused)
+
+
+def test_build_codec_reference_on_an_empty_row_and_huge_denominators():
+    # row x1 = 1 has no positive cell, so its decoder chunk is empty; the
+    # common denominator squared is far beyond 64-bit integers
+    big = 10**12 + 39
+    spec = FunctionSpec.from_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    probs = (
+        (Fraction(1, big), Fraction(1, 3), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(0)),
+        (Fraction(1, 7), Fraction(0), Fraction(2, 3) - Fraction(1, big) - Fraction(1, 7)),
+    )
+    pmf = JointPMF(probs)
+    for n in (1, 2, 3):
+        assert not _assert_matches_reference(spec, pmf, n)
+        assert roundtrip_exhaustive(build_codec(spec, pmf, n)) == 4**n
+
+
+def test_ambiguity_message_names_the_first_conflict():
+    spec = FunctionSpec.from_table([[0, 0], [0, 1]])
+    pmf = JointPMF.from_rows([["1/2", "0"], ["0", "1/2"]])
+    with pytest.raises(AmbiguityError) as exc:
+        build_codec(spec, pmf, 2, coloring_strategy="exact")
+    assert str(exc.value) == (
+        "ambiguous color pair: blocks ((0, 0), (0, 0)) -> (0, 0) "
+        "but ((0, 1), (0, 1)) -> (0, 1)"
+    )

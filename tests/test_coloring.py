@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromacode import (
     Coloring,
@@ -197,12 +199,53 @@ def test_even_cycle_power_coloring(k, n, chi):
     assert is_valid_coloring(gn, c)
 
 
+# χ(C5^n) from the paper; χ(C7^2) = 7 is the exact solver's value
+# (test_exact_chi_of_squares), not the C5 recursion's 8.
+ODD_CYCLE_CHI = {(5, 1): 3, (5, 2): 8, (5, 3): 20, (7, 2): 7}
+
+
 @pytest.mark.parametrize("i,n", [(5, 1), (5, 2), (5, 3), (7, 2)])
 def test_odd_cycle_power_coloring_valid(i, n):
     chi, c, gn = odd_cycle_power_coloring(i, n)
-    assert chi == odd_cycle_chi_sequence(n)[-1]
+    assert chi == ODD_CYCLE_CHI[i, n]
     assert is_valid_coloring(gn, c)
     assert c.palette_size <= chi
+
+
+@pytest.mark.parametrize("i,n,chi", [(7, 2, 7), (9, 2, 7), (11, 2, 7), (7, 3, 17)])
+def test_odd_cycle_power_coloring_is_tight_for_longer_cycles(i, n, chi):
+    k = (i - 1) // 2
+    assert odd_cycle_chi_sequence(n, k)[-1] == chi
+    got, c, gn = odd_cycle_power_coloring(i, n)
+    assert got == c.palette_size == chi
+    assert is_valid_coloring(gn, c)
+    if n == 2:
+        # χ(C_i^2) = χ_3(C_i) (Geller-Stahl): a chi:3 coloring exists, a (chi-1):3 one does not
+        cycle = cycle_graph(i)
+        assert b_fold_coloring_search(cycle, chi, 3) is not None
+        assert b_fold_coloring_search(cycle, chi - 1, 3) is None
+
+
+def test_odd_cycle_chi_sequence_takes_k():
+    assert odd_cycle_chi_sequence(6, 2) == odd_cycle_chi_sequence(6)
+    assert odd_cycle_chi_sequence(4, 3) == [3, 7, 17, 40]
+    with pytest.raises(UsageError):
+        odd_cycle_chi_sequence(2, 1)
+
+
+def test_greedy_gain_uses_the_cycle_length():
+    assert greedy_gain(7, 2) == Fraction(9, 7)
+    assert greedy_gain(5, 2) == Fraction(9, 8)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_fractional_cycle_window_coloring_closes(k):
+    # stride-b windows do not close around C11 at b = 3; the extra colors
+    # are then spread over the last steps
+    for b in range(1, 13):
+        res = fractional_chromatic_cycle(k, b)
+        assert res["chi_b"] == 2 * b + -(-b // k)
+        assert is_valid_b_fold(cycle_graph(2 * k + 1), res["coloring"])
 
 
 def test_odd_cycle_power_coloring_guard_degrades():
@@ -261,3 +304,33 @@ def test_fractional_chromatic_cycle(b, chi_b):
 def test_fractional_chromatic_power():
     assert fractional_chromatic_power(2, 2) == Fraction(25, 4)
     assert fractional_chromatic_power(3, 3) == Fraction(343, 27)
+
+
+def _edge_check(g, c):
+    return all(c.assignment[u] != c.assignment[v] for u, v in g.edges())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_is_valid_coloring_matches_edge_scan(data):
+    V = data.draw(st.integers(1, 24))
+    pairs = [(u, v) for u in range(V) for v in range(u + 1, V)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = Graph.from_edges(V, edges)
+    if data.draw(st.booleans()):
+        g = or_power(g, 2) if V <= 8 else g
+    order = data.draw(st.permutations(range(g.vertex_count)))
+    valid = greedy_coloring(g, order)
+    assert is_valid_coloring(g, valid) and _edge_check(g, valid)
+    colors = data.draw(
+        st.lists(st.integers(0, 3), min_size=g.vertex_count, max_size=g.vertex_count)
+    )
+    c = Coloring.from_list(colors)
+    assert is_valid_coloring(g, c) == _edge_check(g, c)
+    if g.edge_count:
+        # merge the two ends of one edge into one color
+        u, v = data.draw(st.sampled_from(g.edges()))
+        merged = list(valid.assignment)
+        merged[v] = merged[u]
+        assert not is_valid_coloring(g, Coloring.from_list(merged))
+        assert not _edge_check(g, Coloring.from_list(merged))

@@ -1,7 +1,11 @@
+import heapq
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromacode import (
     AlphaProfile,
@@ -142,3 +146,61 @@ def test_huffman_deterministic_tie_break():
     code1, _ = huffman_code(pmf)
     code2, _ = huffman_code(dict(reversed(list(pmf.items()))))
     assert code1 == code2
+
+
+def _reference_huffman(pmf):
+    """Huffman on exact Fractions, the same merge order and tie-break."""
+    items = sorted(pmf.items())
+    dropped = [c for c, p in items if p == 0]
+    if dropped:
+        warnings.warn(f"dropping zero-probability colors {dropped}")
+        items = [(c, p) for c, p in items if p > 0]
+    if len(items) == 1:
+        return {items[0][0]: ""}, Fraction(0)
+    heap = [(Fraction(p), (c,)) for c, p in items]
+    heapq.heapify(heap)
+    children = {}
+    while len(heap) > 1:
+        p1, key1 = heapq.heappop(heap)
+        p2, key2 = heapq.heappop(heap)
+        merged = tuple(sorted(key1 + key2))
+        children[merged] = (key1, key2)
+        heapq.heappush(heap, (p1 + p2, merged))
+    code = {}
+
+    def walk(key, prefix):
+        if key not in children:
+            code[key[0]] = prefix or "0"
+            return
+        walk(children[key][0], prefix + "0")
+        walk(children[key][1], prefix + "1")
+
+    walk(heap[0][1], "")
+    return code, sum(Fraction(p) * len(code[c]) for c, p in items)
+
+
+def _huffman_with_warnings(fn, pmf):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(pmf)
+    return result, [str(w.message) for w in caught]
+
+
+# small weights over mixed denominators: many ties, some zero-mass colors
+masses = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 6, 7, 10**12 + 39]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(0, 40), masses, min_size=1, max_size=14))
+def test_integer_huffman_matches_fraction_huffman(pmf):
+    if not any(pmf.values()):
+        pmf[min(pmf)] = Fraction(1)
+    assert _huffman_with_warnings(huffman_code, pmf) == (
+        _huffman_with_warnings(_reference_huffman, pmf)
+    )
+
+
+def test_integer_huffman_takes_strings_and_ints():
+    assert huffman_code({0: "1/5", 1: "2/5", 2: "2/5"})[1] == Fraction(8, 5)
+    with pytest.warns(UserWarning, match=r"zero-probability colors \[1, 2\]"):
+        assert huffman_code({0: 1, 1: 0, 2: Fraction(0)}) == ({0: ""}, 0)
