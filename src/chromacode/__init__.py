@@ -45,6 +45,7 @@ from .coloring import (
     is_valid_coloring,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
+    power_coloring,
     product_coloring,
     regular_power_chromatic,
 )

@@ -14,14 +14,13 @@ from . import __version__
 from .chargraph import FunctionSpec, JointPMF, build_characteristic_graph
 from .codec import build_codec, decode_pair, encode_block, roundtrip_exhaustive, simulate
 from .coloring import (
-    Coloring,
+    _cycle_scheme,
     exact_chromatic_number,
-    even_cycle_power_coloring,
     fractional_chromatic_cycle,
-    greedy_coloring,
     is_valid_coloring,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
+    power_coloring,
 )
 from .entropy import (
     AlphaProfile,
@@ -106,10 +105,9 @@ def cmd_color(args):
     g = _load_graph(args)
     n = args.power
     if args.scheme == "fractional":
-        if g != make_graph("cycle", g.vertex_count) or g.vertex_count % 2 == 0:
-            raise UsageError("fractional scheme implemented for odd cycles")
-        k = (g.vertex_count - 1) // 2
-        res = fractional_chromatic_cycle(k, args.fold)
+        if _cycle_scheme(g) != "odd-cycle":
+            raise UsageError("fractional scheme implemented for odd cycles C_V with V >= 5")
+        res = fractional_chromatic_cycle(g.vertex_count // 2, args.fold)
         _emit(
             {
                 "chi_b": res["chi_b"],
@@ -119,35 +117,16 @@ def cmd_color(args):
             }
         )
         return 0
-    if args.scheme == "exact":
-        gn = or_power(g, n, guard=args.guard) if n > 1 else g
-        chi, c = exact_chromatic_number(gn, guard=args.guard)
-        _emit({"chi": chi, **c.to_dict()})
+    try:
+        _, c = power_coloring(g, n, args.scheme, guard=args.guard)
+    except GuardExceeded:
+        if args.scheme != "odd-cycle":
+            raise
+        # past the guard the odd-cycle scheme still knows χ from its recursion
+        _emit({"chi": odd_cycle_chi_sequence(n, g.vertex_count // 2)[-1]})
         return 0
-    if args.scheme == "greedy":
-        gn = or_power(g, n, guard=args.guard) if n > 1 else g
-        c = greedy_coloring(gn)
-        _emit({"chi": c.palette_size, **c.to_dict()})
-        return 0
-    V = g.vertex_count
-    if g != make_graph("cycle", V):
-        raise UsageError(f"{args.scheme} scheme needs the canonical cycle graph")
-    if args.scheme == "even-cycle":
-        if V % 2:
-            raise UsageError("even-cycle scheme needs an even cycle")
-        _, c = even_cycle_power_coloring(V // 2, n, guard=args.guard)
-        _emit({"chi": c.palette_size, **c.to_dict()})
-        return 0
-    if args.scheme == "odd-cycle":
-        if V % 2 == 0:
-            raise UsageError("odd-cycle scheme needs an odd cycle")
-        chi, c, _ = odd_cycle_power_coloring(V, n, guard=args.guard)
-        out = {"chi": chi}
-        if c is not None:
-            out.update(c.to_dict())
-        _emit(out)
-        return 0
-    raise UsageError(f"unknown scheme {args.scheme!r}")
+    _emit({"chi": c.palette_size, **c.to_dict()})
+    return 0
 
 
 def cmd_entropy(args):
@@ -459,8 +438,16 @@ def cmd_reproduce(args):
 # -- argument parsing ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors (and its subparsers') as UsageError, so that
+    they exit 2 with the JSON error object like every other failure."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="chromacode", description=__doc__)
+    p = _Parser(prog="chromacode", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -534,9 +521,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "power", 1) < 1:
             raise UsageError("--power must be >= 1")
         return args.func(args)

@@ -1,12 +1,13 @@
 """End-to-end two-source functional compression.
 
-Pipeline: characteristic graphs -> OR powers -> colorings -> per-source
-Huffman codes on the color PMFs -> receiver lookup table on color pairs.
-The decoder table is built over the support only: the positive-probability
-block pairs are the n-tuples of positive cells, enumerated as numpy arrays in
-chunks (one per first-coordinate source-1 symbol) and visited in (b1, b2)
-order.  Construction fails loudly if any color pair would have to decode to
-two different outcome blocks.  The color PMFs are summed in integers over a
+Pipeline: characteristic graphs -> OR powers and their colorings (one
+`coloring.power_coloring` call per source) -> per-source Huffman codes on the
+color PMFs -> receiver lookup table on color pairs.  The decoder table is
+built over the support only: the positive-probability block pairs are the
+n-tuples of positive cells, enumerated as numpy arrays in chunks (one per
+first-coordinate source-1 symbol) and visited in (b1, b2) order.
+Construction fails loudly if any color pair would have to decode to two
+different outcome blocks.  The color PMFs are summed in integers over a
 common denominator, with one exact Fraction per color.
 
 `encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
@@ -25,18 +26,10 @@ from math import lcm
 import numpy as np
 
 from .chargraph import build_characteristic_graph
-from .coloring import (
-    exact_chromatic_number,
-    even_cycle_power_coloring,
-    greedy_coloring,
-    is_valid_coloring,
-    odd_cycle_power_coloring,
-    product_coloring,
-)
+from .coloring import power_coloring
 from .entropy import entropy_bits, huffman_code
 from .errors import ChromacodeError, UsageError
-from .graphs import make_graph
-from .orpower import encode_tuple, or_power
+from .orpower import encode_tuple
 
 
 class AmbiguityError(ChromacodeError):
@@ -50,39 +43,6 @@ class AmbiguityError(ChromacodeError):
 
 
 SIMULATE_CHUNK = 4096  # blocks per array pass of `simulate`
-
-STRATEGIES = ("exact", "greedy", "even-cycle", "odd-cycle", "product", "auto")
-
-
-def _power_coloring(g, n, strategy, guard=None):
-    V = g.vertex_count
-    if strategy == "auto":
-        if V >= 4 and V % 2 == 0 and g == make_graph("cycle", V):
-            strategy = "even-cycle"
-        elif V >= 5 and V % 2 == 1 and g == make_graph("cycle", V):
-            strategy = "odd-cycle"
-        else:
-            strategy = "exact"
-    if strategy == "even-cycle":
-        if V % 2 or g != make_graph("cycle", V):
-            raise UsageError("even-cycle strategy needs the canonical even cycle")
-        return even_cycle_power_coloring(V // 2, n, guard=guard)
-    if strategy == "odd-cycle":
-        if V % 2 == 0 or g != make_graph("cycle", V):
-            raise UsageError("odd-cycle strategy needs the canonical odd cycle")
-        _, c, gn = odd_cycle_power_coloring(V, n, guard=guard)
-        if c is None:
-            raise UsageError("power too large to materialize for the codec")
-        return gn, c
-    if strategy == "product":
-        return product_coloring(g, n, guard=guard)
-    gn = or_power(g, n, guard=guard)
-    if strategy == "exact":
-        _, c = exact_chromatic_number(gn)
-        return gn, c
-    if strategy == "greedy":
-        return gn, greedy_coloring(gn)
-    raise UsageError(f"unknown coloring strategy {strategy!r}")
 
 
 @dataclass
@@ -210,9 +170,8 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         raise UsageError("block length n must be >= 1")
     g1 = build_characteristic_graph(spec, pmf, 1)
     g2 = build_characteristic_graph(spec, pmf, 2)
-    gn1, c1 = _power_coloring(g1, n, coloring_strategy, guard=guard)
-    gn2, c2 = _power_coloring(g2, n, coloring_strategy, guard=guard)
-    assert is_valid_coloring(gn1, c1) and is_valid_coloring(gn2, c2)
+    gn1, c1 = power_coloring(g1, n, coloring_strategy, guard)
+    gn2, c2 = power_coloring(g2, n, coloring_strategy, guard)
     decoder = _decoder_table(spec, pmf, n, c1, c2)
     pmf1 = _color_pmf(pmf.marginal(1), n, c1)
     pmf2 = _color_pmf(pmf.marginal(2), n, c2)
@@ -259,13 +218,19 @@ def decode_pair(plan, bits1, bits2):
 
 
 def roundtrip_exhaustive(plan):
-    """Round-trip every positive-probability block pair; raises on mismatch."""
+    """Round-trip every positive-probability block pair; raises on mismatch.
+
+    The pairs are walked in (b1, b2) order: for each source-1 block, the
+    source-2 blocks whose every cell is positive.
+    """
+    spec = plan.spec
+    partners = [
+        [x2 for x2 in range(spec.n2) if plan.pmf.p(x1, x2) != 0] for x1 in range(spec.n1)
+    ]
     count = 0
-    for b1 in product(range(plan.spec.n1), repeat=plan.n):
-        for b2 in product(range(plan.spec.n2), repeat=plan.n):
-            if any(plan.pmf.p(x1, x2) == 0 for x1, x2 in zip(b1, b2)):
-                continue
-            expected = tuple(plan.spec.f(x1, x2) for x1, x2 in zip(b1, b2))
+    for b1 in product(range(spec.n1), repeat=plan.n):
+        for b2 in product(*(partners[x1] for x1 in b1)):
+            expected = tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
             got = decode_pair(plan, encode_block(plan, 1, b1), encode_block(plan, 2, b2))
             if got != expected:
                 raise AssertionError(f"round-trip mismatch on {b1},{b2}: {got} != {expected}")

@@ -1,11 +1,23 @@
-"""Valid colorings: verification, greedy/exact baselines, closed-form schemes
-for cycle and regular OR powers, and fractional (b-fold) colorings."""
+"""Valid colorings: verification, greedy/exact baselines, OR-power colorings
+and fractional (b-fold) colorings.
+
+The OR power is the lexicographic product G^n = G[G^{n-1}], so an a:b
+coloring of the base (b colors per vertex, disjoint on edges) composed with a
+b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
+engine, `_compose`, runs that recursion on a *fold*: a function of b giving
+(a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
+χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  One dispatcher,
+`power_coloring`, shared by the codec and the CLI, picks a strategy
+(`auto`: the cycle scheme on a canonical cycle, else exact), materializes the
+power under its guard and validates the coloring on it once.
+"""
 
 import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+
+import numpy as np
 
 from .errors import GuardExceeded, UsageError, check_guard, load_json
 from .graphs import Graph, _complement_rows, _maximal_cliques, bits_to_list, make_graph
@@ -231,30 +243,122 @@ def exact_chromatic_number(g, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
     return best, Coloring.from_list(colors)
 
 
-# -- closed-form schemes for cycle powers ----------------------------------
+# -- OR-power colorings by composition ---------------------------------------
+
+STRATEGIES = ("exact", "greedy", "even-cycle", "odd-cycle", "product", "auto")
+
+
+def _compose(fold, n):
+    """Colors of the vertices of G^n, by big-endian tuple index.
+
+    G^m = G[G^{m-1}], so a b-coloring c of G^{m-1} and an a:b coloring S of
+    G, which gives each vertex x an ordered tuple S_x of b colors out of a,
+    disjoint for adjacent vertices, color G^m with a colors as
+    (x, rest) -> S_x[c(rest)] (Geller & Stahl 1975).  `fold(b)` returns
+    (a, S) with S a (V, b) integer array; the recursion starts from the one
+    color of G^0.
+    """
+    colors, b = np.zeros(1, dtype=np.int64), 1
+    for _ in range(n):
+        b, S = fold(b)
+        colors = S[:, colors].ravel()
+    return colors
+
+
+def _vector_fold(base):
+    """S_x = c(x)·b + j: the vector of the base coloring c over the
+    coordinates.  On an even cycle with c = parity this is 2^n colors."""
+    c = np.array(base.assignment)[:, None]
+    return lambda b: (base.palette_size * b, c * b + np.arange(b))
+
+
+def _odd_cycle_windows(k, b):
+    """(a, starts) of the a:b window coloring of C_{2k+1}: vertex x gets the
+    b colors starts[x], ..., starts[x] + b - 1 (mod a), and a = 2b + ⌈b/k⌉
+    is the least a with a/b >= (2k+1)/k (Stahl 1976).
+
+    The 2k+1 steps from one start to the next, the closing step included,
+    are each b + e with 0 <= e <= a - 2b and sum to the least multiple of a
+    that is at least (2k+1)b; the extra colors go to the closing step first,
+    then to the last steps.
+    """
+    a = 2 * b + -(-b // k)
+    extra = a - 2 * b
+    spare = -(2 * k + 1) * b % a
+    steps = []
+    for _ in range(2 * k + 1):
+        steps.append(b + min(extra, spare))
+        spare -= steps[-1] - b
+    starts = [0]
+    for step in reversed(steps[1:]):  # the extras sit on the last steps
+        starts.append((starts[-1] + step) % a)
+    return a, starts
+
+
+def _odd_cycle_fold(k):
+    """Windows of `_odd_cycle_windows` on C_{2k+1}: χ' = 2χ + ⌈χ/k⌉ colors."""
+
+    def fold(b):
+        if b == 1:  # the 3-coloring (0, 1, 0, ..., 1, 2), not the 3:1 windows
+            return 3, np.array([v % 2 for v in range(2 * k)] + [2])[:, None]
+        a, starts = _odd_cycle_windows(k, b)
+        return a, (np.array(starts)[:, None] + np.arange(b)) % a
+
+    return fold
+
+
+def _cycle_scheme(g):
+    """The cycle strategy that fits g, if g is the canonical cycle C_V with
+    V >= 4 (as `make_graph` builds it): `even-cycle` or `odd-cycle`; else None."""
+    V = g.vertex_count
+    if V >= 4 and g == make_graph("cycle", V):
+        return "odd-cycle" if V % 2 else "even-cycle"
+    return None
+
+
+def power_coloring(g, n, strategy="auto", guard=None):
+    """(G^n, coloring of G^n) by one of STRATEGIES; the coloring is validated.
+
+    `exact` and `greedy` color the materialized power.  The others compose
+    folds of the base (`_compose`): parity vectors (2^n colors) on the
+    canonical even cycle, windows (χ' = 2χ + ⌈χ/k⌉) on the canonical odd
+    cycle C_{2k+1}, vectors of an exact base coloring (`product`) on any
+    graph.  `auto` takes the cycle scheme on a canonical cycle of 4 or more
+    vertices, else `exact`.  The power is built under `guard` first, so one
+    past it raises GuardExceeded whatever the strategy; `guard` also bounds
+    the exact solver.
+    """
+    if strategy not in STRATEGIES:
+        raise UsageError(f"unknown coloring strategy {strategy!r}")
+    cycle = _cycle_scheme(g)
+    if strategy == "auto":
+        strategy = cycle or "exact"
+    elif strategy in ("even-cycle", "odd-cycle") and strategy != cycle:
+        need = "odd V >= 5" if strategy == "odd-cycle" else "even V >= 4"
+        raise UsageError(f"{strategy} strategy needs the canonical cycle C_V with {need}")
+    gn = or_power(g, n, guard=guard)
+    if strategy == "exact":
+        _, c = exact_chromatic_number(gn, guard=guard)
+    elif strategy == "greedy":
+        c = greedy_coloring(gn)
+    else:
+        if strategy == "odd-cycle":
+            fold = _odd_cycle_fold(g.vertex_count // 2)
+        elif strategy == "even-cycle":
+            fold = _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)]))
+        else:
+            fold = _vector_fold(exact_chromatic_number(g, guard=guard)[1])
+        c = Coloring.from_list(_compose(fold, n).tolist())
+    assert is_valid_coloring(gn, c)
+    return gn, c
 
 
 def even_cycle_power_coloring(k, n, guard=None):
-    """Parity-vector coloring of C_{2k}^n with exactly 2^n colors.
-
-    Returns (power graph, coloring); the coloring is validated.
-    """
+    """(C_{2k}^n, its parity-vector coloring with exactly 2^n colors): the
+    `even-cycle` strategy of `power_coloring`."""
     if k < 2 or n < 1:
         raise UsageError("need k >= 2 (C_{2k} with at least 4 vertices) and n >= 1")
-    V = 2 * k
-    gn = or_power(make_graph("cycle", V), n, guard=guard)
-    colors = []
-    for idx in range(V**n):
-        parity = 0
-        rest = idx
-        for _ in range(n):
-            parity = (parity << 1) | (rest % V) & 1
-            rest //= V
-        colors.append(parity)
-    c = Coloring.from_list(colors)
-    assert c.palette_size == 2**n
-    assert is_valid_coloring(gn, c)
-    return gn, c
+    return power_coloring(make_graph("cycle", 2 * k), n, "even-cycle", guard)
 
 
 def odd_cycle_chi_sequence(n, k=2):
@@ -268,72 +372,27 @@ def odd_cycle_chi_sequence(n, k=2):
         raise UsageError("need k >= 2 (C_{2k+1} with at least 5 vertices)")
     seq = [3]
     while len(seq) < n:
-        chi = seq[-1]
-        seq.append(2 * chi + ceil(chi / k))
+        seq.append(_odd_cycle_windows(k, seq[-1])[0])
     return seq
 
 
-def _cycle_window_starts(k, size, palette):
-    """Starts of `size`-color windows, out of `palette` colors, around the
-    cycle C_{2k+1}, such that the windows of adjacent vertices are disjoint.
+def odd_cycle_power_coloring(i, n, guard=None):
+    """Recursive window coloring of C_i^n (i = 2k+1, k >= 2).
 
-    The 2k+1 steps from one start to the next, the closing step included,
-    are each size + e with 0 <= e <= palette - 2*size, and they sum to the
-    least multiple of `palette` that is at least (2k+1)*size.  The extra
-    colors go to the closing step first, then to the last steps, so the
-    windows sit at stride `size` wherever that closes around the cycle.
-    Possible iff palette/size >= (2k+1)/k (Stahl 1976).
-    """
-    extra = palette - 2 * size
-    spare = -(2 * k + 1) * size % palette
-    if extra < 0 or spare > (2 * k + 1) * extra:
-        raise UsageError(f"no {palette}:{size} window coloring of C_{2 * k + 1}")
-    steps = []
-    for _ in range(2 * k + 1):
-        steps.append(size + min(extra, spare))
-        spare -= steps[-1] - size
-    starts = [0]
-    for step in reversed(steps[1:]):  # the extras sit on the last steps
-        starts.append((starts[-1] + step) % palette)
-    return starts
-
-
-def odd_cycle_power_coloring(i, n, guard=None, materialize=True):
-    """Recursive block coloring of C_i^n (i = 2k+1, k >= 2).
-
-    Returns (chi, coloring, graph): chi follows the 2χ+⌈χ/k⌉ recursion;
-    the constructed coloring gives each sub-graph block a consecutive window
-    of the previous level's χ colors out of the next χ, shifted block to
-    block, and is validated on the materialized power whenever that is
-    feasible (coloring/graph are None otherwise).  Its palette is chi.
+    Returns (chi, coloring, graph): chi follows the 2χ+⌈χ/k⌉ recursion, and
+    the coloring (the `odd-cycle` strategy of `power_coloring`, palette chi)
+    gives each sub-graph block a window of the previous level's χ colors out
+    of the next χ.  Coloring and graph are None past the guard.
     """
     if i < 5 or i % 2 == 0:
         raise UsageError("odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)")
     if n < 1:
         raise UsageError("n must be >= 1")
-    k = (i - 1) // 2
-    chis = odd_cycle_chi_sequence(n, k)
-    chi = chis[-1]
-    if not materialize:
-        return chi, None, None
+    chi = odd_cycle_chi_sequence(n, i // 2)[-1]
     try:
-        gn = or_power(make_graph("cycle", i), n, guard=guard)
+        gn, c = power_coloring(make_graph("cycle", i), n, "odd-cycle", guard)
     except GuardExceeded:
         return chi, None, None
-
-    colors = [v % 2 for v in range(i - 1)] + [2]
-    for m in range(2, n + 1):
-        size, palette = chis[m - 2], chis[m - 1]
-        starts = _cycle_window_starts(k, size, palette)
-        prev = colors
-        block = i ** (m - 1)
-        colors = [
-            (starts[idx // block] + prev[idx % block]) % palette
-            for idx in range(i**m)
-        ]
-    c = Coloring.from_list(colors)
-    assert c.palette_size == chi
-    assert is_valid_coloring(gn, c)
     return chi, c, gn
 
 
@@ -373,28 +432,11 @@ def regular_power_chromatic(d, V, n, graph=None, cross_check=False, guard=None):
     return result
 
 
-def product_coloring(g, n, base_coloring=None, guard=None):
-    """Coordinate-wise product coloring of an OR power.
-
-    Color of a tuple is the base-coloring vector of its coordinates; always
-    valid, with palette ≤ (base palette)^n.
-    """
-    if base_coloring is None:
-        _, base_coloring = exact_chromatic_number(g)
-    V = g.vertex_count
-    gn = or_power(g, n, guard=guard)
-    p = base_coloring.palette_size
-    colors = []
-    for idx in range(V**n):
-        code = 0
-        rest = idx
-        for _ in range(n):
-            code = code * p + base_coloring.assignment[rest % V]
-            rest //= V
-        colors.append(code)
-    c = Coloring.from_list(colors)
-    assert is_valid_coloring(gn, c)
-    return gn, c
+def product_coloring(g, n, guard=None):
+    """(g^n, its coordinate-wise product coloring): a tuple's color is the
+    vector of an exact base coloring over its coordinates, so the palette is
+    at most χ(g)^n.  The `product` strategy of `power_coloring`."""
+    return power_coloring(g, n, "product", guard)
 
 
 # -- fractional colorings ----------------------------------------------------
@@ -463,11 +505,8 @@ def fractional_chromatic_cycle(k, b):
     if k < 2 or b < 1:
         raise UsageError("need k >= 2 and b >= 1")
     V = 2 * k + 1
-    a = ceil(Fraction(V * b, k))
-    sets = tuple(
-        frozenset((start + t) % a for t in range(b)) for start in _cycle_window_starts(k, b, a)
-    )
-    fc = FractionalColoring(a, b, sets)
+    a, starts = _odd_cycle_windows(k, b)
+    fc = FractionalColoring(a, b, tuple(frozenset((s + t) % a for t in range(b)) for s in starts))
     g = make_graph("cycle", V)
     assert is_valid_b_fold(g, fc)
     return {

@@ -165,6 +165,20 @@ def test_reproduce_known_defect_case(capsys):
     assert "[FAIL]" in out
 
 
+def test_full_reproduce_fails_only_the_two_published_figures(capsys):
+    rc, out = run(capsys, "reproduce")
+    rows = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(rows) == 28
+    failing = [row for row in rows if row.startswith("[FAIL]")]
+    assert [row.split(", computed")[0] for row in failing] == [
+        "[FAIL] example2: per-symbol entropy of the C5^2 coloring: expected 1.37",
+        "[FAIL] example3: entropy window high: expected 1.41",
+    ]
+    appendix = [row for row in rows if row.split("] ", 1)[1].startswith("appendixB:")]
+    assert len(appendix) == 5 and all(row.startswith("[pass]") for row in appendix)
+    assert rc == 1 and out.endswith("FAIL: 2 failing check(s)")
+
+
 def test_usage_error_exit_code(capsys):
     rc = main(["color", "--kind", "complete", "--size", "4", "--scheme", "odd-cycle"])
     assert rc == 2

@@ -2,10 +2,12 @@
 
 Whatever the flags and input files, `chromacode` must exit 0, 1, 2 or 3, put
 a JSON error object on stderr when it exits nonzero, and never end in a
-traceback.  The argv is always one that argparse accepts (its own usage
-errors are argparse's business); sizes stay small enough that no exact
-coloring or brute-force search comes near its timeout.  Examples are
-derandomized so Tier-1 runs the same inputs every time.
+traceback.  Most generated argv are ones argparse accepts; the rest are such
+argv with one fault that argparse itself rejects (an unknown flag, command or
+choice, a malformed integer, no command), and those must exit 2 with the
+JSON usage error.  Sizes stay small enough that no exact coloring or
+brute-force search comes near its timeout.  Examples are derandomized so
+Tier-1 runs the same inputs every time.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromacode.cli import main
-from chromacode.codec import STRATEGIES
+from chromacode.coloring import STRATEGIES
 from chromacode.spectral import BOUND_VARIANTS
 
 FUZZ = settings(max_examples=60, deadline=5000, derandomize=True, database=None)
@@ -155,6 +157,22 @@ def chargraph_argv(draw):
     return ["chargraph", "--spec", ("FILE", draw(spec_json)), "--pmf", pmf, f"--source={source}"]
 
 
+@st.composite
+def rejected_argv(draw):
+    """An accepted argv with one fault that argparse rejects."""
+    argv = draw(st.one_of(color_argv(), spectral_argv(), simulate_argv(), expansion_argv()))
+    fault = draw(st.sampled_from(["flag", "int", "choice", "command", "no-command"]))
+    if fault == "flag":
+        return argv + ["--bogus"]
+    if fault == "int":
+        return argv + [draw(st.sampled_from(["--power=x", "--guard=1.5", "--seed=two"]))]
+    if fault == "choice":
+        return argv + ["--kind=hexagon"]
+    if fault == "command":
+        return ["colour", *argv[1:]]
+    return argv[1:]
+
+
 def _run(argv):
     """Write FILE inputs to disk, run the CLI in-process, return (rc, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -226,3 +244,11 @@ def test_power_cli_contract(argv):
 @given(chargraph_argv())
 def test_chargraph_cli_contract(argv):
     _check_contract(argv)
+
+
+@FUZZ
+@given(rejected_argv())
+def test_argparse_rejections_are_json_usage_errors(argv):
+    rc, err = _run(argv)
+    assert rc == 2, (argv, rc)
+    assert json.loads(err)["error"] == "usage", (argv, err)

@@ -9,6 +9,7 @@ from chromacode import (
     AmbiguityError,
     FunctionSpec,
     Graph,
+    GuardExceeded,
     JointPMF,
     RateReport,
     UsageError,
@@ -23,6 +24,7 @@ from chromacode import (
     simulate,
 )
 from chromacode import codec, decode_index, encode_tuple, huffman_code
+from chromacode.coloring import STRATEGIES, power_coloring
 
 
 @pytest.fixture(scope="module")
@@ -110,18 +112,19 @@ def test_simulate_n2(ex1):
 RELABELED_C5_EDGES = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
 
 
-def _relabeled_c5_spec():
-    """x2 = j names edge j of the relabeled C5; it has mass only on that
-    edge's two endpoints, where f tells them apart."""
-    table = [[0] * 5 for _ in range(5)]
-    for j, (a, b) in enumerate(RELABELED_C5_EDGES):
+def _edge_spec(edges, V=5):
+    """x2 = j names edge j; it has mass only on that edge's two endpoints,
+    where f tells them apart, so G_X1 is the graph of `edges`."""
+    table = [[0] * len(edges) for _ in range(V)]
+    for j, (a, b) in enumerate(edges):
         table[b if j == 2 else a][j] = 1
-    probs = [[Fraction(1, 10) if x in e else Fraction(0) for e in RELABELED_C5_EDGES] for x in range(5)]
+    mass = Fraction(1, 2 * len(edges))
+    probs = [[mass if x in e else Fraction(0) for e in edges] for x in range(V)]
     return FunctionSpec.from_table(table), JointPMF(tuple(map(tuple, probs)))
 
 
 def test_relabeled_c5_codec_uses_exact_coloring():
-    spec, pmf = _relabeled_c5_spec()
+    spec, pmf = _edge_spec(RELABELED_C5_EDGES)
     g1 = build_characteristic_graph(spec, pmf, 1)
     assert g1 == Graph.from_edges(5, RELABELED_C5_EDGES) != cycle_graph(5)
     plan = build_codec(spec, pmf, 1)
@@ -133,6 +136,17 @@ def test_relabeled_c5_codec_uses_exact_coloring():
     with pytest.raises(AmbiguityError):
         build_codec(spec, pmf, 2)
     assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_power_past_the_guard_raises_guard_exceeded(strategy):
+    # the odd-cycle scheme used to report C5^7 (78 125 > 10 000 vertices) as a
+    # UsageError; every strategy now raises GuardExceeded (CLI exit 3)
+    V = 6 if strategy == "even-cycle" else 5
+    spec, pmf = _edge_spec(cycle_graph(V).edges(), V)
+    assert build_characteristic_graph(spec, pmf, 1) == cycle_graph(V)
+    with pytest.raises(GuardExceeded):
+        build_codec(spec, pmf, 7, coloring_strategy=strategy)
 
 
 def _reference_simulate(spec, pmf, n, samples, seed, coloring_strategy="auto"):
@@ -292,8 +306,8 @@ def _random_zero_cell_spec(rng, n):
 def _assert_matches_reference(spec, pmf, n):
     """build_codec equals the reference loops: table, PMFs, codes and any
     AmbiguityError; returns whether the plan was refused."""
-    c1 = codec._power_coloring(build_characteristic_graph(spec, pmf, 1), n, "auto")[1]
-    c2 = codec._power_coloring(build_characteristic_graph(spec, pmf, 2), n, "auto")[1]
+    c1 = power_coloring(build_characteristic_graph(spec, pmf, 1), n)[1]
+    c2 = power_coloring(build_characteristic_graph(spec, pmf, 2), n)[1]
     try:
         expected = _reference_decoder(spec, pmf, n, c1, c2)
     except AmbiguityError as exc:
@@ -346,3 +360,44 @@ def test_ambiguity_message_names_the_first_conflict():
         "ambiguous color pair: blocks ((0, 0), (0, 0)) -> (0, 0) "
         "but ((0, 1), (0, 1)) -> (0, 1)"
     )
+
+
+# -- roundtrip_exhaustive against the walk over every block pair -----------------
+
+
+def _reference_roundtrip(plan):
+    """Every (b1, b2) block pair, skipping those with a zero-probability cell."""
+    count = 0
+    for b1 in product(range(plan.spec.n1), repeat=plan.n):
+        for b2 in product(range(plan.spec.n2), repeat=plan.n):
+            if any(plan.pmf.p(x1, x2) == 0 for x1, x2 in zip(b1, b2)):
+                continue
+            expected = tuple(plan.spec.f(x1, x2) for x1, x2 in zip(b1, b2))
+            got = decode_pair(plan, encode_block(plan, 1, b1), encode_block(plan, 2, b2))
+            if got != expected:
+                raise AssertionError(f"round-trip mismatch on {b1},{b2}: {got} != {expected}")
+            count += 1
+    return count
+
+
+def test_roundtrip_exhaustive_matches_the_every_pair_walk():
+    rng = random.Random("roundtrip-walk")
+    compared = 0
+    for n in (1, 2, 3):
+        for _ in range(12):
+            spec, pmf = _random_zero_cell_spec(rng, n)
+            try:
+                plan = build_codec(spec, pmf, n)
+            except AmbiguityError:
+                continue
+            assert roundtrip_exhaustive(plan) == _reference_roundtrip(plan)
+            # a wrong decoder entry is reported at the same first pair
+            key = min(plan.decoder)
+            plan.decoder[key] = tuple(v + 1 for v in plan.decoder[key])
+            with pytest.raises(AssertionError) as got:
+                roundtrip_exhaustive(plan)
+            with pytest.raises(AssertionError) as ref:
+                _reference_roundtrip(plan)
+            assert str(got.value) == str(ref.value)
+            compared += 1
+    assert compared >= 20

@@ -26,6 +26,7 @@ from chromacode import (
     odd_cycle_power_coloring,
     or_power,
     path_graph,
+    power_coloring,
     prism_graph,
     product_coloring,
     regular_power_chromatic,
@@ -334,3 +335,110 @@ def test_is_valid_coloring_matches_edge_scan(data):
         merged[v] = merged[u]
         assert not is_valid_coloring(g, Coloring.from_list(merged))
         assert not _edge_check(g, Coloring.from_list(merged))
+
+
+# -- the composition engine against the per-family index loops it replaced ----
+
+
+def _reference_even_cycle_coloring(V, n):
+    """Parity vector of each tuple index of C_V^n, one digit at a time."""
+    colors = []
+    for idx in range(V**n):
+        parity, rest = 0, idx
+        for _ in range(n):
+            parity = (parity << 1) | (rest % V) & 1
+            rest //= V
+        colors.append(parity)
+    return Coloring.from_list(colors)
+
+
+def _reference_window_starts(k, size, palette):
+    """Window starts of a palette:size coloring of C_{2k+1}: the extra colors
+    go to the closing step first, then to the last steps."""
+    extra = palette - 2 * size
+    spare = -(2 * k + 1) * size % palette
+    steps = []
+    for _ in range(2 * k + 1):
+        steps.append(size + min(extra, spare))
+        spare -= steps[-1] - size
+    starts = [0]
+    for step in reversed(steps[1:]):
+        starts.append((starts[-1] + step) % palette)
+    return starts
+
+
+def _reference_odd_cycle_coloring(i, n):
+    """Block-by-block window recursion on C_i^n from the 3-coloring (0, 1, 0, ..., 1, 2)."""
+    k = (i - 1) // 2
+    chis = [3]
+    while len(chis) < n:
+        chis.append(2 * chis[-1] + -(-chis[-1] // k))
+    colors = [v % 2 for v in range(i - 1)] + [2]
+    for m in range(2, n + 1):
+        size, palette = chis[m - 2], chis[m - 1]
+        starts = _reference_window_starts(k, size, palette)
+        prev, block = colors, i ** (m - 1)
+        colors = [(starts[idx // block] + prev[idx % block]) % palette for idx in range(i**m)]
+    return Coloring.from_list(colors)
+
+
+def _reference_product_coloring(g, n, base):
+    """Vector of base colors of each tuple, one digit at a time."""
+    V, p = g.vertex_count, base.palette_size
+    colors = []
+    for idx in range(V**n):
+        code, rest = 0, idx
+        for _ in range(n):
+            code = code * p + base.assignment[rest % V]
+            rest //= V
+        colors.append(code)
+    return Coloring.from_list(colors)
+
+
+@pytest.mark.parametrize("V", [4, 6, 8])
+def test_even_cycle_composition_equals_index_loop(V):
+    for n in range(1, 5):
+        gn, c = even_cycle_power_coloring(V // 2, n)
+        assert c == _reference_even_cycle_coloring(V, n)
+        assert gn == or_power(cycle_graph(V), n)
+
+
+@pytest.mark.parametrize("i,top", [(5, 4), (7, 4), (9, 3), (11, 3)])
+def test_odd_cycle_composition_equals_window_recursion(i, top):
+    for n in range(1, top + 1):
+        chi, c, gn = odd_cycle_power_coloring(i, n)
+        assert c == _reference_odd_cycle_coloring(i, n)
+        assert c.palette_size == chi
+        assert gn == or_power(cycle_graph(i), n)
+
+
+def test_product_composition_equals_index_loop():
+    rng = random.Random("product-composition")
+    for _ in range(40):
+        V = rng.randint(2, 6)
+        g = Graph.from_edges(
+            V, [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < 0.5]
+        )
+        _, base = exact_chromatic_number(g)
+        for n in (1, 2, 3):
+            gn, c = product_coloring(g, n)
+            assert c == _reference_product_coloring(g, n, base)
+            assert gn == or_power(g, n)
+
+
+def test_power_coloring_auto_takes_the_cycle_schemes():
+    assert power_coloring(cycle_graph(6), 2)[1] == even_cycle_power_coloring(3, 2)[1]
+    assert power_coloring(cycle_graph(7), 2)[1] == odd_cycle_power_coloring(7, 2)[1]
+    for g in (cycle_graph(3), RELABELED_C5, prism_graph()):
+        assert power_coloring(g, 2)[1] == exact_chromatic_number(or_power(g, 2))[1]
+
+
+@pytest.mark.parametrize(
+    "strategy,g",
+    [("even-cycle", cycle_graph(5)), ("odd-cycle", cycle_graph(3)),
+     ("odd-cycle", RELABELED_C5), ("bogus", cycle_graph(5))],
+    ids=["even-on-C5", "odd-on-C3", "odd-on-relabeled-C5", "unknown"],
+)
+def test_power_coloring_refuses_a_strategy_that_does_not_fit(strategy, g):
+    with pytest.raises(UsageError):
+        power_coloring(g, 2, strategy)
