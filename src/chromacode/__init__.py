@@ -47,7 +47,6 @@ from .coloring import (
     odd_cycle_power_coloring,
     power_coloring,
     product_coloring,
-    regular_power_chromatic,
 )
 from .chargraph import (
     FunctionSpec,

@@ -14,13 +14,16 @@ common denominator, with one exact Fraction per color.
 time.  `simulate` measures rates over many blocks in a chunked array pass: it
 draws SIMULATE_CHUNK blocks per chunk from the seeded `random.Random` stream,
 then colors, measures and checks the whole chunk with numpy lookup tables.
+The draw reads the stream's own Mersenne Twister words (`getrandbits`) and
+rebuilds in numpy exactly the cells that `rng.choices` would return, so the
+reports equal those of drawing block by block with `choices`.
 """
 
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import lcm
 
 import numpy as np
@@ -221,17 +224,22 @@ def roundtrip_exhaustive(plan):
     """Round-trip every positive-probability block pair; raises on mismatch.
 
     The pairs are walked in (b1, b2) order: for each source-1 block, the
-    source-2 blocks whose every cell is positive.
+    source-2 blocks whose every cell is positive.  Each block is encoded once
+    per walk; every pair is decoded and checked against f.
     """
     spec = plan.spec
     partners = [
         [x2 for x2 in range(spec.n2) if plan.pmf.p(x1, x2) != 0] for x1 in range(spec.n1)
     ]
+    rows = [x1 for x1 in range(spec.n1) if partners[x1]]
+    cols = sorted({x2 for row in partners for x2 in row})
+    words2 = {b2: encode_block(plan, 2, b2) for b2 in product(cols, repeat=plan.n)}
     count = 0
-    for b1 in product(range(spec.n1), repeat=plan.n):
+    for b1 in product(rows, repeat=plan.n):
+        w1 = encode_block(plan, 1, b1)
         for b2 in product(*(partners[x1] for x1 in b1)):
             expected = tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
-            got = decode_pair(plan, encode_block(plan, 1, b1), encode_block(plan, 2, b2))
+            got = decode_pair(plan, w1, words2[b2])
             if got != expected:
                 raise AssertionError(f"round-trip mismatch on {b1},{b2}: {got} != {expected}")
             count += 1
@@ -285,25 +293,48 @@ def _block_tables(plan, source):
     return decoded[colors], lengths[colors]
 
 
+def _choices(rng, weights, k):
+    """`rng.choices(range(len(weights)), weights, k=k)` as a numpy array.
+
+    `choices` spends one `random()` per draw and returns
+    `bisect_right(cum_weights, random() * total, 0, len(weights) - 1)`, a
+    `searchsorted` over all but the last cumulative weight.  `random()` is
+    CPython's genrand_res53: two 32-bit Mersenne Twister words a, b give
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in float64.
+    `getrandbits(64 * k)` returns the next 2k words, least significant
+    first, so the k `random()` values are rebuilt exactly from it and `rng`
+    is left where `choices` would leave it.
+    """
+    cum = np.array(list(accumulate(weights)))
+    total = cum[-1] + 0.0
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+    u = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * (
+        1.0 / 9007199254740992.0
+    )
+    return np.searchsorted(cum[:-1], u * total, side="right")
+
+
 def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     """Draw i.i.d. blocks, encode, decode, verify, and report empirical rates.
 
     Blocks are handled SIMULATE_CHUNK at a time, so memory does not grow with
-    `samples`.  A chunk of k blocks is one `rng.choices(..., k=k*n)` call on
-    `random.Random(seed)`; `choices` spends one `random()` per cell, so the
-    cells, and the report, are those that drawing block by block would give.
-    A dot product with base powers maps each block to its tuple index, which
-    indexes the decoded color and codeword length of that block
-    (`_block_tables`).  Every sample's decoded color pair is looked up in a
-    dense (color1, color2) -> outcome-index table built from `plan.decoder`
-    and compared with f on the drawn cells; a mismatch raises AssertionError.
+    `samples`.  A chunk of k blocks is k*n cells drawn by `_choices` from
+    `random.Random(seed)`: the cells that `rng.choices(cells, weights, k=k*n)`
+    returns, rebuilt in numpy from the same 2*k*n Mersenne Twister words,
+    with `rng` left in the same state.  `choices` spends one `random()` per
+    cell, so the cells, and the report, are those that drawing block by block
+    with `choices` would give.  A dot product with base powers maps each
+    block to its tuple index, which indexes the decoded color and codeword
+    length of that block (`_block_tables`).  Every sample's decoded color
+    pair is looked up in a dense (color1, color2) -> outcome-index table
+    built from `plan.decoder` and compared with f on the drawn cells; a
+    mismatch raises AssertionError.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
     plan = build_codec(spec, pmf, n, coloring_strategy, guard=guard)
     rng = random.Random(seed)
     # cell x1 * n2 + x2 is the pair (x1, x2)
-    cells = range(spec.n1 * spec.n2)
     weights = [float(pmf.p(x1, x2)) for x1 in range(spec.n1) for x2 in range(spec.n2)]
     cell_x1 = np.repeat(np.arange(spec.n1), spec.n2)
     cell_x2 = np.tile(np.arange(spec.n2), spec.n1)
@@ -323,7 +354,7 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     bits = [0, 0]
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
-        drawn = np.array(rng.choices(cells, weights=weights, k=k * n)).reshape(k, n)
+        drawn = _choices(rng, weights, k * n).reshape(k, n)
         idx1 = cell_x1[drawn] @ pow1
         idx2 = cell_x2[drawn] @ pow2
         bits[0] += int(lengths1[idx1].sum())

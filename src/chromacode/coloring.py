@@ -405,33 +405,6 @@ def greedy_gain(i, n):
     return Fraction(3**n, chi)
 
 
-def regular_power_chromatic(d, V, n, graph=None, cross_check=False, guard=None):
-    """χ(C_V^n) = 2^n = d^n for the even cycle C_V (d = 2, V even).
-
-    The closed form holds only there: other d-regular graphs on an even
-    number of vertices break it (K4 has χ = 4 > 3, K2 has χ = 2 > 1), so
-    any d other than 2 is refused.  With a concrete graph and
-    cross_check=True the exact solver must agree.
-    """
-    if V % 2 == 1:
-        raise UsageError("out of proposition scope: V must be even")
-    if d != 2:
-        raise UsageError("out of proposition scope: d must be 2 (the even cycle C_V)")
-    if not 1 <= d < V:
-        raise UsageError("need 1 <= d < V")
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    result = d**n
-    if graph is not None and cross_check:
-        if graph.vertex_count != V or any(graph.degree(v) != d for v in range(V)):
-            raise UsageError("supplied graph is not d-regular on V vertices")
-        gn = or_power(graph, n, guard=guard)
-        chi, _ = exact_chromatic_number(gn)
-        if chi != result:
-            raise AssertionError(f"exact chi {chi} != closed form {result}")
-    return result
-
-
 def product_coloring(g, n, guard=None):
     """(g^n, its coordinate-wise product coloring): a tuple's color is the
     vector of an exact base coloring over its coordinates, so the palette is

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chromacode import (
     AmbiguityError,
@@ -189,6 +195,17 @@ def _example1_weighted():
     return spec, JointPMF(probs)
 
 
+def _inexact_total():
+    """Example 1 with thirds and sevenths: the float weights, summed in cell
+    order as `choices` sums them, give 1 - 2^-53, not 1.0."""
+    spec, _ = example1_spec()
+    pmf = JointPMF.from_rows(
+        [["1/21", "1/21"], ["1/7", "1/7"], ["2/21", "1/21"], ["2/21", "8/21"]]
+    )
+    assert list(accumulate(float(p) for row in pmf.probs for p in row))[-1] == 1 - 2**-53
+    return spec, pmf
+
+
 def _zero_cell():
     spec = FunctionSpec.from_table([[0, 1], [1, 0]])
     return spec, JointPMF.from_rows([["1/4", "1/4"], ["0", "1/2"]])
@@ -210,15 +227,57 @@ def _one_color_source():
         (_zero_cell, 2, 3000, 4),
         (_one_color_source, 2, 3000, 5),
         (_example1_weighted, 2, codec.SIMULATE_CHUNK + 1, 6),
+        (_inexact_total, 3, 2 * codec.SIMULATE_CHUNK + 5, 7),
     ],
     ids=["weighted-n1", "weighted-n2", "weighted-n3", "ex1-100k", "zero-cell", "one-color",
-         "chunk+1"],
+         "chunk+1", "inexact-total-n3"],
 )
 def test_simulate_matches_block_by_block_reference(make, n, samples, seed):
     spec, pmf = make()
     assert simulate(spec, pmf, n, samples, seed).to_json() == (
         _reference_simulate(spec, pmf, n, samples, seed).to_json()
     )
+
+
+cell_weights = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.sampled_from([1 / 3, 2 / 3, 1 / 7, 3 / 7]),
+        st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=9,
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cell_weights, st.integers(1, 1500), st.integers(0, 2**32 - 1), st.integers(0, 700))
+@example([0.0, 1 / 3, 0.0, 1 / 7], 311, 1, 0)
+@example([0.0, 0.0, 2.5], 313, 2, 300)
+@example([1.0], 312, 3, 311)
+@example([1 / 3, 1 / 3, 1 / 3], codec.SIMULATE_CHUNK * 3, 4, 623)
+def test_chunk_draw_equals_choices(weights, k, seed, skip):
+    # `skip` random() calls first, so the draw starts anywhere in the 624-word state
+    ours, ref = random.Random(seed), random.Random(seed)
+    for rng in (ours, ref):
+        for _ in range(skip):
+            rng.random()
+    got = codec._choices(ours, weights, k)
+    assert got.tolist() == ref.choices(range(len(weights)), weights, k=k)
+    assert ours.random() == ref.random()
+
+
+def test_simulate_never_imports_numpy_random():
+    code = (
+        "import sys\n"
+        "from chromacode import example1_spec, simulate\n"
+        "spec, pmf = example1_spec()\n"
+        "simulate(spec, pmf, 2, 5000, 1)\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_one_color_source_sends_zero_bits():

@@ -29,7 +29,6 @@ from chromacode import (
     power_coloring,
     prism_graph,
     product_coloring,
-    regular_power_chromatic,
 )
 
 
@@ -178,8 +177,15 @@ RELABELED_C5 = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
 
 @pytest.mark.parametrize(
     "base,chi",
-    [(cycle_graph(5), 8), (RELABELED_C5, 8), (cycle_graph(7), 7), (prism_graph(), 9)],
-    ids=["C5", "relabeled-C5", "C7", "prism"],
+    [
+        (cycle_graph(4), 4),
+        (cycle_graph(6), 4),
+        (cycle_graph(5), 8),
+        (RELABELED_C5, 8),
+        (cycle_graph(7), 7),
+        (prism_graph(), 9),
+    ],
+    ids=["C4", "C6", "C5", "relabeled-C5", "C7", "prism"],
 )
 def test_exact_chi_of_squares(base, chi):
     g = or_power(base, 2)
@@ -259,21 +265,6 @@ def test_greedy_gain_monotone():
     assert gains[0] == 1
     assert all(b > a for a, b in zip(gains, gains[1:]))
     assert gains[1] == Fraction(9, 8)
-
-
-def test_regular_power_chromatic_even_cycle():
-    # d-regular with even V: d^n colors
-    assert regular_power_chromatic(2, 4, 2) == 4
-    assert regular_power_chromatic(2, 6, 2) == 4
-    got = regular_power_chromatic(2, 4, 2, graph=cycle_graph(4), cross_check=True)
-    assert got == 4
-
-
-@pytest.mark.parametrize("d,V", [(3, 4), (1, 2)], ids=["K4", "K2"])
-def test_regular_power_chromatic_refuses_other_degrees(d, V):
-    # d^n is wrong here: chi(K4) = 4 > 3 and chi(K2) = 2 > 1
-    with pytest.raises(UsageError, match="out of proposition scope"):
-        regular_power_chromatic(d, V, 1)
 
 
 def test_product_coloring_always_valid():
