@@ -9,6 +9,7 @@ strict positivity and must not be subject to rounding.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .coloring import is_valid_coloring
 from .errors import UsageError, load_json
@@ -149,24 +150,26 @@ def _check_dims(spec, pmf):
 
 
 def build_characteristic_graph(spec, pmf, source):
-    """Characteristic graph of source 1 or 2 (see module docstring)."""
+    """Characteristic graph of source 1 or 2 (see module docstring).
+
+    Each cell is tested for positivity once: every symbol keeps the map
+    {side value: outcome} over its positive cells, and two symbols are
+    joined when a side value in both maps has two outcomes.
+    """
     _check_dims(spec, pmf)
-    if source == 1:
-        n, m = spec.n1, spec.n2
-        f = spec.f
-        p = pmf.p
-    elif source == 2:
-        n, m = spec.n2, spec.n1
-        f = lambda a, b: spec.f(b, a)
-        p = lambda a, b: pmf.p(b, a)
-    else:
+    table, probs = spec.table, pmf.probs
+    if source == 2:
+        table, probs = tuple(zip(*table)), tuple(zip(*probs))
+    elif source != 1:
         raise UsageError("source must be 1 or 2")
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if any(p(a, s) > 0 and p(b, s) > 0 and f(a, s) != f(b, s) for s in range(m)):
-                edges.append((a, b))
-    return Graph.from_edges(n, edges)
+    # JointPMF rejects negative cells, so a nonzero cell is a positive one
+    rows = [{s: f for s, (f, p) in enumerate(zip(fs, ps)) if p} for fs, ps in zip(table, probs)]
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(rows)), 2)
+        if any(rows[b].get(s, f) != f for s, f in rows[a].items())
+    ]
+    return Graph.from_edges(len(rows), edges)
 
 
 def verify_coloring_sufficiency(spec, pmf, c1, c2):

@@ -2,13 +2,14 @@
 
 Pipeline: characteristic graphs -> OR powers and their colorings (one
 `coloring.power_coloring` call per source) -> per-source Huffman codes on the
-color PMFs -> receiver lookup table on color pairs.  The decoder table is
-built over the support only: the positive-probability block pairs are the
-n-tuples of positive cells, enumerated as numpy arrays in chunks (one per
-first-coordinate source-1 symbol) and visited in (b1, b2) order.
-Construction fails loudly if any color pair would have to decode to two
-different outcome blocks.  The color PMFs are summed in integers over a
-common denominator, with one exact Fraction per color.
+color PMFs -> receiver lookup table on color pairs.  `build_codec` scales the
+joint PMF once to integers over a common denominator D.  The receiver table
+is built in one array pass over the positive block pairs (the n-tuples of
+positive cells), keyed by color pair in a dense palette1 x palette2 table;
+see `_decoder_table` for its order and memory bound.  Construction fails
+loudly if any color pair would have to decode to two different outcome
+blocks.  The color PMFs are sums of integer block weights, with one exact
+Fraction(sum, D^n) per color.
 
 `encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
 time.  `simulate` measures rates over many blocks in a chunked array pass: it
@@ -69,103 +70,89 @@ def _digits(values, base, n):
     return [tuple(d) for d in (np.asarray(values)[:, None] // powers % base).tolist()]
 
 
-def _decoder_table(spec, pmf, n, c1, c2):
+def _decoder_table(spec, weights, n, c1, c2):
     """The receiver table {(color1, color2): outcome block} over every positive
     block pair; raises AmbiguityError at the first pair, in (b1, b2) order,
     whose colors already decode to another outcome block.
 
-    A positive block pair is an n-tuple of positive cells.  The tuples are
-    enumerated in chunks, one per first-coordinate source-1 symbol, and
-    sorted by pair index idx1 * n2^n + idx2 within a chunk, which visits the
-    pairs in (b1, b2) order.  Blocks and outcome blocks are big-endian
-    indices; colors come from arrays indexed by block.
+    A positive block pair is an n-tuple of positive cells (`weights` is the
+    scaled joint PMF), enumerated in one array pass.  Blocks, outcome blocks
+    and pairs b1 * n2^n + b2 are big-endian indices, so pair order is
+    (b1, b2) order.  Each color pair has a key color1 * palette2 + color2 in
+    a dense palette1 x palette2 array that holds its first pair, found with
+    `np.minimum.at`; the outcome at that pair is the key's entry, and the
+    smallest pair that disagrees with its key's entry is the first conflict.
+    Memory: int64 arrays of one element per positive pair plus one per
+    palette1 x palette2 entry, and no sort over the pairs.  Where that table
+    would be larger than the pairs (sparse support under large palettes),
+    the keys in use are numbered by one `np.unique` over the pairs instead,
+    so memory stays linear in the pairs.
     """
     cells = [
         (x1, x2, spec.f(x1, x2))
         for x1 in range(spec.n1)
         for x2 in range(spec.n2)
-        if pmf.p(x1, x2) != 0
+        if weights[x1][x2]
     ]
     cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
     outcomes = int(cout.max()) + 1
-    # the last n - 1 coordinates: block and outcome indices of every cell tuple
-    tail1 = tail2 = tail_out = np.zeros(1, dtype=np.int64)
-    for _ in range(n - 1):
-        tail1 = (tail1[:, None] * spec.n1 + cx1).ravel()
-        tail2 = (tail2[:, None] * spec.n2 + cx2).ravel()
-        tail_out = (tail_out[:, None] * outcomes + cout).ravel()
+    b1 = b2 = out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        b1 = (b1[:, None] * spec.n1 + cx1).ravel()
+        b2 = (b2[:, None] * spec.n2 + cx2).ravel()
+        out = (out[:, None] * outcomes + cout).ravel()
     blocks2 = spec.n2**n
     colors1 = np.array(c1.assignment, dtype=np.int64)
     colors2 = np.array(c2.assignment, dtype=np.int64)
     palette2 = int(colors2.max()) + 1
-    seen_keys = np.zeros(0, dtype=np.int64)  # sorted color-pair keys met so far
-    seen_out = seen_pair = seen_keys
-    decoder = {}
-    for a in range(spec.n1):
-        head = np.flatnonzero(cx1 == a)
-        if not head.size:
-            continue
-        pair = (
-            ((a * spec.n1 ** (n - 1) + tail1) * blocks2)[None, :]
-            + (cx2[head] * spec.n2 ** (n - 1))[:, None]
-            + tail2[None, :]
-        ).ravel()
-        out = ((cout[head] * outcomes ** (n - 1))[:, None] + tail_out[None, :]).ravel()
-        order = np.argsort(pair)
-        pair, out = pair[order], out[order]
-        key = colors1[pair // blocks2] * palette2 + colors2[pair % blocks2]
-        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        # a key met in an earlier chunk keeps that chunk's outcome and witness
-        at = np.searchsorted(seen_keys, keys)
-        known = at < seen_keys.size
-        known[known] = seen_keys[at[known]] == keys[known]
-        ref_out, ref_pair = out[first], pair[first]
-        ref_out[known] = seen_out[at[known]]
-        ref_pair[known] = seen_pair[at[known]]
-        bad = np.flatnonzero(out != ref_out[inverse])
-        if bad.size:
-            j = bad[0]
-            u = inverse[j]
-            pairs = np.array([ref_pair[u], pair[j]])
-            seen1, b1 = _digits(pairs // blocks2, spec.n1, n)
-            seen2, b2 = _digits(pairs % blocks2, spec.n2, n)
-            out_seen, out_b = _digits([ref_out[u], out[j]], outcomes, n)
-            raise AmbiguityError((seen1, seen2), (b1, b2), out_seen, out_b)
-        new = np.flatnonzero(~known)
-        new = new[np.argsort(first[new])]
-        decoder.update(
-            zip(
-                zip((keys[new] // palette2).tolist(), (keys[new] % palette2).tolist()),
-                _digits(ref_out[new], outcomes, n),
-            )
+    key = colors1[b1] * palette2
+    key += colors2[b2]
+    pair = b1 * blocks2
+    pair += b2
+    del b1, b2  # keys and pairs carry on; freeing the blocks lowers peak memory
+    table = (int(colors1.max()) + 1) * palette2
+    if table <= pair.size:
+        keys = np.arange(table)
+    else:  # sparse support under large palettes: number only the keys in use
+        keys, key = np.unique(key, return_inverse=True)
+    none = spec.n1**n * blocks2  # past every pair: the key is never used
+    first = np.full(keys.size, none, dtype=np.int64)
+    np.minimum.at(first, key, pair)
+    at_first = pair == first[key]
+    ref_out = np.zeros_like(first)
+    ref_out[key[at_first]] = out[at_first]
+    bad = np.flatnonzero(out != ref_out[key])
+    if bad.size:
+        j = bad[np.argmin(pair[bad])]
+        pairs = np.array([first[key[j]], pair[j]])
+        seen1, got1 = _digits(pairs // blocks2, spec.n1, n)
+        seen2, got2 = _digits(pairs % blocks2, spec.n2, n)
+        out_seen, out_got = _digits([ref_out[key[j]], out[j]], outcomes, n)
+        raise AmbiguityError((seen1, seen2), (got1, got2), out_seen, out_got)
+    used = np.flatnonzero(first != none)
+    used = used[np.argsort(first[used])]
+    return dict(
+        zip(
+            zip((keys[used] // palette2).tolist(), (keys[used] % palette2).tolist()),
+            _digits(ref_out[used], outcomes, n),
         )
-        seen_keys = np.concatenate([seen_keys, keys[new]])
-        seen_out = np.concatenate([seen_out, ref_out[new]])
-        seen_pair = np.concatenate([seen_pair, ref_pair[new]])
-        order = np.argsort(seen_keys)
-        seen_keys, seen_out, seen_pair = seen_keys[order], seen_out[order], seen_pair[order]
-    return decoder
+    )
 
 
-def _color_pmf(marginal, n, coloring):
+def _color_pmf(marginal, total, n, coloring):
     """Exact color PMF of i.i.d. blocks, colors in order of first appearance.
 
-    The marginal is scaled to integers over one common denominator D; block
-    weights are their repeated outer product, summed per color and divided
-    by D^n once per color.
+    `marginal` holds integer weights over a common denominator, with
+    `total` = denominator^n; block weights are their repeated products in
+    block-index order, summed per color and divided by `total` once per color.
     """
-    probs = [Fraction(p) for p in marginal]
-    D = lcm(*(p.denominator for p in probs))
-    base = np.array([p.numerator * (D // p.denominator) for p in probs], dtype=object)
-    weights = base
+    weights = marginal
     for _ in range(n - 1):
-        weights = np.multiply.outer(weights, base).ravel()
-    colors = np.array(coloring.assignment, dtype=np.int64)
-    palette, first = np.unique(colors, return_index=True)
-    sums = np.zeros(int(palette[-1]) + 1, dtype=object)
-    np.add.at(sums, colors, weights)
-    total = D**n
-    return {c: Fraction(sums[c], total) for c in palette[np.argsort(first)].tolist()}
+        weights = [w * m for w in weights for m in marginal]
+    sums = {}
+    for c, w in zip(coloring.assignment, weights):
+        sums[c] = sums.get(c, 0) + w
+    return {c: Fraction(w, total) for c, w in sums.items()}
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
@@ -175,9 +162,14 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     g2 = build_characteristic_graph(spec, pmf, 2)
     gn1, c1 = power_coloring(g1, n, coloring_strategy, guard)
     gn2, c2 = power_coloring(g2, n, coloring_strategy, guard)
-    decoder = _decoder_table(spec, pmf, n, c1, c2)
-    pmf1 = _color_pmf(pmf.marginal(1), n, c1)
-    pmf2 = _color_pmf(pmf.marginal(2), n, c2)
+    # the joint PMF as integers over one common denominator D; Fraction(p)
+    # also takes int and float cells exactly
+    probs = [[Fraction(p) for p in row] for row in pmf.probs]
+    D = lcm(*(p.denominator for row in probs for p in row))
+    weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
+    decoder = _decoder_table(spec, weights, n, c1, c2)
+    pmf1 = _color_pmf([sum(row) for row in weights], D**n, n, c1)
+    pmf2 = _color_pmf([sum(col) for col in zip(*weights)], D**n, n, c2)
     code1, avg1 = huffman_code(pmf1)
     code2, avg2 = huffman_code(pmf2)
     inverses = tuple({w: c for c, w in code.items()} for code in (code1, code2))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,14 @@ import pytest
 from chromacode import (
     Coloring,
     FunctionSpec,
+    Graph,
     JointPMF,
     UsageError,
     build_characteristic_graph,
+    build_codec,
     cycle_graph,
     example1_spec,
+    roundtrip_exhaustive,
     verify_coloring_sufficiency,
 )
 
@@ -108,3 +112,86 @@ def test_verify_coloring_sufficiency_false_on_ambiguity():
     c1 = Coloring.from_list([0, 0])
     c2 = Coloring.from_list([0, 0])
     assert verify_coloring_sufficiency(spec, pmf, c1, c2) is False
+
+
+# -- characteristic graphs against the per-(a, b, s) edge rule ---------------------
+
+
+def _reference_graph(spec, pmf, source):
+    """One Fraction comparison per (a, b, s): a ~ b iff some side value s has
+    p(a, s) > 0, p(b, s) > 0 and f(a, s) != f(b, s)."""
+    if source == 1:
+        n, m, f, p = spec.n1, spec.n2, spec.f, pmf.p
+    else:
+        n, m = spec.n2, spec.n1
+        f = lambda a, s: spec.f(s, a)
+        p = lambda a, s: pmf.p(s, a)
+    edges = [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if any(p(a, s) > 0 and p(b, s) > 0 and f(a, s) != f(b, s) for s in range(m))
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def _zero_cell_spec(rng, zero_row, zero_col):
+    n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+    table = [[rng.randrange(rng.randint(2, 4)) for _ in range(n2)] for _ in range(n1)]
+    weights = [[rng.randint(1, 9) if rng.random() < 0.6 else 0 for _ in range(n2)] for _ in range(n1)]
+    row, col = rng.randrange(n1), rng.randrange(n2)
+    if zero_row:
+        weights[row] = [0] * n2
+    if zero_col:
+        for w in weights:
+            w[col] = 0
+    if not any(map(any, weights)):
+        weights[(row + 1) % n1][(col + 1) % n2] = 1
+    total = sum(map(sum, weights))
+    return FunctionSpec.from_table(table), JointPMF.from_rows([[Fraction(w, total) for w in r] for r in weights])
+
+
+@pytest.mark.parametrize("zero_row, zero_col", [(False, False), (True, False), (False, True), (True, True)])
+def test_characteristic_graphs_match_the_per_pair_rule(zero_row, zero_col):
+    rng = random.Random(f"chargraph-oracle:{zero_row}:{zero_col}")
+    edges = 0
+    for _ in range(60):
+        spec, pmf = _zero_cell_spec(rng, zero_row, zero_col)
+        for source in (1, 2):
+            g = build_characteristic_graph(spec, pmf, source)
+            assert g == _reference_graph(spec, pmf, source)
+            edges += g.edge_count
+    assert edges  # the seeded specs are not all edgeless
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.25, 0.125], [0.0, 0.375], [0.125, 0.125]],  # dyadic: exact in binary
+        [[0, 1], [0, 0], [0, 0]],
+    ],
+    ids=["float", "int"],
+)
+def test_float_and_int_cells_plan_as_their_exact_values(rows):
+    spec = FunctionSpec.from_table([[0, 1], [1, 1], [2, 0]])
+    pmf = JointPMF(tuple(map(tuple, rows)))
+    exact = JointPMF.from_rows(rows)
+    for source in (1, 2):
+        assert build_characteristic_graph(spec, pmf, source) == _reference_graph(spec, exact, source)
+    for n in (1, 2, 3):
+        plan, ref = build_codec(spec, pmf, n), build_codec(spec, exact, n)
+        assert (plan.codes, plan.avg_lengths, plan.decoder) == (ref.codes, ref.avg_lengths, ref.decoder)
+        assert [list(p.items()) for p in plan.color_pmfs] == [list(p.items()) for p in ref.color_pmfs]
+        support = sum(p > 0 for row in rows for p in row)
+        assert roundtrip_exhaustive(plan) == support**n
+
+
+def test_non_dyadic_float_cells_plan_on_their_binary_values():
+    # the float total is 1.0, the exact total of the four binary values is not
+    spec = FunctionSpec.from_table([[0, 1], [1, 0]])
+    pmf = JointPMF(((0.1, 0.2), (0.3, 0.4)))
+    cells = sum(Fraction(p) for row in pmf.probs for p in row)
+    assert cells != 1
+    plan = build_codec(spec, pmf, 2)
+    assert all(sum(p.values()) == cells**2 for p in plan.color_pmfs)
+    assert roundtrip_exhaustive(plan) == 16

@@ -30,7 +30,7 @@ from chromacode import (
     simulate,
 )
 from chromacode import codec, decode_index, encode_tuple, huffman_code
-from chromacode.coloring import STRATEGIES, power_coloring
+from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
 
 @pytest.fixture(scope="module")
@@ -362,20 +362,20 @@ def _random_zero_cell_spec(rng, n):
     return FunctionSpec.from_table(table), JointPMF(probs)
 
 
-def _assert_matches_reference(spec, pmf, n):
+def _assert_matches_reference(spec, pmf, n, strategy="auto"):
     """build_codec equals the reference loops: table, PMFs, codes and any
     AmbiguityError; returns whether the plan was refused."""
-    c1 = power_coloring(build_characteristic_graph(spec, pmf, 1), n)[1]
-    c2 = power_coloring(build_characteristic_graph(spec, pmf, 2), n)[1]
+    c1 = power_coloring(build_characteristic_graph(spec, pmf, 1), n, strategy)[1]
+    c2 = power_coloring(build_characteristic_graph(spec, pmf, 2), n, strategy)[1]
     try:
         expected = _reference_decoder(spec, pmf, n, c1, c2)
     except AmbiguityError as exc:
         with pytest.raises(AmbiguityError) as got:
-            build_codec(spec, pmf, n)
+            build_codec(spec, pmf, n, strategy)
         assert str(got.value) == str(exc)
         assert got.value.witness == exc.witness
         return True
-    plan = build_codec(spec, pmf, n)
+    plan = build_codec(spec, pmf, n, strategy)
     assert list(plan.decoder.items()) == list(expected.items())
     pmfs = tuple(
         _reference_color_pmf(pmf.marginal(s), n, c) for s, c in ((1, c1), (2, c2))
@@ -394,9 +394,71 @@ def test_build_codec_matches_per_pair_reference(n):
     assert any(refused) and not all(refused)
 
 
+@pytest.mark.parametrize("strategy", ["greedy", "product"])
+def test_build_codec_matches_per_pair_reference_at_n4(strategy):
+    # 2-3 symbols per source: up to 81 blocks, past the exact solver's guard,
+    # so the powers are colored greedily or by exact base-color vectors
+    rng = random.Random(f"decoder-oracle:4:{strategy}")
+    refused = [
+        _assert_matches_reference(*_random_zero_cell_spec(rng, 4), 4, strategy) for _ in range(40)
+    ]
+    assert any(refused) and not all(refused)
+
+
+def test_decoder_table_matches_reference_under_arbitrary_colorings():
+    # random colorings, not power colorings: a pair's position among the
+    # enumerated cell tuples is not its (b1, b2) order, so a first conflict
+    # taken in enumeration order would differ from the reference's
+    rng = random.Random("decoder-oracle:arbitrary")
+    refused = 0
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        spec, pmf = _random_zero_cell_spec(rng, n)
+        c1, c2 = (
+            Coloring.from_list(rng.randrange(rng.choice((2, 4, k**n))) for _ in range(k**n))
+            for k in (spec.n1, spec.n2)
+        )
+        try:
+            expected = _reference_decoder(spec, pmf, n, c1, c2)
+        except AmbiguityError as exc:
+            with pytest.raises(AmbiguityError) as got:
+                codec._decoder_table(spec, pmf.probs, n, c1, c2)
+            assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+            refused += 1
+            continue
+        got = codec._decoder_table(spec, pmf.probs, n, c1, c2)
+        assert list(got.items()) == list(expected.items())
+    assert 0 < refused < 60
+
+
+def test_build_codec_reference_when_the_palettes_outgrow_the_pairs():
+    # only row 0 and column 0 are positive and f is injective on them, so both
+    # characteristic graphs are K3: 9^n color pairs against 5^n positive pairs
+    spec = FunctionSpec.from_table([[0, 1, 2], [3, 0, 0], [4, 0, 0]])
+    pmf = JointPMF.from_rows([["1/5", "1/5", "1/5"], ["1/5", "0", "0"], ["1/5", "0", "0"]])
+    for n in (1, 2, 3):
+        assert not _assert_matches_reference(spec, pmf, n)
+        plan = build_codec(spec, pmf, n)
+        assert plan.colorings[0].palette_size * plan.colorings[1].palette_size == 9**n
+        assert len(plan.decoder) == roundtrip_exhaustive(plan) == 5**n
+
+
+def test_ambiguity_reference_pair_under_an_earlier_first_symbol():
+    # the first conflict, ((2, 0), (1, 0)), shares its colors with a pair whose
+    # source-1 block starts with symbol 1
+    spec = FunctionSpec.from_table([[0, 2, 1], [1, 2, 0], [0, 2, 0], [1, 1, 1]])
+    weights = [[2, 1, 0], [2, 2, 0], [0, 1, 0], [1, 1, 1]]
+    pmf = JointPMF.from_rows([[Fraction(w, 11) for w in row] for row in weights])
+    assert _assert_matches_reference(spec, pmf, 2)
+    with pytest.raises(AmbiguityError) as exc:
+        build_codec(spec, pmf, 2)
+    assert exc.value.witness == (((1, 3), (1, 0)), ((2, 0), (1, 0)))
+
+
 def test_build_codec_reference_on_an_empty_row_and_huge_denominators():
-    # row x1 = 1 has no positive cell, so its decoder chunk is empty; the
-    # common denominator squared is far beyond 64-bit integers
+    # row x1 = 1 has no positive cell, so no block with symbol 1 is in any
+    # positive pair; the common denominator squared is far beyond 64-bit
+    # integers
     big = 10**12 + 39
     spec = FunctionSpec.from_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
     probs = (
