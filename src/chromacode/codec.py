@@ -5,11 +5,10 @@ Pipeline: characteristic graphs -> OR powers and their colorings (one
 color PMFs -> receiver lookup table on color pairs.  `build_codec` scales the
 joint PMF once to integers over a common denominator D.  The receiver table
 is built in one array pass over the positive block pairs (the n-tuples of
-positive cells), keyed by color pair in a dense palette1 x palette2 table;
-see `_decoder_table` for its order and memory bound.  Construction fails
-loudly if any color pair would have to decode to two different outcome
-blocks.  The color PMFs are sums of integer block weights, with one exact
-Fraction(sum, D^n) per color.
+positive cells); `_decoder_table` gives its order, its two ways to index
+color pairs and its memory bound.  Construction fails loudly if any color
+pair would have to decode to two different outcome blocks.  The color PMFs
+are sums of integer block weights, with one exact Fraction(sum, D^n) each.
 
 `encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
 time.  `simulate` measures rates over many blocks in a chunked array pass: it
@@ -78,15 +77,14 @@ def _decoder_table(spec, weights, n, c1, c2):
     A positive block pair is an n-tuple of positive cells (`weights` is the
     scaled joint PMF), enumerated in one array pass.  Blocks, outcome blocks
     and pairs b1 * n2^n + b2 are big-endian indices, so pair order is
-    (b1, b2) order.  Each color pair has a key color1 * palette2 + color2 in
-    a dense palette1 x palette2 array that holds its first pair, found with
-    `np.minimum.at`; the outcome at that pair is the key's entry, and the
-    smallest pair that disagrees with its key's entry is the first conflict.
-    Memory: int64 arrays of one element per positive pair plus one per
-    palette1 x palette2 entry, and no sort over the pairs.  Where that table
-    would be larger than the pairs (sparse support under large palettes),
-    the keys in use are numbered by one `np.unique` over the pairs instead,
-    so memory stays linear in the pairs.
+    (b1, b2) order.  `np.minimum.at` finds the first pair of each color-pair
+    key color1 * palette2 + color2; the outcome there is the key's entry,
+    and the smallest pair that disagrees with its key's entry is the first
+    conflict.  Keys index a dense palette1 x palette2 array, with no sort,
+    when it has at most one entry per positive pair; otherwise (sparse
+    support under large palettes) one `np.unique`, a sort over the pairs,
+    numbers the keys in use.  Memory: a few int64 arrays of one element per
+    positive pair, whichever way.
     """
     cells = [
         (x1, x2, spec.f(x1, x2))
@@ -131,12 +129,8 @@ def _decoder_table(spec, weights, n, c1, c2):
         raise AmbiguityError((seen1, seen2), (got1, got2), out_seen, out_got)
     used = np.flatnonzero(first != none)
     used = used[np.argsort(first[used])]
-    return dict(
-        zip(
-            zip((keys[used] // palette2).tolist(), (keys[used] % palette2).tolist()),
-            _digits(ref_out[used], outcomes, n),
-        )
-    )
+    k1, k2 = np.divmod(keys[used], palette2)
+    return dict(zip(zip(k1.tolist(), k2.tolist()), _digits(ref_out[used], outcomes, n)))
 
 
 def _color_pmf(marginal, total, n, coloring):
@@ -156,6 +150,10 @@ def _color_pmf(marginal, total, n, coloring):
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
+    """Codec plan for length-n blocks.  Each cell of `pmf` counts at its exact
+    value `Fraction(p)`, a float at its binary value: the color PMFs of float
+    cells whose exact sum is not 1 sum to that sum to the power n.
+    """
     if n < 1:
         raise UsageError("block length n must be >= 1")
     g1 = build_characteristic_graph(spec, pmf, 1)
