@@ -7,12 +7,11 @@ simulate, reproduce.  JSON output with sorted keys.  Exit codes:
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
 from .chargraph import FunctionSpec, JointPMF, build_characteristic_graph
-from .codec import build_codec, decode_pair, encode_block, roundtrip_exhaustive, simulate
+from .codec import build_codec, roundtrip_exhaustive, simulate
 from .coloring import (
     _cycle_scheme,
     exact_chromatic_number,
@@ -25,7 +24,6 @@ from .coloring import (
 from .entropy import (
     AlphaProfile,
     chromatic_entropy_bruteforce,
-    coloring_entropy,
     fractional_entropy_lower_bound,
     general_entropy_upper_bound,
     huffman_code,
@@ -136,14 +134,14 @@ def cmd_entropy(args):
         h = chromatic_entropy_bruteforce(g, guard=args.guard)
         _emit({"lo": h, "hi": h, "bound": "brute"})
         return 0
+    if args.bound in ("odd-cycle", "fractional") and _cycle_scheme(g) != "odd-cycle":
+        raise UsageError(f"{args.bound} bound needs the canonical odd cycle C_V with V >= 5")
     if args.bound == "fractional":
         _emit({"lo": fractional_entropy_lower_bound(V), "bound": "fractional"})
         return 0
     try:
         if args.bound == "odd-cycle":
-            if V % 2 == 0:
-                raise UsageError("odd-cycle bound needs odd V")
-            res = odd_cycle_entropy_upper_bound((V - 1) // 2, args.power)
+            res = odd_cycle_entropy_upper_bound(V // 2, args.power)
         elif args.bound == "general":
             res = general_entropy_upper_bound(g, args.power, guard=args.guard)
         else:

@@ -8,7 +8,8 @@ is built in one array pass over the positive block pairs (the n-tuples of
 positive cells); `_decoder_table` gives its order, its two ways to index
 color pairs and its memory bound.  Construction fails loudly if any color
 pair would have to decode to two different outcome blocks.  The color PMFs
-are sums of integer block weights, with one exact Fraction(sum, D^n) each.
+are sums of integer block weights, with one exact Fraction(sum, D^n) each;
+Huffman codes the integer sums and its total is divided by D^n once.
 
 `encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
 time.  `simulate` measures rates over many blocks in a chunked array pass: it
@@ -133,12 +134,11 @@ def _decoder_table(spec, weights, n, c1, c2):
     return dict(zip(zip(k1.tolist(), k2.tolist()), _digits(ref_out[used], outcomes, n)))
 
 
-def _color_pmf(marginal, total, n, coloring):
-    """Exact color PMF of i.i.d. blocks, colors in order of first appearance.
-
-    `marginal` holds integer weights over a common denominator, with
-    `total` = denominator^n; block weights are their repeated products in
-    block-index order, summed per color and divided by `total` once per color.
+def _color_weights(marginal, n, coloring):
+    """Integer color weights of i.i.d. blocks, colors in order of first
+    appearance: `marginal` holds integer symbol weights over a common
+    denominator D, and a color's weight is the sum of its blocks' weights
+    (their repeated products, in block-index order), over D^n.
     """
     weights = marginal
     for _ in range(n - 1):
@@ -146,7 +146,7 @@ def _color_pmf(marginal, total, n, coloring):
     sums = {}
     for c, w in zip(coloring.assignment, weights):
         sums[c] = sums.get(c, 0) + w
-    return {c: Fraction(w, total) for c, w in sums.items()}
+    return sums
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
@@ -166,14 +166,17 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     D = lcm(*(p.denominator for row in probs for p in row))
     weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
     decoder = _decoder_table(spec, weights, n, c1, c2)
-    pmf1 = _color_pmf([sum(row) for row in weights], D**n, n, c1)
-    pmf2 = _color_pmf([sum(col) for col in zip(*weights)], D**n, n, c2)
-    code1, avg1 = huffman_code(pmf1)
-    code2, avg2 = huffman_code(pmf2)
-    inverses = tuple({w: c for c, w in code.items()} for code in (code1, code2))
+    sums = (
+        _color_weights([sum(row) for row in weights], n, c1),
+        _color_weights([sum(col) for col in zip(*weights)], n, c2),
+    )
+    # Huffman merges the integer sums: one common scale keeps order and ties
+    codes, totals = zip(*(huffman_code(s) for s in sums))
+    inverses = tuple({w: c for c, w in code.items()} for code in codes)
     return CodecPlan(
-        spec, pmf, n, (g1, g2), (gn1, gn2), (c1, c2), (code1, code2),
-        (pmf1, pmf2), (avg1, avg2), decoder, inverses,
+        spec, pmf, n, (g1, g2), (gn1, gn2), (c1, c2), codes,
+        tuple({c: Fraction(w, D**n) for c, w in s.items()} for s in sums),
+        tuple(total / D**n for total in totals), decoder, inverses,
     )
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GuardExceeded, UsageError, check_guard, load_json
-from .graphs import Graph, _complement_rows, _maximal_cliques, bits_to_list, make_graph
+from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .orpower import or_power
 
 CHI_GUARD_DEFAULT = 64
@@ -115,26 +115,6 @@ def _greedy_clique_size(adj, order, U):
             size += 1
             p &= adj[v]
     return size
-
-
-def _max_clique_size(adj, candidates, tick):
-    """ω of the subgraph induced on `candidates` (adjacency bitsets `adj`),
-    by branch and bound on the candidate count; `tick` runs at every node."""
-    best = 0
-
-    def expand(size, p):
-        nonlocal best
-        tick()
-        if p == 0:
-            best = max(best, size)
-            return
-        while p and size + p.bit_count() > best:
-            v = p.bit_length() - 1
-            p &= ~(1 << v)
-            expand(size + 1, p & adj[v])
-
-    expand(0, candidates)
-    return best
 
 
 def _two_coloring(adj, U):
@@ -486,7 +466,7 @@ def fractional_chromatic_cycle(k, b):
         "chi_b_lower": 2 * b + 1,
         "chi_b": a,
         "coloring": fc,
-        "chi_f": Fraction(V, k),
+        "chi_f": fractional_chromatic_power(k, 1),
     }
 
 

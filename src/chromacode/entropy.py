@@ -1,5 +1,12 @@
-"""Coloring PMFs, chromatic entropy, α-profile upper bounds, the fractional
+"""Coloring PMFs, chromatic entropy, α-profile windows, the fractional
 lower bound, and Huffman coding of color distributions.
+
+A window on the per-symbol chromatic entropy of G^n comes from profiles of
+color-class counts in which the classes of G^t have size α^t, α = α(G)
+(`graphs.max_independent_set_size`, one clique search on the complement).
+One search, `_extremal_profile`, gives both edges: the profile of largest
+α_n under a monotone rule (low edge) and of smallest α_n under the chain
+rule (high edge), over the α_n range of `alpha_n_window`.
 
 PMFs stay exact rationals; entropies are floats (comparison tolerance 1e-9).
 """
@@ -10,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log2
 
-from .coloring import is_valid_coloring
+from .coloring import fractional_chromatic_power, is_valid_coloring
 from .errors import UsageError, check_guard
 from .graphs import max_independent_set_size
 
@@ -125,58 +132,36 @@ def alpha_n_window(V, m, n):
     return lo, hi
 
 
-def _profile_max_alpha_n(V, m, n):
-    """Profile maximizing α_n under α_0 = 1, Σ α_t·m^t = V^n, and the
-    nondecreasing ordering α_{t+1} ≥ α_t ≥ 1."""
-    total = V**n
-    _, hi = alpha_n_window(V, m, n)
+def _extremal_profile(V, m, n, window, chain):
+    """The α profile (α_0, ..., α_n) with α_0 = 1 and Σ α_t·m^t = V^n that
+    has the largest α_n under the monotone rule α_{t+1} ≥ α_t ≥ 1, or, with
+    `chain`, the smallest α_n under the chain rule α_t ≥ m·α_{t-1}.
 
-    def complete(t, remaining, hi_bound):
-        # choose alpha_t .. alpha_1 (descending t), each >= 1 and <= alpha_{t+1}
-        if t == 0:
-            return [] if remaining == 1 else None
-        for a in range(min(hi_bound, remaining // m**t), 0, -1):
-            rest = remaining - a * m**t
-            if rest < 1:
-                continue
-            tail = complete(t - 1, rest, a)
-            if tail is not None:
-                return [a] + tail
-        return None
-
-    for an in range(hi, 0, -1):
-        tail = complete(n - 1, total - an * m**n, an)
-        if tail is not None:
-            alphas = [1] + tail[::-1] + [an]
-            return tuple(alphas)
-    raise AssertionError("no feasible monotone alpha profile")
-
-
-def _profile_min_alpha_n(V, m, n):
-    """Profile minimizing α_n under the full chain constraints α_0 = 1,
-    α_t ≥ m·α_{t-1}, Σ α_t·m^t = V^n."""
-    total = V**n
-    lo, hi = alpha_n_window(V, m, n)
+    α_n scans `window` (from `alpha_n_window`) down from its top, or with
+    `chain` up from max(lo, m^n); a depth-first search then takes each
+    α_{n-1}, ..., α_1 as large as the rule and the remaining mass allow.
+    The chain rule caps α_{t-1} at ⌊α_t/m⌋ and so forces α_t ≥ m^t.
+    """
+    lo, hi = window
+    step = m if chain else 1
 
     def complete(t, remaining, cap):
-        # alpha_t for t descending to 1; alpha_t >= m*alpha_{t-1} means
-        # alpha_{t-1} <= alpha_t // m, and the chain forces alpha_t >= m^t
         if t == 0:
             return [] if remaining == 1 else None
-        for a in range(min(cap, remaining // m**t), m**t - 1, -1):
+        for a in range(min(cap, remaining // m**t), step**t - 1, -1):
             rest = remaining - a * m**t
             if rest < 1:
                 continue
-            tail = complete(t - 1, rest, a // m)
+            tail = complete(t - 1, rest, a // step)
             if tail is not None:
                 return [a] + tail
         return None
 
-    for an in range(max(lo, m**n), hi + 1):
-        tail = complete(n - 1, total - an * m**n, an // m)
+    for an in range(max(lo, m**n), hi + 1) if chain else range(hi, 0, -1):
+        tail = complete(n - 1, V**n - an * m**n, an // step)
         if tail is not None:
-            return tuple([1] + tail[::-1] + [an])
-    raise AssertionError("no feasible chain alpha profile")
+            return (1, *tail[::-1], an)
+    raise AssertionError(f"no feasible {'chain' if chain else 'monotone'} alpha profile")
 
 
 def odd_cycle_entropy_upper_bound(k, n):
@@ -194,17 +179,16 @@ def odd_cycle_entropy_upper_bound(k, n):
 
 
 def _entropy_window(V, m, n):
+    window = alpha_n_window(V, m, n)
     sizes = tuple(m**t for t in range(n + 1))
-    total = V**n
-    lo_profile = AlphaProfile(_profile_max_alpha_n(V, m, n), sizes, total)
-    hi_profile = AlphaProfile(_profile_min_alpha_n(V, m, n), sizes, total)
-    lo = lo_profile.entropy() / n
-    hi = hi_profile.entropy() / n
-    a_lo, a_hi = alpha_n_window(V, m, n)
+    lo_profile, hi_profile = (
+        AlphaProfile(_extremal_profile(V, m, n, window, chain), sizes, V**n)
+        for chain in (False, True)
+    )
     return {
-        "lo": lo,
-        "hi": hi,
-        "alpha_n_window": (a_lo, a_hi),
+        "lo": lo_profile.entropy() / n,
+        "hi": hi_profile.entropy() / n,
+        "alpha_n_window": window,
         "lo_profile": lo_profile,
         "hi_profile": hi_profile,
     }
@@ -234,14 +218,13 @@ def general_entropy_upper_bound(g, n, guard=None):
 
 
 def fractional_entropy_lower_bound(V):
-    """log2((2k+1)/k) for odd V = 2k+1: graph-entropy lower bound under a
-    uniform source."""
+    """log2 χ_f(C_V) = log2((2k+1)/k) for odd V = 2k+1: graph-entropy lower
+    bound under a uniform source."""
     if V % 2 == 0:
         raise UsageError("fractional lower bound needs odd V = 2k+1")
-    k = (V - 1) // 2
-    if k < 2:
+    if V < 5:
         raise UsageError("need V >= 5")
-    return log2(Fraction(2 * k + 1, k))
+    return log2(fractional_chromatic_power(V // 2, 1))
 
 
 # -- Huffman ------------------------------------------------------------------
@@ -255,7 +238,9 @@ def huffman_code(pmf):
     colors are dropped with a warning.  The merges run on integer weights:
     each probability scaled by the lcm D of the denominators, which keeps
     their order and ties, so the code is the one exact rationals would give.
-    Returns (code dict, average length as an exact Fraction).
+    Integer weights on any common scale give the same code, and the average
+    length on that scale.  Returns (code dict, average length as an exact
+    Fraction).
     """
     items = sorted(pmf.items())
     if not items:

@@ -203,6 +203,26 @@ def _maximal_cliques(adj, candidates, min_size=0):
     return out
 
 
+def _max_clique_size(adj, candidates, tick=lambda: None):
+    """ω of the subgraph induced on `candidates` (adjacency bitsets `adj`),
+    by branch and bound on the candidate count; `tick` runs at every node."""
+    best = 0
+
+    def expand(size, p):
+        nonlocal best
+        tick()
+        if p == 0:
+            best = max(best, size)
+            return
+        while p and size + p.bit_count() > best:
+            v = p.bit_length() - 1
+            p &= ~(1 << v)
+            expand(size + 1, p & adj[v])
+
+    expand(0, candidates)
+    return best
+
+
 def _complement_rows(g):
     """Adjacency bitsets of the complement of g (no self-bit)."""
     full = (1 << g.vertex_count) - 1
@@ -221,8 +241,11 @@ def maximal_independent_sets(g, guard=None):
 
 
 def max_independent_set_size(g, guard=None):
-    """|MIS_G|: cardinality of the largest (maximal) independent set."""
-    return max(len(s) for s in maximal_independent_sets(g, guard=guard))
+    """α(G) = |MIS_G|, the size of a largest independent set: the clique
+    number of the complement, by `_max_clique_size`."""
+    V = g.vertex_count
+    check_guard("vertex count", V, guard, MIS_GUARD_DEFAULT)
+    return _max_clique_size(_complement_rows(g), (1 << V) - 1)
 
 
 def is_independent_set(g, vertices):

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChromacodeError, UsageError, check_guard
-from .orpower import PowerGraph, subgraph_view
+from .coloring import _cycle_scheme
+from .orpower import PowerGraph, degree_formula, or_power, subgraph_view
 
 DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
@@ -106,11 +107,7 @@ class Spectrum:
         return self.values[-1]
 
     def distinct(self, tol=DISTINCT_TOL):
-        out = []
-        for v in self.values:
-            if not out or abs(out[-1] - v) > tol:
-                out.append(v)
-        return tuple(out)
+        return tuple(v for v, _ in self.multiplicities(tol))
 
     def multiplicities(self, tol=DISTINCT_TOL):
         out = []
@@ -211,10 +208,10 @@ def gershgorin(matrix, mode="scalar", block_size=None):
 
 
 def cycle_power_largest_eig(V, n):
-    """λ1 of C_V^n: 2 for n = 1, else 2 + Σ_{j=1}^{n-1} 2 V^j (equals the degree)."""
+    """λ1 of C_V^n: C_V^n is regular, so λ1 is its degree 2(V^n − 1)/(V − 1)."""
     if V < 3 or n < 1:
         raise UsageError("need V >= 3 and n >= 1")
-    return 2 + sum(2 * V**j for j in range(1, n))
+    return degree_formula("cycle", n, V)
 
 
 def all_ones_spectrum(V):
@@ -231,7 +228,7 @@ def smallest_eig_lower_bounds(V, E, degrees):
     dmin, dmax = min(degrees), max(degrees)
     return {
         "brigham": -math.sqrt(2 * E * (V - 1) / 2),
-        "hong": -math.sqrt(V / 2 * (V + 1) / 2),
+        "hong": hong_bound(V),
         "das": -math.sqrt(2 * E - (V - 1) * dmin + (dmin - 1) * dmax),
     }
 
@@ -372,8 +369,6 @@ def lambda1_window(g, n, power=None):
     envelope] and the refined window [d_avg·V^{n-1}, ⌊λ1(gr)+λ1(fc)⌋+1]."""
     if n < 2:
         raise UsageError("lambda1 window needs n >= 2")
-    from .orpower import or_power
-
     V = g.vertex_count
     d_avg = 2 * g.edge_count / V
     lo = d_avg * V ** (n - 1)
@@ -401,11 +396,18 @@ BOUND_VARIANTS = (
 
 
 def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
-    """Dispatch over the named bound variants (see the individual helpers)."""
+    """Dispatch over the named bound variants (see the individual helpers).
+
+    `hoffman-direct` and `degree` bound the power when it is given, else g.
+    `cycle-power` takes V from g when g is given, and g must then be the
+    canonical cycle C_V with V >= 4 (as `coloring._cycle_scheme` reads it).
+    """
     if variant == "hoffman-direct":
-        return bound_hoffman(power if g is None else g)
+        return bound_hoffman(power if power is not None else g)
     if variant == "cycle-power":
-        return bound_cycle_power(V, n)
+        if g is not None and _cycle_scheme(g) is None:
+            raise UsageError("cycle-power bound needs the canonical cycle C_V with V >= 4")
+        return bound_cycle_power(V if g is None else g.vertex_count, n)
     if variant == "degree":
         return bound_degree(power if power is not None else g)
     if variant == "general":

@@ -365,6 +365,8 @@ def test_criterion_8_property_based_sandwiches():
         assert rep.lower - 1e-9 <= chi1 <= rep.upper + 1e-9
         rep = chromatic_bounds_spectral("hoffman-direct", g=g2)
         assert rep.lower - 1e-9 <= chi2 <= rep.upper + 1e-9
+        rep = chromatic_bounds_spectral("hoffman-direct", g=g, n=2, power=g2)
+        assert rep.lower - 1e-9 <= chi2 <= rep.upper + 1e-9
         rep = chromatic_bounds_spectral("degree", power=g2)
         assert rep.lower - 1e-9 <= chi2 <= rep.upper + 1e-9
         rep = chromatic_bounds_spectral("general", g=g, n=2, power=g2)

@@ -304,3 +304,52 @@ def test_expansion_bad_subset_is_a_usage_error(capsys, flags):
     rc = main(["expansion", "--kind", "cycle", "--size", "5", *flags])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--kind", "complete", "--size", "5", "--power", "2", "--bound", "odd-cycle"],
+        ["entropy", "--kind", "path", "--size", "5", "--bound", "fractional"],
+        ["spectral", "--kind", "complete", "--size", "5", "--op", "bounds", "--variant", "cycle-power"],
+    ],
+)
+def test_cycle_closed_forms_refuse_other_graphs(capsys, argv):
+    # each closed form describes the canonical cycle only; K5 and P5 are not cycles
+    err = _usage_error(capsys, argv)
+    assert "canonical" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["entropy", "--kind", "cycle", "--size", "5", "--power", "2", "--bound", "odd-cycle"],
+            {"lo": 1.4419280948873623, "hi": 1.4419280948873623, "alpha_n_window": [5, 6]},
+        ),
+        (
+            ["entropy", "--kind", "cycle", "--size", "7", "--bound", "fractional"],
+            {"lo": 1.222392421336448, "bound": "fractional"},
+        ),
+        (
+            ["spectral", "--kind", "cycle", "--size", "6", "--power", "2", "--op", "bounds",
+             "--variant", "cycle-power"],
+            {"lower": 1.7671952740916672, "upper": 15, "variant": "cycle-power"},
+        ),
+    ],
+)
+def test_cycle_closed_forms_on_cycles(capsys, argv, expected):
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    d = json.loads(out)
+    assert {k: d[k] for k in expected} == pytest.approx(expected, rel=1e-12)
+
+
+def test_default_spectral_bound_is_on_the_power(capsys):
+    # hoffman-direct bounds C5^2 (chi = 8), not the base C5 (chi = 3)
+    rc, out = run(capsys, "spectral", "--kind", "cycle", "--size", "5", "--power", "2", "--op", "bounds")
+    assert rc == 0
+    d = json.loads(out)
+    assert d["variant"] == "hoffman-direct"
+    assert d["lower"] == pytest.approx(2.970388365322377, rel=1e-9)
+    assert d["upper"] == 13

@@ -1,5 +1,6 @@
 import heapq
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from chromacode import (
     odd_cycle_entropy_upper_bound,
     path_graph,
 )
+from chromacode.entropy import _extremal_profile
 
 
 def test_entropy_bits():
@@ -204,3 +206,93 @@ def test_integer_huffman_takes_strings_and_ints():
     assert huffman_code({0: "1/5", 1: "2/5", 2: "2/5"})[1] == Fraction(8, 5)
     with pytest.warns(UserWarning, match=r"zero-probability colors \[1, 2\]"):
         assert huffman_code({0: 1, 1: 0, 2: Fraction(0)}) == ({0: ""}, 0)
+
+
+# -- the one extremal-profile search against the two searches it replaced ----
+
+
+def _reference_profile_max_alpha_n(V, m, n):
+    """Former monotone search: largest α_n, α_{t+1} >= α_t >= 1."""
+    total = V**n
+    _, hi = alpha_n_window(V, m, n)
+
+    def complete(t, remaining, hi_bound):
+        if t == 0:
+            return [] if remaining == 1 else None
+        for a in range(min(hi_bound, remaining // m**t), 0, -1):
+            rest = remaining - a * m**t
+            if rest < 1:
+                continue
+            tail = complete(t - 1, rest, a)
+            if tail is not None:
+                return [a] + tail
+        return None
+
+    for an in range(hi, 0, -1):
+        tail = complete(n - 1, total - an * m**n, an)
+        if tail is not None:
+            return tuple([1] + tail[::-1] + [an])
+    raise AssertionError("no feasible monotone alpha profile")
+
+
+def _reference_profile_min_alpha_n(V, m, n):
+    """Former chain search: smallest α_n, α_t >= m·α_{t-1}."""
+    total = V**n
+    lo, hi = alpha_n_window(V, m, n)
+
+    def complete(t, remaining, cap):
+        if t == 0:
+            return [] if remaining == 1 else None
+        for a in range(min(cap, remaining // m**t), m**t - 1, -1):
+            rest = remaining - a * m**t
+            if rest < 1:
+                continue
+            tail = complete(t - 1, rest, a // m)
+            if tail is not None:
+                return [a] + tail
+        return None
+
+    for an in range(max(lo, m**n), hi + 1):
+        tail = complete(n - 1, total - an * m**n, an // m)
+        if tail is not None:
+            return tuple([1] + tail[::-1] + [an])
+    raise AssertionError("no feasible chain alpha profile")
+
+
+def _profile_or_message(search, *args):
+    try:
+        return search(*args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_extremal_profile_matches_the_former_pair_of_searches():
+    cases = [
+        (V, m, n)
+        for V in range(2, 13)
+        for m in range(2, V + 1)
+        for n in range(1, 5)
+        if V**n <= 2000
+    ]
+    outcomes, compared, elapsed = set(), 0, 0.0
+    for V, m, n in cases:
+        window = alpha_n_window(V, m, n)
+        for chain, reference in (
+            (False, _reference_profile_max_alpha_n),
+            (True, _reference_profile_min_alpha_n),
+        ):
+            start = time.perf_counter()
+            got = _profile_or_message(_extremal_profile, V, m, n, window, chain)
+            elapsed += time.perf_counter() - start
+            assert got == _profile_or_message(reference, V, m, n), (V, m, n, chain)
+            outcomes.add(got if isinstance(got, str) else "profile")
+            compared += 1
+    # 213 (V, m, n) triples, both edges each, reaching both feasible profiles
+    # and both failure messages
+    assert compared == 426
+    assert outcomes == {
+        "profile",
+        "no feasible monotone alpha profile",
+        "no feasible chain alpha profile",
+    }
+    assert elapsed < 1.0

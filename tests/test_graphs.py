@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -88,11 +89,12 @@ def test_is_independent_set():
 
 
 def test_mis_guard():
-    with pytest.raises(GuardExceeded) as exc:
-        maximal_independent_sets(cycle_graph(30))
-    assert exc.value.limit == 24
-    # explicit override wins
-    assert maximal_independent_sets(cycle_graph(30), guard=30)
+    for mis in (maximal_independent_sets, max_independent_set_size):
+        with pytest.raises(GuardExceeded) as exc:
+            mis(cycle_graph(30))
+        assert (exc.value.what, exc.value.limit) == ("vertex count", 24)
+        # explicit override wins
+        assert mis(cycle_graph(30), guard=30)
 
 
 def test_mis_guard_env(monkeypatch):
@@ -101,3 +103,13 @@ def test_mis_guard_env(monkeypatch):
     monkeypatch.setenv("CHROMACODE_GUARD", "4")
     with pytest.raises(GuardExceeded):
         maximal_independent_sets(cycle_graph(5))
+
+
+def test_max_independent_set_size_matches_the_largest_maximal_independent_set():
+    rng = random.Random("alpha")
+    for _ in range(400):
+        V = rng.randint(1, 20)
+        p = rng.random()
+        edges = [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < p]
+        g = Graph.from_edges(V, edges)
+        assert max_independent_set_size(g) == max(map(len, maximal_independent_sets(g)))

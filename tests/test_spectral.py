@@ -191,6 +191,11 @@ def test_cycle_power_bound_variant():
     rep = chromatic_bounds_spectral("cycle-power", V=5, n=2)
     chi, _ = exact_chromatic_number(or_power(cycle_graph(5), 2))
     assert rep.lower - 1e-9 <= chi <= rep.upper + 1e-9
+    assert chromatic_bounds_spectral("cycle-power", g=cycle_graph(5), n=2, V=5) == rep
+    # the closed form describes the canonical cycle only
+    for g in (complete_graph(5), AF1):
+        with pytest.raises(UsageError, match="canonical cycle"):
+            chromatic_bounds_spectral("cycle-power", g=g, n=2, V=5)
 
 
 @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(4), prism_graph(), AF1])
