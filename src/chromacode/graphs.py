@@ -82,11 +82,12 @@ class Graph:
         return out
 
     def adjacency_matrix(self):
+        """The V x V int64 0/1 adjacency matrix, unpacked from the bitset rows."""
         V = self.vertex_count
-        m = np.zeros((V, V), dtype=np.int64)
-        for u, v in self.edges():
-            m[u, v] = m[v, u] = 1
-        return m
+        width = (V + 7) // 8
+        packed = b"".join(r.to_bytes(width, "little") for r in self._rows)
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(V, width)
+        return np.unpackbits(bits, axis=1, count=V, bitorder="little").astype(np.int64)
 
     def __eq__(self, other):
         return (

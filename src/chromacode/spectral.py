@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ChromacodeError, UsageError, check_guard
 from .coloring import _cycle_scheme
-from .orpower import PowerGraph, degree_formula, or_power, subgraph_view
+from .orpower import PowerGraph, degree_formula, or_power
 
 DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
@@ -20,12 +20,13 @@ DISTINCT_TOL = 1e-6
 
 
 def _symmetric_array(matrix):
-    """A float copy of matrix, refused unless it is square and symmetric."""
+    """A float copy of matrix, refused unless it is square and symmetric to
+    within atol=1e-8 (an exactly symmetric one passes on one equality test)."""
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise UsageError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-8):
+    if not (np.array_equal(a, a.T) or np.allclose(a, a.T, atol=1e-8)):
         raise UsageError("matrix must be symmetric")
     return a
 
@@ -131,7 +132,8 @@ def graph_spectrum(g, guard=None):
 
 
 def spectral_norm(matrix):
-    """2-norm of an arbitrary rectangular matrix as sqrt(λ_max(M^T M)).
+    """2-norm of an arbitrary rectangular matrix as sqrt(λ_max(M^T M)); the
+    one-block reference for the stacked norms of `gershgorin`'s block mode.
 
     Not np.linalg.norm(m, 2): that returns 5.000000000000001 for the 5x5
     all-ones block, which moves the exact block-Gershgorin envelope of
@@ -158,49 +160,52 @@ class GershgorinIntervals:
         return any(lo - tol <= value <= hi + tol for lo, hi in self.intervals)
 
 
+def _row_discs(a):
+    """Centers and radii of the scalar Gershgorin discs of a matrix, or of
+    each matrix in a stack: the diagonal, and the off-diagonal |row| sums."""
+    c = np.diagonal(a, axis1=-2, axis2=-1)
+    return c, np.abs(a).sum(axis=-1) - np.abs(c)
+
+
 def gershgorin(matrix, mode="scalar", block_size=None):
-    """Gershgorin interval enclosures of a symmetric matrix.
+    """Gershgorin interval enclosures of a symmetric matrix (UsageError
+    otherwise).
 
     scalar: one interval per row, centered at the diagonal entry with radius
     the off-diagonal absolute row sum.  block: for each diagonal block, one
     interval per block eigenvalue with radius the sum of 2-norms of the
     off-diagonal blocks in that block row; scalar_envelope replaces the block
     eigenvalues by the scalar-GCT range of the diagonal block, which is the
-    loose outer interval the block form is usually quoted with.
+    loose outer interval the block form is usually quoted with.  Block mode
+    takes every block's 2-norm (the same float as `spectral_norm`) and every
+    diagonal block's spectrum in one stacked eigvalsh each, so it holds one
+    extra stack of Gram matrices A_kt^T A_kt the size of the input matrix.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = _symmetric_array(matrix)
     n = a.shape[0]
     if mode == "scalar":
-        intervals = []
-        for i in range(n):
-            r = float(np.sum(np.abs(a[i]))) - abs(float(a[i, i]))
-            c = float(a[i, i])
-            intervals.append((c - r, c + r))
-        env = (min(lo for lo, _ in intervals), max(hi for _, hi in intervals))
-        return GershgorinIntervals("scalar", tuple(intervals), env)
+        c, r = _row_discs(a)
+        lo, hi = (c - r).tolist(), (c + r).tolist()
+        return GershgorinIntervals("scalar", tuple(zip(lo, hi)), (min(lo), max(hi)))
     if mode == "block":
         if block_size is None or n % block_size:
             raise UsageError("block mode needs a block size dividing the dimension")
         b = block_size
         nb = n // b
-        intervals = []
-        scalar_lo, scalar_hi = [], []
-        for k in range(nb):
-            diag = a[k * b : (k + 1) * b, k * b : (k + 1) * b]
-            radius = sum(
-                spectral_norm(a[k * b : (k + 1) * b, t * b : (t + 1) * b])
-                for t in range(nb)
-                if t != k
-            )
-            for lam in _eigvalsh(diag):
-                intervals.append((float(lam) - radius, float(lam) + radius))
-            inner = gershgorin(diag, "scalar").envelope
-            scalar_lo.append(inner[0] - radius)
-            scalar_hi.append(inner[1] + radius)
-        env = (min(lo for lo, _ in intervals), max(hi for _, hi in intervals))
-        return GershgorinIntervals(
-            "block", tuple(intervals), env, (min(scalar_lo), max(scalar_hi))
-        )
+        blocks = a.reshape(nb, b, nb, b).swapaxes(1, 2)  # blocks[k, t] = A_kt
+        gram = blocks.swapaxes(2, 3) @ blocks  # A_kt^T A_kt
+        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+        np.fill_diagonal(norms, 0.0)
+        # a sequential sum over t ascending, the order of the one-block reference
+        radius = norms.cumsum(axis=1)[:, -1:]
+        diag = blocks[np.arange(nb), np.arange(nb)]
+        lam = np.linalg.eigvalsh(diag)[:, ::-1]
+        lo, hi = (lam - radius).ravel().tolist(), (lam + radius).ravel().tolist()
+        c, r = _row_discs(diag)
+        scalar_lo = (c - r).min(axis=1, keepdims=True) - radius
+        scalar_hi = (c + r).max(axis=1, keepdims=True) + radius
+        env = (float(scalar_lo.min()), float(scalar_hi.max()))
+        return GershgorinIntervals("block", tuple(zip(lo, hi)), (min(lo), max(hi)), env)
     raise UsageError(f"unknown Gershgorin mode {mode!r}")
 
 
@@ -253,8 +258,9 @@ class SplitReport:
 
 def split_decomposition(gn, guard=None):
     """Split an OR-power adjacency into block-diagonal previous-power copies
-    (a_gr) plus the cross-block remainder (a_fc), with an eigen-sum report
-    pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
+    (a_gr, the diagonal blocks sliced out of the full adjacency) plus the
+    cross-block remainder (a_fc), with an eigen-sum report pairing sorted
+    λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
     if not isinstance(gn, PowerGraph):
         raise UsageError("split decomposition needs a PowerGraph with provenance")
     check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
@@ -263,8 +269,8 @@ def split_decomposition(gn, guard=None):
     full = gn.adjacency_matrix()
     a_gr = np.zeros_like(full)
     for l in range(V):
-        block = subgraph_view(gn, l).adjacency_matrix()
-        a_gr[l * size : (l + 1) * size, l * size : (l + 1) * size] = block
+        block = slice(l * size, (l + 1) * size)
+        a_gr[block, block] = full[block, block]
     a_fc = full - a_gr
     lam_gr = _eigvalsh(a_gr)
     lam_fc = _eigvalsh(a_fc)

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from chromacode import (
@@ -13,6 +14,7 @@ from chromacode import (
     make_graph,
     max_independent_set_size,
     maximal_independent_sets,
+    or_power,
     path_graph,
     prism_graph,
 )
@@ -52,6 +54,36 @@ def test_adjacency_matrix_symmetric():
     a = cycle_graph(4).adjacency_matrix()
     assert (a == a.T).all()
     assert a.sum() == 8
+
+
+def _random_graph(rng, V, p=0.5):
+    edges = [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < p]
+    return Graph.from_edges(V, edges)
+
+
+def _adjacency_by_edges(g):
+    """The edge-loop construction the bitset unpacking replaced."""
+    m = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
+    for u, v in g.edges():
+        m[u, v] = m[v, u] = 1
+    return m
+
+
+def _adjacency_cases():
+    rng = random.Random("adjacency")
+    # row widths that are and are not a whole number of bytes
+    yield from (_random_graph(rng, V) for V in (1, 7, 8, 9, 64))
+    yield or_power(cycle_graph(5), 3)  # 125 vertices
+    for _ in range(50):
+        yield _random_graph(rng, rng.randint(1, 40), rng.random())
+
+
+def test_adjacency_matrix_unpacks_the_bitset_rows():
+    for g in _adjacency_cases():
+        a = g.adjacency_matrix()
+        assert a.dtype == np.int64 and a.shape == (g.vertex_count, g.vertex_count)
+        assert np.array_equal(a, _adjacency_by_edges(g))
+        assert np.array_equal(a, a.T) and not a.diagonal().any()
 
 
 def test_named_families():

@@ -19,12 +19,15 @@ from chromacode import (
     jacobi_eigenvalues,
     lambda1_window,
     or_power,
+    path_graph,
     prism_graph,
     smallest_eig_lower_bounds,
     spectral_norm,
     split_decomposition,
+    subgraph_view,
     symmetric_eigenvalues,
 )
+from chromacode.spectral import _eigvalsh
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -155,6 +158,85 @@ def test_gershgorin_block_af1_squared():
     assert all(res.scalar_envelope[0] - 1e-9 <= v <= res.scalar_envelope[1] + 1e-9 for v in spec.values)
     # eigenvalue-centered discs are tighter but still enclose the spectrum
     assert all(res.contains(v) for v in spec.values)
+
+
+def _gershgorin_by_loops(a, mode, block_size=None):
+    """The per-row and per-block loops that gershgorin's array calls replaced:
+    (intervals, envelope, scalar_envelope)."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if mode == "scalar":
+        intervals = []
+        for i in range(n):
+            r = float(np.sum(np.abs(a[i]))) - abs(float(a[i, i]))
+            intervals.append((float(a[i, i]) - r, float(a[i, i]) + r))
+        env = (min(lo for lo, _ in intervals), max(hi for _, hi in intervals))
+        return tuple(intervals), env, None
+    b = block_size
+    nb = n // b
+    intervals, scalar_lo, scalar_hi = [], [], []
+    for k in range(nb):
+        diag = a[k * b : (k + 1) * b, k * b : (k + 1) * b]
+        radius = sum(
+            spectral_norm(a[k * b : (k + 1) * b, t * b : (t + 1) * b]) for t in range(nb) if t != k
+        )
+        for lam in _eigvalsh(diag):
+            intervals.append((float(lam) - radius, float(lam) + radius))
+        _, inner, _ = _gershgorin_by_loops(diag, "scalar")
+        scalar_lo.append(inner[0] - radius)
+        scalar_hi.append(inner[1] + radius)
+    env = (min(lo for lo, _ in intervals), max(hi for _, hi in intervals))
+    return tuple(intervals), env, (min(scalar_lo), max(scalar_hi))
+
+
+def _gershgorin_cases():
+    rng = np.random.default_rng(2026)
+    for n, divisor in ((6, 3), (12, 4), (20, 10), (32, 8)):
+        for _ in range(3):
+            m = rng.normal(size=(n, n))
+            m = (m + m.T) / 2
+            for b in (1, divisor, n):
+                yield m, b
+    for g in (cycle_graph(5), cycle_graph(7), prism_graph(), AF1, path_graph(6), complete_graph(4)):
+        yield or_power(g, 2).adjacency_matrix(), g.vertex_count
+
+
+def test_gershgorin_equals_the_loops_it_replaced():
+    for m, b in _gershgorin_cases():
+        for mode in ("scalar", "block"):
+            res = gershgorin(m, mode, block_size=b)
+            want = _gershgorin_by_loops(m, mode, b)
+            assert (res.intervals, res.envelope, res.scalar_envelope) == want
+
+
+def test_gershgorin_refuses_asymmetric_matrices():
+    # symmetric diagonal blocks, but A_01 != A_10^T
+    m = np.array([[0, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]])
+    with pytest.raises(UsageError, match="matrix must be symmetric"):
+        gershgorin(m, "scalar")
+    with pytest.raises(UsageError, match="matrix must be symmetric"):
+        gershgorin(m, "block", block_size=2)
+
+
+@pytest.mark.parametrize(
+    "gn",
+    [or_power(cycle_graph(5), 3), or_power(prism_graph(), 2), or_power(AF1, 2)],
+    ids=["C5^3", "prism^2", "A_f1^2"],
+)
+def test_split_decomposition_slices_the_subgraph_blocks(gn):
+    # oracle: the block diagonal of the sub-graph views' adjacencies
+    size = gn.vertex_count // gn.tuple_base
+    within = np.zeros((gn.vertex_count, gn.vertex_count), dtype=np.int64)
+    for l in range(gn.tuple_base):
+        block = slice(l * size, (l + 1) * size)
+        within[block, block] = subgraph_view(gn, l).adjacency_matrix()
+    full = gn.adjacency_matrix()
+    rep = split_decomposition(gn)
+    assert rep.a_gr.dtype == np.int64 and np.array_equal(rep.a_gr, within)
+    assert np.array_equal(rep.a_fc, full - within)
+    assert rep.lam_gr == tuple(_eigvalsh(within).tolist())
+    assert rep.lam_fc == tuple(_eigvalsh(full - within).tolist())
+    assert rep.lam_full == tuple(_eigvalsh(full).tolist())
 
 
 def test_split_decomposition_af1_squared():
