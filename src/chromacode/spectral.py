@@ -162,9 +162,10 @@ class GershgorinIntervals:
 
 def _row_discs(a):
     """Centers and radii of the scalar Gershgorin discs of a matrix, or of
-    each matrix in a stack: the diagonal, and the off-diagonal |row| sums."""
-    c = np.diagonal(a, axis1=-2, axis2=-1)
-    return c, np.abs(a).sum(axis=-1) - np.abs(c)
+    each matrix in a stack: the diagonal, and the off-diagonal |row| sums.
+    Overwrites a with |a|, so callers pass a private copy."""
+    c = np.diagonal(a, axis1=-2, axis2=-1).copy()
+    return c, np.abs(a, out=a).sum(axis=-1) - np.abs(c)
 
 
 def gershgorin(matrix, mode="scalar", block_size=None):
@@ -176,10 +177,11 @@ def gershgorin(matrix, mode="scalar", block_size=None):
     interval per block eigenvalue with radius the sum of 2-norms of the
     off-diagonal blocks in that block row; scalar_envelope replaces the block
     eigenvalues by the scalar-GCT range of the diagonal block, which is the
-    loose outer interval the block form is usually quoted with.  Block mode
-    takes every block's 2-norm (the same float as `spectral_norm`) and every
-    diagonal block's spectrum in one stacked eigvalsh each, so it holds one
-    extra stack of Gram matrices A_kt^T A_kt the size of the input matrix.
+    loose outer interval the block form is usually quoted with.  Both modes
+    work on one float copy of the input.  Block mode takes every block's
+    2-norm (the same float as `spectral_norm`) and every diagonal block's
+    spectrum in one stacked eigvalsh each, so it also holds one stack of Gram
+    matrices A_kt^T A_kt the size of the input matrix.
     """
     a = _symmetric_array(matrix)
     n = a.shape[0]
@@ -196,8 +198,9 @@ def gershgorin(matrix, mode="scalar", block_size=None):
         gram = blocks.swapaxes(2, 3) @ blocks  # A_kt^T A_kt
         norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
         np.fill_diagonal(norms, 0.0)
-        # a sequential sum over t ascending, the order of the one-block reference
-        radius = norms.cumsum(axis=1)[:, -1:]
+        # built-in sum over t ascending (compensated on Python >= 3.12), as
+        # the one-block reference adds them
+        radius = np.array([[sum(row)] for row in norms.tolist()])
         diag = blocks[np.arange(nb), np.arange(nb)]
         lam = np.linalg.eigvalsh(diag)[:, ::-1]
         lo, hi = (lam - radius).ravel().tolist(), (lam + radius).ravel().tolist()

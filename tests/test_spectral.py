@@ -203,8 +203,10 @@ def _gershgorin_cases():
 
 def test_gershgorin_equals_the_loops_it_replaced():
     for m, b in _gershgorin_cases():
+        before = m.copy()
         for mode in ("scalar", "block"):
             res = gershgorin(m, mode, block_size=b)
+            assert np.array_equal(m, before)  # works on a copy
             want = _gershgorin_by_loops(m, mode, b)
             assert (res.intervals, res.envelope, res.scalar_envelope) == want
 
