@@ -14,7 +14,6 @@ from .graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    is_independent_set,
     make_graph,
     max_independent_set_size,
     maximal_independent_sets,
@@ -23,18 +22,13 @@ from .graphs import (
 )
 from .orpower import (
     PowerGraph,
-    cross_edge_count,
-    decode_index,
     degree_formula,
     encode_tuple,
     or_power,
-    subgraph_view,
-    tuple_degree,
 )
 from .coloring import (
     Coloring,
     FractionalColoring,
-    b_fold_coloring_search,
     even_cycle_power_coloring,
     exact_chromatic_number,
     fractional_chromatic_cycle,
@@ -43,6 +37,7 @@ from .coloring import (
     greedy_gain,
     is_valid_b_fold,
     is_valid_coloring,
+    odd_cycle_chi,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     power_coloring,
@@ -53,14 +48,11 @@ from .chargraph import (
     JointPMF,
     build_characteristic_graph,
     example1_spec,
-    verify_coloring_sufficiency,
 )
 from .entropy import (
     AlphaProfile,
     alpha_n_window,
     chromatic_entropy_bruteforce,
-    coloring_entropy,
-    coloring_pmf,
     entropy_bits,
     fractional_entropy_lower_bound,
     general_entropy_upper_bound,
@@ -73,7 +65,6 @@ from .spectral import (
     GershgorinIntervals,
     Spectrum,
     SplitReport,
-    all_ones_spectrum,
     chromatic_bounds_spectral,
     cycle_power_largest_eig,
     gershgorin,
@@ -82,16 +73,13 @@ from .spectral import (
     jacobi_eigenvalues,
     lambda1_window,
     smallest_eig_lower_bounds,
-    spectral_norm,
     split_decomposition,
     symmetric_eigenvalues,
 )
 from .expansion import (
     ExpansionBounds,
-    LambdaRelationReport,
     expansion_bounds,
     expansion_rate,
-    induced_lambda_relation_check,
     tanner_lower_bound,
 )
 from .codec import (

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .coloring import is_valid_coloring
 from .errors import UsageError, load_json
 from .graphs import Graph
 
@@ -136,10 +135,7 @@ class JointPMF:
 
     @classmethod
     def from_json(cls, s, n1=None, n2=None):
-        v = load_json(s, "PMF")
-        if v == "uniform":
-            return cls.from_dict("uniform", n1, n2)
-        return cls.from_dict(v, n1, n2)
+        return cls.from_dict(load_json(s, "PMF"), n1, n2)
 
 
 def _check_dims(spec, pmf):
@@ -170,31 +166,6 @@ def build_characteristic_graph(spec, pmf, source):
         if any(rows[b].get(s, f) != f for s, f in rows[a].items())
     ]
     return Graph.from_edges(len(rows), edges)
-
-
-def verify_coloring_sufficiency(spec, pmf, c1, c2):
-    """True iff the receiver table on color pairs is well-defined.
-
-    c1/c2 must be valid colorings of the two characteristic graphs (invalid
-    colorings are an error, not False).
-    """
-    _check_dims(spec, pmf)
-    g1 = build_characteristic_graph(spec, pmf, 1)
-    g2 = build_characteristic_graph(spec, pmf, 2)
-    if not is_valid_coloring(g1, c1):
-        raise UsageError("c1 is not a valid coloring of the source-1 graph")
-    if not is_valid_coloring(g2, c2):
-        raise UsageError("c2 is not a valid coloring of the source-2 graph")
-    table = {}
-    for x1 in range(spec.n1):
-        for x2 in range(spec.n2):
-            if pmf.p(x1, x2) == 0:
-                continue
-            key = (c1.assignment[x1], c2.assignment[x2])
-            out = spec.f(x1, x2)
-            if table.setdefault(key, out) != out:
-                return False
-    return True
 
 
 def example1_spec():

@@ -17,6 +17,7 @@ from .coloring import (
     exact_chromatic_number,
     fractional_chromatic_cycle,
     is_valid_coloring,
+    odd_cycle_chi,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     power_coloring,
@@ -44,6 +45,11 @@ from .spectral import (
 )
 
 
+# χ(C_{2k+1}^n) <= 3^n, and 3^9000 has 4295 digits: up to this power the
+# recursion's χ prints within Python's 4300-digit limit on int-to-str
+ODD_CYCLE_CHI_MAX_POWER = 9000
+
+
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True, default=str))
 
@@ -56,10 +62,18 @@ def _parse_edges(text):
         raise UsageError(f"malformed --edges {text!r}: expected u-v pairs like 0-1,1-2") from None
 
 
+def _read(path):
+    """Text of a UTF-8 input file; any failure to read it is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _load_graph(args):
     if getattr(args, "graph", None):
-        with open(args.graph) as fh:
-            return Graph.from_json(fh.read())
+        return Graph.from_json(_read(args.graph))
     if getattr(args, "kind", None):
         edges = None
         if getattr(args, "edges", None):
@@ -69,13 +83,11 @@ def _load_graph(args):
 
 
 def _load_spec_pmf(args):
-    with open(args.spec) as fh:
-        spec = FunctionSpec.from_json(fh.read())
+    spec = FunctionSpec.from_json(_read(args.spec))
     if args.pmf == "uniform":
         pmf = JointPMF.uniform(spec.n1, spec.n2)
     else:
-        with open(args.pmf) as fh:
-            pmf = JointPMF.from_json(fh.read(), spec.n1, spec.n2)
+        pmf = JointPMF.from_json(_read(args.pmf), spec.n1, spec.n2)
     return spec, pmf
 
 
@@ -118,10 +130,10 @@ def cmd_color(args):
     try:
         _, c = power_coloring(g, n, args.scheme, guard=args.guard)
     except GuardExceeded:
-        if args.scheme != "odd-cycle":
+        if args.scheme != "odd-cycle" or n > ODD_CYCLE_CHI_MAX_POWER:
             raise
         # past the guard the odd-cycle scheme still knows χ from its recursion
-        _emit({"chi": odd_cycle_chi_sequence(n, g.vertex_count // 2)[-1]})
+        _emit({"chi": odd_cycle_chi(n, g.vertex_count // 2)})
         return 0
     _emit({"chi": c.palette_size, **c.to_dict()})
     return 0
@@ -533,7 +545,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 3
-    except (UsageError, FileNotFoundError) as exc:
+    except UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)
         return 2
     except ChromacodeError as exc:

@@ -12,14 +12,13 @@ engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 power under its guard and validates the coloring on it once.
 """
 
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardExceeded, UsageError, check_guard, load_json
+from .errors import GuardExceeded, UsageError, check_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .orpower import or_power
 
@@ -48,25 +47,6 @@ class Coloring:
 
     def to_dict(self):
         return {"colors": list(self.assignment), "palette": self.palette_size}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            c = cls.from_list(d["colors"])
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"malformed coloring JSON: {exc}") from exc
-        if "palette" in d and d["palette"] != c.palette_size:
-            raise UsageError(
-                f"palette mismatch: declared {d['palette']}, found {c.palette_size}"
-            )
-        return c
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(load_json(s, "coloring"))
 
 
 def is_valid_coloring(g, c):
@@ -341,8 +321,9 @@ def even_cycle_power_coloring(k, n, guard=None):
     return power_coloring(make_graph("cycle", 2 * k), n, "even-cycle", guard)
 
 
-def odd_cycle_chi_sequence(n, k=2):
-    """χ(C_{2k+1}^m) for m = 1..n by the recursion χ' = 2χ + ⌈χ/k⌉, χ(C)=3.
+def odd_cycle_chi(n, k=2):
+    """χ(C_{2k+1}^n) by the recursion χ' = 2χ + ⌈χ/k⌉, χ(C)=3, holding one
+    value at a time.
 
     χ(G[H]) = χ_b(G) with b = χ(H) (Geller & Stahl 1975), and
     χ_b(C_{2k+1}) = 2b + ⌈b/k⌉ (Stahl 1976); at k = 2 this is the C5
@@ -350,10 +331,15 @@ def odd_cycle_chi_sequence(n, k=2):
     """
     if k < 2:
         raise UsageError("need k >= 2 (C_{2k+1} with at least 5 vertices)")
-    seq = [3]
-    while len(seq) < n:
-        seq.append(_odd_cycle_windows(k, seq[-1])[0])
-    return seq
+    chi = 3
+    for _ in range(n - 1):
+        chi = _odd_cycle_windows(k, chi)[0]
+    return chi
+
+
+def odd_cycle_chi_sequence(n, k=2):
+    """[χ(C_{2k+1}^m) for m = 1..n], by `odd_cycle_chi`."""
+    return [odd_cycle_chi(m, k) for m in range(1, n + 1)]
 
 
 def odd_cycle_power_coloring(i, n, guard=None):
@@ -368,7 +354,7 @@ def odd_cycle_power_coloring(i, n, guard=None):
         raise UsageError("odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)")
     if n < 1:
         raise UsageError("n must be >= 1")
-    chi = odd_cycle_chi_sequence(n, i // 2)[-1]
+    chi = odd_cycle_chi(n, i // 2)
     try:
         gn, c = power_coloring(make_graph("cycle", i), n, "odd-cycle", guard)
     except GuardExceeded:
@@ -381,7 +367,7 @@ def greedy_gain(i, n):
     naive per-coordinate 3-coloring.  Exact rational."""
     if i < 5 or i % 2 == 0:
         raise UsageError("greedy gain defined for odd cycles i >= 5")
-    chi = odd_cycle_chi_sequence(n, (i - 1) // 2)[-1]
+    chi = odd_cycle_chi(n, (i - 1) // 2)
     return Fraction(3**n, chi)
 
 
@@ -410,36 +396,6 @@ def is_valid_b_fold(g, fc):
     if any(max(s) >= fc.a for s in fc.sets if s):
         return False
     return all(not (fc.sets[u] & fc.sets[v]) for u, v in g.edges())
-
-
-def b_fold_coloring_search(g, a, b, guard=None):
-    """Exhaustive search for a valid a:b coloring; None if none exists.
-
-    Vertex 0's set is fixed to {0..b-1} (colors are interchangeable).
-    """
-    from itertools import combinations
-
-    V = g.vertex_count
-    check_guard("b-fold search space", V * a * b, guard, 2000)
-    choices = [frozenset(c) for c in combinations(range(a), b)]
-    sets = [None] * V
-
-    def bt(v):
-        if v == V:
-            return True
-        for s in [frozenset(range(b))] if v == 0 else choices:
-            if all(
-                sets[u] is None or not (sets[u] & s) for u in g.neighbors(v)
-            ):
-                sets[v] = s
-                if bt(v + 1):
-                    return True
-                sets[v] = None
-        return False
-
-    if bt(0):
-        return FractionalColoring(a, b, tuple(sets))
-    return None
 
 
 def fractional_chromatic_cycle(k, b):

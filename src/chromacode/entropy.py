@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log2
 
-from .coloring import fractional_chromatic_power, is_valid_coloring
+from .coloring import fractional_chromatic_power
 from .errors import UsageError, check_guard
 from .graphs import max_independent_set_size
 
@@ -27,29 +27,6 @@ BRUTE_ENTROPY_GUARD_DEFAULT = 12
 def entropy_bits(probs):
     """Shannon entropy in bits of an iterable of probabilities."""
     return float(-sum(float(p) * log2(float(p)) for p in probs if p > 0))
-
-
-def coloring_pmf(coloring, vertex_pmf=None):
-    """Pushforward of the vertex distribution under the color map (exact)."""
-    n = len(coloring.assignment)
-    if vertex_pmf is None:
-        vertex_pmf = [Fraction(1, n)] * n
-    if len(vertex_pmf) != n:
-        raise UsageError("vertex PMF length != vertex count")
-    if sum(vertex_pmf) != 1:
-        raise UsageError("vertex PMF must sum to exactly 1")
-    pmf = {}
-    for v, c in enumerate(coloring.assignment):
-        pmf[c] = pmf.get(c, Fraction(0)) + Fraction(vertex_pmf[v])
-    return pmf
-
-
-def coloring_entropy(g, coloring, vertex_pmf=None):
-    """(entropy in bits, exact color PMF) of a valid coloring of g."""
-    if not is_valid_coloring(g, coloring):
-        raise UsageError("coloring is not valid on g")
-    pmf = coloring_pmf(coloring, vertex_pmf)
-    return entropy_bits(pmf.values()), pmf
 
 
 def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .graphs import bits_to_list
-from .orpower import PowerGraph, subgraph_view
-from .spectral import graph_spectrum, hong_bound
+from .spectral import hong_bound
 
 
 def expansion_rate(g, y):
@@ -83,27 +82,3 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
         lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
         return ExpansionBounds(family, total, y_size, lower, complete_upper, lam, lam_is_bound)
     raise UsageError(f"unknown expansion family {family!r}")
-
-
-@dataclass(frozen=True)
-class LambdaRelationReport:
-    lhs: float  # λ1 of the induced block sub-graph
-    rhs: float  # λ2(A^n) + (deg - λ2)·(1/V)
-    holds: bool
-
-
-def induced_lambda_relation_check(gn, l, tol=1e-9):
-    """Check λ1(block l) ≤ λ2(G^n) + (deg(x^n) − λ2(G^n))/V on a regular power."""
-    if not isinstance(gn, PowerGraph):
-        raise UsageError("needs a PowerGraph with provenance")
-    V = gn.tuple_base
-    degrees = gn.degrees()
-    if min(degrees) != max(degrees):
-        raise UsageError("relation check requires a regular power")
-    deg = degrees[0]
-    block = subgraph_view(gn, l)
-    lhs = graph_spectrum(block).lambda_1 if block.vertex_count > 1 else 0.0
-    spec = graph_spectrum(gn)
-    lam2 = spec.values[1]
-    rhs = lam2 + (deg - lam2) / V
-    return LambdaRelationReport(lhs, rhs, lhs <= rhs + tol)

@@ -247,8 +247,3 @@ def max_independent_set_size(g, guard=None):
     V = g.vertex_count
     check_guard("vertex count", V, guard, MIS_GUARD_DEFAULT)
     return _max_clique_size(_complement_rows(g), (1 << V) - 1)
-
-
-def is_independent_set(g, vertices):
-    vs = list(vertices)
-    return all(not g.has_edge(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))

@@ -1,4 +1,4 @@
-"""n-fold OR powers of a graph, with tuple indexing and block views.
+"""n-fold OR powers of a graph, with tuple indexing and closed-form degrees.
 
 The power is built recursively block-by-block: G^n consists of V copies of
 G^{n-1} (the sub-graph blocks), with complete bipartite cross edges between
@@ -14,7 +14,7 @@ Tuples are encoded big-endian, so sub-graph block l is the contiguous index
 range [l·V^{n-1}, (l+1)·V^{n-1}).
 """
 
-from .errors import UsageError, check_guard
+from .errors import GuardExceeded, UsageError, check_guard, resolve_guard
 from .graphs import Graph
 
 POWER_GUARD_DEFAULT = 10_000
@@ -47,21 +47,19 @@ def encode_tuple(tup, base):
     return idx
 
 
-def decode_index(idx, base, length):
-    """Integer index -> big-endian tuple."""
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        out[pos] = idx % base
-        idx //= base
-    return tuple(out)
-
-
 def or_power(g, n, guard=None):
     """n-fold OR power of g (recursive block construction, see module docs)."""
     if n < 1:
         raise UsageError("power n must be >= 1")
     V = g.vertex_count
-    check_guard("power vertex count", V**n, guard, POWER_GUARD_DEFAULT)
+    limit = resolve_guard(guard, POWER_GUARD_DEFAULT)
+    if V > 1 and n > limit.bit_length():
+        # V^n >= 2^n > limit, decided without writing V^n out: at thousands
+        # of digits it is too long for an int-to-str conversion to print
+        raise GuardExceeded(
+            "power exponent n, against the bit length of the guard", n, limit.bit_length()
+        )
+    check_guard("power vertex count", V**n, limit, POWER_GUARD_DEFAULT)
     rows = list(g._rows)
     for _ in range(n - 1):
         V1 = len(rows)
@@ -81,35 +79,6 @@ def or_power(g, n, guard=None):
                 new_rows.append(cross | (rows[t] << (l * V1)))
         rows = new_rows
     return PowerGraph(V**n, rows, V, n)
-
-
-def subgraph_view(gn, l):
-    """Induced graph on sub-graph block l of an OR power (identity on tails)."""
-    if not isinstance(gn, PowerGraph):
-        raise UsageError("subgraph_view requires a PowerGraph with provenance")
-    V, n = gn.tuple_base, gn.tuple_len
-    if not 0 <= l < V:
-        raise UsageError(f"block index {l} out of range")
-    size = V ** (n - 1)
-    lo = l * size
-    mask = (1 << size) - 1
-    rows = [(gn.neighbors_bitset(lo + t) >> lo) & mask for t in range(size)]
-    if n == 2:
-        return Graph(size, rows)
-    return PowerGraph(size, rows, V, n - 1)
-
-
-def cross_edge_count(gn, l1, l2):
-    """Number of edges between blocks l1 and l2 of an OR power."""
-    if not isinstance(gn, PowerGraph):
-        raise UsageError("cross_edge_count requires a PowerGraph")
-    V, n = gn.tuple_base, gn.tuple_len
-    size = V ** (n - 1)
-    lo1, lo2 = l1 * size, l2 * size
-    mask = (1 << size) - 1
-    return sum(
-        ((gn.neighbors_bitset(lo1 + t) >> lo2) & mask).bit_count() for t in range(size)
-    )
 
 
 def degree_formula(family, n, V=None, d=None, base_graph=None):
@@ -137,15 +106,3 @@ def degree_formula(family, n, V=None, d=None, base_graph=None):
         mult = (Vb**n - 1) // (Vb - 1) if Vb > 1 else n
         return [base_graph.degree(v) * mult for v in range(Vb)]
     raise UsageError(f"unknown family {family!r}")
-
-
-def tuple_degree(base_graph, tup):
-    """Exact degree of an arbitrary tuple vertex in the OR power.
-
-    Under the recursive block construction, deg((x_1,...,x_n)) =
-    Σ_j deg(x_j)·V^{n-j}... positionally: coordinate j (big-endian, 0-based)
-    contributes deg(x_j)·V^{n-1-j}, except the last which contributes deg(x_n).
-    """
-    V = base_graph.vertex_count
-    n = len(tup)
-    return sum(base_graph.degree(x) * V ** (n - 1 - j) for j, x in enumerate(tup))

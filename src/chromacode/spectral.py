@@ -14,6 +14,7 @@ from .orpower import PowerGraph, degree_formula, or_power
 
 DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
+JACOBI_TOL = 1e-10
 
 
 # -- eigensolver --------------------------------------------------------------
@@ -40,27 +41,26 @@ def _eigvalsh(matrix):
     return np.linalg.eigvalsh(_symmetric_array(matrix))[::-1]
 
 
-def jacobi_eigenvalues(matrix, tol=1e-10, max_sweeps=60, vectors=False):
+def jacobi_eigenvalues(matrix, max_sweeps=60):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     The hand-written reference that tests check LAPACK against; no library
     path calls it.  Sweeps 2x2 rotations over all off-diagonal positions until
-    the off-diagonal Frobenius mass is below tol * ||M||_F, and raises
+    the off-diagonal Frobenius mass is below JACOBI_TOL * ||M||_F, and raises
     ChromacodeError if that has not happened after max_sweeps sweeps.
     """
     a = _symmetric_array(matrix)
     n = a.shape[0]
-    vecs = np.eye(n) if vectors else None
     scale = np.linalg.norm(a)
     if n > 1 and scale > 0:
         for sweep in range(max_sweeps + 1):
             off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-            if off <= tol * scale:
+            if off <= JACOBI_TOL * scale:
                 break
             if sweep == max_sweeps:
                 raise ChromacodeError(
                     f"Jacobi did not converge in {max_sweeps} sweeps: "
-                    f"off-diagonal norm {off:.3e} > {tol * scale:.3e}"
+                    f"off-diagonal norm {off:.3e} > {JACOBI_TOL * scale:.3e}"
                 )
             for p in range(n - 1):
                 for q in range(p + 1, n):
@@ -82,15 +82,8 @@ def jacobi_eigenvalues(matrix, tol=1e-10, max_sweeps=60, vectors=False):
                     cp, cq = a[:, p].copy(), a[:, q].copy()
                     a[:, p] = c * cp - s * cq
                     a[:, q] = s * cp + c * cq
-                    if vectors:
-                        vp, vq = vecs[:, p].copy(), vecs[:, q].copy()
-                        vecs[:, p] = c * vp - s * vq
-                        vecs[:, q] = s * vp + c * vq
     diag = np.diag(a).copy()
-    order = np.argsort(diag)[::-1]
-    if vectors:
-        return diag[order], vecs[:, order]
-    return diag[order]
+    return diag[np.argsort(diag)[::-1]]
 
 
 @dataclass(frozen=True)
@@ -107,13 +100,14 @@ class Spectrum:
     def lambda_min(self):
         return self.values[-1]
 
-    def distinct(self, tol=DISTINCT_TOL):
-        return tuple(v for v, _ in self.multiplicities(tol))
+    def distinct(self):
+        return tuple(v for v, _ in self.multiplicities())
 
-    def multiplicities(self, tol=DISTINCT_TOL):
+    def multiplicities(self):
+        """(value, count) of each cluster of values within DISTINCT_TOL."""
         out = []
         for v in self.values:
-            if out and abs(out[-1][0] - v) <= tol:
+            if out and abs(out[-1][0] - v) <= DISTINCT_TOL:
                 out[-1][1] += 1
             else:
                 out.append([v, 1])
@@ -129,21 +123,6 @@ def symmetric_eigenvalues(matrix, guard=None):
 
 def graph_spectrum(g, guard=None):
     return symmetric_eigenvalues(g.adjacency_matrix(), guard=guard)
-
-
-def spectral_norm(matrix):
-    """2-norm of an arbitrary rectangular matrix as sqrt(λ_max(M^T M)); the
-    one-block reference for the stacked norms of `gershgorin`'s block mode.
-
-    Not np.linalg.norm(m, 2): that returns 5.000000000000001 for the 5x5
-    all-ones block, which moves the exact block-Gershgorin envelope of
-    A_f1^2 off (-18, 18).
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return 0.0
-    ev = _eigvalsh(m.T @ m)
-    return math.sqrt(max(float(ev[0]), 0.0))
 
 
 # -- Gershgorin ---------------------------------------------------------------
@@ -179,9 +158,11 @@ def gershgorin(matrix, mode="scalar", block_size=None):
     eigenvalues by the scalar-GCT range of the diagonal block, which is the
     loose outer interval the block form is usually quoted with.  Both modes
     work on one float copy of the input.  Block mode takes every block's
-    2-norm (the same float as `spectral_norm`) and every diagonal block's
-    spectrum in one stacked eigvalsh each, so it also holds one stack of Gram
-    matrices A_kt^T A_kt the size of the input matrix.
+    2-norm, as sqrt(λ_max(A_kt^T A_kt)), and every diagonal block's spectrum
+    in one stacked eigvalsh each, so it also holds one stack of Gram matrices
+    A_kt^T A_kt the size of the input matrix.  (np.linalg.norm(A_kt, 2) gives
+    5.000000000000001 for the 5x5 all-ones block, which moves the exact
+    envelope of A_f1^2 off (-18, 18).)
     """
     a = _symmetric_array(matrix)
     n = a.shape[0]
@@ -220,13 +201,6 @@ def cycle_power_largest_eig(V, n):
     if V < 3 or n < 1:
         raise UsageError("need V >= 3 and n >= 1")
     return degree_formula("cycle", n, V)
-
-
-def all_ones_spectrum(V):
-    """Spectrum of J_V: {V, 0 x (V-1)}."""
-    if V < 1:
-        raise UsageError("V must be >= 1")
-    return Spectrum((float(V),) + (0.0,) * (V - 1))
 
 
 def smallest_eig_lower_bounds(V, E, degrees):

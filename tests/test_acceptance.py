@@ -21,15 +21,11 @@ import pytest
 from chromacode import (
     Coloring,
     Graph,
-    b_fold_coloring_search,
     build_codec,
     chromatic_entropy_bruteforce,
     chromatic_bounds_spectral,
-    coloring_entropy,
-    complete_graph,
     cycle_graph,
     cycle_power_largest_eig,
-    decode_index,
     degree_formula,
     encode_tuple,
     even_cycle_power_coloring,
@@ -46,14 +42,13 @@ from chromacode import (
     lambda1_window,
     odd_cycle_chi_sequence,
     odd_cycle_entropy_upper_bound,
-    odd_cycle_power_coloring,
     or_power,
     path_graph,
     prism_graph,
     roundtrip_exhaustive,
     simulate,
-    split_decomposition,
 )
+from test_coloring import b_fold_coloring_search
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from chromacode import (
-    Coloring,
     FunctionSpec,
     Graph,
     JointPMF,
@@ -14,7 +13,6 @@ from chromacode import (
     cycle_graph,
     example1_spec,
     roundtrip_exhaustive,
-    verify_coloring_sufficiency,
 )
 
 
@@ -84,34 +82,6 @@ def test_dimension_mismatch_is_usage_error():
     spec, _ = example1_spec()
     with pytest.raises(UsageError):
         build_characteristic_graph(spec, JointPMF.uniform(2, 2), 1)
-
-
-def test_verify_coloring_sufficiency_true():
-    spec, pmf = example1_spec()
-    c1 = Coloring.from_list([0, 1, 0, 1])  # proper on C4
-    c2 = Coloring.from_list([0, 1])
-    assert verify_coloring_sufficiency(spec, pmf, c1, c2) is True
-
-
-def test_verify_coloring_sufficiency_invalid_raises():
-    spec, pmf = example1_spec()
-    c1 = Coloring.from_list([0, 0, 0, 0])  # improper on C4
-    c2 = Coloring.from_list([0, 1])
-    with pytest.raises(UsageError):
-        verify_coloring_sufficiency(spec, pmf, c1, c2)
-
-
-def test_verify_coloring_sufficiency_false_on_ambiguity():
-    # diagonal support: both characteristic graphs are edgeless, so the
-    # all-one-color colorings are valid, yet f(0,0) != f(1,1) makes the
-    # color pair ((0), (0)) ambiguous for any decoder
-    spec = FunctionSpec.from_table([[0, 0], [0, 1]])
-    pmf = JointPMF.from_rows([["1/2", "0"], ["0", "1/2"]])
-    assert build_characteristic_graph(spec, pmf, 1).edge_count == 0
-    assert build_characteristic_graph(spec, pmf, 2).edge_count == 0
-    c1 = Coloring.from_list([0, 0])
-    c2 = Coloring.from_list([0, 0])
-    assert verify_coloring_sufficiency(spec, pmf, c1, c2) is False
 
 
 # -- characteristic graphs against the per-(a, b, s) edge rule ---------------------

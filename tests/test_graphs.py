@@ -10,7 +10,6 @@ from chromacode import (
     UsageError,
     complete_graph,
     cycle_graph,
-    is_independent_set,
     make_graph,
     max_independent_set_size,
     maximal_independent_sets,
@@ -111,13 +110,6 @@ def test_maximal_independent_sets_c5():
     assert max_independent_set_size(cycle_graph(5)) == 2
     assert max_independent_set_size(complete_graph(6)) == 1
     assert max_independent_set_size(cycle_graph(6)) == 3
-
-
-def test_is_independent_set():
-    c5 = cycle_graph(5)
-    assert is_independent_set(c5, [0, 2])
-    assert not is_independent_set(c5, [0, 1])
-    assert is_independent_set(c5, [])
 
 
 def test_mis_guard():

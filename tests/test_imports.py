@@ -43,3 +43,66 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- every public definition has a caller outside the tests --------------------
+
+MODULES = sorted(p for p in REPO.glob("src/chromacode/*.py") if p.name != "__init__.py")
+CALLERS = [*sorted(REPO.glob("demos/*.py")), *sorted(REPO.glob("bench/*.py"))]
+
+# "module.name" of public definitions kept without a reader; each needs its
+# reason in CHANGES.md
+NO_READER = []
+
+
+def _names_read(node):
+    """Names that `node` reads: loaded names, loaded attributes, and string
+    constants (`bench/layers.py` names the functions it wraps that way)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id if isinstance(sub, ast.Name) else sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def unread_definitions(modules, readers):
+    """"module.name" of each public top-level function or class of `modules`
+    that no top-level statement of `readers` reads, its own definition aside.
+    Both map a label to source text."""
+    readers_of = {}
+    for label, source in readers.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            for name in _names_read(stmt):
+                readers_of.setdefault(name, set()).add((label, i))
+    unread = []
+    for label, source in modules.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if defines and not stmt.name.startswith("_"):
+                if not readers_of.get(stmt.name, set()) - {(label, i)}:
+                    unread.append(f"{label}.{stmt.name}")
+    return sorted(unread)
+
+
+def test_the_scan_finds_a_definition_without_a_reader():
+    lib = (
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def by_name():\n    pass\n"
+        "class Unused:\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    caller = "import lib\nlib.used()\nWRAP = ['by_name']\n"
+    assert unread_definitions({"lib": lib}, {"lib": lib, "caller": caller}) == [
+        "lib.Unused",
+        "lib.recursive",
+    ]
+
+
+def test_every_public_definition_has_a_reader():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    readers = {**modules, **{f"{p.parent.name}/{p.name}": p.read_text() for p in CALLERS}}
+    assert unread_definitions(modules, readers) == sorted(NO_READER)
