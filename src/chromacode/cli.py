@@ -153,7 +153,7 @@ def cmd_entropy(args):
         return 0
     try:
         if args.bound == "odd-cycle":
-            res = odd_cycle_entropy_upper_bound(V // 2, args.power)
+            res = odd_cycle_entropy_upper_bound(V // 2, args.power, guard=args.guard)
         elif args.bound == "general":
             res = general_entropy_upper_bound(g, args.power, guard=args.guard)
         else:
@@ -263,7 +263,8 @@ def cmd_expansion(args):
     lam = None
     if gn.vertex_count <= 400:
         spec = graph_spectrum(gn)
-        lam = max(spec.values[1], abs(spec.values[-1]))
+        # Λ = max(λ_2, |λ_min|); a one-vertex graph has no λ_2
+        lam = max(spec.values[1:2] + (abs(spec.values[-1]),))
     family = "regular" if (regular and lam is not None) else "general"
     bounds = expansion_bounds(
         family,

@@ -54,8 +54,6 @@ class CodecPlan:
     spec: object
     pmf: object
     n: int
-    graphs: tuple  # characteristic graphs (g1, g2)
-    powers: tuple
     colorings: tuple
     codes: tuple  # Huffman code dicts keyed by color
     color_pmfs: tuple  # exact color PMFs over blocks
@@ -70,6 +68,14 @@ def _digits(values, base, n):
     return [tuple(d) for d in (np.asarray(values)[:, None] // powers % base).tolist()]
 
 
+def _dense_keys(palette1, palette2, pairs):
+    """Whether the receiver indexes color pairs in a dense palette1 x palette2
+    array: only when it has no more cells than there are positive block
+    pairs, so that its memory stays within theirs.  Otherwise one sort
+    numbers the keys in use."""
+    return palette1 * palette2 <= pairs
+
+
 def _decoder_table(spec, weights, n, c1, c2):
     """The receiver table {(color1, color2): outcome block} over every positive
     block pair; raises AmbiguityError at the first pair, in (b1, b2) order,
@@ -82,10 +88,10 @@ def _decoder_table(spec, weights, n, c1, c2):
     key color1 * palette2 + color2; the outcome there is the key's entry,
     and the smallest pair that disagrees with its key's entry is the first
     conflict.  Keys index a dense palette1 x palette2 array, with no sort,
-    when it has at most one entry per positive pair; otherwise (sparse
-    support under large palettes) one `np.unique`, a sort over the pairs,
-    numbers the keys in use.  Memory: a few int64 arrays of one element per
-    positive pair, whichever way.
+    when `_dense_keys` allows it; otherwise (sparse support under large
+    palettes) one `np.unique`, a sort over the pairs, numbers the keys in
+    use.  Memory: a few int64 arrays of one element per positive pair,
+    whichever way.
     """
     cells = [
         (x1, x2, spec.f(x1, x2))
@@ -109,9 +115,9 @@ def _decoder_table(spec, weights, n, c1, c2):
     pair = b1 * blocks2
     pair += b2
     del b1, b2  # keys and pairs carry on; freeing the blocks lowers peak memory
-    table = (int(colors1.max()) + 1) * palette2
-    if table <= pair.size:
-        keys = np.arange(table)
+    palette1 = int(colors1.max()) + 1
+    if _dense_keys(palette1, palette2, pair.size):
+        keys = np.arange(palette1 * palette2)
     else:  # sparse support under large palettes: number only the keys in use
         keys, key = np.unique(key, return_inverse=True)
     none = spec.n1**n * blocks2  # past every pair: the key is never used
@@ -158,8 +164,8 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         raise UsageError("block length n must be >= 1")
     g1 = build_characteristic_graph(spec, pmf, 1)
     g2 = build_characteristic_graph(spec, pmf, 2)
-    gn1, c1 = power_coloring(g1, n, coloring_strategy, guard)
-    gn2, c2 = power_coloring(g2, n, coloring_strategy, guard)
+    _, c1 = power_coloring(g1, n, coloring_strategy, guard)
+    _, c2 = power_coloring(g2, n, coloring_strategy, guard)
     # the joint PMF as integers over one common denominator D; Fraction(p)
     # also takes int and float cells exactly
     probs = [[Fraction(p) for p in row] for row in pmf.probs]
@@ -174,7 +180,7 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     codes, totals = zip(*(huffman_code(s) for s in sums))
     inverses = tuple({w: c for c, w in code.items()} for code in codes)
     return CodecPlan(
-        spec, pmf, n, (g1, g2), (gn1, gn2), (c1, c2), codes,
+        spec, pmf, n, (c1, c2), codes,
         tuple({c: Fraction(w, D**n) for c, w in s.items()} for s in sums),
         tuple(total / D**n for total in totals), decoder, inverses,
     )
@@ -272,12 +278,13 @@ def _block_tables(plan, source):
     """Per block index of one source: (decoded color, codeword length).
 
     Each color's codeword is decoded once through the plan's inverse codebook.
-    A color without a codeword decodes to -1, the receiver table's empty row.
+    A color without a codeword decodes to the palette size, which no color
+    pair of the receiver table uses.
     """
     code = plan.codes[source - 1]
     inverse = plan.inverses[source - 1]
     palette = plan.colorings[source - 1].palette_size
-    decoded = np.full(palette, -1, dtype=np.int64)
+    decoded = np.full(palette, palette, dtype=np.int64)
     lengths = np.zeros(palette, dtype=np.int64)
     for c, w in code.items():
         decoded[c] = _decode_prefix(inverse, w)
@@ -319,9 +326,10 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     with `choices` would give.  A dot product with base powers maps each
     block to its tuple index, which indexes the decoded color and codeword
     length of that block (`_block_tables`).  Every sample's decoded color
-    pair is looked up in a dense (color1, color2) -> outcome-index table
-    built from `plan.decoder` and compared with f on the drawn cells; a
-    mismatch raises AssertionError.
+    pair is looked up in the receiver table `plan.decoder`, as outcome
+    indices in a dense array or, where `_dense_keys` refuses one as
+    `build_codec` does, by binary search over its sorted keys, and compared
+    with f on the drawn cells; a mismatch raises AssertionError.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
@@ -335,15 +343,23 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     pow2 = spec.n2 ** np.arange(n - 1, -1, -1)
     decoded1, lengths1 = _block_tables(plan, 1)
     decoded2, lengths2 = _block_tables(plan, 2)
-    # outcome blocks as big-endian indices over the outcome ids; -1 is no outcome,
-    # also in the spare last row and column that colors without a codeword hit
+    # outcome blocks as big-endian indices over the outcome ids, -1 for no
+    # outcome; color pair (k1, k2) is key k1 * (palette2 + 1) + k2, so the
+    # colors without a codeword (decoded to the palette size) match no key
     cell_out = np.array(spec.table).ravel()
     outcomes = int(cell_out.max()) + 1
     out_pow = outcomes ** np.arange(n - 1, -1, -1)
-    shape = tuple(c.palette_size + 1 for c in plan.colorings)
-    receiver = np.full(shape, -1, dtype=np.int64)
-    for (k1, k2), out in plan.decoder.items():
-        receiver[k1, k2] = encode_tuple(out, outcomes)
+    palette1, palette2 = (c.palette_size for c in plan.colorings)
+    stride = palette2 + 1
+    keys = np.array([k1 * stride + k2 for k1, k2 in plan.decoder], dtype=np.int64)
+    values = np.array([encode_tuple(out, outcomes) for out in plan.decoder.values()], dtype=np.int64)
+    if _dense_keys(palette1, palette2, sum(p > 0 for p in weights) ** n):
+        receiver = np.full((palette1 + 1) * stride, -1, dtype=np.int64)
+        receiver[keys] = values
+    else:
+        receiver = None
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
     bits = [0, 0]
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
@@ -352,7 +368,12 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
         idx2 = cell_x2[drawn] @ pow2
         bits[0] += int(lengths1[idx1].sum())
         bits[1] += int(lengths2[idx2].sum())
-        got = receiver[decoded1[idx1], decoded2[idx2]]
+        key = decoded1[idx1] * stride + decoded2[idx2]
+        if receiver is not None:
+            got = receiver[key]
+        else:
+            at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+            got = np.where(keys[at] == key, values[at], -1)
         bad = np.flatnonzero(got != cell_out[drawn] @ out_pow)
         if bad.size:
             row = drawn[bad[0]]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardExceeded, UsageError, check_guard
+from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .orpower import or_power
 
@@ -309,7 +309,8 @@ def power_coloring(g, n, strategy="auto", guard=None):
         else:
             fold = _vector_fold(exact_chromatic_number(g, guard=guard)[1])
         c = Coloring.from_list(_compose(fold, n).tolist())
-    assert is_valid_coloring(gn, c)
+    if not is_valid_coloring(gn, c):
+        raise ChromacodeError(f"the {strategy} coloring of the power is not valid")
     return gn, c
 
 
@@ -417,7 +418,8 @@ def fractional_chromatic_cycle(k, b):
     a, starts = _odd_cycle_windows(k, b)
     fc = FractionalColoring(a, b, tuple(frozenset((s + t) % a for t in range(b)) for s in starts))
     g = make_graph("cycle", V)
-    assert is_valid_b_fold(g, fc)
+    if not is_valid_b_fold(g, fc):
+        raise ChromacodeError(f"the {a}:{b} window coloring of C{V} is not valid")
     return {
         "chi_b_lower": 2 * b + 1,
         "chi_b": a,

@@ -18,10 +18,12 @@ from fractions import Fraction
 from math import lcm, log2
 
 from .coloring import fractional_chromatic_power
-from .errors import UsageError, check_guard
+from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
 from .graphs import max_independent_set_size
 
 BRUTE_ENTROPY_GUARD_DEFAULT = 12
+# color classes of an α profile, and candidate α values its search tries
+WINDOW_GUARD_DEFAULT = 1_000_000
 
 
 def entropy_bits(probs):
@@ -91,7 +93,8 @@ class AlphaProfile:
             for _ in range(self.alphas[t]):
                 out[cid] = p
                 cid += 1
-        assert sum(out.values()) == 1
+        if sum(out.values()) != 1:
+            raise ChromacodeError(f"alpha profile {self.alphas} does not cover {self.total} vertices")
         return out
 
     def entropy(self):
@@ -109,7 +112,7 @@ def alpha_n_window(V, m, n):
     return lo, hi
 
 
-def _extremal_profile(V, m, n, window, chain):
+def _extremal_profile(V, m, n, window, chain, guard=None):
     """The α profile (α_0, ..., α_n) with α_0 = 1 and Σ α_t·m^t = V^n that
     has the largest α_n under the monotone rule α_{t+1} ≥ α_t ≥ 1, or, with
     `chain`, the smallest α_n under the chain rule α_t ≥ m·α_{t-1}.
@@ -117,49 +120,71 @@ def _extremal_profile(V, m, n, window, chain):
     α_n scans `window` (from `alpha_n_window`) down from its top, or with
     `chain` up from max(lo, m^n); a depth-first search then takes each
     α_{n-1}, ..., α_1 as large as the rule and the remaining mass allow.
-    The chain rule caps α_{t-1} at ⌊α_t/m⌋ and so forces α_t ≥ m^t.
+    The chain rule caps α_{t-1} at ⌊α_t/m⌋ and so forces α_t ≥ m^t.  The
+    search keeps one frame per open level, not a call, and counts every
+    candidate α it tries against `guard` (WINDOW_GUARD_DEFAULT).
     """
     lo, hi = window
     step = m if chain else 1
-
-    def complete(t, remaining, cap):
-        if t == 0:
-            return [] if remaining == 1 else None
-        for a in range(min(cap, remaining // m**t), step**t - 1, -1):
-            rest = remaining - a * m**t
-            if rest < 1:
-                continue
-            tail = complete(t - 1, rest, a // step)
-            if tail is not None:
-                return [a] + tail
-        return None
-
-    for an in range(max(lo, m**n), hi + 1) if chain else range(hi, 0, -1):
-        tail = complete(n - 1, V**n - an * m**n, an // step)
-        if tail is not None:
-            return (1, *tail[::-1], an)
+    limit = resolve_guard(guard, WINDOW_GUARD_DEFAULT)
+    tried = 0
+    # frames[i] tries α_t at t = n - i with mass rest[i] left; path holds the
+    # α chosen above the last frame
+    frames = [iter(range(max(lo, m**n), hi + 1) if chain else range(hi, 0, -1))]
+    rest, path = [V**n], []
+    while frames:
+        tried += 1
+        if tried > limit:
+            raise GuardExceeded("alpha-profile search steps", tried, limit)
+        t = n + 1 - len(frames)
+        a = next(frames[-1], None)
+        if a is None:
+            frames.pop()
+            rest.pop()
+            del path[-1:]
+            continue
+        left = rest[-1] - a * m**t
+        if left < 1:
+            continue
+        if t == 1:
+            if left == 1:
+                return (1, a, *path[::-1])
+            continue
+        path.append(a)
+        rest.append(left)
+        frames.append(iter(range(min(a // step, left // m ** (t - 1)), step ** (t - 1) - 1, -1)))
     raise AssertionError(f"no feasible {'chain' if chain else 'monotone'} alpha profile")
 
 
-def odd_cycle_entropy_upper_bound(k, n):
+def odd_cycle_entropy_upper_bound(k, n, guard=None):
     """[lo, hi] window on the normalized chromatic entropy of C_{2k+1}^n.
 
     |MIS_{C_{2k+1}^t}| = k^t.  The low edge evaluates the extremal profile
     with maximal α_n (most mass on the largest independent sets); the high
     edge the feasible profile with minimal α_n.  Returns a dict with the
-    window, the α_n integer window, and both extremal profiles.
+    window, the α_n integer window, and both extremal profiles.  `guard`
+    bounds the profiles' color classes and the search (`_check_classes`,
+    `_extremal_profile`).
     """
     if k < 2 or n < 1:
         raise UsageError("need k >= 2 and n >= 1")
     V = 2 * k + 1
-    return _entropy_window(V, k, n)
+    return _entropy_window(V, k, n, guard)
 
 
-def _entropy_window(V, m, n):
+def _check_classes(V, m, n, guard):
+    """Refuse, as GuardExceeded, α profiles of G^n with too many color
+    classes: no class holds more than m^n vertices, so each profile has at
+    least ⌈V^n/m^n⌉, and its PMF one entry per class."""
+    check_guard("color classes of an alpha profile", -(-(V**n) // m**n), guard, WINDOW_GUARD_DEFAULT)
+
+
+def _entropy_window(V, m, n, guard):
+    _check_classes(V, m, n, guard)
     window = alpha_n_window(V, m, n)
     sizes = tuple(m**t for t in range(n + 1))
     lo_profile, hi_profile = (
-        AlphaProfile(_extremal_profile(V, m, n, window, chain), sizes, V**n)
+        AlphaProfile(_extremal_profile(V, m, n, window, chain, guard), sizes, V**n)
         for chain in (False, True)
     )
     return {
@@ -172,13 +197,15 @@ def _entropy_window(V, m, n):
 
 
 def general_entropy_upper_bound(g, n, guard=None):
-    """Same α machinery with |MIS_{G^t}| = |MIS_G|^t for a general graph."""
+    """Same α machinery with |MIS_{G^t}| = |MIS_G|^t for a general graph;
+    `guard` bounds the α(G) search as well."""
     if n < 1:
         raise UsageError("n must be >= 1")
     V = g.vertex_count
     m = max_independent_set_size(g, guard=guard)
     if m == 1:
         # complete graph: every class is a singleton, bound is log2 V exactly
+        _check_classes(V, m, n, guard)
         sizes = tuple(1 for _ in range(n + 1))
         # K1's power is one vertex: the only class is alpha_0
         alphas = (1,) * n + (V**n - n,) if V > 1 else (1,) + (0,) * n
@@ -191,7 +218,7 @@ def general_entropy_upper_bound(g, n, guard=None):
             "lo_profile": profile,
             "hi_profile": profile,
         }
-    return _entropy_window(V, m, n)
+    return _entropy_window(V, m, n, guard)
 
 
 def fractional_entropy_lower_bound(V):

@@ -15,10 +15,19 @@ class ChromacodeError(Exception):
     """Base class for all library errors."""
 
 
+def _printable(x):
+    """x, or for an int too long to print (Python caps int-to-str at 4 300
+    digits) a string giving the power of two it reaches."""
+    if isinstance(x, int) and x.bit_length() > 14_000:  # < 4 215 digits below
+        return f"at least 2**{x.bit_length() - 1}"
+    return x
+
+
 class GuardExceeded(ChromacodeError):
     """Instance too large for an exhaustive/guarded operation."""
 
     def __init__(self, what, size, limit):
+        size, limit = _printable(size), _printable(limit)
         super().__init__(f"instance too large: {what} = {size} exceeds guard {limit}")
         self.what = what
         self.size = size

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .graphs import bits_to_list
+from .orpower import or_power_degree
 from .spectral import hong_bound
 
 
@@ -27,8 +28,11 @@ def tanner_lower_bound(degree, total, y_size, lam):
 
     Tanner's N(Y) counts every vertex with a neighbor in Y, including those
     inside Y; our expansion_rate excludes Y, so a valid lower bound on it is
-    this expression minus one (|N(Y) \\ Y| >= |N(Y)| - |Y|).
+    this expression minus one (|N(Y) \\ Y| >= |N(Y)| - |Y|).  At degree 0
+    (an edgeless graph) no vertex has a neighbor, and the bound is 0.
     """
+    if degree == 0:
+        return 0.0
     d2 = degree * degree
     lam2 = lam * lam
     return d2 / (lam2 + (d2 - lam2) * y_size / total)
@@ -48,15 +52,15 @@ class ExpansionBounds:
 def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     """Spectral expansion bounds for the n-fold OR power.
 
-    Lower bounds are Tanner's expression minus one (the exclusive-neighborhood
-    correction, see tanner_lower_bound), clamped at zero. The upper bound is
-    the complete-graph rate (V^n - |Y|)/|Y|, the maximum any graph achieves.
-
-    regular: lower bound with degree d(V^n-1)/(V-1) and supplied Λ.
-    complete: the maximum-rate case, Λ = 1 exactly; lower = upper = exact rate.
-    cycle: the minimum-rate case; Λ = |λ_{V^n}| when supplied, else the hong
-           magnitude as a conservative stand-in (flagged lam_is_bound).
-    general: the sandwich [cycle lower, complete upper].
+    The upper bound is the complete-graph rate (V^n - |Y|)/|Y|, the maximum
+    any graph achieves.  complete: the maximum-rate case, Λ = 1 exactly;
+    lower = upper = exact rate.  Every other family takes Tanner's bound
+    minus one (the exclusive-neighborhood correction, see
+    tanner_lower_bound), clamped at zero, at the power's degree
+    (`or_power_degree`) of a base degree: d for `regular`, which needs d and
+    Λ; 2 for `cycle` (the minimum-rate case) and `general` (the sandwich
+    [cycle lower, complete upper]).  Λ = |λ_{V^n}| when supplied, else the
+    hong magnitude as a conservative stand-in (flagged lam_is_bound).
     """
     if n < 1 or y_size < 1:
         raise UsageError("need n >= 1 and |Y| >= 1")
@@ -71,14 +75,13 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     if family == "regular":
         if d is None or lam is None:
             raise UsageError("regular family needs d and Λ")
-        deg = d * (total - 1) // (V - 1)
-        lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
-        return ExpansionBounds("regular", total, y_size, lower, complete_upper, lam, False)
-    if family in ("cycle", "general"):
-        lam_is_bound = lam is None
-        if lam is None:
-            lam = -hong_bound(total)
-        deg = 2 * (total - 1) // (V - 1)
-        lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
-        return ExpansionBounds(family, total, y_size, lower, complete_upper, lam, lam_is_bound)
-    raise UsageError(f"unknown expansion family {family!r}")
+    elif family in ("cycle", "general"):
+        d = 2
+    else:
+        raise UsageError(f"unknown expansion family {family!r}")
+    lam_is_bound = lam is None
+    if lam_is_bound:
+        lam = -hong_bound(total)
+    deg = or_power_degree(d, V, n)
+    lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
+    return ExpansionBounds(family, total, y_size, lower, complete_upper, lam, lam_is_bound)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ChromacodeError, UsageError, check_guard
 from .coloring import _cycle_scheme
-from .orpower import PowerGraph, degree_formula, or_power
+from .orpower import PowerGraph, degree_formula, or_power, or_power_degree
 
 DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
@@ -209,13 +209,19 @@ def smallest_eig_lower_bounds(V, E, degrees):
         raise UsageError("inconsistent V, E, degree list")
     dmin, dmax = min(degrees), max(degrees)
     return {
-        "brigham": -math.sqrt(2 * E * (V - 1) / 2),
+        "brigham": brigham_bound(V, E),
         "hong": hong_bound(V),
         "das": -math.sqrt(2 * E - (V - 1) * dmin + (dmin - 1) * dmax),
     }
 
 
+def brigham_bound(V, E):
+    """Brigham's lower bound on λ_min of a graph with V vertices and E edges."""
+    return -math.sqrt(2 * E * (V - 1) / 2)
+
+
 def hong_bound(V):
+    """Hong's lower bound on λ_min of a graph with V vertices."""
     return -math.sqrt(V / 2 * (V + 1) / 2)
 
 
@@ -275,76 +281,9 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
 
-def bound_hoffman(g):
-    """Hoffman lower / Wilf upper bound directly from the spectrum of g."""
-    spec = graph_spectrum(g)
-    l1, lv = spec.lambda_1, spec.lambda_min
-    lower = 1.0 - l1 / lv if lv < 0 else 1.0
-    upper = math.floor(l1 + 1e-9) + 1
-    return BoundReport("hoffman-direct", lower, upper, {"lambda_1": l1, "lambda_V": lv})
-
-
-def bound_cycle_power(V, n):
-    """Bounds on χ(C_V^n): Hoffman ratio with λ1 closed-form and the better of
-    the brigham/hong lower bounds on λ_{V^n}; upper is λ1 + 1."""
-    l1 = cycle_power_largest_eig(V, n)
-    Vn = V**n
-    En = Vn * l1 // 2
-    bounds = smallest_eig_lower_bounds(Vn, En, [l1] * Vn)
-    lam_v = max(bounds["brigham"], bounds["hong"])
-    lower = 1.0 - l1 / lam_v
-    upper = l1 + 1
-    return BoundReport(
-        "cycle-power", lower, upper, {"lambda_1": l1, "lambda_V_bound": lam_v}
-    )
-
-
-def bound_degree(gn):
-    """Degree-flavored bounds on χ of a materialized (power) graph: Hoffman
-    ratio against the das lower bound on λ_V; upper is d_max + 1."""
-    V = gn.vertex_count
-    degrees = gn.degrees()
-    spec = graph_spectrum(gn)
-    das = smallest_eig_lower_bounds(V, gn.edge_count, degrees)["das"]
-    lower = 1.0 - spec.lambda_1 / das if das < 0 else 1.0
-    upper = max(degrees) + 1
-    return BoundReport("degree", lower, upper, {"lambda_1": spec.lambda_1, "das": das})
-
-
-def bound_general(g, n, power=None):
-    """Bounds on χ(G^n) from the base spectrum only: the numerator estimates
-    λ1(G^n) by λ1(G) + d_max·Σ V^j.  λ_{V^n} comes from the materialized power
-    when supplied, else from the hong bound.  The upper bound carries a +1
-    that the floor form needs to stay valid on complete graphs."""
-    spec = graph_spectrum(g)
-    V = g.vertex_count
-    dmax = max(g.degrees())
-    est = spec.lambda_1 + dmax * sum(V**j for j in range(1, n))
-    if power is not None:
-        lam_v = graph_spectrum(power).lambda_min
-    else:
-        lam_v = hong_bound(V**n)
-    lower = 1.0 - est / lam_v if lam_v < 0 else 1.0
-    upper = math.floor(est + 1e-9) + 1
-    return BoundReport(
-        "general", lower, upper, {"lambda_1_estimate": est, "lambda_V": lam_v}
-    )
-
-
-def bound_gct_split(gn):
-    """Bounds on χ(G^n) via the split decomposition: λ1(a_gr) + λ1(a_fc)
-    bounds λ1(G^n) from above; hong bounds λ_{V^n} from below."""
-    rep = split_decomposition(gn)
-    s = rep.lam_gr[0] + rep.lam_fc[0]
-    lam_v = hong_bound(gn.vertex_count)
-    lower = 1.0 - s / lam_v
-    upper = math.floor(s + 1e-9) + 1
-    return BoundReport(
-        "gct-split",
-        lower,
-        upper,
-        {"lambda_1_gr": rep.lam_gr[0], "lambda_1_fc": rep.lam_fc[0], "sum": s},
-    )
+def _wilf_upper(l1):
+    """Wilf's χ <= ⌊λ1⌋ + 1, for λ1 or an upper bound on it."""
+    return math.floor(l1 + 1e-9) + 1
 
 
 def lambda1_window(g, n, power=None):
@@ -362,7 +301,7 @@ def lambda1_window(g, n, power=None):
     s = rep.lam_gr[0] + rep.lam_fc[0]
     return {
         "window": (lo, gct.scalar_envelope[1]),
-        "refined": (lo, math.floor(s + 1e-9) + 1),
+        "refined": (lo, _wilf_upper(s)),
         "lambda_1": rep.lam_full[0],
         "gct": gct,
     }
@@ -379,25 +318,57 @@ BOUND_VARIANTS = (
 
 
 def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
-    """Dispatch over the named bound variants (see the individual helpers).
+    """Hoffman's χ >= 1 − λ1/λ_min and Wilf's χ <= ⌊λ1⌋ + 1 on the λ1 and
+    λ_min, or bounds on them (above λ1, below λ_min), of one variant; a
+    λ_min bound that is not negative gives lower 1.
 
-    `hoffman-direct` and `degree` bound the power when it is given, else g.
-    `cycle-power` takes V from g when g is given, and g must then be the
-    canonical cycle C_V with V >= 4 (as `coloring._cycle_scheme` reads it).
+    hoffman-direct: the spectrum of the power if given, else of g.
+    cycle-power:    C_V^n: λ1 its degree, λ_min the better of the Brigham and
+                    Hong closed forms; upper λ1 + 1.  V comes from g when g
+                    is given, and g must be the canonical cycle C_V, V >= 4.
+    degree:         λ1 of the power if given, else of g; λ_min the Das bound;
+                    upper d_max + 1.
+    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of the power if
+                    given, else the Hong bound.
+    gct-split:      λ1(a_gr) + λ1(a_fc) of the power's split; λ_min Hong.
+    lambda1-window: the refined window of `lambda1_window`.
     """
+    gn = power if power is not None else g
+    upper = None
     if variant == "hoffman-direct":
-        return bound_hoffman(power if power is not None else g)
-    if variant == "cycle-power":
+        spec = graph_spectrum(gn)
+        l1, lv = spec.lambda_1, spec.lambda_min
+        details = {"lambda_1": l1, "lambda_V": lv}
+    elif variant == "cycle-power":
         if g is not None and _cycle_scheme(g) is None:
             raise UsageError("cycle-power bound needs the canonical cycle C_V with V >= 4")
-        return bound_cycle_power(V if g is None else g.vertex_count, n)
-    if variant == "degree":
-        return bound_degree(power if power is not None else g)
-    if variant == "general":
-        return bound_general(g, n, power=power)
-    if variant == "gct-split":
-        return bound_gct_split(power)
-    if variant == "lambda1-window":
+        V = V if g is None else g.vertex_count
+        l1 = cycle_power_largest_eig(V, n)
+        Vn = V**n
+        lv = max(brigham_bound(Vn, Vn * l1 // 2), hong_bound(Vn))
+        upper = l1 + 1
+        details = {"lambda_1": l1, "lambda_V_bound": lv}
+    elif variant == "degree":
+        degrees = gn.degrees()
+        l1 = graph_spectrum(gn).lambda_1
+        lv = smallest_eig_lower_bounds(gn.vertex_count, gn.edge_count, degrees)["das"]
+        upper = max(degrees) + 1
+        details = {"lambda_1": l1, "das": lv}
+    elif variant == "general":
+        V = g.vertex_count
+        dmax = max(g.degrees())
+        l1 = graph_spectrum(g).lambda_1 + (or_power_degree(dmax, V, n) - dmax)
+        lv = graph_spectrum(power).lambda_min if power is not None else hong_bound(V**n)
+        details = {"lambda_1_estimate": l1, "lambda_V": lv}
+    elif variant == "gct-split":
+        rep = split_decomposition(power)
+        l1 = rep.lam_gr[0] + rep.lam_fc[0]
+        lv = hong_bound(power.vertex_count)
+        details = {"lambda_1_gr": rep.lam_gr[0], "lambda_1_fc": rep.lam_fc[0], "sum": l1}
+    elif variant == "lambda1-window":
         w = lambda1_window(g, n, power=power)
         return BoundReport("lambda1-window", w["refined"][0], w["refined"][1], w)
-    raise UsageError(f"unknown bound variant {variant!r}")
+    else:
+        raise UsageError(f"unknown bound variant {variant!r}")
+    lower = 1.0 - l1 / lv if lv < 0 else 1.0
+    return BoundReport(variant, lower, _wilf_upper(l1) if upper is None else upper, details)

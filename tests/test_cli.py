@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -397,3 +398,37 @@ def test_default_spectral_bound_is_on_the_power(capsys):
     assert d["variant"] == "hoffman-direct"
     assert d["lower"] == pytest.approx(2.970388365322377, rel=1e-9)
     assert d["upper"] == 13
+
+
+@pytest.mark.parametrize("kind,size", [("complete", 1), ("edgeless", 3)])
+@pytest.mark.parametrize("power", [1, 2])
+def test_expansion_of_a_graph_without_edges(capsys, kind, size, power):
+    # no vertex has a neighbor: the rate is 0, and so is the lower bound
+    rc, out = run(
+        capsys, "expansion", "--kind", kind, "--size", str(size), "--power", str(power),
+        "--subset", "0",
+    )
+    d = json.loads(out)
+    assert rc == 0
+    assert (d["rate"], d["lower"], d["lam"]) == ("0", 0.0, 0.0)
+    assert d["upper"] == size**power - 1
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["entropy", "--bound", "odd-cycle", "--power", "7000"], "color classes"),
+        (["entropy", "--bound", "odd-cycle", "--power", "13"], "search steps"),
+        (["power", "--size", "100", "--power", "3000", "--guard", str(10**1000)], "vertex count"),
+    ],
+    ids=["window-n7000", "window-n13", "power-huge-guard"],
+)
+def test_n_dependent_paths_end_in_a_guard_error(capsys, argv, what):
+    kind = ["--kind", "cycle"] + ([] if "--size" in argv else ["--size", "5"])
+    start = time.perf_counter()
+    rc = main(argv[:1] + kind + argv[1:])
+    elapsed = time.perf_counter() - start
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3
+    assert err["error"] == "guard" and what in err["what"]
+    assert elapsed < 5

@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromacode.cli import main
@@ -204,14 +204,26 @@ def test_color_cli_contract(argv):
     _check_contract(argv)
 
 
+# graphs without edges: one vertex (K1) and three (the edgeless E3)
+K1 = ["--kind=complete", "--size=1"]
+E3 = ["--kind=edgeless", "--size=3"]
+
+
 @FUZZ
 @given(entropy_argv())
+@example(["entropy", *K1, "--power=2", "--bound=general"])
+@example(["entropy", *E3, "--power=2", "--bound=general"])
+@example(["entropy", *E3, "--power=1", "--bound=brute"])
 def test_entropy_cli_contract(argv):
     _check_contract(argv)
 
 
 @FUZZ
 @given(spectral_argv())
+@example(["spectral", *K1, "--power=2", "--op=bounds", "--variant=general"])
+@example(["spectral", *K1, "--power=1", "--op=bounds", "--variant=degree"])
+@example(["spectral", *E3, "--power=2", "--op=bounds", "--variant=gct-split"])
+@example(["spectral", *E3, "--power=2", "--op=bounds", "--variant=lambda1-window"])
 def test_spectral_cli_contract(argv):
     _check_contract(argv)
 
@@ -224,6 +236,10 @@ def test_simulate_cli_contract(argv):
 
 @FUZZ
 @given(expansion_argv())
+@example(["expansion", *K1, "--power=1", "--subset=0"])
+@example(["expansion", *K1, "--power=2", "--sample=1"])
+@example(["expansion", *E3, "--power=1", "--subset=0"])
+@example(["expansion", *E3, "--power=2", "--sample=4", "--seed=2"])
 def test_expansion_cli_contract(argv):
     _check_contract(argv)
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
@@ -522,3 +523,22 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
             assert str(got.value) == str(ref.value)
             compared += 1
     assert compared >= 20
+
+
+def test_simulate_keeps_the_receiver_table_within_the_pairs():
+    # f injective on row 0 and column 0, the only positive cells: both
+    # characteristic graphs are K6, so at n = 4 the palettes are 6^4 = 1 296
+    # each against 11^4 = 14 641 positive pairs.  A dense (1 296 + 1)^2
+    # int64 receiver table alone would take 13.5 MB.
+    spec = FunctionSpec.from_table([[6 * i + j for j in range(6)] for i in range(6)])
+    pmf = JointPMF.from_rows(
+        [[Fraction(1, 11) if 0 in (i, j) else 0 for j in range(6)] for i in range(6)]
+    )
+    tracemalloc.start()
+    try:
+        report = simulate(spec, pmf, 4, 1000, 0, coloring_strategy="product")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.lossless
+    assert peak < 10_000_000

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chromacode.coloring
 from chromacode import (
+    ChromacodeError,
     Coloring,
     FractionalColoring,
     Graph,
@@ -463,3 +466,13 @@ def test_power_coloring_auto_takes_the_cycle_schemes():
 def test_power_coloring_refuses_a_strategy_that_does_not_fit(strategy, g):
     with pytest.raises(UsageError):
         power_coloring(g, 2, strategy)
+
+
+def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
+    # a fold that gives every vertex the same colors is no a:b coloring of C5
+    def same_colors(k):
+        return lambda b: (b, np.tile(np.arange(b), (2 * k + 1, 1)))
+
+    monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", same_colors)
+    with pytest.raises(ChromacodeError, match="not valid"):
+        power_coloring(cycle_graph(5), 2, "odd-cycle")

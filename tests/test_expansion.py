@@ -87,3 +87,12 @@ def test_induced_lambda_relation_on_cycle_power():
     for l in range(5):
         block = slice(25 * l, 25 * (l + 1))
         assert np.linalg.eigvalsh(a[block, block])[-1] <= rhs + 1e-9
+
+
+def test_tanner_bound_of_an_edgeless_power_is_zero():
+    # degree 0 and Λ = 0 leave Tanner's expression 0/0; no vertex has a neighbor
+    assert tanner_lower_bound(0, 9, 1, 0.0) == 0.0
+    for V, n in ((1, 1), (1, 2), (3, 1), (3, 2)):
+        b = expansion_bounds("regular", V, n, 1, d=0, lam=0.0)
+        assert b.lower == 0.0
+        assert b.upper == V**n - 1

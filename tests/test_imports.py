@@ -106,3 +106,21 @@ def test_every_public_definition_has_a_reader():
     modules = {p.stem: p.read_text() for p in MODULES}
     readers = {**modules, **{f"{p.parent.name}/{p.name}": p.read_text() for p in CALLERS}}
     assert unread_definitions(modules, readers) == sorted(NO_READER)
+
+
+# -- checks that hold under python -O --------------------------------------------
+
+
+def assert_statements(source):
+    """Line numbers of the `assert` statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_finds_an_assert_statement():
+    assert assert_statements("x = 1\nassert x\nif x:\n    assert x > 0\nraise AssertionError\n") == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES + [REPO / "src/chromacode/__init__.py"], ids=lambda p: p.name)
+def test_no_assert_statements_in_the_library(path):
+    # `python -O` strips asserts; a library check raises ChromacodeError instead
+    assert assert_statements(path.read_text()) == []

@@ -106,3 +106,9 @@ def test_power_annotations_in_json():
     d = g2.to_dict()
     assert d["vertices"] == 16
     assert d["tuple_base"] == 4 and d["tuple_len"] == 2
+
+
+def test_degree_rule_on_a_one_vertex_base():
+    # V = 1: the power is one vertex, and d(V^n − 1)/(V − 1) reads n·d
+    assert degree_formula("d-regular", 3, V=1, d=0) == 0
+    assert degree_formula("general", 4, base_graph=make_graph("complete", 1)) == [0]

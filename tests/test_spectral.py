@@ -25,7 +25,7 @@ from chromacode import (
     split_decomposition,
     symmetric_eigenvalues,
 )
-from chromacode.spectral import _eigvalsh
+from chromacode.spectral import _eigvalsh, brigham_bound
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -325,3 +325,41 @@ def test_degree_and_gct_split_variants():
         rep = chromatic_bounds_spectral(variant, g=cycle_graph(5), n=2, power=g2)
         assert rep.lower - 1e-9 <= chi
         assert rep.upper is None or chi <= rep.upper + 1e-9
+
+
+@pytest.mark.parametrize("V,n", [(5, 1), (5, 2), (6, 3), (7, 2)])
+def test_brigham_closed_form_equals_the_degree_list_form(V, n):
+    # a regular power: V^n vertices of degree λ1, V^n·λ1/2 edges
+    l1 = cycle_power_largest_eig(V, n)
+    Vn = V**n
+    b = smallest_eig_lower_bounds(Vn, Vn * l1 // 2, [l1] * Vn)
+    assert (b["brigham"], b["hong"]) == (brigham_bound(Vn, Vn * l1 // 2), hong_bound(Vn))
+    rep = chromatic_bounds_spectral("cycle-power", V=V, n=n)
+    assert rep.details["lambda_V_bound"] == max(b["brigham"], b["hong"])
+
+
+def test_cycle_power_bound_never_writes_out_the_power():
+    # 5^40 vertices: the bound reads closed forms only
+    rep = chromatic_bounds_spectral("cycle-power", V=5, n=40)
+    l1 = 2 * (5**40 - 1) // 4
+    lam_v = max(brigham_bound(5**40, 5**40 * l1 // 2), hong_bound(5**40))
+    assert rep.details == {"lambda_1": l1, "lambda_V_bound": lam_v}
+    assert (rep.lower, rep.upper) == (1.0 - l1 / lam_v, l1 + 1)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(4), prism_graph(), AF1, path_graph(4)])
+def test_every_variant_applies_hoffman_and_wilf_to_its_estimates(g):
+    g2 = or_power(g, 2)
+    keys = {
+        "hoffman-direct": ("lambda_1", "lambda_V"),
+        "degree": ("lambda_1", "das"),
+        "general": ("lambda_1_estimate", "lambda_V"),
+        "gct-split": ("sum", None),
+    }
+    for variant, (k1, kv) in keys.items():
+        rep = chromatic_bounds_spectral(variant, g=g, n=2, power=g2)
+        l1 = rep.details[k1]
+        lv = rep.details[kv] if kv else hong_bound(g2.vertex_count)
+        assert rep.lower == (1.0 - l1 / lv if lv < 0 else 1.0), variant
+        wilf = max(g2.degrees()) + 1 if variant == "degree" else math.floor(l1 + 1e-9) + 1
+        assert rep.upper == wilf, variant
