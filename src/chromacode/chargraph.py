@@ -9,7 +9,6 @@ strict positivity and must not be subject to rounding.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import UsageError, load_json
 from .graphs import Graph
@@ -148,9 +147,11 @@ def _check_dims(spec, pmf):
 def build_characteristic_graph(spec, pmf, source):
     """Characteristic graph of source 1 or 2 (see module docstring).
 
-    Each cell is tested for positivity once: every symbol keeps the map
-    {side value: outcome} over its positive cells, and two symbols are
-    joined when a side value in both maps has two outcomes.
+    Each cell is tested for positivity once.  Per side value s, one bitset
+    holds the symbols positive at s and one per outcome those of them with
+    that outcome; symbol a's adjacency row is then the union, over the side
+    values s where a is positive, of the symbols positive at s whose outcome
+    differs from a's.
     """
     _check_dims(spec, pmf)
     table, probs = spec.table, pmf.probs
@@ -159,13 +160,21 @@ def build_characteristic_graph(spec, pmf, source):
     elif source != 1:
         raise UsageError("source must be 1 or 2")
     # JointPMF rejects negative cells, so a nonzero cell is a positive one
-    rows = [{s: f for s, (f, p) in enumerate(zip(fs, ps)) if p} for fs, ps in zip(table, probs)]
-    edges = [
-        (a, b)
-        for a, b in combinations(range(len(rows)), 2)
-        if any(rows[b].get(s, f) != f for s, f in rows[a].items())
+    cells = [
+        (a, s, f)
+        for a, (fs, ps) in enumerate(zip(table, probs))
+        for s, (f, p) in enumerate(zip(fs, ps))
+        if p
     ]
-    return Graph.from_edges(len(rows), edges)
+    positive = [0] * len(table[0])  # side value -> symbols positive there
+    agree = {}  # (side value, outcome) -> symbols positive there with that outcome
+    for a, s, f in cells:
+        positive[s] |= 1 << a
+        agree[s, f] = agree.get((s, f), 0) | 1 << a
+    rows = [0] * len(table)
+    for a, s, f in cells:
+        rows[a] |= positive[s] & ~agree[s, f]
+    return Graph(len(rows), rows)
 
 
 def example1_spec():

@@ -271,7 +271,7 @@ def cmd_expansion(args):
         g.vertex_count,
         args.power,
         len(subset),
-        d=g.degree(0) if regular else None,
+        d=min(g.degrees()),
         lam=lam,
     )
     _emit(

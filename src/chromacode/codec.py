@@ -5,8 +5,11 @@ Pipeline: characteristic graphs -> OR powers and their colorings (one
 color PMFs -> receiver lookup table on color pairs.  `build_codec` scales the
 joint PMF once to integers over a common denominator D.  The receiver table
 is built in one array pass over the positive block pairs (the n-tuples of
-positive cells); `_decoder_table` gives its order, its two ways to index
-color pairs and its memory bound.  Construction fails loudly if any color
+positive cells) and kept as two int64 arrays sorted by color-pair key,
+color1 * palette2 + color2, and outcome-block index: a `Receiver`, a
+read-only mapping {(color1, color2): outcome block} that spells out an
+outcome block only when one is looked up.  `_decoder_table` gives the
+table's build and its memory bound.  Construction fails loudly if any color
 pair would have to decode to two different outcome blocks.  The color PMFs
 are sums of integer block weights, with one exact Fraction(sum, D^n) each;
 Huffman codes the integer sums and its total is divided by D^n once.
@@ -14,14 +17,17 @@ Huffman codes the integer sums and its total is divided by D^n once.
 `encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
 time.  `simulate` measures rates over many blocks in a chunked array pass: it
 draws SIMULATE_CHUNK blocks per chunk from the seeded `random.Random` stream,
-then colors, measures and checks the whole chunk with numpy lookup tables.
+then colors, measures and checks the whole chunk with numpy lookup tables,
+the receiver's among them, read from its arrays.
 The draw reads the stream's own Mersenne Twister words (`getrandbits`) and
 rebuilds in numpy exactly the cells that `rng.choices` would return, so the
 reports equal those of drawing block by block with `choices`.
 """
 
 import json
+import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -49,6 +55,61 @@ class AmbiguityError(ChromacodeError):
 SIMULATE_CHUNK = 4096  # blocks per array pass of `simulate`
 
 
+def _digits(value, base, n):
+    """The n big-endian base-`base` digits of the integer `value`, as a tuple."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        value, out[i] = divmod(value, base)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class Receiver(Mapping):
+    """The receiver table as a read-only mapping {(color1, color2): outcome
+    block}, held in two int64 arrays: `pair_keys`, the color-pair keys
+    color1 * palette2 + color2 in increasing order, and `blocks`, each key's
+    outcome block as a big-endian index in base `base`, the spec's outcome
+    count, over n digits.  Iteration is in key order, which is (color1,
+    color2) order; a lookup is one binary search, and the outcome tuple is
+    spelled out only for the key looked up.
+    """
+
+    pair_keys: np.ndarray
+    blocks: np.ndarray
+    palette2: int
+    base: int
+    n: int
+
+    def _index(self, pair):
+        """Position of the color pair `pair` in `pair_keys`, or None."""
+        try:
+            c1, c2 = map(operator.index, pair)
+        except (TypeError, ValueError):
+            return None
+        keys = self.pair_keys
+        key = c1 * self.palette2 + c2
+        if c1 < 0 or not 0 <= c2 < self.palette2 or key > keys[-1]:
+            return None
+        i = int(keys.searchsorted(key))
+        return i if keys[i] == key else None
+
+    def __getitem__(self, pair):
+        i = self._index(pair)
+        if i is None:
+            raise KeyError(pair)
+        return _digits(int(self.blocks[i]), self.base, self.n)
+
+    def __contains__(self, pair):
+        return self._index(pair) is not None
+
+    def __iter__(self):
+        c1, c2 = np.divmod(self.pair_keys, self.palette2)
+        return zip(c1.tolist(), c2.tolist())
+
+    def __len__(self):
+        return self.pair_keys.size
+
+
 @dataclass
 class CodecPlan:
     spec: object
@@ -58,39 +119,36 @@ class CodecPlan:
     codes: tuple  # Huffman code dicts keyed by color
     color_pmfs: tuple  # exact color PMFs over blocks
     avg_lengths: tuple  # exact Fractions, bits per block
-    decoder: dict  # (color1, color2) -> outcome block tuple
+    decoder: Receiver  # (color1, color2) -> outcome block tuple
     inverses: tuple  # {codeword: color} per source, the receiver's codebooks
 
 
-def _digits(values, base, n):
-    """Big-endian base-`base` digit tuples of the integers in `values`."""
-    powers = base ** np.arange(n - 1, -1, -1)
-    return [tuple(d) for d in (np.asarray(values)[:, None] // powers % base).tolist()]
-
-
 def _dense_keys(palette1, palette2, pairs):
-    """Whether the receiver indexes color pairs in a dense palette1 x palette2
-    array: only when it has no more cells than there are positive block
-    pairs, so that its memory stays within theirs.  Otherwise one sort
-    numbers the keys in use."""
+    """Whether the receiver table's build and `simulate` index color pairs in
+    a dense palette1 x palette2 array: only when it has no more cells than
+    there are positive block pairs, so that its memory stays within theirs.
+    Otherwise the build numbers the keys in use by one sort, and `simulate`
+    searches the receiver's sorted keys."""
     return palette1 * palette2 <= pairs
 
 
 def _decoder_table(spec, weights, n, c1, c2):
-    """The receiver table {(color1, color2): outcome block} over every positive
-    block pair; raises AmbiguityError at the first pair, in (b1, b2) order,
-    whose colors already decode to another outcome block.
+    """The receiver table over every positive block pair, as a `Receiver`;
+    raises AmbiguityError at the first pair, in (b1, b2) order, whose colors
+    already decode to another outcome block.
 
     A positive block pair is an n-tuple of positive cells (`weights` is the
     scaled joint PMF), enumerated in one array pass.  Blocks, outcome blocks
     and pairs b1 * n2^n + b2 are big-endian indices, so pair order is
-    (b1, b2) order.  `np.minimum.at` finds the first pair of each color-pair
-    key color1 * palette2 + color2; the outcome there is the key's entry,
-    and the smallest pair that disagrees with its key's entry is the first
-    conflict.  Keys index a dense palette1 x palette2 array, with no sort,
-    when `_dense_keys` allows it; otherwise (sparse support under large
-    palettes) one `np.unique`, a sort over the pairs, numbers the keys in
-    use.  Memory: a few int64 arrays of one element per positive pair,
+    (b1, b2) order; outcome blocks are in base the spec's outcome count,
+    as `simulate` reads them.  `np.minimum.at` finds the first pair of each
+    color-pair key color1 * palette2 + color2; the outcome there is the
+    key's entry, and the smallest pair that disagrees with its key's entry
+    is the first conflict.  Keys index a dense palette1 x palette2 array,
+    with no sort, when `_dense_keys` allows it; otherwise (sparse support
+    under large palettes) one `np.unique`, a sort over the pairs, numbers
+    the keys in use.  Either way the keys in use come out in increasing
+    order.  Memory: a few int64 arrays of one element per positive pair,
     whichever way.
     """
     cells = [
@@ -100,7 +158,7 @@ def _decoder_table(spec, weights, n, c1, c2):
         if weights[x1][x2]
     ]
     cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    outcomes = int(cout.max()) + 1
+    outcomes = 1 + max(map(max, spec.table))
     b1 = b2 = out = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         b1 = (b1[:, None] * spec.n1 + cx1).ravel()
@@ -129,15 +187,14 @@ def _decoder_table(spec, weights, n, c1, c2):
     bad = np.flatnonzero(out != ref_out[key])
     if bad.size:
         j = bad[np.argmin(pair[bad])]
-        pairs = np.array([first[key[j]], pair[j]])
-        seen1, got1 = _digits(pairs // blocks2, spec.n1, n)
-        seen2, got2 = _digits(pairs % blocks2, spec.n2, n)
-        out_seen, out_got = _digits([ref_out[key[j]], out[j]], outcomes, n)
-        raise AmbiguityError((seen1, seen2), (got1, got2), out_seen, out_got)
-    used = np.flatnonzero(first != none)
-    used = used[np.argsort(first[used])]
-    k1, k2 = np.divmod(keys[used], palette2)
-    return dict(zip(zip(k1.tolist(), k2.tolist()), _digits(ref_out[used], outcomes, n)))
+        pairs = [
+            (_digits(p // blocks2, spec.n1, n), _digits(p % blocks2, spec.n2, n))
+            for p in (int(first[key[j]]), int(pair[j]))
+        ]
+        outs = [_digits(int(o), outcomes, n) for o in (ref_out[key[j]], out[j])]
+        raise AmbiguityError(*pairs, *outs)
+    used = first != none
+    return Receiver(keys[used], ref_out[used], palette2, outcomes, n)
 
 
 def _color_weights(marginal, n, coloring):
@@ -168,7 +225,7 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     _, c2 = power_coloring(g2, n, coloring_strategy, guard)
     # the joint PMF as integers over one common denominator D; Fraction(p)
     # also takes int and float cells exactly
-    probs = [[Fraction(p) for p in row] for row in pmf.probs]
+    probs = [[p if isinstance(p, Fraction) else Fraction(p) for p in row] for row in pmf.probs]
     D = lcm(*(p.denominator for row in probs for p in row))
     weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
     decoder = _decoder_table(spec, weights, n, c1, c2)
@@ -214,9 +271,10 @@ def _decode_prefix(inverse, bits):
 def decode_pair(plan, bits1, bits2):
     """Outcome block from the two codewords, via the receiver lookup table."""
     key = (_decode_prefix(plan.inverses[0], bits1), _decode_prefix(plan.inverses[1], bits2))
-    if key not in plan.decoder:
+    out = plan.decoder.get(key)
+    if out is None:
         raise UsageError(f"unsupported input: color pair {key} has zero probability")
-    return plan.decoder[key]
+    return out
 
 
 def roundtrip_exhaustive(plan):
@@ -329,7 +387,9 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     pair is looked up in the receiver table `plan.decoder`, as outcome
     indices in a dense array or, where `_dense_keys` refuses one as
     `build_codec` does, by binary search over its sorted keys, and compared
-    with f on the drawn cells; a mismatch raises AssertionError.
+    with f on the drawn cells; a mismatch raises AssertionError.  The lookup
+    reads the receiver's key and outcome-block arrays as they are; no entry
+    is spelled out as a tuple.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
@@ -343,23 +403,21 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     pow2 = spec.n2 ** np.arange(n - 1, -1, -1)
     decoded1, lengths1 = _block_tables(plan, 1)
     decoded2, lengths2 = _block_tables(plan, 2)
-    # outcome blocks as big-endian indices over the outcome ids, -1 for no
-    # outcome; color pair (k1, k2) is key k1 * (palette2 + 1) + k2, so the
-    # colors without a codeword (decoded to the palette size) match no key
+    # outcome blocks as big-endian indices in the receiver's base, the
+    # spec's outcome count, -1 for no outcome; color pair (k1, k2) is key
+    # k1 * (palette2 + 1) + k2, so the colors without a codeword (decoded to
+    # the palette size) match no key
     cell_out = np.array(spec.table).ravel()
-    outcomes = int(cell_out.max()) + 1
-    out_pow = outcomes ** np.arange(n - 1, -1, -1)
+    out_pow = plan.decoder.base ** np.arange(n - 1, -1, -1)
     palette1, palette2 = (c.palette_size for c in plan.colorings)
     stride = palette2 + 1
-    keys = np.array([k1 * stride + k2 for k1, k2 in plan.decoder], dtype=np.int64)
-    values = np.array([encode_tuple(out, outcomes) for out in plan.decoder.values()], dtype=np.int64)
+    k1, k2 = np.divmod(plan.decoder.pair_keys, palette2)
+    keys = k1 * stride + k2  # still increasing: (k1, k2) order
+    values = plan.decoder.blocks
+    dense = None
     if _dense_keys(palette1, palette2, sum(p > 0 for p in weights) ** n):
-        receiver = np.full((palette1 + 1) * stride, -1, dtype=np.int64)
-        receiver[keys] = values
-    else:
-        receiver = None
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
+        dense = np.full((palette1 + 1) * stride, -1, dtype=np.int64)
+        dense[keys] = values
     bits = [0, 0]
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
@@ -369,8 +427,8 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
         bits[0] += int(lengths1[idx1].sum())
         bits[1] += int(lengths2[idx2].sum())
         key = decoded1[idx1] * stride + decoded2[idx2]
-        if receiver is not None:
-            got = receiver[key]
+        if dense is not None:
+            got = dense[key]
         else:
             at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
             got = np.where(keys[at] == key, values[at], -1)

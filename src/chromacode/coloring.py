@@ -70,19 +70,29 @@ def is_valid_coloring(g, c):
 
 
 def greedy_coloring(g, order=None):
-    """First-fit greedy coloring along the given vertex order (default natural)."""
+    """First-fit greedy coloring along the given vertex order (default natural).
+
+    Each color keeps its class as one vertex bitset, and v takes the first
+    color whose class shares no bit with v's adjacency row: the least color
+    that no colored neighbour of v has.
+    """
     V = g.vertex_count
     if order is None:
         order = range(V)
     order = list(order)
     if sorted(order) != list(range(V)):
         raise UsageError("order must be a permutation of all vertices")
-    colors = [-1] * V
+    colors = [0] * V
+    classes = []
     for v in order:
-        used = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
+        row = g._rows[v]
+        for c, members in enumerate(classes):
+            if not row & members:
+                classes[c] = members | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
         colors[v] = c
     return Coloring.from_list(colors)
 

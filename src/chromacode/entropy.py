@@ -240,11 +240,11 @@ def huffman_code(pmf):
     Ties in the merge queue are broken by the lexicographically smallest color
     id contained in a subtree, so the code is deterministic.  Zero-probability
     colors are dropped with a warning.  The merges run on integer weights:
-    each probability scaled by the lcm D of the denominators, which keeps
-    their order and ties, so the code is the one exact rationals would give.
-    Integer weights on any common scale give the same code, and the average
-    length on that scale.  Returns (code dict, average length as an exact
-    Fraction).
+    int masses as given, other masses as exact rationals scaled by the lcm D
+    of their denominators, which keeps their order and ties, so the code is
+    the one exact rationals would give.  Integer weights on any common scale
+    give the same code, and the average length on that scale.  Returns (code
+    dict, average length as an exact Fraction).
     """
     items = sorted(pmf.items())
     if not items:
@@ -256,29 +256,28 @@ def huffman_code(pmf):
     if len(items) == 1:
         # a lone symbol needs zero bits
         return {items[0][0]: ""}, Fraction(0)
-    probs = [Fraction(p) for _, p in items]
-    D = lcm(*(p.denominator for p in probs))
-    weights = [p.numerator * (D // p.denominator) for p in probs]
-    heap = [(w, (c,)) for w, (c, _) in zip(weights, items)]
+    weights = [p for _, p in items]
+    D = 1
+    if not all(isinstance(w, int) for w in weights):
+        probs = [Fraction(p) for p in weights]
+        D = lcm(*(p.denominator for p in probs))
+        weights = [p.numerator * (D // p.denominator) for p in probs]
+    # (weight, least color of the subtree, children): live subtrees hold
+    # disjoint colors, so no two entries tie on the first two fields
+    heap = [(w, c, None) for w, (c, _) in zip(weights, items)]
     heapq.heapify(heap)
-    children = {}
     while len(heap) > 1:
-        w1, key1 = heapq.heappop(heap)
-        w2, key2 = heapq.heappop(heap)
-        merged = tuple(sorted(key1 + key2))
-        children[merged] = (key1, key2)
-        heapq.heappush(heap, (w1 + w2, merged))
-    root = heap[0][1]
+        a = heapq.heappop(heap)
+        b = heapq.heappop(heap)
+        heapq.heappush(heap, (a[0] + b[0], min(a[1], b[1]), (a, b)))
     code = {}
-
-    def walk(key, prefix):
-        if key not in children:
-            code[key[0]] = prefix or "0"
-            return
-        left, right = children[key]
-        walk(left, prefix + "0")
-        walk(right, prefix + "1")
-
-    walk(root, "")
+    stack = [(heap[0], "")]
+    while stack:
+        (_, c, children), prefix = stack.pop()
+        if children is None:
+            code[c] = prefix or "0"
+        else:
+            stack.append((children[1], prefix + "1"))
+            stack.append((children[0], prefix + "0"))
     total = sum(w * len(code[c]) for w, (c, _) in zip(weights, items))
     return code, Fraction(total, D)

@@ -54,13 +54,17 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
 
     The upper bound is the complete-graph rate (V^n - |Y|)/|Y|, the maximum
     any graph achieves.  complete: the maximum-rate case, Λ = 1 exactly;
-    lower = upper = exact rate.  Every other family takes Tanner's bound
-    minus one (the exclusive-neighborhood correction, see
-    tanner_lower_bound), clamped at zero, at the power's degree
-    (`or_power_degree`) of a base degree: d for `regular`, which needs d and
-    Λ; 2 for `cycle` (the minimum-rate case) and `general` (the sandwich
-    [cycle lower, complete upper]).  Λ = |λ_{V^n}| when supplied, else the
-    hong magnitude as a conservative stand-in (flagged lam_is_bound).
+    lower = upper = exact rate.  `regular` (which needs d and Λ) and `cycle`
+    (d = 2) take Tanner's bound minus one (the exclusive-neighborhood
+    correction, see tanner_lower_bound), clamped at zero, at the power's
+    degree (`or_power_degree`) of the base degree d; Tanner's bound holds
+    for regular graphs only.  `general` takes d as the base graph's minimum
+    degree δ, so that every vertex of the power has at least
+    D = `or_power_degree(δ, V, n)` neighbours, at most |Y| - 1 of them in Y:
+    lower = max(0, D + 1 - |Y|)/|Y|, and 0 when d is not given.  Λ =
+    |λ_{V^n}| when supplied, else the hong magnitude as a conservative
+    stand-in (flagged lam_is_bound); `general` reports it but does not use
+    it.
     """
     if n < 1 or y_size < 1:
         raise UsageError("need n >= 1 and |Y| >= 1")
@@ -75,13 +79,17 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     if family == "regular":
         if d is None or lam is None:
             raise UsageError("regular family needs d and Λ")
-    elif family in ("cycle", "general"):
+    elif family == "cycle":
         d = 2
-    else:
+    elif family != "general":
         raise UsageError(f"unknown expansion family {family!r}")
     lam_is_bound = lam is None
     if lam_is_bound:
         lam = -hong_bound(total)
-    deg = or_power_degree(d, V, n)
-    lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
+    if family == "general":
+        least = 0 if d is None else or_power_degree(d, V, n)
+        lower = max(0, least + 1 - y_size) / y_size
+    else:
+        deg = or_power_degree(d, V, n)
+        lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
     return ExpansionBounds(family, total, y_size, lower, complete_upper, lam, lam_is_bound)

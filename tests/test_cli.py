@@ -140,6 +140,18 @@ def test_expansion_subcommand(capsys):
     assert d["lower"] - 1e-9 <= d["rate_float"] <= d["upper"] + 1e-9
 
 
+def test_expansion_of_an_irregular_graph_keeps_its_lower_bound_under_the_rate(capsys):
+    # a triangle and an isolated vertex: Y = {3} has no neighbour, and the
+    # least degree 0 gives lower 0 (Tanner's bound at degree 2 gave 1.2857)
+    rc, out = run(
+        capsys, "expansion", "--kind", "custom", "--size", "4", "--edges", "0-1,1-2,0-2",
+        "--subset", "3",
+    )
+    assert rc == 0
+    d = json.loads(out)
+    assert (d["rate"], d["lower"]) == ("0", 0.0)
+
+
 def test_simulate_subcommand(ex1_files, capsys):
     spec_path, pmf_path = ex1_files
     rc, out = run(

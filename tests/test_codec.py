@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -304,9 +305,10 @@ def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
 
     def lossy(*args, **kwargs):
         plan = build(*args, **kwargs)
-        key = min(plan.decoder)
-        plan.decoder[key] = tuple(1 - v for v in plan.decoder[key])
-        return plan
+        # the first color pair's one-symbol outcome block, in base 2, flipped
+        blocks = plan.decoder.blocks.copy()
+        blocks[0] = 1 - blocks[0]
+        return dataclasses.replace(plan, decoder=dataclasses.replace(plan.decoder, blocks=blocks))
 
     monkeypatch.setattr(codec, "build_codec", lossy)
     spec, pmf = ex1
@@ -377,7 +379,7 @@ def _assert_matches_reference(spec, pmf, n, strategy="auto"):
         assert got.value.witness == exc.witness
         return True
     plan = build_codec(spec, pmf, n, strategy)
-    assert list(plan.decoder.items()) == list(expected.items())
+    assert list(plan.decoder.items()) == sorted(expected.items())
     pmfs = tuple(
         _reference_color_pmf(pmf.marginal(s), n, c) for s, c in ((1, c1), (2, c2))
     )
@@ -428,7 +430,7 @@ def test_decoder_table_matches_reference_under_arbitrary_colorings():
             refused += 1
             continue
         got = codec._decoder_table(spec, pmf.probs, n, c1, c2)
-        assert list(got.items()) == list(expected.items())
+        assert list(got.items()) == sorted(expected.items())
     assert 0 < refused < 60
 
 
@@ -514,8 +516,11 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
                 continue
             assert roundtrip_exhaustive(plan) == _reference_roundtrip(plan)
             # a wrong decoder entry is reported at the same first pair
-            key = min(plan.decoder)
-            plan.decoder[key] = tuple(v + 1 for v in plan.decoder[key])
+            blocks = plan.decoder.blocks.copy()
+            blocks[0] += 1
+            plan = dataclasses.replace(
+                plan, decoder=dataclasses.replace(plan.decoder, blocks=blocks)
+            )
             with pytest.raises(AssertionError) as got:
                 roundtrip_exhaustive(plan)
             with pytest.raises(AssertionError) as ref:
@@ -525,15 +530,56 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
     assert compared >= 20
 
 
-def test_simulate_keeps_the_receiver_table_within_the_pairs():
-    # f injective on row 0 and column 0, the only positive cells: both
-    # characteristic graphs are K6, so at n = 4 the palettes are 6^4 = 1 296
-    # each against 11^4 = 14 641 positive pairs.  A dense (1 296 + 1)^2
-    # int64 receiver table alone would take 13.5 MB.
+def _cross_spec():
+    """f injective on row 0 and column 0 of a 6 x 6 table, the only positive
+    cells: both characteristic graphs are K6, so at n = 4 the palettes are
+    6^4 = 1 296 each against 11^4 = 14 641 positive pairs."""
     spec = FunctionSpec.from_table([[6 * i + j for j in range(6)] for i in range(6)])
     pmf = JointPMF.from_rows(
         [[Fraction(1, 11) if 0 in (i, j) else 0 for j in range(6)] for i in range(6)]
     )
+    return spec, pmf
+
+
+def test_build_codec_keeps_the_receiver_table_in_arrays():
+    # a dict of (color1, color2) -> outcome tuple entries took 4.7 MB at its
+    # peak here; two int64 arrays of 14 641 entries take 0.23 MB
+    spec, pmf = _cross_spec()
+    tracemalloc.start()
+    try:
+        plan = build_codec(spec, pmf, 4, coloring_strategy="product")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.decoder) == 11**4
+    assert peak < 3_000_000
+
+
+def test_receiver_is_a_read_only_mapping_in_key_order():
+    spec, pmf = _cross_spec()
+    plan = build_codec(spec, pmf, 2, coloring_strategy="product")
+    receiver = plan.decoder
+    expected = _reference_decoder(spec, pmf, 2, *plan.colorings)
+    assert len(receiver) == len(expected) == 11**2
+    assert list(receiver) == sorted(expected)
+    assert receiver == expected
+    for pair, out in expected.items():
+        assert pair in receiver and receiver[pair] == out
+    palette2 = plan.colorings[1].palette_size
+    for missing in ((0, palette2), (-1, 0), (10**30, 0), (0,), "ab", None, (0.0, 0)):
+        assert missing not in receiver
+        assert receiver.get(missing) is None
+        with pytest.raises(KeyError):
+            receiver[missing]
+    with pytest.raises(TypeError):
+        receiver[(0, 0)] = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        receiver.blocks = receiver.blocks[::-1]
+
+
+def test_simulate_keeps_the_receiver_table_within_the_pairs():
+    # a dense (1 296 + 1)^2 int64 receiver table alone would take 13.5 MB
+    spec, pmf = _cross_spec()
     tracemalloc.start()
     try:
         report = simulate(spec, pmf, 4, 1000, 0, coloring_strategy="product")

@@ -56,6 +56,40 @@ def test_greedy_coloring_proper():
         assert is_valid_coloring(g, c)
 
 
+def _reference_greedy_coloring(g, order):
+    """First-fit along `order` from neighbour lists: each vertex takes the
+    least color no colored neighbour has."""
+    colors = [-1] * g.vertex_count
+    for v in order:
+        used = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return Coloring.from_list(colors)
+
+
+def test_greedy_coloring_matches_the_neighbour_list_first_fit():
+    # seeded random graphs and OR powers of up to 64 vertices, each in its
+    # natural order, degree-descending order (as the exact solver seeds it)
+    # and three random orders
+    rng = random.Random("greedy-first-fit")
+    graphs = []
+    for _ in range(120):
+        V = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 0.8))
+        edges = [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < density]
+        graphs.append(Graph.from_edges(V, edges))
+    graphs += [or_power(g, n) for g in graphs[:60] for n in (2, 3) if g.vertex_count**n <= 64]
+    for g in graphs:
+        V = g.vertex_count
+        orders = [list(range(V)), sorted(range(V), key=lambda v: (-g.degree(v), v))]
+        orders += [rng.sample(range(V), V) for _ in range(3)]
+        for order in orders:
+            assert greedy_coloring(g, order) == _reference_greedy_coloring(g, order)
+    assert max(g.vertex_count for g in graphs) == 64
+
+
 @pytest.mark.parametrize(
     "g,chi",
     [

@@ -195,6 +195,18 @@ def test_integer_huffman_matches_fraction_huffman(pmf):
     )
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(0, 40), st.integers(0, 12), min_size=1, max_size=14))
+def test_int_weights_huffman_matches_fraction_huffman(weights):
+    # int weights are merged as they are; their code and average length (on
+    # the weights' scale) equal those of exact rationals
+    if not any(weights.values()):
+        weights[min(weights)] = 1
+    assert _huffman_with_warnings(huffman_code, weights) == (
+        _huffman_with_warnings(_reference_huffman, weights)
+    )
+
+
 def test_integer_huffman_takes_strings_and_ints():
     assert huffman_code({0: "1/5", 1: "2/5", 2: "2/5"})[1] == Fraction(8, 5)
     with pytest.warns(UserWarning, match=r"zero-probability colors \[1, 2\]"):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chromacode import (
+    Graph,
     UsageError,
     complete_graph,
     cycle_graph,
@@ -96,3 +98,36 @@ def test_tanner_bound_of_an_edgeless_power_is_zero():
         b = expansion_bounds("regular", V, n, 1, d=0, lam=0.0)
         assert b.lower == 0.0
         assert b.upper == V**n - 1
+
+
+def _random_irregular_graph(rng):
+    while True:
+        V = rng.randint(3, 6)
+        edges = [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < 0.5]
+        g = Graph.from_edges(V, edges)
+        if len(set(g.degrees())) > 1:
+            return g
+
+
+def test_general_bound_holds_on_irregular_powers():
+    # every member of Y has at least or_power_degree(δ, V, n) neighbours, at
+    # most |Y| - 1 of them in Y; Tanner's bound at degree 2 does not hold here
+    rng = random.Random("expansion-general")
+    positive = 0
+    for _ in range(60):
+        g = _random_irregular_graph(rng)
+        V, delta = g.vertex_count, min(g.degrees())
+        for n in (1, 2):
+            gn = or_power(g, n)
+            y = sorted(rng.sample(range(V**n), rng.randint(1, V**n)))
+            rate = float(expansion_rate(gn, y))
+            b = expansion_bounds("general", V, n, len(y), d=delta)
+            assert b.lower - 1e-9 <= rate <= b.upper + 1e-9
+            assert b.lower == max(0, min(gn.degrees()) + 1 - len(y)) / len(y)
+            positive += b.lower > 0
+    assert positive > 0
+
+
+def test_general_bound_without_a_degree_is_zero():
+    assert expansion_bounds("general", 5, 2, 3).lower == 0
+    assert expansion_bounds("general", 5, 2, 3, lam=2.0).lower == 0
