@@ -20,8 +20,9 @@ draws SIMULATE_CHUNK blocks per chunk from the seeded `random.Random` stream,
 then colors, measures and checks the whole chunk with numpy lookup tables,
 the receiver's among them, read from its arrays.
 The draw reads the stream's own Mersenne Twister words (`getrandbits`) and
-rebuilds in numpy exactly the cells that `rng.choices` would return, so the
-reports equal those of drawing block by block with `choices`.
+rebuilds in numpy exactly the cells that `rng.choices` would return, by a
+branch-free binary search over the cumulative weights, so the reports equal
+those of drawing block by block with `choices`.
 """
 
 import json
@@ -355,21 +356,34 @@ def _choices(rng, weights, k):
     """`rng.choices(range(len(weights)), weights, k=k)` as a numpy array.
 
     `choices` spends one `random()` per draw and returns
-    `bisect_right(cum_weights, random() * total, 0, len(weights) - 1)`, a
-    `searchsorted` over all but the last cumulative weight.  `random()` is
-    CPython's genrand_res53: two 32-bit Mersenne Twister words a, b give
-    ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in float64.
+    `bisect_right(cum_weights, random() * total, 0, len(weights) - 1)`: the
+    number of edges, the cumulative weights but the last, that are <= the
+    key.  `random()` is CPython's genrand_res53: two 32-bit Mersenne Twister
+    words a, b give ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in float64.
     `getrandbits(64 * k)` returns the next 2k words, least significant
     first, so the k `random()` values are rebuilt exactly from it and `rng`
     is left where `choices` would leave it.
+
+    The count is taken by a branch-free binary search over all keys at once:
+    the edges, padded with +inf to 2^h entries (2^h > the edge count), are
+    probed h times, and pass b, from the top bit down, adds 2^b to a key's
+    count when the edge at count + 2^b - 1 is <= the key.  The edges are
+    non-decreasing, so this counts the edges <= each key, ties included.
     """
-    cum = np.array(list(accumulate(weights)))
-    total = cum[-1] + 0.0
+    cum = list(accumulate(weights))
     words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
-    u = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * (
+    x = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * (
         1.0 / 9007199254740992.0
     )
-    return np.searchsorted(cum[:-1], u * total, side="right")
+    x *= cum[-1] + 0.0
+    h = (len(cum) - 1).bit_length()
+    table = np.full(1 << h, np.inf)
+    table[: len(cum) - 1] = cum[:-1]
+    count = np.zeros(k, dtype=np.intp)
+    for b in range(h - 1, -1, -1):
+        step = 1 << b
+        count += (table[step - 1 :][count] <= x) * step
+    return count
 
 
 def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
@@ -381,15 +395,16 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     returns, rebuilt in numpy from the same 2*k*n Mersenne Twister words,
     with `rng` left in the same state.  `choices` spends one `random()` per
     cell, so the cells, and the report, are those that drawing block by block
-    with `choices` would give.  A dot product with base powers maps each
-    block to its tuple index, which indexes the decoded color and codeword
-    length of that block (`_block_tables`).  Every sample's decoded color
-    pair is looked up in the receiver table `plan.decoder`, as outcome
-    indices in a dense array or, where `_dense_keys` refuses one as
-    `build_codec` does, by binary search over its sorted keys, and compared
-    with f on the drawn cells; a mismatch raises AssertionError.  The lookup
-    reads the receiver's key and outcome-block arrays as they are; no entry
-    is spelled out as a tuple.
+    with `choices` would give.  One Horner pass over a chunk's n columns of
+    cells gives each sample's two block tuple indices, which index the
+    decoded color and codeword length of each block (`_block_tables`), and
+    its outcome block under f.  Every sample's decoded color pair is looked
+    up in the receiver table `plan.decoder`, as outcome indices in a dense
+    array or, where `_dense_keys` refuses one as `build_codec` does, by
+    binary search over its sorted keys, and compared with that outcome
+    block; a mismatch raises AssertionError naming the first mismatching
+    sample in draw order.  The lookup reads the receiver's key and
+    outcome-block arrays as they are; no entry is spelled out as a tuple.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
@@ -399,8 +414,6 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     weights = [float(pmf.p(x1, x2)) for x1 in range(spec.n1) for x2 in range(spec.n2)]
     cell_x1 = np.repeat(np.arange(spec.n1), spec.n2)
     cell_x2 = np.tile(np.arange(spec.n2), spec.n1)
-    pow1 = spec.n1 ** np.arange(n - 1, -1, -1)
-    pow2 = spec.n2 ** np.arange(n - 1, -1, -1)
     decoded1, lengths1 = _block_tables(plan, 1)
     decoded2, lengths2 = _block_tables(plan, 2)
     # outcome blocks as big-endian indices in the receiver's base, the
@@ -408,9 +421,9 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     # k1 * (palette2 + 1) + k2, so the colors without a codeword (decoded to
     # the palette size) match no key
     cell_out = np.array(spec.table).ravel()
-    out_pow = plan.decoder.base ** np.arange(n - 1, -1, -1)
     palette1, palette2 = (c.palette_size for c in plan.colorings)
     stride = palette2 + 1
+    key1 = decoded1 * stride  # the key's first term, taken once per call
     k1, k2 = np.divmod(plan.decoder.pair_keys, palette2)
     keys = k1 * stride + k2  # still increasing: (k1, k2) order
     values = plan.decoder.blocks
@@ -422,17 +435,22 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
         drawn = _choices(rng, weights, k * n).reshape(k, n)
-        idx1 = cell_x1[drawn] @ pow1
-        idx2 = cell_x2[drawn] @ pow2
+        # the two blocks' tuple indices and the expected outcome block, by
+        # Horner's rule over the block's cells
+        idx1 = idx2 = want = 0
+        for cells in drawn.T:
+            idx1 = idx1 * spec.n1 + cell_x1[cells]
+            idx2 = idx2 * spec.n2 + cell_x2[cells]
+            want = want * plan.decoder.base + cell_out[cells]
         bits[0] += int(lengths1[idx1].sum())
         bits[1] += int(lengths2[idx2].sum())
-        key = decoded1[idx1] * stride + decoded2[idx2]
+        key = key1[idx1] + decoded2[idx2]
         if dense is not None:
             got = dense[key]
         else:
             at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
             got = np.where(keys[at] == key, values[at], -1)
-        bad = np.flatnonzero(got != cell_out[drawn] @ out_pow)
+        bad = np.flatnonzero(got != want)
         if bad.size:
             row = drawn[bad[0]]
             b1 = tuple(int(x) for x in cell_x1[row])

@@ -27,8 +27,10 @@ WINDOW_GUARD_DEFAULT = 1_000_000
 
 
 def entropy_bits(probs):
-    """Shannon entropy in bits of an iterable of probabilities."""
-    return float(-sum(float(p) * log2(float(p)) for p in probs if p > 0))
+    """Shannon entropy in bits of an iterable of probabilities.  A term is
+    taken at its float; one that rounds to 0.0, though its exact value is
+    positive, adds 0, the limit of p log2 p."""
+    return float(-sum(q * log2(q) for q in map(float, probs) if q > 0))
 
 
 def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):

@@ -1,9 +1,10 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from chromacode import example1_spec
+from chromacode import FunctionSpec, JointPMF, example1_spec
 from chromacode.cli import main
 
 
@@ -162,6 +163,20 @@ def test_simulate_subcommand(ex1_files, capsys):
     d = json.loads(out)
     assert d["lossless"] is True
     assert abs(d["rates"][0] - 1.0) < 0.1
+
+
+def test_simulate_with_a_cell_below_the_float_range(tmp_path, capsys):
+    # p(1, 0) = 10^-400 rounds to 0.0 as a float; the report used to die on log2(0.0)
+    t = Fraction(1, 10**400)
+    spec_path, pmf_path = tmp_path / "f.json", tmp_path / "p.json"
+    spec_path.write_text(FunctionSpec.from_table([[0, 1], [1, 0]]).to_json())
+    pmf_path.write_text(JointPMF(((Fraction(1, 2) - t, Fraction(1, 2)), (t, Fraction(0)))).to_json())
+    rc, out = run(
+        capsys, "simulate", "--spec", str(spec_path), "--pmf", str(pmf_path),
+        "--n", "1", "--samples", "1000", "--seed", "0",
+    )
+    assert rc == 0
+    assert json.loads(out)["lossless"] is True
 
 
 def test_reproduce_known_good_case(capsys):

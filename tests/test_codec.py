@@ -158,8 +158,10 @@ def test_power_past_the_guard_raises_guard_exceeded(strategy):
 
 
 def _reference_simulate(spec, pmf, n, samples, seed, coloring_strategy="auto"):
-    """`simulate` block by block: one scalar encode and decode per block."""
-    plan = build_codec(spec, pmf, n, coloring_strategy)
+    """`simulate` block by block: one scalar encode and decode per block.
+    The plan comes from `codec.build_codec`, so a test that replaces it
+    replaces it here too."""
+    plan = codec.build_codec(spec, pmf, n, coloring_strategy)
     rng = random.Random(seed)
     pairs = [(x1, x2) for x1 in range(spec.n1) for x2 in range(spec.n2)]
     weights = [float(pmf.p(x1, x2)) for x1, x2 in pairs]
@@ -170,7 +172,8 @@ def _reference_simulate(spec, pmf, n, samples, seed, coloring_strategy="auto"):
         b2 = tuple(x2 for _, x2 in draws)
         w1 = encode_block(plan, 1, b1)
         w2 = encode_block(plan, 2, b2)
-        assert decode_pair(plan, w1, w2) == tuple(spec.f(x1, x2) for x1, x2 in draws)
+        if decode_pair(plan, w1, w2) != tuple(spec.f(x1, x2) for x1, x2 in draws):
+            raise AssertionError(f"decode mismatch on sample {b1},{b2}")
         bits[0] += len(w1)
         bits[1] += len(w2)
     denom = samples * n
@@ -213,6 +216,12 @@ def _zero_cell():
     return spec, JointPMF.from_rows([["1/4", "1/4"], ["0", "1/2"]])
 
 
+def _zero_last_cell():
+    # the last two cumulative weights are equal, next to the search's +inf padding
+    spec = FunctionSpec.from_table([[0, 1], [1, 0]])
+    return spec, JointPMF.from_rows([["1/4", "1/4"], ["1/2", "0"]])
+
+
 def _one_color_source():
     # f ignores x2, so G_X2 is edgeless and source 2 sends zero bits
     spec = FunctionSpec.from_table([[0, 0, 0], [1, 1, 1]])
@@ -227,12 +236,13 @@ def _one_color_source():
         (_example1_weighted, 3, 3000, 3),
         (example1_spec, 1, 100_000, 12345),
         (_zero_cell, 2, 3000, 4),
+        (_zero_last_cell, 2, 3000, 8),
         (_one_color_source, 2, 3000, 5),
         (_example1_weighted, 2, codec.SIMULATE_CHUNK + 1, 6),
         (_inexact_total, 3, 2 * codec.SIMULATE_CHUNK + 5, 7),
     ],
-    ids=["weighted-n1", "weighted-n2", "weighted-n3", "ex1-100k", "zero-cell", "one-color",
-         "chunk+1", "inexact-total-n3"],
+    ids=["weighted-n1", "weighted-n2", "weighted-n3", "ex1-100k", "zero-cell", "zero-last-cell",
+         "one-color", "chunk+1", "inexact-total-n3"],
 )
 def test_simulate_matches_block_by_block_reference(make, n, samples, seed):
     spec, pmf = make()
@@ -248,8 +258,13 @@ cell_weights = st.lists(
         st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
     ),
     min_size=1,
-    max_size=9,
+    max_size=70,
 ).filter(lambda w: sum(w) > 0)
+
+
+def _ramp(cells):
+    """`cells` weights with a zero at every fourth cell after the first."""
+    return [1.0] + [(i % 4) / 3 for i in range(1, cells)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -258,6 +273,18 @@ cell_weights = st.lists(
 @example([0.0, 0.0, 2.5], 313, 2, 300)
 @example([1.0], 312, 3, 311)
 @example([1 / 3, 1 / 3, 1 / 3], codec.SIMULATE_CHUNK * 3, 4, 623)
+# edge counts (cells - 1) at, and one past, each power of two of the padded search
+@example(_ramp(1), 500, 5, 0)
+@example(_ramp(2), 500, 6, 1)
+@example(_ramp(3), 500, 7, 2)
+@example(_ramp(4), 500, 8, 3)
+@example(_ramp(5), 500, 9, 4)
+@example(_ramp(8), 500, 10, 5)
+@example(_ramp(9), 500, 11, 6)
+@example(_ramp(16), 500, 12, 7)
+@example(_ramp(17), 500, 13, 8)
+@example(_ramp(64), 500, 14, 9)
+@example(_ramp(65), 500, 15, 10)
 def test_chunk_draw_equals_choices(weights, k, seed, skip):
     # `skip` random() calls first, so the draw starts anywhere in the 624-word state
     ours, ref = random.Random(seed), random.Random(seed)
@@ -312,8 +339,25 @@ def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
 
     monkeypatch.setattr(codec, "build_codec", lossy)
     spec, pmf = ex1
-    with pytest.raises(AssertionError, match="decode mismatch"):
+    # the first mismatching sample in draw order, by the block-by-block walk;
+    # blocks (0,) and (2,) of source 1 share the flipped color pair with (0,)
+    with pytest.raises(AssertionError) as first:
+        _reference_simulate(spec, pmf, 1, 2000, 0)
+    with pytest.raises(AssertionError) as got:
         simulate(spec, pmf, 1, 2000, seed=0)
+    assert str(got.value) == str(first.value) == "decode mismatch on sample (2,),(0,)"
+
+
+def test_simulate_counts_a_cell_below_the_float_range():
+    # p(1, 0) = 10^-400 is positive but 0.0 as a float: it is never drawn, and
+    # its p log2 p adds 0 to the entropies instead of raising a domain error
+    t = Fraction(1, 10**400)
+    spec = FunctionSpec.from_table([[0, 1], [1, 0]])
+    pmf = JointPMF(((Fraction(1, 2) - t, Fraction(1, 2)), (t, Fraction(0))))
+    report = simulate(spec, pmf, 1, 1000, 0)
+    assert report.lossless
+    assert report.source_entropies == (0.0, 1.0)
+    assert report.to_json() == _reference_simulate(spec, pmf, 1, 1000, 0).to_json()
 
 
 # -- the decoder table and color PMFs against the per-pair Fraction loops ---------

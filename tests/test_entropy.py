@@ -29,6 +29,10 @@ def test_entropy_bits():
     assert entropy_bits([Fraction(1, 2), Fraction(1, 2)]) == 1.0
     assert entropy_bits([1]) == 0.0
     assert abs(entropy_bits([Fraction(1, 4)] * 4) - 2.0) < 1e-12
+    # a positive probability whose float is 0.0 adds 0, the limit of p log2 p
+    tiny = Fraction(1, 10**400)
+    assert entropy_bits([1 - tiny, tiny]) == 0.0
+    assert entropy_bits([Fraction(1, 2) - tiny, Fraction(1, 2), tiny]) == 1.0
 
 
 def test_coloring_pmf_and_entropy():
