@@ -29,9 +29,10 @@ g2 = build_characteristic_graph(spec, pmf, 2)
 print("\nG_X1 edges:", g1.edges(), "(the 4-cycle: parity classes {0,2} / {1,3})")
 print("G_X2 edges:", g2.edges(), "(K2: the two symbols always matter)")
 
-# Build the codec for blocks of n = 2 symbols. Colorings of the 2-fold OR
-# power of each characteristic graph give block encodings; a lookup table on
-# color pairs decodes f exactly.
+# Build the codec for blocks of n = 2 symbols. Every cell is positive, so
+# each characteristic graph is complete multipartite (one part per distinct
+# row, or column, of f) and a block is colored by its vector of parts; a
+# lookup table on color pairs decodes f exactly.
 plan = build_codec(spec, pmf, 2)
 print("\nblock length n = 2")
 print("palette sizes:", [c.palette_size for c in plan.colorings])

@@ -1,21 +1,31 @@
 """End-to-end two-source functional compression.
 
-Pipeline: characteristic graphs -> OR powers and their colorings (one
-`coloring.power_coloring` call per source) -> per-source Huffman codes on the
-color PMFs -> receiver lookup table on color pairs.  `build_codec` scales the
-joint PMF once to integers over a common denominator D.  The receiver table
-is built in one array pass over the positive block pairs (the n-tuples of
-positive cells) and kept as two int64 arrays sorted by color-pair key,
-color1 * palette2 + color2, and outcome-block index: a `Receiver`, a
-read-only mapping {(color1, color2): outcome block} that spells out an
-outcome block only when one is looked up.  `_decoder_table` gives the
-table's build and its memory bound.  Construction fails loudly if any color
-pair would have to decode to two different outcome blocks.  The color PMFs
-are sums of integer block weights, with one exact Fraction(sum, D^n) each;
-Huffman codes the integer sums and its total is divided by D^n once.
+`build_codec` scales the joint PMF once to integers over a common denominator
+D, then plans one of two ways.
 
-`encode_block`, `decode_pair` and `roundtrip_exhaustive` code one block at a
-time.  `simulate` measures rates over many blocks in a chunked array pass: it
+- Full support (every cell positive): a source's characteristic graph is
+  complete multipartite, one part per distinct row of f (source 1) or
+  column (source 2), and two n-blocks are adjacent in its n-block graph, the
+  co-normal power (Alon & Orlitsky 1996), iff their part vectors differ.
+  The part-vector coloring (parts numbered by first appearance, vectors read
+  big-endian) is the coarsest valid coloring at every n, so it is optimal in
+  palette and in entropy, whatever `coloring_strategy` names.  The receiver
+  is the n = 1 part table of f lifted by n - 1 broadcasts, and the color
+  weights are products of part weights.  No graph, OR power or χ solver is
+  built; the power guard still bounds V^n, the length of each coloring.
+- Zero cells: characteristic graphs -> OR powers and their colorings (one
+  `coloring.power_coloring` call per source) -> a receiver table built in
+  one array pass over the positive block pairs (`_decoder_table`), which
+  fails loudly if a color pair would decode to two outcome blocks.
+
+Either way the receiver table is a `Receiver`, and each source gets a
+Huffman code on its color PMF: integer sums of block weights, with one exact
+Fraction(sum, D^n) each; Huffman codes the integer sums and its total is
+divided by D^n once.
+
+`encode_block` and `decode_pair` code one block at a time, and
+`roundtrip_exhaustive` checks every positive block pair in array passes.
+`simulate` measures rates over many blocks in a chunked array pass: it
 draws SIMULATE_CHUNK blocks per chunk from the seeded `random.Random` stream,
 then colors, measures and checks the whole chunk with numpy lookup tables,
 the receiver's among them, read from its arrays.
@@ -31,16 +41,16 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
 
-from .chargraph import build_characteristic_graph
-from .coloring import power_coloring
+from .chargraph import _check_dims, build_characteristic_graph
+from .coloring import Coloring, _compose, _vector_fold, check_strategy, power_coloring
 from .entropy import entropy_bits, huffman_code
 from .errors import ChromacodeError, UsageError
-from .orpower import encode_tuple
+from .orpower import check_power_guard, encode_tuple
 
 
 class AmbiguityError(ChromacodeError):
@@ -133,6 +143,33 @@ def _dense_keys(palette1, palette2, pairs):
     return palette1 * palette2 <= pairs
 
 
+def _outcomes(spec):
+    """The spec's outcome count: the base of outcome-block indices."""
+    return 1 + max(map(max, spec.table))
+
+
+def _positive_pairs(spec, positive, n):
+    """(b1, b2, out): the positive block pairs as int64 arrays of big-endian
+    block indices and outcome-block indices (base `_outcomes`), in the order
+    of their n-tuples of positive cells.  A cell (x1, x2) is positive where
+    `positive[x1][x2]` is nonzero; the arrays come out of n Horner passes.
+    """
+    cells = [
+        (x1, x2, spec.f(x1, x2))
+        for x1 in range(spec.n1)
+        for x2 in range(spec.n2)
+        if positive[x1][x2]
+    ]
+    cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    outcomes = _outcomes(spec)
+    b1 = b2 = out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        b1 = (b1[:, None] * spec.n1 + cx1).ravel()
+        b2 = (b2[:, None] * spec.n2 + cx2).ravel()
+        out = (out[:, None] * outcomes + cout).ravel()
+    return b1, b2, out
+
+
 def _decoder_table(spec, weights, n, c1, c2):
     """The receiver table over every positive block pair, as a `Receiver`;
     raises AmbiguityError at the first pair, in (b1, b2) order, whose colors
@@ -152,19 +189,8 @@ def _decoder_table(spec, weights, n, c1, c2):
     order.  Memory: a few int64 arrays of one element per positive pair,
     whichever way.
     """
-    cells = [
-        (x1, x2, spec.f(x1, x2))
-        for x1 in range(spec.n1)
-        for x2 in range(spec.n2)
-        if weights[x1][x2]
-    ]
-    cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    outcomes = 1 + max(map(max, spec.table))
-    b1 = b2 = out = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        b1 = (b1[:, None] * spec.n1 + cx1).ravel()
-        b2 = (b2[:, None] * spec.n2 + cx2).ravel()
-        out = (out[:, None] * outcomes + cout).ravel()
+    b1, b2, out = _positive_pairs(spec, weights, n)
+    outcomes = _outcomes(spec)
     blocks2 = spec.n2**n
     colors1 = np.array(c1.assignment, dtype=np.int64)
     colors2 = np.array(c2.assignment, dtype=np.int64)
@@ -198,42 +224,104 @@ def _decoder_table(spec, weights, n, c1, c2):
     return Receiver(keys[used], ref_out[used], palette2, outcomes, n)
 
 
-def _color_weights(marginal, n, coloring):
-    """Integer color weights of i.i.d. blocks, colors in order of first
-    appearance: `marginal` holds integer symbol weights over a common
-    denominator D, and a color's weight is the sum of its blocks' weights
-    (their repeated products, in block-index order), over D^n.
-    """
+def _block_weights(marginal, n):
+    """Integer weights of i.i.d. n-blocks in block-index order, the repeated
+    products of `marginal`, integer symbol weights over a common denominator
+    D; over D^n they are the block probabilities."""
     weights = marginal
     for _ in range(n - 1):
         weights = [w * m for w in weights for m in marginal]
+    return weights
+
+
+def _color_weights(marginal, n, coloring):
+    """Integer color weights of i.i.d. blocks, colors in order of first
+    appearance: a color's weight is the sum of its blocks' weights."""
     sums = {}
-    for c, w in zip(coloring.assignment, weights):
+    for c, w in zip(coloring.assignment, _block_weights(marginal, n)):
         sums[c] = sums.get(c, 0) + w
     return sums
+
+
+def _part_receiver(spec, parts1, parts2, n):
+    """The receiver table under full support, over every pair of part vectors.
+
+    The k1 x k2 part table holds f at the first cell of each pair of parts; a
+    cell of the same pair that disagrees with it raises AmbiguityError (rows
+    of one part are equal and so are columns, so none can).  Color pair
+    (c1, c2) is key c1 * k2^n + c2, and its outcome block has digit i equal to
+    the table at the i-th parts of c1 and c2: each of n - 1 broadcasts
+    appends one digit to both colors and to the outcome block.
+    """
+    f = np.array(spec.table, dtype=np.int64)
+    a1, a2 = (np.array(p.assignment) for p in (parts1, parts2))
+    # parts are numbered by first appearance: part c's first symbol
+    first1, first2 = (
+        [p.assignment.index(c) for c in range(p.palette_size)] for p in (parts1, parts2)
+    )
+    table = f[first1][:, first2]
+    bad = np.argwhere(table[a1][:, a2] != f)
+    if bad.size:
+        x1, x2 = map(int, bad[0])
+        y1, y2 = first1[a1[x1]], first2[a2[x2]]
+        outs = (spec.f(y1, y2),), (spec.f(x1, x2),)
+        raise AmbiguityError(((y1,), (y2,)), ((x1,), (x2,)), *outs)
+    (k1, k2), base = table.shape, _outcomes(spec)
+    blocks = table
+    for _ in range(n - 1):
+        lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
+        blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
+    return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, base, n)
+
+
+def _full_support_plan(spec, marginals, n, guard):
+    """(colorings, receiver, integer color weights) under full support, by
+    part vectors (see the module docstring); no graph is built.  A part's
+    weight is the sum of its symbols' `marginals`, and a part vector's the
+    product of its parts' weights."""
+    lines = spec.table, tuple(zip(*spec.table))  # source 1's rows, source 2's columns
+    for symbols in lines:
+        check_power_guard(len(symbols), n, guard)
+    parts = [Coloring.from_list(symbols) for symbols in lines]  # one part per distinct line
+    colorings = tuple(
+        Coloring(tuple(_compose(_vector_fold(p), n).tolist()), p.palette_size**n) for p in parts
+    )
+    sums = tuple(
+        dict(enumerate(_block_weights(list(_color_weights(m, 1, p).values()), n)))
+        for m, p in zip(marginals, parts)
+    )
+    return colorings, _part_receiver(spec, *parts, n), sums
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     """Codec plan for length-n blocks.  Each cell of `pmf` counts at its exact
     value `Fraction(p)`, a float at its binary value: the color PMFs of float
     cells whose exact sum is not 1 sum to that sum to the power n.
+
+    Under full support the plan codes part vectors whatever the strategy
+    (module docstring); `coloring_strategy` must still name one of
+    `coloring.STRATEGIES`.  With zero cells each source's OR power is colored
+    by `coloring_strategy`.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")
-    g1 = build_characteristic_graph(spec, pmf, 1)
-    g2 = build_characteristic_graph(spec, pmf, 2)
-    _, c1 = power_coloring(g1, n, coloring_strategy, guard)
-    _, c2 = power_coloring(g2, n, coloring_strategy, guard)
+    _check_dims(spec, pmf)
+    check_strategy(coloring_strategy)
     # the joint PMF as integers over one common denominator D; Fraction(p)
     # also takes int and float cells exactly
     probs = [[p if isinstance(p, Fraction) else Fraction(p) for p in row] for row in pmf.probs]
     D = lcm(*(p.denominator for row in probs for p in row))
     weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
-    decoder = _decoder_table(spec, weights, n, c1, c2)
-    sums = (
-        _color_weights([sum(row) for row in weights], n, c1),
-        _color_weights([sum(col) for col in zip(*weights)], n, c2),
-    )
+    marginals = [sum(row) for row in weights], [sum(col) for col in zip(*weights)]
+    if all(map(all, weights)):
+        (c1, c2), decoder, sums = _full_support_plan(spec, marginals, n, guard)
+    else:
+        g1 = build_characteristic_graph(spec, pmf, 1)
+        g2 = build_characteristic_graph(spec, pmf, 2)
+        _, c1 = power_coloring(g1, n, coloring_strategy, guard)
+        _, c2 = power_coloring(g2, n, coloring_strategy, guard)
+        decoder = _decoder_table(spec, weights, n, c1, c2)
+        sums = tuple(_color_weights(m, n, c) for m, c in zip(marginals, (c1, c2)))
     # Huffman merges the integer sums: one common scale keeps order and ties
     codes, totals = zip(*(huffman_code(s) for s in sums))
     inverses = tuple({w: c for c, w in code.items()} for code in codes)
@@ -279,29 +367,45 @@ def decode_pair(plan, bits1, bits2):
 
 
 def roundtrip_exhaustive(plan):
-    """Round-trip every positive-probability block pair; raises on mismatch.
+    """Round-trip every positive-probability block pair; returns their count
+    and raises AssertionError at the first mismatch in (b1, b2) order.
 
-    The pairs are walked in (b1, b2) order: for each source-1 block, the
-    source-2 blocks whose every cell is positive.  Each block is encoded once
-    per walk; every pair is decoded and checked against f.
+    The pairs and their outcome blocks under f come from Horner passes over
+    the positive cells (`_positive_pairs`), in chunks that share their first
+    n // 2 cells, so memory stays that of one chunk, about the square root
+    of the pair count.  Each block is encoded once through
+    `plan.codes` and decoded through `plan.inverses` (`_block_tables`), and
+    a chunk's decoded color pairs are looked up in the receiver's sorted keys
+    in one array pass.  A pair whose colors or key are missing, or whose
+    outcome block differs, is replayed in (b1, b2) order by `encode_block`
+    and `decode_pair`, which raise or report it as a walk over the pairs
+    would.
     """
-    spec = plan.spec
-    partners = [
-        [x2 for x2 in range(spec.n2) if plan.pmf.p(x1, x2) != 0] for x1 in range(spec.n1)
-    ]
-    rows = [x1 for x1 in range(spec.n1) if partners[x1]]
-    cols = sorted({x2 for row in partners for x2 in row})
-    words2 = {b2: encode_block(plan, 2, b2) for b2 in product(cols, repeat=plan.n)}
-    count = 0
-    for b1 in product(rows, repeat=plan.n):
-        w1 = encode_block(plan, 1, b1)
-        for b2 in product(*(partners[x1] for x1 in b1)):
-            expected = tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
-            got = decode_pair(plan, w1, words2[b2])
-            if got != expected:
-                raise AssertionError(f"round-trip mismatch on {b1},{b2}: {got} != {expected}")
-            count += 1
-    return count
+    spec, n, receiver = plan.spec, plan.n, plan.decoder
+    (d1, _), (d2, _) = _block_tables(plan, 1), _block_tables(plan, 2)
+    palette1, keys = plan.colorings[0].palette_size, receiver.pair_keys
+    # a chunk per pair of the first n // 2 cells, over the pairs of the rest
+    rest = n - n // 2
+    lead = _positive_pairs(spec, plan.pmf.probs, n // 2)
+    tail = _positive_pairs(spec, plan.pmf.probs, rest)
+    scales = [base**rest for base in (spec.n1, spec.n2, _outcomes(spec))]
+    blocks2 = spec.n2**n
+    bad = []
+    for head in zip(*lead):
+        b1, b2, want = (h * s + t for h, s, t in zip(head, scales, tail))
+        c1, c2 = d1[b1], d2[b2]
+        key = c1 * receiver.palette2 + c2
+        at = np.minimum(keys.searchsorted(key), keys.size - 1)
+        good = (c1 < palette1) & (c2 < receiver.palette2) & (keys[at] == key)
+        good &= receiver.blocks[at] == want
+        bad += (b1[~good] * blocks2 + b2[~good]).tolist()
+    for p in sorted(bad):
+        t1, t2 = _digits(p // blocks2, spec.n1, n), _digits(p % blocks2, spec.n2, n)
+        expected = tuple(spec.f(x1, x2) for x1, x2 in zip(t1, t2))
+        got = decode_pair(plan, encode_block(plan, 1, t1), encode_block(plan, 2, t2))
+        if got != expected:
+            raise AssertionError(f"round-trip mismatch on {t1},{t2}: {got} != {expected}")
+    return lead[0].size * tail[0].size
 
 
 @dataclass

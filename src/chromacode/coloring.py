@@ -7,9 +7,11 @@ b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 (a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
 χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  One dispatcher,
-`power_coloring`, shared by the codec and the CLI, picks a strategy
-(`auto`: the cycle scheme on a canonical cycle, else exact), materializes the
-power under its guard and validates the coloring on it once.
+`power_coloring`, shared by the CLI and the codec's plans for PMFs with zero
+cells, picks a strategy (`auto`: the cycle scheme on a canonical cycle, else
+exact), materializes the power under its guard and validates the coloring on
+it once.  Under full support the codec colors blocks by their part vectors,
+`_compose` over `_vector_fold`, with no power and no solver.
 """
 
 import time
@@ -286,6 +288,12 @@ def _cycle_scheme(g):
     return None
 
 
+def check_strategy(strategy):
+    """Raise UsageError unless `strategy` is one of STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise UsageError(f"unknown coloring strategy {strategy!r}")
+
+
 def power_coloring(g, n, strategy="auto", guard=None):
     """(G^n, coloring of G^n) by one of STRATEGIES; the coloring is validated.
 
@@ -298,8 +306,7 @@ def power_coloring(g, n, strategy="auto", guard=None):
     past it raises GuardExceeded whatever the strategy; `guard` also bounds
     the exact solver.
     """
-    if strategy not in STRATEGIES:
-        raise UsageError(f"unknown coloring strategy {strategy!r}")
+    check_strategy(strategy)
     cycle = _cycle_scheme(g)
     if strategy == "auto":
         strategy = cycle or "exact"

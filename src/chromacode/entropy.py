@@ -29,8 +29,9 @@ WINDOW_GUARD_DEFAULT = 1_000_000
 def entropy_bits(probs):
     """Shannon entropy in bits of an iterable of probabilities.  A term is
     taken at its float; one that rounds to 0.0, though its exact value is
-    positive, adds 0, the limit of p log2 p."""
-    return float(-sum(q * log2(q) for q in map(float, probs) if q > 0))
+    positive, adds 0, the limit of p log2 p.  A law with one term has entropy
+    0.0, not -0.0: the sum is subtracted from 0.0, not negated."""
+    return 0.0 - sum(q * log2(q) for q in map(float, probs) if q > 0)
 
 
 def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):

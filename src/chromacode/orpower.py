@@ -47,11 +47,10 @@ def encode_tuple(tup, base):
     return idx
 
 
-def or_power(g, n, guard=None):
-    """n-fold OR power of g (recursive block construction, see module docs)."""
-    if n < 1:
-        raise UsageError("power n must be >= 1")
-    V = g.vertex_count
+def check_power_guard(V, n, guard=None):
+    """Raise GuardExceeded when the n-th power of a V-vertex graph, or any
+    table over its V^n tuples, is past the power guard: first the exponent
+    against the guard's bit length, then the count V^n."""
     limit = resolve_guard(guard, POWER_GUARD_DEFAULT)
     if V > 1 and n > limit.bit_length():
         # V^n >= 2^n > limit, decided without writing V^n out: at thousands
@@ -60,6 +59,14 @@ def or_power(g, n, guard=None):
             "power exponent n, against the bit length of the guard", n, limit.bit_length()
         )
     check_guard("power vertex count", V**n, limit, POWER_GUARD_DEFAULT)
+
+
+def or_power(g, n, guard=None):
+    """n-fold OR power of g (recursive block construction, see module docs)."""
+    if n < 1:
+        raise UsageError("power n must be >= 1")
+    V = g.vertex_count
+    check_power_guard(V, n, guard)
     rows = list(g._rows)
     for _ in range(n - 1):
         V1 = len(rows)

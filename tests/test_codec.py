@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from chromacode import (
     roundtrip_exhaustive,
     simulate,
 )
-from chromacode import codec, encode_tuple, huffman_code
+from chromacode import codec, coloring, encode_tuple, huffman_code, orpower
 from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
 
@@ -632,3 +634,121 @@ def test_simulate_keeps_the_receiver_table_within_the_pairs():
         tracemalloc.stop()
     assert report.lossless
     assert peak < 10_000_000
+
+
+# -- full support: part-vector colorings, no OR power ------------------------------
+
+
+def _random_full_support_spec(rng, top):
+    n1, n2 = rng.randint(2, top), rng.randint(2, top)
+    table = [[rng.randrange(rng.randint(2, 3)) for _ in range(n2)] for _ in range(n1)]
+    weights = [[rng.randint(1, 9) for _ in range(n2)] for _ in range(n1)]
+    total = sum(map(sum, weights))
+    probs = tuple(tuple(Fraction(w, total) for w in row) for row in weights)
+    return FunctionSpec.from_table(table), JointPMF(probs)
+
+
+def _block_graph_adjacency(spec, pmf, n, source):
+    """The n-block characteristic graph of one source, from its definition:
+    blocks x and x' are adjacent iff some side block y has every cell of
+    (x, y) and (x', y) positive and f(x, y) != f(x', y).  Returns the
+    boolean adjacency matrix."""
+    table = np.array(spec.table)
+    positive = np.array([[p > 0 for p in row] for row in pmf.probs])
+    if source == 2:
+        table, positive = table.T, positive.T
+    blocks = list(product(range(table.shape[0]), repeat=n))
+    sides = list(product(range(table.shape[1]), repeat=n))
+    # per (block, side block): the outcome block, and whether every cell is positive
+    outs = np.array([[tuple(table[x, y] for x, y in zip(b, s)) for s in sides] for b in blocks])
+    ok = np.array([[all(positive[x, y] for x, y in zip(b, s)) for s in sides] for b in blocks])
+    differ = (outs[:, None] != outs[None, :]).any(axis=-1)
+    return (ok[:, None] & ok[None, :] & differ).any(axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_support_codes_part_vectors_on_the_block_graph(n):
+    rng = random.Random(f"full-support:{n}")
+    for _ in range(8):
+        spec, pmf = _random_full_support_spec(rng, 4 if n < 3 else 3)
+        plan = build_codec(spec, pmf, n)
+        for source, lines in ((1, spec.table), (2, list(zip(*spec.table)))):
+            adjacent = _block_graph_adjacency(spec, pmf, n, source)
+            colors = np.array(plan.colorings[source - 1].assignment)
+            same = colors[:, None] == colors[None, :]
+            # valid, and blocks of distinct colors are adjacent: no coloring is coarser
+            assert not (adjacent & same).any()
+            assert (adjacent | same).all()
+            assert plan.colorings[source - 1].palette_size == len(set(lines)) ** n
+        assert roundtrip_exhaustive(plan) == _reference_roundtrip(plan) == (spec.n1 * spec.n2) ** n
+
+
+@pytest.mark.parametrize("strategy", ["auto", "exact", "greedy", "product"])
+def test_full_support_plan_matches_per_pair_reference(strategy):
+    # the reference colors the OR powers by `strategy`; under full support
+    # every strategy lands on the part-vector coloring the codec builds
+    rng = random.Random(f"full-support-reference:{strategy}")
+    for n in (1, 2, 3):
+        for _ in range(4):
+            spec, pmf = _random_full_support_spec(rng, 3)
+            assert not _assert_matches_reference(spec, pmf, n, strategy)
+
+
+def _full_support_6x6():
+    spec = FunctionSpec.from_table([[(i * j + i) % 4 for j in range(6)] for i in range(6)])
+    return spec, JointPMF.uniform(6, 6)
+
+
+def test_full_support_plans_past_the_exact_solvers_guard():
+    # 6^3 = 216 blocks per source: the exact solver's guard (64) refused this
+    # plan while the codec colored the OR power; the power guard still applies
+    spec, pmf = _full_support_6x6()
+    plan = build_codec(spec, pmf, 3)
+    parts = len(set(spec.table)), len(set(zip(*spec.table)))
+    assert tuple(c.palette_size for c in plan.colorings) == (parts[0] ** 3, parts[1] ** 3)
+    assert len(plan.decoder) == (parts[0] * parts[1]) ** 3
+    assert roundtrip_exhaustive(plan) == 36**3
+    with pytest.raises(GuardExceeded):
+        build_codec(spec, pmf, 3, guard=200)
+
+
+def test_full_support_builds_no_graph_and_runs_no_solver(ex1, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("called under full support")
+
+    monkeypatch.setattr(codec, "build_characteristic_graph", refuse)
+    monkeypatch.setattr(codec, "power_coloring", refuse)
+    monkeypatch.setattr(coloring, "or_power", refuse)
+    monkeypatch.setattr(coloring, "exact_chromatic_number", refuse)
+    monkeypatch.setattr(orpower, "or_power", refuse)
+    for spec, pmf in (ex1, _example1_weighted(), _full_support_6x6()):
+        for strategy in STRATEGIES:
+            plan = build_codec(spec, pmf, 2, coloring_strategy=strategy)
+            assert roundtrip_exhaustive(plan) == (spec.n1 * spec.n2) ** 2
+    with pytest.raises(UsageError, match="unknown coloring strategy"):
+        build_codec(*ex1, 2, coloring_strategy="fastest")
+
+
+def test_full_support_example1_past_the_power_guard(ex1):
+    with pytest.raises(GuardExceeded) as exc:
+        build_codec(*ex1, 7)
+    assert str(exc.value) == "instance too large: power vertex count = 16384 exceeds guard 10000"
+
+
+def test_part_receiver_refuses_a_part_pair_that_disagrees():
+    # rows 0 and 1 of f differ, so putting them in one part must fail loudly
+    spec = FunctionSpec.from_table([[0, 1], [1, 0]])
+    with pytest.raises(AmbiguityError) as exc:
+        codec._part_receiver(spec, Coloring.from_list([0, 0]), Coloring.from_list([0, 1]), 1)
+    assert exc.value.witness == (((0,), (0,)), ((1,), (0,)))
+    assert str(exc.value) == (
+        "ambiguous color pair: blocks ((0,), (0,)) -> (0,) but ((1,), (0,)) -> (1,)"
+    )
+
+
+def test_one_term_entropy_is_positive_zero():
+    spec, pmf = _one_color_source()
+    report = simulate(spec, pmf, 2, 500, seed=0)
+    assert math.copysign(1.0, report.coloring_entropies[1]) == 1.0
+    assert "-0.0" not in report.to_json()
+    assert math.copysign(1.0, entropy_bits([Fraction(1)])) == 1.0
