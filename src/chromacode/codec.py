@@ -14,14 +14,21 @@ D, then plans one of two ways.
   weights are products of part weights.  No graph, OR power or χ solver is
   built; the power guard still bounds V^n, the length of each coloring.
 - Zero cells: characteristic graphs -> OR powers and their colorings (one
-  `coloring.power_coloring` call per source) -> a receiver table built in
-  one array pass over the positive block pairs (`_decoder_table`), which
-  fails loudly if a color pair would decode to two outcome blocks.
+  `coloring.power_coloring` call per source) -> a receiver table
+  (`_decoder_table`), which fails loudly if a color pair would decode to two
+  outcome blocks.  At n >= 2 it is built in one array pass over the positive
+  block pairs.
+
+Every n = 1 receiver table, the part table of full support and the whole
+table of a zero-cell plan at n = 1, comes from one plain Python pass over
+the cells in (x1, x2) order (`_cell_receiver`): on tables of a few dozen
+cells that costs less than the fixed overhead of the array calls.
 
 Either way the receiver table is a `Receiver`, and each source gets a
-Huffman code on its color PMF: integer sums of block weights, with one exact
-Fraction(sum, D^n) each; Huffman codes the integer sums and its total is
-divided by D^n once.
+Huffman code on its integer color weights, sums of block weights over the
+scale D^n; Huffman codes the integer sums and its total is divided by D^n
+once.  The plan keeps the integer weights and the scale, and builds the exact
+color PMFs, one Fraction(weight, D^n) per color, only when they are read.
 
 `encode_block` and `decode_pair` code one block at a time, and
 `roundtrip_exhaustive` checks every positive block pair in array passes.
@@ -41,6 +48,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -128,10 +136,17 @@ class CodecPlan:
     n: int
     colorings: tuple
     codes: tuple  # Huffman code dicts keyed by color
-    color_pmfs: tuple  # exact color PMFs over blocks
+    color_weights: tuple  # {color: integer weight over `scale`} per source, first-seen order
+    scale: int  # D^n, for the common denominator D of the joint PMF
     avg_lengths: tuple  # exact Fractions, bits per block
     decoder: Receiver  # (color1, color2) -> outcome block tuple
     inverses: tuple  # {codeword: color} per source, the receiver's codebooks
+
+    @cached_property
+    def color_pmfs(self):
+        """Exact color PMFs over blocks, {color: Fraction(weight, scale)} per
+        source, built on first read and kept."""
+        return tuple({c: Fraction(w, self.scale) for c, w in s.items()} for s in self.color_weights)
 
 
 def _dense_keys(palette1, palette2, pairs):
@@ -175,10 +190,11 @@ def _decoder_table(spec, weights, n, c1, c2):
     raises AmbiguityError at the first pair, in (b1, b2) order, whose colors
     already decode to another outcome block.
 
-    A positive block pair is an n-tuple of positive cells (`weights` is the
-    scaled joint PMF), enumerated in one array pass.  Blocks, outcome blocks
-    and pairs b1 * n2^n + b2 are big-endian indices, so pair order is
-    (b1, b2) order; outcome blocks are in base the spec's outcome count,
+    At n = 1 the pairs are the positive cells, and `_cell_receiver` builds
+    the table.  At n >= 2 a positive block pair is an n-tuple of positive
+    cells (`weights` is the scaled joint PMF), enumerated in one array pass.
+    Blocks, outcome blocks and pairs b1 * n2^n + b2 are big-endian indices,
+    so pair order is (b1, b2) order; outcome blocks are in base the spec's outcome count,
     as `simulate` reads them.  `np.minimum.at` finds the first pair of each
     color-pair key color1 * palette2 + color2; the outcome there is the
     key's entry, and the smallest pair that disagrees with its key's entry
@@ -189,6 +205,8 @@ def _decoder_table(spec, weights, n, c1, c2):
     order.  Memory: a few int64 arrays of one element per positive pair,
     whichever way.
     """
+    if n == 1:
+        return _cell_receiver(spec, weights, c1, c2)
     b1, b2, out = _positive_pairs(spec, weights, n)
     outcomes = _outcomes(spec)
     blocks2 = spec.n2**n
@@ -243,35 +261,55 @@ def _color_weights(marginal, n, coloring):
     return sums
 
 
+def _cell_receiver(spec, positive, c1, c2):
+    """The receiver table at n = 1, as a `Receiver`, in one pass over the
+    cells in (x1, x2) order: a cell (x1, x2) with `positive[x1][x2]` nonzero
+    has color pair (c1[x1], c2[x2]), key color1 * palette2 + color2, where
+    palette2 is one more than c2's largest color.  Each key keeps the
+    outcome of its first cell; the first cell that disagrees with its key's
+    outcome raises AmbiguityError, with that first cell as the witness's
+    first pair.
+    """
+    palette2 = max(c2.assignment) + 1
+    first = {}  # key -> (x1, x2, outcome) of its first cell
+    for x1, (row, color1, cells) in enumerate(zip(spec.table, c1.assignment, positive)):
+        base = color1 * palette2
+        for x2, (out, color2, p) in enumerate(zip(row, c2.assignment, cells)):
+            if p:
+                key = base + color2
+                seen = first.get(key)
+                if seen is None:
+                    first[key] = (x1, x2, out)
+                elif seen[2] != out:
+                    y1, y2, ref = seen
+                    raise AmbiguityError(((y1,), (y2,)), ((x1,), (x2,)), (ref,), (out,))
+    keys = sorted(first)
+    blocks = [first[key][2] for key in keys]
+    return Receiver(
+        np.array(keys, dtype=np.int64), np.array(blocks, dtype=np.int64),
+        palette2, _outcomes(spec), 1,
+    )
+
+
 def _part_receiver(spec, parts1, parts2, n):
     """The receiver table under full support, over every pair of part vectors.
 
-    The k1 x k2 part table holds f at the first cell of each pair of parts; a
-    cell of the same pair that disagrees with it raises AmbiguityError (rows
-    of one part are equal and so are columns, so none can).  Color pair
-    (c1, c2) is key c1 * k2^n + c2, and its outcome block has digit i equal to
-    the table at the i-th parts of c1 and c2: each of n - 1 broadcasts
-    appends one digit to both colors and to the outcome block.
+    The k1 x k2 part table holds f at the first cell of each pair of parts
+    (`_cell_receiver` over the parts; rows of one part are equal and so are
+    columns, so no cell can disagree).  Color pair (c1, c2) is key
+    c1 * k2^n + c2, and its outcome block has digit i equal to the table at
+    the i-th parts of c1 and c2: each of n - 1 broadcasts appends one digit
+    to both colors and to the outcome block.
     """
-    f = np.array(spec.table, dtype=np.int64)
-    a1, a2 = (np.array(p.assignment) for p in (parts1, parts2))
-    # parts are numbered by first appearance: part c's first symbol
-    first1, first2 = (
-        [p.assignment.index(c) for c in range(p.palette_size)] for p in (parts1, parts2)
-    )
-    table = f[first1][:, first2]
-    bad = np.argwhere(table[a1][:, a2] != f)
-    if bad.size:
-        x1, x2 = map(int, bad[0])
-        y1, y2 = first1[a1[x1]], first2[a2[x2]]
-        outs = (spec.f(y1, y2),), (spec.f(x1, x2),)
-        raise AmbiguityError(((y1,), (y2,)), ((x1,), (x2,)), *outs)
-    (k1, k2), base = table.shape, _outcomes(spec)
+    k1, k2 = parts1.palette_size, parts2.palette_size
+    every_cell = [[1] * spec.n2] * spec.n1
+    part = _cell_receiver(spec, every_cell, parts1, parts2)
+    table = part.blocks.reshape(k1, k2)  # every part pair has a positive cell: all keys used
     blocks = table
     for _ in range(n - 1):
-        lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
+        lifted = blocks[:, None, :, None] * part.base + table[None, :, None, :]
         blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
-    return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, base, n)
+    return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, part.base, n)
 
 
 def _full_support_plan(spec, marginals, n, guard):
@@ -325,10 +363,10 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     # Huffman merges the integer sums: one common scale keeps order and ties
     codes, totals = zip(*(huffman_code(s) for s in sums))
     inverses = tuple({w: c for c, w in code.items()} for code in codes)
+    scale = D**n
     return CodecPlan(
-        spec, pmf, n, (c1, c2), codes,
-        tuple({c: Fraction(w, D**n) for c, w in s.items()} for s in sums),
-        tuple(total / D**n for total in totals), decoder, inverses,
+        spec, pmf, n, (c1, c2), codes, sums, scale,
+        tuple(total / scale for total in totals), decoder, inverses,
     )
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
@@ -457,11 +458,13 @@ def test_build_codec_matches_per_pair_reference_at_n4(strategy):
 def test_decoder_table_matches_reference_under_arbitrary_colorings():
     # random colorings, not power colorings: a pair's position among the
     # enumerated cell tuples is not its (b1, b2) order, so a first conflict
-    # taken in enumeration order would differ from the reference's
+    # taken in enumeration order would differ from the reference's; n = 1
+    # runs the pass over the cells, n >= 2 the array pass
     rng = random.Random("decoder-oracle:arbitrary")
-    refused = 0
-    for _ in range(60):
-        n = rng.choice((2, 3))
+    runs, refused = Counter(), Counter()
+    for _ in range(90):
+        n = rng.choice((1, 2, 3))
+        runs[n] += 1
         spec, pmf = _random_zero_cell_spec(rng, n)
         c1, c2 = (
             Coloring.from_list(rng.randrange(rng.choice((2, 4, k**n))) for _ in range(k**n))
@@ -473,11 +476,11 @@ def test_decoder_table_matches_reference_under_arbitrary_colorings():
             with pytest.raises(AmbiguityError) as got:
                 codec._decoder_table(spec, pmf.probs, n, c1, c2)
             assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
-            refused += 1
+            refused[n] += 1
             continue
         got = codec._decoder_table(spec, pmf.probs, n, c1, c2)
         assert list(got.items()) == sorted(expected.items())
-    assert 0 < refused < 60
+    assert all(0 < refused[n] < runs[n] for n in (1, 2, 3))
 
 
 def test_build_codec_reference_when_the_palettes_outgrow_the_pairs():
@@ -733,6 +736,26 @@ def test_full_support_example1_past_the_power_guard(ex1):
     with pytest.raises(GuardExceeded) as exc:
         build_codec(*ex1, 7)
     assert str(exc.value) == "instance too large: power vertex count = 16384 exceeds guard 10000"
+
+
+def test_color_pmfs_are_built_on_first_read():
+    # one full-support plan and one with zero cells
+    zero = FunctionSpec.from_table([[0, 1], [1, 0]]), JointPMF.from_rows(
+        [["1/4", "1/4"], ["0", "1/2"]]
+    )
+    for spec, pmf in (_example1_weighted(), zero):
+        plan = build_codec(spec, pmf, 2)
+        assert "color_pmfs" not in vars(plan)
+        assert plan.scale == math.lcm(*(p.denominator for row in pmf.probs for p in row)) ** 2
+        pmfs = plan.color_pmfs
+        assert vars(plan)["color_pmfs"] is pmfs
+        assert pmfs == tuple(
+            {c: Fraction(w, plan.scale) for c, w in s.items()} for s in plan.color_weights
+        )
+        reference = tuple(
+            _reference_color_pmf(pmf.marginal(s), 2, c) for s, c in zip((1, 2), plan.colorings)
+        )
+        assert [list(p.items()) for p in pmfs] == [list(p.items()) for p in reference]
 
 
 def test_part_receiver_refuses_a_part_pair_that_disagrees():
