@@ -115,6 +115,8 @@ def cmd_color(args):
     g = _load_graph(args)
     n = args.power
     if args.scheme == "fractional":
+        if n > 1:
+            raise UsageError("fractional scheme takes the base graph: --power must be 1")
         if _cycle_scheme(g) != "odd-cycle":
             raise UsageError("fractional scheme implemented for odd cycles C_V with V >= 5")
         res = fractional_chromatic_cycle(g.vertex_count // 2, args.fold)
@@ -143,7 +145,9 @@ def cmd_entropy(args):
     g = _load_graph(args)
     V = g.vertex_count
     if args.bound == "brute":
-        h = chromatic_entropy_bruteforce(g, guard=args.guard)
+        # per symbol, like the windows' lo/hi: H_χ(G^n) / n
+        gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
+        h = chromatic_entropy_bruteforce(gn, guard=args.guard) / args.power
         _emit({"lo": h, "hi": h, "bound": "brute"})
         return 0
     if args.bound in ("odd-cycle", "fractional") and _cycle_scheme(g) != "odd-cycle":

@@ -17,7 +17,8 @@ D, then plans one of two ways.
   `coloring.power_coloring` call per source) -> a receiver table
   (`_decoder_table`), which fails loudly if a color pair would decode to two
   outcome blocks.  At n >= 2 it is built in one array pass over the positive
-  block pairs.
+  block pairs: one sort into (b1, b2) order, then one `np.unique` over their
+  color-pair keys, whose first occurrences are the entries.
 
 Every n = 1 receiver table, the part table of full support and the whole
 table of a zero-cell plan at n = 1, comes from one plain Python pass over
@@ -149,15 +150,6 @@ class CodecPlan:
         return tuple({c: Fraction(w, self.scale) for c, w in s.items()} for s in self.color_weights)
 
 
-def _dense_keys(palette1, palette2, pairs):
-    """Whether the receiver table's build and `simulate` index color pairs in
-    a dense palette1 x palette2 array: only when it has no more cells than
-    there are positive block pairs, so that its memory stays within theirs.
-    Otherwise the build numbers the keys in use by one sort, and `simulate`
-    searches the receiver's sorted keys."""
-    return palette1 * palette2 <= pairs
-
-
 def _outcomes(spec):
     """The spec's outcome count: the base of outcome-block indices."""
     return 1 + max(map(max, spec.table))
@@ -193,17 +185,17 @@ def _decoder_table(spec, weights, n, c1, c2):
     At n = 1 the pairs are the positive cells, and `_cell_receiver` builds
     the table.  At n >= 2 a positive block pair is an n-tuple of positive
     cells (`weights` is the scaled joint PMF), enumerated in one array pass.
-    Blocks, outcome blocks and pairs b1 * n2^n + b2 are big-endian indices,
-    so pair order is (b1, b2) order; outcome blocks are in base the spec's outcome count,
-    as `simulate` reads them.  `np.minimum.at` finds the first pair of each
-    color-pair key color1 * palette2 + color2; the outcome there is the
-    key's entry, and the smallest pair that disagrees with its key's entry
-    is the first conflict.  Keys index a dense palette1 x palette2 array,
-    with no sort, when `_dense_keys` allows it; otherwise (sparse support
-    under large palettes) one `np.unique`, a sort over the pairs, numbers
-    the keys in use.  Either way the keys in use come out in increasing
-    order.  Memory: a few int64 arrays of one element per positive pair,
-    whichever way.
+    Blocks, outcome blocks and pairs b1 * n2^n + b2 are big-endian indices
+    (outcome blocks in base the spec's outcome count, as `simulate` reads
+    them), so one sort of the pair indices puts the pairs in (b1, b2) order.
+    `np.unique` over the sorted pairs' color-pair keys color1 * palette2 +
+    color2 then gives the keys in use, in increasing order, and each key's
+    first pair, whose outcome is the key's entry; the first pair that
+    disagrees with its key's entry is the first conflict.  Memory: a few
+    int64 arrays of one element per positive pair.  b1's buffer becomes the
+    pair index, and each pair's key position comes from a `searchsorted`
+    after `np.unique` rather than as its inverse, whose temporaries would
+    coexist with the pairs' arrays.
     """
     if n == 1:
         return _cell_receiver(spec, weights, c1, c2)
@@ -215,31 +207,28 @@ def _decoder_table(spec, weights, n, c1, c2):
     palette2 = int(colors2.max()) + 1
     key = colors1[b1] * palette2
     key += colors2[b2]
-    pair = b1 * blocks2
+    pair = b1  # b1's buffer becomes the pair index; freeing b2 lowers peak memory
+    pair *= blocks2
     pair += b2
-    del b1, b2  # keys and pairs carry on; freeing the blocks lowers peak memory
-    palette1 = int(colors1.max()) + 1
-    if _dense_keys(palette1, palette2, pair.size):
-        keys = np.arange(palette1 * palette2)
-    else:  # sparse support under large palettes: number only the keys in use
-        keys, key = np.unique(key, return_inverse=True)
-    none = spec.n1**n * blocks2  # past every pair: the key is never used
-    first = np.full(keys.size, none, dtype=np.int64)
-    np.minimum.at(first, key, pair)
-    at_first = pair == first[key]
-    ref_out = np.zeros_like(first)
-    ref_out[key[at_first]] = out[at_first]
-    bad = np.flatnonzero(out != ref_out[key])
+    del b1, b2
+    order = pair.argsort()
+    pair = pair[order]  # one array at a time, so no two copies of all three coexist
+    key = key[order]
+    out = out[order]
+    del order
+    keys, first = np.unique(key, return_index=True)
+    ref = out[first]
+    at = keys.searchsorted(key)  # each pair's key, as a position in `keys`
+    bad = np.flatnonzero(out != ref[at])
     if bad.size:
-        j = bad[np.argmin(pair[bad])]
+        j = bad[0]
         pairs = [
             (_digits(p // blocks2, spec.n1, n), _digits(p % blocks2, spec.n2, n))
-            for p in (int(first[key[j]]), int(pair[j]))
+            for p in (int(pair[first[at[j]]]), int(pair[j]))
         ]
-        outs = [_digits(int(o), outcomes, n) for o in (ref_out[key[j]], out[j])]
+        outs = [_digits(int(o), outcomes, n) for o in (ref[at[j]], out[j])]
         raise AmbiguityError(*pairs, *outs)
-    used = first != none
-    return Receiver(keys[used], ref_out[used], palette2, outcomes, n)
+    return Receiver(keys, ref, palette2, outcomes, n)
 
 
 def _block_weights(marginal, n):
@@ -541,11 +530,12 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     cells gives each sample's two block tuple indices, which index the
     decoded color and codeword length of each block (`_block_tables`), and
     its outcome block under f.  Every sample's decoded color pair is looked
-    up in the receiver table `plan.decoder`, as outcome indices in a dense
-    array or, where `_dense_keys` refuses one as `build_codec` does, by
-    binary search over its sorted keys, and compared with that outcome
-    block; a mismatch raises AssertionError naming the first mismatching
-    sample in draw order.  The lookup reads the receiver's key and
+    up in the receiver table `plan.decoder` and compared with that outcome
+    block: in a dense array of outcome indices when palette1 x palette2 has
+    no more cells than there are positive block pairs, so that its memory
+    stays within theirs, and otherwise by binary search over the receiver's
+    sorted keys.  A mismatch raises AssertionError naming the first
+    mismatching sample in draw order.  The lookup reads the receiver's key and
     outcome-block arrays as they are; no entry is spelled out as a tuple.
     """
     if samples < 1:
@@ -570,7 +560,7 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     keys = k1 * stride + k2  # still increasing: (k1, k2) order
     values = plan.decoder.blocks
     dense = None
-    if _dense_keys(palette1, palette2, sum(p > 0 for p in weights) ** n):
+    if palette1 * palette2 <= sum(p > 0 for p in weights) ** n:
         dense = np.full((palette1 + 1) * stride, -1, dtype=np.int64)
         dense[keys] = values
     bits = [0, 0]

@@ -1,0 +1,169 @@
+"""Library entry points refuse a malformed argument with UsageError and their
+own message."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from chromacode import (
+    Coloring,
+    FractionalColoring,
+    FunctionSpec,
+    JointPMF,
+    UsageError,
+    build_characteristic_graph,
+    build_codec,
+    chromatic_bounds_spectral,
+    chromatic_entropy_bruteforce,
+    cycle_graph,
+    cycle_power_largest_eig,
+    decode_pair,
+    degree_formula,
+    encode_tuple,
+    even_cycle_power_coloring,
+    example1_spec,
+    expansion_bounds,
+    fractional_chromatic_cycle,
+    fractional_chromatic_power,
+    fractional_entropy_lower_bound,
+    general_entropy_upper_bound,
+    gershgorin,
+    greedy_coloring,
+    greedy_gain,
+    huffman_code,
+    is_valid_b_fold,
+    is_valid_coloring,
+    lambda1_window,
+    odd_cycle_entropy_upper_bound,
+    odd_cycle_power_coloring,
+    or_power,
+    smallest_eig_lower_bounds,
+    split_decomposition,
+)
+
+C5 = cycle_graph(5)
+
+
+def _one_color_plan():
+    # f ignores x2, so source 2 has one color and sends zero bits
+    spec = FunctionSpec.from_table([[0, 0, 0], [1, 1, 1]])
+    pmf = JointPMF.from_rows([["1/6", "1/12", "1/4"], ["1/3", "1/12", "1/12"]])
+    return build_codec(spec, pmf, 1)
+
+
+def _fold(sets):
+    return FractionalColoring(5, 2, tuple(frozenset(s) for s in sets))
+
+
+CASES = {
+    "marginal-source": (lambda: JointPMF.uniform(2, 2).marginal(3), "source must be 1 or 2"),
+    "chargraph-source": (
+        lambda: build_characteristic_graph(*example1_spec(), 3),
+        "source must be 1 or 2",
+    ),
+    "coloring-length": (
+        lambda: is_valid_coloring(C5, Coloring((0, 1), 2)),
+        "coloring length 2 != vertex count 5",
+    ),
+    "b-fold-set-count": (
+        lambda: is_valid_b_fold(C5, _fold([{0, 1}] * 3)),
+        "set count != vertex count",
+    ),
+    "greedy-order": (
+        lambda: greedy_coloring(C5, [0, 0, 1, 2, 3]),
+        "order must be a permutation of all vertices",
+    ),
+    "even-cycle-k": (
+        lambda: even_cycle_power_coloring(1, 1),
+        "need k >= 2 (C_{2k} with at least 4 vertices) and n >= 1",
+    ),
+    "odd-cycle-i": (
+        lambda: odd_cycle_power_coloring(4, 1),
+        "odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)",
+    ),
+    "odd-cycle-n": (lambda: odd_cycle_power_coloring(5, 0), "n must be >= 1"),
+    "greedy-gain-i": (lambda: greedy_gain(4, 1), "greedy gain defined for odd cycles i >= 5"),
+    "fractional-cycle-b": (lambda: fractional_chromatic_cycle(2, 0), "need k >= 2 and b >= 1"),
+    "fractional-power-k": (lambda: fractional_chromatic_power(1, 1), "need k >= 2 and n >= 1"),
+    "brute-pmf-sum": (
+        lambda: chromatic_entropy_bruteforce(C5, [Fraction(1, 5)] * 4 + [Fraction(1, 10)]),
+        "vertex PMF must sum to exactly 1",
+    ),
+    "odd-cycle-window-k": (
+        lambda: odd_cycle_entropy_upper_bound(1, 1),
+        "need k >= 2 and n >= 1",
+    ),
+    "general-window-n": (lambda: general_entropy_upper_bound(C5, 0), "n must be >= 1"),
+    "fractional-lower-even": (
+        lambda: fractional_entropy_lower_bound(4),
+        "fractional lower bound needs odd V = 2k+1",
+    ),
+    "fractional-lower-small": (lambda: fractional_entropy_lower_bound(3), "need V >= 5"),
+    "huffman-empty": (lambda: huffman_code({}), "empty PMF"),
+    "expansion-n": (
+        lambda: expansion_bounds("complete", 5, 0, 1),
+        "need n >= 1 and |Y| >= 1",
+    ),
+    "expansion-family": (
+        lambda: expansion_bounds("torus", 5, 1, 1),
+        "unknown expansion family 'torus'",
+    ),
+    "degree-vertex": (lambda: C5.degree(99), "vertex 99 out of range"),
+    "encode-coordinate": (lambda: encode_tuple((5,), 2), "coordinate 5 out of range for base 2"),
+    "or-power-n": (lambda: or_power(C5, 0), "power n must be >= 1"),
+    "degree-formula-n": (lambda: degree_formula("cycle", 0, V=5), "n must be >= 1"),
+    "degree-formula-cycle": (lambda: degree_formula("cycle", 1, V=2), "cycle needs V >= 3"),
+    "degree-formula-regular": (
+        lambda: degree_formula("d-regular", 1, V=3, d=3),
+        "d-regular needs V and 0 <= d < V",
+    ),
+    "degree-formula-general": (
+        lambda: degree_formula("general", 1),
+        "general needs base_graph with its degrees",
+    ),
+    "degree-formula-family": (lambda: degree_formula("torus", 1), "unknown family 'torus'"),
+    "gershgorin-block-size": (
+        lambda: gershgorin(C5.adjacency_matrix(), "block", block_size=2),
+        "block mode needs a block size dividing the dimension",
+    ),
+    "gershgorin-mode": (
+        lambda: gershgorin(C5.adjacency_matrix(), "diagonal"),
+        "unknown Gershgorin mode 'diagonal'",
+    ),
+    "cycle-eig-V": (lambda: cycle_power_largest_eig(2, 1), "need V >= 3 and n >= 1"),
+    "smallest-eig-input": (
+        lambda: smallest_eig_lower_bounds(5, 5, [2, 2, 2, 2]),
+        "inconsistent V, E, degree list",
+    ),
+    "split-plain-graph": (
+        lambda: split_decomposition(C5),
+        "split decomposition needs a PowerGraph with provenance",
+    ),
+    "lambda1-window-n": (lambda: lambda1_window(C5, 1), "lambda1 window needs n >= 2"),
+    "bound-variant": (
+        lambda: chromatic_bounds_spectral("nope", g=C5, n=1, V=5),
+        "unknown bound variant 'nope'",
+    ),
+    "decode-not-a-codeword": (
+        lambda: decode_pair(_one_color_plan(), "11", ""),
+        "bit string '11' is not a codeword",
+    ),
+    "decode-zero-bit-trailing": (
+        lambda: decode_pair(_one_color_plan(), "0", "1"),
+        "trailing bits '1' for a zero-bit code",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", list(CASES.values()), ids=list(CASES))
+def test_argument_check_raises_usage_error(call, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        call()
+
+
+def test_is_valid_b_fold_refuses_a_wrong_fold_size_or_color():
+    assert is_valid_b_fold(C5, _fold([{0, 2}, {1, 3}, {2, 4}, {3, 0}, {1, 4}]))
+    assert not is_valid_b_fold(C5, _fold([{0, 2}, {1, 3}, {2, 4}, {3, 0}, {1}]))
+    assert not is_valid_b_fold(C5, _fold([{0, 2}, {1, 3}, {2, 4}, {3, 0}, {1, 5}]))
+

@@ -459,3 +459,75 @@ def test_n_dependent_paths_end_in_a_guard_error(capsys, argv, what):
     assert rc == 3
     assert err["error"] == "guard" and what in err["what"]
     assert elapsed < 5
+
+
+# K2 plus an isolated vertex: H_χ = 0.918..., and H_χ of its square over 2 is lower
+K2_K1 = ["--kind", "custom", "--size", "3", "--edges", "0-1"]
+
+
+def test_entropy_brute_is_per_symbol_on_the_power(capsys):
+    rc, out = run(capsys, "entropy", *K2_K1, "--power", "2", "--bound", "brute")
+    assert rc == 0
+    assert json.loads(out) == {"bound": "brute", "hi": 0.8763576394898522, "lo": 0.8763576394898522}
+
+
+def test_entropy_brute_at_power_one_prints_the_base_entropy(capsys):
+    expected = '{"bound": "brute", "hi": 0.9182958340544896, "lo": 0.9182958340544896}'
+    assert run(capsys, "entropy", *K2_K1, "--power", "1", "--bound", "brute") == (0, expected)
+    assert run(capsys, "entropy", *K2_K1, "--bound", "brute") == (0, expected)
+
+
+def test_entropy_brute_guards_the_power(capsys):
+    rc = main(["entropy", "--kind", "cycle", "--size", "5", "--power", "2", "--bound", "brute"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "guard", "what": "vertex count", "size": 25, "limit": 12}
+
+
+def test_spectral_split_of_c5_squared(capsys):
+    rc, out = run(capsys, "spectral", "--op", "split", "--kind", "cycle", "--size", "5", "--power", "2")
+    assert rc == 0
+    d = json.loads(out)
+    assert sorted(d) == ["deviations", "lambda_fc", "lambda_full", "lambda_gr"]
+    assert all(len(v) == 25 for v in d.values())
+    assert sorted({round(v, 5) for v in d["lambda_full"]}) == [-6.09017, -1.61803, 0.61803, 5.09017, 12.0]
+    assert all(dev >= 0 for dev in d["deviations"])
+
+
+def test_spectral_scalar_gct_of_a_f1(capsys):
+    edges = "0-1,0-4,1-2,1-3,2-3,3-4"
+    rc, out = run(
+        capsys, "spectral", "--op", "gct", "--mode", "scalar",
+        "--kind", "custom", "--size", "5", "--edges", edges,
+    )
+    assert rc == 0
+    assert json.loads(out)["intervals"] == [[-2, 2], [-3, 3], [-2, 2], [-3, 3], [-2, 2]]
+
+
+@pytest.mark.parametrize(
+    "argv,detail",
+    [
+        (["graph"], "need --graph FILE or --kind/--size"),
+        (["color", "--kind", "cycle", "--size", "6", "--scheme", "fractional"], "odd cycles"),
+        (["expansion", "--kind", "cycle", "--size", "5"], "need --subset or --sample"),
+        (["reproduce", "--case", "nope"], "unknown case 'nope'"),
+        (
+            ["color", "--kind", "cycle", "--size", "5", "--scheme", "fractional", "--power", "2"],
+            "--power must be 1",
+        ),
+        (
+            ["spectral", "--op", "split", "--kind", "cycle", "--size", "5", "--power", "1"],
+            "split needs --power >= 2",
+        ),
+    ],
+    ids=[
+        "graph-without-graph", "fractional-on-c6", "expansion-without-subset", "unknown-case",
+        "fractional-on-a-power", "split-without-a-power",
+    ],
+)
+def test_usage_errors_print_one_json_object(capsys, argv, detail):
+    err = _usage_error(capsys, argv).strip().splitlines()
+    assert len(err) == 1
+    assert detail in json.loads(err[0])["detail"]
