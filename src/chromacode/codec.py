@@ -9,21 +9,20 @@ D, then plans one of two ways.
   co-normal power (Alon & Orlitsky 1996), iff their part vectors differ.
   The part-vector coloring (parts numbered by first appearance, vectors read
   big-endian) is the coarsest valid coloring at every n, so it is optimal in
-  palette and in entropy, whatever `coloring_strategy` names.  The receiver
-  is the n = 1 part table of f lifted by n - 1 broadcasts, and the color
-  weights are products of part weights.  No graph, OR power or χ solver is
+  palette and in entropy, whatever `coloring_strategy` names.  It and the
+  part vectors' weights, products of part weights, are built by Horner over
+  plain Python lists (color c -> c * k + part(x) for each appended symbol x,
+  k parts); the receiver is the part table of f, read off each part's first
+  symbol and lifted by n - 1 broadcasts.  No graph, OR power or χ solver is
   built; the power guard still bounds V^n, the length of each coloring.
 - Zero cells: characteristic graphs -> OR powers and their colorings (one
   `coloring.power_coloring` call per source) -> a receiver table
   (`_decoder_table`), which fails loudly if a color pair would decode to two
-  outcome blocks.  At n >= 2 it is built in one array pass over the positive
+  outcome blocks.  At n = 1 it is one plain Python pass over the cells in
+  (x1, x2) order (`_cell_receiver`), cheaper on a few dozen cells than the
+  array calls' fixed overhead; at n >= 2 one array pass over the positive
   block pairs: one sort into (b1, b2) order, then one `np.unique` over their
   color-pair keys, whose first occurrences are the entries.
-
-Every n = 1 receiver table, the part table of full support and the whole
-table of a zero-cell plan at n = 1, comes from one plain Python pass over
-the cells in (x1, x2) order (`_cell_receiver`): on tables of a few dozen
-cells that costs less than the fixed overhead of the array calls.
 
 Either way the receiver table is a `Receiver`, and each source gets a
 Huffman code on its integer color weights, sums of block weights over the
@@ -56,7 +55,7 @@ from math import lcm
 import numpy as np
 
 from .chargraph import _check_dims, build_characteristic_graph
-from .coloring import Coloring, _compose, _vector_fold, check_strategy, power_coloring
+from .coloring import Coloring, check_strategy, power_coloring
 from .entropy import entropy_bits, huffman_code
 from .errors import ChromacodeError, UsageError
 from .orpower import check_power_guard, encode_tuple
@@ -281,43 +280,42 @@ def _cell_receiver(spec, positive, c1, c2):
 
 
 def _part_receiver(spec, parts1, parts2, n):
-    """The receiver table under full support, over every pair of part vectors.
-
-    The k1 x k2 part table holds f at the first cell of each pair of parts
-    (`_cell_receiver` over the parts; rows of one part are equal and so are
-    columns, so no cell can disagree).  Color pair (c1, c2) is key
-    c1 * k2^n + c2, and its outcome block has digit i equal to the table at
-    the i-th parts of c1 and c2: each of n - 1 broadcasts appends one digit
-    to both colors and to the outcome block.
-    """
-    k1, k2 = parts1.palette_size, parts2.palette_size
-    every_cell = [[1] * spec.n2] * spec.n1
-    part = _cell_receiver(spec, every_cell, parts1, parts2)
-    table = part.blocks.reshape(k1, k2)  # every part pair has a positive cell: all keys used
-    blocks = table
+    """The receiver table under full support, as a dense `Receiver` keyed
+    c1 * k2^n + c2: the part table, read off each part's first symbol and
+    checked in one pass over the cells (the first in (x1, x2) order that
+    disagrees raises AmbiguityError), lifted by n - 1 broadcasts that each
+    append one digit to both colors and to the outcome block."""
+    (a1, k1), (a2, k2) = ((p.assignment, p.palette_size) for p in (parts1, parts2))
+    first1, first2 = [a1.index(c) for c in range(k1)], [a2.index(c) for c in range(k2)]
+    part = [[spec.table[y1][y2] for y2 in first2] for y1 in first1]
+    for x1, (row, c1) in enumerate(zip(spec.table, a1)):
+        for x2, (out, c2) in enumerate(zip(row, a2)):
+            if out != part[c1][c2]:
+                cells = ((first1[c1],), (first2[c2],)), ((x1,), (x2,))
+                raise AmbiguityError(*cells, (part[c1][c2],), (out,))
+    table = blocks = np.array(part, dtype=np.int64)
+    base = _outcomes(spec)
     for _ in range(n - 1):
-        lifted = blocks[:, None, :, None] * part.base + table[None, :, None, :]
+        lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
         blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
-    return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, part.base, n)
+    return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, base, n)
 
 
 def _full_support_plan(spec, marginals, n, guard):
     """(colorings, receiver, integer color weights) under full support, by
-    part vectors (see the module docstring); no graph is built.  A part's
-    weight is the sum of its symbols' `marginals`, and a part vector's the
-    product of its parts' weights."""
+    part vectors over Python lists (see the module docstring)."""
     lines = spec.table, tuple(zip(*spec.table))  # source 1's rows, source 2's columns
     for symbols in lines:
         check_power_guard(len(symbols), n, guard)
     parts = [Coloring.from_list(symbols) for symbols in lines]  # one part per distinct line
-    colorings = tuple(
-        Coloring(tuple(_compose(_vector_fold(p), n).tolist()), p.palette_size**n) for p in parts
-    )
-    sums = tuple(
-        dict(enumerate(_block_weights(list(_color_weights(m, 1, p).values()), n)))
-        for m, p in zip(marginals, parts)
-    )
-    return colorings, _part_receiver(spec, *parts, n), sums
+    colorings, sums = [], []
+    for m, p in zip(marginals, parts):
+        colors, k = p.assignment, p.palette_size
+        for _ in range(n - 1):
+            colors = [c * k + q for c in colors for q in p.assignment]
+        colorings.append(Coloring(tuple(colors), k**n))
+        sums.append(dict(enumerate(_block_weights(list(_color_weights(m, 1, p).values()), n))))
+    return tuple(colorings), _part_receiver(spec, *parts, n), tuple(sums)
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):

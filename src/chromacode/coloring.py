@@ -10,8 +10,8 @@ engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 `power_coloring`, shared by the CLI and the codec's plans for PMFs with zero
 cells, picks a strategy (`auto`: the cycle scheme on a canonical cycle, else
 exact), materializes the power under its guard and validates the coloring on
-it once.  Under full support the codec colors blocks by their part vectors,
-`_compose` over `_vector_fold`, with no power and no solver.
+it once.  Under full support the codec colors blocks by their part vectors
+itself, by Horner over plain Python lists, with no power and no solver.
 """
 
 import time

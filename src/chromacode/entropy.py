@@ -238,49 +238,61 @@ def fractional_entropy_lower_bound(V):
 
 
 def huffman_code(pmf):
-    """Optimal binary prefix code for a color PMF.
+    """Optimal binary prefix code for a color PMF: (code dict in codeword
+    order, average length as an exact Fraction).
 
-    Ties in the merge queue are broken by the lexicographically smallest color
-    id contained in a subtree, so the code is deterministic.  Zero-probability
-    colors are dropped with a warning.  The merges run on integer weights:
-    int masses as given, other masses as exact rationals scaled by the lcm D
-    of their denominators, which keeps their order and ties, so the code is
-    the one exact rationals would give.  Integer weights on any common scale
-    give the same code, and the average length on that scale.  Returns (code
-    dict, average length as an exact Fraction).
+    Masses are ints or what `Fraction` reads; a negative or unreadable mass
+    raises UsageError naming its color, and zero masses are dropped with a
+    warning.  Merges run on integer weights: int masses as given, others as
+    exact rationals scaled by the lcm D of their denominators, which keeps
+    order and ties (int weights on any common scale give the same code, and
+    the average length on that scale).  Heap entries are (weight, least
+    color, node id), leaves being nodes 0..m-1 in color order and merge j
+    node m + j; live subtrees hold disjoint colors, so ties go to the least
+    color, never to the id, and the code is deterministic.  The total Σ w·len
+    is the sum of the merged weights.  Codeword order is the tree's
+    depth-first order, 0 first; a lone color gets "" (zero bits).
     """
-    items = sorted(pmf.items())
-    if not items:
+    colors = sorted(pmf)
+    if not colors:
         raise UsageError("empty PMF")
-    dropped = [c for c, p in items if p == 0]
-    if dropped:
-        warnings.warn(f"dropping zero-probability colors {dropped}")
-        items = [(c, p) for c, p in items if p > 0]
-    if len(items) == 1:
-        # a lone symbol needs zero bits
-        return {items[0][0]: ""}, Fraction(0)
-    weights = [p for _, p in items]
+    weights = [pmf[c] for c in colors]
     D = 1
     if not all(isinstance(w, int) for w in weights):
-        probs = [Fraction(p) for p in weights]
-        D = lcm(*(p.denominator for p in probs))
-        weights = [p.numerator * (D // p.denominator) for p in probs]
-    # (weight, least color of the subtree, children): live subtrees hold
-    # disjoint colors, so no two entries tie on the first two fields
-    heap = [(w, c, None) for w, (c, _) in zip(weights, items)]
+        for i, (c, p) in enumerate(zip(colors, weights)):
+            try:
+                weights[i] = Fraction(p)
+            except (TypeError, ValueError, OverflowError):
+                raise UsageError(f"color {c} has mass {p!r}, not a number") from None
+        D = lcm(*(p.denominator for p in weights))
+        weights = [p.numerator * (D // p.denominator) for p in weights]
+    leaves = list(zip(weights, colors))
+    if min(weights) <= 0:
+        if min(weights) < 0:
+            raise UsageError(f"negative mass at colors {[c for w, c in leaves if w < 0]}")
+        if not any(weights):
+            raise UsageError("no color has positive mass")
+        warnings.warn(f"dropping zero-probability colors {[c for w, c in leaves if not w]}")
+        leaves = [leaf for leaf in leaves if leaf[0]]
+    m = len(leaves)
+    heap = [(w, c, i) for i, (w, c) in enumerate(leaves)]
     heapq.heapify(heap)
-    while len(heap) > 1:
-        a = heapq.heappop(heap)
-        b = heapq.heappop(heap)
-        heapq.heappush(heap, (a[0] + b[0], min(a[1], b[1]), (a, b)))
+    kids = []  # node m + j's children: kids[2j] (bit 0) and kids[2j + 1] (bit 1)
+    total = 0
+    for node in range(m, 2 * m - 1):
+        w, c, a = heapq.heappop(heap)
+        w2, c2, b = heap[0]
+        w += w2
+        total += w
+        kids += (a, b)
+        heapq.heapreplace(heap, (w, min(c, c2), node))
     code = {}
-    stack = [(heap[0], "")]
+    stack = [(2 * m - 2, "")]
     while stack:
-        (_, c, children), prefix = stack.pop()
-        if children is None:
-            code[c] = prefix or "0"
+        node, prefix = stack.pop()
+        if node < m:
+            code[leaves[node][1]] = prefix
         else:
-            stack.append((children[1], prefix + "1"))
-            stack.append((children[0], prefix + "0"))
-    total = sum(w * len(code[c]) for w, (c, _) in zip(weights, items))
+            j = 2 * (node - m)
+            stack += ((kids[j + 1], prefix + "1"), (kids[j], prefix + "0"))
     return code, Fraction(total, D)

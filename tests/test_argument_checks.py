@@ -101,6 +101,20 @@ CASES = {
     ),
     "fractional-lower-small": (lambda: fractional_entropy_lower_bound(3), "need V >= 5"),
     "huffman-empty": (lambda: huffman_code({}), "empty PMF"),
+    "huffman-all-zero": (lambda: huffman_code({0: 0, 1: Fraction(0)}), "no color has positive"),
+    "huffman-negative": (lambda: huffman_code({0: -1, 1: 2, 2: 3}), "negative mass at colors [0]"),
+    "huffman-negative-beside-zero": (
+        lambda: huffman_code({0: -1, 1: 0, 2: 3, 3: 2}),
+        "negative mass at colors [0]",
+    ),
+    "huffman-unreadable": (
+        lambda: huffman_code({0: "1/5", 1: "abc"}),
+        "color 1 has mass 'abc', not a number",
+    ),
+    "huffman-nan": (
+        lambda: huffman_code({0: 0.5, 1: float("nan")}),
+        "color 1 has mass nan, not a number",
+    ),
     "expansion-n": (
         lambda: expansion_bounds("complete", 5, 0, 1),
         "need n >= 1 and |Y| >= 1",

@@ -769,6 +769,66 @@ def test_part_receiver_refuses_a_part_pair_that_disagrees():
     )
 
 
+def _reference_full_support(spec, pmf, n):
+    """The full-support plan by the array construction: colorings by
+    `coloring._compose` over `_vector_fold` of the parts, part-vector weights
+    by `_block_weights` of the part weights, and the receiver by
+    `_cell_receiver` over every cell, lifted by n - 1 broadcasts.  Returns
+    (colorings, color weights, receiver fields)."""
+    probs = [[Fraction(p) for p in row] for row in pmf.probs]
+    D = math.lcm(*(p.denominator for row in probs for p in row))
+    weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
+    marginals = [sum(row) for row in weights], [sum(col) for col in zip(*weights)]
+    parts = [Coloring.from_list(lines) for lines in (spec.table, tuple(zip(*spec.table)))]
+    colorings = tuple(
+        Coloring(
+            tuple(coloring._compose(coloring._vector_fold(p), n).tolist()), p.palette_size**n
+        )
+        for p in parts
+    )
+    sums = tuple(
+        dict(enumerate(codec._block_weights(list(codec._color_weights(m, 1, p).values()), n)))
+        for m, p in zip(marginals, parts)
+    )
+    k1, k2 = (p.palette_size for p in parts)
+    part = codec._cell_receiver(spec, [[1] * spec.n2] * spec.n1, *parts)
+    table = blocks = part.blocks.reshape(k1, k2)
+    for _ in range(n - 1):
+        lifted = blocks[:, None, :, None] * part.base + table[None, :, None, :]
+        blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
+    return colorings, sums, (np.arange(blocks.size), blocks.ravel(), k2**n, part.base, n)
+
+
+def _full_support_oracle_cases():
+    rng = random.Random("full-support-oracle")
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            yield f"seeded-n{n}", *_random_full_support_spec(rng, 6), n  # 6^4 within the guard
+    for n in range(1, 7):
+        yield f"example1-n{n}", *_example1_weighted(), n
+    rows_equal = FunctionSpec.from_table([[0, 1, 2], [0, 1, 2]]), JointPMF.uniform(2, 3)
+    for n in (1, 2, 3):
+        yield f"one-part-source1-n{n}", *rows_equal, n
+        yield f"one-part-source2-n{n}", *_one_color_source(), n
+
+
+def test_full_support_plan_matches_the_array_construction():
+    for kind, spec, pmf, n in _full_support_oracle_cases():
+        plan = build_codec(spec, pmf, n)
+        colorings, sums, (keys, blocks, palette2, base, n_) = _reference_full_support(spec, pmf, n)
+        assert plan.colorings == colorings, kind
+        assert [list(s.items()) for s in plan.color_weights] == [list(s.items()) for s in sums]
+        for code, s in zip(plan.codes, sums):
+            assert list(code.items()) == list(huffman_code(s)[0].items()), kind
+        d = plan.decoder
+        assert (d.pair_keys.dtype, d.blocks.dtype) == (keys.dtype, blocks.dtype) == (np.int64,) * 2
+        assert np.array_equal(d.pair_keys, keys) and np.array_equal(d.blocks, blocks), kind
+        assert (d.palette2, d.base, d.n) == (palette2, base, n_), kind
+        for c, code, avg in zip(plan.colorings, plan.codes, plan.avg_lengths):
+            if c.palette_size == 1:  # one part: one color, sent in zero bits
+                assert (code, avg) == ({0: ""}, 0), kind
+
+
 def test_one_term_entropy_is_positive_zero():
     spec, pmf = _one_color_source()
     report = simulate(spec, pmf, 2, 500, seed=0)

@@ -120,6 +120,8 @@ def test_huffman_c5_pmf_is_optimal():
     code, avg = huffman_code({0: Fraction(1, 5), 1: Fraction(2, 5), 2: Fraction(2, 5)})
     assert avg == Fraction(8, 5)
     assert sorted(len(w) for w in code.values()) == [1, 2, 2]
+    # codeword order, as demo 03 prints it
+    assert list(code.items()) == [(2, "0"), (0, "10"), (1, "11")]
 
 
 def test_huffman_prefix_free_and_within_one_bit_of_entropy():
@@ -185,6 +187,14 @@ def _huffman_with_warnings(fn, pmf):
     return result, [str(w.message) for w in caught]
 
 
+def _assert_huffman_matches_reference(pmf):
+    """Code, average length and warnings equal the reference's, and the code
+    lists its colors in the same (depth-first) order."""
+    got, want = (_huffman_with_warnings(f, pmf) for f in (huffman_code, _reference_huffman))
+    assert got == want
+    assert list(got[0][0].items()) == list(want[0][0].items())
+
+
 # small weights over mixed denominators: many ties, some zero-mass colors
 masses = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 6, 7, 10**12 + 39]))
 
@@ -194,9 +204,7 @@ masses = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3, 6, 7, 
 def test_integer_huffman_matches_fraction_huffman(pmf):
     if not any(pmf.values()):
         pmf[min(pmf)] = Fraction(1)
-    assert _huffman_with_warnings(huffman_code, pmf) == (
-        _huffman_with_warnings(_reference_huffman, pmf)
-    )
+    _assert_huffman_matches_reference(pmf)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -206,9 +214,7 @@ def test_int_weights_huffman_matches_fraction_huffman(weights):
     # the weights' scale) equal those of exact rationals
     if not any(weights.values()):
         weights[min(weights)] = 1
-    assert _huffman_with_warnings(huffman_code, weights) == (
-        _huffman_with_warnings(_reference_huffman, weights)
-    )
+    _assert_huffman_matches_reference(weights)
 
 
 def test_integer_huffman_takes_strings_and_ints():
