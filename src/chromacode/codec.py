@@ -26,9 +26,11 @@ D, then plans one of two ways.
 
 Either way the receiver table is a `Receiver`, and each source gets a
 Huffman code on its integer color weights, sums of block weights over the
-scale D^n; Huffman codes the integer sums and its total is divided by D^n
-once.  The plan keeps the integer weights and the scale, and builds the exact
-color PMFs, one Fraction(weight, D^n) per color, only when they are read.
+scale D^n.  The two-queue core `entropy._huffman` codes the sums as they are
+(`huffman_code` only when a color sums to 0, which it drops with a warning),
+and the average length is one Fraction(total, D^n).  The plan keeps the
+integer weights and the scale, and builds the exact color PMFs, one
+Fraction(weight, D^n) per color, only when they are read.
 
 `encode_block` and `decode_pair` code one block at a time, and
 `roundtrip_exhaustive` checks every positive block pair in array passes.
@@ -56,7 +58,7 @@ import numpy as np
 
 from .chargraph import _check_dims, build_characteristic_graph
 from .coloring import Coloring, check_strategy, power_coloring
-from .entropy import entropy_bits, huffman_code
+from .entropy import _huffman, entropy_bits, huffman_code
 from .errors import ChromacodeError, UsageError
 from .orpower import check_power_guard, encode_tuple
 
@@ -332,11 +334,15 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         raise UsageError("block length n must be >= 1")
     _check_dims(spec, pmf)
     check_strategy(coloring_strategy)
-    # the joint PMF as integers over one common denominator D; Fraction(p)
-    # also takes int and float cells exactly
-    probs = [[p if isinstance(p, Fraction) else Fraction(p) for p in row] for row in pmf.probs]
-    D = lcm(*(p.denominator for row in probs for p in row))
-    weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
+    # the joint PMF as integers over one common denominator D, each cell
+    # read once as (numerator, denominator); Fraction(p) also takes int and
+    # float cells exactly
+    ratios = [
+        [(p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio() for p in row]
+        for row in pmf.probs
+    ]
+    D = lcm(*(d for row in ratios for _, d in row))
+    weights = [[a * (D // d) for a, d in row] for row in ratios]
     marginals = [sum(row) for row in weights], [sum(col) for col in zip(*weights)]
     if all(map(all, weights)):
         (c1, c2), decoder, sums = _full_support_plan(spec, marginals, n, guard)
@@ -348,13 +354,24 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         decoder = _decoder_table(spec, weights, n, c1, c2)
         sums = tuple(_color_weights(m, n, c) for m, c in zip(marginals, (c1, c2)))
     # Huffman merges the integer sums: one common scale keeps order and ties
-    codes, totals = zip(*(huffman_code(s) for s in sums))
+    codes, totals = zip(*map(_color_code, sums))
     inverses = tuple({w: c for c, w in code.items()} for code in codes)
     scale = D**n
     return CodecPlan(
         spec, pmf, n, (c1, c2), codes, sums, scale,
-        tuple(total / scale for total in totals), decoder, inverses,
+        tuple(Fraction(total, scale) for total in totals), decoder, inverses,
     )
+
+
+def _color_code(sums):
+    """(Huffman code, integer total Σ w·len) of integer color weights
+    `sums`.  A color whose blocks all have zero weight sums to 0; then
+    `huffman_code` warns and drops it, else `_huffman` codes the sums as
+    they are."""
+    if min(sums.values()) > 0:
+        return _huffman([(w, c) for c, w in sums.items()])
+    code, total = huffman_code(sums)
+    return code, total.numerator
 
 
 def encode_block(plan, source, block):

@@ -281,9 +281,13 @@ def _odd_cycle_fold(k):
 
 def _cycle_scheme(g):
     """The cycle strategy that fits g, if g is the canonical cycle C_V with
-    V >= 4 (as `make_graph` builds it): `even-cycle` or `odd-cycle`; else None."""
+    V >= 4 (as `make_graph` builds it, vertex v joined to v ± 1 mod V):
+    `even-cycle` or `odd-cycle`; else None.  Each adjacency row is compared
+    with the cycle's two-bit row; no cycle graph is built."""
     V = g.vertex_count
-    if V >= 4 and g == make_graph("cycle", V):
+    if V >= 4 and all(
+        g.neighbors_bitset(v) == (1 << (v - 1) % V | 1 << (v + 1) % V) for v in range(V)
+    ):
         return "odd-cycle" if V % 2 else "even-cycle"
     return None
 

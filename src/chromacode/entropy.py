@@ -11,7 +11,6 @@ rule (high edge), over the α_n range of `alpha_n_window`.
 PMFs stay exact rationals; entropies are floats (comparison tolerance 1e-9).
 """
 
-import heapq
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,10 @@ from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, res
 from .graphs import max_independent_set_size
 
 BRUTE_ENTROPY_GUARD_DEFAULT = 12
+# search nodes of the brute-force chromatic entropy: the partitions it visits
+# grow as the Bell numbers (5.0 M nodes on 12 isolated vertices), so the
+# vertex guard alone does not bound its time
+BRUTE_ENTROPY_STEPS = 250_000
 # color classes of an α profile, and candidate α values its search tries
 WINDOW_GUARD_DEFAULT = 1_000_000
 
@@ -38,7 +41,10 @@ def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):
     """Global minimum of coloring entropy over all valid colorings.
 
     Enumerates partitions into independent sets (colorings up to relabeling)
-    by assigning each vertex to an existing class or a fresh one.
+    by assigning each vertex to an existing class or a fresh one.  `guard`
+    bounds the vertex count; the search nodes, which grow as the Bell
+    numbers, are counted against BRUTE_ENTROPY_STEPS, and one past it raises
+    GuardExceeded.
     """
     V = g.vertex_count
     check_guard("vertex count", V, guard, BRUTE_ENTROPY_GUARD_DEFAULT)
@@ -47,33 +53,40 @@ def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):
     vertex_pmf = [Fraction(p) for p in vertex_pmf]
     if sum(vertex_pmf) != 1:
         raise UsageError("vertex PMF must sum to exactly 1")
-    best = [float("inf")]
+    # masses as integers over the common denominator D: a class's float mass
+    # w / D is its Fraction's float, both the correctly rounded quotient
+    D = lcm(*(p.denominator for p in vertex_pmf))
+    weight = [p.numerator * (D // p.denominator) for p in vertex_pmf]
+    best = float("inf")
+    steps = 0
     class_bits = []  # bitset of vertices per class
     class_mass = []
 
     def rec(v):
+        nonlocal best, steps
+        steps += 1
+        if steps > BRUTE_ENTROPY_STEPS:
+            raise GuardExceeded("brute-force entropy search nodes", steps, BRUTE_ENTROPY_STEPS)
         if v == V:
-            h = entropy_bits(class_mass)
-            if h < best[0]:
-                best[0] = h
+            best = min(best, entropy_bits([w / D for w in class_mass]))
             return
         nb = g.neighbors_bitset(v)
         for i in range(len(class_bits)):
             if class_bits[i] & nb:
                 continue
             class_bits[i] |= 1 << v
-            class_mass[i] += vertex_pmf[v]
+            class_mass[i] += weight[v]
             rec(v + 1)
-            class_mass[i] -= vertex_pmf[v]
+            class_mass[i] -= weight[v]
             class_bits[i] &= ~(1 << v)
         class_bits.append(1 << v)
-        class_mass.append(vertex_pmf[v])
+        class_mass.append(weight[v])
         rec(v + 1)
         class_bits.pop()
         class_mass.pop()
 
     rec(0)
-    return best[0]
+    return best
 
 
 # -- alpha-profile upper bounds ----------------------------------------------
@@ -246,12 +259,22 @@ def huffman_code(pmf):
     warning.  Merges run on integer weights: int masses as given, others as
     exact rationals scaled by the lcm D of their denominators, which keeps
     order and ties (int weights on any common scale give the same code, and
-    the average length on that scale).  Heap entries are (weight, least
-    color, node id), leaves being nodes 0..m-1 in color order and merge j
-    node m + j; live subtrees hold disjoint colors, so ties go to the least
-    color, never to the id, and the code is deterministic.  The total Σ w·len
-    is the sum of the merged weights.  Codeword order is the tree's
-    depth-first order, 0 first; a lone color gets "" (zero bits).
+    the average length on that scale).
+
+    `_huffman` merges the positive weights.  Each merge takes the two least
+    nodes by (weight, least color), the first as bit 0; live subtrees hold
+    disjoint colors, so no two keys tie and the code is deterministic.  The
+    least nodes come from two queues, not a heap: the leaves sorted once by
+    (weight, color), and the merged nodes in the order they are made, which
+    is sorted as well.  Weights are positive, so a merged node outweighs both
+    its children, and each node taken is greater than every node taken
+    before it.  Merged weights therefore never decrease, and when two merges
+    a + b and c + d (a ≤ b ≤ c ≤ d, taken in that order) weigh the same,
+    a = b = c = d, so the earlier merge's least color, that of a, is the
+    smaller.  The two queue fronts are thus always the two least live nodes
+    (van Leeuwen 1976).  The total Σ w·len is the sum of the merged weights.
+    Codeword order is the tree's depth-first order, 0 first; a lone color
+    gets "" (zero bits).
     """
     colors = sorted(pmf)
     if not colors:
@@ -274,25 +297,42 @@ def huffman_code(pmf):
             raise UsageError("no color has positive mass")
         warnings.warn(f"dropping zero-probability colors {[c for w, c in leaves if not w]}")
         leaves = [leaf for leaf in leaves if leaf[0]]
-    m = len(leaves)
-    heap = [(w, c, i) for i, (w, c) in enumerate(leaves)]
-    heapq.heapify(heap)
-    kids = []  # node m + j's children: kids[2j] (bit 0) and kids[2j + 1] (bit 1)
+    code, total = _huffman(leaves)
+    return code, Fraction(total, D)
+
+
+def _huffman(leaves):
+    """(code dict in codeword order, Σ w·len as an int) of the Huffman tree
+    on `leaves`, (weight, color) pairs with positive int weights and distinct
+    colors, in any order; `huffman_code` gives the merge rule and why two
+    queues follow it."""
+    nodes = sorted(leaves)  # node i < m: a leaf; node m + j: merge j
+    m = len(nodes)
+    kids = []  # merge j's children: kids[2j] (bit 0) and kids[2j + 1] (bit 1)
     total = 0
+    i, j = 0, m  # the fronts of the leaf and merge queues
     for node in range(m, 2 * m - 1):
-        w, c, a = heapq.heappop(heap)
-        w2, c2, b = heap[0]
+        # take the lesser front twice; a queue is empty at i == m or j == node
+        if j < node and (i == m or nodes[j] < nodes[i]):
+            a, j = j, j + 1
+        else:
+            a, i = i, i + 1
+        if j < node and (i == m or nodes[j] < nodes[i]):
+            b, j = j, j + 1
+        else:
+            b, i = i, i + 1
+        (w, c), (w2, c2) = nodes[a], nodes[b]
         w += w2
         total += w
         kids += (a, b)
-        heapq.heapreplace(heap, (w, min(c, c2), node))
+        nodes.append((w, c if c < c2 else c2))
     code = {}
-    stack = [(2 * m - 2, "")]
+    stack = [(len(nodes) - 1, "")]
     while stack:
         node, prefix = stack.pop()
         if node < m:
-            code[leaves[node][1]] = prefix
+            code[nodes[node][1]] = prefix
         else:
-            j = 2 * (node - m)
-            stack += ((kids[j + 1], prefix + "1"), (kids[j], prefix + "0"))
-    return code, Fraction(total, D)
+            k = 2 * (node - m)
+            stack += ((kids[k + 1], prefix + "1"), (kids[k], prefix + "0"))
+    return code, total

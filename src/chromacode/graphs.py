@@ -183,6 +183,7 @@ def _maximal_cliques(adj, candidates, min_size=0):
 
     `adj` holds one adjacency bitset per vertex (no self-bit); pivoted
     Bron-Kerbosch.  An empty candidate set yields the single empty clique.
+    Bitsets are walked lowest bit first, in place, with no vertex list.
     """
     out = []
 
@@ -192,12 +193,22 @@ def _maximal_cliques(adj, candidates, min_size=0):
         if p == 0 and x == 0:
             out.append(r)
             return
-        # pivot: vertex of p|x maximizing |p & adj[u]|
-        pivot = max(bits_to_list(p | x), key=lambda u: (p & adj[u]).bit_count())
-        for v in bits_to_list(p & ~adj[pivot]):
-            bit = 1 << v
+        # pivot: the least vertex of p|x maximizing |p & adj[u]|
+        most, rest = -1, p | x
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            count = (p & adj[u]).bit_count()
+            if count > most:
+                most, pivot = count, u
+        todo = p & ~adj[pivot]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
             expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
+            p ^= bit
             x |= bit
 
     expand(0, candidates, 0)

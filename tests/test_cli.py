@@ -486,6 +486,25 @@ def test_entropy_brute_guards_the_power(capsys):
     assert json.loads(err[0]) == {"error": "guard", "what": "vertex count", "size": 25, "limit": 12}
 
 
+def test_entropy_brute_guards_its_search_nodes(capsys):
+    # 12 isolated vertices pass the vertex guard, but their partitions are
+    # Bell(12) = 4 213 597: the node count refuses the search early
+    start = time.perf_counter()
+    rc = main(["entropy", "--kind", "edgeless", "--size", "12", "--bound", "brute"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "guard",
+        "what": "brute-force entropy search nodes",
+        "size": 250_001,
+        "limit": 250_000,
+    }
+    assert elapsed < 5
+
+
 def test_spectral_split_of_c5_squared(capsys):
     rc, out = run(capsys, "spectral", "--op", "split", "--kind", "cycle", "--size", "5", "--power", "2")
     assert rc == 0

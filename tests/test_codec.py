@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
@@ -835,3 +836,18 @@ def test_one_term_entropy_is_positive_zero():
     assert math.copysign(1.0, report.coloring_entropies[1]) == 1.0
     assert "-0.0" not in report.to_json()
     assert math.copysign(1.0, entropy_bits([Fraction(1)])) == 1.0
+
+
+def test_color_code_sends_a_zero_weight_color_through_huffman_code():
+    # a color whose blocks all have zero weight sums to 0: huffman_code warns
+    # and drops it; positive sums go to the two-queue core as they are
+    for sums, dropped in (({2: 3, 1: 0, 0: 5}, True), ({2: 3, 0: 5, 7: 5}, False)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, total = codec._color_code(sums)
+        assert [str(w.message) for w in caught] == (
+            ["dropping zero-probability colors [1]"] if dropped else []
+        )
+        want_code, want_avg = huffman_code({c: Fraction(w, 8) for c, w in sums.items() if w})
+        assert list(code.items()) == list(want_code.items())
+        assert type(total) is int and Fraction(total, 8) == want_avg

@@ -25,6 +25,7 @@ from chromacode import (
     greedy_gain,
     is_valid_b_fold,
     is_valid_coloring,
+    make_graph,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     or_power,
@@ -33,6 +34,7 @@ from chromacode import (
     prism_graph,
     product_coloring,
 )
+from chromacode.coloring import _cycle_scheme
 from chromacode.errors import check_guard
 
 
@@ -482,6 +484,37 @@ def test_product_composition_equals_index_loop():
             gn, c = product_coloring(g, n)
             assert c == _reference_product_coloring(g, n, base)
             assert gn == or_power(g, n)
+
+
+def _cycle_scheme_graphs():
+    """Canonical cycles and graphs one edit or one relabeling away."""
+    rng = random.Random("cycle-scheme")
+    for V in range(1, 13):
+        yield from (make_graph(kind, V) for kind in ("complete", "path", "edgeless"))
+        if V < 3:
+            continue
+        cycle = [(i, (i + 1) % V) for i in range(V)]
+        yield make_graph("cycle", V)
+        yield Graph.from_edges(V, cycle[1:])  # a path, but not 0..V-1 in order
+        perm = rng.sample(range(V), V)
+        yield Graph.from_edges(V, [(perm[u], perm[v]) for u, v in cycle])
+        if V > 3:
+            yield Graph.from_edges(V, cycle + [(0, V // 2)])  # plus a chord
+        for _ in range(5):
+            yield Graph.from_edges(V, [e for e in combinations(range(V), 2) if rng.random() < 0.3])
+
+
+def test_cycle_scheme_reads_the_canonical_cycle_off_the_rows():
+    seen = []
+    for g in _cycle_scheme_graphs():
+        V = g.vertex_count
+        canonical = V >= 4 and g == make_graph("cycle", V)
+        want = ("odd-cycle" if V % 2 else "even-cycle") if canonical else None
+        assert _cycle_scheme(g) == want, g.edges()
+        seen.append(want)
+    # C4 .. C12, and any relabeling that happens to give the same rows
+    assert seen.count("odd-cycle") >= 4 and seen.count("even-cycle") >= 5
+    assert seen.count(None) > 100
 
 
 def test_power_coloring_auto_takes_the_cycle_schemes():

@@ -1,5 +1,6 @@
 import heapq
 import math
+import random
 import time
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chromacode import (
     AlphaProfile,
+    Graph,
     GuardExceeded,
     alpha_n_window,
     chromatic_entropy_bruteforce,
@@ -22,7 +24,7 @@ from chromacode import (
     odd_cycle_entropy_upper_bound,
     path_graph,
 )
-from chromacode.entropy import _extremal_profile
+from chromacode.entropy import _extremal_profile, _huffman
 
 
 def test_entropy_bits():
@@ -60,6 +62,49 @@ def test_chromatic_entropy_matches_min_over_colorings():
 def test_chromatic_entropy_guard():
     with pytest.raises(GuardExceeded):
         chromatic_entropy_bruteforce(cycle_graph(13))
+
+
+def _reference_chromatic_entropy(g, vertex_pmf):
+    """The brute force on Fraction class masses that the integer masses
+    replaced: the same partitions, each class mass an exact rational."""
+    V = g.vertex_count
+    best = float("inf")
+    class_bits, class_mass = [], []
+
+    def rec(v):
+        nonlocal best
+        if v == V:
+            best = min(best, entropy_bits(class_mass))
+            return
+        for i in range(len(class_bits)):
+            if not class_bits[i] & g.neighbors_bitset(v):
+                class_bits[i] |= 1 << v
+                class_mass[i] += vertex_pmf[v]
+                rec(v + 1)
+                class_mass[i] -= vertex_pmf[v]
+                class_bits[i] &= ~(1 << v)
+        class_bits.append(1 << v)
+        class_mass.append(vertex_pmf[v])
+        rec(v + 1)
+        class_bits.pop()
+        class_mass.pop()
+
+    rec(0)
+    return best
+
+
+def test_chromatic_entropy_matches_fraction_masses():
+    # a class's float mass from its integer weight over D equals its
+    # Fraction's float, so the minimum is the same float
+    rng = random.Random("brute entropy")
+    for _ in range(120):
+        V = rng.randint(1, 8)
+        edges = [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < 0.4]
+        g = Graph.from_edges(V, edges)
+        weights = [rng.choice((0, 1, 2, 3, 7, 10**15 + 37)) for _ in range(V)]
+        weights[0] += not any(weights)
+        pmf = [Fraction(w, sum(weights)) for w in weights]
+        assert chromatic_entropy_bruteforce(g, pmf) == _reference_chromatic_entropy(g, pmf)
 
 
 def test_alpha_profile_pmf_and_entropy():
@@ -221,6 +266,78 @@ def test_integer_huffman_takes_strings_and_ints():
     assert huffman_code({0: "1/5", 1: "2/5", 2: "2/5"})[1] == Fraction(8, 5)
     with pytest.warns(UserWarning, match=r"zero-probability colors \[1, 2\]"):
         assert huffman_code({0: 1, 1: 0, 2: Fraction(0)}) == ({0: ""}, 0)
+
+
+def _heap_huffman(pmf):
+    """The heap Huffman that the two-queue `_huffman` replaced: (weight,
+    least color, node id) entries, one heappop and one heapreplace per
+    merge; the oracle of `huffman_code` and `_huffman`."""
+    colors = sorted(pmf)
+    weights = [pmf[c] for c in colors]
+    D = 1
+    if not all(isinstance(w, int) for w in weights):
+        weights = [Fraction(p) for p in weights]
+        D = math.lcm(*(p.denominator for p in weights))
+        weights = [p.numerator * (D // p.denominator) for p in weights]
+    leaves = [(w, c) for w, c in zip(weights, colors) if w]
+    m = len(leaves)
+    heap = [(w, c, i) for i, (w, c) in enumerate(leaves)]
+    heapq.heapify(heap)
+    kids = []
+    total = 0
+    for node in range(m, 2 * m - 1):
+        w, c, a = heapq.heappop(heap)
+        w2, c2, b = heap[0]
+        w += w2
+        total += w
+        kids += (a, b)
+        heapq.heapreplace(heap, (w, min(c, c2), node))
+    code = {}
+    stack = [(2 * m - 2, "")]
+    while stack:
+        node, prefix = stack.pop()
+        if node < m:
+            code[leaves[node][1]] = prefix
+        else:
+            j = 2 * (node - m)
+            stack += ((kids[j + 1], prefix + "1"), (kids[j], prefix + "0"))
+    return code, Fraction(total, D)
+
+
+def _seeded_pmfs():
+    """Seeded int weights on palettes of 1-300 colors, sparse color ids,
+    ties heavy (weights 1-5) and light (1-10^6)."""
+    rng = random.Random("two-queue huffman")
+    for m in [*range(1, 33), 64, 125, 216, 300] * 3:
+        top = rng.choice((5, 5, 10**6))
+        colors = rng.sample(range(4 * m), m)
+        yield {c: rng.randint(1, top) for c in colors}
+
+
+def test_two_queue_huffman_matches_the_heap():
+    merges = 0
+    for pmf in _seeded_pmfs():
+        want_code, want_total = _heap_huffman(pmf)
+        leaves = [(w, c) for c, w in pmf.items()]
+        random.Random(len(pmf)).shuffle(leaves)  # `_huffman` sorts its leaves itself
+        code, total = _huffman(leaves)
+        assert list(code.items()) == list(want_code.items())
+        assert type(total) is int and total == want_total
+        merges += len(pmf) - 1
+    assert merges > 3000
+
+
+@pytest.mark.parametrize("masses", ["int", "fraction", "string"])
+def test_huffman_code_matches_the_heap(masses):
+    for pmf in _seeded_pmfs():
+        total = sum(pmf.values())
+        if masses == "fraction":
+            pmf = {c: Fraction(w, total) for c, w in pmf.items()}
+        elif masses == "string":
+            pmf = {c: f"{w}/{total}" for c, w in pmf.items()}
+        got, want = huffman_code(pmf), _heap_huffman(pmf)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
 
 
 # -- the one extremal-profile search against the two searches it replaced ----

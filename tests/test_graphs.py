@@ -17,6 +17,7 @@ from chromacode import (
     path_graph,
     prism_graph,
 )
+from chromacode.graphs import _maximal_cliques, bits_to_list
 
 
 def test_from_edges_basic():
@@ -137,3 +138,41 @@ def test_max_independent_set_size_matches_the_largest_maximal_independent_set():
         edges = [(u, v) for u in range(V) for v in range(u + 1, V) if rng.random() < p]
         g = Graph.from_edges(V, edges)
         assert max_independent_set_size(g) == max(map(len, maximal_independent_sets(g)))
+
+
+def _reference_maximal_cliques(adj, candidates, min_size=0):
+    """The Bron-Kerbosch loop that listed each node's vertices with
+    `bits_to_list`, kept as the oracle of `graphs._maximal_cliques`."""
+    out = []
+
+    def expand(r, p, x):
+        if r.bit_count() + p.bit_count() < min_size:
+            return
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot = max(bits_to_list(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in bits_to_list(p & ~adj[pivot]):
+            bit = 1 << v
+            expand(r | bit, p & adj[v], x & adj[v])
+            p &= ~bit
+            x |= bit
+
+    expand(0, candidates, 0)
+    return out
+
+
+def test_maximal_cliques_match_the_listing_reference():
+    # the same cliques in the same order, so exact χ's search is unchanged
+    rng = random.Random("cliques")
+    listed = 0
+    for _ in range(150):
+        V = rng.randint(1, 40)
+        g = _random_graph(rng, V, rng.choice((0.1, 0.3, 0.5, 0.7)))
+        adj = [g.neighbors_bitset(v) for v in range(V)]
+        candidates = rng.getrandbits(V) if rng.random() < 0.5 else (1 << V) - 1
+        min_size = rng.choice((0, 0, 2, 4))
+        got = _maximal_cliques(adj, candidates, min_size)
+        assert got == _reference_maximal_cliques(adj, candidates, min_size)
+        listed += len(got)
+    assert listed > 10_000
