@@ -1,47 +1,38 @@
 """End-to-end two-source functional compression.
 
-`build_codec` scales the joint PMF once to integers over a common denominator
-D, then plans one of two ways.
+`build_codec` plans every block length n the same way.
 
-- Full support (every cell positive): a source's characteristic graph is
-  complete multipartite, one part per distinct row of f (source 1) or
-  column (source 2), and two n-blocks are adjacent in its n-block graph, the
-  co-normal power (Alon & Orlitsky 1996), iff their part vectors differ.
-  The part-vector coloring (parts numbered by first appearance, vectors read
-  big-endian) is the coarsest valid coloring at every n, so it is optimal in
-  palette and in entropy, whatever `coloring_strategy` names.  It and the
-  part vectors' weights, products of part weights, are built by Horner over
-  plain Python lists (color c -> c * k + part(x) for each appended symbol x,
-  k parts); the receiver is the part table of f, read off each part's first
-  symbol and lifted by n - 1 broadcasts.  No graph, OR power or χ solver is
-  built; the power guard still bounds V^n, the length of each coloring.
-- Zero cells: characteristic graphs -> OR powers and their colorings (one
-  `coloring.power_coloring` call per source) -> a receiver table
-  (`_decoder_table`), which fails loudly if a color pair would decode to two
-  outcome blocks.  At n = 1 it is one plain Python pass over the cells in
-  (x1, x2) order (`_cell_receiver`), cheaper on a few dozen cells than the
-  array calls' fixed overhead; at n >= 2 one array pass over the positive
-  block pairs: one sort into (b1, b2) order, then one `np.unique` over their
-  color-pair keys, whose first occurrences are the entries.
+1. Each source colors its single symbols.  Under full support (every cell
+   positive) the characteristic graph is complete multipartite, one part
+   per distinct row of f (source 1) or column (source 2), and the part
+   coloring is used as it is, with no graph built.  With zero cells the
+   characteristic graph is colored by `coloring.power_coloring` at n = 1,
+   under the named strategy.
+2. The receiver table of those colorings is built and checked in one pass
+   over the cells (`_cell_receiver`); a color pair that would decode to two
+   outcomes raises AmbiguityError.
+3. A block's color is the vector of its symbols' colors, read as a
+   big-endian number (`_lift_coloring`).  Vector colorings are valid on the
+   n-block characteristic graph, and they decode at n exactly when the
+   symbol colorings decode (Orlitsky & Roche 2001), so the receiver table at
+   n is the n-fold product of the symbol table (`_lift_receiver`), and a
+   refusal names the first conflicting block pair in (b1, b2) order.  Under
+   full support the vectors are the part vectors, the coarsest valid
+   coloring of the co-normal power (Alon & Orlitsky 1996).
 
-Either way the receiver table is a `Receiver`, and each source gets a
-Huffman code on its integer color weights, sums of block weights over the
-scale D^n.  The two-queue core `entropy._huffman` codes the sums as they are
-(`huffman_code` only when a color sums to 0, which it drops with a warning),
-and the average length is one Fraction(total, D^n).  The plan keeps the
-integer weights and the scale, and builds the exact color PMFs, one
-Fraction(weight, D^n) per color, only when they are read.
+No OR power is built and no χ solver runs past n = 1; the power guard
+still bounds V^n, the length of each coloring.  The receiver table is a
+`Receiver`, and each source gets a Huffman code on its integer color
+weights, products of symbol-color weights over the scale D^n, for the
+common denominator D of the joint PMF.  The plan keeps the integer weights
+and the scale, and builds the exact color PMFs only when they are read.
 
 `encode_block` and `decode_pair` code one block at a time, and
 `roundtrip_exhaustive` checks every positive block pair in array passes.
-`simulate` measures rates over many blocks in a chunked array pass: it
-draws SIMULATE_CHUNK blocks per chunk from the seeded `random.Random` stream,
-then colors, measures and checks the whole chunk with numpy lookup tables,
-the receiver's among them, read from its arrays.
-The draw reads the stream's own Mersenne Twister words (`getrandbits`) and
-rebuilds in numpy exactly the cells that `rng.choices` would return, by a
-branch-free binary search over the cumulative weights, so the reports equal
-those of drawing block by block with `choices`.
+`simulate` measures rates over many blocks in a chunked array pass whose
+cells are exactly those that `rng.choices` would draw from the seeded
+`random.Random` stream, so its reports equal those of drawing block by
+block.
 """
 
 import json
@@ -138,7 +129,7 @@ class CodecPlan:
     n: int
     colorings: tuple
     codes: tuple  # Huffman code dicts keyed by color
-    color_weights: tuple  # {color: integer weight over `scale`} per source, first-seen order
+    color_weights: tuple  # {color: integer weight over `scale`} per source, in color order
     scale: int  # D^n, for the common denominator D of the joint PMF
     avg_lengths: tuple  # exact Fractions, bits per block
     decoder: Receiver  # (color1, color2) -> outcome block tuple
@@ -178,60 +169,6 @@ def _positive_pairs(spec, positive, n):
     return b1, b2, out
 
 
-def _decoder_table(spec, weights, n, c1, c2):
-    """The receiver table over every positive block pair, as a `Receiver`;
-    raises AmbiguityError at the first pair, in (b1, b2) order, whose colors
-    already decode to another outcome block.
-
-    At n = 1 the pairs are the positive cells, and `_cell_receiver` builds
-    the table.  At n >= 2 a positive block pair is an n-tuple of positive
-    cells (`weights` is the scaled joint PMF), enumerated in one array pass.
-    Blocks, outcome blocks and pairs b1 * n2^n + b2 are big-endian indices
-    (outcome blocks in base the spec's outcome count, as `simulate` reads
-    them), so one sort of the pair indices puts the pairs in (b1, b2) order.
-    `np.unique` over the sorted pairs' color-pair keys color1 * palette2 +
-    color2 then gives the keys in use, in increasing order, and each key's
-    first pair, whose outcome is the key's entry; the first pair that
-    disagrees with its key's entry is the first conflict.  Memory: a few
-    int64 arrays of one element per positive pair.  b1's buffer becomes the
-    pair index, and each pair's key position comes from a `searchsorted`
-    after `np.unique` rather than as its inverse, whose temporaries would
-    coexist with the pairs' arrays.
-    """
-    if n == 1:
-        return _cell_receiver(spec, weights, c1, c2)
-    b1, b2, out = _positive_pairs(spec, weights, n)
-    outcomes = _outcomes(spec)
-    blocks2 = spec.n2**n
-    colors1 = np.array(c1.assignment, dtype=np.int64)
-    colors2 = np.array(c2.assignment, dtype=np.int64)
-    palette2 = int(colors2.max()) + 1
-    key = colors1[b1] * palette2
-    key += colors2[b2]
-    pair = b1  # b1's buffer becomes the pair index; freeing b2 lowers peak memory
-    pair *= blocks2
-    pair += b2
-    del b1, b2
-    order = pair.argsort()
-    pair = pair[order]  # one array at a time, so no two copies of all three coexist
-    key = key[order]
-    out = out[order]
-    del order
-    keys, first = np.unique(key, return_index=True)
-    ref = out[first]
-    at = keys.searchsorted(key)  # each pair's key, as a position in `keys`
-    bad = np.flatnonzero(out != ref[at])
-    if bad.size:
-        j = bad[0]
-        pairs = [
-            (_digits(p // blocks2, spec.n1, n), _digits(p % blocks2, spec.n2, n))
-            for p in (int(pair[first[at[j]]]), int(pair[j]))
-        ]
-        outs = [_digits(int(o), outcomes, n) for o in (ref[at[j]], out[j])]
-        raise AmbiguityError(*pairs, *outs)
-    return Receiver(keys, ref, palette2, outcomes, n)
-
-
 def _block_weights(marginal, n):
     """Integer weights of i.i.d. n-blocks in block-index order, the repeated
     products of `marginal`, integer symbol weights over a common denominator
@@ -242,23 +179,27 @@ def _block_weights(marginal, n):
     return weights
 
 
-def _color_weights(marginal, n, coloring):
-    """Integer color weights of i.i.d. blocks, colors in order of first
-    appearance: a color's weight is the sum of its blocks' weights."""
-    sums = {}
-    for c, w in zip(coloring.assignment, _block_weights(marginal, n)):
-        sums[c] = sums.get(c, 0) + w
+def _color_weights(marginal, coloring):
+    """Integer weight of each color of `coloring`, indexed by color: the sum
+    of its symbols' weights in `marginal`."""
+    sums = [0] * coloring.palette_size
+    for c, w in zip(coloring.assignment, marginal):
+        sums[c] += w
     return sums
 
 
-def _cell_receiver(spec, positive, c1, c2):
-    """The receiver table at n = 1, as a `Receiver`, in one pass over the
-    cells in (x1, x2) order: a cell (x1, x2) with `positive[x1][x2]` nonzero
-    has color pair (c1[x1], c2[x2]), key color1 * palette2 + color2, where
-    palette2 is one more than c2's largest color.  Each key keeps the
-    outcome of its first cell; the first cell that disagrees with its key's
-    outcome raises AmbiguityError, with that first cell as the witness's
-    first pair.
+def _cell_receiver(spec, positive, c1, c2, n=1):
+    """The receiver table of the colorings c1, c2 of single symbols, as a
+    `Receiver`, in one pass over the cells in (x1, x2) order: a cell (x1, x2)
+    with `positive[x1][x2]` nonzero has color pair (c1[x1], c2[x2]), key
+    color1 * palette2 + color2, where palette2 is one more than c2's largest
+    color.  Each key keeps the outcome of its first cell.
+
+    The first cell that disagrees with its key's outcome raises
+    AmbiguityError, naming the key's first cell and that cell.  The witness
+    is given at block length n: both block pairs start with n - 1 copies of
+    the first positive cell, which makes them the first conflict, in
+    (b1, b2) order, under the vector colorings of `_lift_coloring`.
     """
     palette2 = max(c2.assignment) + 1
     first = {}  # key -> (x1, x2, outcome) of its first cell
@@ -272,7 +213,13 @@ def _cell_receiver(spec, positive, c1, c2):
                     first[key] = (x1, x2, out)
                 elif seen[2] != out:
                     y1, y2, ref = seen
-                    raise AmbiguityError(((y1,), (y2,)), ((x1,), (x2,)), (ref,), (out,))
+                    z1 = next(i for i, zs in enumerate(positive) if any(zs))  # first positive cell
+                    z2 = next(j for j, z in enumerate(positive[z1]) if z)
+                    p1, p2, pout = ((v,) * (n - 1) for v in (z1, z2, spec.table[z1][z2]))
+                    raise AmbiguityError(
+                        (p1 + (y1,), p2 + (y2,)), (p1 + (x1,), p2 + (x2,)),
+                        pout + (ref,), pout + (out,),
+                    )
     keys = sorted(first)
     blocks = [first[key][2] for key in keys]
     return Receiver(
@@ -281,43 +228,42 @@ def _cell_receiver(spec, positive, c1, c2):
     )
 
 
-def _part_receiver(spec, parts1, parts2, n):
-    """The receiver table under full support, as a dense `Receiver` keyed
-    c1 * k2^n + c2: the part table, read off each part's first symbol and
-    checked in one pass over the cells (the first in (x1, x2) order that
-    disagrees raises AmbiguityError), lifted by n - 1 broadcasts that each
-    append one digit to both colors and to the outcome block."""
-    (a1, k1), (a2, k2) = ((p.assignment, p.palette_size) for p in (parts1, parts2))
-    first1, first2 = [a1.index(c) for c in range(k1)], [a2.index(c) for c in range(k2)]
-    part = [[spec.table[y1][y2] for y2 in first2] for y1 in first1]
-    for x1, (row, c1) in enumerate(zip(spec.table, a1)):
-        for x2, (out, c2) in enumerate(zip(row, a2)):
-            if out != part[c1][c2]:
-                cells = ((first1[c1],), (first2[c2],)), ((x1,), (x2,))
-                raise AmbiguityError(*cells, (part[c1][c2],), (out,))
-    table = blocks = np.array(part, dtype=np.int64)
-    base = _outcomes(spec)
+def _lift_coloring(coloring, n):
+    """The vector coloring of n-blocks: a block's color is the big-endian
+    index, in base the palette size k, of its symbols' colors (Horner over
+    plain Python lists), out of k^n colors."""
+    colors, k = coloring.assignment, coloring.palette_size
     for _ in range(n - 1):
-        lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
-        blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
-    return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, base, n)
+        colors = [c * k + q for c in colors for q in coloring.assignment]
+    return Coloring(tuple(colors), k**n)
 
 
-def _full_support_plan(spec, marginals, n, guard):
-    """(colorings, receiver, integer color weights) under full support, by
-    part vectors over Python lists (see the module docstring)."""
-    lines = spec.table, tuple(zip(*spec.table))  # source 1's rows, source 2's columns
-    for symbols in lines:
-        check_power_guard(len(symbols), n, guard)
-    parts = [Coloring.from_list(symbols) for symbols in lines]  # one part per distinct line
-    colorings, sums = [], []
-    for m, p in zip(marginals, parts):
-        colors, k = p.assignment, p.palette_size
+def _lift_receiver(receiver, palette1, n):
+    """The receiver table of the vector colorings at block length n, from the
+    table `receiver` of the symbol colorings: its entries are the n-tuples of
+    the symbol table's entries, color pair (Horner of the color1s, Horner of
+    the color2s) -> Horner of the outcomes.  A table with every color pair
+    is lifted by n - 1 broadcasts, each appending one digit to both colors
+    and to the outcome block; any other by n Horner passes over its entries
+    and one sort of the lifted keys."""
+    if n == 1:
+        return receiver
+    k1, k2, base = palette1, receiver.palette2, receiver.base
+    if len(receiver) == k1 * k2:
+        table = blocks = receiver.blocks.reshape(k1, k2)
         for _ in range(n - 1):
-            colors = [c * k + q for c in colors for q in p.assignment]
-        colorings.append(Coloring(tuple(colors), k**n))
-        sums.append(dict(enumerate(_block_weights(list(_color_weights(m, 1, p).values()), n))))
-    return tuple(colorings), _part_receiver(spec, *parts, n), tuple(sums)
+            lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
+            blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
+        return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, base, n)
+    d1, d2 = np.divmod(receiver.pair_keys, k2)
+    c1 = c2 = out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        c1 = (c1[:, None] * k1 + d1).ravel()
+        c2 = (c2[:, None] * k2 + d2).ravel()
+        out = (out[:, None] * base + receiver.blocks).ravel()
+    key = c1 * k2**n + c2
+    order = key.argsort()
+    return Receiver(key[order], out[order], k2**n, base, n)
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
@@ -325,15 +271,20 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     value `Fraction(p)`, a float at its binary value: the color PMFs of float
     cells whose exact sum is not 1 sum to that sum to the power n.
 
-    Under full support the plan codes part vectors whatever the strategy
-    (module docstring); `coloring_strategy` must still name one of
-    `coloring.STRATEGIES`.  With zero cells each source's OR power is colored
-    by `coloring_strategy`.
+    Each source colors single symbols, and a block takes the vector of its
+    symbols' colors (module docstring).  Under full support the symbol
+    coloring is the part coloring whatever the strategy; `coloring_strategy`
+    must still name one of `coloring.STRATEGIES`.  With zero cells it colors
+    the characteristic graph.  Raises GuardExceeded when V1^n or V2^n is past
+    the power guard, before any coloring, and AmbiguityError when the symbol
+    colorings do not decode.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")
     _check_dims(spec, pmf)
     check_strategy(coloring_strategy)
+    for V in (spec.n1, spec.n2):
+        check_power_guard(V, n, guard)
     # the joint PMF as integers over one common denominator D, each cell
     # read once as (numerator, denominator); Fraction(p) also takes int and
     # float cells exactly
@@ -345,20 +296,24 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     weights = [[a * (D // d) for a, d in row] for row in ratios]
     marginals = [sum(row) for row in weights], [sum(col) for col in zip(*weights)]
     if all(map(all, weights)):
-        (c1, c2), decoder, sums = _full_support_plan(spec, marginals, n, guard)
+        # one color per distinct row of f (source 1) or column (source 2)
+        c1, c2 = (Coloring.from_list(lines) for lines in (spec.table, zip(*spec.table)))
     else:
-        g1 = build_characteristic_graph(spec, pmf, 1)
-        g2 = build_characteristic_graph(spec, pmf, 2)
-        _, c1 = power_coloring(g1, n, coloring_strategy, guard)
-        _, c2 = power_coloring(g2, n, coloring_strategy, guard)
-        decoder = _decoder_table(spec, weights, n, c1, c2)
-        sums = tuple(_color_weights(m, n, c) for m, c in zip(marginals, (c1, c2)))
+        c1, c2 = (
+            power_coloring(build_characteristic_graph(spec, pmf, s), 1, coloring_strategy, guard)[1]
+            for s in (1, 2)
+        )
+    decoder = _lift_receiver(_cell_receiver(spec, weights, c1, c2, n), c1.palette_size, n)
+    sums = tuple(
+        dict(enumerate(_block_weights(_color_weights(m, c), n)))
+        for m, c in zip(marginals, (c1, c2))
+    )
     # Huffman merges the integer sums: one common scale keeps order and ties
     codes, totals = zip(*map(_color_code, sums))
     inverses = tuple({w: c for c, w in code.items()} for code in codes)
     scale = D**n
     return CodecPlan(
-        spec, pmf, n, (c1, c2), codes, sums, scale,
+        spec, pmf, n, (_lift_coloring(c1, n), _lift_coloring(c2, n)), codes, sums, scale,
         tuple(Fraction(total, scale) for total in totals), decoder, inverses,
     )
 

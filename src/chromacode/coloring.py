@@ -7,11 +7,11 @@ b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 (a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
 χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  One dispatcher,
-`power_coloring`, shared by the CLI and the codec's plans for PMFs with zero
-cells, picks a strategy (`auto`: the cycle scheme on a canonical cycle, else
-exact), materializes the power under its guard and validates the coloring on
-it once.  Under full support the codec colors blocks by their part vectors
-itself, by Horner over plain Python lists, with no power and no solver.
+`power_coloring`, picks a strategy (`auto`: the cycle scheme on a canonical
+cycle, else exact), materializes the power under its guard and validates the
+coloring on it once.  The codec calls it at n = 1 only, on the
+characteristic graph of a PMF with zero cells, and codes n-blocks by the
+vectors of that coloring; under full support it calls it not at all.
 """
 
 import time

@@ -41,7 +41,9 @@ def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):
     """Global minimum of coloring entropy over all valid colorings.
 
     Enumerates partitions into independent sets (colorings up to relabeling)
-    by assigning each vertex to an existing class or a fresh one.  `guard`
+    by assigning each vertex to an existing class or a fresh one.
+    `vertex_pmf`, one mass per vertex, none negative, summing to exactly 1,
+    defaults to uniform; any other raises UsageError.  `guard`
     bounds the vertex count; the search nodes, which grow as the Bell
     numbers, are counted against BRUTE_ENTROPY_STEPS, and one past it raises
     GuardExceeded.
@@ -51,6 +53,10 @@ def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):
     if vertex_pmf is None:
         vertex_pmf = [Fraction(1, V)] * V
     vertex_pmf = [Fraction(p) for p in vertex_pmf]
+    if len(vertex_pmf) != V:
+        raise UsageError(f"vertex PMF has {len(vertex_pmf)} masses for {V} vertices")
+    if min(vertex_pmf, default=0) < 0:
+        raise UsageError("vertex PMF has a negative mass")
     if sum(vertex_pmf) != 1:
         raise UsageError("vertex PMF must sum to exactly 1")
     # masses as integers over the common denominator D: a class's float mass

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -120,7 +119,7 @@ def test_simulate_n2(ex1):
 
 
 # C5 with its vertices relabeled: `auto` cannot use the odd-cycle scheme for
-# it and colors its powers with the exact solver.
+# it and colors it with the exact solver.
 RELABELED_C5_EDGES = [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]
 
 
@@ -139,15 +138,16 @@ def test_relabeled_c5_codec_uses_exact_coloring():
     spec, pmf = _edge_spec(RELABELED_C5_EDGES)
     g1 = build_characteristic_graph(spec, pmf, 1)
     assert g1 == Graph.from_edges(5, RELABELED_C5_EDGES) != cycle_graph(5)
-    plan = build_codec(spec, pmf, 1)
-    assert roundtrip_exhaustive(plan) == 10
-    # At n = 2 the exact coloring of the 25-vertex square is fast; the plan
-    # is then refused, because per-source colorings of the OR power do not
-    # separate every pair of blocks once the PMF has zero cells.
-    start = time.monotonic()
-    with pytest.raises(AmbiguityError):
-        build_codec(spec, pmf, 2)
-    assert time.monotonic() - start < 5.0
+    # the exact 3-coloring of G_X1 decodes, so its vectors decode n-blocks:
+    # no OR power is colored, and n = 3 is not held to the exact solver's
+    # guard of 64 vertices
+    rates = []
+    for n in (1, 2, 3):
+        plan = build_codec(spec, pmf, n)
+        assert plan.colorings[0].palette_size == 3**n
+        assert roundtrip_exhaustive(plan) == 10**n
+        rates.append(plan.avg_lengths[0] / n)
+    assert rates == [Fraction(8, 5), Fraction(39, 25), Fraction(572, 375)]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -413,11 +413,19 @@ def _random_zero_cell_spec(rng, n):
     return FunctionSpec.from_table(table), JointPMF(probs)
 
 
+def _vector_coloring(base, n):
+    """The coloring `base` of symbols lifted to n-blocks by
+    `coloring._compose` over its `_vector_fold`."""
+    colors = coloring._compose(coloring._vector_fold(base), n).tolist()
+    return Coloring(tuple(colors), base.palette_size**n)
+
+
 def _assert_matches_reference(spec, pmf, n, strategy="auto"):
-    """build_codec equals the reference loops: table, PMFs, codes and any
-    AmbiguityError; returns whether the plan was refused."""
-    c1 = power_coloring(build_characteristic_graph(spec, pmf, 1), n, strategy)[1]
-    c2 = power_coloring(build_characteristic_graph(spec, pmf, 2), n, strategy)[1]
+    """build_codec equals the reference loops over the vector colorings:
+    colorings, table, PMFs, codes and any AmbiguityError; returns whether
+    the plan was refused."""
+    g1, g2 = (build_characteristic_graph(spec, pmf, s) for s in (1, 2))
+    c1, c2 = (_vector_coloring(power_coloring(g, 1, strategy)[1], n) for g in (g1, g2))
     try:
         expected = _reference_decoder(spec, pmf, n, c1, c2)
     except AmbiguityError as exc:
@@ -427,6 +435,7 @@ def _assert_matches_reference(spec, pmf, n, strategy="auto"):
         assert got.value.witness == exc.witness
         return True
     plan = build_codec(spec, pmf, n, strategy)
+    assert plan.colorings == (c1, c2)
     assert list(plan.decoder.items()) == sorted(expected.items())
     pmfs = tuple(
         _reference_color_pmf(pmf.marginal(s), n, c) for s, c in ((1, c1), (2, c2))
@@ -448,7 +457,7 @@ def test_build_codec_matches_per_pair_reference(n):
 @pytest.mark.parametrize("strategy", ["greedy", "product"])
 def test_build_codec_matches_per_pair_reference_at_n4(strategy):
     # 2-3 symbols per source: up to 81 blocks, past the exact solver's guard,
-    # so the powers are colored greedily or by exact base-color vectors
+    # which now sees only the characteristic graphs
     rng = random.Random(f"decoder-oracle:4:{strategy}")
     refused = [
         _assert_matches_reference(*_random_zero_cell_spec(rng, 4), 4, strategy) for _ in range(40)
@@ -457,10 +466,10 @@ def test_build_codec_matches_per_pair_reference_at_n4(strategy):
 
 
 def test_decoder_table_matches_reference_under_arbitrary_colorings():
-    # random colorings, not power colorings: a pair's position among the
-    # enumerated cell tuples is not its (b1, b2) order, so a first conflict
-    # taken in enumeration order would differ from the reference's; n = 1
-    # runs the pass over the cells, n >= 2 the array pass
+    # random symbol colorings, not characteristic-graph colorings: the n = 1
+    # table and its first conflict, and at n = 2, 3 the lifted table and the
+    # witness prefixed by the first positive cell, against the walk over
+    # every block pair under the vector colorings
     rng = random.Random("decoder-oracle:arbitrary")
     runs, refused = Counter(), Counter()
     for _ in range(90):
@@ -468,18 +477,20 @@ def test_decoder_table_matches_reference_under_arbitrary_colorings():
         runs[n] += 1
         spec, pmf = _random_zero_cell_spec(rng, n)
         c1, c2 = (
-            Coloring.from_list(rng.randrange(rng.choice((2, 4, k**n))) for _ in range(k**n))
+            Coloring.from_list(rng.randrange(rng.choice((2, 4, k))) for _ in range(k))
             for k in (spec.n1, spec.n2)
         )
         try:
-            expected = _reference_decoder(spec, pmf, n, c1, c2)
+            vectors = _vector_coloring(c1, n), _vector_coloring(c2, n)
+            expected = _reference_decoder(spec, pmf, n, *vectors)
         except AmbiguityError as exc:
             with pytest.raises(AmbiguityError) as got:
-                codec._decoder_table(spec, pmf.probs, n, c1, c2)
+                codec._cell_receiver(spec, pmf.probs, c1, c2, n)
             assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
             refused[n] += 1
             continue
-        got = codec._decoder_table(spec, pmf.probs, n, c1, c2)
+        got = codec._cell_receiver(spec, pmf.probs, c1, c2, n)
+        got = codec._lift_receiver(got, c1.palette_size, n)
         assert list(got.items()) == sorted(expected.items())
     assert all(0 < refused[n] < runs[n] for n in (1, 2, 3))
 
@@ -497,15 +508,25 @@ def test_build_codec_reference_when_the_palettes_outgrow_the_pairs():
 
 
 def test_ambiguity_reference_pair_under_an_earlier_first_symbol():
-    # the first conflict, ((2, 0), (1, 0)), shares its colors with a pair whose
-    # source-1 block starts with symbol 1
+    # the exact coloring of the OR power refused this spec at n = 2; its
+    # symbol colorings decode, so their vectors decode at every n
     spec = FunctionSpec.from_table([[0, 2, 1], [1, 2, 0], [0, 2, 0], [1, 1, 1]])
     weights = [[2, 1, 0], [2, 2, 0], [0, 1, 0], [1, 1, 1]]
     pmf = JointPMF.from_rows([[Fraction(w, 11) for w in row] for row in weights])
-    assert _assert_matches_reference(spec, pmf, 2)
-    with pytest.raises(AmbiguityError) as exc:
-        build_codec(spec, pmf, 2)
-    assert exc.value.witness == (((1, 3), (1, 0)), ((2, 0), (1, 0)))
+    assert not _assert_matches_reference(spec, pmf, 2)
+    assert roundtrip_exhaustive(build_codec(spec, pmf, 2)) == 8**2
+    # a refusal whose first positive cell is (0, 1), not a witness cell: at
+    # n the witness pairs start with n - 1 copies of (0, 1)
+    spec = FunctionSpec.from_table([[0, 0, 1], [1, 0, 0], [1, 1, 0]])
+    pmf = JointPMF.from_rows([["0", "1/4", "0"], ["1/4", "1/4", "0"], ["0", "0", "1/4"]])
+    for n in (1, 2, 3):
+        assert _assert_matches_reference(spec, pmf, n)
+        with pytest.raises(AmbiguityError) as exc:
+            build_codec(spec, pmf, n)
+        pre1, pre2, out = (0,) * (n - 1), (1,) * (n - 1), (0,) * (n - 1)
+        assert exc.value.witness == ((pre1 + (1,), pre2 + (0,)), (pre1 + (2,), pre2 + (2,)))
+        tail = f"-> {out + (1,)} but {exc.value.witness[1]} -> {out + (0,)}"
+        assert str(exc.value).endswith(tail)
 
 
 def test_build_codec_reference_on_an_empty_row_and_huge_denominators():
@@ -763,7 +784,8 @@ def test_part_receiver_refuses_a_part_pair_that_disagrees():
     # rows 0 and 1 of f differ, so putting them in one part must fail loudly
     spec = FunctionSpec.from_table([[0, 1], [1, 0]])
     with pytest.raises(AmbiguityError) as exc:
-        codec._part_receiver(spec, Coloring.from_list([0, 0]), Coloring.from_list([0, 1]), 1)
+        parts = Coloring.from_list([0, 0]), Coloring.from_list([0, 1])
+        codec._cell_receiver(spec, [[1, 1], [1, 1]], *parts)
     assert exc.value.witness == (((0,), (0,)), ((1,), (0,)))
     assert str(exc.value) == (
         "ambiguous color pair: blocks ((0,), (0,)) -> (0,) but ((1,), (0,)) -> (1,)"
@@ -781,14 +803,11 @@ def _reference_full_support(spec, pmf, n):
     weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
     marginals = [sum(row) for row in weights], [sum(col) for col in zip(*weights)]
     parts = [Coloring.from_list(lines) for lines in (spec.table, tuple(zip(*spec.table)))]
-    colorings = tuple(
-        Coloring(
-            tuple(coloring._compose(coloring._vector_fold(p), n).tolist()), p.palette_size**n
-        )
-        for p in parts
-    )
+    colorings = tuple(_vector_coloring(p, n) for p in parts)
     sums = tuple(
-        dict(enumerate(codec._block_weights(list(codec._color_weights(m, 1, p).values()), n)))
+        dict(enumerate(codec._block_weights(
+            [sum(w for w, q in zip(m, p.assignment) if q == c) for c in range(p.palette_size)], n
+        )))
         for m, p in zip(marginals, parts)
     )
     k1, k2 = (p.palette_size for p in parts)
@@ -828,6 +847,45 @@ def test_full_support_plan_matches_the_array_construction():
         for c, code, avg in zip(plan.colorings, plan.codes, plan.avg_lengths):
             if c.palette_size == 1:  # one part: one color, sent in zero bits
                 assert (code, avg) == ({0: ""}, 0), kind
+
+
+# -- zero cells: vectors of the characteristic-graph colorings ---------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_cell_colorings_are_valid_on_the_block_graph(n):
+    rng = random.Random(f"zero-cell-block-graph:{n}")
+    planned = 0
+    for _ in range(30):
+        spec, pmf = _random_zero_cell_spec(rng, n)
+        try:
+            plan = build_codec(spec, pmf, n)
+        except AmbiguityError:
+            continue
+        for source in (1, 2):
+            adjacent = _block_graph_adjacency(spec, pmf, n, source)
+            colors = np.array(plan.colorings[source - 1].assignment)
+            assert not (adjacent & (colors[:, None] == colors[None, :])).any()
+        planned += 1
+    assert planned >= 15
+
+
+@pytest.mark.parametrize("strategy", ["auto", "greedy"])
+def test_build_codec_refuses_at_n_exactly_when_it_refuses_at_n1(strategy):
+    rng = random.Random(f"refusal-at-n:{strategy}")
+    refused = Counter()
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        spec, pmf = _random_zero_cell_spec(rng, n)
+        try:
+            build_codec(spec, pmf, 1, strategy)
+            at_one = False
+        except AmbiguityError:
+            at_one = True
+        # the same verdict at n, with the reference's first conflict as witness
+        assert _assert_matches_reference(spec, pmf, n, strategy) == at_one
+        refused[at_one] += 1
+    assert refused[True] and refused[False]
 
 
 def test_one_term_entropy_is_positive_zero():

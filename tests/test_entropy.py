@@ -13,6 +13,7 @@ from chromacode import (
     AlphaProfile,
     Graph,
     GuardExceeded,
+    UsageError,
     alpha_n_window,
     chromatic_entropy_bruteforce,
     cycle_graph,
@@ -62,6 +63,23 @@ def test_chromatic_entropy_matches_min_over_colorings():
 def test_chromatic_entropy_guard():
     with pytest.raises(GuardExceeded):
         chromatic_entropy_bruteforce(cycle_graph(13))
+
+
+@pytest.mark.parametrize(
+    "masses, message",
+    [
+        ([Fraction(3, 2), Fraction(-1, 2), 0, 0, 0], "vertex PMF has a negative mass"),
+        ([Fraction(3, 20)] * 5 + [Fraction(1, 4)], "vertex PMF has 6 masses for 5 vertices"),
+        ([Fraction(1, 2)] * 2, "vertex PMF has 2 masses for 5 vertices"),
+    ],
+    ids=["negative", "one-too-many", "too-few"],
+)
+def test_chromatic_entropy_refuses_a_pmf_that_is_not_one_mass_per_vertex(masses, message):
+    # each summed to 1, and returned -0.877 bits, 1.0 bits (the sixth mass
+    # dropped) or a bare IndexError
+    assert sum(masses) == 1
+    with pytest.raises(UsageError, match=message):
+        chromatic_entropy_bruteforce(cycle_graph(5), masses)
 
 
 def _reference_chromatic_entropy(g, vertex_pmf):
