@@ -242,28 +242,25 @@ def _lift_receiver(receiver, palette1, n):
     """The receiver table of the vector colorings at block length n, from the
     table `receiver` of the symbol colorings: its entries are the n-tuples of
     the symbol table's entries, color pair (Horner of the color1s, Horner of
-    the color2s) -> Horner of the outcomes.  A table with every color pair
-    is lifted by n - 1 broadcasts, each appending one digit to both colors
-    and to the outcome block; any other by n Horner passes over its entries
-    and one sort of the lifted keys."""
+    the color2s) -> Horner of the outcomes, made by n Horner passes over its
+    entries and put in key order by one sort.  It holds len(receiver)^n
+    entries, at most four int64 arrays of that length at once."""
     if n == 1:
         return receiver
     k1, k2, base = palette1, receiver.palette2, receiver.base
-    if len(receiver) == k1 * k2:
-        table = blocks = receiver.blocks.reshape(k1, k2)
-        for _ in range(n - 1):
-            lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
-            blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
-        return Receiver(np.arange(blocks.size), blocks.ravel(), k2**n, base, n)
     d1, d2 = np.divmod(receiver.pair_keys, k2)
     c1 = c2 = out = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         c1 = (c1[:, None] * k1 + d1).ravel()
         c2 = (c2[:, None] * k2 + d2).ravel()
         out = (out[:, None] * base + receiver.blocks).ravel()
-    key = c1 * k2**n + c2
-    order = key.argsort()
-    return Receiver(key[order], out[order], k2**n, base, n)
+    c1 *= k2**n
+    c1 += c2  # the keys, in place
+    del c2
+    order = c1.argsort()
+    key = c1[order]
+    del c1
+    return Receiver(key, out[order], k2**n, base, n)
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
@@ -277,7 +274,9 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     must still name one of `coloring.STRATEGIES`.  With zero cells it colors
     the characteristic graph.  Raises GuardExceeded when V1^n or V2^n is past
     the power guard, before any coloring, and AmbiguityError when the symbol
-    colorings do not decode.
+    colorings do not decode.  The guard bounds each coloring's length, not
+    the receiver: its m^n entries, for the m color pairs of the positive
+    cells, are bounded only by (V1 * V2)^n.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")

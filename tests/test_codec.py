@@ -710,8 +710,9 @@ def test_full_support_codes_part_vectors_on_the_block_graph(n):
 
 @pytest.mark.parametrize("strategy", ["auto", "exact", "greedy", "product"])
 def test_full_support_plan_matches_per_pair_reference(strategy):
-    # the reference colors the OR powers by `strategy`; under full support
-    # every strategy lands on the part-vector coloring the codec builds
+    # the reference lifts `power_coloring(g, 1, strategy)`; under full
+    # support every strategy gives the part coloring, which the reference
+    # asserts as `plan.colorings == (c1, c2)`
     rng = random.Random(f"full-support-reference:{strategy}")
     for n in (1, 2, 3):
         for _ in range(4):
