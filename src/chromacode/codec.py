@@ -14,25 +14,27 @@
 3. A block's color is the vector of its symbols' colors, read as a
    big-endian number (`_lift_coloring`).  Vector colorings are valid on the
    n-block characteristic graph, and they decode at n exactly when the
-   symbol colorings decode (Orlitsky & Roche 2001), so the receiver table at
-   n is the n-fold product of the symbol table (`_lift_receiver`), and a
-   refusal names the first conflicting block pair in (b1, b2) order.  Under
-   full support the vectors are the part vectors, the coarsest valid
-   coloring of the co-normal power (Alon & Orlitsky 1996).
+   symbol colorings decode (Orlitsky & Roche 2001): the receiver's outcome
+   for a pair of block colors is the symbol table's outcome for each pair
+   of digits.  So the receiver is kept as the symbol table and read digit
+   by digit (`Receiver`), and a refusal names the first conflicting block
+   pair in (b1, b2) order.  Under full support the vectors are the part
+   vectors, the coarsest valid coloring of the co-normal power (Alon &
+   Orlitsky 1996).
 
 No OR power is built and no χ solver runs past n = 1; the power guard
-still bounds V^n, the length of each coloring.  The receiver table is a
-`Receiver`, and each source gets a Huffman code on its integer color
-weights, products of symbol-color weights over the scale D^n, for the
-common denominator D of the joint PMF.  The plan keeps the integer weights
-and the scale, and builds the exact color PMFs only when they are read.
+still bounds V^n, the length of each coloring.  Each source gets a Huffman
+code on its integer color weights, products of symbol-color weights over
+the scale D^n, for the common denominator D of the joint PMF.  The plan
+keeps the integer weights and the scale, and builds the exact color PMFs
+only when they are read.
 
 `encode_block` and `decode_pair` code one block at a time, and
 `roundtrip_exhaustive` checks every positive block pair in array passes.
 `simulate` measures rates over many blocks in a chunked array pass whose
 cells are exactly those that `rng.choices` would draw from the seeded
 `random.Random` stream, so its reports equal those of drawing block by
-block.
+block.  Both read the receiver digit by digit (`_digit_lookup`).
 """
 
 import json
@@ -42,7 +44,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
 
 import numpy as np
@@ -50,7 +52,7 @@ import numpy as np
 from .chargraph import _check_dims, build_characteristic_graph
 from .coloring import Coloring, check_strategy, power_coloring
 from .entropy import _huffman, entropy_bits, huffman_code
-from .errors import ChromacodeError, UsageError
+from .errors import DEFAULT_GUARD, ChromacodeError, UsageError, resolve_guard
 from .orpower import check_power_guard, encode_tuple
 
 
@@ -77,49 +79,51 @@ def _digits(value, base, n):
 
 @dataclass(frozen=True, eq=False)
 class Receiver(Mapping):
-    """The receiver table as a read-only mapping {(color1, color2): outcome
-    block}, held in two int64 arrays: `pair_keys`, the color-pair keys
-    color1 * palette2 + color2 in increasing order, and `blocks`, each key's
-    outcome block as a big-endian index in base `base`, the spec's outcome
-    count, over n digits.  Iteration is in key order, which is (color1,
-    color2) order; a lookup is one binary search, and the outcome tuple is
-    spelled out only for the key looked up.
+    """The receiver table at block length n as a read-only mapping
+    {(color1, color2): outcome block}, held as the table of the symbol
+    colorings: `table` is a k1 x k2 int64 array whose entry [a, b] is the
+    outcome, below `base` (the spec's outcome count), of symbol colors a, b,
+    or -1 where no positive cell has that color pair.  A block color is read
+    as n big-endian digits, in base k1 for color1 and k2 for color2; the
+    pair is a key when every digit pair has an outcome, and its value is
+    the tuple of those outcomes.  The mapping has m^n keys, for the m
+    entries of `table` that are not -1, and none of them is written out.
+    Iteration is in (color1, color2) order.
     """
 
-    pair_keys: np.ndarray
-    blocks: np.ndarray
-    palette2: int
+    table: np.ndarray
     base: int
     n: int
 
-    def _index(self, pair):
-        """Position of the color pair `pair` in `pair_keys`, or None."""
+    def __getitem__(self, pair):
         try:
             c1, c2 = map(operator.index, pair)
         except (TypeError, ValueError):
-            return None
-        keys = self.pair_keys
-        key = c1 * self.palette2 + c2
-        if c1 < 0 or not 0 <= c2 < self.palette2 or key > keys[-1]:
-            return None
-        i = int(keys.searchsorted(key))
-        return i if keys[i] == key else None
-
-    def __getitem__(self, pair):
-        i = self._index(pair)
-        if i is None:
+            raise KeyError(pair) from None
+        (k1, k2), n = self.table.shape, self.n
+        if not (0 <= c1 < k1**n and 0 <= c2 < k2**n):
             raise KeyError(pair)
-        return _digits(int(self.blocks[i]), self.base, self.n)
-
-    def __contains__(self, pair):
-        return self._index(pair) is not None
+        out = [0] * n
+        for i in range(n - 1, -1, -1):  # the digit pairs, last first
+            c1, a = divmod(c1, k1)
+            c2, b = divmod(c2, k2)
+            out[i] = self.table.item(a, b)
+        if -1 in out:
+            raise KeyError(pair)
+        return tuple(out)
 
     def __iter__(self):
-        c1, c2 = np.divmod(self.pair_keys, self.palette2)
-        return zip(c1.tolist(), c2.tolist())
+        # color1's digit tuples in order, then the color2 digits present in
+        # each of their rows: the keys in (color1, color2) order
+        (k1, k2), n = self.table.shape, self.n
+        present = [np.flatnonzero(row >= 0).tolist() for row in self.table]
+        for a in product(range(k1), repeat=n):
+            c1 = encode_tuple(a, k1)
+            for b in product(*(present[x] for x in a)):
+                yield c1, encode_tuple(b, k2)
 
     def __len__(self):
-        return self.pair_keys.size
+        return int(np.count_nonzero(self.table >= 0)) ** self.n
 
 
 @dataclass
@@ -132,7 +136,7 @@ class CodecPlan:
     color_weights: tuple  # {color: integer weight over `scale`} per source, in color order
     scale: int  # D^n, for the common denominator D of the joint PMF
     avg_lengths: tuple  # exact Fractions, bits per block
-    decoder: Receiver  # (color1, color2) -> outcome block tuple
+    decoder: Receiver  # (color1, color2) -> outcome block tuple, read digit by digit
     inverses: tuple  # {codeword: color} per source, the receiver's codebooks
 
     @cached_property
@@ -143,15 +147,16 @@ class CodecPlan:
 
 
 def _outcomes(spec):
-    """The spec's outcome count: the base of outcome-block indices."""
+    """The spec's outcome count, the receiver's `base`."""
     return 1 + max(map(max, spec.table))
 
 
 def _positive_pairs(spec, positive, n):
-    """(b1, b2, out): the positive block pairs as int64 arrays of big-endian
-    block indices and outcome-block indices (base `_outcomes`), in the order
-    of their n-tuples of positive cells.  A cell (x1, x2) is positive where
-    `positive[x1][x2]` is nonzero; the arrays come out of n Horner passes.
+    """(b1, b2, outs): the positive block pairs as int64 arrays of big-endian
+    block indices, in the order of their n-tuples of positive cells, and the
+    n x pairs int64 array `outs`, whose row j holds f at each pair's j-th
+    cell.  A cell (x1, x2) is positive where `positive[x1][x2]` is nonzero;
+    the block indices come out of n Horner passes.
     """
     cells = [
         (x1, x2, spec.f(x1, x2))
@@ -160,13 +165,12 @@ def _positive_pairs(spec, positive, n):
         if positive[x1][x2]
     ]
     cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    outcomes = _outcomes(spec)
-    b1 = b2 = out = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        b1 = (b1[:, None] * spec.n1 + cx1).ravel()
-        b2 = (b2[:, None] * spec.n2 + cx2).ravel()
-        out = (out[:, None] * outcomes + cout).ravel()
-    return b1, b2, out
+    tuples = np.indices((len(cells),) * n).reshape(n, len(cells) ** n)  # row j: digit j's cell
+    b1 = b2 = np.zeros(len(cells) ** n, dtype=np.int64)
+    for column in tuples:
+        b1 = b1 * spec.n1 + cx1[column]
+        b2 = b2 * spec.n2 + cx2[column]
+    return b1, b2, cout[tuples]
 
 
 def _block_weights(marginal, n):
@@ -189,11 +193,12 @@ def _color_weights(marginal, coloring):
 
 
 def _cell_receiver(spec, positive, c1, c2, n=1):
-    """The receiver table of the colorings c1, c2 of single symbols, as a
-    `Receiver`, in one pass over the cells in (x1, x2) order: a cell (x1, x2)
-    with `positive[x1][x2]` nonzero has color pair (c1[x1], c2[x2]), key
-    color1 * palette2 + color2, where palette2 is one more than c2's largest
-    color.  Each key keeps the outcome of its first cell.
+    """The receiver of the vector colorings of c1, c2 at block length n, as
+    a `Receiver` over the table of the symbol colorings c1, c2, filled in
+    one pass over the cells in (x1, x2) order: a cell (x1, x2) with
+    `positive[x1][x2]` nonzero has color pair (c1[x1], c2[x2]), key
+    color1 * k2 + color2 for c2's palette size k2.  Each key keeps the
+    outcome of its first cell.
 
     The first cell that disagrees with its key's outcome raises
     AmbiguityError, naming the key's first cell and that cell.  The witness
@@ -201,7 +206,7 @@ def _cell_receiver(spec, positive, c1, c2, n=1):
     the first positive cell, which makes them the first conflict, in
     (b1, b2) order, under the vector colorings of `_lift_coloring`.
     """
-    palette2 = max(c2.assignment) + 1
+    palette2 = c2.palette_size
     first = {}  # key -> (x1, x2, outcome) of its first cell
     for x1, (row, color1, cells) in enumerate(zip(spec.table, c1.assignment, positive)):
         base = color1 * palette2
@@ -220,12 +225,9 @@ def _cell_receiver(spec, positive, c1, c2, n=1):
                         (p1 + (y1,), p2 + (y2,)), (p1 + (x1,), p2 + (x2,)),
                         pout + (ref,), pout + (out,),
                     )
-    keys = sorted(first)
-    blocks = [first[key][2] for key in keys]
-    return Receiver(
-        np.array(keys, dtype=np.int64), np.array(blocks, dtype=np.int64),
-        palette2, _outcomes(spec), 1,
-    )
+    table = np.full(c1.palette_size * palette2, -1, dtype=np.int64)
+    table[list(first)] = [seen[2] for seen in first.values()]
+    return Receiver(table.reshape(-1, palette2), _outcomes(spec), n)
 
 
 def _lift_coloring(coloring, n):
@@ -236,31 +238,6 @@ def _lift_coloring(coloring, n):
     for _ in range(n - 1):
         colors = [c * k + q for c in colors for q in coloring.assignment]
     return Coloring(tuple(colors), k**n)
-
-
-def _lift_receiver(receiver, palette1, n):
-    """The receiver table of the vector colorings at block length n, from the
-    table `receiver` of the symbol colorings: its entries are the n-tuples of
-    the symbol table's entries, color pair (Horner of the color1s, Horner of
-    the color2s) -> Horner of the outcomes, made by n Horner passes over its
-    entries and put in key order by one sort.  It holds len(receiver)^n
-    entries, at most four int64 arrays of that length at once."""
-    if n == 1:
-        return receiver
-    k1, k2, base = palette1, receiver.palette2, receiver.base
-    d1, d2 = np.divmod(receiver.pair_keys, k2)
-    c1 = c2 = out = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        c1 = (c1[:, None] * k1 + d1).ravel()
-        c2 = (c2[:, None] * k2 + d2).ravel()
-        out = (out[:, None] * base + receiver.blocks).ravel()
-    c1 *= k2**n
-    c1 += c2  # the keys, in place
-    del c2
-    order = c1.argsort()
-    key = c1[order]
-    del c1
-    return Receiver(key, out[order], k2**n, base, n)
 
 
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
@@ -274,14 +251,15 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     must still name one of `coloring.STRATEGIES`.  With zero cells it colors
     the characteristic graph.  Raises GuardExceeded when V1^n or V2^n is past
     the power guard, before any coloring, and AmbiguityError when the symbol
-    colorings do not decode.  The guard bounds each coloring's length, not
-    the receiver: its m^n entries, for the m color pairs of the positive
-    cells, are bounded only by (V1 * V2)^n.
+    colorings do not decode.  The guard bounds each coloring's length; the
+    receiver keeps the symbol colorings' table, at most V1 x V2 entries, at
+    every n.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")
     _check_dims(spec, pmf)
     check_strategy(coloring_strategy)
+    guard = resolve_guard(guard, DEFAULT_GUARD)  # CHROMACODE_GUARD, read once
     for V in (spec.n1, spec.n2):
         check_power_guard(V, n, guard)
     # the joint PMF as integers over one common denominator D, each cell
@@ -302,7 +280,7 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
             power_coloring(build_characteristic_graph(spec, pmf, s), 1, coloring_strategy, guard)[1]
             for s in (1, 2)
         )
-    decoder = _lift_receiver(_cell_receiver(spec, weights, c1, c2, n), c1.palette_size, n)
+    decoder = _cell_receiver(spec, weights, c1, c2, n)
     sums = tuple(
         dict(enumerate(_block_weights(_color_weights(m, c), n)))
         for m, c in zip(marginals, (c1, c2))
@@ -366,42 +344,36 @@ def roundtrip_exhaustive(plan):
     """Round-trip every positive-probability block pair; returns their count
     and raises AssertionError at the first mismatch in (b1, b2) order.
 
-    The pairs and their outcome blocks under f come from Horner passes over
+    The pairs, and f at each of their cells, come from Horner passes over
     the positive cells (`_positive_pairs`), in chunks that share their first
     n // 2 cells, so memory stays that of one chunk, about the square root
-    of the pair count.  Each block is encoded once through
-    `plan.codes` and decoded through `plan.inverses` (`_block_tables`), and
-    a chunk's decoded color pairs are looked up in the receiver's sorted keys
-    in one array pass.  A pair whose colors or key are missing, or whose
-    outcome block differs, is replayed in (b1, b2) order by `encode_block`
-    and `decode_pair`, which raise or report it as a walk over the pairs
-    would.
+    of the pair count.  Each block is encoded once through `plan.codes` and
+    decoded through `plan.inverses` (`_block_tables`), and a chunk's decoded
+    color pairs are read from the receiver digit by digit (`_digit_lookup`)
+    in one array pass.  A pair whose colors or digit pairs have no outcome,
+    or whose outcome block differs, is replayed in (b1, b2) order by
+    `encode_block` and `decode_pair`, which raise or report it as a walk
+    over the pairs would.
     """
-    spec, n, receiver = plan.spec, plan.n, plan.decoder
-    (d1, _), (d2, _) = _block_tables(plan, 1), _block_tables(plan, 2)
-    palette1, keys = plan.colorings[0].palette_size, receiver.pair_keys
+    spec, n = plan.spec, plan.n
+    mismatches = _digit_lookup(plan, _block_tables(plan, 1)[0], _block_tables(plan, 2)[0])
     # a chunk per pair of the first n // 2 cells, over the pairs of the rest
     rest = n - n // 2
-    lead = _positive_pairs(spec, plan.pmf.probs, n // 2)
-    tail = _positive_pairs(spec, plan.pmf.probs, rest)
-    scales = [base**rest for base in (spec.n1, spec.n2, _outcomes(spec))]
+    heads = _positive_pairs(spec, plan.pmf.probs, n // 2)
+    tail1, tail2, tail_outs = _positive_pairs(spec, plan.pmf.probs, rest)
     blocks2 = spec.n2**n
     bad = []
-    for head in zip(*lead):
-        b1, b2, want = (h * s + t for h, s, t in zip(head, scales, tail))
-        c1, c2 = d1[b1], d2[b2]
-        key = c1 * receiver.palette2 + c2
-        at = np.minimum(keys.searchsorted(key), keys.size - 1)
-        good = (c1 < palette1) & (c2 < receiver.palette2) & (keys[at] == key)
-        good &= receiver.blocks[at] == want
-        bad += (b1[~good] * blocks2 + b2[~good]).tolist()
+    for h1, h2, head_outs in zip(heads[0], heads[1], heads[2].T):
+        b1, b2 = h1 * spec.n1**rest + tail1, h2 * spec.n2**rest + tail2
+        wrong = mismatches(b1, b2, [*head_outs, *tail_outs])
+        bad += (b1[wrong] * blocks2 + b2[wrong]).tolist()
     for p in sorted(bad):
         t1, t2 = _digits(p // blocks2, spec.n1, n), _digits(p % blocks2, spec.n2, n)
         expected = tuple(spec.f(x1, x2) for x1, x2 in zip(t1, t2))
         got = decode_pair(plan, encode_block(plan, 1, t1), encode_block(plan, 2, t2))
         if got != expected:
             raise AssertionError(f"round-trip mismatch on {t1},{t2}: {got} != {expected}")
-    return lead[0].size * tail[0].size
+    return heads[0].size * tail1.size
 
 
 @dataclass
@@ -452,6 +424,39 @@ def _block_tables(plan, source):
     return decoded[colors], lengths[colors]
 
 
+def _digit_lookup(plan, decoded1, decoded2):
+    """The receiver read digit by digit, for blocks whose decoded colors are
+    `decoded1` and `decoded2` (`_block_tables`), as a function
+    `mismatches(b1, b2, wants)`: a bool array over the block pairs (b1, b2),
+    true where the receiver's outcome at some coordinate j differs from
+    wants[j], an array over the pairs or one outcome for all of them.
+
+    The receiver's k1 x k2 table gets a row and a column of -1 appended and
+    is flattened.  Each source's decoded colors are split once into n
+    columns of digits, scaled to flat offsets in that table; a color without
+    a codeword (decoded to the palette size) takes the appended row or
+    column at every digit.  Coordinate j then costs two gathers, one add and
+    one table gather, compared with wants[j]; -1 matches no outcome.
+    """
+    k1, k2 = plan.decoder.table.shape
+    table = np.full((k1 + 1, k2 + 1), -1, dtype=np.int64)
+    table[:k1, :k2] = plan.decoder.table
+    table = table.ravel()
+    columns = []
+    for decoded, k, scale in ((decoded1, k1, k2 + 1), (decoded2, k2, 1)):
+        digits = decoded[:, None] // k ** np.arange(plan.n - 1, -1, -1) % k  # big-endian
+        digits[decoded == k**plan.n] = k
+        columns.append(list((digits * scale).T))
+
+    def mismatches(b1, b2, wants):
+        bad = np.zeros(b1.shape, dtype=bool)
+        for c1, c2, want in zip(*columns, wants):
+            bad |= table[c1[b1] + c2[b2]] != want
+        return bad
+
+    return mismatches
+
+
 def _choices(rng, weights, k):
     """`rng.choices(range(len(weights)), weights, k=k)` as a numpy array.
 
@@ -495,17 +500,13 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     returns, rebuilt in numpy from the same 2*k*n Mersenne Twister words,
     with `rng` left in the same state.  `choices` spends one `random()` per
     cell, so the cells, and the report, are those that drawing block by block
-    with `choices` would give.  One Horner pass over a chunk's n columns of
-    cells gives each sample's two block tuple indices, which index the
-    decoded color and codeword length of each block (`_block_tables`), and
-    its outcome block under f.  Every sample's decoded color pair is looked
-    up in the receiver table `plan.decoder` and compared with that outcome
-    block: in a dense array of outcome indices when palette1 x palette2 has
-    no more cells than there are positive block pairs, so that its memory
-    stays within theirs, and otherwise by binary search over the receiver's
-    sorted keys.  A mismatch raises AssertionError naming the first
-    mismatching sample in draw order.  The lookup reads the receiver's key and
-    outcome-block arrays as they are; no entry is spelled out as a tuple.
+    with `choices` would give.  One gather and one add per coordinate give
+    each sample's two big-endian block indices, packed in one int64, which
+    index the decoded color and codeword length of each block
+    (`_block_tables`).  Every sample's decoded color pair is read from the
+    receiver digit by digit (`_digit_lookup`), and each coordinate's outcome
+    is compared with f's outcome for that coordinate's cell.  A mismatch
+    raises AssertionError naming the first mismatching sample in draw order.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
@@ -515,43 +516,24 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     weights = [float(pmf.p(x1, x2)) for x1 in range(spec.n1) for x2 in range(spec.n2)]
     cell_x1 = np.repeat(np.arange(spec.n1), spec.n2)
     cell_x2 = np.tile(np.arange(spec.n2), spec.n1)
+    cell_out = np.array(spec.table).ravel()
     decoded1, lengths1 = _block_tables(plan, 1)
     decoded2, lengths2 = _block_tables(plan, 2)
-    # outcome blocks as big-endian indices in the receiver's base, the
-    # spec's outcome count, -1 for no outcome; color pair (k1, k2) is key
-    # k1 * (palette2 + 1) + k2, so the colors without a codeword (decoded to
-    # the palette size) match no key
-    cell_out = np.array(spec.table).ravel()
-    palette1, palette2 = (c.palette_size for c in plan.colorings)
-    stride = palette2 + 1
-    key1 = decoded1 * stride  # the key's first term, taken once per call
-    k1, k2 = np.divmod(plan.decoder.pair_keys, palette2)
-    keys = k1 * stride + k2  # still increasing: (k1, k2) order
-    values = plan.decoder.blocks
-    dense = None
-    if palette1 * palette2 <= sum(p > 0 for p in weights) ** n:
-        dense = np.full((palette1 + 1) * stride, -1, dtype=np.int64)
-        dense[keys] = values
+    mismatches = _digit_lookup(plan, decoded1, decoded2)
+    # the cell at coordinate j adds x1 * n1^(n-1-j) to block 1's index, kept
+    # above the low `shift` bits, and x2 * n2^(n-1-j) to block 2's, kept in
+    # them; both colorings are held as tuples, so the sum fits in an int64
+    shift = (spec.n2**n - 1).bit_length()
+    places = [(cell_x1 * spec.n1**p << shift) + cell_x2 * spec.n2**p for p in range(n - 1, -1, -1)]
     bits = [0, 0]
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
         drawn = _choices(rng, weights, k * n).reshape(k, n)
-        # the two blocks' tuple indices and the expected outcome block, by
-        # Horner's rule over the block's cells
-        idx1 = idx2 = want = 0
-        for cells in drawn.T:
-            idx1 = idx1 * spec.n1 + cell_x1[cells]
-            idx2 = idx2 * spec.n2 + cell_x2[cells]
-            want = want * plan.decoder.base + cell_out[cells]
+        both = sum(place[cells] for place, cells in zip(places, drawn.T))
+        idx1, idx2 = both >> shift, both & ((1 << shift) - 1)
         bits[0] += int(lengths1[idx1].sum())
         bits[1] += int(lengths2[idx2].sum())
-        key = key1[idx1] + decoded2[idx2]
-        if dense is not None:
-            got = dense[key]
-        else:
-            at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-            got = np.where(keys[at] == key, values[at], -1)
-        bad = np.flatnonzero(got != want)
+        bad = np.flatnonzero(mismatches(idx1, idx2, [cell_out[cells] for cells in drawn.T]))
         if bad.size:
             row = drawn[bad[0]]
             b1 = tuple(int(x) for x in cell_x1[row])

@@ -3,6 +3,9 @@
 Instance-size guards keep the exhaustive algorithms at desk scale.  Every
 guarded operation takes an explicit ``guard`` argument; when it is None the
 CHROMACODE_GUARD environment variable is consulted, then the built-in default.
+``resolve_guard(guard, DEFAULT_GUARD)`` reads the environment once for a run of
+guarded calls: it returns ``DEFAULT_GUARD`` when the variable is unset, and
+each call then takes its own default.
 """
 
 import json
@@ -38,8 +41,13 @@ class UsageError(ChromacodeError):
     """Invalid arguments or malformed input."""
 
 
+DEFAULT_GUARD = object()  # a guard argument: the operation's own default, environment unread
+
+
 def resolve_guard(guard, default):
     """Pick the effective guard: explicit arg > environment > default."""
+    if guard is DEFAULT_GUARD:
+        return default
     if guard is not None:
         return guard
     env = os.environ.get(GUARD_ENV)

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from chromacode import (
     roundtrip_exhaustive,
     simulate,
 )
-from chromacode import codec, coloring, encode_tuple, huffman_code, orpower
+from chromacode import codec, coloring, encode_tuple, errors, huffman_code, orpower
 from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
 
@@ -336,10 +337,10 @@ def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
 
     def lossy(*args, **kwargs):
         plan = build(*args, **kwargs)
-        # the first color pair's one-symbol outcome block, in base 2, flipped
-        blocks = plan.decoder.blocks.copy()
-        blocks[0] = 1 - blocks[0]
-        return dataclasses.replace(plan, decoder=dataclasses.replace(plan.decoder, blocks=blocks))
+        # the first color pair's outcome, in base 2, flipped in the n = 1 table
+        table = plan.decoder.table.copy()
+        table[0, 0] = 1 - table[0, 0]
+        return dataclasses.replace(plan, decoder=dataclasses.replace(plan.decoder, table=table))
 
     monkeypatch.setattr(codec, "build_codec", lossy)
     spec, pmf = ex1
@@ -467,9 +468,9 @@ def test_build_codec_matches_per_pair_reference_at_n4(strategy):
 
 def test_decoder_table_matches_reference_under_arbitrary_colorings():
     # random symbol colorings, not characteristic-graph colorings: the n = 1
-    # table and its first conflict, and at n = 2, 3 the lifted table and the
-    # witness prefixed by the first positive cell, against the walk over
-    # every block pair under the vector colorings
+    # table and its first conflict, and at n = 2, 3 the table read digit by
+    # digit and the witness prefixed by the first positive cell, against the
+    # walk over every block pair under the vector colorings
     rng = random.Random("decoder-oracle:arbitrary")
     runs, refused = Counter(), Counter()
     for _ in range(90):
@@ -490,7 +491,6 @@ def test_decoder_table_matches_reference_under_arbitrary_colorings():
             refused[n] += 1
             continue
         got = codec._cell_receiver(spec, pmf.probs, c1, c2, n)
-        got = codec._lift_receiver(got, c1.palette_size, n)
         assert list(got.items()) == sorted(expected.items())
     assert all(0 < refused[n] < runs[n] for n in (1, 2, 3))
 
@@ -586,11 +586,12 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
             except AmbiguityError:
                 continue
             assert roundtrip_exhaustive(plan) == _reference_roundtrip(plan)
-            # a wrong decoder entry is reported at the same first pair
-            blocks = plan.decoder.blocks.copy()
-            blocks[0] += 1
+            # a wrong entry of the n = 1 table, its first outcome, is
+            # reported at the same first pair
+            table = plan.decoder.table.copy()
+            table.flat[np.argmax(table.ravel() >= 0)] += 1
             plan = dataclasses.replace(
-                plan, decoder=dataclasses.replace(plan.decoder, blocks=blocks)
+                plan, decoder=dataclasses.replace(plan.decoder, table=table)
             )
             with pytest.raises(AssertionError) as got:
                 roundtrip_exhaustive(plan)
@@ -599,6 +600,26 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
             assert str(got.value) == str(ref.value)
             compared += 1
     assert compared >= 20
+
+
+def test_digit_lookup_never_decodes_a_color_without_a_codeword():
+    # a color without a codeword decodes to the palette size (`_block_tables`);
+    # read digit by digit it must match no outcome, though its digits in base
+    # k are those of color 0
+    spec, pmf = _example1_weighted()
+    for n in (1, 2, 3):
+        plan = build_codec(spec, pmf, n)
+        decoded1, decoded2 = (codec._block_tables(plan, s)[0] for s in (1, 2))
+        # every block pair (all positive), and f at each of its n cells
+        b1, b2 = (g.ravel() for g in np.meshgrid(np.arange(decoded1.size), np.arange(decoded2.size)))
+        t1 = np.array([codec._digits(b, spec.n1, n) for b in b1.tolist()])
+        t2 = np.array([codec._digits(b, spec.n2, n) for b in b2.tolist()])
+        wants = list(np.array(spec.table)[t1, t2].T)
+        assert not codec._digit_lookup(plan, decoded1, decoded2)(b1, b2, wants).any()
+        for s, decoded in ((1, decoded1), (2, decoded2)):
+            missing = np.full_like(decoded, plan.colorings[s - 1].palette_size)
+            pair = (missing, decoded2) if s == 1 else (decoded1, missing)
+            assert codec._digit_lookup(plan, *pair)(b1, b2, wants).all(), (n, s)
 
 
 def _cross_spec():
@@ -614,7 +635,8 @@ def _cross_spec():
 
 def test_build_codec_keeps_the_receiver_table_in_arrays():
     # a dict of (color1, color2) -> outcome tuple entries took 4.7 MB at its
-    # peak here; two int64 arrays of 14 641 entries take 0.23 MB
+    # peak here; the receiver keeps the 6 x 6 table of the symbol colorings,
+    # and its 14 641 keys are never written out
     spec, pmf = _cross_spec()
     tracemalloc.start()
     try:
@@ -636,8 +658,10 @@ def test_receiver_is_a_read_only_mapping_in_key_order():
     assert receiver == expected
     for pair, out in expected.items():
         assert pair in receiver and receiver[pair] == out
-    palette2 = plan.colorings[1].palette_size
-    for missing in ((0, palette2), (-1, 0), (10**30, 0), (0,), "ab", None, (0.0, 0)):
+    palette1, palette2 = (c.palette_size for c in plan.colorings)
+    # in range, but some digit pair of the colors has no positive cell
+    unused = next(p for p in product(range(palette1), range(palette2)) if p not in expected)
+    for missing in ((0, palette2), (-1, 0), (10**30, 0), (0,), "ab", None, (0.0, 0), unused):
         assert missing not in receiver
         assert receiver.get(missing) is None
         with pytest.raises(KeyError):
@@ -645,7 +669,7 @@ def test_receiver_is_a_read_only_mapping_in_key_order():
     with pytest.raises(TypeError):
         receiver[(0, 0)] = (0, 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        receiver.blocks = receiver.blocks[::-1]
+        receiver.table = receiver.table[::-1]
 
 
 def test_simulate_keeps_the_receiver_table_within_the_pairs():
@@ -796,9 +820,10 @@ def test_part_receiver_refuses_a_part_pair_that_disagrees():
 def _reference_full_support(spec, pmf, n):
     """The full-support plan by the array construction: colorings by
     `coloring._compose` over `_vector_fold` of the parts, part-vector weights
-    by `_block_weights` of the part weights, and the receiver by
-    `_cell_receiver` over every cell, lifted by n - 1 broadcasts.  Returns
-    (colorings, color weights, receiver fields)."""
+    by `_block_weights` of the part weights, and the receiver's part table,
+    f on the first symbol of each part, lifted to its entries at n by n - 1
+    broadcasts.  Returns (colorings, color weights, (part table, its base,
+    the receiver's items in key order))."""
     probs = [[Fraction(p) for p in row] for row in pmf.probs]
     D = math.lcm(*(p.denominator for row in probs for p in row))
     weights = [[p.numerator * (D // p.denominator) for p in row] for row in probs]
@@ -812,12 +837,17 @@ def _reference_full_support(spec, pmf, n):
         for m, p in zip(marginals, parts)
     )
     k1, k2 = (p.palette_size for p in parts)
-    part = codec._cell_receiver(spec, [[1] * spec.n2] * spec.n1, *parts)
-    table = blocks = part.blocks.reshape(k1, k2)
+    firsts = ([p.assignment.index(c) for c in range(p.palette_size)] for p in parts)
+    table = blocks = np.array(spec.table, dtype=np.int64)[np.ix_(*firsts)]
+    base = 1 + max(map(max, spec.table))
     for _ in range(n - 1):
-        lifted = blocks[:, None, :, None] * part.base + table[None, :, None, :]
+        lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
         blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
-    return colorings, sums, (np.arange(blocks.size), blocks.ravel(), k2**n, part.base, n)
+    items = [
+        (divmod(key, k2**n), codec._digits(out, base, n))
+        for key, out in enumerate(blocks.ravel().tolist())
+    ]
+    return colorings, sums, (table, base, items)
 
 
 def _full_support_oracle_cases():
@@ -836,15 +866,15 @@ def _full_support_oracle_cases():
 def test_full_support_plan_matches_the_array_construction():
     for kind, spec, pmf, n in _full_support_oracle_cases():
         plan = build_codec(spec, pmf, n)
-        colorings, sums, (keys, blocks, palette2, base, n_) = _reference_full_support(spec, pmf, n)
+        colorings, sums, (table, base, items) = _reference_full_support(spec, pmf, n)
         assert plan.colorings == colorings, kind
         assert [list(s.items()) for s in plan.color_weights] == [list(s.items()) for s in sums]
         for code, s in zip(plan.codes, sums):
             assert list(code.items()) == list(huffman_code(s)[0].items()), kind
         d = plan.decoder
-        assert (d.pair_keys.dtype, d.blocks.dtype) == (keys.dtype, blocks.dtype) == (np.int64,) * 2
-        assert np.array_equal(d.pair_keys, keys) and np.array_equal(d.blocks, blocks), kind
-        assert (d.palette2, d.base, d.n) == (palette2, base, n_), kind
+        assert d.table.dtype == table.dtype == np.int64
+        assert np.array_equal(d.table, table) and (d.base, d.n) == (base, n), kind
+        assert list(d.items()) == items, kind
         for c, code, avg in zip(plan.colorings, plan.codes, plan.avg_lengths):
             if c.palette_size == 1:  # one part: one color, sent in zero bits
                 assert (code, avg) == ({0: ""}, 0), kind
@@ -910,3 +940,67 @@ def test_color_code_sends_a_zero_weight_color_through_huffman_code():
         want_code, want_avg = huffman_code({c: Fraction(w, 8) for c, w in sums.items() if w})
         assert list(code.items()) == list(want_code.items())
         assert type(total) is int and Fraction(total, 8) == want_avg
+
+
+def test_build_codec_reads_the_guard_environment_once(monkeypatch):
+    # a zero-cell plan makes five guarded calls (two power checks, then the
+    # power and the exact solver of each characteristic graph); they share
+    # one read of CHROMACODE_GUARD, and each still takes its own default
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    def build(env, *args, **kwargs):
+        reads.clear()
+        monkeypatch.setattr(errors, "os", SimpleNamespace(environ=Environ(env)))
+        try:
+            return build_codec(*args, **kwargs)
+        finally:
+            assert reads == ([] if "guard" in kwargs else [errors.GUARD_ENV])
+
+    spec, pmf = _zero_cell()
+    plan = build({}, spec, pmf, 2, "exact")
+    assert build({"CHROMACODE_GUARD": "4"}, spec, pmf, 2, "exact") == plan
+    assert build({"CHROMACODE_GUARD": "abc"}, spec, pmf, 2, "exact", guard=4) == plan
+    with pytest.raises(GuardExceeded, match="power vertex count = 4 exceeds guard 3"):
+        build({"CHROMACODE_GUARD": "3"}, spec, pmf, 2, "exact")
+    with pytest.raises(UsageError, match="CHROMACODE_GUARD='abc' is not an integer"):
+        build({"CHROMACODE_GUARD": "abc"}, spec, pmf, 2, "exact")
+    # 65 symbols: within the power default (10 000), past the exact solver's (64)
+    wide = FunctionSpec.from_table([[x1 % 2 ^ x2 for x2 in range(2)] for x1 in range(65)])
+    weights = [[0 if (x1, x2) == (0, 0) else 1 for x2 in range(2)] for x1 in range(65)]
+    probs = tuple(tuple(Fraction(w, 129) for w in row) for row in weights)
+    with pytest.raises(GuardExceeded, match="vertex count = 65 exceeds guard 64"):
+        build({}, wide, JointPMF(probs), 1, "exact")
+    assert build({}, wide, JointPMF(probs), 1, "greedy").n == 1
+
+
+def test_receiver_does_not_grow_with_the_block_length():
+    # f injective on 32 x 32 symbols with one zero cell: both characteristic
+    # graphs are K32, and at n = 2 the receiver maps 1 023^2 color pairs,
+    # about 1 M entries that a written-out table would hold
+    spec = FunctionSpec.from_table([[32 * i + j for j in range(32)] for i in range(32)])
+    probs = tuple(
+        tuple(Fraction(0 if (i, j) == (31, 31) else 1, 1023) for j in range(32))
+        for i in range(32)
+    )
+    pmf = JointPMF(probs)
+    tracemalloc.start()
+    try:
+        plan = build_codec(spec, pmf, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.decoder) == 1023**2
+    assert peak < 2_000_000
+    rng = random.Random("receiver-size")
+    for _ in range(200):
+        while True:
+            b1, b2 = (tuple(rng.randrange(32) for _ in range(2)) for _ in range(2))
+            if all(probs[x1][x2] for x1, x2 in zip(b1, b2)):
+                break
+        bits = encode_block(plan, 1, b1), encode_block(plan, 2, b2)
+        assert decode_pair(plan, *bits) == tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
