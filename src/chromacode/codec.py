@@ -1,51 +1,39 @@
 """End-to-end two-source functional compression.
 
-`build_codec` plans every block length n the same way.
-
-1. Each source colors its single symbols.  Under full support (every cell
-   positive) the characteristic graph is complete multipartite, one part
-   per distinct row of f (source 1) or column (source 2), and the part
-   coloring is used as it is, with no graph built.  With zero cells the
-   characteristic graph is colored by `coloring.power_coloring` at n = 1,
-   under the named strategy.
-2. The receiver table of those colorings is built and checked in one pass
-   over the cells (`_cell_receiver`); a color pair that would decode to two
-   outcomes raises AmbiguityError.
-3. A block's color is the vector of its symbols' colors, read as a
-   big-endian number (`_lift_coloring`).  Vector colorings are valid on the
-   n-block characteristic graph, and they decode at n exactly when the
-   symbol colorings decode (Orlitsky & Roche 2001): the receiver's outcome
-   for a pair of block colors is the symbol table's outcome for each pair
-   of digits.  So the receiver is kept as the symbol table and read digit
-   by digit (`Receiver`), and a refusal names the first conflicting block
-   pair in (b1, b2) order.  Under full support the vectors are the part
-   vectors, the coarsest valid coloring of the co-normal power (Alon &
-   Orlitsky 1996).
-
-No OR power is built and no χ solver runs past n = 1; the power guard
-still bounds V^n, the length of each coloring.  Each source gets a Huffman
-code on its integer color weights, products of symbol-color weights over
-the scale D^n, for the common denominator D of the joint PMF.  The plan
-keeps the integer weights and the scale, and builds the exact color PMFs
-only when they are read.
-
-`encode_block` and `decode_pair` code one block at a time, and
-`roundtrip_exhaustive` checks every positive block pair in array passes.
-`simulate` measures rates over many blocks in a chunked array pass whose
-cells are exactly those that `rng.choices` would draw from the seeded
-`random.Random` stream, so its reports equal those of drawing block by
-block.  Both read the receiver digit by digit (`_digit_lookup`).
+- `build_codec(spec, pmf, n)` returns a `CodecPlan` that decodes f on every
+  positive block pair, or raises AmbiguityError naming the first conflicting
+  block pair in (b1, b2) order, or GuardExceeded when V1^n or V2^n is past
+  the power guard.  Each source colors its single symbols: under full
+  support by the parts of f's rows (source 1) or columns (source 2), with no
+  graph built, else by `coloring.power_coloring` of the characteristic
+  graph at n = 1.  A block's color is the big-endian vector of its symbols'
+  colors (`_lift_coloring`).  Vector colorings are valid on the n-block
+  characteristic graph and decode at n exactly when the symbol colorings
+  decode (Orlitsky & Roche 2001), so the receiver is the symbol table read
+  digit by digit (`Receiver`); under full support the part vectors are the
+  coarsest valid coloring of the co-normal power (Alon & Orlitsky 1996).
+  No OR power is built and no χ solver runs past n = 1.  Each source's
+  Huffman code is built on integer color weights over the scale D^n, for
+  the common denominator D of the joint PMF.
+- `encode_block` and `decode_pair` code one block; `roundtrip_exhaustive`
+  checks every positive block pair and raises at the first mismatch.
+- `simulate(spec, pmf, n, samples, seed)` returns, byte for byte, the report
+  of drawing each block's n cells with `rng.choices` from
+  `random.Random(seed)` and coding it block by block, and raises at the
+  first mismatching sample in draw order.  It never imports numpy.random
+  and keeps nothing from one call to the next.
 """
 
 import json
 import operator
 import random
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
-from math import lcm
+from math import ceil, inf, lcm
 
 import numpy as np
 
@@ -124,6 +112,13 @@ class Receiver(Mapping):
 
     def __len__(self):
         return int(np.count_nonzero(self.table >= 0)) ** self.n
+
+    def __eq__(self, other):
+        # at one n and shape, tables that differ at [a, b] differ at the key of digit pairs (a, b)
+        same = isinstance(other, Receiver) and self.table.shape == other.table.shape
+        if same and self.n == other.n:
+            return np.array_equal(self.table, other.table)
+        return super().__eq__(other)
 
 
 @dataclass
@@ -230,6 +225,20 @@ def _cell_receiver(spec, positive, c1, c2, n=1):
     return Receiver(table.reshape(-1, palette2), _outcomes(spec), n)
 
 
+def _integer_pmf(pmf):
+    """(D, weights, marginals): the joint PMF as integer cell weights over one
+    common denominator D, and their row and column sums.  Each cell is read
+    once as (numerator, denominator); Fraction(p) also takes int and float
+    cells exactly."""
+    ratios = [
+        [(p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio() for p in row]
+        for row in pmf.probs
+    ]
+    D = lcm(*(d for row in ratios for _, d in row))
+    weights = [[a * (D // d) for a, d in row] for row in ratios]
+    return D, weights, ([sum(row) for row in weights], [sum(col) for col in zip(*weights)])
+
+
 def _lift_coloring(coloring, n):
     """The vector coloring of n-blocks: a block's color is the big-endian
     index, in base the palette size k, of its symbols' colors (Horner over
@@ -262,16 +271,7 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     guard = resolve_guard(guard, DEFAULT_GUARD)  # CHROMACODE_GUARD, read once
     for V in (spec.n1, spec.n2):
         check_power_guard(V, n, guard)
-    # the joint PMF as integers over one common denominator D, each cell
-    # read once as (numerator, denominator); Fraction(p) also takes int and
-    # float cells exactly
-    ratios = [
-        [(p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio() for p in row]
-        for row in pmf.probs
-    ]
-    D = lcm(*(d for row in ratios for _, d in row))
-    weights = [[a * (D // d) for a, d in row] for row in ratios]
-    marginals = [sum(row) for row in weights], [sum(col) for col in zip(*weights)]
+    D, weights, marginals = _integer_pmf(pmf)
     if all(map(all, weights)):
         # one color per distinct row of f (source 1) or column (source 2)
         c1, c2 = (Coloring.from_list(lines) for lines in (spec.table, zip(*spec.table)))
@@ -406,12 +406,10 @@ class RateReport:
 
 
 def _block_tables(plan, source):
-    """Per block index of one source: (decoded color, codeword length).
-
-    Each color's codeword is decoded once through the plan's inverse codebook.
-    A color without a codeword decodes to the palette size, which no color
-    pair of the receiver table uses.
-    """
+    """Per block index of one source: (decoded color, codeword length, own),
+    own telling whether the decoded color is the block's color.  Each codeword is
+    decoded once through the plan's inverse codebook; a color without one
+    decodes to the palette size, which no color pair of the receiver uses."""
     code = plan.codes[source - 1]
     inverse = plan.inverses[source - 1]
     palette = plan.colorings[source - 1].palette_size
@@ -421,7 +419,8 @@ def _block_tables(plan, source):
         decoded[c] = _decode_prefix(inverse, w)
         lengths[c] = len(w)
     colors = np.array(plan.colorings[source - 1].assignment, dtype=np.int64)
-    return decoded[colors], lengths[colors]
+    decoded = decoded[colors]
+    return decoded, lengths[colors], decoded == colors
 
 
 def _digit_lookup(plan, decoded1, decoded2):
@@ -457,69 +456,96 @@ def _digit_lookup(plan, decoded1, decoded2):
     return mismatches
 
 
-def _choices(rng, weights, k):
-    """`rng.choices(range(len(weights)), weights, k=k)` as a numpy array.
+_TOP = 1 << 53  # keys j of `random()` = j * 2^-53 run over 0 <= j < _TOP
 
-    `choices` spends one `random()` per draw and returns
-    `bisect_right(cum_weights, random() * total, 0, len(weights) - 1)`: the
-    number of edges, the cumulative weights but the last, that are <= the
-    key.  `random()` is CPython's genrand_res53: two 32-bit Mersenne Twister
-    words a, b give ((a >> 5) * 2^26 + (b >> 6)) / 2^53, exact in float64.
-    `getrandbits(64 * k)` returns the next 2k words, least significant
-    first, so the k `random()` values are rebuilt exactly from it and `rng`
-    is left where `choices` would leave it.
 
-    The count is taken by a branch-free binary search over all keys at once:
-    the edges, padded with +inf to 2^h entries (2^h > the edge count), are
-    probed h times, and pass b, from the top bit down, adds 2^b to a key's
-    count when the edge at count + 2^b - 1 is <= the key.  The edges are
-    non-decreasing, so this counts the edges <= each key, ties included.
+def _first_keys(cum):
+    """Per edge c, each cumulative weight of `cum` but the last, the least key
+    j whose draw fl(j * 2^-53 * total), as `random() * total` rounds it, is
+    >= c, or _TOP if none is.  An estimate is checked at j and j + 1; a
+    bisection over all keys settles an edge where both fail."""
+    total = cum[-1] + 0.0
+
+    def value(j):
+        return j * (1.0 / _TOP) * total if j < _TOP else inf
+
+    firsts = []
+    for c in cum[:-1]:
+        guess = min(max(ceil(c / total * _TOP), 0), _TOP)
+        hits = [j for j in (guess, guess + 1) if value(j) >= c and (j == 0 or value(j - 1) < c)]
+        firsts.append(hits[0] if hits else bisect_left(range(_TOP), c, key=value))
+    return np.array(firsts, dtype=np.int64)
+
+
+def _cell_draw(weights):
+    """`draw(rng, k)`: the cells of `rng.choices(range(len(weights)), weights,
+    k=k)` as an intp array, with `rng` left where `choices` leaves it.
+
+    `choices` spends one `random()` per draw and returns the count of edges
+    <= `random() * total`.  `random()` is CPython's genrand_res53: words a, b
+    of the Mersenne Twister give the key j = (a >> 5) * 2^26 + (b >> 6) over
+    2^53, and `getrandbits(64 * k)` returns the next 2k words, least
+    significant first.  The draw is non-decreasing in j, so a key's cell is
+    the count of first keys (`_first_keys`) <= j.  Buckets are the top B bits
+    of a, B = max(12, 4 + the edge count's bit length) up to 16, so under the
+    cap at most 1/16 of them hold an edge.  A bucket holds its keys' common
+    cell, or -1 where a first key falls strictly inside it; keys in -1 buckets
+    are settled by a sorted search of the first keys.
     """
-    cum = list(accumulate(weights))
-    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
-    x = ((words[0::2] >> 5).astype(np.float64) * 67108864.0 + (words[1::2] >> 6)) * (
-        1.0 / 9007199254740992.0
-    )
-    x *= cum[-1] + 0.0
-    h = (len(cum) - 1).bit_length()
-    table = np.full(1 << h, np.inf)
-    table[: len(cum) - 1] = cum[:-1]
-    count = np.zeros(k, dtype=np.intp)
-    for b in range(h - 1, -1, -1):
-        step = 1 << b
-        count += (table[step - 1 :][count] <= x) * step
-    return count
+    firsts = _first_keys(list(accumulate(weights)))
+    bits = min(max(12, len(firsts).bit_length() + 4), 16)
+    width = 53 - bits  # a bucket holds 2^width keys
+    table = np.searchsorted(firsts, np.arange(1 << bits, dtype=np.int64) << width, side="right")
+    table[firsts[firsts & ((1 << width) - 1) != 0] >> width] = -1
+
+    def draw(rng, k):
+        words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+        cells = table[words[0::2] >> (32 - bits)]
+        exact = np.flatnonzero(cells < 0)
+        if exact.size:
+            j = (words[0::2][exact].astype(np.int64) >> 5 << 26) + (words[1::2][exact] >> 6)
+            cells[exact] = np.searchsorted(firsts, j, side="right")
+        return cells
+
+    return draw
+
+
+def _choices(rng, weights, k):
+    """`rng.choices(range(len(weights)), weights, k=k)` by `simulate`'s draw."""
+    return _cell_draw(weights)(rng, k)
 
 
 def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     """Draw i.i.d. blocks, encode, decode, verify, and report empirical rates.
 
-    Blocks are handled SIMULATE_CHUNK at a time, so memory does not grow with
-    `samples`.  A chunk of k blocks is k*n cells drawn by `_choices` from
-    `random.Random(seed)`: the cells that `rng.choices(cells, weights, k=k*n)`
-    returns, rebuilt in numpy from the same 2*k*n Mersenne Twister words,
-    with `rng` left in the same state.  `choices` spends one `random()` per
-    cell, so the cells, and the report, are those that drawing block by block
-    with `choices` would give.  One gather and one add per coordinate give
-    each sample's two big-endian block indices, packed in one int64, which
-    index the decoded color and codeword length of each block
-    (`_block_tables`).  Every sample's decoded color pair is read from the
-    receiver digit by digit (`_digit_lookup`), and each coordinate's outcome
-    is compared with f's outcome for that coordinate's cell.  A mismatch
-    raises AssertionError naming the first mismatching sample in draw order.
+    The report, and a mismatch's AssertionError naming the first
+    mismatching sample in draw order, are those of drawing each block's n
+    cells with `rng.choices` from `random.Random(seed)`, coding it with
+    `encode_block` and `decode_pair` and comparing with f.  Blocks go
+    SIMULATE_CHUNK at a time, so memory does not grow with `samples`; every
+    table is built once per call.  A sample whose blocks decode to their own
+    vector colors mismatches exactly when one of its cells is bad (the
+    receiver's entry at its symbol colors is not f); any other is read digit
+    by digit (`_digit_lookup`).  Entropies come from integer weights.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
     plan = build_codec(spec, pmf, n, coloring_strategy, guard=guard)
     rng = random.Random(seed)
     # cell x1 * n2 + x2 is the pair (x1, x2)
-    weights = [float(pmf.p(x1, x2)) for x1 in range(spec.n1) for x2 in range(spec.n2)]
+    draw = _cell_draw([float(p) for row in pmf.probs for p in row])
     cell_x1 = np.repeat(np.arange(spec.n1), spec.n2)
     cell_x2 = np.tile(np.arange(spec.n2), spec.n1)
     cell_out = np.array(spec.table).ravel()
-    decoded1, lengths1 = _block_tables(plan, 1)
-    decoded2, lengths2 = _block_tables(plan, 2)
-    mismatches = _digit_lookup(plan, decoded1, decoded2)
+    decoded1, lengths1, own1 = _block_tables(plan, 1)
+    decoded2, lengths2, own2 = _block_tables(plan, 2)
+    everywhere_own = own1.all() and own2.all()
+    mismatches = None  # `_digit_lookup`, built for the first sample not own
+    # block (0, ..., 0, x) ends in the digit of x's symbol color; a cell is
+    # bad where the receiver's entry at its symbol colors is not f (-1 is not)
+    symbols = (np.array(c.assignment[:v]) % k for c, v, k in
+               zip(plan.colorings, (spec.n1, spec.n2), plan.decoder.table.shape))
+    cell_bad = plan.decoder.table[np.ix_(*symbols)].ravel() != cell_out
     # the cell at coordinate j adds x1 * n1^(n-1-j) to block 1's index, kept
     # above the low `shift` bits, and x2 * n2^(n-1-j) to block 2's, kept in
     # them; both colorings are held as tuples, so the sum fits in an int64
@@ -528,31 +554,35 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     bits = [0, 0]
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
-        drawn = _choices(rng, weights, k * n).reshape(k, n)
+        drawn = draw(rng, k * n).reshape(k, n)
         both = sum(place[cells] for place, cells in zip(places, drawn.T))
         idx1, idx2 = both >> shift, both & ((1 << shift) - 1)
         bits[0] += int(lengths1[idx1].sum())
         bits[1] += int(lengths2[idx2].sum())
-        bad = np.flatnonzero(mismatches(idx1, idx2, [cell_out[cells] for cells in drawn.T]))
+        wrong = np.zeros(k, dtype=bool)
+        for cells in drawn.T:
+            wrong |= cell_bad[cells]
+        other = () if everywhere_own else np.flatnonzero(~(own1[idx1] & own2[idx2]))
+        if len(other):
+            mismatches = mismatches or _digit_lookup(plan, decoded1, decoded2)
+            wants = [cell_out[cells[other]] for cells in drawn.T]
+            wrong[other] = mismatches(idx1[other], idx2[other], wants)
+        bad = np.flatnonzero(wrong)
         if bad.size:
             row = drawn[bad[0]]
-            b1 = tuple(int(x) for x in cell_x1[row])
-            b2 = tuple(int(x) for x in cell_x2[row])
+            b1, b2 = (tuple(int(x) for x in cell_x[row]) for cell_x in (cell_x1, cell_x2))
             raise AssertionError(f"decode mismatch on sample {b1},{b2}")
-    denom = samples * n
-    h1 = entropy_bits(pmf.marginal(1))
-    h2 = entropy_bits(pmf.marginal(2))
+    D, _, marginals = _integer_pmf(pmf)
     return RateReport(
         n=n,
         samples=samples,
         seed=seed,
         strategy=coloring_strategy,
-        rates=(bits[0] / denom, bits[1] / denom),
+        rates=tuple(b / (samples * n) for b in bits),
         expected_rates=(plan.avg_lengths[0] / n, plan.avg_lengths[1] / n),
-        coloring_entropies=(
-            entropy_bits(plan.color_pmfs[0].values()) / n,
-            entropy_bits(plan.color_pmfs[1].values()) / n,
+        coloring_entropies=tuple(
+            entropy_bits(w / plan.scale for w in s.values()) / n for s in plan.color_weights
         ),
-        source_entropies=(h1, h2),
+        source_entropies=tuple(entropy_bits(m / D for m in s) for s in marginals),
         lossless=True,
     )

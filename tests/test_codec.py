@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -290,6 +291,14 @@ def _ramp(cells):
 @example(_ramp(17), 500, 13, 8)
 @example(_ramp(64), 500, 14, 9)
 @example(_ramp(65), 500, 15, 10)
+# edges 1 and 2 of total 4 start buckets (keys 2^51 and 2^52)
+@example([1.0, 1.0, 2.0], 500, 16, 11)
+# 69 999 edges against the 2^16 buckets of the cap: every bucket holds one
+@example([1.0] * 70_000, 500, 17, 12)
+# draws random() * total in the subnormal range for the smallest keys
+@example([1e-300, 5e-324, 1e-300], 500, 18, 13)
+@example([5e-324] * 3, 500, 19, 14)
+@example([0.0, 0.0, 1.0, 2.0, 0.0, 0.0], 500, 20, 15)
 def test_chunk_draw_equals_choices(weights, k, seed, skip):
     # `skip` random() calls first, so the draw starts anywhere in the 624-word state
     ours, ref = random.Random(seed), random.Random(seed)
@@ -351,6 +360,32 @@ def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
     with pytest.raises(AssertionError) as got:
         simulate(spec, pmf, 1, 2000, seed=0)
     assert str(got.value) == str(first.value) == "decode mismatch on sample (2,),(0,)"
+
+
+def test_simulate_reads_blocks_that_decode_to_another_color(monkeypatch):
+    build = codec.build_codec
+
+    def swapped(*args, **kwargs):
+        plan = build(*args, **kwargs)
+        # source 1's codewords of colors 1 and 2 trade colors in the codebook
+        # the receiver reads; the receiver table itself is unchanged
+        inverse = dict(plan.inverses[0])
+        (w1, c1), (w2, c2) = ((w, c) for w, c in inverse.items() if c in (1, 2))
+        inverse[w1], inverse[w2] = c2, c1
+        return dataclasses.replace(plan, inverses=(inverse, plan.inverses[1]))
+
+    monkeypatch.setattr(codec, "build_codec", swapped)
+    spec, pmf = _example1_weighted()
+    plan = codec.build_codec(spec, pmf, 2)
+    own = [c not in (1, 2) for c in plan.colorings[0].assignment]
+    assert codec._block_tables(plan, 1)[2].tolist() == own and not all(own)
+    with pytest.raises(AssertionError) as first:
+        _reference_simulate(spec, pmf, 2, 3000, 9)
+    with pytest.raises(AssertionError) as got:
+        simulate(spec, pmf, 2, 3000, 9)
+    # samples 0-2 have source-1 blocks (2, 2), (1, 3), (0, 2) of colors 0, 3
+    # and 0, which decode as their own; sample 3's (3, 0) has color 2
+    assert str(got.value) == str(first.value) == "decode mismatch on sample (3, 0),(1, 1)"
 
 
 def test_simulate_counts_a_cell_below_the_float_range():
@@ -978,16 +1013,23 @@ def test_build_codec_reads_the_guard_environment_once(monkeypatch):
     assert build({}, wide, JointPMF(probs), 1, "greedy").n == 1
 
 
-def test_receiver_does_not_grow_with_the_block_length():
-    # f injective on 32 x 32 symbols with one zero cell: both characteristic
-    # graphs are K32, and at n = 2 the receiver maps 1 023^2 color pairs,
-    # about 1 M entries that a written-out table would hold
-    spec = FunctionSpec.from_table([[32 * i + j for j in range(32)] for i in range(32)])
+def _injective_one_zero_cell(V=32):
+    """f injective on V x V symbols, uniform but for one zero cell: both
+    characteristic graphs are K_V, and at n = 2 the receiver maps
+    (V^2 - 1)^2 color pairs, none written out."""
+    spec = FunctionSpec.from_table([[V * i + j for j in range(V)] for i in range(V)])
     probs = tuple(
-        tuple(Fraction(0 if (i, j) == (31, 31) else 1, 1023) for j in range(32))
-        for i in range(32)
+        tuple(Fraction(0 if (i, j) == (V - 1, V - 1) else 1, V * V - 1) for j in range(V))
+        for i in range(V)
     )
-    pmf = JointPMF(probs)
+    return spec, JointPMF(probs)
+
+
+def test_receiver_does_not_grow_with_the_block_length():
+    # at n = 2 the receiver maps 1 023^2 color pairs, about 1 M entries that
+    # a written-out table would hold
+    spec, pmf = _injective_one_zero_cell()
+    probs = pmf.probs
     tracemalloc.start()
     try:
         plan = build_codec(spec, pmf, 2)
@@ -1004,3 +1046,25 @@ def test_receiver_does_not_grow_with_the_block_length():
                 break
         bits = encode_block(plan, 1, b1), encode_block(plan, 2, b2)
         assert decode_pair(plan, *bits) == tuple(spec.f(x1, x2) for x1, x2 in zip(b1, b2))
+
+
+def test_receivers_compare_by_their_tables():
+    # Mapping's == writes out both sides' 1 023^2 entries (9.8 s and 520 MB)
+    spec, pmf = _injective_one_zero_cell()
+    start = time.perf_counter()
+    plan, again = build_codec(spec, pmf, 2), build_codec(spec, pmf, 2)
+    assert plan.decoder is not again.decoder
+    assert plan.decoder == again.decoder and plan == again
+    assert time.perf_counter() - start < 0.5
+    table = again.decoder.table.copy()
+    table[3, 5] = -1
+    changed = dataclasses.replace(again.decoder, table=table)
+    assert plan.decoder != changed and plan != dataclasses.replace(again, decoder=changed)
+    # another n, or another table shape, compares as a Mapping: a column of
+    # -1 adds no key at n = 1, but at n = 2 it changes color2's digits
+    small = build_codec(*_zero_cell(), 1).decoder
+    assert small == dict(small.items()) and small != dataclasses.replace(small, n=2)
+    wider = np.pad(small.table, ((0, 0), (0, 1)), constant_values=-1)
+    assert small == dataclasses.replace(small, table=wider)
+    two = dataclasses.replace(small, n=2)
+    assert two != dataclasses.replace(two, table=wider)
