@@ -30,10 +30,10 @@ from .entropy import (
     huffman_code,
     odd_cycle_entropy_upper_bound,
 )
-from .errors import ChromacodeError, GuardExceeded, UsageError
+from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, load_json
 from .expansion import expansion_bounds, expansion_rate
 from .graphs import Graph, make_graph
-from .orpower import or_power
+from .orpower import POWER_GUARD_DEFAULT, or_power
 from .spectral import (
     BOUND_VARIANTS,
     chromatic_bounds_spectral,
@@ -72,14 +72,22 @@ def _read(path):
 
 
 def _load_graph(args):
+    """The graph of --graph FILE or --kind/--size/--edges.  Its vertex count
+    is checked against --guard, with the power guard's default, before any
+    bitset row (about V/8 bytes each) is built."""
     if getattr(args, "graph", None):
-        return Graph.from_json(_read(args.graph))
-    if getattr(args, "kind", None):
-        edges = None
-        if getattr(args, "edges", None):
-            edges = _parse_edges(args.edges)
-        return make_graph(args.kind, size=args.size, edges=edges)
-    raise UsageError("need --graph FILE or --kind/--size")
+        d = load_json(_read(args.graph), "graph")
+        size = d.get("vertices") if isinstance(d, dict) else None
+    elif getattr(args, "kind", None):
+        size = args.size
+    else:
+        raise UsageError("need --graph FILE or --kind/--size")
+    if isinstance(size, int):
+        check_guard("graph vertex count", size, args.guard, POWER_GUARD_DEFAULT)
+    if getattr(args, "graph", None):
+        return Graph.from_dict(d)
+    edges = _parse_edges(args.edges) if getattr(args, "edges", None) else None
+    return make_graph(args.kind, size=size, edges=edges)
 
 
 def _load_spec_pmf(args):
@@ -119,7 +127,7 @@ def cmd_color(args):
             raise UsageError("fractional scheme takes the base graph: --power must be 1")
         if _cycle_scheme(g) != "odd-cycle":
             raise UsageError("fractional scheme implemented for odd cycles C_V with V >= 5")
-        res = fractional_chromatic_cycle(g.vertex_count // 2, args.fold)
+        res = fractional_chromatic_cycle(g.vertex_count // 2, args.fold, guard=args.guard)
         _emit(
             {
                 "chi_b": res["chi_b"],

@@ -6,17 +6,22 @@
   the power guard.  Each source colors its single symbols: under full
   support by the parts of f's rows (source 1) or columns (source 2), with no
   graph built, else by `coloring.power_coloring` of the characteristic
-  graph at n = 1.  A block's color is the big-endian vector of its symbols'
-  colors (`_lift_coloring`).  Vector colorings are valid on the n-block
-  characteristic graph and decode at n exactly when the symbol colorings
-  decode (Orlitsky & Roche 2001), so the receiver is the symbol table read
-  digit by digit (`Receiver`); under full support the part vectors are the
+  graph at n = 1, and the plan keeps these symbol colorings.  A block's
+  color is the big-endian vector of its symbols' colors, in base the
+  palette size k, out of k^n; no codec path writes out or reads a coloring
+  of the V^n blocks (`CodecPlan.colorings` is built when read).  Vector
+  colorings are valid on the n-block characteristic graph and decode at n
+  exactly when the symbol colorings decode (Orlitsky & Roche 2001), so the
+  receiver is the symbol table read digit by digit (`Receiver`); under full
+  support the part vectors are the
   coarsest valid coloring of the co-normal power (Alon & Orlitsky 1996).
   No OR power is built and no χ solver runs past n = 1.  Each source's
   Huffman code is built on integer color weights over the scale D^n, for
   the common denominator D of the joint PMF.
 - `encode_block` and `decode_pair` code one block; `roundtrip_exhaustive`
-  checks every positive block pair and raises at the first mismatch.
+  checks every positive block pair and raises at the first mismatch.  It and
+  `simulate` check block pairs, given as rows of cells, by one checker
+  (`_pair_check`) over tables indexed by block color.
 - `simulate(spec, pmf, n, samples, seed)` returns, byte for byte, the report
   of drawing each block's n cells with `rng.choices` from
   `random.Random(seed)` and coding it block by block, and raises at the
@@ -38,7 +43,7 @@ from math import ceil, inf, lcm
 import numpy as np
 
 from .chargraph import _check_dims, build_characteristic_graph
-from .coloring import Coloring, check_strategy, power_coloring
+from .coloring import Coloring, _compose, _vector_fold, check_strategy, power_coloring
 from .entropy import _huffman, entropy_bits, huffman_code
 from .errors import DEFAULT_GUARD, ChromacodeError, UsageError, resolve_guard
 from .orpower import check_power_guard, encode_tuple
@@ -54,15 +59,7 @@ class AmbiguityError(ChromacodeError):
         self.witness = (pair_a, pair_b)
 
 
-SIMULATE_CHUNK = 4096  # blocks per array pass of `simulate`
-
-
-def _digits(value, base, n):
-    """The n big-endian base-`base` digits of the integer `value`, as a tuple."""
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        value, out[i] = divmod(value, base)
-    return tuple(out)
+SIMULATE_CHUNK = 4096  # block pairs per array pass of `simulate` and `roundtrip_exhaustive`
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +123,8 @@ class CodecPlan:
     spec: object
     pmf: object
     n: int
-    colorings: tuple
-    codes: tuple  # Huffman code dicts keyed by color
+    symbol_colorings: tuple  # per source, the Coloring of single symbols
+    codes: tuple  # Huffman code dicts keyed by block color
     color_weights: tuple  # {color: integer weight over `scale`} per source, in color order
     scale: int  # D^n, for the common denominator D of the joint PMF
     avg_lengths: tuple  # exact Fractions, bits per block
@@ -140,32 +137,19 @@ class CodecPlan:
         source, built on first read and kept."""
         return tuple({c: Fraction(w, self.scale) for c, w in s.items()} for s in self.color_weights)
 
+    @cached_property
+    def colorings(self):
+        """The block colorings, a V^n-long Coloring per source, built on first
+        read by the composition engine and kept; no codec path reads them."""
+        return tuple(
+            Coloring(tuple(_compose(_vector_fold(c), self.n).tolist()), c.palette_size**self.n)
+            for c in self.symbol_colorings
+        )
+
 
 def _outcomes(spec):
     """The spec's outcome count, the receiver's `base`."""
     return 1 + max(map(max, spec.table))
-
-
-def _positive_pairs(spec, positive, n):
-    """(b1, b2, outs): the positive block pairs as int64 arrays of big-endian
-    block indices, in the order of their n-tuples of positive cells, and the
-    n x pairs int64 array `outs`, whose row j holds f at each pair's j-th
-    cell.  A cell (x1, x2) is positive where `positive[x1][x2]` is nonzero;
-    the block indices come out of n Horner passes.
-    """
-    cells = [
-        (x1, x2, spec.f(x1, x2))
-        for x1 in range(spec.n1)
-        for x2 in range(spec.n2)
-        if positive[x1][x2]
-    ]
-    cx1, cx2, cout = (np.array(col, dtype=np.int64) for col in zip(*cells))
-    tuples = np.indices((len(cells),) * n).reshape(n, len(cells) ** n)  # row j: digit j's cell
-    b1 = b2 = np.zeros(len(cells) ** n, dtype=np.int64)
-    for column in tuples:
-        b1 = b1 * spec.n1 + cx1[column]
-        b2 = b2 * spec.n2 + cx2[column]
-    return b1, b2, cout[tuples]
 
 
 def _block_weights(marginal, n):
@@ -199,7 +183,7 @@ def _cell_receiver(spec, positive, c1, c2, n=1):
     AmbiguityError, naming the key's first cell and that cell.  The witness
     is given at block length n: both block pairs start with n - 1 copies of
     the first positive cell, which makes them the first conflict, in
-    (b1, b2) order, under the vector colorings of `_lift_coloring`.
+    (b1, b2) order, under the vector colorings.
     """
     palette2 = c2.palette_size
     first = {}  # key -> (x1, x2, outcome) of its first cell
@@ -239,16 +223,6 @@ def _integer_pmf(pmf):
     return D, weights, ([sum(row) for row in weights], [sum(col) for col in zip(*weights)])
 
 
-def _lift_coloring(coloring, n):
-    """The vector coloring of n-blocks: a block's color is the big-endian
-    index, in base the palette size k, of its symbols' colors (Horner over
-    plain Python lists), out of k^n colors."""
-    colors, k = coloring.assignment, coloring.palette_size
-    for _ in range(n - 1):
-        colors = [c * k + q for c in colors for q in coloring.assignment]
-    return Coloring(tuple(colors), k**n)
-
-
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     """Codec plan for length-n blocks.  Each cell of `pmf` counts at its exact
     value `Fraction(p)`, a float at its binary value: the color PMFs of float
@@ -260,9 +234,9 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     must still name one of `coloring.STRATEGIES`.  With zero cells it colors
     the characteristic graph.  Raises GuardExceeded when V1^n or V2^n is past
     the power guard, before any coloring, and AmbiguityError when the symbol
-    colorings do not decode.  The guard bounds each coloring's length; the
-    receiver keeps the symbol colorings' table, at most V1 x V2 entries, at
-    every n.
+    colorings do not decode.  The plan keeps the symbol colorings, k^n
+    color weights and codewords per source for the symbol palette size k,
+    and the symbol colorings' receiver table, at most V1 x V2 entries.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")
@@ -290,7 +264,7 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     inverses = tuple({w: c for c, w in code.items()} for code in codes)
     scale = D**n
     return CodecPlan(
-        spec, pmf, n, (_lift_coloring(c1, n), _lift_coloring(c2, n)), codes, sums, scale,
+        spec, pmf, n, (c1, c2), codes, sums, scale,
         tuple(Fraction(total, scale) for total in totals), decoder, inverses,
     )
 
@@ -314,7 +288,11 @@ def encode_block(plan, source, block):
     block = tuple(block)
     if len(block) != plan.n:
         raise UsageError(f"block length {len(block)} != n = {plan.n}")
-    color = plan.colorings[source - 1].assignment[encode_tuple(block, alphabet)]
+    encode_tuple(block, alphabet)  # the range check
+    symbols = plan.symbol_colorings[source - 1]
+    color = 0
+    for x in block:
+        color = color * symbols.palette_size + symbols.assignment[x]
     code = plan.codes[source - 1]
     if color not in code:
         raise UsageError("unsupported input: block has zero probability")
@@ -340,40 +318,135 @@ def decode_pair(plan, bits1, bits2):
     return out
 
 
+def _color_tables(plan, source):
+    """Per block color of one source: (decoded color, codeword length, own),
+    own telling whether the color's codeword decodes to the color itself.
+    Each codeword is decoded once through the plan's inverse codebook; a
+    color without one, or whose codeword decodes outside the palette,
+    decodes to the palette size, which no color pair of the receiver uses."""
+    code, inverse = plan.codes[source - 1], plan.inverses[source - 1]
+    palette = plan.symbol_colorings[source - 1].palette_size ** plan.n
+    decoded = np.full(palette, palette, dtype=np.int64)
+    lengths = np.zeros(palette, dtype=np.int64)
+    for c, w in code.items():
+        d = _decode_prefix(inverse, w)
+        decoded[c] = d if 0 <= d < palette else palette
+        lengths[c] = len(w)
+    return decoded, lengths, decoded == np.arange(palette)
+
+
+def _digit_lookup(plan, decoded1, decoded2):
+    """The receiver read digit by digit, for block colors whose decoded
+    colors are `decoded1` and `decoded2` (`_color_tables`), as a function
+    `mismatches(c1, c2, wants)`: a bool array over the color pairs (c1, c2),
+    true where the receiver's outcome at some coordinate j differs from
+    wants[j], an array over the pairs.
+
+    The receiver's k1 x k2 table gets a row and a column of -1 appended and
+    is flattened.  Each source's decoded colors are split once into n
+    columns of digits, scaled to flat offsets in that table; a color without
+    a codeword (decoded to the palette size) takes the appended row or
+    column at every digit.  Coordinate j then costs two gathers, one add and
+    one table gather, compared with wants[j]; -1 matches no outcome.
+    """
+    k1, k2 = plan.decoder.table.shape
+    table = np.full((k1 + 1, k2 + 1), -1, dtype=np.int64)
+    table[:k1, :k2] = plan.decoder.table
+    table = table.ravel()
+    columns = []
+    for decoded, k, scale in ((decoded1, k1, k2 + 1), (decoded2, k2, 1)):
+        digits = decoded[:, None] // k ** np.arange(plan.n - 1, -1, -1) % k  # big-endian
+        digits[decoded == k**plan.n] = k
+        columns.append(list((digits * scale).T))
+
+    def mismatches(c1, c2, wants):
+        bad = np.zeros(c1.shape, dtype=bool)
+        for d1, d2, want in zip(*columns, wants):
+            bad |= table[d1[c1] + d2[c2]] != want
+        return bad
+
+    return mismatches
+
+
+def _pair_check(plan):
+    """(check, lengths): the block-pair check of `simulate` and
+    `roundtrip_exhaustive`, and per source the codeword length of each block
+    color (`_color_tables`), all built once per call.
+
+    `check(cells)` takes a k x n array of cell ids x1 * n2 + x2, row i the
+    cells of block pair i, and returns (wrong, colors1, colors2): whether
+    the pair's two codewords decode to an outcome other than f, and its two
+    block colors.  A pair whose colors decode to themselves is wrong exactly
+    when one of its cells is bad (the receiver's entry at the cell's symbol
+    colors is not f; -1 is not); any other pair is read digit by digit
+    (`_digit_lookup`, built for the first such pair).
+    """
+    spec, n, table = plan.spec, plan.n, plan.decoder.table
+    (k1, k2), (s1, s2) = table.shape, plan.symbol_colorings
+    decoded1, lengths1, own1 = _color_tables(plan, 1)
+    decoded2, lengths2, own2 = _color_tables(plan, 2)
+    everywhere_own = own1.all() and own2.all()
+    sym1 = np.repeat(np.array(s1.assignment, dtype=np.int64), spec.n2)  # per cell
+    sym2 = np.tile(np.array(s2.assignment, dtype=np.int64), spec.n1)
+    cell_out = np.array(spec.table, dtype=np.int64).ravel()
+    cell_bad = table[sym1, sym2] != cell_out
+    # the cell at coordinate j adds c1(x1) * k1^(n-1-j) to color 1, kept above
+    # the low `shift` bits, and c2(x2) * k2^(n-1-j) to color 2, kept in them;
+    # each source's k^n colors are held in `plan.codes` (and its color
+    # weights), so the sum, below 2 * k1^n * k2^n, fits in an int64
+    shift = (k2**n - 1).bit_length()
+    places = [(sym1 * k1**p << shift) + sym2 * k2**p for p in range(n - 1, -1, -1)]
+    lookup = None
+
+    def check(cells):
+        nonlocal lookup
+        both = sum(place[column] for place, column in zip(places, cells.T))
+        colors1, colors2 = both >> shift, both & ((1 << shift) - 1)
+        wrong = np.zeros(len(cells), dtype=bool)
+        for column in cells.T:
+            wrong |= cell_bad[column]
+        other = () if everywhere_own else np.flatnonzero(~(own1[colors1] & own2[colors2]))
+        if len(other):
+            lookup = lookup or _digit_lookup(plan, decoded1, decoded2)
+            wants = [cell_out[column[other]] for column in cells.T]
+            wrong[other] = lookup(colors1[other], colors2[other], wants)
+        return wrong, colors1, colors2
+
+    return check, (lengths1, lengths2)
+
+
 def roundtrip_exhaustive(plan):
     """Round-trip every positive-probability block pair; returns their count
     and raises AssertionError at the first mismatch in (b1, b2) order.
 
-    The pairs, and f at each of their cells, come from Horner passes over
-    the positive cells (`_positive_pairs`), in chunks that share their first
-    n // 2 cells, so memory stays that of one chunk, about the square root
-    of the pair count.  Each block is encoded once through `plan.codes` and
-    decoded through `plan.inverses` (`_block_tables`), and a chunk's decoded
-    color pairs are read from the receiver digit by digit (`_digit_lookup`)
-    in one array pass.  A pair whose colors or digit pairs have no outcome,
-    or whose outcome block differs, is replayed in (b1, b2) order by
-    `encode_block` and `decode_pair`, which raise or report it as a walk
-    over the pairs would.
+    The pairs are the n-tuples of positive cells, taken SIMULATE_CHUNK at a
+    time by their index among those tuples, so memory stays that of one
+    chunk, and checked as `simulate` checks its draws (`_pair_check`).  The
+    first pair found wrong in each chunk, in (b1, b2) order, is kept, and the
+    kept pairs are replayed in (b1, b2) order by `encode_block` and
+    `decode_pair`.  A pair is found wrong exactly when its replay raises or
+    reports a mismatch, so the first replay does as a walk over the pairs
+    would.
     """
     spec, n = plan.spec, plan.n
-    mismatches = _digit_lookup(plan, _block_tables(plan, 1)[0], _block_tables(plan, 2)[0])
-    # a chunk per pair of the first n // 2 cells, over the pairs of the rest
-    rest = n - n // 2
-    heads = _positive_pairs(spec, plan.pmf.probs, n // 2)
-    tail1, tail2, tail_outs = _positive_pairs(spec, plan.pmf.probs, rest)
-    blocks2 = spec.n2**n
+    positive = np.flatnonzero([bool(p) for row in plan.pmf.probs for p in row])
+    pairs = positive.size**n
+    check = _pair_check(plan)[0]
     bad = []
-    for h1, h2, head_outs in zip(heads[0], heads[1], heads[2].T):
-        b1, b2 = h1 * spec.n1**rest + tail1, h2 * spec.n2**rest + tail2
-        wrong = mismatches(b1, b2, [*head_outs, *tail_outs])
-        bad += (b1[wrong] * blocks2 + b2[wrong]).tolist()
-    for p in sorted(bad):
-        t1, t2 = _digits(p // blocks2, spec.n1, n), _digits(p % blocks2, spec.n2, n)
+    for start in range(0, pairs, SIMULATE_CHUNK):
+        index = np.arange(start, min(start + SIMULATE_CHUNK, pairs))
+        cells = positive[np.stack(np.unravel_index(index, (positive.size,) * n), axis=1)]
+        wrong = cells[check(cells)[0]]
+        if wrong.size:
+            blocks = np.hstack(np.divmod(wrong, spec.n2))  # rows b1 + b2
+            first = blocks[np.lexsort(blocks.T[::-1])[0]].tolist()
+            bad.append((tuple(first[:n]), tuple(first[n:])))
+    for t1, t2 in sorted(bad):
         expected = tuple(spec.f(x1, x2) for x1, x2 in zip(t1, t2))
         got = decode_pair(plan, encode_block(plan, 1, t1), encode_block(plan, 2, t2))
         if got != expected:
             raise AssertionError(f"round-trip mismatch on {t1},{t2}: {got} != {expected}")
-    return heads[0].size * tail1.size
+    return pairs
 
 
 @dataclass
@@ -403,57 +476,6 @@ class RateReport:
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _block_tables(plan, source):
-    """Per block index of one source: (decoded color, codeword length, own),
-    own telling whether the decoded color is the block's color.  Each codeword is
-    decoded once through the plan's inverse codebook; a color without one
-    decodes to the palette size, which no color pair of the receiver uses."""
-    code = plan.codes[source - 1]
-    inverse = plan.inverses[source - 1]
-    palette = plan.colorings[source - 1].palette_size
-    decoded = np.full(palette, palette, dtype=np.int64)
-    lengths = np.zeros(palette, dtype=np.int64)
-    for c, w in code.items():
-        decoded[c] = _decode_prefix(inverse, w)
-        lengths[c] = len(w)
-    colors = np.array(plan.colorings[source - 1].assignment, dtype=np.int64)
-    decoded = decoded[colors]
-    return decoded, lengths[colors], decoded == colors
-
-
-def _digit_lookup(plan, decoded1, decoded2):
-    """The receiver read digit by digit, for blocks whose decoded colors are
-    `decoded1` and `decoded2` (`_block_tables`), as a function
-    `mismatches(b1, b2, wants)`: a bool array over the block pairs (b1, b2),
-    true where the receiver's outcome at some coordinate j differs from
-    wants[j], an array over the pairs or one outcome for all of them.
-
-    The receiver's k1 x k2 table gets a row and a column of -1 appended and
-    is flattened.  Each source's decoded colors are split once into n
-    columns of digits, scaled to flat offsets in that table; a color without
-    a codeword (decoded to the palette size) takes the appended row or
-    column at every digit.  Coordinate j then costs two gathers, one add and
-    one table gather, compared with wants[j]; -1 matches no outcome.
-    """
-    k1, k2 = plan.decoder.table.shape
-    table = np.full((k1 + 1, k2 + 1), -1, dtype=np.int64)
-    table[:k1, :k2] = plan.decoder.table
-    table = table.ravel()
-    columns = []
-    for decoded, k, scale in ((decoded1, k1, k2 + 1), (decoded2, k2, 1)):
-        digits = decoded[:, None] // k ** np.arange(plan.n - 1, -1, -1) % k  # big-endian
-        digits[decoded == k**plan.n] = k
-        columns.append(list((digits * scale).T))
-
-    def mismatches(b1, b2, wants):
-        bad = np.zeros(b1.shape, dtype=bool)
-        for c1, c2, want in zip(*columns, wants):
-            bad |= table[c1[b1] + c2[b2]] != want
-        return bad
-
-    return mismatches
 
 
 _TOP = 1 << 53  # keys j of `random()` = j * 2^-53 run over 0 <= j < _TOP
@@ -522,56 +544,27 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     mismatching sample in draw order, are those of drawing each block's n
     cells with `rng.choices` from `random.Random(seed)`, coding it with
     `encode_block` and `decode_pair` and comparing with f.  Blocks go
-    SIMULATE_CHUNK at a time, so memory does not grow with `samples`; every
-    table is built once per call.  A sample whose blocks decode to their own
-    vector colors mismatches exactly when one of its cells is bad (the
-    receiver's entry at its symbol colors is not f); any other is read digit
-    by digit (`_digit_lookup`).  Entropies come from integer weights.
+    SIMULATE_CHUNK at a time, so memory does not grow with `samples`, and
+    each chunk is checked by `_pair_check`, whose tables, indexed by block
+    color, are built once per call.  Entropies come from integer weights.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
     plan = build_codec(spec, pmf, n, coloring_strategy, guard=guard)
     rng = random.Random(seed)
-    # cell x1 * n2 + x2 is the pair (x1, x2)
-    draw = _cell_draw([float(p) for row in pmf.probs for p in row])
-    cell_x1 = np.repeat(np.arange(spec.n1), spec.n2)
-    cell_x2 = np.tile(np.arange(spec.n2), spec.n1)
-    cell_out = np.array(spec.table).ravel()
-    decoded1, lengths1, own1 = _block_tables(plan, 1)
-    decoded2, lengths2, own2 = _block_tables(plan, 2)
-    everywhere_own = own1.all() and own2.all()
-    mismatches = None  # `_digit_lookup`, built for the first sample not own
-    # block (0, ..., 0, x) ends in the digit of x's symbol color; a cell is
-    # bad where the receiver's entry at its symbol colors is not f (-1 is not)
-    symbols = (np.array(c.assignment[:v]) % k for c, v, k in
-               zip(plan.colorings, (spec.n1, spec.n2), plan.decoder.table.shape))
-    cell_bad = plan.decoder.table[np.ix_(*symbols)].ravel() != cell_out
-    # the cell at coordinate j adds x1 * n1^(n-1-j) to block 1's index, kept
-    # above the low `shift` bits, and x2 * n2^(n-1-j) to block 2's, kept in
-    # them; both colorings are held as tuples, so the sum fits in an int64
-    shift = (spec.n2**n - 1).bit_length()
-    places = [(cell_x1 * spec.n1**p << shift) + cell_x2 * spec.n2**p for p in range(n - 1, -1, -1)]
+    draw = _cell_draw([float(p) for row in pmf.probs for p in row])  # cell x1 * n2 + x2
+    check, (lengths1, lengths2) = _pair_check(plan)
     bits = [0, 0]
     for start in range(0, samples, SIMULATE_CHUNK):
         k = min(SIMULATE_CHUNK, samples - start)
         drawn = draw(rng, k * n).reshape(k, n)
-        both = sum(place[cells] for place, cells in zip(places, drawn.T))
-        idx1, idx2 = both >> shift, both & ((1 << shift) - 1)
-        bits[0] += int(lengths1[idx1].sum())
-        bits[1] += int(lengths2[idx2].sum())
-        wrong = np.zeros(k, dtype=bool)
-        for cells in drawn.T:
-            wrong |= cell_bad[cells]
-        other = () if everywhere_own else np.flatnonzero(~(own1[idx1] & own2[idx2]))
-        if len(other):
-            mismatches = mismatches or _digit_lookup(plan, decoded1, decoded2)
-            wants = [cell_out[cells[other]] for cells in drawn.T]
-            wrong[other] = mismatches(idx1[other], idx2[other], wants)
+        wrong, colors1, colors2 = check(drawn)
         bad = np.flatnonzero(wrong)
         if bad.size:
-            row = drawn[bad[0]]
-            b1, b2 = (tuple(int(x) for x in cell_x[row]) for cell_x in (cell_x1, cell_x2))
+            b1, b2 = (tuple(x.tolist()) for x in np.divmod(drawn[bad[0]], spec.n2))
             raise AssertionError(f"decode mismatch on sample {b1},{b2}")
+        bits[0] += int(lengths1[colors1].sum())
+        bits[1] += int(lengths2[colors2].sum())
     D, _, marginals = _integer_pmf(pmf)
     return RateReport(
         n=n,

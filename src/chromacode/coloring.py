@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
-from .orpower import or_power
+from .orpower import POWER_GUARD_DEFAULT, or_power
 
 CHI_GUARD_DEFAULT = 64
 CHI_TIMEOUT_DEFAULT = 60.0
@@ -420,8 +420,9 @@ def is_valid_b_fold(g, fc):
     return all(not (fc.sets[u] & fc.sets[v]) for u, v in g.edges())
 
 
-def fractional_chromatic_cycle(k, b):
-    """b-fold colorings of the odd cycle C_{2k+1}.
+def fractional_chromatic_cycle(k, b, guard=None):
+    """b-fold colorings of the odd cycle C_{2k+1}.  The coloring holds
+    (2k+1)·b set entries, checked against the power guard (GuardExceeded).
 
     Returns a dict with:
       chi_b_lower: 2b+1, the odd-cycle bound (any b-fold coloring of an odd
@@ -436,6 +437,7 @@ def fractional_chromatic_cycle(k, b):
     if k < 2 or b < 1:
         raise UsageError("need k >= 2 and b >= 1")
     V = 2 * k + 1
+    check_guard("fractional coloring set entries V*b", V * b, guard, POWER_GUARD_DEFAULT)
     a, starts = _odd_cycle_windows(k, b)
     fc = FractionalColoring(a, b, tuple(frozenset((s + t) % a for t in range(b)) for s in starts))
     g = make_graph("cycle", V)

@@ -44,6 +44,47 @@ def test_graph_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["edges"] == [[0, 1]]
 
 
+@pytest.mark.parametrize(
+    "argv,what,size,limit",
+    [
+        (["graph", "--kind", "cycle", "--size", "1000000"], "graph vertex count", 10**6, 10**4),
+        (["spectral", "--kind", "path", "--size", "10001", "--op", "eig"], "graph vertex count", 10_001, 10**4),
+        (["graph", "--kind", "edgeless", "--size", "21", "--guard", "20"], "graph vertex count", 21, 20),
+        (["graph", "--graph", "FILE"], "graph vertex count", 10**9, 10**4),
+        (
+            ["color", "--kind", "cycle", "--size", "5", "--scheme", "fractional", "--fold", "100000000"],
+            "set entries", 5 * 10**8, 10**4,
+        ),
+        (
+            ["color", "--kind", "cycle", "--size", "7", "--scheme", "fractional", "--fold", "3",
+             "--guard", "20"],
+            "set entries", 21, 20,
+        ),
+    ],
+    ids=["size", "size-spectral", "size-guard", "graph-file", "fold", "fold-guard"],
+)
+def test_sizes_past_the_guard_exit_3_before_any_row_is_built(tmp_path, capsys, argv, what, size, limit):
+    # a cycle of 200 000 vertices took 8.3 s and 2.65 GB in bitset rows
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": 10**9, "edges": [[0, 1]]}))
+    argv = [str(graph) if a == "FILE" else a for a in argv]
+    start = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - start
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3 and elapsed < 1
+    assert err == {"error": "guard", "what": err["what"], "size": size, "limit": limit}
+    assert what in err["what"]
+
+
+def test_sizes_at_the_guard_still_run(capsys):
+    rc, out = run(capsys, "graph", "--kind", "edgeless", "--size", "20", "--guard", "20")
+    assert rc == 0 and json.loads(out) == {"vertices": 20, "edges": []}
+    rc, out = run(capsys, "color", "--kind", "cycle", "--size", "5", "--scheme", "fractional",
+                  "--fold", "4", "--guard", "20")
+    assert rc == 0 and json.loads(out)["chi_b"] == 10
+
+
 def test_chargraph_subcommand(ex1_files, capsys):
     spec_path, pmf_path = ex1_files
     rc, out = run(capsys, "chargraph", "--spec", spec_path, "--pmf", pmf_path, "--source", "1")

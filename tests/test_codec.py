@@ -377,8 +377,9 @@ def test_simulate_reads_blocks_that_decode_to_another_color(monkeypatch):
     monkeypatch.setattr(codec, "build_codec", swapped)
     spec, pmf = _example1_weighted()
     plan = codec.build_codec(spec, pmf, 2)
-    own = [c not in (1, 2) for c in plan.colorings[0].assignment]
-    assert codec._block_tables(plan, 1)[2].tolist() == own and not all(own)
+    # of source 1's 2^2 block colors, 1 and 2 decode to each other
+    decoded, _, own = codec._color_tables(plan, 1)
+    assert decoded.tolist() == [0, 2, 1, 3] and own.tolist() == [True, False, False, True]
     with pytest.raises(AssertionError) as first:
         _reference_simulate(spec, pmf, 2, 3000, 9)
     with pytest.raises(AssertionError) as got:
@@ -450,10 +451,21 @@ def _random_zero_cell_spec(rng, n):
 
 
 def _vector_coloring(base, n):
-    """The coloring `base` of symbols lifted to n-blocks by
-    `coloring._compose` over its `_vector_fold`."""
-    colors = coloring._compose(coloring._vector_fold(base), n).tolist()
+    """The coloring `base` of symbols lifted to n-blocks: each block, in
+    big-endian index order, takes the big-endian index in base k (the
+    palette size) of its symbols' colors, by Horner."""
+    colors = []
+    for symbol_colors in product(base.assignment, repeat=n):
+        color = 0
+        for c in symbol_colors:
+            color = color * base.palette_size + c
+        colors.append(color)
     return Coloring(tuple(colors), base.palette_size**n)
+
+
+def _big_endian(value, base, n):
+    """The n big-endian base-`base` digits of `value`, as a tuple."""
+    return tuple(value // base ** (n - 1 - j) % base for j in range(n))
 
 
 def _assert_matches_reference(spec, pmf, n, strategy="auto"):
@@ -637,24 +649,135 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
     assert compared >= 20
 
 
+def _roundtrip_outcome(roundtrip, plan):
+    """The pair count, or the type and message of the error raised."""
+    try:
+        return roundtrip(plan)
+    except (AssertionError, UsageError) as exc:
+        return type(exc), str(exc)
+
+
+def _swap_codewords(plan, swaps):
+    """`plan` with the codewords of colors a and b traded, for each source's
+    (a, b) in `swaps`."""
+    codes = tuple(map(dict, plan.codes))
+    for code, (a, b) in zip(codes, swaps):
+        code[a], code[b] = code[b], code[a]
+    return dataclasses.replace(plan, codes=codes)
+
+
+def test_roundtrip_exhaustive_reports_swapped_codewords_in_pair_order():
+    # two codewords of each source trade colors: which pairs then fail hangs
+    # on both blocks, so the first failure in the order the cell tuples are
+    # checked is not always the first in (b1, b2) order
+    rng = random.Random("roundtrip-swap")
+    failed = 0
+    for n in (1, 2, 3):
+        for _ in range(15):
+            for spec, pmf in (_random_zero_cell_spec(rng, n), _random_full_support_spec(rng, 3)):
+                try:
+                    plan = build_codec(spec, pmf, n)
+                except AmbiguityError:
+                    continue
+                if min(map(len, plan.codes)) < 2:
+                    continue
+                plan = _swap_codewords(plan, [rng.sample(sorted(code), 2) for code in plan.codes])
+                got = _roundtrip_outcome(roundtrip_exhaustive, plan)
+                assert got == _roundtrip_outcome(_reference_roundtrip, plan)
+                failed += not isinstance(got, int)
+    assert failed >= 50
+    # 9^5 pairs in 15 chunks: the chunk holding the first failure in (b1, b2)
+    # order is not the first chunk to fail
+    spec = FunctionSpec.from_table([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    pmf = JointPMF.from_rows(
+        [["1/13", "4/39", "5/39"], ["1/13", "1/13", "8/39"], ["3/13", "2/39", "2/39"]]
+    )
+    plan = _swap_codewords(build_codec(spec, pmf, 5), [(30, 6), (22, 27)])
+    got = _roundtrip_outcome(roundtrip_exhaustive, plan)
+    assert got == _roundtrip_outcome(_reference_roundtrip, plan)
+    assert got[1].startswith("round-trip mismatch on (0, 0, 0, 0, 0),(1, 0, 1, 1, 0):")
+
+
+def test_roundtrip_exhaustive_replays_a_mismatch_past_the_first_chunks():
+    # Example 1 at n = 5: 8^5 pairs, 8 chunks, one per first cell.  Source
+    # 1's block colors (c(3), 0, 0, 0, 0) and (c(3), 0, 0, 0, 1) trade
+    # codewords; only blocks starting with symbol 3 or its color mate have
+    # them, so every bad pair lies past the first chunk, and they decode
+    # through the digit lookup, not as their own colors
+    spec, pmf = _example1_weighted()
+    plan = build_codec(spec, pmf, 5)
+    symbols = plan.symbol_colorings[0]
+    assert symbols.palette_size == 2 and symbols.assignment[0] != symbols.assignment[3]
+    a = symbols.assignment[3] * 2**4
+    plan = _swap_codewords(plan, [(a, a + 1)])
+    assert not codec._color_tables(plan, 1)[2][[a, a + 1]].any()
+    assert 8**5 > 3 * codec.SIMULATE_CHUNK
+    with pytest.raises(AssertionError) as ref:
+        _reference_roundtrip(plan)
+    with pytest.raises(AssertionError) as got:
+        roundtrip_exhaustive(plan)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("round-trip mismatch on (1, 0, 0, 0, 0),")
+
+
 def test_digit_lookup_never_decodes_a_color_without_a_codeword():
-    # a color without a codeword decodes to the palette size (`_block_tables`);
+    # a color without a codeword decodes to the palette size (`_color_tables`);
     # read digit by digit it must match no outcome, though its digits in base
     # k are those of color 0
     spec, pmf = _example1_weighted()
     for n in (1, 2, 3):
         plan = build_codec(spec, pmf, n)
-        decoded1, decoded2 = (codec._block_tables(plan, s)[0] for s in (1, 2))
-        # every block pair (all positive), and f at each of its n cells
-        b1, b2 = (g.ravel() for g in np.meshgrid(np.arange(decoded1.size), np.arange(decoded2.size)))
-        t1 = np.array([codec._digits(b, spec.n1, n) for b in b1.tolist()])
-        t2 = np.array([codec._digits(b, spec.n2, n) for b in b2.tolist()])
+        decoded1, decoded2 = (codec._color_tables(plan, s)[0] for s in (1, 2))
+        # every block pair (all positive), its block colors, and f at each of its n cells
+        b1, b2 = (g.ravel() for g in np.meshgrid(np.arange(spec.n1**n), np.arange(spec.n2**n)))
+        colors1, colors2 = (
+            np.array(_vector_coloring(c, n).assignment)[b]
+            for c, b in zip(plan.symbol_colorings, (b1, b2))
+        )
+        # every color pair is checked
+        assert (np.unique(colors1).size, np.unique(colors2).size) == (decoded1.size, decoded2.size)
+        t1 = np.array([_big_endian(b, spec.n1, n) for b in b1.tolist()])
+        t2 = np.array([_big_endian(b, spec.n2, n) for b in b2.tolist()])
         wants = list(np.array(spec.table)[t1, t2].T)
-        assert not codec._digit_lookup(plan, decoded1, decoded2)(b1, b2, wants).any()
+        assert not codec._digit_lookup(plan, decoded1, decoded2)(colors1, colors2, wants).any()
         for s, decoded in ((1, decoded1), (2, decoded2)):
-            missing = np.full_like(decoded, plan.colorings[s - 1].palette_size)
+            missing = np.full_like(decoded, decoded.size)
             pair = (missing, decoded2) if s == 1 else (decoded1, missing)
-            assert codec._digit_lookup(plan, *pair)(b1, b2, wants).all(), (n, s)
+            assert codec._digit_lookup(plan, *pair)(colors1, colors2, wants).all(), (n, s)
+
+
+def test_roundtrip_exhaustive_flags_a_codeword_decoded_outside_the_palette():
+    # the receiver has no key for such a color, so the walk raises at the
+    # first pair with it; read digit by digit, color k^n + 1 would pass as 1
+    spec, pmf = example1_spec()
+    plan = build_codec(spec, pmf, 2)
+    for outside in (2**2 + 1, -1):
+        inverse = dict(plan.inverses[0])
+        inverse[plan.codes[0][1]] = outside
+        bad = dataclasses.replace(plan, inverses=(inverse, plan.inverses[1]))
+        assert codec._color_tables(bad, 1)[0].tolist() == [0, 4, 2, 3]
+        got = _roundtrip_outcome(roundtrip_exhaustive, bad)
+        assert got == _roundtrip_outcome(_reference_roundtrip, bad)
+        assert got[0] is UsageError
+
+
+def test_no_codec_path_reads_the_block_colorings(monkeypatch):
+    def refuse(plan):
+        raise RuntimeError("read the V^n block colorings")
+
+    monkeypatch.setattr(codec.CodecPlan, "colorings", property(refuse))
+    for spec, pmf in (example1_spec(), _zero_cell()):
+        cells = [(x1, x2) for x1 in range(spec.n1) for x2 in range(spec.n2) if pmf.p(x1, x2)]
+        for n in (1, 2, 3):
+            plan = build_codec(spec, pmf, n)
+            with pytest.raises(RuntimeError):
+                plan.colorings
+            assert roundtrip_exhaustive(plan) == len(cells) ** n
+            assert simulate(spec, pmf, n, 3000, seed=n).lossless
+            (x1, x2), (y1, y2) = cells[0], cells[-1]
+            b1, b2 = (x1,) * (n - 1) + (y1,), (x2,) * (n - 1) + (y2,)
+            got = decode_pair(plan, encode_block(plan, 1, b1), encode_block(plan, 2, b2))
+            assert got == tuple(spec.f(u, v) for u, v in zip(b1, b2))
 
 
 def _cross_spec():
@@ -854,8 +977,8 @@ def test_part_receiver_refuses_a_part_pair_that_disagrees():
 
 def _reference_full_support(spec, pmf, n):
     """The full-support plan by the array construction: colorings by
-    `coloring._compose` over `_vector_fold` of the parts, part-vector weights
-    by `_block_weights` of the part weights, and the receiver's part table,
+    `_vector_coloring` of the parts, part-vector weights as products over
+    n-tuples of the part weights, and the receiver's part table,
     f on the first symbol of each part, lifted to its entries at n by n - 1
     broadcasts.  Returns (colorings, color weights, (part table, its base,
     the receiver's items in key order))."""
@@ -866,9 +989,10 @@ def _reference_full_support(spec, pmf, n):
     parts = [Coloring.from_list(lines) for lines in (spec.table, tuple(zip(*spec.table)))]
     colorings = tuple(_vector_coloring(p, n) for p in parts)
     sums = tuple(
-        dict(enumerate(codec._block_weights(
-            [sum(w for w, q in zip(m, p.assignment) if q == c) for c in range(p.palette_size)], n
-        )))
+        dict(enumerate(map(math.prod, product(
+            [sum(w for w, q in zip(m, p.assignment) if q == c) for c in range(p.palette_size)],
+            repeat=n,
+        ))))
         for m, p in zip(marginals, parts)
     )
     k1, k2 = (p.palette_size for p in parts)
@@ -879,7 +1003,7 @@ def _reference_full_support(spec, pmf, n):
         lifted = blocks[:, None, :, None] * base + table[None, :, None, :]
         blocks = lifted.reshape(blocks.shape[0] * k1, blocks.shape[1] * k2)
     items = [
-        (divmod(key, k2**n), codec._digits(out, base, n))
+        (divmod(key, k2**n), _big_endian(out, base, n))
         for key, out in enumerate(blocks.ravel().tolist())
     ]
     return colorings, sums, (table, base, items)

@@ -362,6 +362,17 @@ def test_fractional_chromatic_cycle(b, chi_b):
     assert is_valid_b_fold(cycle_graph(5), res["coloring"])
 
 
+def test_fractional_chromatic_cycle_guards_its_set_entries():
+    # V * b set entries: 5 * 2 000 is at the power guard's default, 5 * 2 001 past it
+    assert fractional_chromatic_cycle(2, 2000)["chi_b"] == 5000
+    with pytest.raises(GuardExceeded) as exc:
+        fractional_chromatic_cycle(2, 2001)
+    assert (exc.value.size, exc.value.limit) == (10_005, 10_000)
+    assert fractional_chromatic_cycle(2, 2001, guard=10_005)["chi_b"] == 5003
+    with pytest.raises(GuardExceeded):
+        fractional_chromatic_cycle(3, 4, guard=27)
+
+
 def test_fractional_chromatic_power():
     assert fractional_chromatic_power(2, 2) == Fraction(25, 4)
     assert fractional_chromatic_power(3, 3) == Fraction(343, 27)
