@@ -35,7 +35,7 @@ print("G_X2 edges:", g2.edges(), "(K2: the two symbols always matter)")
 # lookup table on color pairs decodes f exactly.
 plan = build_codec(spec, pmf, 2)
 print("\nblock length n = 2")
-print("palette sizes:", [c.palette_size for c in plan.colorings])
+print("palette sizes:", [c.palette_size ** plan.n for c in plan.symbol_colorings])
 print("avg codeword lengths (bits/block):", [str(a) for a in plan.avg_lengths])
 
 bits1 = encode_block(plan, 1, (3, 0))

@@ -6,18 +6,17 @@
   the power guard.  Each source colors its single symbols: under full
   support by the parts of f's rows (source 1) or columns (source 2), with no
   graph built, else by `coloring.power_coloring` of the characteristic
-  graph at n = 1, and the plan keeps these symbol colorings.  A block's
-  color is the big-endian vector of its symbols' colors, in base the
-  palette size k, out of k^n; no codec path writes out or reads a coloring
-  of the V^n blocks (`CodecPlan.colorings` is built when read).  Vector
-  colorings are valid on the n-block characteristic graph and decode at n
-  exactly when the symbol colorings decode (Orlitsky & Roche 2001), so the
-  receiver is the symbol table read digit by digit (`Receiver`); under full
-  support the part vectors are the
-  coarsest valid coloring of the co-normal power (Alon & Orlitsky 1996).
-  No OR power is built and no χ solver runs past n = 1.  Each source's
-  Huffman code is built on integer color weights over the scale D^n, for
-  the common denominator D of the joint PMF.
+  graph at n = 1.  A block's color is the big-endian vector of its symbols'
+  colors, in base the palette size k, out of k^n.  Vector colorings are
+  valid on the n-block characteristic graph and decode at n exactly when
+  the symbol colorings decode (Orlitsky & Roche 2001); under full support
+  the part vectors are the coarsest valid coloring of the co-normal power
+  (Alon & Orlitsky 1996).  So the plan is its arrays: the symbol
+  colorings, k^n color weights and codewords per source, and the k1 x k2
+  receiver table of the symbol colorings, read digit by digit (`Receiver`).
+  No coloring of the V^n blocks is written out, no OR power is built and
+  no χ solver runs past n = 1.  Huffman codes are built on integer color
+  weights over the scale D^n, for the common denominator D of the joint PMF.
 - `encode_block` and `decode_pair` code one block; `roundtrip_exhaustive`
   checks every positive block pair and raises at the first mismatch.  It and
   `simulate` check block pairs, given as rows of cells, by one checker
@@ -30,20 +29,18 @@
 """
 
 import json
-import operator
 import random
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from math import ceil, inf, lcm
 
 import numpy as np
 
 from .chargraph import _check_dims, build_characteristic_graph
-from .coloring import Coloring, _compose, _vector_fold, check_strategy, power_coloring
+from .coloring import Coloring, check_strategy, power_coloring
 from .entropy import _huffman, entropy_bits, huffman_code
 from .errors import DEFAULT_GUARD, ChromacodeError, UsageError, resolve_guard
 from .orpower import check_power_guard, encode_tuple
@@ -63,59 +60,24 @@ SIMULATE_CHUNK = 4096  # block pairs per array pass of `simulate` and `roundtrip
 
 
 @dataclass(frozen=True, eq=False)
-class Receiver(Mapping):
-    """The receiver table at block length n as a read-only mapping
-    {(color1, color2): outcome block}, held as the table of the symbol
-    colorings: `table` is a k1 x k2 int64 array whose entry [a, b] is the
-    outcome, below `base` (the spec's outcome count), of symbol colors a, b,
-    or -1 where no positive cell has that color pair.  A block color is read
-    as n big-endian digits, in base k1 for color1 and k2 for color2; the
-    pair is a key when every digit pair has an outcome, and its value is
-    the tuple of those outcomes.  The mapping has m^n keys, for the m
-    entries of `table` that are not -1, and none of them is written out.
-    Iteration is in (color1, color2) order.
-    """
+class Receiver:
+    """The receiver at block length n: `table` is the k1 x k2 int64 table of
+    the symbol colorings, whose entry [a, b] is the outcome of symbol colors
+    a, b, or -1 where no positive cell has that pair.  A block color pair is
+    read as n big-endian digit pairs (`_digits`) and decodes when every
+    digit pair has an outcome, to the tuple of those outcomes; `len` counts
+    these m^n pairs, for the m entries of `table` that are not -1."""
 
     table: np.ndarray
-    base: int
     n: int
-
-    def __getitem__(self, pair):
-        try:
-            c1, c2 = map(operator.index, pair)
-        except (TypeError, ValueError):
-            raise KeyError(pair) from None
-        (k1, k2), n = self.table.shape, self.n
-        if not (0 <= c1 < k1**n and 0 <= c2 < k2**n):
-            raise KeyError(pair)
-        out = [0] * n
-        for i in range(n - 1, -1, -1):  # the digit pairs, last first
-            c1, a = divmod(c1, k1)
-            c2, b = divmod(c2, k2)
-            out[i] = self.table.item(a, b)
-        if -1 in out:
-            raise KeyError(pair)
-        return tuple(out)
-
-    def __iter__(self):
-        # color1's digit tuples in order, then the color2 digits present in
-        # each of their rows: the keys in (color1, color2) order
-        (k1, k2), n = self.table.shape, self.n
-        present = [np.flatnonzero(row >= 0).tolist() for row in self.table]
-        for a in product(range(k1), repeat=n):
-            c1 = encode_tuple(a, k1)
-            for b in product(*(present[x] for x in a)):
-                yield c1, encode_tuple(b, k2)
 
     def __len__(self):
         return int(np.count_nonzero(self.table >= 0)) ** self.n
 
     def __eq__(self, other):
-        # at one n and shape, tables that differ at [a, b] differ at the key of digit pairs (a, b)
-        same = isinstance(other, Receiver) and self.table.shape == other.table.shape
-        if same and self.n == other.n:
-            return np.array_equal(self.table, other.table)
-        return super().__eq__(other)
+        if not isinstance(other, Receiver):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.table, other.table)
 
 
 @dataclass
@@ -123,12 +85,12 @@ class CodecPlan:
     spec: object
     pmf: object
     n: int
-    symbol_colorings: tuple  # per source, the Coloring of single symbols
-    codes: tuple  # Huffman code dicts keyed by block color
+    symbol_colorings: tuple  # per source, the Coloring of single symbols, palette size k
+    codes: tuple  # Huffman code dicts keyed by block color, out of k^n per source
     color_weights: tuple  # {color: integer weight over `scale`} per source, in color order
     scale: int  # D^n, for the common denominator D of the joint PMF
     avg_lengths: tuple  # exact Fractions, bits per block
-    decoder: Receiver  # (color1, color2) -> outcome block tuple, read digit by digit
+    decoder: Receiver  # the k1 x k2 table of the symbol colorings, read digit by digit
     inverses: tuple  # {codeword: color} per source, the receiver's codebooks
 
     @cached_property
@@ -137,19 +99,11 @@ class CodecPlan:
         source, built on first read and kept."""
         return tuple({c: Fraction(w, self.scale) for c, w in s.items()} for s in self.color_weights)
 
-    @cached_property
-    def colorings(self):
-        """The block colorings, a V^n-long Coloring per source, built on first
-        read by the composition engine and kept; no codec path reads them."""
-        return tuple(
-            Coloring(tuple(_compose(_vector_fold(c), self.n).tolist()), c.palette_size**self.n)
-            for c in self.symbol_colorings
-        )
 
-
-def _outcomes(spec):
-    """The spec's outcome count, the receiver's `base`."""
-    return 1 + max(map(max, spec.table))
+def _digits(color, k, n):
+    """The n big-endian base-k digits of `color`, an int or an int64 array
+    of colors below k^n, as a list."""
+    return [color // k**p % k for p in range(n - 1, -1, -1)]
 
 
 def _block_weights(marginal, n):
@@ -172,12 +126,12 @@ def _color_weights(marginal, coloring):
 
 
 def _cell_receiver(spec, positive, c1, c2, n=1):
-    """The receiver of the vector colorings of c1, c2 at block length n, as
-    a `Receiver` over the table of the symbol colorings c1, c2, filled in
-    one pass over the cells in (x1, x2) order: a cell (x1, x2) with
+    """The receiver of the vector colorings of c1, c2 at block length n: the
+    `Receiver` whose k1 x k2 table of the symbol colorings c1, c2 is filled
+    in one pass over the cells in (x1, x2) order.  A cell (x1, x2) with
     `positive[x1][x2]` nonzero has color pair (c1[x1], c2[x2]), key
     color1 * k2 + color2 for c2's palette size k2.  Each key keeps the
-    outcome of its first cell.
+    outcome of its first cell; a key that no positive cell has stays -1.
 
     The first cell that disagrees with its key's outcome raises
     AmbiguityError, naming the key's first cell and that cell.  The witness
@@ -206,7 +160,7 @@ def _cell_receiver(spec, positive, c1, c2, n=1):
                     )
     table = np.full(c1.palette_size * palette2, -1, dtype=np.int64)
     table[list(first)] = [seen[2] for seen in first.values()]
-    return Receiver(table.reshape(-1, palette2), _outcomes(spec), n)
+    return Receiver(table.reshape(-1, palette2), n)
 
 
 def _integer_pmf(pmf):
@@ -310,12 +264,17 @@ def _decode_prefix(inverse, bits):
 
 
 def decode_pair(plan, bits1, bits2):
-    """Outcome block from the two codewords, via the receiver lookup table."""
+    """Outcome block from the two codewords: their colors' digit pairs read
+    from the receiver table.  A color outside its palette, or a digit pair
+    with no outcome, raises UsageError."""
     key = (_decode_prefix(plan.inverses[0], bits1), _decode_prefix(plan.inverses[1], bits2))
-    out = plan.decoder.get(key)
-    if out is None:
-        raise UsageError(f"unsupported input: color pair {key} has zero probability")
-    return out
+    table, n = plan.decoder.table, plan.decoder.n
+    (k1, k2), (c1, c2) = table.shape, key
+    if 0 <= c1 < k1**n and 0 <= c2 < k2**n:
+        out = tuple(map(table.item, _digits(c1, k1, n), _digits(c2, k2, n)))
+        if -1 not in out:
+            return out
+    raise UsageError(f"unsupported input: color pair {key} has zero probability")
 
 
 def _color_tables(plan, source):
@@ -355,9 +314,8 @@ def _digit_lookup(plan, decoded1, decoded2):
     table = table.ravel()
     columns = []
     for decoded, k, scale in ((decoded1, k1, k2 + 1), (decoded2, k2, 1)):
-        digits = decoded[:, None] // k ** np.arange(plan.n - 1, -1, -1) % k  # big-endian
-        digits[decoded == k**plan.n] = k
-        columns.append(list((digits * scale).T))
+        missing = decoded == k**plan.n
+        columns.append([np.where(missing, k, d) * scale for d in _digits(decoded, k, plan.n)])
 
     def mismatches(c1, c2, wants):
         bad = np.zeros(c1.shape, dtype=bool)
@@ -530,11 +488,6 @@ def _cell_draw(weights):
         return cells
 
     return draw
-
-
-def _choices(rng, weights, k):
-    """`rng.choices(range(len(weights)), weights, k=k)` by `simulate`'s draw."""
-    return _cell_draw(weights)(rng, k)
 
 
 def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard
+from .errors import DEFAULT_GUARD, ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .orpower import POWER_GUARD_DEFAULT, or_power
 
@@ -317,6 +317,7 @@ def power_coloring(g, n, strategy="auto", guard=None):
     elif strategy in ("even-cycle", "odd-cycle") and strategy != cycle:
         need = "odd V >= 5" if strategy == "odd-cycle" else "even V >= 4"
         raise UsageError(f"{strategy} strategy needs the canonical cycle C_V with {need}")
+    guard = resolve_guard(guard, DEFAULT_GUARD)  # CHROMACODE_GUARD, read once
     gn = or_power(g, n, guard=guard)
     if strategy == "exact":
         _, c = exact_chromatic_number(gn, guard=guard)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -554,3 +555,36 @@ def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
     monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", same_colors)
     with pytest.raises(ChromacodeError, match="not valid"):
         power_coloring(cycle_graph(5), 2, "odd-cycle")
+
+
+def test_power_coloring_reads_the_guard_environment_once(monkeypatch):
+    # `exact` and `product` make two guarded calls (the power, then the exact
+    # solver of the power or of the base graph); they share one read of
+    # CHROMACODE_GUARD, and each still takes its own default
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    def color(env, *args, **kwargs):
+        reads.clear()
+        monkeypatch.setattr(chromacode.errors, "os", SimpleNamespace(environ=Environ(env)))
+        try:
+            return power_coloring(*args, **kwargs)[1]
+        finally:
+            assert reads == ([] if "guard" in kwargs else [chromacode.errors.GUARD_ENV])
+
+    for strategy in ("exact", "product"):
+        c = color({}, RELABELED_C5, 2, strategy)
+        assert color({"CHROMACODE_GUARD": "25"}, RELABELED_C5, 2, strategy) == c
+        assert color({"CHROMACODE_GUARD": "abc"}, RELABELED_C5, 2, strategy, guard=25) == c
+        with pytest.raises(GuardExceeded, match="power vertex count = 25 exceeds guard 24"):
+            color({"CHROMACODE_GUARD": "24"}, RELABELED_C5, 2, strategy)
+        with pytest.raises(UsageError, match="CHROMACODE_GUARD='abc' is not an integer"):
+            color({"CHROMACODE_GUARD": "abc"}, RELABELED_C5, 2, strategy)
+        # 65 vertices: within the power default (10 000), past the exact solver's (64)
+        with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 65 exceeds guard 64$"):
+            color({}, path_graph(65), 1, strategy)
+    assert color({}, path_graph(65), 1, "greedy").palette_size == 2
