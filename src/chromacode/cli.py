@@ -163,16 +163,12 @@ def cmd_entropy(args):
     if args.bound == "fractional":
         _emit({"lo": fractional_entropy_lower_bound(V), "bound": "fractional"})
         return 0
-    try:
-        if args.bound == "odd-cycle":
-            res = odd_cycle_entropy_upper_bound(V // 2, args.power, guard=args.guard)
-        elif args.bound == "general":
-            res = general_entropy_upper_bound(g, args.power, guard=args.guard)
-        else:
-            raise UsageError(f"unknown bound {args.bound!r}")
-    except AssertionError as exc:
-        # the window functions raise AssertionError when no alpha profile is feasible
-        raise ChromacodeError(f"no entropy window: {exc}") from exc
+    if args.bound == "odd-cycle":
+        res = odd_cycle_entropy_upper_bound(V // 2, args.power, guard=args.guard)
+    elif args.bound == "general":
+        res = general_entropy_upper_bound(g, args.power, guard=args.guard)
+    else:
+        raise UsageError(f"unknown bound {args.bound!r}")
     pmf = {str(c): str(p) for c, p in res["hi_profile"].pmf().items()}
     _emit(
         {

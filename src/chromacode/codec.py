@@ -20,7 +20,9 @@
 - `encode_block` and `decode_pair` code one block; `roundtrip_exhaustive`
   checks every positive block pair and raises at the first mismatch.  It and
   `simulate` check block pairs, given as rows of cells, by one checker
-  (`_pair_check`) over tables indexed by block color.
+  (`_pair_check`): a pair whose codewords decode to their own colors is
+  checked cell by cell, and any other pair is decoded by `decode_pair`, the
+  one reader of the receiver table.
 - `simulate(spec, pmf, n, samples, seed)` returns, byte for byte, the report
   of drawing each block's n cells with `rng.choices` from
   `random.Random(seed)` and coding it block by block, and raises at the
@@ -101,8 +103,8 @@ class CodecPlan:
 
 
 def _digits(color, k, n):
-    """The n big-endian base-k digits of `color`, an int or an int64 array
-    of colors below k^n, as a list."""
+    """The n big-endian base-k digits of the int `color`, below k^n, as a
+    list."""
     return [color // k**p % k for p in range(n - 1, -1, -1)]
 
 
@@ -278,52 +280,19 @@ def decode_pair(plan, bits1, bits2):
 
 
 def _color_tables(plan, source):
-    """Per block color of one source: (decoded color, codeword length, own),
-    own telling whether the color's codeword decodes to the color itself.
-    Each codeword is decoded once through the plan's inverse codebook; a
-    color without one, or whose codeword decodes outside the palette,
-    decodes to the palette size, which no color pair of the receiver uses."""
+    """Per block color of one source: (codeword length, own), own telling
+    whether the color's codeword decodes to the color itself; a color
+    without a codeword has length 0 and is not own.  Each codeword is
+    decoded once through the plan's inverse codebook, so one missing from
+    it raises UsageError here."""
     code, inverse = plan.codes[source - 1], plan.inverses[source - 1]
     palette = plan.symbol_colorings[source - 1].palette_size ** plan.n
-    decoded = np.full(palette, palette, dtype=np.int64)
     lengths = np.zeros(palette, dtype=np.int64)
+    own = np.zeros(palette, dtype=bool)
     for c, w in code.items():
-        d = _decode_prefix(inverse, w)
-        decoded[c] = d if 0 <= d < palette else palette
+        own[c] = _decode_prefix(inverse, w) == c
         lengths[c] = len(w)
-    return decoded, lengths, decoded == np.arange(palette)
-
-
-def _digit_lookup(plan, decoded1, decoded2):
-    """The receiver read digit by digit, for block colors whose decoded
-    colors are `decoded1` and `decoded2` (`_color_tables`), as a function
-    `mismatches(c1, c2, wants)`: a bool array over the color pairs (c1, c2),
-    true where the receiver's outcome at some coordinate j differs from
-    wants[j], an array over the pairs.
-
-    The receiver's k1 x k2 table gets a row and a column of -1 appended and
-    is flattened.  Each source's decoded colors are split once into n
-    columns of digits, scaled to flat offsets in that table; a color without
-    a codeword (decoded to the palette size) takes the appended row or
-    column at every digit.  Coordinate j then costs two gathers, one add and
-    one table gather, compared with wants[j]; -1 matches no outcome.
-    """
-    k1, k2 = plan.decoder.table.shape
-    table = np.full((k1 + 1, k2 + 1), -1, dtype=np.int64)
-    table[:k1, :k2] = plan.decoder.table
-    table = table.ravel()
-    columns = []
-    for decoded, k, scale in ((decoded1, k1, k2 + 1), (decoded2, k2, 1)):
-        missing = decoded == k**plan.n
-        columns.append([np.where(missing, k, d) * scale for d in _digits(decoded, k, plan.n)])
-
-    def mismatches(c1, c2, wants):
-        bad = np.zeros(c1.shape, dtype=bool)
-        for d1, d2, want in zip(*columns, wants):
-            bad |= table[d1[c1] + d2[c2]] != want
-        return bad
-
-    return mismatches
+    return lengths, own
 
 
 def _pair_check(plan):
@@ -336,13 +305,14 @@ def _pair_check(plan):
     the pair's two codewords decode to an outcome other than f, and its two
     block colors.  A pair whose colors decode to themselves is wrong exactly
     when one of its cells is bad (the receiver's entry at the cell's symbol
-    colors is not f; -1 is not); any other pair is read digit by digit
-    (`_digit_lookup`, built for the first such pair).
+    colors is not f; -1 is not).  Any other pair is decoded by `decode_pair`
+    from its colors' codewords in `plan.codes`; it is wrong when a color has
+    no codeword, when `decode_pair` raises UsageError, or when the outcome
+    is not f at its cells.
     """
     spec, n, table = plan.spec, plan.n, plan.decoder.table
     (k1, k2), (s1, s2) = table.shape, plan.symbol_colorings
-    decoded1, lengths1, own1 = _color_tables(plan, 1)
-    decoded2, lengths2, own2 = _color_tables(plan, 2)
+    (lengths1, own1), (lengths2, own2) = _color_tables(plan, 1), _color_tables(plan, 2)
     everywhere_own = own1.all() and own2.all()
     sym1 = np.repeat(np.array(s1.assignment, dtype=np.int64), spec.n2)  # per cell
     sym2 = np.tile(np.array(s2.assignment, dtype=np.int64), spec.n1)
@@ -354,20 +324,25 @@ def _pair_check(plan):
     # weights), so the sum, below 2 * k1^n * k2^n, fits in an int64
     shift = (k2**n - 1).bit_length()
     places = [(sym1 * k1**p << shift) + sym2 * k2**p for p in range(n - 1, -1, -1)]
-    lookup = None
+
+    def misdecodes(color1, color2, cells):
+        words = plan.codes[0].get(color1), plan.codes[1].get(color2)
+        if None in words:
+            return True
+        try:
+            return decode_pair(plan, *words) != tuple(cell_out[cells].tolist())
+        except UsageError:
+            return True
 
     def check(cells):
-        nonlocal lookup
         both = sum(place[column] for place, column in zip(places, cells.T))
         colors1, colors2 = both >> shift, both & ((1 << shift) - 1)
         wrong = np.zeros(len(cells), dtype=bool)
         for column in cells.T:
             wrong |= cell_bad[column]
-        other = () if everywhere_own else np.flatnonzero(~(own1[colors1] & own2[colors2]))
-        if len(other):
-            lookup = lookup or _digit_lookup(plan, decoded1, decoded2)
-            wants = [cell_out[column[other]] for column in cells.T]
-            wrong[other] = lookup(colors1[other], colors2[other], wants)
+        if not everywhere_own:
+            for i in np.flatnonzero(~(own1[colors1] & own2[colors2])).tolist():
+                wrong[i] = misdecodes(int(colors1[i]), int(colors2[i]), cells[i])
         return wrong, colors1, colors2
 
     return check, (lengths1, lengths2)

@@ -144,7 +144,8 @@ def _extremal_profile(V, m, n, window, chain, guard=None):
     α_{n-1}, ..., α_1 as large as the rule and the remaining mass allow.
     The chain rule caps α_{t-1} at ⌊α_t/m⌋ and so forces α_t ≥ m^t.  The
     search keeps one frame per open level, not a call, and counts every
-    candidate α it tries against `guard` (WINDOW_GUARD_DEFAULT).
+    candidate α it tries against `guard` (WINDOW_GUARD_DEFAULT).  When no
+    profile is feasible it raises ChromacodeError ("no entropy window").
     """
     lo, hi = window
     step = m if chain else 1
@@ -175,7 +176,9 @@ def _extremal_profile(V, m, n, window, chain, guard=None):
         path.append(a)
         rest.append(left)
         frames.append(iter(range(min(a // step, left // m ** (t - 1)), step ** (t - 1) - 1, -1)))
-    raise AssertionError(f"no feasible {'chain' if chain else 'monotone'} alpha profile")
+    raise ChromacodeError(
+        f"no entropy window: no feasible {'chain' if chain else 'monotone'} alpha profile"
+    )
 
 
 def odd_cycle_entropy_upper_bound(k, n, guard=None):

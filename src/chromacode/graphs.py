@@ -47,19 +47,24 @@ class Graph:
 
     # -- queries ----------------------------------------------------------
 
+    def _vertex(self, v):
+        """v, or UsageError when it is not a vertex index 0..V-1."""
+        if not 0 <= v < self.vertex_count:
+            raise UsageError(f"vertex {v} out of range")
+        return v
+
     def has_edge(self, u, v):
-        return bool(self._rows[u] >> v & 1)
+        return bool(self._rows[self._vertex(u)] >> self._vertex(v) & 1)
 
     def neighbors_bitset(self, v):
+        # unchecked: the solvers call it once per search node
         return self._rows[v]
 
     def neighbors(self, v):
-        return bits_to_list(self._rows[v])
+        return bits_to_list(self._rows[self._vertex(v)])
 
     def degree(self, v):
-        if not 0 <= v < self.vertex_count:
-            raise UsageError(f"vertex {v} out of range")
-        return self._rows[v].bit_count()
+        return self._rows[self._vertex(v)].bit_count()
 
     def degrees(self):
         return [r.bit_count() for r in self._rows]

@@ -50,11 +50,13 @@ def encode_tuple(tup, base):
 def check_power_guard(V, n, guard=None):
     """Raise GuardExceeded when the n-th power of a V-vertex graph, or any
     table over its V^n tuples, is past the power guard: first the exponent
-    against the guard's bit length, then the count V^n."""
+    against the guard's bit length, then the count V^n.  The exponent check
+    holds for every V: at V = 1 the count stays 1, but work linear in n
+    (rows built, digits read) does not."""
     limit = resolve_guard(guard, POWER_GUARD_DEFAULT)
-    if V > 1 and n > limit.bit_length():
-        # V^n >= 2^n > limit, decided without writing V^n out: at thousands
-        # of digits it is too long for an int-to-str conversion to print
+    if n > limit.bit_length():
+        # for V > 1, V^n >= 2^n > limit, decided without writing V^n out: at
+        # thousands of digits it is too long for an int-to-str conversion to print
         raise GuardExceeded(
             "power exponent n, against the bit length of the guard", n, limit.bit_length()
         )

@@ -297,6 +297,25 @@ def test_power_far_past_the_guard_is_a_guard_error(capsys, command, power):
     assert "exponent" in err["what"]
 
 
+@pytest.mark.parametrize("command", ["power", "simulate"])
+def test_one_vertex_power_past_the_exponent_guard_exits_3_at_once(tmp_path, capsys, command):
+    # K1 and a 1 x 1 spec have one block at every n, but the work grows
+    # with n: the exponent guard refuses n = 10^8 before any of it
+    spec = tmp_path / "f.json"
+    spec.write_text('{"f": [[0]], "x1": 1, "x2": 1}')
+    argv = {
+        "power": ["power", "--kind", "complete", "--size", "1", "--power", "100000000"],
+        "simulate": ["simulate", "--spec", str(spec), "--pmf", "uniform", "--n", "100000000"],
+    }[command]
+    start = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3
+    assert (err["error"], err["size"], err["limit"]) == ("guard", 10**8, 14)
+    assert "exponent" in err["what"]
+
+
 def test_odd_cycle_chi_past_the_guard_prints_up_to_a_bounded_power(capsys):
     argv = ["color", "--kind", "cycle", "--size", "5", "--scheme", "odd-cycle", "--power"]
     rc, out = run(capsys, *argv, "7000")
@@ -379,6 +398,15 @@ def test_infeasible_entropy_window_is_a_check_failure(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert json.loads(err)["error"] == "check"
+
+
+def test_infeasible_odd_cycle_window_is_a_check_failure(capsys):
+    rc = main(["entropy", "--kind", "cycle", "--size", "7", "--power", "2", "--bound", "odd-cycle"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == (
+        '{"error": "check", "detail": "no entropy window: no feasible chain alpha profile"}\n'
+    )
 
 
 def test_general_entropy_of_k1_power_is_zero(capsys):

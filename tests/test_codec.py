@@ -378,8 +378,9 @@ def test_simulate_reads_blocks_that_decode_to_another_color(monkeypatch):
     spec, pmf = _example1_weighted()
     plan = codec.build_codec(spec, pmf, 2)
     # of source 1's 2^2 block colors, 1 and 2 decode to each other
-    decoded, _, own = codec._color_tables(plan, 1)
-    assert decoded.tolist() == [0, 2, 1, 3] and own.tolist() == [True, False, False, True]
+    code, inverse = plan.codes[0], plan.inverses[0]
+    assert [inverse[code[c]] for c in range(4)] == [0, 2, 1, 3]
+    assert codec._color_tables(plan, 1)[1].tolist() == [True, False, False, True]
     with pytest.raises(AssertionError) as first:
         _reference_simulate(spec, pmf, 2, 3000, 9)
     with pytest.raises(AssertionError) as got:
@@ -494,11 +495,6 @@ def _assert_decodes_exactly(receiver, expected):
     assert ((keys >= 0) & (keys < [k1**n, k2**n])).all()
     assert np.array_equal(_read_receiver(receiver, keys[:, 0], keys[:, 1]), outs)
     assert len(receiver) == len(expected)
-
-
-def _big_endian(value, base, n):
-    """The n big-endian base-`base` digits of `value`, as a tuple."""
-    return tuple(value // base ** (n - 1 - j) % base for j in range(n))
 
 
 def _assert_matches_reference(spec, pmf, n, strategy="auto"):
@@ -637,6 +633,17 @@ def test_ambiguity_message_names_the_first_conflict():
     )
 
 
+def test_one_symbol_spec_past_the_exponent_guard_raises_guard_exceeded():
+    # a 1 x 1 spec has one block at every n, but planning and drawing still
+    # take work linear in n: n past the guard's bit length (14) is refused
+    spec, pmf = FunctionSpec.from_table([[0]]), JointPMF(((Fraction(1),),))
+    with pytest.raises(GuardExceeded, match="power exponent n") as exc:
+        build_codec(spec, pmf, 15)
+    assert (exc.value.size, exc.value.limit) == (15, 14)
+    plan = build_codec(spec, pmf, 14)
+    assert roundtrip_exhaustive(plan) == 1
+
+
 # -- roundtrip_exhaustive against the walk over every block pair -----------------
 
 
@@ -735,15 +742,15 @@ def test_roundtrip_exhaustive_replays_a_mismatch_past_the_first_chunks():
     # Example 1 at n = 5: 8^5 pairs, 8 chunks, one per first cell.  Source
     # 1's block colors (c(3), 0, 0, 0, 0) and (c(3), 0, 0, 0, 1) trade
     # codewords; only blocks starting with symbol 3 or its color mate have
-    # them, so every bad pair lies past the first chunk, and they decode
-    # through the digit lookup, not as their own colors
+    # them, so every bad pair lies past the first chunk, and they are read
+    # by `decode_pair`, not checked cell by cell as their own colors
     spec, pmf = _example1_weighted()
     plan = build_codec(spec, pmf, 5)
     symbols = plan.symbol_colorings[0]
     assert symbols.palette_size == 2 and symbols.assignment[0] != symbols.assignment[3]
     a = symbols.assignment[3] * 2**4
     plan = _swap_codewords(plan, [(a, a + 1)])
-    assert not codec._color_tables(plan, 1)[2][[a, a + 1]].any()
+    assert not codec._color_tables(plan, 1)[1][[a, a + 1]].any()
     assert 8**5 > 3 * codec.SIMULATE_CHUNK
     with pytest.raises(AssertionError) as ref:
         _reference_roundtrip(plan)
@@ -753,42 +760,92 @@ def test_roundtrip_exhaustive_replays_a_mismatch_past_the_first_chunks():
     assert str(got.value).startswith("round-trip mismatch on (1, 0, 0, 0, 0),")
 
 
-def test_digit_lookup_never_decodes_a_color_without_a_codeword():
-    # a color without a codeword decodes to the palette size (`_color_tables`);
-    # read digit by digit it must match no outcome, though its digits in base
-    # k are those of color 0
-    spec, pmf = _example1_weighted()
-    for n in (1, 2, 3):
-        plan = build_codec(spec, pmf, n)
-        decoded1, decoded2 = (codec._color_tables(plan, s)[0] for s in (1, 2))
-        # every block pair (all positive), its block colors, and f at each of its n cells
-        b1, b2 = (g.ravel() for g in np.meshgrid(np.arange(spec.n1**n), np.arange(spec.n2**n)))
-        colors1, colors2 = (
-            np.array(_vector_coloring(c, n).assignment)[b]
-            for c, b in zip(plan.symbol_colorings, (b1, b2))
-        )
-        # every color pair is checked
-        assert (np.unique(colors1).size, np.unique(colors2).size) == (decoded1.size, decoded2.size)
-        t1 = np.array([_big_endian(b, spec.n1, n) for b in b1.tolist()])
-        t2 = np.array([_big_endian(b, spec.n2, n) for b in b2.tolist()])
-        wants = list(np.array(spec.table)[t1, t2].T)
-        assert not codec._digit_lookup(plan, decoded1, decoded2)(colors1, colors2, wants).any()
-        for s, decoded in ((1, decoded1), (2, decoded2)):
-            missing = np.full_like(decoded, decoded.size)
-            pair = (missing, decoded2) if s == 1 else (decoded1, missing)
-            assert codec._digit_lookup(plan, *pair)(colors1, colors2, wants).all(), (n, s)
+def _positive_block_pairs(pmf, n):
+    """Every n-tuple of positive cells, as rows of cell ids x1 * n2 + x2 in
+    (b1, b2) order."""
+    positive = [i for i, p in enumerate(p for row in pmf.probs for p in row) if p]
+    return np.array(list(product(positive, repeat=n)), dtype=np.int64).reshape(-1, n)
+
+
+def _ci_relabeled_c5():
+    """The relabeled-C5 spec of the CI's zero-cell step: x2 = j names edge j
+    of C5 relabeled (0-2, 2-4, 4-1, 1-3, 3-0), with mass on its two ends."""
+    spec = FunctionSpec.from_table(
+        [[0, 1, 1, 1, 1], [1, 1, 0, 0, 1], [1, 0, 1, 1, 1], [1, 1, 1, 1, 0], [1, 1, 1, 1, 1]]
+    )
+    mass = Fraction(1, 10)
+    edges = [(0, 4), (2, 3), (0, 1), (3, 4), (1, 2)]  # the positive x2 of each x1
+    pmf = JointPMF(tuple(tuple(mass if x2 in edges[x1] else 0 for x2 in range(5)) for x1 in range(5)))
+    return spec, pmf
+
+
+def _decode_verdicts(plan, cells):
+    """Per block pair, whether `decode_pair` on its codewords raises
+    UsageError or decodes to an outcome other than f."""
+    verdicts = []
+    for row in cells.tolist():
+        b1, b2 = zip(*(divmod(x, plan.spec.n2) for x in row))
+        try:
+            got = decode_pair(plan, encode_block(plan, 1, b1), encode_block(plan, 2, b2))
+        except UsageError:
+            got = None
+        verdicts.append(got != tuple(plan.spec.f(x1, x2) for x1, x2 in zip(b1, b2)))
+    return verdicts
+
+
+def test_pair_check_agrees_with_decode_pair_on_every_table_entry():
+    # the cell-wise fast path against the one reader, on the plan as built and
+    # with each receiver-table entry changed to every other value in turn
+    changed = 0
+    for spec, pmf in (_example1_weighted(), _ci_relabeled_c5()):
+        for n in (1, 2, 3):
+            plan = build_codec(spec, pmf, n)
+            cells = _positive_block_pairs(pmf, n)
+            assert not any(codec._pair_check(plan)[0](cells)[0])
+            assert not any(_decode_verdicts(plan, cells))
+            outcomes = {-1, *np.unique(spec.table).tolist()}
+            for index, entry in enumerate(plan.decoder.table.ravel().tolist()):
+                for value in sorted(outcomes - {entry}):
+                    table = plan.decoder.table.copy()
+                    table.flat[index] = value
+                    bad = dataclasses.replace(
+                        plan, decoder=dataclasses.replace(plan.decoder, table=table)
+                    )
+                    wrong = codec._pair_check(bad)[0](cells)[0]
+                    assert wrong.tolist() == _decode_verdicts(bad, cells), (n, index, value)
+                    changed += wrong.any()
+    assert changed >= 30
+
+
+def test_pair_check_flags_every_pair_of_a_color_without_a_codeword():
+    # a color without a codeword decodes no pair, and every pair without it
+    # still decodes
+    for spec, pmf in (_example1_weighted(), _ci_relabeled_c5()):
+        for n in (1, 2, 3):
+            plan = build_codec(spec, pmf, n)
+            cells = _positive_block_pairs(pmf, n)
+            colors = codec._pair_check(plan)[0](cells)[1:]
+            for s in (0, 1):
+                assert set(colors[s].tolist()) == set(plan.codes[s])  # every color is drawn
+                for color, word in plan.codes[s].items():
+                    codes, inverses = list(map(dict, plan.codes)), list(map(dict, plan.inverses))
+                    del codes[s][color], inverses[s][word]
+                    bad = dataclasses.replace(plan, codes=tuple(codes), inverses=tuple(inverses))
+                    wrong = codec._pair_check(bad)[0](cells)[0]
+                    assert (wrong == (colors[s] == color)).all(), (n, s, color)
 
 
 def test_roundtrip_exhaustive_flags_a_codeword_decoded_outside_the_palette():
     # the receiver has no key for such a color, so the walk raises at the
-    # first pair with it; read digit by digit, color k^n + 1 would pass as 1
+    # first pair with it; read digit by digit, color k^n + 1 would pass as 1,
+    # and `decode_pair` refuses it
     spec, pmf = example1_spec()
     plan = build_codec(spec, pmf, 2)
     for outside in (2**2 + 1, -1):
         inverse = dict(plan.inverses[0])
         inverse[plan.codes[0][1]] = outside
         bad = dataclasses.replace(plan, inverses=(inverse, plan.inverses[1]))
-        assert codec._color_tables(bad, 1)[0].tolist() == [0, 4, 2, 3]
+        assert codec._color_tables(bad, 1)[1].tolist() == [True, False, True, True]
         got = _roundtrip_outcome(roundtrip_exhaustive, bad)
         assert got == _roundtrip_outcome(_reference_roundtrip, bad)
         assert got[0] is UsageError

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from chromacode import (
     AlphaProfile,
+    ChromacodeError,
     Graph,
     GuardExceeded,
     UsageError,
@@ -158,6 +159,15 @@ def test_entropy_window_ordering():
         assert res["lo"] <= res["hi"]
         # windows sit above the graph-entropy limit log2(5/2)
         assert res["lo"] >= math.log2(2.5) - 1e-9
+
+
+def test_infeasible_entropy_window_is_a_chromacode_error():
+    # C7^2 has no chain alpha profile: the search reports it as the
+    # package's own error, which the CLI maps to exit 1
+    with pytest.raises(ChromacodeError) as exc:
+        odd_cycle_entropy_upper_bound(3, 2)
+    assert type(exc.value) is ChromacodeError
+    assert str(exc.value) == "no entropy window: no feasible chain alpha profile"
 
 
 def test_general_entropy_upper_bound_matches_cycle_machinery():
@@ -382,7 +392,7 @@ def _reference_profile_max_alpha_n(V, m, n):
         tail = complete(n - 1, total - an * m**n, an)
         if tail is not None:
             return tuple([1] + tail[::-1] + [an])
-    raise AssertionError("no feasible monotone alpha profile")
+    raise ChromacodeError("no entropy window: no feasible monotone alpha profile")
 
 
 def _reference_profile_min_alpha_n(V, m, n):
@@ -406,13 +416,13 @@ def _reference_profile_min_alpha_n(V, m, n):
         tail = complete(n - 1, total - an * m**n, an // m)
         if tail is not None:
             return tuple([1] + tail[::-1] + [an])
-    raise AssertionError("no feasible chain alpha profile")
+    raise ChromacodeError("no entropy window: no feasible chain alpha profile")
 
 
 def _profile_or_message(search, *args):
     try:
         return search(*args)
-    except AssertionError as exc:
+    except ChromacodeError as exc:
         return str(exc)
 
 
@@ -442,7 +452,7 @@ def test_extremal_profile_matches_the_former_pair_of_searches():
     assert compared == 426
     assert outcomes == {
         "profile",
-        "no feasible monotone alpha profile",
-        "no feasible chain alpha profile",
+        "no entropy window: no feasible monotone alpha profile",
+        "no entropy window: no feasible chain alpha profile",
     }
     assert elapsed < 1.0

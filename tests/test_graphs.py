@@ -30,6 +30,28 @@ def test_from_edges_basic():
     assert g.degrees() == [1, 1, 1, 1]
 
 
+def test_vertex_queries_refuse_indices_out_of_range():
+    # a negative index must not wrap to vertex V - 1, nor a shift past the
+    # row answer False: every index outside 0..V-1 is a UsageError
+    g = cycle_graph(5)
+    for call in (
+        lambda: g.has_edge(-1, 0),
+        lambda: g.has_edge(0, 5),
+        lambda: g.has_edge(5, 0),
+        lambda: g.has_edge(0, -1),
+        lambda: g.neighbors(-1),
+        lambda: g.neighbors(5),
+        lambda: g.degree(5),
+    ):
+        with pytest.raises(UsageError, match="out of range"):
+            call()
+    # every in-range answer is that of C5's edges {v, v + 1 mod 5}
+    for u in range(5):
+        assert g.neighbors(u) == sorted({(u - 1) % 5, (u + 1) % 5})
+        for v in range(5):
+            assert g.has_edge(u, v) == ((u - v) % 5 in (1, 4))
+
+
 @pytest.mark.parametrize(
     "edges", [[(0, 0)], [(0, 1), (1, 0)], [(0, 5)], [(-1, 0)]]
 )

@@ -69,6 +69,16 @@ def test_power_guard():
     or_power(cycle_graph(5), 7, guard=5**7)  # explicit override
 
 
+def test_power_guard_bounds_the_exponent_of_a_one_vertex_base():
+    # K1^n has one vertex at every n, but building it takes n - 1 passes:
+    # n past the guard's bit length (14 for the default 10 000) is refused
+    k1 = make_graph("complete", 1)
+    with pytest.raises(GuardExceeded, match="power exponent n") as exc:
+        or_power(k1, 15)
+    assert (exc.value.size, exc.value.limit) == (15, 14)
+    assert or_power(k1, 14).vertex_count == 1
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
     "g,family,d",
