@@ -85,6 +85,8 @@ class JointPMF:
 
     @classmethod
     def uniform(cls, n1, n2):
+        if n1 < 1 or n2 < 1:
+            raise UsageError("uniform PMF needs n1, n2 >= 1")
         p = Fraction(1, n1 * n2)
         return cls(tuple(tuple(p for _ in range(n2)) for _ in range(n1)))
 
@@ -144,36 +146,48 @@ def _check_dims(spec, pmf):
         )
 
 
-def build_characteristic_graph(spec, pmf, source):
-    """Characteristic graph of source 1 or 2 (see module docstring).
-
-    Each cell is tested for positivity once.  Per side value s, one bitset
-    holds the symbols positive at s and one per outcome those of them with
-    that outcome; symbol a's adjacency row is then the union, over the side
-    values s where a is positive, of the symbols positive at s whose outcome
-    differs from a's.
-    """
-    _check_dims(spec, pmf)
-    table, probs = spec.table, pmf.probs
-    if source == 2:
-        table, probs = tuple(zip(*table)), tuple(zip(*probs))
-    elif source != 1:
-        raise UsageError("source must be 1 or 2")
-    # JointPMF rejects negative cells, so a nonzero cell is a positive one
-    cells = [
-        (a, s, f)
-        for a, (fs, ps) in enumerate(zip(table, probs))
-        for s, (f, p) in enumerate(zip(fs, ps))
-        if p
+def _positive_cells(table, weights):
+    """The cells (x1, x2, f(x1, x2)) of `table` whose entry in `weights` is
+    nonzero, in (x1, x2) order: the positive cells, as JointPMF rejects
+    negative ones."""
+    return [
+        (x1, x2, f)
+        for x1, (fs, ws) in enumerate(zip(table, weights))
+        for x2, (f, w) in enumerate(zip(fs, ws))
+        if w
     ]
-    positive = [0] * len(table[0])  # side value -> symbols positive there
-    agree = {}  # (side value, outcome) -> symbols positive there with that outcome
-    for a, s, f in cells:
-        positive[s] |= 1 << a
-        agree[s, f] = agree.get((s, f), 0) | 1 << a
-    rows = [0] * len(table)
-    for a, s, f in cells:
-        rows[a] |= positive[s] & ~agree[s, f]
+
+
+def _characteristic_rows(cells, n1, n2):
+    """Adjacency rows of both characteristic graphs, (source 1's, source
+    2's), from one list of positive cells (`_positive_cells`) of an n1 x n2
+    spec.  Per side value, one bitset holds the symbols positive there and
+    one per outcome those of them with that outcome; symbol a's row is the
+    union, over the side values where a is positive, of the symbols positive
+    there whose outcome differs from a's.
+    """
+    positive1, positive2 = [0] * n2, [0] * n1  # side value -> symbols positive there
+    agree1, agree2 = {}, {}  # f * n2 + x2 (f * n1 + x1) -> those with outcome f
+    for x1, x2, f in cells:
+        positive1[x2] |= 1 << x1
+        positive2[x1] |= 1 << x2
+        key1, key2 = f * n2 + x2, f * n1 + x1
+        agree1[key1] = agree1.get(key1, 0) | 1 << x1
+        agree2[key2] = agree2.get(key2, 0) | 1 << x2
+    rows1, rows2 = [0] * n1, [0] * n2
+    for x1, x2, f in cells:
+        rows1[x1] |= positive1[x2] & ~agree1[f * n2 + x2]
+        rows2[x2] |= positive2[x1] & ~agree2[f * n1 + x1]
+    return rows1, rows2
+
+
+def build_characteristic_graph(spec, pmf, source):
+    """Characteristic graph of source 1 or 2 (see module docstring), by
+    `_characteristic_rows`; each cell is tested for positivity once."""
+    _check_dims(spec, pmf)
+    if source not in (1, 2):
+        raise UsageError("source must be 1 or 2")
+    rows = _characteristic_rows(_positive_cells(spec.table, pmf.probs), spec.n1, spec.n2)[source - 1]
     return Graph(len(rows), rows)
 
 

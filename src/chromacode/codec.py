@@ -41,10 +41,11 @@ from math import ceil, inf, lcm
 
 import numpy as np
 
-from .chargraph import _check_dims, build_characteristic_graph
+from .chargraph import _characteristic_rows, _check_dims, _positive_cells
 from .coloring import Coloring, check_strategy, power_coloring
 from .entropy import _huffman, entropy_bits, huffman_code
 from .errors import DEFAULT_GUARD, ChromacodeError, UsageError, resolve_guard
+from .graphs import Graph
 from .orpower import check_power_guard, encode_tuple
 
 
@@ -127,42 +128,35 @@ def _color_weights(marginal, coloring):
     return sums
 
 
-def _cell_receiver(spec, positive, c1, c2, n=1):
+def _cell_receiver(cells, c1, c2, n=1):
     """The receiver of the vector colorings of c1, c2 at block length n: the
     `Receiver` whose k1 x k2 table of the symbol colorings c1, c2 is filled
-    in one pass over the cells in (x1, x2) order.  A cell (x1, x2) with
-    `positive[x1][x2]` nonzero has color pair (c1[x1], c2[x2]), key
+    in one pass over `cells`, the positive cells (x1, x2, f(x1, x2)) in
+    (x1, x2) order.  A cell has color pair (c1[x1], c2[x2]), key
     color1 * k2 + color2 for c2's palette size k2.  Each key keeps the
     outcome of its first cell; a key that no positive cell has stays -1.
-
     The first cell that disagrees with its key's outcome raises
     AmbiguityError, naming the key's first cell and that cell.  The witness
     is given at block length n: both block pairs start with n - 1 copies of
-    the first positive cell, which makes them the first conflict, in
-    (b1, b2) order, under the vector colorings.
+    the first positive cell, cells[0], which makes them the first conflict,
+    in (b1, b2) order, under the vector colorings.
     """
-    palette2 = c2.palette_size
-    first = {}  # key -> (x1, x2, outcome) of its first cell
-    for x1, (row, color1, cells) in enumerate(zip(spec.table, c1.assignment, positive)):
-        base = color1 * palette2
-        for x2, (out, color2, p) in enumerate(zip(row, c2.assignment, cells)):
-            if p:
-                key = base + color2
-                seen = first.get(key)
-                if seen is None:
-                    first[key] = (x1, x2, out)
-                elif seen[2] != out:
-                    y1, y2, ref = seen
-                    z1 = next(i for i, zs in enumerate(positive) if any(zs))  # first positive cell
-                    z2 = next(j for j, z in enumerate(positive[z1]) if z)
-                    p1, p2, pout = ((v,) * (n - 1) for v in (z1, z2, spec.table[z1][z2]))
-                    raise AmbiguityError(
-                        (p1 + (y1,), p2 + (y2,)), (p1 + (x1,), p2 + (x2,)),
-                        pout + (ref,), pout + (out,),
-                    )
-    table = np.full(c1.palette_size * palette2, -1, dtype=np.int64)
-    table[list(first)] = [seen[2] for seen in first.values()]
-    return Receiver(table.reshape(-1, palette2), n)
+    (a1, k1), (a2, k2) = (c1.assignment, c1.palette_size), (c2.assignment, c2.palette_size)
+    table = [-1] * (k1 * k2)
+    for x1, x2, out in cells:
+        key = a1[x1] * k2 + a2[x2]
+        seen = table[key]
+        if seen != out:
+            if seen < 0:
+                table[key] = out
+                continue
+            y1, y2, _ = next(cell for cell in cells if a1[cell[0]] * k2 + a2[cell[1]] == key)
+            p1, p2, pout = ((v,) * (n - 1) for v in cells[0])
+            raise AmbiguityError(
+                (p1 + (y1,), p2 + (y2,)), (p1 + (x1,), p2 + (x2,)),
+                pout + (seen,), pout + (out,),
+            )
+    return Receiver(np.array(table, dtype=np.int64).reshape(k1, k2), n)
 
 
 def _integer_pmf(pmf):
@@ -174,7 +168,7 @@ def _integer_pmf(pmf):
         [(p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio() for p in row]
         for row in pmf.probs
     ]
-    D = lcm(*(d for row in ratios for _, d in row))
+    D = lcm(*{d for row in ratios for _, d in row})
     weights = [[a * (D // d) for a, d in row] for row in ratios]
     return D, weights, ([sum(row) for row in weights], [sum(col) for col in zip(*weights)])
 
@@ -187,12 +181,14 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     Each source colors single symbols, and a block takes the vector of its
     symbols' colors (module docstring).  Under full support the symbol
     coloring is the part coloring whatever the strategy; `coloring_strategy`
-    must still name one of `coloring.STRATEGIES`.  With zero cells it colors
-    the characteristic graph.  Raises GuardExceeded when V1^n or V2^n is past
-    the power guard, before any coloring, and AmbiguityError when the symbol
-    colorings do not decode.  The plan keeps the symbol colorings, k^n
-    color weights and codewords per source for the symbol palette size k,
-    and the symbol colorings' receiver table, at most V1 x V2 entries.
+    must still name one of `coloring.STRATEGIES`.  One list of the positive
+    cells decides full support, gives both characteristic graphs when there
+    are zero cells, and fills the receiver table.  Raises GuardExceeded when
+    V1^n or V2^n is past the power guard, before any coloring, and
+    AmbiguityError when the symbol colorings do not decode.  The plan keeps
+    the symbol colorings, k^n color weights and codewords per source for the
+    symbol palette size k, and the symbol colorings' receiver table, at most
+    V1 x V2 entries.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")
@@ -202,37 +198,35 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     for V in (spec.n1, spec.n2):
         check_power_guard(V, n, guard)
     D, weights, marginals = _integer_pmf(pmf)
-    if all(map(all, weights)):
+    cells = _positive_cells(spec.table, weights)
+    if len(cells) == spec.n1 * spec.n2:
         # one color per distinct row of f (source 1) or column (source 2)
         c1, c2 = (Coloring.from_list(lines) for lines in (spec.table, zip(*spec.table)))
     else:
         c1, c2 = (
-            power_coloring(build_characteristic_graph(spec, pmf, s), 1, coloring_strategy, guard)[1]
-            for s in (1, 2)
+            power_coloring(Graph(len(rows), rows), 1, coloring_strategy, guard)[1]
+            for rows in _characteristic_rows(cells, spec.n1, spec.n2)
         )
-    decoder = _cell_receiver(spec, weights, c1, c2, n)
-    sums = tuple(
-        dict(enumerate(_block_weights(_color_weights(m, c), n)))
-        for m, c in zip(marginals, (c1, c2))
-    )
+    decoder = _cell_receiver(cells, c1, c2, n)
+    sums = [_block_weights(_color_weights(m, c), n) for m, c in zip(marginals, (c1, c2))]
     # Huffman merges the integer sums: one common scale keeps order and ties
     codes, totals = zip(*map(_color_code, sums))
-    inverses = tuple({w: c for c, w in code.items()} for code in codes)
+    inverses = tuple(dict(zip(code.values(), code)) for code in codes)
     scale = D**n
     return CodecPlan(
-        spec, pmf, n, (c1, c2), codes, sums, scale,
+        spec, pmf, n, (c1, c2), codes, tuple(dict(enumerate(s)) for s in sums), scale,
         tuple(Fraction(total, scale) for total in totals), decoder, inverses,
     )
 
 
 def _color_code(sums):
-    """(Huffman code, integer total Σ w·len) of integer color weights
-    `sums`.  A color whose blocks all have zero weight sums to 0; then
-    `huffman_code` warns and drops it, else `_huffman` codes the sums as
-    they are."""
-    if min(sums.values()) > 0:
-        return _huffman([(w, c) for c, w in sums.items()])
-    code, total = huffman_code(sums)
+    """(Huffman code, integer total Σ w·len) of the integer color weights
+    `sums`, a list indexed by color.  A color whose blocks all have zero
+    weight sums to 0; then `huffman_code` warns and drops it, else
+    `_huffman` codes the sums as they are."""
+    if min(sums) > 0:
+        return _huffman(sums)
+    code, total = huffman_code(dict(enumerate(sums)))
     return code, total.numerator
 
 

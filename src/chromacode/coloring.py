@@ -72,22 +72,23 @@ def is_valid_coloring(g, c):
 
 
 def greedy_coloring(g, order=None):
-    """First-fit greedy coloring along the given vertex order (default natural).
-
-    Each color keeps its class as one vertex bitset, and v takes the first
-    color whose class shares no bit with v's adjacency row: the least color
-    that no colored neighbour of v has.
-    """
+    """First-fit greedy coloring along the given vertex order (default
+    natural), by `_first_fit`."""
     V = g.vertex_count
-    if order is None:
-        order = range(V)
-    order = list(order)
+    order = list(range(V) if order is None else order)
     if sorted(order) != list(range(V)):
         raise UsageError("order must be a permutation of all vertices")
-    colors = [0] * V
+    return _first_fit(g._rows, order)
+
+
+def _first_fit(rows, order):
+    """First-fit coloring along `order`, a permutation of the vertices of the
+    graph with adjacency bitsets `rows`: each color keeps its class as one
+    bitset, and v takes the least color whose class misses v's row."""
+    colors = [0] * len(rows)
     classes = []
     for v in order:
-        row = g._rows[v]
+        row = rows[v]
         for c, members in enumerate(classes):
             if not row & members:
                 classes[c] = members | 1 << v
@@ -153,10 +154,10 @@ def exact_chromatic_number(g, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
     start = time.monotonic()
     V = g.vertex_count
     check_guard("vertex count", V, guard, CHI_GUARD_DEFAULT)
-    order = sorted(range(V), key=lambda v: (-g.degree(v), v))
-    adj = [g.neighbors_bitset(v) for v in range(V)]
+    adj = g._rows
+    order = sorted(range(V), key=lambda v: -adj[v].bit_count())  # stable: ties by id
     lb = max(1, _greedy_clique_size(adj, order, (1 << V) - 1))
-    greedy = greedy_coloring(g, order)
+    greedy = _first_fit(adj, order)
     if greedy.palette_size <= lb:
         return greedy.palette_size, greedy
 

@@ -125,7 +125,10 @@ class AlphaProfile:
 
 def alpha_n_window(V, m, n):
     """Feasible integer window for α_n: ⌊V^n·m^n(m²−1)/(m^{2(n+1)}−1)⌋+1
-    (strict rational lower bound) up to ⌊(V^n−1)/m^n⌋ (α_0 = 1, rest ≥ 0)."""
+    (strict rational lower bound) up to ⌊(V^n−1)/m^n⌋ (α_0 = 1, rest ≥ 0).
+    Needs V >= 1, m >= 2 and n >= 1 (UsageError otherwise)."""
+    if V < 1 or m < 2 or n < 1:
+        raise UsageError("alpha_n window needs V >= 1, m >= 2 and n >= 1")
     lo_rat = Fraction(V**n * m**n * (m**2 - 1), m ** (2 * (n + 1)) - 1)
     hi = (V**n - 1) // m**n
     # the strict rational bound overshoots at n = 1, where alpha_0 = alpha_n/m
@@ -270,7 +273,8 @@ def huffman_code(pmf):
     order and ties (int weights on any common scale give the same code, and
     the average length on that scale).
 
-    `_huffman` merges the positive weights.  Each merge takes the two least
+    `_huffman` merges the positive weights, the sorted colors mapped in order
+    onto list indices, which keeps every tie.  Each merge takes the two least
     nodes by (weight, least color), the first as bit 0; live subtrees hold
     disjoint colors, so no two keys tie and the code is deterministic.  The
     least nodes come from two queues, not a heap: the leaves sorted once by
@@ -282,8 +286,9 @@ def huffman_code(pmf):
     a = b = c = d, so the earlier merge's least color, that of a, is the
     smaller.  The two queue fronts are thus always the two least live nodes
     (van Leeuwen 1976).  The total Σ w·len is the sum of the merged weights.
-    Codeword order is the tree's depth-first order, 0 first; a lone color
-    gets "" (zero bits).
+    Codewords are assigned top-down from the merge list and listed in
+    codeword order, which is the tree's depth-first order, 0 first; a lone
+    color gets "" (zero bits).
     """
     colors = sorted(pmf)
     if not colors:
@@ -298,25 +303,24 @@ def huffman_code(pmf):
                 raise UsageError(f"color {c} has mass {p!r}, not a number") from None
         D = lcm(*(p.denominator for p in weights))
         weights = [p.numerator * (D // p.denominator) for p in weights]
-    leaves = list(zip(weights, colors))
     if min(weights) <= 0:
         if min(weights) < 0:
-            raise UsageError(f"negative mass at colors {[c for w, c in leaves if w < 0]}")
+            raise UsageError(f"negative mass at colors {[c for c, w in zip(colors, weights) if w < 0]}")
         if not any(weights):
             raise UsageError("no color has positive mass")
-        warnings.warn(f"dropping zero-probability colors {[c for w, c in leaves if not w]}")
-        leaves = [leaf for leaf in leaves if leaf[0]]
-    code, total = _huffman(leaves)
-    return code, Fraction(total, D)
+        warnings.warn(f"dropping zero-probability colors {[c for c, w in zip(colors, weights) if not w]}")
+        colors, weights = zip(*((c, w) for c, w in zip(colors, weights) if w))
+    code, total = _huffman(weights)
+    return {colors[i]: word for i, word in code.items()}, Fraction(total, D)
 
 
-def _huffman(leaves):
+def _huffman(weights):
     """(code dict in codeword order, Σ w·len as an int) of the Huffman tree
-    on `leaves`, (weight, color) pairs with positive int weights and distinct
-    colors, in any order; `huffman_code` gives the merge rule and why two
-    queues follow it."""
-    nodes = sorted(leaves)  # node i < m: a leaf; node m + j: merge j
-    m = len(nodes)
+    on `weights`, positive ints indexed by color, as `huffman_code` states
+    it.  Node i < m is the i-th leaf in (weight, color) order and node m + j
+    merge j, each a (weight, least color) pair."""
+    m = len(weights)
+    nodes = sorted(zip(weights, range(m)))
     kids = []  # merge j's children: kids[2j] (bit 0) and kids[2j + 1] (bit 1)
     total = 0
     i, j = 0, m  # the fronts of the leaf and merge queues
@@ -335,13 +339,8 @@ def _huffman(leaves):
         total += w
         kids += (a, b)
         nodes.append((w, c if c < c2 else c2))
-    code = {}
-    stack = [(len(nodes) - 1, "")]
-    while stack:
-        node, prefix = stack.pop()
-        if node < m:
-            code[nodes[node][1]] = prefix
-        else:
-            k = 2 * (node - m)
-            stack += ((kids[k + 1], prefix + "1"), (kids[k], prefix + "0"))
-    return code, total
+    words = [""] * (2 * m - 1)
+    for node in range(2 * m - 2, m - 1, -1):
+        k = 2 * (node - m)
+        words[kids[k]], words[kids[k + 1]] = words[node] + "0", words[node] + "1"
+    return {nodes[i][1]: words[i] for i in sorted(range(m), key=words.__getitem__)}, total

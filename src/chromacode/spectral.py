@@ -152,9 +152,10 @@ def gershgorin(matrix, mode="scalar", block_size=None):
     otherwise).
 
     scalar: one interval per row, centered at the diagonal entry with radius
-    the off-diagonal absolute row sum.  block: for each diagonal block, one
-    interval per block eigenvalue with radius the sum of 2-norms of the
-    off-diagonal blocks in that block row; scalar_envelope replaces the block
+    the off-diagonal absolute row sum.  block (`block_size` a positive int
+    dividing the dimension): for each diagonal block, one interval per block
+    eigenvalue with radius the sum of 2-norms of the off-diagonal blocks in
+    that block row; scalar_envelope replaces the block
     eigenvalues by the scalar-GCT range of the diagonal block, which is the
     loose outer interval the block form is usually quoted with.  Both modes
     work on one float copy of the input.  Block mode takes every block's
@@ -171,7 +172,7 @@ def gershgorin(matrix, mode="scalar", block_size=None):
         lo, hi = (c - r).tolist(), (c + r).tolist()
         return GershgorinIntervals("scalar", tuple(zip(lo, hi)), (min(lo), max(hi)))
     if mode == "block":
-        if block_size is None or n % block_size:
+        if not isinstance(block_size, int) or block_size < 1 or n % block_size:
             raise UsageError("block mode needs a block size dividing the dimension")
         b = block_size
         nb = n // b

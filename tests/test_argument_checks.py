@@ -12,6 +12,7 @@ from chromacode import (
     FunctionSpec,
     JointPMF,
     UsageError,
+    alpha_n_window,
     build_characteristic_graph,
     build_codec,
     chromatic_bounds_spectral,
@@ -100,6 +101,11 @@ CASES = {
         "fractional lower bound needs odd V = 2k+1",
     ),
     "fractional-lower-small": (lambda: fractional_entropy_lower_bound(3), "need V >= 5"),
+    "alpha-window-m": (lambda: alpha_n_window(5, 1, 2), "alpha_n window needs V >= 1, m >= 2 and n >= 1"),
+    "alpha-window-n": (lambda: alpha_n_window(5, 2, 0), "alpha_n window needs V >= 1, m >= 2 and n >= 1"),
+    "alpha-window-V": (lambda: alpha_n_window(0, 2, 2), "alpha_n window needs V >= 1, m >= 2 and n >= 1"),
+    "uniform-pmf-n1": (lambda: JointPMF.uniform(0, 2), "uniform PMF needs n1, n2 >= 1"),
+    "uniform-pmf-n2": (lambda: JointPMF.uniform(2, 0), "uniform PMF needs n1, n2 >= 1"),
     "huffman-empty": (lambda: huffman_code({}), "empty PMF"),
     "huffman-all-zero": (lambda: huffman_code({0: 0, 1: Fraction(0)}), "no color has positive"),
     "huffman-negative": (lambda: huffman_code({0: -1, 1: 2, 2: 3}), "negative mass at colors [0]"),
@@ -139,6 +145,18 @@ CASES = {
     "degree-formula-family": (lambda: degree_formula("torus", 1), "unknown family 'torus'"),
     "gershgorin-block-size": (
         lambda: gershgorin(C5.adjacency_matrix(), "block", block_size=2),
+        "block mode needs a block size dividing the dimension",
+    ),
+    "gershgorin-block-size-zero": (
+        lambda: gershgorin(C5.adjacency_matrix(), "block", block_size=0),
+        "block mode needs a block size dividing the dimension",
+    ),
+    "gershgorin-block-size-negative": (
+        lambda: gershgorin(C5.adjacency_matrix(), "block", block_size=-2),
+        "block mode needs a block size dividing the dimension",
+    ),
+    "gershgorin-block-size-float": (
+        lambda: gershgorin(cycle_graph(4).adjacency_matrix(), "block", block_size=2.0),
         "block mode needs a block size dividing the dimension",
     ),
     "gershgorin-mode": (

@@ -14,6 +14,7 @@ from chromacode import (
     example1_spec,
     roundtrip_exhaustive,
 )
+from chromacode.chargraph import _characteristic_rows, _positive_cells
 
 
 def test_function_spec_normalizes_labels():
@@ -127,9 +128,11 @@ def test_characteristic_graphs_match_the_per_pair_rule(zero_row, zero_col):
     edges = 0
     for _ in range(60):
         spec, pmf = _zero_cell_spec(rng, zero_row, zero_col)
-        for source in (1, 2):
+        # one call of the one-pass routine gives both sources' rows
+        both = _characteristic_rows(_positive_cells(spec.table, pmf.probs), spec.n1, spec.n2)
+        for source, rows in zip((1, 2), both):
             g = build_characteristic_graph(spec, pmf, source)
-            assert g == _reference_graph(spec, pmf, source)
+            assert g == _reference_graph(spec, pmf, source) == Graph(len(rows), rows)
             edges += g.edge_count
     assert edges  # the seeded specs are not all edgeless
 

@@ -37,6 +37,7 @@ from chromacode import (
     simulate,
 )
 from chromacode import codec, coloring, encode_tuple, errors, huffman_code, orpower
+from chromacode.chargraph import _positive_cells
 from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
 
@@ -553,6 +554,7 @@ def test_decoder_table_matches_reference_under_arbitrary_colorings():
         n = rng.choice((1, 2, 3))
         runs[n] += 1
         spec, pmf = _random_zero_cell_spec(rng, n)
+        cells = _positive_cells(spec.table, pmf.probs)
         c1, c2 = (
             Coloring.from_list(rng.randrange(rng.choice((2, 4, k))) for _ in range(k))
             for k in (spec.n1, spec.n2)
@@ -562,11 +564,11 @@ def test_decoder_table_matches_reference_under_arbitrary_colorings():
             expected = _reference_decoder(spec, pmf, n, *vectors)
         except AmbiguityError as exc:
             with pytest.raises(AmbiguityError) as got:
-                codec._cell_receiver(spec, pmf.probs, c1, c2, n)
+                codec._cell_receiver(cells, c1, c2, n)
             assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
             refused[n] += 1
             continue
-        _assert_decodes_exactly(codec._cell_receiver(spec, pmf.probs, c1, c2, n), expected)
+        _assert_decodes_exactly(codec._cell_receiver(cells, c1, c2, n), expected)
     assert all(0 < refused[n] < runs[n] for n in (1, 2, 3))
 
 
@@ -1012,7 +1014,7 @@ def test_full_support_builds_no_graph_and_runs_no_solver(ex1, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("called under full support")
 
-    monkeypatch.setattr(codec, "build_characteristic_graph", refuse)
+    monkeypatch.setattr(codec, "_characteristic_rows", refuse)
     monkeypatch.setattr(codec, "power_coloring", refuse)
     monkeypatch.setattr(coloring, "or_power", refuse)
     monkeypatch.setattr(coloring, "exact_chromatic_number", refuse)
@@ -1057,7 +1059,7 @@ def test_part_receiver_refuses_a_part_pair_that_disagrees():
     spec = FunctionSpec.from_table([[0, 1], [1, 0]])
     with pytest.raises(AmbiguityError) as exc:
         parts = Coloring.from_list([0, 0]), Coloring.from_list([0, 1])
-        codec._cell_receiver(spec, [[1, 1], [1, 1]], *parts)
+        codec._cell_receiver(_positive_cells(spec.table, [[1, 1], [1, 1]]), *parts)
     assert exc.value.witness == (((0,), (0,)), ((1,), (0,)))
     assert str(exc.value) == (
         "ambiguous color pair: blocks ((0,), (0,)) -> (0,) but ((1,), (0,)) -> (1,)"
@@ -1179,15 +1181,16 @@ def test_one_term_entropy_is_positive_zero():
 
 def test_color_code_sends_a_zero_weight_color_through_huffman_code():
     # a color whose blocks all have zero weight sums to 0: huffman_code warns
-    # and drops it; positive sums go to the two-queue core as they are
-    for sums, dropped in (({2: 3, 1: 0, 0: 5}, True), ({2: 3, 0: 5, 7: 5}, False)):
+    # and drops it; positive sums go to the two-queue core as they are.  The
+    # sums are indexed by color
+    for sums, dropped in (([5, 0, 3], True), ([5, 3, 5], False)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, total = codec._color_code(sums)
         assert [str(w.message) for w in caught] == (
             ["dropping zero-probability colors [1]"] if dropped else []
         )
-        want_code, want_avg = huffman_code({c: Fraction(w, 8) for c, w in sums.items() if w})
+        want_code, want_avg = huffman_code({c: Fraction(w, 8) for c, w in enumerate(sums) if w})
         assert list(code.items()) == list(want_code.items())
         assert type(total) is int and Fraction(total, 8) == want_avg
 

@@ -343,16 +343,33 @@ def _seeded_pmfs():
 
 
 def test_two_queue_huffman_matches_the_heap():
+    # `_huffman` takes weights indexed by color: the sparse colors map, in
+    # order, onto list indices, which keeps every (weight, color) tie-break
     merges = 0
     for pmf in _seeded_pmfs():
         want_code, want_total = _heap_huffman(pmf)
-        leaves = [(w, c) for c, w in pmf.items()]
-        random.Random(len(pmf)).shuffle(leaves)  # `_huffman` sorts its leaves itself
-        code, total = _huffman(leaves)
-        assert list(code.items()) == list(want_code.items())
+        colors = sorted(pmf)
+        code, total = _huffman([pmf[c] for c in colors])
+        assert list(code) == sorted(code, key=code.get)  # codeword order
+        assert [(colors[i], w) for i, w in code.items()] == list(want_code.items())
         assert type(total) is int and total == want_total
         merges += len(pmf) - 1
     assert merges > 3000
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[7], [1], [3, 3], [1, 1, 1, 1], [2, 1, 1, 2, 1], [5, 1, 4, 1, 4, 5], [1, 2, 3, 4, 5, 6, 7, 8]],
+)
+def test_color_indexed_huffman_matches_huffman_code(weights):
+    # one color (m = 1) gets the empty codeword; ties between leaves and
+    # merged nodes break by least color, as huffman_code breaks them
+    got = _huffman(weights)
+    want = huffman_code(dict(enumerate(weights)))
+    assert list(got[0].items()) == list(want[0].items())
+    assert got[1] == want[1] and type(got[1]) is int
+    if len(weights) == 1:
+        assert got == ({0: ""}, 0)
 
 
 @pytest.mark.parametrize("masses", ["int", "fraction", "string"])
