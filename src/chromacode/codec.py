@@ -5,9 +5,10 @@
   block pair in (b1, b2) order, or GuardExceeded when V1^n or V2^n is past
   the power guard.  Each source colors its single symbols: under full
   support by the parts of f's rows (source 1) or columns (source 2), with no
-  graph built, else by `coloring.power_coloring` of the characteristic
-  graph at n = 1.  A block's color is the big-endian vector of its symbols'
-  colors, in base the palette size k, out of k^n.  Vector colorings are
+  graph built, else its characteristic graph, first-fit under `greedy` and
+  by the exact solver's witness otherwise (`_color_symbols`).  A block's
+  color is the big-endian vector of its symbols' colors, in base the palette
+  size k, out of k^n.  Vector colorings are
   valid on the n-block characteristic graph and decode at n exactly when
   the symbol colorings decode (Orlitsky & Roche 2001); under full support
   the part vectors are the coarsest valid coloring of the co-normal power
@@ -42,8 +43,8 @@ from math import ceil, inf, lcm
 import numpy as np
 
 from .chargraph import _characteristic_rows, _check_dims, _positive_cells
-from .coloring import Coloring, check_strategy, power_coloring
-from .entropy import _huffman, entropy_bits, huffman_code
+from .coloring import Coloring, _first_fit, check_strategy, exact_chromatic_number, is_valid_coloring
+from .entropy import _huffman, entropy_bits
 from .errors import DEFAULT_GUARD, ChromacodeError, UsageError, resolve_guard
 from .graphs import Graph
 from .orpower import check_power_guard, encode_tuple
@@ -173,6 +174,19 @@ def _integer_pmf(pmf):
     return D, weights, ([sum(row) for row in weights], [sum(col) for col in zip(*weights)])
 
 
+def _color_symbols(g, strategy, guard):
+    """A validated coloring of g by `strategy` (`coloring.check_strategy`):
+    first-fit in vertex order under `greedy`, else the exact solver's witness
+    under `guard`.  These are `power_coloring`'s colorings at n = 1: on a
+    canonical cycle the exact witness is its first-fit seed, the cycle
+    scheme's base coloring, and `product` is the exact coloring's vector."""
+    greedy = check_strategy(strategy, g) == "greedy"
+    c = _first_fit(g._rows, range(g.vertex_count)) if greedy else exact_chromatic_number(g, guard)[1]
+    if not is_valid_coloring(g, c):
+        raise ChromacodeError(f"the {strategy} coloring of a characteristic graph is not valid")
+    return c
+
+
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     """Codec plan for length-n blocks.  Each cell of `pmf` counts at its exact
     value `Fraction(p)`, a float at its binary value: the color PMFs of float
@@ -181,14 +195,15 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     Each source colors single symbols, and a block takes the vector of its
     symbols' colors (module docstring).  Under full support the symbol
     coloring is the part coloring whatever the strategy; `coloring_strategy`
-    must still name one of `coloring.STRATEGIES`.  One list of the positive
-    cells decides full support, gives both characteristic graphs when there
-    are zero cells, and fills the receiver table.  Raises GuardExceeded when
-    V1^n or V2^n is past the power guard, before any coloring, and
-    AmbiguityError when the symbol colorings do not decode.  The plan keeps
-    the symbol colorings, k^n color weights and codewords per source for the
-    symbol palette size k, and the symbol colorings' receiver table, at most
-    V1 x V2 entries.
+    must still name one of `coloring.STRATEGIES`.  With zero cells each
+    characteristic graph is colored first-fit under `greedy`, else by the
+    exact solver's witness (`_color_symbols`).  One list of the positive cells
+    decides full support, gives both characteristic graphs when there are zero
+    cells, and fills the receiver table.  Raises GuardExceeded when V1^n or
+    V2^n is past the power guard, before any coloring, and AmbiguityError when
+    the symbol colorings do not decode.  The plan keeps the symbol colorings,
+    k^n color weights and codewords per source for the symbol palette size k,
+    and the symbol colorings' receiver table, at most V1 x V2 entries.
     """
     if n < 1:
         raise UsageError("block length n must be >= 1")
@@ -204,30 +219,19 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         c1, c2 = (Coloring.from_list(lines) for lines in (spec.table, zip(*spec.table)))
     else:
         c1, c2 = (
-            power_coloring(Graph(len(rows), rows), 1, coloring_strategy, guard)[1]
+            _color_symbols(Graph(len(rows), rows), coloring_strategy, guard)
             for rows in _characteristic_rows(cells, spec.n1, spec.n2)
         )
     decoder = _cell_receiver(cells, c1, c2, n)
     sums = [_block_weights(_color_weights(m, c), n) for m, c in zip(marginals, (c1, c2))]
-    # Huffman merges the integer sums: one common scale keeps order and ties
-    codes, totals = zip(*map(_color_code, sums))
+    # Huffman merges the integer sums, each positive: one common scale keeps order and ties
+    codes, totals = zip(*map(_huffman, sums))
     inverses = tuple(dict(zip(code.values(), code)) for code in codes)
     scale = D**n
     return CodecPlan(
         spec, pmf, n, (c1, c2), codes, tuple(dict(enumerate(s)) for s in sums), scale,
         tuple(Fraction(total, scale) for total in totals), decoder, inverses,
     )
-
-
-def _color_code(sums):
-    """(Huffman code, integer total Σ w·len) of the integer color weights
-    `sums`, a list indexed by color.  A color whose blocks all have zero
-    weight sums to 0; then `huffman_code` warns and drops it, else
-    `_huffman` codes the sums as they are."""
-    if min(sums) > 0:
-        return _huffman(sums)
-    code, total = huffman_code(dict(enumerate(sums)))
-    return code, total.numerator
 
 
 def encode_block(plan, source, block):

@@ -8,10 +8,8 @@ engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 (a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
 χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  One dispatcher,
 `power_coloring`, picks a strategy (`auto`: the cycle scheme on a canonical
-cycle, else exact), materializes the power under its guard and validates the
-coloring on it once.  The codec calls it at n = 1 only, on the
-characteristic graph of a PMF with zero cells, and codes n-blocks by the
-vectors of that coloring; under full support it calls it not at all.
+cycle, else exact; `check_strategy`), materializes the power under its guard
+and validates the coloring on it once.
 """
 
 import time
@@ -293,10 +291,19 @@ def _cycle_scheme(g):
     return None
 
 
-def check_strategy(strategy):
-    """Raise UsageError unless `strategy` is one of STRATEGIES."""
+def check_strategy(strategy, g=None):
+    """Raise UsageError unless `strategy` is one of STRATEGIES.  Given g,
+    return the strategy that colors it: `auto` is the cycle scheme on a
+    canonical cycle (`_cycle_scheme`), else `exact`, and a cycle scheme that
+    does not fit g raises UsageError."""
     if strategy not in STRATEGIES:
         raise UsageError(f"unknown coloring strategy {strategy!r}")
+    if strategy == "auto" and g is not None:
+        return _cycle_scheme(g) or "exact"
+    if strategy in ("even-cycle", "odd-cycle") and g is not None and strategy != _cycle_scheme(g):
+        need = "odd V >= 5" if strategy == "odd-cycle" else "even V >= 4"
+        raise UsageError(f"{strategy} strategy needs the canonical cycle C_V with {need}")
+    return strategy
 
 
 def power_coloring(g, n, strategy="auto", guard=None):
@@ -306,18 +313,12 @@ def power_coloring(g, n, strategy="auto", guard=None):
     folds of the base (`_compose`): parity vectors (2^n colors) on the
     canonical even cycle, windows (χ' = 2χ + ⌈χ/k⌉) on the canonical odd
     cycle C_{2k+1}, vectors of an exact base coloring (`product`) on any
-    graph.  `auto` takes the cycle scheme on a canonical cycle of 4 or more
-    vertices, else `exact`.  The power is built under `guard` first, so one
-    past it raises GuardExceeded whatever the strategy; `guard` also bounds
-    the exact solver.
+    graph.  `check_strategy` reads `auto` and refuses a misfit cycle name.
+    The power is built under `guard` first, so one past it raises
+    GuardExceeded whatever the strategy; `guard` also bounds the exact
+    solver.
     """
-    check_strategy(strategy)
-    cycle = _cycle_scheme(g)
-    if strategy == "auto":
-        strategy = cycle or "exact"
-    elif strategy in ("even-cycle", "odd-cycle") and strategy != cycle:
-        need = "odd V >= 5" if strategy == "odd-cycle" else "even V >= 4"
-        raise UsageError(f"{strategy} strategy needs the canonical cycle C_V with {need}")
+    strategy = check_strategy(strategy, g)
     guard = resolve_guard(guard, DEFAULT_GUARD)  # CHROMACODE_GUARD, read once
     gn = or_power(g, n, guard=guard)
     if strategy == "exact":

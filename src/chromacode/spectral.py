@@ -212,13 +212,13 @@ def smallest_eig_lower_bounds(V, E, degrees):
     return {
         "brigham": brigham_bound(V, E),
         "hong": hong_bound(V),
-        "das": -math.sqrt(2 * E - (V - 1) * dmin + (dmin - 1) * dmax),
+        "das": 0.0 - math.sqrt(2 * E - (V - 1) * dmin + (dmin - 1) * dmax),
     }
 
 
 def brigham_bound(V, E):
     """Brigham's lower bound on λ_min of a graph with V vertices and E edges."""
-    return -math.sqrt(2 * E * (V - 1) / 2)
+    return 0.0 - math.sqrt(2 * E * (V - 1) / 2)  # 0.0 at E = 0, not -0.0
 
 
 def hong_bound(V):

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from chromacode import FunctionSpec, JointPMF, example1_spec
 from chromacode.cli import main
+from chromacode.spectral import brigham_bound, smallest_eig_lower_bounds
 
 
 @pytest.fixture()
@@ -170,6 +172,18 @@ def test_spectral_bounds(capsys):
     assert rc == 0
     d = json.loads(out)
     assert d["lower"] <= 12 <= d["upper"]
+
+
+def test_degree_bounds_of_an_edgeless_graph_are_positive_zero(capsys):
+    # Das's and Brigham's bounds are minus a square root, of 0 when E = 0
+    rc, out = run(
+        capsys, "spectral", "--kind", "edgeless", "--size", "4", "--op", "bounds", "--variant", "degree",
+    )
+    assert rc == 0
+    assert json.loads(out)["details"]["das"] == "0.0" and "-0.0" not in out
+    bounds = smallest_eig_lower_bounds(4, 0, [0] * 4)
+    for value in (brigham_bound(4, 0), bounds["brigham"], bounds["das"]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_expansion_subcommand(capsys):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
@@ -524,10 +523,15 @@ def _assert_matches_reference(spec, pmf, n, strategy="auto"):
     return False
 
 
+@pytest.mark.parametrize("strategy", ["auto", "exact", "greedy", "product"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_build_codec_matches_per_pair_reference(n):
+def test_build_codec_matches_per_pair_reference(n, strategy):
+    # the reference colors through `power_coloring(g, 1, strategy)`, an
+    # oracle apart from the codec's own `_color_symbols`
     rng = random.Random(f"decoder-oracle:{n}")
-    refused = [_assert_matches_reference(*_random_zero_cell_spec(rng, n), n) for _ in range(40)]
+    refused = [
+        _assert_matches_reference(*_random_zero_cell_spec(rng, n), n, strategy) for _ in range(40)
+    ]
     # the seeded specs reach both outcomes, so both paths are compared
     assert any(refused) and not all(refused)
 
@@ -1015,7 +1019,8 @@ def test_full_support_builds_no_graph_and_runs_no_solver(ex1, monkeypatch):
         raise RuntimeError("called under full support")
 
     monkeypatch.setattr(codec, "_characteristic_rows", refuse)
-    monkeypatch.setattr(codec, "power_coloring", refuse)
+    monkeypatch.setattr(codec, "_color_symbols", refuse)
+    monkeypatch.setattr(codec, "exact_chromatic_number", refuse)
     monkeypatch.setattr(coloring, "or_power", refuse)
     monkeypatch.setattr(coloring, "exact_chromatic_number", refuse)
     monkeypatch.setattr(orpower, "or_power", refuse)
@@ -1179,26 +1184,96 @@ def test_one_term_entropy_is_positive_zero():
     assert math.copysign(1.0, entropy_bits([Fraction(1)])) == 1.0
 
 
-def test_color_code_sends_a_zero_weight_color_through_huffman_code():
-    # a color whose blocks all have zero weight sums to 0: huffman_code warns
-    # and drops it; positive sums go to the two-queue core as they are.  The
-    # sums are indexed by color
-    for sums, dropped in (([5, 0, 3], True), ([5, 3, 5], False)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, total = codec._color_code(sums)
-        assert [str(w.message) for w in caught] == (
-            ["dropping zero-probability colors [1]"] if dropped else []
-        )
-        want_code, want_avg = huffman_code({c: Fraction(w, 8) for c, w in enumerate(sums) if w})
-        assert list(code.items()) == list(want_code.items())
-        assert type(total) is int and Fraction(total, 8) == want_avg
+def _zero_rows_and_columns_spec(rng):
+    """A random 2-6 x 2-6 spec with at least one all-zero row and column of
+    its PMF: symbols of zero marginal, isolated in their characteristic
+    graphs."""
+    n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+    table = [[rng.randrange(3) for _ in range(n2)] for _ in range(n1)]
+    rows = set(rng.sample(range(n1), rng.randint(1, n1 - 1)))
+    cols = set(rng.sample(range(n2), rng.randint(1, n2 - 1)))
+    weights = [
+        [0 if x1 in rows or x2 in cols or rng.random() < 0.3 else rng.randint(1, 9) for x2 in range(n2)]
+        for x1 in range(n1)
+    ]
+    if not any(map(any, weights)):
+        weights[min(set(range(n1)) - rows)][min(set(range(n2)) - cols)] = 1
+    total = sum(map(sum, weights))
+    probs = tuple(tuple(Fraction(w, total) for w in row) for row in weights)
+    return FunctionSpec.from_table(table), JointPMF(probs)
+
+
+def test_every_color_of_a_plan_has_positive_weight():
+    # Huffman codes the color weights as they are: no plan has a color whose
+    # symbols all have zero mass, since each coloring puts an isolated
+    # (zero-marginal) symbol into a class that also holds a positive one
+    rng = random.Random("positive-colors")
+    planned = Counter()
+    for _ in range(150):
+        spec, pmf = _zero_rows_and_columns_spec(rng)
+        assert 0 in pmf.marginal(1) and 0 in pmf.marginal(2)
+        for strategy in STRATEGIES:
+            for n in (1, 2):
+                try:
+                    plan = build_codec(spec, pmf, n, strategy)
+                except (AmbiguityError, UsageError) as exc:
+                    # only a cycle scheme misfits: no graph here is a canonical cycle
+                    assert isinstance(exc, AmbiguityError) or strategy.endswith("-cycle")
+                    continue
+                for weights, code in zip(plan.color_weights, plan.codes):
+                    assert min(weights.values()) > 0
+                    assert sorted(code) == list(weights)
+                planned[strategy, n] += 1
+    assert len(planned) == 8 and min(planned.values()) >= 50
+
+
+@pytest.mark.parametrize("strategy", ["auto", "exact", "greedy", "product"])
+def test_zero_cell_plans_build_no_power_and_compose_no_fold(monkeypatch, strategy):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a zero-cell plan built an OR power or composed a fold")
+
+    monkeypatch.setattr(coloring, "or_power", refuse)
+    monkeypatch.setattr(orpower, "or_power", refuse)
+    monkeypatch.setattr(coloring, "_compose", refuse)
+    rng = random.Random(f"no-power:{strategy}")
+    # canonical cycles, where `auto` reads a cycle scheme, then random specs
+    specs = [(_edge_spec(cycle_graph(V).edges(), V), 2) for V in range(4, 8)]
+    specs += [(_random_zero_cell_spec(rng, n), n) for n in rng.choices((1, 2, 3), k=30)]
+    planned = 0
+    for (spec, pmf), n in specs:
+        try:
+            plan = build_codec(spec, pmf, n, strategy)
+        except AmbiguityError:
+            continue
+        support = sum(p > 0 for row in pmf.probs for p in row)
+        assert roundtrip_exhaustive(plan) == support**n
+        planned += 1
+    assert planned >= 20
+
+
+def test_color_symbols_is_the_power_coloring_at_n1():
+    # C4-C15 under all six strategies: the same coloring, or the same
+    # misfit UsageError, as `power_coloring` at n = 1
+    misfits = 0
+    for V in range(4, 16):
+        g = cycle_graph(V)
+        for strategy in STRATEGIES:
+            try:
+                want = power_coloring(g, 1, strategy, errors.DEFAULT_GUARD)[1]
+            except UsageError as exc:
+                with pytest.raises(UsageError) as got:
+                    codec._color_symbols(g, strategy, errors.DEFAULT_GUARD)
+                assert str(got.value) == str(exc)
+                misfits += 1
+                continue
+            assert codec._color_symbols(g, strategy, errors.DEFAULT_GUARD) == want
+    assert misfits == 12  # one cycle scheme per V
 
 
 def test_build_codec_reads_the_guard_environment_once(monkeypatch):
-    # a zero-cell plan makes five guarded calls (two power checks, then the
-    # power and the exact solver of each characteristic graph); they share
-    # one read of CHROMACODE_GUARD, and each still takes its own default
+    # a zero-cell plan makes four guarded calls (two power checks, then the
+    # exact solver of each characteristic graph); they share one read of
+    # CHROMACODE_GUARD, and each still takes its own default
     reads = []
 
     class Environ(dict):
