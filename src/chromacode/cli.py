@@ -251,14 +251,14 @@ def cmd_expansion(args):
 
     g = _load_graph(args)
     gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
-    if args.subset:
+    if args.subset is not None:
         try:
             subset = [int(v) for v in args.subset.split(",")]
         except ValueError:
             raise UsageError(f"malformed --subset {args.subset!r}: expected ids like 0,1,2") from None
         if len(set(subset)) != len(subset):
             raise UsageError(f"--subset {args.subset!r} repeats a vertex")
-    elif args.sample:
+    elif args.sample is not None:
         if not 0 < args.sample <= gn.vertex_count:
             raise UsageError(f"--sample must lie in 1..{gn.vertex_count}, the vertex count")
         rng = _random.Random(args.seed)
@@ -443,6 +443,8 @@ def cmd_reproduce(args):
     names = list(CASES) if args.case == "all" else [args.case]
     if any(n not in CASES for n in names):
         raise UsageError(f"unknown case {args.case!r}; choose from {sorted(CASES)} or all")
+    if not 0 <= args.tol < float("inf"):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     failures = 0
     for name in names:
         for case, label, expected, computed, tol in CASES[name](args.tol):

@@ -40,8 +40,6 @@ from functools import cached_property
 from itertools import accumulate
 from math import ceil, inf, lcm
 
-import numpy as np
-
 from .chargraph import _characteristic_rows, _check_dims, _positive_cells
 from .coloring import Coloring, _first_fit, check_strategy, exact_chromatic_number, is_valid_coloring
 from .entropy import _huffman, entropy_bits
@@ -72,16 +70,17 @@ class Receiver:
     digit pair has an outcome, to the tuple of those outcomes; `len` counts
     these m^n pairs, for the m entries of `table` that are not -1."""
 
-    table: np.ndarray
+    table: object  # numpy int64 array, k1 x k2
     n: int
 
     def __len__(self):
-        return int(np.count_nonzero(self.table >= 0)) ** self.n
+        return int((self.table >= 0).sum()) ** self.n
 
     def __eq__(self, other):
         if not isinstance(other, Receiver):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.table, other.table)
+        a, b = self.table, other.table
+        return self.n == other.n and a.shape == b.shape and bool((a == b).all())
 
 
 @dataclass
@@ -142,6 +141,7 @@ def _cell_receiver(cells, c1, c2, n=1):
     the first positive cell, cells[0], which makes them the first conflict,
     in (b1, b2) order, under the vector colorings.
     """
+    import numpy as np
     (a1, k1), (a2, k2) = (c1.assignment, c1.palette_size), (c2.assignment, c2.palette_size)
     table = [-1] * (k1 * k2)
     for x1, x2, out in cells:
@@ -283,6 +283,7 @@ def _color_tables(plan, source):
     without a codeword has length 0 and is not own.  Each codeword is
     decoded once through the plan's inverse codebook, so one missing from
     it raises UsageError here."""
+    import numpy as np
     code, inverse = plan.codes[source - 1], plan.inverses[source - 1]
     palette = plan.symbol_colorings[source - 1].palette_size ** plan.n
     lengths = np.zeros(palette, dtype=np.int64)
@@ -308,6 +309,7 @@ def _pair_check(plan):
     no codeword, when `decode_pair` raises UsageError, or when the outcome
     is not f at its cells.
     """
+    import numpy as np
     spec, n, table = plan.spec, plan.n, plan.decoder.table
     (k1, k2), (s1, s2) = table.shape, plan.symbol_colorings
     (lengths1, own1), (lengths2, own2) = _color_tables(plan, 1), _color_tables(plan, 2)
@@ -359,6 +361,7 @@ def roundtrip_exhaustive(plan):
     reports a mismatch, so the first replay does as a walk over the pairs
     would.
     """
+    import numpy as np
     spec, n = plan.spec, plan.n
     positive = np.flatnonzero([bool(p) for row in plan.pmf.probs for p in row])
     pairs = positive.size**n
@@ -417,6 +420,7 @@ def _first_keys(cum):
     j whose draw fl(j * 2^-53 * total), as `random() * total` rounds it, is
     >= c, or _TOP if none is.  An estimate is checked at j and j + 1; a
     bisection over all keys settles an edge where both fail."""
+    import numpy as np
     total = cum[-1] + 0.0
 
     def value(j):
@@ -445,6 +449,7 @@ def _cell_draw(weights):
     cell, or -1 where a first key falls strictly inside it; keys in -1 buckets
     are settled by a sorted search of the first keys.
     """
+    import numpy as np
     firsts = _first_keys(list(accumulate(weights)))
     bits = min(max(12, len(firsts).bit_length() + 4), 16)
     width = 53 - bits  # a bucket holds 2^width keys
@@ -474,6 +479,7 @@ def simulate(spec, pmf, n, samples, seed, coloring_strategy="auto", guard=None):
     each chunk is checked by `_pair_check`, whose tables, indexed by block
     color, are built once per call.  Entropies come from integer weights.
     """
+    import numpy as np
     if samples < 1:
         raise UsageError("samples must be >= 1")
     plan = build_codec(spec, pmf, n, coloring_strategy, guard=guard)

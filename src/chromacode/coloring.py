@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DEFAULT_GUARD, ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .orpower import POWER_GUARD_DEFAULT, or_power
@@ -229,6 +227,7 @@ def _compose(fold, n):
     (a, S) with S a (V, b) integer array; the recursion starts from the one
     color of G^0.
     """
+    import numpy as np
     colors, b = np.zeros(1, dtype=np.int64), 1
     for _ in range(n):
         b, S = fold(b)
@@ -239,6 +238,7 @@ def _compose(fold, n):
 def _vector_fold(base):
     """S_x = c(x)·b + j: the vector of the base coloring c over the
     coordinates.  On an even cycle with c = parity this is 2^n colors."""
+    import numpy as np
     c = np.array(base.assignment)[:, None]
     return lambda b: (base.palette_size * b, c * b + np.arange(b))
 
@@ -268,6 +268,7 @@ def _odd_cycle_windows(k, b):
 
 def _odd_cycle_fold(k):
     """Windows of `_odd_cycle_windows` on C_{2k+1}: χ' = 2χ + ⌈χ/k⌉ colors."""
+    import numpy as np
 
     def fold(b):
         if b == 1:  # the 3-coloring (0, 1, 0, ..., 1, 2), not the 3:1 windows

@@ -7,8 +7,6 @@ used as bitsets, so neighborhood intersections are single AND operations.
 
 import json
 
-import numpy as np
-
 from .errors import UsageError, check_guard, load_json
 
 MIS_GUARD_DEFAULT = 24
@@ -88,6 +86,7 @@ class Graph:
 
     def adjacency_matrix(self):
         """The V x V int64 0/1 adjacency matrix, unpacked from the bitset rows."""
+        import numpy as np
         V = self.vertex_count
         width = (V + 7) // 8
         packed = b"".join(r.to_bytes(width, "little") for r in self._rows)

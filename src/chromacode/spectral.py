@@ -6,8 +6,6 @@ adjacency matrices, and the eigenvalue-based chromatic bounds."""
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ChromacodeError, UsageError, check_guard
 from .coloring import _cycle_scheme
 from .orpower import PowerGraph, degree_formula, or_power, or_power_degree
@@ -23,6 +21,7 @@ JACOBI_TOL = 1e-10
 def _symmetric_array(matrix):
     """A float copy of matrix, refused unless it is square and symmetric to
     within atol=1e-8 (an exactly symmetric one passes on one equality test)."""
+    import numpy as np
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
@@ -38,6 +37,7 @@ def _eigvalsh(matrix):
     The symmetry check matters: eigvalsh reads only one triangle, so an
     asymmetric input would otherwise return a silently wrong spectrum.
     """
+    import numpy as np
     return np.linalg.eigvalsh(_symmetric_array(matrix))[::-1]
 
 
@@ -49,6 +49,7 @@ def jacobi_eigenvalues(matrix, max_sweeps=60):
     the off-diagonal Frobenius mass is below JACOBI_TOL * ||M||_F, and raises
     ChromacodeError if that has not happened after max_sweeps sweeps.
     """
+    import numpy as np
     a = _symmetric_array(matrix)
     n = a.shape[0]
     scale = np.linalg.norm(a)
@@ -116,6 +117,7 @@ class Spectrum:
 
 def symmetric_eigenvalues(matrix, guard=None):
     """Spectrum of a symmetric matrix (LAPACK eigvalsh), as plain floats."""
+    import numpy as np
     m = np.asarray(matrix)
     check_guard("matrix dimension", m.shape[0], guard, DENSE_GUARD_DEFAULT)
     return Spectrum(tuple(_eigvalsh(m).tolist()))
@@ -143,6 +145,7 @@ def _row_discs(a):
     """Centers and radii of the scalar Gershgorin discs of a matrix, or of
     each matrix in a stack: the diagonal, and the off-diagonal |row| sums.
     Overwrites a with |a|, so callers pass a private copy."""
+    import numpy as np
     c = np.diagonal(a, axis1=-2, axis2=-1).copy()
     return c, np.abs(a, out=a).sum(axis=-1) - np.abs(c)
 
@@ -165,6 +168,7 @@ def gershgorin(matrix, mode="scalar", block_size=None):
     5.000000000000001 for the 5x5 all-ones block, which moves the exact
     envelope of A_f1^2 off (-18, 18).)
     """
+    import numpy as np
     a = _symmetric_array(matrix)
     n = a.shape[0]
     if mode == "scalar":
@@ -231,8 +235,8 @@ def hong_bound(V):
 
 @dataclass
 class SplitReport:
-    a_gr: np.ndarray
-    a_fc: np.ndarray
+    a_gr: object  # numpy arrays, the split of the power's adjacency
+    a_fc: object
     lam_gr: tuple
     lam_fc: tuple
     lam_full: tuple
@@ -245,6 +249,7 @@ def split_decomposition(gn, guard=None):
     (a_gr, the diagonal blocks sliced out of the full adjacency) plus the
     cross-block remainder (a_fc), with an eigen-sum report pairing sorted
     λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
+    import numpy as np
     if not isinstance(gn, PowerGraph):
         raise UsageError("split decomposition needs a PowerGraph with provenance")
     check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)

@@ -462,6 +462,35 @@ def test_expansion_bad_subset_is_a_usage_error(capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "flags,detail",
+    [(["--sample", "0"], "--sample must lie in 1..5"), (["--subset", ""], "malformed --subset ''")],
+    ids=["sample-0", "empty-subset"],
+)
+def test_expansion_flag_given_as_zero_or_empty_gets_its_own_error(capsys, flags, detail):
+    # a given flag is tested for presence, not truth: no "need --subset or --sample"
+    err = _usage_error(capsys, ["expansion", "--kind", "cycle", "--size", "5", *flags])
+    assert detail in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_reproduce_tolerance_must_be_finite_and_not_negative(capsys, tol):
+    # inf would pass every row, the two unreachable published figures among
+    # them; nan and -1 would fail rows whose value equals the expected one
+    rc = main(["reproduce", "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""  # refused before any row is computed
+    assert json.loads(captured.err) == {
+        "error": "usage",
+        "detail": f"--tol must be a finite number >= 0, got {float(tol)}",
+    }
+
+
+def test_reproduce_tolerance_zero_is_valid(capsys):
+    rc, out = run(capsys, "reproduce", "--case", "example1", "--tol", "0")
+    assert rc == 0 and out.endswith("PASS: 0 failing check(s)")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["entropy", "--kind", "complete", "--size", "5", "--power", "2", "--bound", "odd-cycle"],

@@ -1,13 +1,20 @@
 """Every name a module imports is read somewhere in that module.
 
 A standard-library scan, so it needs no linter.  The package's
-`__init__.py` is left out: its imports are the public API.
+`__init__.py` is left out: its imports are the public API.  Also: importing
+the package loads no numpy, which only the commands that need it load.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from chromacode.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -17,27 +24,52 @@ FILES = sorted(
 )
 
 
+def _own_nodes(scope):
+    """The nodes of `scope`, not descending into the functions it defines."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source):
-    """Names bound by import statements in `source` that no expression reads."""
+    """Names bound by import statements in `source` that no expression of
+    their scope reads: the module for a module-level import, else the
+    function that imports it, with the functions nested in it."""
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                # `import a.b` binds `a`; `import a.b as c` binds `c`
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    read = {
-        node.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    return sorted((line, name) for name, line in imported.items() if name not in read)
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = []
+    for scope in [tree, *functions]:
+        imported = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds `a`; `import a.b as c` binds `c`
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [(line, name) for name, line in imported.items() if name not in read]
+    return sorted(unused)
 
 
 def test_the_scan_finds_an_unused_import():
     source = "import math\nimport os.path\nfrom json import dumps, loads\nprint(os.sep, dumps)\n"
     assert unused_imports(source) == [(1, "math"), (3, "loads")]
+
+
+def test_the_scan_finds_an_unused_local_import_that_another_function_reads():
+    source = (
+        "import json\n"
+        "def f():\n    import numpy as np\n    return 1\n"
+        "def g():\n    import numpy as np\n    def h():\n        return np, json\n    return h\n"
+    )
+    assert unused_imports(source) == [(3, "np")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -124,3 +156,88 @@ def test_the_scan_finds_an_assert_statement():
 def test_no_assert_statements_in_the_library(path):
     # `python -O` strips asserts; a library check raises ChromacodeError instead
     assert assert_statements(path.read_text()) == []
+
+
+# -- numpy is loaded on first use, not at import -----------------------------------
+
+# runs `main(argv)` in a fresh interpreter, then prints to stderr, as its
+# last line, the exit code and whether numpy got loaded
+PROBE = """
+import json, sys
+from chromacode.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # --version exits from argparse
+    rc = exc.code
+print(json.dumps([rc, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+def fresh(code, *args):
+    """(stdout, stderr) of `code` run in a fresh interpreter that imports
+    chromacode from this checkout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.stdout, done.stderr
+
+
+def test_importing_the_package_and_its_cli_loads_no_numpy():
+    out, _ = fresh('import sys, chromacode, chromacode.cli; print("numpy" in sys.modules)')
+    assert out == "False\n"
+
+
+@pytest.fixture
+def spec_file(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"f": [[0, 1], [1, 0], [0, 1], [1, 0]], "x1": 4, "x2": 2}))
+    return str(path)
+
+
+def probe(argv, spec_file):
+    """(stdout, [exit code, numpy loaded]) of `main(argv)` in a fresh
+    interpreter, with SPEC in argv standing for `spec_file`."""
+    out, err = fresh(PROBE, *(spec_file if a == "SPEC" else a for a in argv))
+    return out, json.loads(err.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv,rc",
+    [
+        (["graph", "--kind", "cycle", "--size", "5"], 0),
+        (["power", "--kind", "cycle", "--size", "5", "--power", "2"], 0),
+        (["color", "--kind", "cycle", "--size", "5", "--power", "2", "--scheme", "exact"], 0),
+        (["color", "--kind", "cycle", "--size", "5", "--scheme", "greedy"], 0),
+        (["chargraph", "--spec", "SPEC", "--pmf", "uniform"], 0),
+        (["entropy", "--kind", "cycle", "--size", "5", "--power", "2", "--bound", "odd-cycle"], 0),
+        (["--version"], 0),
+        (["graph"], 2),
+    ],
+    ids=[
+        "graph", "power", "color-exact", "color-greedy", "chargraph", "entropy-odd-cycle", "version",
+        "usage-error",
+    ],
+)
+def test_commands_without_arrays_load_no_numpy(spec_file, argv, rc):
+    out, status = probe(argv, spec_file)
+    assert status == [rc, False]
+    assert bool(out) == (rc == 0)  # it ran: output, or an error exit with none
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--op", "eig", "--kind", "cycle", "--size", "5"],
+        ["simulate", "--spec", "SPEC", "--pmf", "uniform", "--n", "2", "--samples", "1000", "--seed", "7"],
+        ["reproduce", "--case", "example1"],
+    ],
+    ids=["spectral-eig", "simulate", "reproduce-example1"],
+)
+def test_commands_with_arrays_load_numpy_on_first_use_and_print_the_same(spec_file, capsys, argv):
+    out, status = probe(argv, spec_file)
+    assert status == [0, True]
+    assert main([spec_file if a == "SPEC" else a for a in argv]) == 0
+    assert out == capsys.readouterr().out  # as this process, with numpy loaded, prints it
