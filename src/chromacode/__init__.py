@@ -40,6 +40,7 @@ from .coloring import (
     odd_cycle_chi,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
+    power_chromatic_number,
     power_coloring,
     product_coloring,
 )

@@ -14,12 +14,12 @@ from .chargraph import FunctionSpec, JointPMF, build_characteristic_graph
 from .codec import build_codec, roundtrip_exhaustive, simulate
 from .coloring import (
     _cycle_scheme,
-    exact_chromatic_number,
     fractional_chromatic_cycle,
     is_valid_coloring,
     odd_cycle_chi,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
+    power_chromatic_number,
     power_coloring,
 )
 from .entropy import (
@@ -361,8 +361,7 @@ def _rows_appendix_b():
     seq = odd_cycle_chi_sequence(6)
     rows = [("appendixB", "chi(C5^n) n=1..6", [3, 8, 20, 50, 125, 313], seq, 0)]
     for n in (1, 2):
-        gn = or_power(make_graph("cycle", 5), n)
-        chi, _ = exact_chromatic_number(gn)
+        chi = power_chromatic_number(make_graph("cycle", 5), n)
         rows.append(("appendixB", f"exact chi(C5^{n})", seq[n - 1], chi, 0))
     chi20, c, gn = odd_cycle_power_coloring(5, 3)
     rows.append(("appendixB", "C5^3 scheme colors", 20, chi20, 0))

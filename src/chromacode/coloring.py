@@ -6,10 +6,12 @@ coloring of the base (b colors per vertex, disjoint on edges) composed with a
 b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 (a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
-χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  One dispatcher,
-`power_coloring`, picks a strategy (`auto`: the cycle scheme on a canonical
-cycle, else exact; `check_strategy`), materializes the power under its guard
-and validates the coloring on it once.
+χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  The χ engine,
+`power_chromatic_number`, runs the same recursion, χ(G^n) = χ_b(G) with
+b = χ(G^{n-1}), each χ_b a least cover by maximal independent sets of G.  One
+dispatcher, `power_coloring`, picks a strategy (`auto`: the cycle scheme on a
+canonical cycle, else exact; `check_strategy`), materializes the power under
+its guard and validates the coloring on it once.
 """
 
 import time
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_GUARD, ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
-from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
+from .graphs import MIS_GUARD_DEFAULT, _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .orpower import POWER_GUARD_DEFAULT, or_power
 
 CHI_GUARD_DEFAULT = 64
@@ -339,6 +341,55 @@ def power_coloring(g, n, strategy="auto", guard=None):
     return gn, c
 
 
+def power_chromatic_number(g, n, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
+    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the exact χ(G), then n - 1 least a:b
+    colorings of G (`_b_fold_cover`).  GuardExceeded past the MIS guard or `timeout` s."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    check_guard("vertex count", g.vertex_count, guard, MIS_GUARD_DEFAULT)
+    start = time.monotonic()
+    b = exact_chromatic_number(g, guard, timeout)[0]
+    for _ in range(n - 1):
+        b = _b_fold_cover(g, b, start, timeout).a
+    return b
+
+
+def _b_fold_cover(g, b, start, timeout):
+    """The least a:b coloring of g (validated): the fewest maximal independent
+    sets, repeats allowed, covering each vertex b times.  Depth first on a stack
+    of (used, demand left, sets as a linked list), branching on the sets holding
+    the vertex of largest demand; cut once used + max(max demand, ⌈Σ demand/α⌉)
+    reaches the best or the same demand was met with no more sets."""
+    V = g.vertex_count
+    mis = sorted(_maximal_cliques(_complement_rows(g), (1 << V) - 1), key=lambda s: (s.bit_count(), -s))
+    alpha, best, cover, fewest = mis[-1].bit_count(), b * V + 1, None, {}
+    stack = [(0, (b,) * V, None)]
+    while stack:
+        used, demand, chain = stack.pop()
+        top = max(demand)
+        if used + max(top, -(-sum(demand) // alpha)) >= best or fewest.get(demand, best) <= used:
+            continue
+        if timeout and (elapsed := time.monotonic() - start) > timeout:  # one clock over all n levels
+            raise GuardExceeded("exact coloring time (s)", elapsed, timeout)
+        fewest[demand] = used
+        if not top:
+            best, cover = used, chain
+            continue
+        v = demand.index(top)  # the child with the least Σ demand² left is popped first
+        children = [(used + 1, tuple(d - (d > 0 and s >> u & 1) for u, d in enumerate(demand)), (s, chain))
+                    for s in mis if s >> v & 1]
+        stack += sorted(children, key=lambda node: -sum(d * d for d in node[1]))
+    sets = []
+    while cover:
+        s, cover = cover
+        sets.append(s)
+    colors = ([i for i, s in enumerate(sets) if s >> v & 1][:b] for v in range(V))
+    fc = FractionalColoring(best, b, tuple(frozenset(c) for c in colors))
+    if not is_valid_b_fold(g, fc):
+        raise ChromacodeError(f"the {best}:{b} cover coloring is not valid")
+    return fc
+
+
 def even_cycle_power_coloring(k, n, guard=None):
     """(C_{2k}^n, its parity-vector coloring with exactly 2^n colors): the
     `even-cycle` strategy of `power_coloring`."""
@@ -355,8 +406,8 @@ def odd_cycle_chi(n, k=2):
     χ_b(C_{2k+1}) = 2b + ⌈b/k⌉ (Stahl 1976); at k = 2 this is the C5
     recursion 2χ + ⌈χ/2⌉.
     """
-    if k < 2:
-        raise UsageError("need k >= 2 (C_{2k+1} with at least 5 vertices)")
+    if k < 2 or n < 1:
+        raise UsageError("n must be >= 1 and k >= 2 (C_{2k+1} with at least 5 vertices)")
     chi = 3
     for _ in range(n - 1):
         chi = _odd_cycle_windows(k, chi)[0]
@@ -364,8 +415,8 @@ def odd_cycle_chi(n, k=2):
 
 
 def odd_cycle_chi_sequence(n, k=2):
-    """[χ(C_{2k+1}^m) for m = 1..n], by `odd_cycle_chi`."""
-    return [odd_cycle_chi(m, k) for m in range(1, n + 1)]
+    """[χ(C_{2k+1}^m) for m = 1..n], by `odd_cycle_chi`, which refuses n < 1."""
+    return [odd_cycle_chi(m, k) for m in range(1, n)] + [odd_cycle_chi(n, k)]
 
 
 def odd_cycle_power_coloring(i, n, guard=None):
@@ -378,9 +429,7 @@ def odd_cycle_power_coloring(i, n, guard=None):
     """
     if i < 5 or i % 2 == 0:
         raise UsageError("odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)")
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    chi = odd_cycle_chi(n, i // 2)
+    chi = odd_cycle_chi(n, i // 2)  # refuses n < 1
     try:
         gn, c = power_coloring(make_graph("cycle", i), n, "odd-cycle", guard)
     except GuardExceeded:

@@ -210,7 +210,7 @@ def cycle_power_largest_eig(V, n):
 
 def smallest_eig_lower_bounds(V, E, degrees):
     """Named lower bounds on the smallest adjacency eigenvalue."""
-    if len(degrees) != V or sum(degrees) != 2 * E:
+    if V < 1 or len(degrees) != V or sum(degrees) != 2 * E:
         raise UsageError("inconsistent V, E, degree list")
     dmin, dmax = min(degrees), max(degrees)
     return {

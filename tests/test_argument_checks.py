@@ -36,9 +36,12 @@ from chromacode import (
     is_valid_b_fold,
     is_valid_coloring,
     lambda1_window,
+    odd_cycle_chi,
+    odd_cycle_chi_sequence,
     odd_cycle_entropy_upper_bound,
     odd_cycle_power_coloring,
     or_power,
+    power_chromatic_number,
     smallest_eig_lower_bounds,
     split_decomposition,
 )
@@ -85,6 +88,11 @@ CASES = {
     ),
     "odd-cycle-n": (lambda: odd_cycle_power_coloring(5, 0), "n must be >= 1"),
     "greedy-gain-i": (lambda: greedy_gain(4, 1), "greedy gain defined for odd cycles i >= 5"),
+    "greedy-gain-n": (lambda: greedy_gain(5, 0), "n must be >= 1"),
+    "odd-cycle-chi-n0": (lambda: odd_cycle_chi(0), "n must be >= 1"),
+    "odd-cycle-chi-n-negative": (lambda: odd_cycle_chi(-3), "n must be >= 1"),
+    "odd-cycle-chi-sequence-n": (lambda: odd_cycle_chi_sequence(0), "n must be >= 1"),
+    "power-chi-n": (lambda: power_chromatic_number(C5, 0), "n must be >= 1"),
     "fractional-cycle-b": (lambda: fractional_chromatic_cycle(2, 0), "need k >= 2 and b >= 1"),
     "fractional-power-k": (lambda: fractional_chromatic_power(1, 1), "need k >= 2 and n >= 1"),
     "brute-pmf-sum": (
@@ -168,6 +176,7 @@ CASES = {
         lambda: smallest_eig_lower_bounds(5, 5, [2, 2, 2, 2]),
         "inconsistent V, E, degree list",
     ),
+    "smallest-eig-empty": (lambda: smallest_eig_lower_bounds(0, 0, []), "inconsistent V, E, degree list"),
     "split-plain-graph": (
         lambda: split_decomposition(C5),
         "split decomposition needs a PowerGraph with provenance",

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from chromacode import FunctionSpec, JointPMF, example1_spec
+import chromacode.cli
+import chromacode.coloring
+from chromacode import FunctionSpec, GuardExceeded, JointPMF, example1_spec
 from chromacode.cli import main
 from chromacode.spectral import brigham_bound, smallest_eig_lower_bounds
 
@@ -260,6 +262,33 @@ def test_full_reproduce_fails_only_the_two_published_figures(capsys):
     appendix = [row for row in rows if row.split("] ", 1)[1].startswith("appendixB:")]
     assert len(appendix) == 5 and all(row.startswith("[pass]") for row in appendix)
     assert rc == 1 and out.endswith("FAIL: 2 failing check(s)")
+
+
+def test_reproduce_appendix_b_runs_no_exact_chi_on_a_power(monkeypatch, capsys):
+    # the "exact chi(C5^n)" rows come from the base graph: an exact search
+    # refused past 5 vertices, wherever it is bound, leaves the 5 rows as they were
+    exact, sizes = chromacode.coloring.exact_chromatic_number, []
+
+    def base_only(g, *args, **kwargs):
+        sizes.append(g.vertex_count)
+        if g.vertex_count > 5:
+            raise GuardExceeded("vertex count", g.vertex_count, 5)
+        return exact(g, *args, **kwargs)
+
+    monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number", base_only)
+    monkeypatch.setattr(chromacode.cli, "exact_chromatic_number", base_only, raising=False)
+    rc, out = run(capsys, "reproduce", "--case", "appendixB")
+    assert rc == 0
+    assert out.splitlines() == [
+        "[pass] appendixB: chi(C5^n) n=1..6: expected [3, 8, 20, 50, 125, 313], "
+        "computed [3, 8, 20, 50, 125, 313] (tol 0)",
+        "[pass] appendixB: exact chi(C5^1): expected 3, computed 3 (tol 0)",
+        "[pass] appendixB: exact chi(C5^2): expected 8, computed 8 (tol 0)",
+        "[pass] appendixB: C5^3 scheme colors: expected 20, computed 20 (tol 0)",
+        "[pass] appendixB: C5^3 scheme coloring valid: expected True, computed True (tol 0)",
+        "PASS: 0 failing check(s)",
+    ]
+    assert sizes == [5, 5]
 
 
 def test_usage_error_exit_code(capsys):

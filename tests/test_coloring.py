@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -27,15 +28,17 @@ from chromacode import (
     is_valid_b_fold,
     is_valid_coloring,
     make_graph,
+    odd_cycle_chi,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     or_power,
     path_graph,
+    power_chromatic_number,
     power_coloring,
     prism_graph,
     product_coloring,
 )
-from chromacode.coloring import _cycle_scheme
+from chromacode.coloring import _b_fold_cover, _cycle_scheme
 from chromacode.errors import check_guard
 
 
@@ -588,3 +591,86 @@ def test_power_coloring_reads_the_guard_environment_once(monkeypatch):
         with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 65 exceeds guard 64$"):
             color({}, path_graph(65), 1, strategy)
     assert color({}, path_graph(65), 1, "greedy").palette_size == 2
+
+
+# -- χ of OR powers from the base graph, against oracles that build the power --
+
+
+def _graphs_for_the_square_oracle():
+    """Every labelled graph on 1-4 vertices, then 30 seeded graphs on 5-6."""
+    graphs = []
+    for V in range(1, 5):
+        pairs = list(combinations(range(V), 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(Graph.from_edges(V, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    rng = random.Random("power-chi-squares")
+    for _ in range(30):
+        V = rng.randint(5, 6)
+        density = rng.choice((0.3, 0.5, 0.7))
+        graphs.append(Graph.from_edges(V, [e for e in combinations(range(V), 2) if rng.random() < density]))
+    return graphs
+
+
+def test_power_chromatic_number_matches_the_exact_search_on_the_square():
+    graphs = _graphs_for_the_square_oracle()
+    assert len(graphs) == 1 + 2 + 8 + 64 + 30
+    for g in graphs:
+        assert power_chromatic_number(g, 1) == exact_chromatic_number(g)[0]
+        assert power_chromatic_number(g, 2) == exact_chromatic_number(or_power(g, 2))[0]
+
+
+@pytest.mark.parametrize(
+    "V,n",
+    [(5, n) for n in range(1, 6)] + [(7, n) for n in range(1, 5)] + [(9, 2), (9, 3)],
+)
+def test_power_chromatic_number_of_odd_cycles_is_stahls_closed_form(V, n):
+    assert power_chromatic_number(cycle_graph(V), n) == odd_cycle_chi(n, V // 2)
+
+
+def test_power_chromatic_number_of_complete_graphs_and_the_prism():
+    # K4^5 needs a 1024-set cover, more sets than Python's default recursion
+    # limit has frames: the search keeps its own stack
+    for V in range(1, 5):
+        for n in range(1, 6):
+            assert power_chromatic_number(complete_graph(V), n) == V**n
+    for n in range(1, 6):
+        assert power_chromatic_number(prism_graph(), n) == 3**n
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_b_fold_cover_of_odd_cycles_is_the_window_count(k):
+    g = cycle_graph(2 * k + 1)
+    for b in range(1, 13):
+        fc = _b_fold_cover(g, b, time.monotonic(), None)
+        assert fc.a == fractional_chromatic_cycle(k, b)["chi_b"]
+        assert fc.b == b and is_valid_b_fold(g, fc)
+
+
+@pytest.mark.parametrize(
+    "g,b",
+    [(cycle_graph(5), 2), (cycle_graph(5), 3), (cycle_graph(7), 2), (path_graph(4), 3),
+     (prism_graph(), 2), (complete_graph(3), 2), (RELABELED_C5, 2),
+     (Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)]), 2)],
+    ids=["C5-b2", "C5-b3", "C7-b2", "P4-b3", "prism-b2", "K3-b2", "relabeled-C5-b2", "A_f1-b2"],
+)
+def test_b_fold_cover_is_the_least_a_of_the_exhaustive_search(g, b):
+    a = _b_fold_cover(g, b, time.monotonic(), None).a
+    assert b_fold_coloring_search(g, a, b) is not None
+    assert b_fold_coloring_search(g, a - 1, b) is None
+
+
+def test_power_chromatic_number_refusals():
+    # the exact χ of the base runs out of time first on C5; on the bipartite
+    # P6 it returns before its first tick, and the cover search runs out
+    for g in (cycle_graph(5), path_graph(6)):
+        with pytest.raises(GuardExceeded) as info:
+            power_chromatic_number(g, 3, timeout=1e-9)
+        assert info.value.what == "exact coloring time (s)"
+        assert info.value.size > info.value.limit == 1e-9
+    with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 25 exceeds guard 24$"):
+        power_chromatic_number(path_graph(25), 2)
+    with pytest.raises(GuardExceeded, match="vertex count = 5 exceeds guard 4"):
+        power_chromatic_number(cycle_graph(5), 1, guard=4)
+    for n in (0, -1):
+        with pytest.raises(UsageError, match="n must be >= 1"):
+            power_chromatic_number(cycle_graph(5), n)
