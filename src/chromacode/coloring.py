@@ -6,12 +6,11 @@ coloring of the base (b colors per vertex, disjoint on edges) composed with a
 b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 (a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
-χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds.  The χ engine,
-`power_chromatic_number`, runs the same recursion, χ(G^n) = χ_b(G) with
-b = χ(G^{n-1}), each χ_b a least cover by maximal independent sets of G.  One
-dispatcher, `power_coloring`, picks a strategy (`auto`: the cycle scheme on a
-canonical cycle, else exact; `check_strategy`), materializes the power under
-its guard and validates the coloring on it once.
+χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds; the least a:b
+colorings, covers by maximal independent sets, give χ (`power_chromatic_number`).
+One dispatcher, `power_coloring`, picks a strategy (`auto`: the cycle scheme
+on a canonical cycle, else exact; `check_strategy`), materializes the power
+under its guard and validates the coloring on it once.
 """
 
 import time
@@ -19,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_GUARD, ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
-from .graphs import MIS_GUARD_DEFAULT, _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
+from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
+from .graphs import maximal_independent_sets
 from .orpower import POWER_GUARD_DEFAULT, or_power
 
 CHI_GUARD_DEFAULT = 64
@@ -341,36 +341,35 @@ def power_coloring(g, n, strategy="auto", guard=None):
     return gn, c
 
 
-def power_chromatic_number(g, n, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
-    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the exact χ(G), then n - 1 least a:b
-    colorings of G (`_b_fold_cover`).  GuardExceeded past the MIS guard or `timeout` s."""
+def power_chromatic_number(g, n):
+    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the exact χ(G), then n - 1 `_b_fold_cover`s."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    check_guard("vertex count", g.vertex_count, guard, MIS_GUARD_DEFAULT)
     start = time.monotonic()
-    b = exact_chromatic_number(g, guard, timeout)[0]
+    mis = [sum(1 << v for v in s) for s in maximal_independent_sets(g)]  # GuardExceeded past the MIS guard
+    mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
+    b = exact_chromatic_number(g)[0]
     for _ in range(n - 1):
-        b = _b_fold_cover(g, b, start, timeout).a
+        b = _b_fold_cover(g, mis, b, start).a
     return b
 
 
-def _b_fold_cover(g, b, start, timeout):
-    """The least a:b coloring of g (validated): the fewest maximal independent
-    sets, repeats allowed, covering each vertex b times.  Depth first on a stack
-    of (used, demand left, sets as a linked list), branching on the sets holding
-    the vertex of largest demand; cut once used + max(max demand, ⌈Σ demand/α⌉)
-    reaches the best or the same demand was met with no more sets."""
+def _b_fold_cover(g, mis, b, start):
+    """The least a:b coloring of g (validated): the fewest of its maximal independent
+    sets `mis`, repeats allowed, covering each vertex b times.  Depth first on a stack
+    of (used, demand left, sets as a linked list), branching on the sets holding the
+    vertex of largest demand; cut once used + max(max demand, ⌈Σ demand/α⌉) reaches
+    the best or the same demand was met with no more sets."""
     V = g.vertex_count
-    mis = sorted(_maximal_cliques(_complement_rows(g), (1 << V) - 1), key=lambda s: (s.bit_count(), -s))
-    alpha, best, cover, fewest = mis[-1].bit_count(), b * V + 1, None, {}
+    alpha, best, cover, fewest = max(s.bit_count() for s in mis), b * V + 1, None, {}
     stack = [(0, (b,) * V, None)]
     while stack:
         used, demand, chain = stack.pop()
         top = max(demand)
         if used + max(top, -(-sum(demand) // alpha)) >= best or fewest.get(demand, best) <= used:
             continue
-        if timeout and (elapsed := time.monotonic() - start) > timeout:  # one clock over all n levels
-            raise GuardExceeded("exact coloring time (s)", elapsed, timeout)
+        if (elapsed := time.monotonic() - start) > CHI_TIMEOUT_DEFAULT:  # one clock over all levels
+            raise GuardExceeded("exact coloring time (s)", elapsed, CHI_TIMEOUT_DEFAULT)
         fewest[demand] = used
         if not top:
             best, cover = used, chain
@@ -415,8 +414,10 @@ def odd_cycle_chi(n, k=2):
 
 
 def odd_cycle_chi_sequence(n, k=2):
-    """[χ(C_{2k+1}^m) for m = 1..n], by `odd_cycle_chi`, which refuses n < 1."""
-    return [odd_cycle_chi(m, k) for m in range(1, n)] + [odd_cycle_chi(n, k)]
+    """[χ(C_{2k+1}^m) for m = 1..n], by `odd_cycle_chi`."""
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    return [odd_cycle_chi(m, k) for m in range(1, n + 1)]
 
 
 def odd_cycle_power_coloring(i, n, guard=None):

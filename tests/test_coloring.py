@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from chromacode import (
     is_valid_b_fold,
     is_valid_coloring,
     make_graph,
+    maximal_independent_sets,
     odd_cycle_chi,
     odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
@@ -38,7 +40,7 @@ from chromacode import (
     prism_graph,
     product_coloring,
 )
-from chromacode.coloring import _b_fold_cover, _cycle_scheme
+from chromacode.coloring import CHI_TIMEOUT_DEFAULT, _b_fold_cover, _cycle_scheme
 from chromacode.errors import check_guard
 
 
@@ -637,11 +639,17 @@ def test_power_chromatic_number_of_complete_graphs_and_the_prism():
         assert power_chromatic_number(prism_graph(), n) == 3**n
 
 
+def _cover(g, b):
+    """`_b_fold_cover` over the maximal independent sets of g as bitsets."""
+    mis = [sum(1 << v for v in s) for s in maximal_independent_sets(g)]
+    return _b_fold_cover(g, mis, b, time.monotonic())
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_b_fold_cover_of_odd_cycles_is_the_window_count(k):
     g = cycle_graph(2 * k + 1)
     for b in range(1, 13):
-        fc = _b_fold_cover(g, b, time.monotonic(), None)
+        fc = _cover(g, b)
         assert fc.a == fractional_chromatic_cycle(k, b)["chi_b"]
         assert fc.b == b and is_valid_b_fold(g, fc)
 
@@ -654,23 +662,30 @@ def test_b_fold_cover_of_odd_cycles_is_the_window_count(k):
     ids=["C5-b2", "C5-b3", "C7-b2", "P4-b3", "prism-b2", "K3-b2", "relabeled-C5-b2", "A_f1-b2"],
 )
 def test_b_fold_cover_is_the_least_a_of_the_exhaustive_search(g, b):
-    a = _b_fold_cover(g, b, time.monotonic(), None).a
+    a = _cover(g, b).a
     assert b_fold_coloring_search(g, a, b) is not None
     assert b_fold_coloring_search(g, a - 1, b) is None
 
 
-def test_power_chromatic_number_refusals():
-    # the exact χ of the base runs out of time first on C5; on the bipartite
-    # P6 it returns before its first tick, and the cover search runs out
-    for g in (cycle_graph(5), path_graph(6)):
+def test_power_chromatic_number_refusals(monkeypatch):
+    # a clock that moves 100 s a read: on C5 the exact χ of the base runs out
+    # at its first tick (100 s after its own start); on the bipartite P6 it
+    # returns before its first tick, and the cover search runs out 200 s after
+    # the shared start
+    for g, elapsed in ((cycle_graph(5), 100.0), (path_graph(6), 200.0)):
+        clock = SimpleNamespace(monotonic=itertools.count(0.0, 100.0).__next__)
+        monkeypatch.setattr(chromacode.coloring, "time", clock)
         with pytest.raises(GuardExceeded) as info:
-            power_chromatic_number(g, 3, timeout=1e-9)
+            power_chromatic_number(g, 3)
         assert info.value.what == "exact coloring time (s)"
-        assert info.value.size > info.value.limit == 1e-9
+        assert (info.value.size, info.value.limit) == (elapsed, CHI_TIMEOUT_DEFAULT)
+    monkeypatch.undo()
     with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 25 exceeds guard 24$"):
         power_chromatic_number(path_graph(25), 2)
-    with pytest.raises(GuardExceeded, match="vertex count = 5 exceeds guard 4"):
-        power_chromatic_number(cycle_graph(5), 1, guard=4)
+    monkeypatch.setenv(chromacode.errors.GUARD_ENV, "4")
+    with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 5 exceeds guard 4$"):
+        power_chromatic_number(cycle_graph(5), 1)
+    monkeypatch.undo()
     for n in (0, -1):
         with pytest.raises(UsageError, match="n must be >= 1"):
             power_chromatic_number(cycle_graph(5), n)
