@@ -14,9 +14,7 @@ from chromacode import (
     even_cycle_power_coloring,
     exact_chromatic_number,
     fractional_chromatic_cycle,
-    fractional_chromatic_power,
-    greedy_gain,
-    odd_cycle_chi_sequence,
+    odd_cycle_chi,
     odd_cycle_power_coloring,
     or_power,
 )
@@ -27,7 +25,7 @@ print("C5^2:", g2.vertex_count, "vertices,", g2.edge_count, "edges,",
       "degree", g2.degree(0), "(regular)")
 
 # --- odd cycles: the chi recursion, confirmed exactly for small n --------------
-seq = odd_cycle_chi_sequence(6)
+seq = [odd_cycle_chi(m) for m in range(1, 7)]
 print("\nchi(C5^n), n = 1..6:", seq)
 for n in (1, 2):
     chi, _ = exact_chromatic_number(or_power(cycle_graph(5), n))
@@ -37,7 +35,7 @@ for n in (1, 2):
 # against the naive product coloring that spends 3^n colors.
 for n in (2, 3):
     chi, coloring, _ = odd_cycle_power_coloring(5, n)
-    gain = greedy_gain(5, n)
+    gain = Fraction(3**n, chi)
     print(f"  n={n}: scheme uses {coloring.palette_size} colors "
           f"(vs 3^{n} = {3**n} naive, gain {gain} = {float(gain):.3f}x)")
 
@@ -53,5 +51,5 @@ for b in range(1, 5):
     res = fractional_chromatic_cycle(2, b)
     print(f"  b={b}: chi_b = {res['chi_b']} (odd-cycle bound {res['chi_b_lower']}),"
           f" chi_b/b = {Fraction(res['chi_b'], b)}")
-print("chi_f(C5) =", fractional_chromatic_cycle(2, 2)["chi_f"],
-      " and chi_f(C5^2) =", fractional_chromatic_power(2, 2))
+chi_f = fractional_chromatic_cycle(2, 2)["chi_f"]
+print("chi_f(C5) =", chi_f, " and chi_f(C5^2) =", chi_f**2)

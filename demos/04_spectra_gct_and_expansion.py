@@ -67,5 +67,5 @@ lam = max(spec2.values[1], abs(spec2.values[-1]))
 print("\nexpansion of C5^2 (Lambda = %.4f):" % lam)
 for y in ([0], [0, 1, 2], list(range(10))):
     rate = expansion_rate(g2, y)
-    b = expansion_bounds("cycle", 5, 2, len(y), lam=lam)
+    b = expansion_bounds("regular", 5, 2, len(y), d=2, lam=lam)
     print(f"  |Y| = {len(y):2d}: rate {float(rate):6.3f} in [{b.lower:.3f}, {b.upper:.3f}]")

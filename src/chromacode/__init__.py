@@ -22,9 +22,9 @@ from .graphs import (
 )
 from .orpower import (
     PowerGraph,
-    degree_formula,
     encode_tuple,
     or_power,
+    or_power_degree,
 )
 from .coloring import (
     Coloring,
@@ -32,13 +32,10 @@ from .coloring import (
     even_cycle_power_coloring,
     exact_chromatic_number,
     fractional_chromatic_cycle,
-    fractional_chromatic_power,
     greedy_coloring,
-    greedy_gain,
     is_valid_b_fold,
     is_valid_coloring,
     odd_cycle_chi,
-    odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     power_chromatic_number,
     power_coloring,

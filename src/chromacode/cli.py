@@ -17,7 +17,6 @@ from .coloring import (
     fractional_chromatic_cycle,
     is_valid_coloring,
     odd_cycle_chi,
-    odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     power_chromatic_number,
     power_coloring,
@@ -358,7 +357,7 @@ def _rows_example4():
 
 
 def _rows_appendix_b():
-    seq = odd_cycle_chi_sequence(6)
+    seq = [odd_cycle_chi(m) for m in range(1, 7)]
     rows = [("appendixB", "chi(C5^n) n=1..6", [3, 8, 20, 50, 125, 313], seq, 0)]
     for n in (1, 2):
         chi = power_chromatic_number(make_graph("cycle", 5), n)

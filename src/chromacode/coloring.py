@@ -7,12 +7,15 @@ b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion on a *fold*: a function of b giving
 (a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
 χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds; the least a:b
-colorings, covers by maximal independent sets, give χ (`power_chromatic_number`).
+colorings, covers by maximal independent sets, give χ (`power_chromatic_number`,
+its search nodes capped by COVER_NODES).  `odd_cycle_chi` reads χ(C_{2k+1}^n) off
+the windows' recursion with no search, so it also answers past that cap.
 One dispatcher, `power_coloring`, picks a strategy (`auto`: the cycle scheme
 on a canonical cycle, else exact; `check_strategy`), materializes the power
 under its guard and validates the coloring on it once.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +27,9 @@ from .orpower import POWER_GUARD_DEFAULT, or_power
 
 CHI_GUARD_DEFAULT = 64
 CHI_TIMEOUT_DEFAULT = 60.0
+# search nodes of one `power_chromatic_number` call, over all its levels: about
+# 3.3 per cover set on C5, so C5^12 (255 k nodes) is answered and C5^13 refused
+COVER_NODES = 500_000
 
 
 @dataclass(frozen=True)
@@ -349,21 +355,25 @@ def power_chromatic_number(g, n):
     mis = [sum(1 << v for v in s) for s in maximal_independent_sets(g)]  # GuardExceeded past the MIS guard
     mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
     b = exact_chromatic_number(g)[0]
+    nodes = itertools.count(1)  # one count over all levels
     for _ in range(n - 1):
-        b = _b_fold_cover(g, mis, b, start).a
+        b = _b_fold_cover(g, mis, b, start, nodes).a
     return b
 
 
-def _b_fold_cover(g, mis, b, start):
+def _b_fold_cover(g, mis, b, start, nodes):
     """The least a:b coloring of g (validated): the fewest of its maximal independent
     sets `mis`, repeats allowed, covering each vertex b times.  Depth first on a stack
     of (used, demand left, sets as a linked list), branching on the sets holding the
     vertex of largest demand; cut once used + max(max demand, ⌈Σ demand/α⌉) reaches
-    the best or the same demand was met with no more sets."""
+    the best or the same demand was met with no more sets.  Each node popped
+    takes the next number of the count `nodes`, checked against COVER_NODES."""
     V = g.vertex_count
     alpha, best, cover, fewest = max(s.bit_count() for s in mis), b * V + 1, None, {}
     stack = [(0, (b,) * V, None)]
     while stack:
+        if (visited := next(nodes)) > COVER_NODES:
+            raise GuardExceeded("b-fold cover search nodes", visited, COVER_NODES)
         used, demand, chain = stack.pop()
         top = max(demand)
         if used + max(top, -(-sum(demand) // alpha)) >= best or fewest.get(demand, best) <= used:
@@ -413,13 +423,6 @@ def odd_cycle_chi(n, k=2):
     return chi
 
 
-def odd_cycle_chi_sequence(n, k=2):
-    """[χ(C_{2k+1}^m) for m = 1..n], by `odd_cycle_chi`."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    return [odd_cycle_chi(m, k) for m in range(1, n + 1)]
-
-
 def odd_cycle_power_coloring(i, n, guard=None):
     """Recursive window coloring of C_i^n (i = 2k+1, k >= 2).
 
@@ -436,15 +439,6 @@ def odd_cycle_power_coloring(i, n, guard=None):
     except GuardExceeded:
         return chi, None, None
     return chi, c, gn
-
-
-def greedy_gain(i, n):
-    """η_n = 3^n / χ(C_i^n): palette gain of the recursive scheme over the
-    naive per-coordinate 3-coloring.  Exact rational."""
-    if i < 5 or i % 2 == 0:
-        raise UsageError("greedy gain defined for odd cycles i >= 5")
-    chi = odd_cycle_chi(n, (i - 1) // 2)
-    return Fraction(3**n, chi)
 
 
 def product_coloring(g, n, guard=None):
@@ -501,12 +495,5 @@ def fractional_chromatic_cycle(k, b, guard=None):
         "chi_b_lower": 2 * b + 1,
         "chi_b": a,
         "coloring": fc,
-        "chi_f": fractional_chromatic_power(k, 1),
+        "chi_f": Fraction(2 * k + 1, k),
     }
-
-
-def fractional_chromatic_power(k, n):
-    """χ_f(C_{2k+1}^n) = ((2k+1)/k)^n, exact rational."""
-    if k < 2 or n < 1:
-        raise UsageError("need k >= 2 and n >= 1")
-    return Fraction(2 * k + 1, k) ** n

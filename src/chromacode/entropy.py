@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log2
 
-from .coloring import fractional_chromatic_power
 from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
 from .graphs import max_independent_set_size
 
@@ -256,7 +255,7 @@ def fractional_entropy_lower_bound(V):
         raise UsageError("fractional lower bound needs odd V = 2k+1")
     if V < 5:
         raise UsageError("need V >= 5")
-    return log2(fractional_chromatic_power(V // 2, 1))
+    return log2(V / (V // 2))
 
 
 # -- Huffman ------------------------------------------------------------------

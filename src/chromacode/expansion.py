@@ -53,36 +53,26 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     """Spectral expansion bounds for the n-fold OR power.
 
     The upper bound is the complete-graph rate (V^n - |Y|)/|Y|, the maximum
-    any graph achieves.  complete: the maximum-rate case, Λ = 1 exactly;
-    lower = upper = exact rate.  `regular` (which needs d and Λ) and `cycle`
-    (d = 2) take Tanner's bound minus one (the exclusive-neighborhood
-    correction, see tanner_lower_bound), clamped at zero, at the power's
-    degree (`or_power_degree`) of the base degree d; Tanner's bound holds
-    for regular graphs only.  `general` takes d as the base graph's minimum
-    degree δ, so that every vertex of the power has at least
-    D = `or_power_degree(δ, V, n)` neighbours, at most |Y| - 1 of them in Y:
-    lower = max(0, D + 1 - |Y|)/|Y|, and 0 when d is not given.  Λ =
-    |λ_{V^n}| when supplied, else the hong magnitude as a conservative
-    stand-in (flagged lam_is_bound); `general` reports it but does not use
-    it.
+    any graph achieves.  `regular`, which needs the base degree d and Λ,
+    takes Tanner's bound minus one (the exclusive-neighborhood correction,
+    see tanner_lower_bound), clamped at zero, at the power's degree
+    (`or_power_degree`) of d; Tanner's bound holds for regular graphs only.
+    `general` takes d as the base graph's minimum degree δ, so that every
+    vertex of the power has at least D = `or_power_degree(δ, V, n)`
+    neighbours, at most |Y| - 1 of them in Y: lower = max(0, D + 1 - |Y|)/|Y|,
+    and 0 when d is not given.  Λ = |λ_{V^n}| when supplied, else the hong
+    magnitude as a conservative stand-in (flagged lam_is_bound); `general`
+    reports it but does not use it.
     """
     if n < 1 or y_size < 1:
         raise UsageError("need n >= 1 and |Y| >= 1")
     total = V**n
     if y_size > total:
         raise UsageError("|Y| exceeds the vertex count")
-    complete_upper = (total - y_size) / y_size
-    if family == "complete":
-        return ExpansionBounds(
-            "complete", total, y_size, complete_upper, complete_upper, 1.0, False
-        )
-    if family == "regular":
-        if d is None or lam is None:
-            raise UsageError("regular family needs d and Λ")
-    elif family == "cycle":
-        d = 2
-    elif family != "general":
+    if family not in ("regular", "general"):
         raise UsageError(f"unknown expansion family {family!r}")
+    if family == "regular" and (d is None or lam is None):
+        raise UsageError("regular family needs d and Λ")
     lam_is_bound = lam is None
     if lam_is_bound:
         lam = -hong_bound(total)
@@ -92,4 +82,4 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     else:
         deg = or_power_degree(d, V, n)
         lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
-    return ExpansionBounds(family, total, y_size, lower, complete_upper, lam, lam_is_bound)
+    return ExpansionBounds(family, total, y_size, lower, (total - y_size) / y_size, lam, lam_is_bound)

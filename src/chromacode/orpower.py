@@ -95,28 +95,3 @@ def or_power_degree(d, V, n):
     = |G|: d·(1 + V + ... + V^{n-1}) = d(V^n − 1)/(V − 1), or n·d when V = 1."""
     return d * (V**n - 1) // (V - 1) if V > 1 else n * d
 
-
-def degree_formula(family, n, V=None, d=None, base_graph=None):
-    """Closed-form OR-power degrees, by `or_power_degree`.
-
-    cycle:     2(V^n - 1)/(V - 1), every vertex.
-    d-regular: d(V^n - 1)/(V - 1), every vertex.
-    general:   per base vertex x_k, the degree of the diagonal vertex
-               (x_k, ..., x_k), from deg(x_k); returns a list.
-    """
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    if family == "cycle":
-        if V is None or V < 3:
-            raise UsageError("cycle needs V >= 3")
-        return or_power_degree(2, V, n)
-    if family == "d-regular":
-        if V is None or d is None or not 0 <= d < V:
-            raise UsageError("d-regular needs V and 0 <= d < V")
-        return or_power_degree(d, V, n)
-    if family == "general":
-        if base_graph is None:
-            raise UsageError("general needs base_graph with its degrees")
-        Vb = base_graph.vertex_count
-        return [or_power_degree(base_graph.degree(v), Vb, n) for v in range(Vb)]
-    raise UsageError(f"unknown family {family!r}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .errors import ChromacodeError, UsageError, check_guard
 from .coloring import _cycle_scheme
-from .orpower import PowerGraph, degree_formula, or_power, or_power_degree
+from .orpower import PowerGraph, or_power, or_power_degree
 
 DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
@@ -205,7 +205,7 @@ def cycle_power_largest_eig(V, n):
     """λ1 of C_V^n: C_V^n is regular, so λ1 is its degree 2(V^n − 1)/(V − 1)."""
     if V < 3 or n < 1:
         raise UsageError("need V >= 3 and n >= 1")
-    return degree_formula("cycle", n, V)
+    return or_power_degree(2, V, n)
 
 
 def smallest_eig_lower_bounds(V, E, degrees):

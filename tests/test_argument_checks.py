@@ -20,24 +20,20 @@ from chromacode import (
     cycle_graph,
     cycle_power_largest_eig,
     decode_pair,
-    degree_formula,
     encode_tuple,
     even_cycle_power_coloring,
     example1_spec,
     expansion_bounds,
     fractional_chromatic_cycle,
-    fractional_chromatic_power,
     fractional_entropy_lower_bound,
     general_entropy_upper_bound,
     gershgorin,
     greedy_coloring,
-    greedy_gain,
     huffman_code,
     is_valid_b_fold,
     is_valid_coloring,
     lambda1_window,
     odd_cycle_chi,
-    odd_cycle_chi_sequence,
     odd_cycle_entropy_upper_bound,
     odd_cycle_power_coloring,
     or_power,
@@ -87,14 +83,10 @@ CASES = {
         "odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)",
     ),
     "odd-cycle-n": (lambda: odd_cycle_power_coloring(5, 0), "n must be >= 1"),
-    "greedy-gain-i": (lambda: greedy_gain(4, 1), "greedy gain defined for odd cycles i >= 5"),
-    "greedy-gain-n": (lambda: greedy_gain(5, 0), "n must be >= 1"),
     "odd-cycle-chi-n0": (lambda: odd_cycle_chi(0), "n must be >= 1"),
     "odd-cycle-chi-n-negative": (lambda: odd_cycle_chi(-3), "n must be >= 1"),
-    "odd-cycle-chi-sequence-n": (lambda: odd_cycle_chi_sequence(0), "n must be >= 1"),
     "power-chi-n": (lambda: power_chromatic_number(C5, 0), "n must be >= 1"),
     "fractional-cycle-b": (lambda: fractional_chromatic_cycle(2, 0), "need k >= 2 and b >= 1"),
-    "fractional-power-k": (lambda: fractional_chromatic_power(1, 1), "need k >= 2 and n >= 1"),
     "brute-pmf-sum": (
         lambda: chromatic_entropy_bruteforce(C5, [Fraction(1, 5)] * 4 + [Fraction(1, 10)]),
         "vertex PMF must sum to exactly 1",
@@ -130,7 +122,7 @@ CASES = {
         "color 1 has mass nan, not a number",
     ),
     "expansion-n": (
-        lambda: expansion_bounds("complete", 5, 0, 1),
+        lambda: expansion_bounds("general", 5, 0, 1),
         "need n >= 1 and |Y| >= 1",
     ),
     "expansion-family": (
@@ -140,17 +132,6 @@ CASES = {
     "degree-vertex": (lambda: C5.degree(99), "vertex 99 out of range"),
     "encode-coordinate": (lambda: encode_tuple((5,), 2), "coordinate 5 out of range for base 2"),
     "or-power-n": (lambda: or_power(C5, 0), "power n must be >= 1"),
-    "degree-formula-n": (lambda: degree_formula("cycle", 0, V=5), "n must be >= 1"),
-    "degree-formula-cycle": (lambda: degree_formula("cycle", 1, V=2), "cycle needs V >= 3"),
-    "degree-formula-regular": (
-        lambda: degree_formula("d-regular", 1, V=3, d=3),
-        "d-regular needs V and 0 <= d < V",
-    ),
-    "degree-formula-general": (
-        lambda: degree_formula("general", 1),
-        "general needs base_graph with its degrees",
-    ),
-    "degree-formula-family": (lambda: degree_formula("torus", 1), "unknown family 'torus'"),
     "gershgorin-block-size": (
         lambda: gershgorin(C5.adjacency_matrix(), "block", block_size=2),
         "block mode needs a block size dividing the dimension",

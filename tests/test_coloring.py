@@ -23,15 +23,12 @@ from chromacode import (
     even_cycle_power_coloring,
     exact_chromatic_number,
     fractional_chromatic_cycle,
-    fractional_chromatic_power,
     greedy_coloring,
-    greedy_gain,
     is_valid_b_fold,
     is_valid_coloring,
     make_graph,
     maximal_independent_sets,
     odd_cycle_chi,
-    odd_cycle_chi_sequence,
     odd_cycle_power_coloring,
     or_power,
     path_graph,
@@ -241,7 +238,7 @@ def test_exact_chi_of_squares(base, chi):
 
 
 def test_odd_cycle_chi_sequence():
-    assert odd_cycle_chi_sequence(6) == [3, 8, 20, 50, 125, 313]
+    assert [odd_cycle_chi(m) for m in range(1, 7)] == [3, 8, 20, 50, 125, 313]
 
 
 @pytest.mark.parametrize("k,n,chi", [(2, 2, 4), (2, 3, 8), (3, 2, 4)])
@@ -267,7 +264,7 @@ def test_odd_cycle_power_coloring_valid(i, n):
 @pytest.mark.parametrize("i,n,chi", [(7, 2, 7), (9, 2, 7), (11, 2, 7), (7, 3, 17)])
 def test_odd_cycle_power_coloring_is_tight_for_longer_cycles(i, n, chi):
     k = (i - 1) // 2
-    assert odd_cycle_chi_sequence(n, k)[-1] == chi
+    assert odd_cycle_chi(n, k) == chi
     got, c, gn = odd_cycle_power_coloring(i, n)
     assert got == c.palette_size == chi
     assert is_valid_coloring(gn, c)
@@ -279,15 +276,16 @@ def test_odd_cycle_power_coloring_is_tight_for_longer_cycles(i, n, chi):
 
 
 def test_odd_cycle_chi_sequence_takes_k():
-    assert odd_cycle_chi_sequence(6, 2) == odd_cycle_chi_sequence(6)
-    assert odd_cycle_chi_sequence(4, 3) == [3, 7, 17, 40]
+    assert [odd_cycle_chi(m, 2) for m in range(1, 7)] == [odd_cycle_chi(m) for m in range(1, 7)]
+    assert [odd_cycle_chi(m, 3) for m in range(1, 5)] == [3, 7, 17, 40]
     with pytest.raises(UsageError):
-        odd_cycle_chi_sequence(2, 1)
+        odd_cycle_chi(2, 1)
 
 
 def test_greedy_gain_uses_the_cycle_length():
-    assert greedy_gain(7, 2) == Fraction(9, 7)
-    assert greedy_gain(5, 2) == Fraction(9, 8)
+    # the gain 3^n / χ(C_{2k+1}^n) reads χ of the cycle it is asked about
+    assert Fraction(9, odd_cycle_chi(2, 3)) == Fraction(9, 7)
+    assert Fraction(9, odd_cycle_chi(2, 2)) == Fraction(9, 8)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -306,7 +304,7 @@ def test_odd_cycle_power_coloring_guard_degrades():
 
 
 def test_greedy_gain_monotone():
-    gains = [greedy_gain(5, n) for n in range(1, 7)]
+    gains = [Fraction(3**n, odd_cycle_chi(n)) for n in range(1, 7)]
     assert gains[0] == 1
     assert all(b > a for a, b in zip(gains, gains[1:]))
     assert gains[1] == Fraction(9, 8)
@@ -380,8 +378,12 @@ def test_fractional_chromatic_cycle_guards_its_set_entries():
 
 
 def test_fractional_chromatic_power():
-    assert fractional_chromatic_power(2, 2) == Fraction(25, 4)
-    assert fractional_chromatic_power(3, 3) == Fraction(343, 27)
+    # χ_f(C_{2k+1}^n) = χ_f(C_{2k+1})^n, and χ_f is met by the k-fold windows
+    assert fractional_chromatic_cycle(2, 1)["chi_f"] ** 2 == Fraction(25, 4)
+    assert fractional_chromatic_cycle(3, 1)["chi_f"] ** 3 == Fraction(343, 27)
+    for k in (2, 3, 4):
+        res = fractional_chromatic_cycle(k, k)
+        assert res["chi_f"] == Fraction(res["chi_b"], k)
 
 
 def _edge_check(g, c):
@@ -642,7 +644,7 @@ def test_power_chromatic_number_of_complete_graphs_and_the_prism():
 def _cover(g, b):
     """`_b_fold_cover` over the maximal independent sets of g as bitsets."""
     mis = [sum(1 << v for v in s) for s in maximal_independent_sets(g)]
-    return _b_fold_cover(g, mis, b, time.monotonic())
+    return _b_fold_cover(g, mis, b, time.monotonic(), itertools.count(1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -689,3 +691,16 @@ def test_power_chromatic_number_refusals(monkeypatch):
     for n in (0, -1):
         with pytest.raises(UsageError, match="n must be >= 1"):
             power_chromatic_number(cycle_graph(5), n)
+
+
+def test_power_chromatic_number_counts_its_nodes_over_all_levels(monkeypatch):
+    # C5^5 pops 17 + 41 + 101 + 255 = 414 cover search nodes over its four
+    # levels: a cap of 413 refuses the call, though its last level alone fits
+    monkeypatch.setattr(chromacode.coloring, "COVER_NODES", 414)
+    assert power_chromatic_number(cycle_graph(5), 5) == 125
+    monkeypatch.setattr(chromacode.coloring, "COVER_NODES", 413)
+    assert _cover(cycle_graph(5), 50).a == 125
+    with pytest.raises(GuardExceeded) as info:
+        power_chromatic_number(cycle_graph(5), 5)
+    assert info.value.what == "b-fold cover search nodes"
+    assert (info.value.size, info.value.limit) == (414, 413)

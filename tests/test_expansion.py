@@ -12,6 +12,7 @@ from chromacode import (
     expansion_bounds,
     expansion_rate,
     graph_spectrum,
+    hong_bound,
     or_power,
     tanner_lower_bound,
 )
@@ -39,11 +40,10 @@ def test_tanner_lower_bound_formula():
 
 
 def test_complete_family_is_the_upper_envelope():
-    b = expansion_bounds("complete", 5, 2, 5)
-    assert b.lam == 1.0
-    assert b.lower == b.upper == (25 - 5) / 5
+    # every family's upper bound is the complete graph's rate, which K_{V^n} meets
     k25 = complete_graph(25)
-    assert float(expansion_rate(k25, range(5))) == b.upper
+    for b in (expansion_bounds("regular", 5, 2, 5, d=2, lam=1.0), expansion_bounds("general", 5, 2, 5)):
+        assert b.upper == (25 - 5) / 5 == float(expansion_rate(k25, range(5)))
 
 
 def test_cycle_power_bounds_contain_measured_rates():
@@ -52,14 +52,15 @@ def test_cycle_power_bounds_contain_measured_rates():
     lam = max(spec.values[1], abs(spec.values[-1]))
     for y in ([0], [0, 1, 2], list(range(10))):
         rate = float(expansion_rate(g2, y))
-        b = expansion_bounds("cycle", 5, 2, len(y), lam=lam)
+        b = expansion_bounds("regular", 5, 2, len(y), d=2, lam=lam)
         assert not b.lam_is_bound
         assert b.lower - 1e-9 <= rate <= b.upper + 1e-9
 
 
 def test_cycle_bounds_fall_back_to_hong_magnitude():
-    b = expansion_bounds("cycle", 5, 2, 3)
-    assert b.lam_is_bound
+    # without Λ the report carries the hong magnitude; `general` does not read it
+    b = expansion_bounds("general", 5, 2, 3, d=2)
+    assert b.lam_is_bound and b.lam == -hong_bound(25)
     assert b.lower >= 0
 
 
@@ -75,8 +76,12 @@ def test_regular_family_bounds():
 def test_expansion_bounds_usage_errors():
     with pytest.raises(UsageError):
         expansion_bounds("regular", 5, 2, 3)  # missing d, lam
-    with pytest.raises(UsageError):
-        expansion_bounds("cycle", 5, 2, 26)  # |Y| > V^n
+    with pytest.raises(UsageError, match="exceeds the vertex count"):
+        expansion_bounds("regular", 5, 2, 26, d=2, lam=1.0)  # |Y| > V^n
+    # `cycle` is `regular` at d = 2, and `complete` is every family's upper bound
+    for family in ("cycle", "complete"):
+        with pytest.raises(UsageError, match=f"^unknown expansion family '{family}'$"):
+            expansion_bounds(family, 5, 2, 3, d=2, lam=1.0)
 
 
 def test_induced_lambda_relation_on_cycle_power():

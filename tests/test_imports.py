@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import chromacode
 from chromacode.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -138,6 +139,36 @@ def test_every_public_definition_has_a_reader():
     modules = {p.stem: p.read_text() for p in MODULES}
     readers = {**modules, **{f"{p.parent.name}/{p.name}": p.read_text() for p in CALLERS}}
     assert unread_definitions(modules, readers) == sorted(NO_READER)
+
+
+# -- the public API --------------------------------------------------------------
+
+# `chromacode.__all__` is every public name the package binds, its submodules
+# included; a name added or removed here is a deliberate change of the API
+PUBLIC_API = [
+    "AlphaProfile", "AmbiguityError", "BOUND_VARIANTS", "BoundReport", "ChromacodeError",
+    "CodecPlan", "Coloring", "ExpansionBounds", "FractionalColoring", "FunctionSpec",
+    "GershgorinIntervals", "Graph", "GuardExceeded", "JointPMF", "PowerGraph", "RateReport",
+    "Spectrum", "SplitReport", "UsageError", "alpha_n_window", "build_characteristic_graph",
+    "build_codec", "chargraph", "chromatic_bounds_spectral", "chromatic_entropy_bruteforce",
+    "codec", "coloring", "complete_graph", "cycle_graph", "cycle_power_largest_eig",
+    "decode_pair", "encode_block", "encode_tuple", "entropy", "entropy_bits", "errors",
+    "even_cycle_power_coloring", "exact_chromatic_number", "example1_spec", "expansion",
+    "expansion_bounds", "expansion_rate", "fractional_chromatic_cycle",
+    "fractional_entropy_lower_bound", "general_entropy_upper_bound", "gershgorin",
+    "graph_spectrum", "graphs", "greedy_coloring", "hong_bound", "huffman_code",
+    "is_valid_b_fold", "is_valid_coloring", "jacobi_eigenvalues", "lambda1_window",
+    "make_graph", "max_independent_set_size", "maximal_independent_sets", "odd_cycle_chi",
+    "odd_cycle_entropy_upper_bound", "odd_cycle_power_coloring", "or_power",
+    "or_power_degree", "orpower", "path_graph", "power_chromatic_number", "power_coloring",
+    "prism_graph", "product_coloring", "resolve_guard", "roundtrip_exhaustive", "simulate",
+    "smallest_eig_lower_bounds", "spectral", "split_decomposition", "symmetric_eigenvalues",
+    "tanner_lower_bound",
+]
+
+
+def test_the_public_api_is_the_pinned_list():
+    assert sorted(chromacode.__all__) == PUBLIC_API
 
 
 # -- checks that hold under python -O --------------------------------------------
