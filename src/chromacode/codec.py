@@ -43,7 +43,7 @@ from math import ceil, inf, lcm
 from .chargraph import _characteristic_rows, _check_dims, _positive_cells
 from .coloring import Coloring, _first_fit, check_strategy, exact_chromatic_number, is_valid_coloring
 from .entropy import _huffman, entropy_bits
-from .errors import DEFAULT_GUARD, ChromacodeError, UsageError, resolve_guard
+from .errors import ChromacodeError, UsageError
 from .graphs import Graph
 from .orpower import check_power_guard, encode_tuple
 
@@ -209,7 +209,6 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         raise UsageError("block length n must be >= 1")
     _check_dims(spec, pmf)
     check_strategy(coloring_strategy)
-    guard = resolve_guard(guard, DEFAULT_GUARD)  # CHROMACODE_GUARD, read once
     for V in (spec.n1, spec.n2):
         check_power_guard(V, n, guard)
     D, weights, marginals = _integer_pmf(pmf)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_GUARD, ChromacodeError, GuardExceeded, UsageError, check_guard, resolve_guard
+from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .graphs import maximal_independent_sets
 from .orpower import POWER_GUARD_DEFAULT, or_power
@@ -137,7 +137,7 @@ def _two_coloring(adj, U):
     return sides
 
 
-def exact_chromatic_number(g, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
+def exact_chromatic_number(g, guard=None):
     """Minimal palette size and a witness coloring, by a search that
     partitions the vertices into independent sets.
 
@@ -152,8 +152,8 @@ def exact_chromatic_number(g, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
     pruned when ⌈|U|/α⌉ > k, when a greedy clique of U has more than k
     vertices, or when U was already proven not to split into k classes;
     with k <= 2 it is settled by 2-coloring U.  Deterministic.  Raises
-    GuardExceeded on size or timeout (size: the elapsed seconds), which is
-    distinct from any coloring outcome.
+    GuardExceeded on size or past CHI_TIMEOUT_DEFAULT seconds (size: the
+    elapsed seconds), which is distinct from any coloring outcome.
     """
     start = time.monotonic()
     V = g.vertex_count
@@ -166,9 +166,8 @@ def exact_chromatic_number(g, guard=None, timeout=CHI_TIMEOUT_DEFAULT):
         return greedy.palette_size, greedy
 
     def tick():
-        elapsed = time.monotonic() - start
-        if timeout and elapsed > timeout:
-            raise GuardExceeded("exact coloring time (s)", elapsed, timeout)
+        if (elapsed := time.monotonic() - start) > CHI_TIMEOUT_DEFAULT:
+            raise GuardExceeded("exact coloring time (s)", elapsed, CHI_TIMEOUT_DEFAULT)
 
     comp = _complement_rows(g)
     alpha = _max_clique_size(comp, (1 << V) - 1, tick)
@@ -328,7 +327,6 @@ def power_coloring(g, n, strategy="auto", guard=None):
     solver.
     """
     strategy = check_strategy(strategy, g)
-    guard = resolve_guard(guard, DEFAULT_GUARD)  # CHROMACODE_GUARD, read once
     gn = or_power(g, n, guard=guard)
     if strategy == "exact":
         _, c = exact_chromatic_number(gn, guard=guard)

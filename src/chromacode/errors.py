@@ -1,17 +1,12 @@
 """Shared error types and guard handling.
 
 Instance-size guards keep the exhaustive algorithms at desk scale.  Every
-guarded operation takes an explicit ``guard`` argument; when it is None the
-CHROMACODE_GUARD environment variable is consulted, then the built-in default.
-``resolve_guard(guard, DEFAULT_GUARD)`` reads the environment once for a run of
-guarded calls: it returns ``DEFAULT_GUARD`` when the variable is unset, and
-each call then takes its own default.
+guarded operation takes a ``guard`` argument, which the CLI fills from
+``--guard``; when it is None the operation takes its own default.  Nothing here
+reads the environment, so a limit is set by the caller's arguments alone.
 """
 
 import json
-import os
-
-GUARD_ENV = "CHROMACODE_GUARD"
 
 
 class ChromacodeError(Exception):
@@ -41,22 +36,9 @@ class UsageError(ChromacodeError):
     """Invalid arguments or malformed input."""
 
 
-DEFAULT_GUARD = object()  # a guard argument: the operation's own default, environment unread
-
-
 def resolve_guard(guard, default):
-    """Pick the effective guard: explicit arg > environment > default."""
-    if guard is DEFAULT_GUARD:
-        return default
-    if guard is not None:
-        return guard
-    env = os.environ.get(GUARD_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{GUARD_ENV}={env!r} is not an integer") from None
-    return default
+    """The effective guard: `guard`, or `default` when it is None."""
+    return default if guard is None else guard
 
 
 def load_json(text, what):

@@ -367,6 +367,8 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
         lv = graph_spectrum(power).lambda_min if power is not None else hong_bound(V**n)
         details = {"lambda_1_estimate": l1, "lambda_V": lv}
     elif variant == "gct-split":
+        if power is None:
+            raise UsageError("gct-split bound needs the power G^n, n >= 2")
         rep = split_decomposition(power)
         l1 = rep.lam_gr[0] + rep.lam_fc[0]
         lv = hong_bound(power.vertex_count)

@@ -64,7 +64,7 @@ def test_criterion_1_chi_sequence():
 def test_criterion_1_exact_solver_confirms(n, chi):
     start = time.monotonic()
     gn = or_power(cycle_graph(5), n)
-    got, c = exact_chromatic_number(gn, timeout=60.0)
+    got, c = exact_chromatic_number(gn)
     assert got == chi
     assert is_valid_coloring(gn, c)
     assert time.monotonic() - start < 60.0

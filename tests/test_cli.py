@@ -379,10 +379,24 @@ def _usage_error(capsys, argv):
     return err
 
 
-def test_non_integer_guard_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CHROMACODE_GUARD", "abc")
-    err = _usage_error(capsys, ["power", "--kind", "cycle", "--size", "5", "--power", "2"])
-    assert "CHROMACODE_GUARD" in err
+def test_guard_environment_variable_is_ignored(capsys, monkeypatch):
+    # limits are arguments: a CHROMACODE_GUARD in the caller's shell changes
+    # no output, exit code or refusal (runs with it set go first)
+    def outputs(env):
+        if env is None:
+            monkeypatch.delenv("CHROMACODE_GUARD", raising=False)
+        else:
+            monkeypatch.setenv("CHROMACODE_GUARD", env)
+        got = []
+        for argv in (["reproduce"], ["power", "--kind", "cycle", "--size", "5", "--power", "2"]):
+            rc = main(argv)
+            got.append((rc, *capsys.readouterr()))
+        return got
+
+    with_env = [outputs("abc"), outputs("20")]
+    want = outputs(None)
+    assert [rc for rc, _, _ in want] == [1, 0]  # reproduce fails its 2 published rows
+    assert with_env == [want, want]
 
 
 @pytest.mark.parametrize("edges", ["0-x", "0-1-2", "0"])
@@ -681,10 +695,14 @@ def test_spectral_scalar_gct_of_a_f1(capsys):
             ["spectral", "--op", "split", "--kind", "cycle", "--size", "5", "--power", "1"],
             "split needs --power >= 2",
         ),
+        (
+            ["spectral", "--op", "bounds", "--variant", "gct-split", "--kind", "cycle", "--size", "4"],
+            "gct-split bound needs the power G^n, n >= 2",
+        ),
     ],
     ids=[
         "graph-without-graph", "fractional-on-c6", "expansion-without-subset", "unknown-case",
-        "fractional-on-a-power", "split-without-a-power",
+        "fractional-on-a-power", "split-without-a-power", "gct-split-without-a-power",
     ],
 )
 def test_usage_errors_print_one_json_object(capsys, argv, detail):

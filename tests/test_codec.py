@@ -10,7 +10,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from chromacode import (
     roundtrip_exhaustive,
     simulate,
 )
-from chromacode import codec, coloring, encode_tuple, errors, huffman_code, orpower
+from chromacode import codec, coloring, encode_tuple, huffman_code, orpower
 from chromacode.chargraph import _positive_cells
 from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
@@ -1259,51 +1258,33 @@ def test_color_symbols_is_the_power_coloring_at_n1():
         g = cycle_graph(V)
         for strategy in STRATEGIES:
             try:
-                want = power_coloring(g, 1, strategy, errors.DEFAULT_GUARD)[1]
+                want = power_coloring(g, 1, strategy, None)[1]
             except UsageError as exc:
                 with pytest.raises(UsageError) as got:
-                    codec._color_symbols(g, strategy, errors.DEFAULT_GUARD)
+                    codec._color_symbols(g, strategy, None)
                 assert str(got.value) == str(exc)
                 misfits += 1
                 continue
-            assert codec._color_symbols(g, strategy, errors.DEFAULT_GUARD) == want
+            assert codec._color_symbols(g, strategy, None) == want
     assert misfits == 12  # one cycle scheme per V
 
 
-def test_build_codec_reads_the_guard_environment_once(monkeypatch):
+def test_build_codec_explicit_guard():
     # a zero-cell plan makes four guarded calls (two power checks, then the
-    # exact solver of each characteristic graph); they share one read of
-    # CHROMACODE_GUARD, and each still takes its own default
-    reads = []
-
-    class Environ(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
-
-    def build(env, *args, **kwargs):
-        reads.clear()
-        monkeypatch.setattr(errors, "os", SimpleNamespace(environ=Environ(env)))
-        try:
-            return build_codec(*args, **kwargs)
-        finally:
-            assert reads == ([] if "guard" in kwargs else [errors.GUARD_ENV])
-
+    # exact solver of each characteristic graph); one `guard=` bounds them
+    # all, and without it each takes its own default
     spec, pmf = _zero_cell()
-    plan = build({}, spec, pmf, 2, "exact")
-    assert build({"CHROMACODE_GUARD": "4"}, spec, pmf, 2, "exact") == plan
-    assert build({"CHROMACODE_GUARD": "abc"}, spec, pmf, 2, "exact", guard=4) == plan
+    plan = build_codec(spec, pmf, 2, "exact")
+    assert build_codec(spec, pmf, 2, "exact", guard=4) == plan
     with pytest.raises(GuardExceeded, match="power vertex count = 4 exceeds guard 3"):
-        build({"CHROMACODE_GUARD": "3"}, spec, pmf, 2, "exact")
-    with pytest.raises(UsageError, match="CHROMACODE_GUARD='abc' is not an integer"):
-        build({"CHROMACODE_GUARD": "abc"}, spec, pmf, 2, "exact")
+        build_codec(spec, pmf, 2, "exact", guard=3)
     # 65 symbols: within the power default (10 000), past the exact solver's (64)
     wide = FunctionSpec.from_table([[x1 % 2 ^ x2 for x2 in range(2)] for x1 in range(65)])
     weights = [[0 if (x1, x2) == (0, 0) else 1 for x2 in range(2)] for x1 in range(65)]
     probs = tuple(tuple(Fraction(w, 129) for w in row) for row in weights)
     with pytest.raises(GuardExceeded, match="vertex count = 65 exceeds guard 64"):
-        build({}, wide, JointPMF(probs), 1, "exact")
-    assert build({}, wide, JointPMF(probs), 1, "greedy").n == 1
+        build_codec(wide, JointPMF(probs), 1, "exact")
+    assert build_codec(wide, JointPMF(probs), 1, "greedy").n == 1
 
 
 def _injective_one_zero_cell(V=32):

@@ -117,11 +117,14 @@ def test_exact_chi_guard():
         exact_chromatic_number(cycle_graph(100))
 
 
-def test_exact_chi_timeout_reports_elapsed_seconds():
+def test_exact_chi_timeout_reports_elapsed_seconds(monkeypatch):
+    # a clock 100 s on per read: the search's first tick is past the 60 s limit
+    clock = SimpleNamespace(monotonic=itertools.count(0.0, 100.0).__next__)
+    monkeypatch.setattr(chromacode.coloring, "time", clock)
     with pytest.raises(GuardExceeded) as info:
-        exact_chromatic_number(or_power(cycle_graph(5), 2), timeout=1e-9)
+        exact_chromatic_number(or_power(cycle_graph(5), 2))
     assert info.value.what == "exact coloring time (s)"
-    assert info.value.size > info.value.limit == 1e-9
+    assert (info.value.size, info.value.limit) == (100.0, CHI_TIMEOUT_DEFAULT)
 
 
 def _brute_force_chi(g):
@@ -564,37 +567,19 @@ def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
         power_coloring(cycle_graph(5), 2, "odd-cycle")
 
 
-def test_power_coloring_reads_the_guard_environment_once(monkeypatch):
+def test_power_coloring_explicit_guard():
     # `exact` and `product` make two guarded calls (the power, then the exact
-    # solver of the power or of the base graph); they share one read of
-    # CHROMACODE_GUARD, and each still takes its own default
-    reads = []
-
-    class Environ(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
-
-    def color(env, *args, **kwargs):
-        reads.clear()
-        monkeypatch.setattr(chromacode.errors, "os", SimpleNamespace(environ=Environ(env)))
-        try:
-            return power_coloring(*args, **kwargs)[1]
-        finally:
-            assert reads == ([] if "guard" in kwargs else [chromacode.errors.GUARD_ENV])
-
+    # solver of the power or of the base graph); one `guard=` bounds both,
+    # and without it each takes its own default
     for strategy in ("exact", "product"):
-        c = color({}, RELABELED_C5, 2, strategy)
-        assert color({"CHROMACODE_GUARD": "25"}, RELABELED_C5, 2, strategy) == c
-        assert color({"CHROMACODE_GUARD": "abc"}, RELABELED_C5, 2, strategy, guard=25) == c
+        c = power_coloring(RELABELED_C5, 2, strategy)[1]
+        assert power_coloring(RELABELED_C5, 2, strategy, guard=25)[1] == c
         with pytest.raises(GuardExceeded, match="power vertex count = 25 exceeds guard 24"):
-            color({"CHROMACODE_GUARD": "24"}, RELABELED_C5, 2, strategy)
-        with pytest.raises(UsageError, match="CHROMACODE_GUARD='abc' is not an integer"):
-            color({"CHROMACODE_GUARD": "abc"}, RELABELED_C5, 2, strategy)
+            power_coloring(RELABELED_C5, 2, strategy, guard=24)
         # 65 vertices: within the power default (10 000), past the exact solver's (64)
         with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 65 exceeds guard 64$"):
-            color({}, path_graph(65), 1, strategy)
-    assert color({}, path_graph(65), 1, "greedy").palette_size == 2
+            power_coloring(path_graph(65), 1, strategy)
+    assert power_coloring(path_graph(65), 1, "greedy")[1].palette_size == 2
 
 
 # -- χ of OR powers from the base graph, against oracles that build the power --
@@ -684,10 +669,6 @@ def test_power_chromatic_number_refusals(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 25 exceeds guard 24$"):
         power_chromatic_number(path_graph(25), 2)
-    monkeypatch.setenv(chromacode.errors.GUARD_ENV, "4")
-    with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 5 exceeds guard 4$"):
-        power_chromatic_number(cycle_graph(5), 1)
-    monkeypatch.undo()
     for n in (0, -1):
         with pytest.raises(UsageError, match="n must be >= 1"):
             power_chromatic_number(cycle_graph(5), n)

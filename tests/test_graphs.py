@@ -144,14 +144,6 @@ def test_mis_guard():
         assert mis(cycle_graph(30), guard=30)
 
 
-def test_mis_guard_env(monkeypatch):
-    monkeypatch.setenv("CHROMACODE_GUARD", "30")
-    assert maximal_independent_sets(cycle_graph(30))
-    monkeypatch.setenv("CHROMACODE_GUARD", "4")
-    with pytest.raises(GuardExceeded):
-        maximal_independent_sets(cycle_graph(5))
-
-
 def test_max_independent_set_size_matches_the_largest_maximal_independent_set():
     rng = random.Random("alpha")
     for _ in range(400):

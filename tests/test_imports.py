@@ -1,8 +1,9 @@
 """Every name a module imports is read somewhere in that module.
 
 A standard-library scan, so it needs no linter.  The package's
-`__init__.py` is left out: its imports are the public API.  Also: importing
-the package loads no numpy, which only the commands that need it load.
+`__init__.py` is left out: its imports are the public API.  Also: no library
+module has an assert statement or reads the environment, and importing the
+package loads no numpy, which only the commands that need it load.
 """
 
 import ast
@@ -187,6 +188,36 @@ def test_the_scan_finds_an_assert_statement():
 def test_no_assert_statements_in_the_library(path):
     # `python -O` strips asserts; a library check raises ChromacodeError instead
     assert assert_statements(path.read_text()) == []
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """Line numbers in `source` that read the process environment: an
+    `os.environ` / `os.getenv` attribute (any alias of `os`), or a
+    `from os import environ` / `getenv`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READERS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines += [node.lineno for alias in node.names if alias.name in ENV_READERS]
+    return sorted(lines)
+
+
+def test_the_scan_finds_an_environment_read():
+    source = (
+        "import os\nimport os as o\nfrom os import getenv\n"
+        "a = os.environ.get('X')\nb = o.getenv('X')\nc = os.path.sep\n"
+    )
+    assert environment_reads(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES + [REPO / "src/chromacode/__init__.py"], ids=lambda p: p.name)
+def test_the_library_reads_no_environment(path):
+    # every limit is an argument: the caller's shell changes no result
+    assert environment_reads(path.read_text()) == []
 
 
 # -- numpy is loaded on first use, not at import -----------------------------------
