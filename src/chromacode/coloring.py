@@ -4,15 +4,15 @@ and fractional (b-fold) colorings.
 The OR power is the lexicographic product G^n = G[G^{n-1}], so an a:b
 coloring of the base (b colors per vertex, disjoint on edges) composed with a
 b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
-engine, `_compose`, runs that recursion on a *fold*: a function of b giving
-(a, per-vertex b-tuples).  The even-cycle (parity), odd-cycle (windows with
-χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are folds; the least a:b
-colorings, covers by maximal independent sets, give χ (`power_chromatic_number`,
-its search nodes capped by COVER_NODES).  `odd_cycle_chi` reads χ(C_{2k+1}^n) off
-the windows' recursion with no search, so it also answers past that cap.
-One dispatcher, `power_coloring`, picks a strategy (`auto`: the cycle scheme
-on a canonical cycle, else exact; `check_strategy`), materializes the power
-under its guard and validates the coloring on it once.
+engine, `_compose`, runs that recursion in plain Python on a *fold*: a
+function of b giving (a, per-vertex b-sequences).  The even-cycle (parity),
+odd-cycle (windows, χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are
+folds; so are the least a:b colorings (`_least_fold`, covers by maximal
+independent sets), which give χ (`power_chromatic_number`) and the `exact`
+coloring of G^n with no search on the power.  One dispatcher, `power_coloring`,
+picks a strategy (`auto`: the cycle scheme on a canonical cycle, else exact;
+`check_strategy`), materializes the power under its guard and validates the
+coloring on it once.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from .orpower import POWER_GUARD_DEFAULT, or_power
 
 CHI_GUARD_DEFAULT = 64
 CHI_TIMEOUT_DEFAULT = 60.0
-# search nodes of one `power_chromatic_number` call, over all its levels: about
+# search nodes of one `_least_fold` (one χ or `exact` call), over all its levels: about
 # 3.3 per cover set on C5, so C5^12 (255 k nodes) is answered and C5^13 refused
 COVER_NODES = 500_000
 
@@ -41,14 +41,9 @@ class Coloring:
 
     @classmethod
     def from_list(cls, colors):
-        colors = list(colors)
-        # normalize palette ids to contiguous 0..a-1, by first appearance
+        """The coloring with palette ids renumbered 0..a-1 by first appearance."""
         remap = {}
-        out = []
-        for c in colors:
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
+        out = [remap.setdefault(c, len(remap)) for c in colors]
         return cls(tuple(out), len(remap))
 
     def to_dict(self):
@@ -231,23 +226,38 @@ def _compose(fold, n):
     G, which gives each vertex x an ordered tuple S_x of b colors out of a,
     disjoint for adjacent vertices, color G^m with a colors as
     (x, rest) -> S_x[c(rest)] (Geller & Stahl 1975).  `fold(b)` returns
-    (a, S) with S a (V, b) integer array; the recursion starts from the one
-    color of G^0.
+    (a, S) with S the per-vertex sequences of b colors; the recursion starts
+    from the one color of G^0.
     """
-    import numpy as np
-    colors, b = np.zeros(1, dtype=np.int64), 1
+    colors, b = [0], 1
     for _ in range(n):
         b, S = fold(b)
-        colors = S[:, colors].ravel()
+        colors = [s[c] for s in S for c in colors]
     return colors
 
 
 def _vector_fold(base):
     """S_x = c(x)·b + j: the vector of the base coloring c over the
     coordinates.  On an even cycle with c = parity this is 2^n colors."""
-    import numpy as np
-    c = np.array(base.assignment)[:, None]
-    return lambda b: (base.palette_size * b, c * b + np.arange(b))
+    return lambda b: (base.palette_size * b, [range(c * b, c * b + b) for c in base.assignment])
+
+
+def _least_fold(g, guard):
+    """The least a:b colorings of g: the exact witness (under `guard`) at b = 1, else a
+    `_b_fold_cover` of the MIS, listed on the first b > 1; one clock and count span all calls."""
+    start, nodes, mis = time.monotonic(), itertools.count(1), []
+
+    def fold(b):
+        if b == 1:
+            chi, c = exact_chromatic_number(g, guard)
+            return chi, [(x,) for x in c.assignment]
+        if not mis:
+            mis.extend(sum(1 << v for v in s) for s in maximal_independent_sets(g))
+            mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
+        fc = _b_fold_cover(g, mis, b, start, nodes)
+        return fc.a, [sorted(s) for s in fc.sets]
+
+    return fold
 
 
 def _odd_cycle_windows(k, b):
@@ -275,13 +285,12 @@ def _odd_cycle_windows(k, b):
 
 def _odd_cycle_fold(k):
     """Windows of `_odd_cycle_windows` on C_{2k+1}: χ' = 2χ + ⌈χ/k⌉ colors."""
-    import numpy as np
 
     def fold(b):
         if b == 1:  # the 3-coloring (0, 1, 0, ..., 1, 2), not the 3:1 windows
-            return 3, np.array([v % 2 for v in range(2 * k)] + [2])[:, None]
+            return 3, [(v % 2,) for v in range(2 * k)] + [(2,)]
         a, starts = _odd_cycle_windows(k, b)
-        return a, (np.array(starts)[:, None] + np.arange(b)) % a
+        return a, [[(s + t) % a for t in range(b)] for s in starts]
 
     return fold
 
@@ -317,45 +326,38 @@ def check_strategy(strategy, g=None):
 def power_coloring(g, n, strategy="auto", guard=None):
     """(G^n, coloring of G^n) by one of STRATEGIES; the coloring is validated.
 
-    `exact` and `greedy` color the materialized power.  The others compose
-    folds of the base (`_compose`): parity vectors (2^n colors) on the
-    canonical even cycle, windows (χ' = 2χ + ⌈χ/k⌉) on the canonical odd
-    cycle C_{2k+1}, vectors of an exact base coloring (`product`) on any
-    graph.  `check_strategy` reads `auto` and refuses a misfit cycle name.
-    The power is built under `guard` first, so one past it raises
-    GuardExceeded whatever the strategy; `guard` also bounds the exact
-    solver.
+    `greedy` colors the materialized power first-fit.  The others compose
+    folds of the base (`_compose`): least a:b colorings (`exact`, palette
+    χ(G^n)), parity vectors (2^n colors) on the canonical even cycle, windows
+    (χ' = 2χ + ⌈χ/k⌉) on the canonical odd cycle C_{2k+1}, vectors of an exact
+    base coloring (`product`) on any graph.  `check_strategy` reads `auto` and
+    refuses a misfit cycle name.  `guard` bounds the power, built first (past
+    it: GuardExceeded whatever the strategy), and the exact solver on the base;
+    `exact`'s covers are held to the MIS guard, COVER_NODES and the clock.
     """
     strategy = check_strategy(strategy, g)
     gn = or_power(g, n, guard=guard)
     if strategy == "exact":
-        _, c = exact_chromatic_number(gn, guard=guard)
-    elif strategy == "greedy":
-        c = greedy_coloring(gn)
-    else:
-        if strategy == "odd-cycle":
-            fold = _odd_cycle_fold(g.vertex_count // 2)
-        elif strategy == "even-cycle":
-            fold = _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)]))
-        else:
-            fold = _vector_fold(exact_chromatic_number(g, guard=guard)[1])
-        c = Coloring.from_list(_compose(fold, n).tolist())
+        fold = _least_fold(g, guard)
+    elif strategy == "odd-cycle":
+        fold = _odd_cycle_fold(g.vertex_count // 2)
+    elif strategy == "even-cycle":
+        fold = _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)]))
+    elif strategy == "product":
+        fold = _vector_fold(exact_chromatic_number(g, guard=guard)[1])
+    c = greedy_coloring(gn) if strategy == "greedy" else Coloring.from_list(_compose(fold, n))
     if not is_valid_coloring(gn, c):
         raise ChromacodeError(f"the {strategy} coloring of the power is not valid")
     return gn, c
 
 
 def power_chromatic_number(g, n):
-    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the exact χ(G), then n - 1 `_b_fold_cover`s."""
+    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the palettes of `_least_fold`, from b = 1."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    start = time.monotonic()
-    mis = [sum(1 << v for v in s) for s in maximal_independent_sets(g)]  # GuardExceeded past the MIS guard
-    mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
-    b = exact_chromatic_number(g)[0]
-    nodes = itertools.count(1)  # one count over all levels
-    for _ in range(n - 1):
-        b = _b_fold_cover(g, mis, b, start, nodes).a
+    fold, b = _least_fold(g, None), 1
+    for _ in range(n):
+        b = fold(b)[0]
     return b
 
 
@@ -459,9 +461,7 @@ class FractionalColoring:
 def is_valid_b_fold(g, fc):
     if len(fc.sets) != g.vertex_count:
         raise UsageError("set count != vertex count")
-    if any(len(s) != fc.b for s in fc.sets):
-        return False
-    if any(max(s) >= fc.a for s in fc.sets if s):
+    if any(len(s) != fc.b or max(s, default=-1) >= fc.a for s in fc.sets):
         return False
     return all(not (fc.sets[u] & fc.sets[v]) for u, v in g.edges())
 

@@ -113,6 +113,15 @@ def test_color_exact(capsys):
     assert json.loads(out)["chi"] == 3
 
 
+def test_color_exact_past_the_exact_search_guard(capsys):
+    # C5^3 has 125 vertices, past the exact search's 64: its coloring is composed from the base
+    rc, out = run(
+        capsys, "color", "--kind", "cycle", "--size", "5", "--power", "3", "--scheme", "exact",
+    )
+    assert rc == 0
+    assert json.loads(out)["chi"] == 20
+
+
 def test_color_odd_cycle_power(capsys):
     rc, out = run(
         capsys, "color", "--kind", "cycle", "--size", "5", "--power", "2",

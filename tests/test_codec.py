@@ -468,7 +468,7 @@ def _block_colorings(plan):
     symbol colorings, built by the composition engine."""
     return tuple(
         Coloring(
-            tuple(coloring._compose(coloring._vector_fold(c), plan.n).tolist()),
+            tuple(coloring._compose(coloring._vector_fold(c), plan.n)),
             c.palette_size**plan.n,
         )
         for c in plan.symbol_colorings

@@ -5,7 +5,6 @@ from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -543,7 +542,9 @@ def test_power_coloring_auto_takes_the_cycle_schemes():
     assert power_coloring(cycle_graph(6), 2)[1] == even_cycle_power_coloring(3, 2)[1]
     assert power_coloring(cycle_graph(7), 2)[1] == odd_cycle_power_coloring(7, 2)[1]
     for g in (cycle_graph(3), RELABELED_C5, prism_graph()):
-        assert power_coloring(g, 2)[1] == exact_chromatic_number(or_power(g, 2))[1]
+        c = power_coloring(g, 2)[1]
+        assert c == power_coloring(g, 2, "exact")[1]
+        assert c.palette_size == exact_chromatic_number(or_power(g, 2))[0]
 
 
 @pytest.mark.parametrize(
@@ -560,7 +561,7 @@ def test_power_coloring_refuses_a_strategy_that_does_not_fit(strategy, g):
 def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
     # a fold that gives every vertex the same colors is no a:b coloring of C5
     def same_colors(k):
-        return lambda b: (b, np.tile(np.arange(b), (2 * k + 1, 1)))
+        return lambda b: (b, [range(b)] * (2 * k + 1))
 
     monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", same_colors)
     with pytest.raises(ChromacodeError, match="not valid"):
@@ -569,8 +570,8 @@ def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
 
 def test_power_coloring_explicit_guard():
     # `exact` and `product` make two guarded calls (the power, then the exact
-    # solver of the power or of the base graph); one `guard=` bounds both,
-    # and without it each takes its own default
+    # solver of the base graph); one `guard=` bounds both, and without it
+    # each takes its own default
     for strategy in ("exact", "product"):
         c = power_coloring(RELABELED_C5, 2, strategy)[1]
         assert power_coloring(RELABELED_C5, 2, strategy, guard=25)[1] == c
@@ -604,8 +605,36 @@ def test_power_chromatic_number_matches_the_exact_search_on_the_square():
     graphs = _graphs_for_the_square_oracle()
     assert len(graphs) == 1 + 2 + 8 + 64 + 30
     for g in graphs:
+        chi = exact_chromatic_number(or_power(g, 2))[0]
         assert power_chromatic_number(g, 1) == exact_chromatic_number(g)[0]
-        assert power_chromatic_number(g, 2) == exact_chromatic_number(or_power(g, 2))[0]
+        assert power_chromatic_number(g, 2) == chi
+        assert power_coloring(g, 2, "exact")[1].palette_size == chi
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(5), cycle_graph(9), prism_graph(), path_graph(6), complete_graph(4)],
+    ids=["C5", "C9", "prism", "P6", "K4"],
+)
+def test_exact_power_coloring_of_the_cube_has_the_least_palette(g):
+    # 64 (K4^3) to 729 (C9^3) vertices, all but K4^3 past the exact search's guard
+    gn, c = power_coloring(g, 3, "exact")
+    assert c.palette_size == power_chromatic_number(g, 3)
+    assert is_valid_coloring(gn, c)
+
+
+def test_exact_power_coloring_runs_the_exact_search_on_the_base_only(monkeypatch):
+    exact, sizes = chromacode.coloring.exact_chromatic_number, []
+
+    def base_only(g, *args, **kwargs):
+        sizes.append(g.vertex_count)
+        return exact(g, *args, **kwargs)
+
+    monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number", base_only)
+    for g, n in ((cycle_graph(5), 3), (prism_graph(), 2), (RELABELED_C5, 1), (make_graph("edgeless", 3), 3)):
+        sizes.clear()
+        assert power_coloring(g, n, "exact")[1].palette_size == power_chromatic_number(g, n)
+        assert sizes and set(sizes) == {g.vertex_count}
 
 
 @pytest.mark.parametrize(
@@ -669,6 +698,8 @@ def test_power_chromatic_number_refusals(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 25 exceeds guard 24$"):
         power_chromatic_number(path_graph(25), 2)
+    # n = 1 lists no maximal independent sets: only the exact search's guard (64) holds
+    assert power_chromatic_number(path_graph(30), 1) == exact_chromatic_number(path_graph(30))[0] == 2
     for n in (0, -1):
         with pytest.raises(UsageError, match="n must be >= 1"):
             power_chromatic_number(cycle_graph(5), n)

@@ -272,6 +272,8 @@ def probe(argv, spec_file):
         (["graph", "--kind", "cycle", "--size", "5"], 0),
         (["power", "--kind", "cycle", "--size", "5", "--power", "2"], 0),
         (["color", "--kind", "cycle", "--size", "5", "--power", "2", "--scheme", "exact"], 0),
+        (["color", "--kind", "cycle", "--size", "5", "--power", "3", "--scheme", "exact"], 0),
+        (["color", "--kind", "cycle", "--size", "5", "--power", "2", "--scheme", "odd-cycle"], 0),
         (["color", "--kind", "cycle", "--size", "5", "--scheme", "greedy"], 0),
         (["chargraph", "--spec", "SPEC", "--pmf", "uniform"], 0),
         (["entropy", "--kind", "cycle", "--size", "5", "--power", "2", "--bound", "odd-cycle"], 0),
@@ -279,7 +281,7 @@ def probe(argv, spec_file):
         (["graph"], 2),
     ],
     ids=[
-        "graph", "power", "color-exact", "color-greedy", "chargraph", "entropy-odd-cycle", "version",
+        "graph", "power", "color-exact", "color-exact-cube", "color-odd-cycle", "color-greedy", "chargraph", "entropy-odd-cycle", "version",
         "usage-error",
     ],
 )
