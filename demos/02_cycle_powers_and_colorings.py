@@ -34,7 +34,7 @@ for n in (1, 2):
 # The recursive window coloring achieves the sequence constructively; compare
 # against the naive product coloring that spends 3^n colors.
 for n in (2, 3):
-    chi, coloring, _ = odd_cycle_power_coloring(5, n)
+    chi, coloring = odd_cycle_power_coloring(5, n)
     gain = Fraction(3**n, chi)
     print(f"  n={n}: scheme uses {coloring.palette_size} colors "
           f"(vs 3^{n} = {3**n} naive, gain {gain} = {float(gain):.3f}x)")
@@ -42,7 +42,7 @@ for n in (2, 3):
 # --- even cycles: parity vectors give exactly 2^n colors -----------------------
 print()
 for k, n in ((2, 2), (2, 3), (3, 2)):
-    gn, c = even_cycle_power_coloring(k, n)
+    c = even_cycle_power_coloring(k, n)
     print(f"C{2*k}^{n}: parity coloring uses {c.palette_size} colors = 2^{n}")
 
 # --- fractional colorings: the chi_f = V/k limit --------------------------------

@@ -14,6 +14,7 @@ from .chargraph import FunctionSpec, JointPMF, build_characteristic_graph
 from .codec import build_codec, roundtrip_exhaustive, simulate
 from .coloring import (
     _cycle_scheme,
+    check_strategy,
     fractional_chromatic_cycle,
     is_valid_coloring,
     odd_cycle_chi,
@@ -29,10 +30,10 @@ from .entropy import (
     huffman_code,
     odd_cycle_entropy_upper_bound,
 )
-from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, load_json
+from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, load_json, resolve_guard
 from .expansion import expansion_bounds, expansion_rate
 from .graphs import Graph, make_graph
-from .orpower import POWER_GUARD_DEFAULT, or_power
+from .orpower import POWER_GUARD_DEFAULT, check_power_guard, or_power
 from .spectral import (
     BOUND_VARIANTS,
     chromatic_bounds_spectral,
@@ -127,23 +128,24 @@ def cmd_color(args):
         if _cycle_scheme(g) != "odd-cycle":
             raise UsageError("fractional scheme implemented for odd cycles C_V with V >= 5")
         res = fractional_chromatic_cycle(g.vertex_count // 2, args.fold, guard=args.guard)
-        _emit(
-            {
-                "chi_b": res["chi_b"],
-                "chi_b_lower": res["chi_b_lower"],
-                "chi_f": str(res["chi_f"]),
-                "b": args.fold,
-            }
-        )
+        _emit({"chi_b": res["chi_b"], "chi_b_lower": res["chi_b_lower"],
+               "chi_f": str(res["chi_f"]), "b": args.fold})
         return 0
+    strategy = check_strategy(args.scheme, g)
     try:
-        _, c = power_coloring(g, n, args.scheme, guard=args.guard)
+        check_power_guard(g.vertex_count, n, args.guard)
     except GuardExceeded:
-        if args.scheme != "odd-cycle" or n > ODD_CYCLE_CHI_MAX_POWER:
+        # past the power guard the schemes whose palette is χ still know it: `exact` from
+        # the base graph, one level per n up to the exponent guard, `odd-cycle` by its recursion
+        if strategy == "exact" and n <= resolve_guard(args.guard, POWER_GUARD_DEFAULT).bit_length():
+            chi = power_chromatic_number(g, n)
+        elif strategy == "odd-cycle" and n <= ODD_CYCLE_CHI_MAX_POWER:
+            chi = odd_cycle_chi(n, g.vertex_count // 2)
+        else:
             raise
-        # past the guard the odd-cycle scheme still knows χ from its recursion
-        _emit({"chi": odd_cycle_chi(n, g.vertex_count // 2)})
+        _emit({"chi": chi})
         return 0
+    c = power_coloring(g, n, strategy, guard=args.guard)
     _emit({"chi": c.palette_size, **c.to_dict()})
     return 0
 
@@ -357,14 +359,14 @@ def _rows_example4():
 
 
 def _rows_appendix_b():
-    seq = [odd_cycle_chi(m) for m in range(1, 7)]
+    c5, seq = make_graph("cycle", 5), [odd_cycle_chi(m) for m in range(1, 7)]
     rows = [("appendixB", "chi(C5^n) n=1..6", [3, 8, 20, 50, 125, 313], seq, 0)]
     for n in (1, 2):
-        chi = power_chromatic_number(make_graph("cycle", 5), n)
+        chi = power_chromatic_number(c5, n)
         rows.append(("appendixB", f"exact chi(C5^{n})", seq[n - 1], chi, 0))
-    chi20, c, gn = odd_cycle_power_coloring(5, 3)
+    chi20, c = odd_cycle_power_coloring(5, 3)
     rows.append(("appendixB", "C5^3 scheme colors", 20, chi20, 0))
-    rows.append(("appendixB", "C5^3 scheme coloring valid", True, is_valid_coloring(gn, c), 0))
+    rows.append(("appendixB", "C5^3 scheme coloring valid", True, is_valid_coloring(or_power(c5, 3), c), 0))
     return rows
 
 

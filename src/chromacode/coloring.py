@@ -11,8 +11,8 @@ folds; so are the least a:b colorings (`_least_fold`, covers by maximal
 independent sets), which give χ (`power_chromatic_number`) and the `exact`
 coloring of G^n with no search on the power.  One dispatcher, `power_coloring`,
 picks a strategy (`auto`: the cycle scheme on a canonical cycle, else exact;
-`check_strategy`), materializes the power under its guard and validates the
-coloring on it once.
+`check_strategy`); every fold is checked level by level on the base graph
+(`_checked`), so no power is built but for `greedy`, which has no fold.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard
 from .graphs import _complement_rows, _max_clique_size, _maximal_cliques, bits_to_list, make_graph
 from .graphs import maximal_independent_sets
-from .orpower import POWER_GUARD_DEFAULT, or_power
+from .orpower import POWER_GUARD_DEFAULT, check_power_guard, or_power
 
 CHI_GUARD_DEFAULT = 64
 CHI_TIMEOUT_DEFAULT = 60.0
@@ -236,6 +236,19 @@ def _compose(fold, n):
     return colors
 
 
+def _checked(g, fold):
+    """`fold` with each level (a, S) checked to be an a:b coloring of g (`is_valid_b_fold`,
+    else ChromacodeError): composing checked levels colors G^n validly, with no power built."""
+
+    def level(b):
+        a, S = fold(b)
+        if is_valid_b_fold(g, FractionalColoring(a, b, S)):
+            return a, S
+        raise ChromacodeError(f"the {a}:{b} fold is not a valid coloring of the base graph")
+
+    return level
+
+
 def _vector_fold(base):
     """S_x = c(x)·b + j: the vector of the base coloring c over the
     coordinates.  On an even cycle with c = parity this is 2^n colors."""
@@ -254,8 +267,7 @@ def _least_fold(g, guard):
         if not mis:
             mis.extend(sum(1 << v for v in s) for s in maximal_independent_sets(g))
             mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
-        fc = _b_fold_cover(g, mis, b, start, nodes)
-        return fc.a, [sorted(s) for s in fc.sets]
+        return _b_fold_cover(g, mis, b, start, nodes)
 
     return fold
 
@@ -324,19 +336,18 @@ def check_strategy(strategy, g=None):
 
 
 def power_coloring(g, n, strategy="auto", guard=None):
-    """(G^n, coloring of G^n) by one of STRATEGIES; the coloring is validated.
-
-    `greedy` colors the materialized power first-fit.  The others compose
-    folds of the base (`_compose`): least a:b colorings (`exact`, palette
-    χ(G^n)), parity vectors (2^n colors) on the canonical even cycle, windows
-    (χ' = 2χ + ⌈χ/k⌉) on the canonical odd cycle C_{2k+1}, vectors of an exact
-    base coloring (`product`) on any graph.  `check_strategy` reads `auto` and
-    refuses a misfit cycle name.  `guard` bounds the power, built first (past
-    it: GuardExceeded whatever the strategy), and the exact solver on the base;
-    `exact`'s covers are held to the MIS guard, COVER_NODES and the clock.
+    """A valid coloring of G^n by one of STRATEGIES (`check_strategy` reads
+    `auto` and refuses a misfit cycle name).  `greedy` colors the materialized
+    power first-fit; the others compose their fold of the base (module
+    docstring), each level checked on the base graph (`_checked`), and build no
+    power.  `guard` bounds the V^n colors listed, checked first whatever the
+    strategy, and the exact solver on the base; `exact`'s covers are held to
+    the MIS guard, COVER_NODES and the clock.
     """
     strategy = check_strategy(strategy, g)
-    gn = or_power(g, n, guard=guard)
+    if strategy == "greedy":
+        return greedy_coloring(or_power(g, n, guard=guard))
+    check_power_guard(g.vertex_count, n, guard)
     if strategy == "exact":
         fold = _least_fold(g, guard)
     elif strategy == "odd-cycle":
@@ -345,29 +356,27 @@ def power_coloring(g, n, strategy="auto", guard=None):
         fold = _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)]))
     elif strategy == "product":
         fold = _vector_fold(exact_chromatic_number(g, guard=guard)[1])
-    c = greedy_coloring(gn) if strategy == "greedy" else Coloring.from_list(_compose(fold, n))
-    if not is_valid_coloring(gn, c):
-        raise ChromacodeError(f"the {strategy} coloring of the power is not valid")
-    return gn, c
+    return Coloring.from_list(_compose(_checked(g, fold), n))
 
 
 def power_chromatic_number(g, n):
-    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the palettes of `_least_fold`, from b = 1."""
+    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the palettes of `_least_fold`, from b = 1,
+    each level checked (`_checked`)."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    fold, b = _least_fold(g, None), 1
+    fold, b = _checked(g, _least_fold(g, None)), 1
     for _ in range(n):
         b = fold(b)[0]
     return b
 
 
 def _b_fold_cover(g, mis, b, start, nodes):
-    """The least a:b coloring of g (validated): the fewest of its maximal independent
-    sets `mis`, repeats allowed, covering each vertex b times.  Depth first on a stack
-    of (used, demand left, sets as a linked list), branching on the sets holding the
-    vertex of largest demand; cut once used + max(max demand, ⌈Σ demand/α⌉) reaches
-    the best or the same demand was met with no more sets.  Each node popped
-    takes the next number of the count `nodes`, checked against COVER_NODES."""
+    """A least a:b coloring (a, S) of g: the fewest of its maximal independent sets `mis`,
+    repeats allowed, covering each vertex b times, S[v] the first b of them holding v.
+    Depth first on a stack of (used, demand left, sets as a linked list), branching on the
+    sets holding the vertex of largest demand; cut once used + max(max demand, ⌈Σ demand/α⌉)
+    reaches the best or the same demand was met with no more sets.  Each node popped takes
+    the next number of the count `nodes`, checked against COVER_NODES."""
     V = g.vertex_count
     alpha, best, cover, fewest = max(s.bit_count() for s in mis), b * V + 1, None, {}
     stack = [(0, (b,) * V, None)]
@@ -392,15 +401,11 @@ def _b_fold_cover(g, mis, b, start, nodes):
     while cover:
         s, cover = cover
         sets.append(s)
-    colors = ([i for i, s in enumerate(sets) if s >> v & 1][:b] for v in range(V))
-    fc = FractionalColoring(best, b, tuple(frozenset(c) for c in colors))
-    if not is_valid_b_fold(g, fc):
-        raise ChromacodeError(f"the {best}:{b} cover coloring is not valid")
-    return fc
+    return best, [[i for i, s in enumerate(sets) if s >> v & 1][:b] for v in range(V)]
 
 
 def even_cycle_power_coloring(k, n, guard=None):
-    """(C_{2k}^n, its parity-vector coloring with exactly 2^n colors): the
+    """The parity-vector coloring of C_{2k}^n, with exactly 2^n colors: the
     `even-cycle` strategy of `power_coloring`."""
     if k < 2 or n < 1:
         raise UsageError("need k >= 2 (C_{2k} with at least 4 vertices) and n >= 1")
@@ -426,23 +431,22 @@ def odd_cycle_chi(n, k=2):
 def odd_cycle_power_coloring(i, n, guard=None):
     """Recursive window coloring of C_i^n (i = 2k+1, k >= 2).
 
-    Returns (chi, coloring, graph): chi follows the 2χ+⌈χ/k⌉ recursion, and
-    the coloring (the `odd-cycle` strategy of `power_coloring`, palette chi)
+    Returns (chi, coloring): chi follows the 2χ+⌈χ/k⌉ recursion, and the
+    coloring (the `odd-cycle` strategy of `power_coloring`, palette chi)
     gives each sub-graph block a window of the previous level's χ colors out
-    of the next χ.  Coloring and graph are None past the guard.
+    of the next χ.  The coloring is None past the guard.
     """
     if i < 5 or i % 2 == 0:
         raise UsageError("odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)")
     chi = odd_cycle_chi(n, i // 2)  # refuses n < 1
     try:
-        gn, c = power_coloring(make_graph("cycle", i), n, "odd-cycle", guard)
+        return chi, power_coloring(make_graph("cycle", i), n, "odd-cycle", guard)
     except GuardExceeded:
-        return chi, None, None
-    return chi, c, gn
+        return chi, None
 
 
 def product_coloring(g, n, guard=None):
-    """(g^n, its coordinate-wise product coloring): a tuple's color is the
+    """The coordinate-wise product coloring of g^n: a tuple's color is the
     vector of an exact base coloring over its coordinates, so the palette is
     at most χ(g)^n.  The `product` strategy of `power_coloring`."""
     return power_coloring(g, n, "product", guard)
@@ -455,15 +459,16 @@ def product_coloring(g, n, guard=None):
 class FractionalColoring:
     a: int  # total colors
     b: int  # fold size
-    sets: tuple  # per-vertex frozensets of color ids
+    sets: tuple  # per-vertex collections of color ids
 
 
 def is_valid_b_fold(g, fc):
     if len(fc.sets) != g.vertex_count:
         raise UsageError("set count != vertex count")
-    if any(len(s) != fc.b or max(s, default=-1) >= fc.a for s in fc.sets):
-        return False
-    return all(not (fc.sets[u] & fc.sets[v]) for u, v in g.edges())
+    sets = [frozenset(s) for s in fc.sets]
+    ok = all(len(s) == len(t) == fc.b for s, t in zip(fc.sets, sets))
+    ok = ok and frozenset().union(*sets) <= frozenset(range(fc.a))
+    return ok and not any(sets[u] & sets[v] for u, v in g.edges())
 
 
 def fractional_chromatic_cycle(k, b, guard=None):
@@ -477,21 +482,14 @@ def fractional_chromatic_cycle(k, b, guard=None):
       chi_b:       ⌈(2k+1)b/k⌉, the least a for which an a:b coloring exists:
                    the counting bound from α = k (each color class is an
                    independent set of size ≤ k), met by `coloring`;
-      coloring:    a constructive, validated chi_b : b window coloring;
+      coloring:    a chi_b : b coloring, the `odd-cycle` fold at b (windows
+                   for b > 1), checked by `_checked`;
       chi_f:       (2k+1)/k as an exact rational.
     """
     if k < 2 or b < 1:
         raise UsageError("need k >= 2 and b >= 1")
     V = 2 * k + 1
     check_guard("fractional coloring set entries V*b", V * b, guard, POWER_GUARD_DEFAULT)
-    a, starts = _odd_cycle_windows(k, b)
-    fc = FractionalColoring(a, b, tuple(frozenset((s + t) % a for t in range(b)) for s in starts))
-    g = make_graph("cycle", V)
-    if not is_valid_b_fold(g, fc):
-        raise ChromacodeError(f"the {a}:{b} window coloring of C{V} is not valid")
-    return {
-        "chi_b_lower": 2 * b + 1,
-        "chi_b": a,
-        "coloring": fc,
-        "chi_f": Fraction(2 * k + 1, k),
-    }
+    a, S = _checked(make_graph("cycle", V), _odd_cycle_fold(k))(b)
+    fc = FractionalColoring(a, b, tuple(frozenset(s) for s in S))
+    return {"chi_b_lower": 2 * b + 1, "chi_b": a, "coloring": fc, "chi_f": Fraction(2 * k + 1, k)}

@@ -48,11 +48,13 @@ def encode_tuple(tup, base):
 
 
 def check_power_guard(V, n, guard=None):
-    """Raise GuardExceeded when the n-th power of a V-vertex graph, or any
-    table over its V^n tuples, is past the power guard: first the exponent
-    against the guard's bit length, then the count V^n.  The exponent check
-    holds for every V: at V = 1 the count stays 1, but work linear in n
-    (rows built, digits read) does not."""
+    """Raise UsageError unless n >= 1, and GuardExceeded when the n-th power of
+    a V-vertex graph, or any table over its V^n tuples, is past the power
+    guard: first the exponent against the guard's bit length, then the count
+    V^n.  The exponent check holds for every V: at V = 1 the count stays 1,
+    but work linear in n (rows built, digits read) does not."""
+    if n < 1:
+        raise UsageError("power n must be >= 1")
     limit = resolve_guard(guard, POWER_GUARD_DEFAULT)
     if n > limit.bit_length():
         # for V > 1, V^n >= 2^n > limit, decided without writing V^n out: at
@@ -65,8 +67,6 @@ def check_power_guard(V, n, guard=None):
 
 def or_power(g, n, guard=None):
     """n-fold OR power of g (recursive block construction, see module docs)."""
-    if n < 1:
-        raise UsageError("power n must be >= 1")
     V = g.vertex_count
     check_power_guard(V, n, guard)
     rows = list(g._rows)

@@ -75,9 +75,9 @@ def test_criterion_1_exact_solver_confirms(n, chi):
 
 @pytest.mark.parametrize("k,n,colors", [(2, 2, 4), (2, 3, 8), (3, 2, 4)])
 def test_criterion_2_even_cycle_colorings(k, n, colors):
-    gn, c = even_cycle_power_coloring(k, n)
+    c = even_cycle_power_coloring(k, n)
     assert c.palette_size == colors
-    assert is_valid_coloring(gn, c)
+    assert is_valid_coloring(or_power(cycle_graph(2 * k), n), c)
 
 
 def test_criterion_2_exact_matches_power_of_two():

@@ -122,6 +122,38 @@ def test_color_exact_past_the_exact_search_guard(capsys):
     assert json.loads(out)["chi"] == 20
 
 
+@pytest.mark.parametrize(
+    "argv,rc,out",
+    [
+        (["--size", "5", "--power", "6", "--scheme", "exact"], 0, {"chi": 313}),
+        (["--size", "5", "--power", "15", "--scheme", "exact"], 3, None),
+        (["--size", "6", "--power", "6", "--scheme", "even-cycle"], 3, None),
+        (["--size", "5", "--power", "6", "--scheme", "greedy"], 3, None),
+    ],
+    ids=["exact-C5^6", "exact-past-the-exponent-guard", "even-cycle-C6^6", "greedy-C5^6"],
+)
+def test_color_past_the_power_guard(capsys, argv, rc, out):
+    # past the power guard, `exact` prints χ from the base graph while n is
+    # within the exponent guard; schemes whose palette is not χ exit 3
+    got = main(["color", "--kind", "cycle", *argv])
+    stdout, stderr = capsys.readouterr()
+    assert got == rc
+    if rc == 0:
+        assert json.loads(stdout) == out
+    else:
+        err = json.loads(stderr)
+        assert err["error"] == "guard" and "power" in err["what"]
+
+
+def test_color_exact_past_the_power_guard_keeps_the_mis_guard(capsys):
+    # P25^3 (15 625 vertices) is past the power guard; χ from the base needs
+    # the maximal independent sets of P25, past their 24-vertex guard
+    rc = main(["color", "--kind", "path", "--size", "25", "--power", "3", "--scheme", "exact"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3
+    assert (err["error"], err["what"], err["size"], err["limit"]) == ("guard", "vertex count", 25, 24)
+
+
 def test_color_odd_cycle_power(capsys):
     rc, out = run(
         capsys, "color", "--kind", "cycle", "--size", "5", "--power", "2",

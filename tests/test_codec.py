@@ -501,7 +501,7 @@ def _assert_matches_reference(spec, pmf, n, strategy="auto"):
     colorings, table, PMFs, codes and any AmbiguityError; returns whether
     the plan was refused."""
     g1, g2 = (build_characteristic_graph(spec, pmf, s) for s in (1, 2))
-    c1, c2 = (_vector_coloring(power_coloring(g, 1, strategy)[1], n) for g in (g1, g2))
+    c1, c2 = (_vector_coloring(power_coloring(g, 1, strategy), n) for g in (g1, g2))
     try:
         expected = _reference_decoder(spec, pmf, n, c1, c2)
     except AmbiguityError as exc:
@@ -1258,7 +1258,7 @@ def test_color_symbols_is_the_power_coloring_at_n1():
         g = cycle_graph(V)
         for strategy in STRATEGIES:
             try:
-                want = power_coloring(g, 1, strategy, None)[1]
+                want = power_coloring(g, 1, strategy, None)
             except UsageError as exc:
                 with pytest.raises(UsageError) as got:
                     codec._color_symbols(g, strategy, None)

@@ -245,9 +245,9 @@ def test_odd_cycle_chi_sequence():
 
 @pytest.mark.parametrize("k,n,chi", [(2, 2, 4), (2, 3, 8), (3, 2, 4)])
 def test_even_cycle_power_coloring(k, n, chi):
-    gn, c = even_cycle_power_coloring(k, n)
+    c = even_cycle_power_coloring(k, n)
     assert c.palette_size == chi == 2**n
-    assert is_valid_coloring(gn, c)
+    assert is_valid_coloring(or_power(cycle_graph(2 * k), n), c)
 
 
 # χ(C5^n) from the paper; χ(C7^2) = 7 is the exact solver's value
@@ -257,9 +257,9 @@ ODD_CYCLE_CHI = {(5, 1): 3, (5, 2): 8, (5, 3): 20, (7, 2): 7}
 
 @pytest.mark.parametrize("i,n", [(5, 1), (5, 2), (5, 3), (7, 2)])
 def test_odd_cycle_power_coloring_valid(i, n):
-    chi, c, gn = odd_cycle_power_coloring(i, n)
+    chi, c = odd_cycle_power_coloring(i, n)
     assert chi == ODD_CYCLE_CHI[i, n]
-    assert is_valid_coloring(gn, c)
+    assert is_valid_coloring(or_power(cycle_graph(i), n), c)
     assert c.palette_size <= chi
 
 
@@ -267,9 +267,9 @@ def test_odd_cycle_power_coloring_valid(i, n):
 def test_odd_cycle_power_coloring_is_tight_for_longer_cycles(i, n, chi):
     k = (i - 1) // 2
     assert odd_cycle_chi(n, k) == chi
-    got, c, gn = odd_cycle_power_coloring(i, n)
+    got, c = odd_cycle_power_coloring(i, n)
     assert got == c.palette_size == chi
-    assert is_valid_coloring(gn, c)
+    assert is_valid_coloring(or_power(cycle_graph(i), n), c)
     if n == 2:
         # χ(C_i^2) = χ_3(C_i) (Geller-Stahl): a chi:3 coloring exists, a (chi-1):3 one does not
         cycle = cycle_graph(i)
@@ -301,8 +301,8 @@ def test_fractional_cycle_window_coloring_closes(k):
 
 
 def test_odd_cycle_power_coloring_guard_degrades():
-    chi, c, gn = odd_cycle_power_coloring(5, 4, guard=100)
-    assert chi == 50 and c is None and gn is None
+    chi, c = odd_cycle_power_coloring(5, 4, guard=100)
+    assert chi == 50 and c is None
 
 
 def test_greedy_gain_monotone():
@@ -314,8 +314,8 @@ def test_greedy_gain_monotone():
 
 def test_product_coloring_always_valid():
     for g in (cycle_graph(5), prism_graph(), path_graph(4)):
-        gn, c = product_coloring(g, 2)
-        assert is_valid_coloring(gn, c)
+        c = product_coloring(g, 2)
+        assert is_valid_coloring(or_power(g, 2), c)
         chi, _ = exact_chromatic_number(g)
         assert c.palette_size <= chi**2
 
@@ -479,18 +479,18 @@ def _reference_product_coloring(g, n, base):
 @pytest.mark.parametrize("V", [4, 6, 8])
 def test_even_cycle_composition_equals_index_loop(V):
     for n in range(1, 5):
-        gn, c = even_cycle_power_coloring(V // 2, n)
+        c = even_cycle_power_coloring(V // 2, n)
         assert c == _reference_even_cycle_coloring(V, n)
-        assert gn == or_power(cycle_graph(V), n)
+        assert is_valid_coloring(or_power(cycle_graph(V), n), c)
 
 
 @pytest.mark.parametrize("i,top", [(5, 4), (7, 4), (9, 3), (11, 3)])
 def test_odd_cycle_composition_equals_window_recursion(i, top):
     for n in range(1, top + 1):
-        chi, c, gn = odd_cycle_power_coloring(i, n)
+        chi, c = odd_cycle_power_coloring(i, n)
         assert c == _reference_odd_cycle_coloring(i, n)
         assert c.palette_size == chi
-        assert gn == or_power(cycle_graph(i), n)
+        assert is_valid_coloring(or_power(cycle_graph(i), n), c)
 
 
 def test_product_composition_equals_index_loop():
@@ -502,9 +502,9 @@ def test_product_composition_equals_index_loop():
         )
         _, base = exact_chromatic_number(g)
         for n in (1, 2, 3):
-            gn, c = product_coloring(g, n)
+            c = product_coloring(g, n)
             assert c == _reference_product_coloring(g, n, base)
-            assert gn == or_power(g, n)
+            assert is_valid_coloring(or_power(g, n), c)
 
 
 def _cycle_scheme_graphs():
@@ -539,11 +539,12 @@ def test_cycle_scheme_reads_the_canonical_cycle_off_the_rows():
 
 
 def test_power_coloring_auto_takes_the_cycle_schemes():
-    assert power_coloring(cycle_graph(6), 2)[1] == even_cycle_power_coloring(3, 2)[1]
-    assert power_coloring(cycle_graph(7), 2)[1] == odd_cycle_power_coloring(7, 2)[1]
+    assert power_coloring(cycle_graph(6), 2) == even_cycle_power_coloring(3, 2)
+    assert power_coloring(cycle_graph(7), 2) == odd_cycle_power_coloring(7, 2)[1]
     for g in (cycle_graph(3), RELABELED_C5, prism_graph()):
-        c = power_coloring(g, 2)[1]
-        assert c == power_coloring(g, 2, "exact")[1]
+        c = power_coloring(g, 2)
+        assert c == power_coloring(g, 2, "exact")
+        assert is_valid_coloring(or_power(g, 2), c)
         assert c.palette_size == exact_chromatic_number(or_power(g, 2))[0]
 
 
@@ -558,14 +559,62 @@ def test_power_coloring_refuses_a_strategy_that_does_not_fit(strategy, g):
         power_coloring(g, 2, strategy)
 
 
-def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
-    # a fold that gives every vertex the same colors is no a:b coloring of C5
-    def same_colors(k):
-        return lambda b: (b, [range(b)] * (2 * k + 1))
+_WINDOWS = chromacode.coloring._odd_cycle_fold(2)
 
-    monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", same_colors)
-    with pytest.raises(ChromacodeError, match="not valid"):
-        power_coloring(cycle_graph(5), 2, "odd-cycle")
+
+def _spoiled(spoil):
+    """The windows fold of C5 with each level's (a, S) passed through `spoil`."""
+    return lambda b: spoil(*_WINDOWS(b))
+
+
+# one bad fold per clause of the check: each vertex holds b distinct colors,
+# every color lies in range(a), and adjacent vertices share none
+BAD_FOLDS = {
+    "repeated": lambda a, S: (a, [list(s[:-1]) + [s[0]] for s in S]),  # bad from b = 2 on
+    "missing": lambda a, S: (a, [list(s[1:]) for s in S]),
+    "past-a": lambda a, S: (a, [[c + a * (x == 0) for c in s] for x, s in enumerate(S)]),
+    "negative": lambda a, S: (a, [[c - a * (x == 0) for c in s] for x, s in enumerate(S)]),
+    "shared": lambda a, S: (a, [range(len(S[0]))] * len(S)),
+}
+
+
+def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
+    for spoil in BAD_FOLDS.values():
+        bad = _spoiled(spoil)
+        monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", lambda k: bad)
+        monkeypatch.setattr(chromacode.coloring, "_least_fold", lambda g, guard: bad)
+        for refused in (
+            lambda: power_coloring(cycle_graph(5), 2, "odd-cycle"),
+            lambda: power_coloring(cycle_graph(5), 2, "exact"),
+            lambda: power_chromatic_number(cycle_graph(5), 2),
+        ):
+            with pytest.raises(ChromacodeError, match=r"fold is not a valid coloring of the base graph$"):
+                refused()
+
+
+def test_fold_schemes_build_no_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("or_power called")
+
+    cases = [(g, n, s) for g, n in ((cycle_graph(5), 3), (prism_graph(), 2), (path_graph(6), 2))
+             for s in ("exact", "product")]
+    cases += [(cycle_graph(5), 3, "odd-cycle"), (cycle_graph(6), 3, "even-cycle")]
+    want = [power_coloring(g, n, s) for g, n, s in cases]
+    monkeypatch.setattr(chromacode.coloring, "or_power", refuse)
+    for (g, n, strategy), c in zip(cases, want):
+        assert power_coloring(g, n, strategy) == c
+        assert is_valid_coloring(or_power(g, n), c)
+    with pytest.raises(AssertionError, match="or_power called"):
+        power_coloring(cycle_graph(5), 2, "greedy")
+
+
+def test_exact_power_coloring_past_the_default_power_guard():
+    # C5^6 has 15 625 vertices, past the default guard of 10 000
+    with pytest.raises(GuardExceeded, match="power vertex count = 15625 exceeds guard 10000"):
+        power_coloring(cycle_graph(5), 6, "exact")
+    c = power_coloring(cycle_graph(5), 6, "exact", guard=20_000)
+    assert c.palette_size == 313 == power_chromatic_number(cycle_graph(5), 6)
+    assert is_valid_coloring(or_power(cycle_graph(5), 6, guard=20_000), c)
 
 
 def test_power_coloring_explicit_guard():
@@ -573,14 +622,15 @@ def test_power_coloring_explicit_guard():
     # solver of the base graph); one `guard=` bounds both, and without it
     # each takes its own default
     for strategy in ("exact", "product"):
-        c = power_coloring(RELABELED_C5, 2, strategy)[1]
-        assert power_coloring(RELABELED_C5, 2, strategy, guard=25)[1] == c
+        c = power_coloring(RELABELED_C5, 2, strategy)
+        assert is_valid_coloring(or_power(RELABELED_C5, 2), c)
+        assert power_coloring(RELABELED_C5, 2, strategy, guard=25) == c
         with pytest.raises(GuardExceeded, match="power vertex count = 25 exceeds guard 24"):
             power_coloring(RELABELED_C5, 2, strategy, guard=24)
         # 65 vertices: within the power default (10 000), past the exact solver's (64)
         with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 65 exceeds guard 64$"):
             power_coloring(path_graph(65), 1, strategy)
-    assert power_coloring(path_graph(65), 1, "greedy")[1].palette_size == 2
+    assert power_coloring(path_graph(65), 1, "greedy").palette_size == 2
 
 
 # -- χ of OR powers from the base graph, against oracles that build the power --
@@ -608,7 +658,9 @@ def test_power_chromatic_number_matches_the_exact_search_on_the_square():
         chi = exact_chromatic_number(or_power(g, 2))[0]
         assert power_chromatic_number(g, 1) == exact_chromatic_number(g)[0]
         assert power_chromatic_number(g, 2) == chi
-        assert power_coloring(g, 2, "exact")[1].palette_size == chi
+        c = power_coloring(g, 2, "exact")
+        assert c.palette_size == chi
+        assert is_valid_coloring(or_power(g, 2), c)
 
 
 @pytest.mark.parametrize(
@@ -618,9 +670,9 @@ def test_power_chromatic_number_matches_the_exact_search_on_the_square():
 )
 def test_exact_power_coloring_of_the_cube_has_the_least_palette(g):
     # 64 (K4^3) to 729 (C9^3) vertices, all but K4^3 past the exact search's guard
-    gn, c = power_coloring(g, 3, "exact")
+    c = power_coloring(g, 3, "exact")
     assert c.palette_size == power_chromatic_number(g, 3)
-    assert is_valid_coloring(gn, c)
+    assert is_valid_coloring(or_power(g, 3), c)
 
 
 def test_exact_power_coloring_runs_the_exact_search_on_the_base_only(monkeypatch):
@@ -633,7 +685,9 @@ def test_exact_power_coloring_runs_the_exact_search_on_the_base_only(monkeypatch
     monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number", base_only)
     for g, n in ((cycle_graph(5), 3), (prism_graph(), 2), (RELABELED_C5, 1), (make_graph("edgeless", 3), 3)):
         sizes.clear()
-        assert power_coloring(g, n, "exact")[1].palette_size == power_chromatic_number(g, n)
+        c = power_coloring(g, n, "exact")
+        assert c.palette_size == power_chromatic_number(g, n)
+        assert is_valid_coloring(or_power(g, n), c)
         assert sizes and set(sizes) == {g.vertex_count}
 
 
@@ -658,7 +712,8 @@ def test_power_chromatic_number_of_complete_graphs_and_the_prism():
 def _cover(g, b):
     """`_b_fold_cover` over the maximal independent sets of g as bitsets."""
     mis = [sum(1 << v for v in s) for s in maximal_independent_sets(g)]
-    return _b_fold_cover(g, mis, b, time.monotonic(), itertools.count(1))
+    a, S = _b_fold_cover(g, mis, b, time.monotonic(), itertools.count(1))
+    return FractionalColoring(a, b, S)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
