@@ -3,6 +3,8 @@
 Subcommands: graph, chargraph, power, color, entropy, spectral, expansion,
 simulate, reproduce.  JSON output with sorted keys.  Exit codes:
 0 pass, 1 check failure, 2 usage error, 3 guard violation.
+
+`main` builds the parser of the one subcommand its argv names, not all nine.
 """
 
 import argparse
@@ -10,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .chargraph import FunctionSpec, JointPMF, build_characteristic_graph
+from .chargraph import FunctionSpec, JointPMF, build_characteristic_graph, example1_spec
 from .codec import build_codec, roundtrip_exhaustive, simulate
 from .coloring import (
     _cycle_scheme,
@@ -40,6 +42,7 @@ from .spectral import (
     cycle_power_largest_eig,
     gershgorin,
     graph_spectrum,
+    lambda1_window,
     smallest_eig_lower_bounds,
     split_decomposition,
 )
@@ -166,10 +169,8 @@ def cmd_entropy(args):
         return 0
     if args.bound == "odd-cycle":
         res = odd_cycle_entropy_upper_bound(V // 2, args.power, guard=args.guard)
-    elif args.bound == "general":
-        res = general_entropy_upper_bound(g, args.power, guard=args.guard)
     else:
-        raise UsageError(f"unknown bound {args.bound!r}")
+        res = general_entropy_upper_bound(g, args.power, guard=args.guard)
     pmf = {str(c): str(p) for c, p in res["hi_profile"].pmf().items()}
     _emit(
         {
@@ -192,27 +193,15 @@ def cmd_spectral(args):
     gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
     if args.op == "eig":
         spec = graph_spectrum(gn)
-        _emit(
-            {
-                "eigenvalues": list(spec.values),
-                "distinct": list(spec.distinct()),
-            }
-        )
+        _emit({"eigenvalues": list(spec.values), "distinct": list(spec.distinct())})
         return 0
     if args.op == "gct":
+        # block mode takes one block per vertex of the base; scalar mode ignores block_size
+        res = gershgorin(gn.adjacency_matrix(), args.mode, block_size=g.vertex_count ** (args.power - 1))
+        out = {"intervals": [list(i) for i in res.intervals], "envelope": list(res.envelope)}
         if args.mode == "block":
-            block = g.vertex_count ** (args.power - 1)
-            res = gershgorin(gn.adjacency_matrix(), "block", block_size=block)
-            _emit(
-                {
-                    "intervals": [list(i) for i in res.intervals],
-                    "envelope": list(res.envelope),
-                    "scalar_envelope": list(res.scalar_envelope),
-                }
-            )
-        else:
-            res = gershgorin(gn.adjacency_matrix(), "scalar")
-            _emit({"intervals": [list(i) for i in res.intervals], "envelope": list(res.envelope)})
+            out["scalar_envelope"] = list(res.scalar_envelope)
+        _emit(out)
         return 0
     if args.op == "split":
         if args.power < 2:
@@ -227,24 +216,18 @@ def cmd_spectral(args):
             }
         )
         return 0
-    if args.op == "bounds":
-        report = chromatic_bounds_spectral(
-            args.variant,
-            g=g,
-            n=args.power,
-            V=g.vertex_count,
-            power=gn if args.power > 1 else None,
-        )
-        _emit(
-            {
-                "variant": report.variant,
-                "lower": report.lower,
-                "upper": report.upper,
-                "details": {k: str(v) for k, v in report.details.items()},
-            }
-        )
-        return 0
-    raise UsageError(f"unknown spectral op {args.op!r}")
+    report = chromatic_bounds_spectral(
+        args.variant, g=g, n=args.power, V=g.vertex_count, power=gn if args.power > 1 else None
+    )
+    _emit(
+        {
+            "variant": report.variant,
+            "lower": report.lower,
+            "upper": report.upper,
+            "details": {k: str(v) for k, v in report.details.items()},
+        }
+    )
+    return 0
 
 
 def cmd_expansion(args):
@@ -311,8 +294,6 @@ def cmd_simulate(args):
 
 
 def _rows_example1():
-    from .chargraph import example1_spec
-
     spec, pmf = example1_spec()
     g1 = build_characteristic_graph(spec, pmf, 1)
     g2 = build_characteristic_graph(spec, pmf, 2)
@@ -408,8 +389,6 @@ def _rows_example5(tol):
     g2 = or_power(af1, 2)
     block = gershgorin(g2.adjacency_matrix(), "block", block_size=5)
     rows.append(("example5", "block GCT envelope", (-18.0, 18.0), block.scalar_envelope, tol))
-    from .spectral import lambda1_window
-
     w = lambda1_window(af1, 2, power=g2)
     rows.append(("example5", "lambda_1 window", (12.0, 18.0), tuple(map(float, w["window"])), tol))
     rows.append(("example5", "refined lambda_1 window", (12.0, 15.0), tuple(map(float, w["refined"])), tol))
@@ -467,64 +446,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser():
-    p = _Parser(prog="chromacode", description=__doc__)
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _graph_options(sp, power=True):
+    sp.add_argument("--graph", help="graph JSON file")
+    sp.add_argument("--kind", choices=["cycle", "complete", "path", "edgeless", "custom"])
+    sp.add_argument("--size", type=int)
+    sp.add_argument("--edges", help='custom edges as "0-1,1-2"')
+    sp.add_argument("--guard", type=int, help="instance size guard override")
+    if power:
+        sp.add_argument("--power", type=int, default=1)
 
-    def common(sp, power=True):
-        sp.add_argument("--graph", help="graph JSON file")
-        sp.add_argument("--kind", choices=["cycle", "complete", "path", "edgeless", "custom"])
-        sp.add_argument("--size", type=int)
-        sp.add_argument("--edges", help='custom edges as "0-1,1-2"')
-        sp.add_argument("--guard", type=int, help="instance size guard override")
-        if power:
-            sp.add_argument("--power", type=int, default=1)
 
-    sp = sub.add_parser("graph", help="construct and emit a graph")
-    common(sp, power=False)
-    sp.set_defaults(func=cmd_graph)
-
-    sp = sub.add_parser("chargraph", help="build a characteristic graph")
+def _chargraph_options(sp):
     sp.add_argument("--spec", required=True)
     sp.add_argument("--pmf", required=True, help='PMF JSON file or "uniform"')
     sp.add_argument("--source", type=int, choices=[1, 2], default=1)
-    sp.set_defaults(func=cmd_chargraph)
 
-    sp = sub.add_parser("power", help="n-fold OR power")
-    common(sp)
-    sp.set_defaults(func=cmd_power)
 
-    sp = sub.add_parser("color", help="color a graph or its power")
-    common(sp)
+def _color_options(sp):
+    _graph_options(sp)
     sp.add_argument(
         "--scheme",
         choices=["exact", "greedy", "even-cycle", "odd-cycle", "fractional"],
         default="exact",
     )
     sp.add_argument("--fold", type=int, default=1, help="b for the fractional scheme")
-    sp.set_defaults(func=cmd_color)
 
-    sp = sub.add_parser("entropy", help="entropy bounds")
-    common(sp)
+
+def _entropy_options(sp):
+    _graph_options(sp)
     sp.add_argument("--bound", choices=["brute", "odd-cycle", "general", "fractional"], required=True)
-    sp.set_defaults(func=cmd_entropy)
 
-    sp = sub.add_parser("spectral", help="spectra, GCT, split, bounds")
-    common(sp)
+
+def _spectral_options(sp):
+    _graph_options(sp)
     sp.add_argument("--op", choices=["eig", "gct", "split", "bounds"], required=True)
     sp.add_argument("--mode", choices=["scalar", "block"], default="scalar")
     sp.add_argument("--variant", choices=list(BOUND_VARIANTS), default="hoffman-direct")
-    sp.set_defaults(func=cmd_spectral)
 
-    sp = sub.add_parser("expansion", help="expansion rates and bounds")
-    common(sp)
+
+def _expansion_options(sp):
+    _graph_options(sp)
     sp.add_argument("--subset", help='comma-separated vertex ids, e.g. "0,1,2"')
     sp.add_argument("--sample", type=int, help="sample a subset of this size")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_expansion)
 
-    sp = sub.add_parser("simulate", help="end-to-end codec simulation")
+
+def _simulate_options(sp):
     sp.add_argument("--spec", required=True)
     sp.add_argument("--pmf", required=True)
     sp.add_argument("--n", type=int, default=1)
@@ -532,18 +499,47 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--strategy", default="auto")
     sp.add_argument("--guard", type=int)
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("reproduce", help="run the golden example suite")
+
+def _reproduce_options(sp):
     sp.add_argument("--case", default="all")
     sp.add_argument("--tol", type=float, default=5e-3)
-    sp.set_defaults(func=cmd_reproduce)
+
+
+# name -> (help, handler, the function that adds its options), in --help order
+COMMANDS = {
+    "graph": ("construct and emit a graph", cmd_graph, lambda sp: _graph_options(sp, power=False)),
+    "chargraph": ("build a characteristic graph", cmd_chargraph, _chargraph_options),
+    "power": ("n-fold OR power", cmd_power, _graph_options),
+    "color": ("color a graph or its power", cmd_color, _color_options),
+    "entropy": ("entropy bounds", cmd_entropy, _entropy_options),
+    "spectral": ("spectra, GCT, split, bounds", cmd_spectral, _spectral_options),
+    "expansion": ("expansion rates and bounds", cmd_expansion, _expansion_options),
+    "simulate": ("end-to-end codec simulation", cmd_simulate, _simulate_options),
+    "reproduce": ("run the golden example suite", cmd_reproduce, _reproduce_options),
+}
+
+
+def build_parser(only=None):
+    """The parser of every command, or of the command `only` alone."""
+    # --help shows the module docstring but for its last paragraph, which is about the code
+    p = _Parser(prog="chromacode", description=__doc__.rsplit("\n\n", 1)[0])
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, handler, add_options) in COMMANDS.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, help=help_)
+            add_options(sp)
+            sp.set_defaults(func=handler)
     return p
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command's parser alone; -h, --version and no or an unknown command get all nine
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(only).parse_args(argv)
         if getattr(args, "power", 1) < 1:
             raise UsageError("--power must be >= 1")
         return args.func(args)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import pytest
 import chromacode.cli
 import chromacode.coloring
 from chromacode import FunctionSpec, GuardExceeded, JointPMF, example1_spec
-from chromacode.cli import main
+from chromacode.cli import COMMANDS, build_parser, main
+from chromacode.errors import UsageError
 from chromacode.spectral import brigham_bound, smallest_eig_lower_bounds
 
 
@@ -750,3 +753,137 @@ def test_usage_errors_print_one_json_object(capsys, argv, detail):
     err = _usage_error(capsys, argv).strip().splitlines()
     assert len(err) == 1
     assert detail in json.loads(err[0])["detail"]
+
+
+# per command: a valid argv, one with a value outside an option's choices
+# (None: the command has no option with choices) and one with a malformed number
+PARSER_CASES = {
+    "graph": (
+        ["graph", "--kind", "cycle", "--size", "5"],
+        ["graph", "--kind", "hex"],
+        ["graph", "--size", "1.5"],
+    ),
+    "chargraph": (
+        ["chargraph", "--spec", "f.json", "--pmf", "uniform", "--source", "2"],
+        ["chargraph", "--spec", "f.json", "--pmf", "uniform", "--source", "3"],
+        ["chargraph", "--spec", "f.json", "--pmf", "uniform", "--source", "x"],
+    ),
+    "power": (
+        ["power", "--kind", "path", "--size", "3", "--power", "2"],
+        ["power", "--kind", "x"],
+        ["power", "--power", "x"],
+    ),
+    "color": (
+        ["color", "--kind", "cycle", "--size", "5", "--scheme", "greedy"],
+        ["color", "--scheme", "x"],
+        ["color", "--fold", "2.5"],
+    ),
+    "entropy": (
+        ["entropy", "--bound", "general", "--guard", "9"],
+        ["entropy", "--bound", "x"],
+        ["entropy", "--bound", "brute", "--power", "x"],
+    ),
+    "spectral": (
+        ["spectral", "--op", "gct", "--mode", "block", "--variant", "degree"],
+        ["spectral", "--op", "eig", "--variant", "x"],
+        ["spectral", "--op", "eig", "--size", "x"],
+    ),
+    "expansion": (
+        ["expansion", "--subset", "0,1", "--seed", "3"],
+        ["expansion", "--kind", "x"],
+        ["expansion", "--sample", "x"],
+    ),
+    "simulate": (
+        ["simulate", "--spec", "f.json", "--pmf", "p.json", "--n", "2"],
+        None,
+        ["simulate", "--spec", "f.json", "--pmf", "p.json", "--samples", "1e4"],
+    ),
+    "reproduce": (
+        ["reproduce", "--case", "example1", "--tol", "0.1"],
+        None,
+        ["reproduce", "--tol", "x"],
+    ),
+}
+
+
+def _parse_error(parser, argv):
+    with pytest.raises(UsageError) as exc:
+        parser.parse_args(argv)
+    return str(exc.value)
+
+
+def test_parser_cases_cover_every_command():
+    assert list(PARSER_CASES) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(PARSER_CASES))
+def test_one_command_parser_parses_like_the_full_parser(capsys, name):
+    valid, bad_choice, bad_number = PARSER_CASES[name]
+    full, alone = build_parser(), build_parser(only=name)
+    helps = []
+    for parser in (full, alone):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([name, "-h"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: chromacode {name} ")
+    assert full.parse_args(valid) == alone.parse_args(valid)
+    faults = {
+        "unknown flag": (valid + ["--bogus"], "unrecognized arguments: --bogus"),
+        "malformed number": (bad_number, "invalid "),
+        "stray positional": (valid + ["stray"], "unrecognized arguments: stray"),
+    }
+    if bad_choice is not None:
+        faults["bad choice"] = (bad_choice, "invalid choice: ")
+    for fault, (argv, detail) in faults.items():
+        error = _parse_error(alone, argv)
+        assert error == _parse_error(full, argv), fault
+        assert detail in error, fault
+
+
+@pytest.fixture()
+def registered(monkeypatch):
+    """The names of the subparsers registered while the test runs."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return names
+
+
+def test_a_named_command_registers_its_parser_alone(capsys, registered):
+    assert main(["reproduce", "--case", "example1"]) == 0
+    assert registered == ["reproduce"]
+
+
+def test_the_console_script_path_registers_the_named_command_alone(capsys, monkeypatch, registered):
+    monkeypatch.setattr(sys, "argv", ["chromacode", "reproduce", "--case", "example1"])
+    assert main() == 0
+    assert capsys.readouterr().out.endswith("PASS: 0 failing check(s)\n")
+    assert registered == ["reproduce"]
+
+
+def test_help_registers_every_command(capsys, registered):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert registered == list(COMMANDS)
+    out = capsys.readouterr().out
+    assert all(name in out for name in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv,detail",
+    [([], "the following arguments are required: command"), (["nosuch"], "invalid choice: 'nosuch'")],
+    ids=["no-command", "unknown-command"],
+)
+def test_no_or_an_unknown_command_registers_every_command(capsys, registered, argv, detail):
+    err = _usage_error(capsys, argv).strip().splitlines()
+    assert len(err) == 1
+    assert detail in json.loads(err[0])["detail"]
+    assert registered == list(COMMANDS)
