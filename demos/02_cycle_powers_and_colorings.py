@@ -14,9 +14,9 @@ from chromacode import (
     even_cycle_power_coloring,
     exact_chromatic_number,
     fractional_chromatic_cycle,
-    odd_cycle_chi,
     odd_cycle_power_coloring,
     or_power,
+    power_chromatic_number,
 )
 
 # --- the power construction ---------------------------------------------------
@@ -25,7 +25,7 @@ print("C5^2:", g2.vertex_count, "vertices,", g2.edge_count, "edges,",
       "degree", g2.degree(0), "(regular)")
 
 # --- odd cycles: the chi recursion, confirmed exactly for small n --------------
-seq = [odd_cycle_chi(m) for m in range(1, 7)]
+seq = [power_chromatic_number(cycle_graph(5), m) for m in range(1, 7)]
 print("\nchi(C5^n), n = 1..6:", seq)
 for n in (1, 2):
     chi, _ = exact_chromatic_number(or_power(cycle_graph(5), n))

@@ -35,7 +35,6 @@ from .coloring import (
     greedy_coloring,
     is_valid_b_fold,
     is_valid_coloring,
-    odd_cycle_chi,
     odd_cycle_power_coloring,
     power_chromatic_number,
     power_coloring,

@@ -18,8 +18,8 @@ from .coloring import (
     _cycle_scheme,
     check_strategy,
     fractional_chromatic_cycle,
+    greedy_coloring,
     is_valid_coloring,
-    odd_cycle_chi,
     odd_cycle_power_coloring,
     power_chromatic_number,
     power_coloring,
@@ -32,7 +32,7 @@ from .entropy import (
     huffman_code,
     odd_cycle_entropy_upper_bound,
 )
-from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, load_json, resolve_guard
+from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard, load_json
 from .expansion import expansion_bounds, expansion_rate
 from .graphs import Graph, make_graph
 from .orpower import POWER_GUARD_DEFAULT, check_power_guard, or_power
@@ -46,11 +46,6 @@ from .spectral import (
     smallest_eig_lower_bounds,
     split_decomposition,
 )
-
-
-# χ(C_{2k+1}^n) <= 3^n, and 3^9000 has 4295 digits: up to this power the
-# recursion's χ prints within Python's 4300-digit limit on int-to-str
-ODD_CYCLE_CHI_MAX_POWER = 9000
 
 
 def _emit(obj):
@@ -138,15 +133,13 @@ def cmd_color(args):
     try:
         check_power_guard(g.vertex_count, n, args.guard)
     except GuardExceeded:
-        # past the power guard the schemes whose palette is χ still know it: `exact` from
-        # the base graph, one level per n up to the exponent guard, `odd-cycle` by its recursion
-        if strategy == "exact" and n <= resolve_guard(args.guard, POWER_GUARD_DEFAULT).bit_length():
-            chi = power_chromatic_number(g, n)
-        elif strategy == "odd-cycle" and n <= ODD_CYCLE_CHI_MAX_POWER:
-            chi = odd_cycle_chi(n, g.vertex_count // 2)
-        else:
+        # `exact` and `odd-cycle` compose `_least_fold`, so past the power guard their χ comes
+        # from the base graph while χ(G^n) <= c^n, c the first-fit palette, prints within
+        # Python's 4 300 digits (n > 14 300 fails first, 2^14300 > 10^4300: no c^n is written)
+        most = max(2, greedy_coloring(g).palette_size)
+        if strategy not in ("exact", "odd-cycle") or n > 14_300 or most**n >= 10**4300:
             raise
-        _emit({"chi": chi})
+        _emit({"chi": power_chromatic_number(g, n)})
         return 0
     c = power_coloring(g, n, strategy, guard=args.guard)
     _emit({"chi": c.palette_size, **c.to_dict()})
@@ -340,10 +333,12 @@ def _rows_example4():
 
 
 def _rows_appendix_b():
-    c5, seq = make_graph("cycle", 5), [odd_cycle_chi(m) for m in range(1, 7)]
+    c5 = make_graph("cycle", 5)
+    seq = [power_chromatic_number(c5, m) for m in range(1, 7)]
     rows = [("appendixB", "chi(C5^n) n=1..6", [3, 8, 20, 50, 125, 313], seq, 0)]
+    pentagram = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])  # C5 relabeled: searched, no windows
     for n in (1, 2):
-        chi = power_chromatic_number(c5, n)
+        chi = power_chromatic_number(pentagram, n)
         rows.append(("appendixB", f"exact chi(C5^{n})", seq[n - 1], chi, 0))
     chi20, c = odd_cycle_power_coloring(5, 3)
     rows.append(("appendixB", "C5^3 scheme colors", 20, chi20, 0))

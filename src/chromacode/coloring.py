@@ -5,14 +5,15 @@ The OR power is the lexicographic product G^n = G[G^{n-1}], so an a:b
 coloring of the base (b colors per vertex, disjoint on edges) composed with a
 b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion in plain Python on a *fold*: a
-function of b giving (a, per-vertex b-sequences).  The even-cycle (parity),
-odd-cycle (windows, χ' = 2χ + ⌈χ/k⌉, Stahl 1976) and product schemes are
-folds; so are the least a:b colorings (`_least_fold`, covers by maximal
-independent sets), which give χ (`power_chromatic_number`) and the `exact`
-coloring of G^n with no search on the power.  One dispatcher, `power_coloring`,
-picks a strategy (`auto`: the cycle scheme on a canonical cycle, else exact;
-`check_strategy`); every fold is checked level by level on the base graph
-(`_checked`), so no power is built but for `greedy`, which has no fold.
+function of b giving (a, per-vertex b-sequences).  `_least_fold` gives the
+least a:b colorings: the windows on a canonical odd cycle (Stahl 1976), else
+searched levels up to a period N with a_N = N·max(ω, V/α), past which each
+level is arithmetic.  Its palettes are χ(G^n) at every n
+(`power_chromatic_number`); it is the `exact` and `odd-cycle` coloring, and
+the even-cycle parity and product schemes are folds too.  One dispatcher,
+`power_coloring`, picks a strategy (`auto`: the cycle scheme on a canonical
+cycle, else exact; `check_strategy`); every fold is checked level by level on
+the base graph (`_checked`), so no power is built but for `greedy`.
 """
 
 import itertools
@@ -27,8 +28,8 @@ from .orpower import POWER_GUARD_DEFAULT, check_power_guard, or_power
 
 CHI_GUARD_DEFAULT = 64
 CHI_TIMEOUT_DEFAULT = 60.0
-# search nodes of one `_least_fold` (one χ or `exact` call), over all its levels: about
-# 3.3 per cover set on C5, so C5^12 (255 k nodes) is answered and C5^13 refused
+# cover search nodes of one `_least_fold` (one χ or `exact` call), over all the levels it
+# searches: C5 plus an isolated vertex, no level of which meets the bound, pops 172 918 for χ(G^5)
 COVER_NODES = 500_000
 
 
@@ -256,52 +257,78 @@ def _vector_fold(base):
 
 
 def _least_fold(g, guard):
-    """The least a:b colorings of g: the exact witness (under `guard`) at b = 1, else a
-    `_b_fold_cover` of the MIS, listed on the first b > 1; one clock and count span all calls."""
-    start, nodes, mis = time.monotonic(), itertools.count(1), []
+    """The least a:b colorings of g: fold(b, sequences=True) -> (a, S), S None unless asked.
 
-    def fold(b):
+    The windows on a canonical odd cycle (`_odd_cycle_fold`).  Else level 1 is the exact
+    witness under `guard`, closing (N = 1) if χ = ω; levels 2, 3, ... up to the denominator of
+    max(ω, V/α), the least N that can meet a_N = N·max(ω, V/α), are `_b_fold_cover`s of the
+    maximal independent sets, listed once.  χ_b is subadditive and at least ⌈b·a_N/N⌉, so past
+    a met N level b = qN + r is q copies of level N on disjoint palettes and level r when that
+    makes ⌈b·a_N/N⌉ colors; other levels are searched.  Each search is checked (`_checked`),
+    and one clock and one node count span them all.
+    """
+    if _cycle_scheme(g) == "odd-cycle":
+        return _odd_cycle_fold(g.vertex_count // 2)
+    V, start, nodes, mis = g.vertex_count, time.monotonic(), itertools.count(1), []
+    levels, N, ratio = [(0, [()] * V)], None, None  # levels 0, 1, ..., the N met, max(ω, V/α)
+
+    def search(b):
         if b == 1:
             chi, c = exact_chromatic_number(g, guard)
             return chi, [(x,) for x in c.assignment]
-        if not mis:
+        return _b_fold_cover(g, mis, b, start, nodes)
+
+    search = _checked(g, search)
+
+    def fold(b, sequences=True):
+        nonlocal N, ratio
+        if len(levels) == 1:
+            levels.append(search(1))
+            ratio = _max_clique_size(g._rows, (1 << V) - 1)
+            N = 1 if levels[1][0] == ratio else None
+        if b > 1 and not N and not mis:
             mis.extend(sum(1 << v for v in s) for s in maximal_independent_sets(g))
             mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
-        return _b_fold_cover(g, mis, b, start, nodes)
+            ratio = max(ratio, Fraction(V, mis[-1].bit_count()))
+        while not N and len(levels) <= min(b, ratio.denominator):
+            levels.append(search(m := len(levels)))
+            N = m if levels[m][0] == m * ratio else None
+        if b < len(levels):
+            return levels[b]
+        if N:
+            q, r = divmod(b, N)
+            (aN, SN), (ar, Sr) = levels[N], levels[r]
+            if q * aN + ar == -(-b * aN // N):
+                S = sequences and [[c + i * aN for i in range(q) for c in s] + [c + q * aN for c in t]
+                                   for s, t in zip(SN, Sr)]
+                return q * aN + ar, S or None
+        return search(b)
 
     return fold
 
 
-def _odd_cycle_windows(k, b):
-    """(a, starts) of the a:b window coloring of C_{2k+1}: vertex x gets the
-    b colors starts[x], ..., starts[x] + b - 1 (mod a), and a = 2b + ⌈b/k⌉
-    is the least a with a/b >= (2k+1)/k (Stahl 1976).
-
-    The 2k+1 steps from one start to the next, the closing step included,
-    are each b + e with 0 <= e <= a - 2b and sum to the least multiple of a
-    that is at least (2k+1)b; the extra colors go to the closing step first,
-    then to the last steps.
-    """
-    a = 2 * b + -(-b // k)
-    extra = a - 2 * b
-    spare = -(2 * k + 1) * b % a
-    steps = []
-    for _ in range(2 * k + 1):
-        steps.append(b + min(extra, spare))
-        spare -= steps[-1] - b
-    starts = [0]
-    for step in reversed(steps[1:]):  # the extras sit on the last steps
-        starts.append((starts[-1] + step) % a)
-    return a, starts
-
-
 def _odd_cycle_fold(k):
-    """Windows of `_odd_cycle_windows` on C_{2k+1}: χ' = 2χ + ⌈χ/k⌉ colors."""
+    """The a:b window colorings of C_{2k+1}: fold(b, sequences=True) -> (a, S), S None unless
+    asked.  Vertex x gets the b colors starts[x], ..., starts[x] + b - 1 (mod a), and
+    a = 2b + ⌈b/k⌉ is the least a with a/b >= (2k+1)/k (Stahl 1976); at b = 1, the
+    3-coloring (0, 1, 0, ..., 1, 2).
 
-    def fold(b):
-        if b == 1:  # the 3-coloring (0, 1, 0, ..., 1, 2), not the 3:1 windows
+    The 2k+1 steps from one start to the next, the closing step included, are each b + e
+    with 0 <= e <= a - 2b and sum to the least multiple of a that is at least (2k+1)b; the
+    extra colors go to the closing step first, then to the last steps.
+    """
+
+    def fold(b, sequences=True):
+        a = 2 * b + -(-b // k)
+        if not sequences:
+            return a, None
+        if b == 1:
             return 3, [(v % 2,) for v in range(2 * k)] + [(2,)]
-        a, starts = _odd_cycle_windows(k, b)
+        extra, spare, steps = a - 2 * b, -(2 * k + 1) * b % a, []
+        for _ in range(2 * k + 1):
+            steps.append(b + min(extra, spare))
+            spare -= steps[-1] - b
+        starts = itertools.accumulate(reversed(steps[1:]), lambda s, t: (s + t) % a, initial=0)
         return a, [[(s + t) % a for t in range(b)] for s in starts]
 
     return fold
@@ -341,17 +368,15 @@ def power_coloring(g, n, strategy="auto", guard=None):
     power first-fit; the others compose their fold of the base (module
     docstring), each level checked on the base graph (`_checked`), and build no
     power.  `guard` bounds the V^n colors listed, checked first whatever the
-    strategy, and the exact solver on the base; `exact`'s covers are held to
-    the MIS guard, COVER_NODES and the clock.
+    strategy, and the exact solver on the base; `exact`'s searched covers are
+    held to the MIS guard, COVER_NODES and the clock.
     """
     strategy = check_strategy(strategy, g)
     if strategy == "greedy":
         return greedy_coloring(or_power(g, n, guard=guard))
     check_power_guard(g.vertex_count, n, guard)
-    if strategy == "exact":
+    if strategy in ("exact", "odd-cycle"):
         fold = _least_fold(g, guard)
-    elif strategy == "odd-cycle":
-        fold = _odd_cycle_fold(g.vertex_count // 2)
     elif strategy == "even-cycle":
         fold = _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)]))
     elif strategy == "product":
@@ -360,13 +385,13 @@ def power_coloring(g, n, strategy="auto", guard=None):
 
 
 def power_chromatic_number(g, n):
-    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the palettes of `_least_fold`, from b = 1,
-    each level checked (`_checked`)."""
+    """χ(G^n) = χ_b(G), b = χ(G^{n-1}): the palettes of `_least_fold` from b = 1, with no
+    sequences built past the levels it searches, each of them checked."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    fold, b = _checked(g, _least_fold(g, None)), 1
+    fold, b = _least_fold(g, None), 1
     for _ in range(n):
-        b = fold(b)[0]
+        b = fold(b, False)[0]
     return b
 
 
@@ -412,35 +437,15 @@ def even_cycle_power_coloring(k, n, guard=None):
     return power_coloring(make_graph("cycle", 2 * k), n, "even-cycle", guard)
 
 
-def odd_cycle_chi(n, k=2):
-    """χ(C_{2k+1}^n) by the recursion χ' = 2χ + ⌈χ/k⌉, χ(C)=3, holding one
-    value at a time.
-
-    χ(G[H]) = χ_b(G) with b = χ(H) (Geller & Stahl 1975), and
-    χ_b(C_{2k+1}) = 2b + ⌈b/k⌉ (Stahl 1976); at k = 2 this is the C5
-    recursion 2χ + ⌈χ/2⌉.
-    """
-    if k < 2 or n < 1:
-        raise UsageError("n must be >= 1 and k >= 2 (C_{2k+1} with at least 5 vertices)")
-    chi = 3
-    for _ in range(n - 1):
-        chi = _odd_cycle_windows(k, chi)[0]
-    return chi
-
-
 def odd_cycle_power_coloring(i, n, guard=None):
-    """Recursive window coloring of C_i^n (i = 2k+1, k >= 2).
-
-    Returns (chi, coloring): chi follows the 2χ+⌈χ/k⌉ recursion, and the
-    coloring (the `odd-cycle` strategy of `power_coloring`, palette chi)
-    gives each sub-graph block a window of the previous level's χ colors out
-    of the next χ.  The coloring is None past the guard.
-    """
+    """(χ(C_i^n), its window coloring) for odd i = 2k+1 >= 5: `power_chromatic_number` and
+    the `odd-cycle` strategy of `power_coloring`, the coloring None past the guard."""
     if i < 5 or i % 2 == 0:
         raise UsageError("odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)")
-    chi = odd_cycle_chi(n, i // 2)  # refuses n < 1
+    g = make_graph("cycle", i)
+    chi = power_chromatic_number(g, n)  # refuses n < 1
     try:
-        return chi, power_coloring(make_graph("cycle", i), n, "odd-cycle", guard)
+        return chi, power_coloring(g, n, "odd-cycle", guard)
     except GuardExceeded:
         return chi, None
 

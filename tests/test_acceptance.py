@@ -39,16 +39,16 @@ from chromacode import (
     is_valid_coloring,
     jacobi_eigenvalues,
     lambda1_window,
-    odd_cycle_chi,
     odd_cycle_entropy_upper_bound,
     or_power,
     or_power_degree,
     path_graph,
+    power_chromatic_number,
     prism_graph,
     roundtrip_exhaustive,
     simulate,
 )
-from test_coloring import b_fold_coloring_search
+from test_coloring import b_fold_coloring_search, stahl_chi
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -57,7 +57,8 @@ AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
 
 def test_criterion_1_chi_sequence():
-    assert [odd_cycle_chi(m) for m in range(1, 7)] == [3, 8, 20, 50, 125, 313]
+    seq = [power_chromatic_number(cycle_graph(5), m) for m in range(1, 7)]
+    assert seq == [stahl_chi(m) for m in range(1, 7)] == [3, 8, 20, 50, 125, 313]
 
 
 @pytest.mark.parametrize("n,chi", [(1, 3), (2, 8)])
@@ -437,7 +438,7 @@ def test_criterion_10_degree_formulas(g, family, d, n):
 
 def test_trend_gain_grows_with_n():
     # the palette gain 3^n / χ(C5^n) over the per-coordinate 3-coloring
-    gains = [Fraction(3**n, odd_cycle_chi(n)) for n in range(1, 7)]
+    gains = [Fraction(3**n, power_chromatic_number(cycle_graph(5), n)) for n in range(1, 7)]
     assert all(b > a for a, b in zip(gains, gains[1:]))
     assert gains[-1] > Fraction(2)
 

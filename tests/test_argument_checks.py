@@ -33,7 +33,6 @@ from chromacode import (
     is_valid_b_fold,
     is_valid_coloring,
     lambda1_window,
-    odd_cycle_chi,
     odd_cycle_entropy_upper_bound,
     odd_cycle_power_coloring,
     or_power,
@@ -83,9 +82,8 @@ CASES = {
         "odd cycle scheme needs odd i >= 5 (C3 is complete: chi=3^n)",
     ),
     "odd-cycle-n": (lambda: odd_cycle_power_coloring(5, 0), "n must be >= 1"),
-    "odd-cycle-chi-n0": (lambda: odd_cycle_chi(0), "n must be >= 1"),
-    "odd-cycle-chi-n-negative": (lambda: odd_cycle_chi(-3), "n must be >= 1"),
     "power-chi-n": (lambda: power_chromatic_number(C5, 0), "n must be >= 1"),
+    "power-chi-n-negative": (lambda: power_chromatic_number(C5, -3), "n must be >= 1"),
     "fractional-cycle-b": (lambda: fractional_chromatic_cycle(2, 0), "need k >= 2 and b >= 1"),
     "brute-pmf-sum": (
         lambda: chromatic_entropy_bruteforce(C5, [Fraction(1, 5)] * 4 + [Fraction(1, 10)]),

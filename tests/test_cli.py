@@ -129,15 +129,21 @@ def test_color_exact_past_the_exact_search_guard(capsys):
     "argv,rc,out",
     [
         (["--size", "5", "--power", "6", "--scheme", "exact"], 0, {"chi": 313}),
-        (["--size", "5", "--power", "15", "--scheme", "exact"], 3, None),
+        (["--size", "5", "--power", "15", "--scheme", "exact"], 0, {"chi": 1195125}),
+        (["--size", "5", "--power", "13", "--scheme", "exact"], 0, {"chi": 191220}),
+        (["--size", "5", "--power", "13", "--scheme", "odd-cycle"], 0, {"chi": 191220}),
+        (["--size", "101", "--power", "3", "--scheme", "exact"], 0, {"chi": 15}),
+        (["--size", "5", "--power", "9013", "--scheme", "exact"], 3, None),
         (["--size", "6", "--power", "6", "--scheme", "even-cycle"], 3, None),
         (["--size", "5", "--power", "6", "--scheme", "greedy"], 3, None),
     ],
-    ids=["exact-C5^6", "exact-past-the-exponent-guard", "even-cycle-C6^6", "greedy-C5^6"],
+    ids=["exact-C5^6", "exact-past-the-exponent-guard", "exact-C5^13", "odd-cycle-C5^13",
+         "exact-C101^3", "exact-past-the-digit-bound", "even-cycle-C6^6", "greedy-C5^6"],
 )
 def test_color_past_the_power_guard(capsys, argv, rc, out):
-    # past the power guard, `exact` prints χ from the base graph while n is
-    # within the exponent guard; schemes whose palette is not χ exit 3
+    # past the power guard, `exact` and `odd-cycle` print χ from the base graph
+    # while χ(G)^n has at most 4 300 digits (3^9012 does, 3^9013 does not);
+    # schemes whose palette is not χ exit 3
     got = main(["color", "--kind", "cycle", *argv])
     stdout, stderr = capsys.readouterr()
     assert got == rc
@@ -149,12 +155,32 @@ def test_color_past_the_power_guard(capsys, argv, rc, out):
 
 
 def test_color_exact_past_the_power_guard_keeps_the_mis_guard(capsys):
-    # P25^3 (15 625 vertices) is past the power guard; χ from the base needs
-    # the maximal independent sets of P25, past their 24-vertex guard
-    rc = main(["color", "--kind", "path", "--size", "25", "--power", "3", "--scheme", "exact"])
+    # C25 relabeled (i joined to i ± 2) is no canonical cycle, and its cube (15 625
+    # vertices) is past the power guard; χ from the base needs the maximal
+    # independent sets of C25 (χ 3 > ω 2), past their 24-vertex guard
+    edges = ",".join(f"{i}-{(i + 2) % 25}" for i in range(25))
+    rc = main(["color", "--kind", "custom", "--size", "25", "--edges", edges, "--power", "3", "--scheme", "exact"])
     err = json.loads(capsys.readouterr().err)
     assert rc == 3
     assert (err["error"], err["what"], err["size"], err["limit"]) == ("guard", "vertex count", 25, 24)
+    # P25 is bipartite: χ = ω, so no set is listed and P25^3 is answered
+    assert run(capsys, "color", "--kind", "path", "--size", "25", "--power", "3", "--scheme", "exact") == (0, '{"chi": 8}')
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [(["--kind", "cycle", "--size", "5", "--power", str(10**6)], 10**6),
+     (["--kind", "complete", "--size", "24", "--power", "9000"], 9000)],
+    ids=["C5^1000000", "K24^9000"],
+)
+def test_color_exact_past_the_digit_bound_exits_3_at_once(capsys, argv, size):
+    # χ(G^n) <= χ(G)^n: n is refused before any level runs when that has more than 4 300 digits
+    start = time.perf_counter()
+    rc = main(["color", *argv, "--scheme", "exact"])
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3
+    assert (err["error"], err["size"], err["limit"]) == ("guard", size, 14)
 
 
 def test_color_odd_cycle_power(capsys):
@@ -376,7 +402,7 @@ def test_unreadable_input_file_is_usage_error(ex1_files, tmp_path, capsys, which
 @pytest.mark.parametrize("command", ["power", "color"])
 def test_power_far_past_the_guard_is_a_guard_error(capsys, command, power):
     argv = [command, "--kind", "cycle", "--size", "5", "--power", str(power)]
-    rc = main(argv + (["--scheme", "exact"] if command == "color" else []))
+    rc = main(argv + (["--scheme", "greedy"] if command == "color" else []))
     err = json.loads(capsys.readouterr().err)
     assert rc == 3
     # V^n >= 2^n: the exponent is compared with the bit length of the guard

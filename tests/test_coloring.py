@@ -27,7 +27,6 @@ from chromacode import (
     is_valid_coloring,
     make_graph,
     maximal_independent_sets,
-    odd_cycle_chi,
     odd_cycle_power_coloring,
     or_power,
     path_graph,
@@ -215,8 +214,14 @@ def test_exact_chi_matches_brute_force_where_memo_decides(seed):
     assert is_valid_coloring(g, c)
 
 
+def _stride_two_cycle(V):
+    """C_V, odd V >= 5, with vertex i joined to i ± 2 mod V: isomorphic to cycle_graph(V) but
+    not equal, so no cycle scheme fits it and `_least_fold` searches its levels."""
+    return Graph.from_edges(V, [(i, (i + 2) % V) for i in range(V)])
+
+
 # C5 with its vertices relabeled: isomorphic to cycle_graph(5) but not equal
-RELABELED_C5 = Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+RELABELED_C5 = _stride_two_cycle(5)
 
 
 @pytest.mark.parametrize(
@@ -239,8 +244,18 @@ def test_exact_chi_of_squares(base, chi):
     assert is_valid_coloring(g, c)
 
 
+def stahl_chi(n, k=2):
+    """χ(C_{2k+1}^n) by the recursion χ' = 2χ + ⌈χ/k⌉ from χ(C_{2k+1}) = 3: χ(G[H]) = χ_b(G)
+    with b = χ(H) (Geller & Stahl 1975) and χ_b(C_{2k+1}) = 2b + ⌈b/k⌉ (Stahl 1976)."""
+    chi = 3
+    for _ in range(n - 1):
+        chi = 2 * chi + -(-chi // k)
+    return chi
+
+
 def test_odd_cycle_chi_sequence():
-    assert [odd_cycle_chi(m) for m in range(1, 7)] == [3, 8, 20, 50, 125, 313]
+    seq = [power_chromatic_number(cycle_graph(5), m) for m in range(1, 7)]
+    assert seq == [stahl_chi(m) for m in range(1, 7)] == [3, 8, 20, 50, 125, 313]
 
 
 @pytest.mark.parametrize("k,n,chi", [(2, 2, 4), (2, 3, 8), (3, 2, 4)])
@@ -266,7 +281,7 @@ def test_odd_cycle_power_coloring_valid(i, n):
 @pytest.mark.parametrize("i,n,chi", [(7, 2, 7), (9, 2, 7), (11, 2, 7), (7, 3, 17)])
 def test_odd_cycle_power_coloring_is_tight_for_longer_cycles(i, n, chi):
     k = (i - 1) // 2
-    assert odd_cycle_chi(n, k) == chi
+    assert stahl_chi(n, k) == chi
     got, c = odd_cycle_power_coloring(i, n)
     assert got == c.palette_size == chi
     assert is_valid_coloring(or_power(cycle_graph(i), n), c)
@@ -278,16 +293,16 @@ def test_odd_cycle_power_coloring_is_tight_for_longer_cycles(i, n, chi):
 
 
 def test_odd_cycle_chi_sequence_takes_k():
-    assert [odd_cycle_chi(m, 2) for m in range(1, 7)] == [odd_cycle_chi(m) for m in range(1, 7)]
-    assert [odd_cycle_chi(m, 3) for m in range(1, 5)] == [3, 7, 17, 40]
-    with pytest.raises(UsageError):
-        odd_cycle_chi(2, 1)
+    assert [stahl_chi(m, 3) for m in range(1, 5)] == [3, 7, 17, 40]
+    assert [power_chromatic_number(cycle_graph(7), m) for m in range(1, 5)] == [3, 7, 17, 40]
+    # C3 is K3, no odd-cycle scheme: χ(C3^m) = 3^m
+    assert [power_chromatic_number(cycle_graph(3), m) for m in range(1, 4)] == [3, 9, 27]
 
 
 def test_greedy_gain_uses_the_cycle_length():
     # the gain 3^n / χ(C_{2k+1}^n) reads χ of the cycle it is asked about
-    assert Fraction(9, odd_cycle_chi(2, 3)) == Fraction(9, 7)
-    assert Fraction(9, odd_cycle_chi(2, 2)) == Fraction(9, 8)
+    assert Fraction(9, power_chromatic_number(cycle_graph(7), 2)) == Fraction(9, 7)
+    assert Fraction(9, power_chromatic_number(cycle_graph(5), 2)) == Fraction(9, 8)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -306,7 +321,7 @@ def test_odd_cycle_power_coloring_guard_degrades():
 
 
 def test_greedy_gain_monotone():
-    gains = [Fraction(3**n, odd_cycle_chi(n)) for n in range(1, 7)]
+    gains = [Fraction(3**n, power_chromatic_number(cycle_graph(5), n)) for n in range(1, 7)]
     assert gains[0] == 1
     assert all(b > a for a, b in zip(gains, gains[1:]))
     assert gains[1] == Fraction(9, 8)
@@ -579,14 +594,18 @@ BAD_FOLDS = {
 
 
 def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
+    # both level sources spoiled: the windows of a canonical odd cycle, which the two
+    # strategies compose, and the cover search, whose levels χ reads on any other base
+    cover = chromacode.coloring._b_fold_cover
     for spoil in BAD_FOLDS.values():
         bad = _spoiled(spoil)
         monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", lambda k: bad)
-        monkeypatch.setattr(chromacode.coloring, "_least_fold", lambda g, guard: bad)
+        monkeypatch.setattr(chromacode.coloring, "_b_fold_cover", lambda *args: spoil(*cover(*args)))
         for refused in (
             lambda: power_coloring(cycle_graph(5), 2, "odd-cycle"),
             lambda: power_coloring(cycle_graph(5), 2, "exact"),
-            lambda: power_chromatic_number(cycle_graph(5), 2),
+            lambda: power_coloring(RELABELED_C5, 2, "exact"),
+            lambda: power_chromatic_number(RELABELED_C5, 2),
         ):
             with pytest.raises(ChromacodeError, match=r"fold is not a valid coloring of the base graph$"):
                 refused()
@@ -683,20 +702,24 @@ def test_exact_power_coloring_runs_the_exact_search_on_the_base_only(monkeypatch
         return exact(g, *args, **kwargs)
 
     monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number", base_only)
-    for g, n in ((cycle_graph(5), 3), (prism_graph(), 2), (RELABELED_C5, 1), (make_graph("edgeless", 3), 3)):
+    for g, n in ((RELABELED_C5, 3), (prism_graph(), 2), (RELABELED_C5, 1), (make_graph("edgeless", 3), 3)):
         sizes.clear()
         c = power_coloring(g, n, "exact")
         assert c.palette_size == power_chromatic_number(g, n)
         assert is_valid_coloring(or_power(g, n), c)
         assert sizes and set(sizes) == {g.vertex_count}
+    # a canonical odd cycle takes the windows: no search at all
+    sizes.clear()
+    assert power_coloring(cycle_graph(5), 3, "exact").palette_size == 20 and sizes == []
 
 
 @pytest.mark.parametrize(
     "V,n",
-    [(5, n) for n in range(1, 6)] + [(7, n) for n in range(1, 5)] + [(9, 2), (9, 3)],
+    [(2 * k + 1, n) for k in range(2, 9) for n in range(1, 7)] + [(5, 9000), (7, 9000)],
 )
 def test_power_chromatic_number_of_odd_cycles_is_stahls_closed_form(V, n):
-    assert power_chromatic_number(cycle_graph(V), n) == odd_cycle_chi(n, V // 2)
+    # the windows: no level is searched, so no guard refuses C5^9000 (4 295 digits of χ)
+    assert power_chromatic_number(cycle_graph(V), n) == stahl_chi(n, V // 2)
 
 
 def test_power_chromatic_number_of_complete_graphs_and_the_prism():
@@ -716,12 +739,15 @@ def _cover(g, b):
     return FractionalColoring(a, b, S)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_b_fold_cover_of_odd_cycles_is_the_window_count(k):
+    # the windows are the levels `odd-cycle`, `exact` and χ read on a canonical odd
+    # cycle: each palette is the least a of the cover search, with sequences or without
     g = cycle_graph(2 * k + 1)
-    for b in range(1, 13):
+    windows = chromacode.coloring._least_fold(g, None)
+    for b in range(1, 13 if k < 5 else 7):
         fc = _cover(g, b)
-        assert fc.a == fractional_chromatic_cycle(k, b)["chi_b"]
+        assert fc.a == fractional_chromatic_cycle(k, b)["chi_b"] == windows(b)[0] == windows(b, False)[0]
         assert fc.b == b and is_valid_b_fold(g, fc)
 
 
@@ -739,35 +765,89 @@ def test_b_fold_cover_is_the_least_a_of_the_exhaustive_search(g, b):
 
 
 def test_power_chromatic_number_refusals(monkeypatch):
-    # a clock that moves 100 s a read: on C5 the exact χ of the base runs out
-    # at its first tick (100 s after its own start); on the bipartite P6 it
-    # returns before its first tick, and the cover search runs out 200 s after
-    # the shared start
-    for g, elapsed in ((cycle_graph(5), 100.0), (path_graph(6), 200.0)):
+    # a clock that moves 100 s a read: on the relabeled C5 the exact χ of the base
+    # runs out at its first tick (100 s after its own start); when the base's χ
+    # takes one read instead, the cover search runs out 200 s after the shared start
+    witness = exact_chromatic_number(RELABELED_C5)
+    for one_read, elapsed in ((False, 100.0), (True, 200.0)):
         clock = SimpleNamespace(monotonic=itertools.count(0.0, 100.0).__next__)
         monkeypatch.setattr(chromacode.coloring, "time", clock)
+        if one_read:
+            monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number",
+                                lambda g, guard=None: (clock.monotonic(), witness)[1])
         with pytest.raises(GuardExceeded) as info:
-            power_chromatic_number(g, 3)
+            power_chromatic_number(RELABELED_C5, 3)
         assert info.value.what == "exact coloring time (s)"
         assert (info.value.size, info.value.limit) == (elapsed, CHI_TIMEOUT_DEFAULT)
     monkeypatch.undo()
+    # χ > ω: C25 needs its maximal independent sets, past their 24-vertex guard
     with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 25 exceeds guard 24$"):
-        power_chromatic_number(path_graph(25), 2)
-    # n = 1 lists no maximal independent sets: only the exact search's guard (64) holds
+        power_chromatic_number(_stride_two_cycle(25), 2)
+    # χ = ω lists none: only the exact search's guard (64) holds, at any n
+    assert power_chromatic_number(path_graph(25), 3) == 8
     assert power_chromatic_number(path_graph(30), 1) == exact_chromatic_number(path_graph(30))[0] == 2
     for n in (0, -1):
         with pytest.raises(UsageError, match="n must be >= 1"):
             power_chromatic_number(cycle_graph(5), n)
 
 
+# C5 plus an isolated vertex: χ_f = 5/2 > max(ω, V/α) = 2, so no level meets the counting
+# bound and every level χ asks for is searched
+C5_PLUS_K1 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
 def test_power_chromatic_number_counts_its_nodes_over_all_levels(monkeypatch):
-    # C5^5 pops 17 + 41 + 101 + 255 = 414 cover search nodes over its four
-    # levels: a cap of 413 refuses the call, though its last level alone fits
-    monkeypatch.setattr(chromacode.coloring, "COVER_NODES", 414)
-    assert power_chromatic_number(cycle_graph(5), 5) == 125
-    monkeypatch.setattr(chromacode.coloring, "COVER_NODES", 413)
-    assert _cover(cycle_graph(5), 50).a == 125
+    # χ(G^4) pops 85 + 975 + 12 127 = 13 187 cover search nodes over its levels
+    # 3, 8 and 20: a cap of 13 186 refuses the call, though its last level alone fits
+    monkeypatch.setattr(chromacode.coloring, "COVER_NODES", 13_187)
+    assert power_chromatic_number(C5_PLUS_K1, 4) == 50
+    monkeypatch.setattr(chromacode.coloring, "COVER_NODES", 13_186)
+    assert _cover(C5_PLUS_K1, 20).a == 50
     with pytest.raises(GuardExceeded) as info:
-        power_chromatic_number(cycle_graph(5), 5)
+        power_chromatic_number(C5_PLUS_K1, 4)
     assert info.value.what == "b-fold cover search nodes"
-    assert (info.value.size, info.value.limit) == (414, 413)
+    assert (info.value.size, info.value.limit) == (13_187, 13_186)
+
+
+def _searched(monkeypatch, g, n):
+    """(χ(G^n), the levels b its cover search ran, the nodes they popped)."""
+    cover, runs = chromacode.coloring._b_fold_cover, []
+
+    def spy(g, mis, b, start, nodes):
+        runs.append((b, nodes))
+        return cover(g, mis, b, start, nodes)
+
+    monkeypatch.setattr(chromacode.coloring, "_b_fold_cover", spy)
+    chi = power_chromatic_number(g, n)
+    monkeypatch.undo()
+    return chi, [b for b, _ in runs], next(runs[-1][1]) - 1 if runs else 0
+
+
+def test_power_chromatic_number_searches_a_level_the_period_does_not_certify(monkeypatch):
+    # Kneser K(7, 2): χ = 5 > ⌈7/2⌉, and its 7:2 coloring meets the bound at N = 2; level
+    # 5 = 2·2 + 1 composes to 14 + 5 = 19 colors, above ⌈5·7/2⌉ = 18, so it is searched
+    pairs = list(combinations(range(7), 2))
+    kneser = Graph.from_edges(21, [(i, j) for i, j in combinations(range(21), 2) if not {*pairs[i]} & {*pairs[j]}])
+    chi, levels, _ = _searched(monkeypatch, kneser, 2)
+    assert (chi, levels) == (19, [2, 5])
+
+
+@pytest.mark.parametrize(
+    "g,period,chi",
+    [(_stride_two_cycle(5), 2, stahl_chi), (_stride_two_cycle(7), 3, lambda n: stahl_chi(n, 3)),
+     (_stride_two_cycle(9), 4, lambda n: stahl_chi(n, 4)), (complete_graph(4), 1, lambda n: 4**n),
+     (prism_graph(), 1, lambda n: 3**n),
+     (Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)]), 1, lambda n: 3**n),
+     (path_graph(6), 1, lambda n: 2**n)],
+    ids=["relabeled-C5", "relabeled-C7", "relabeled-C9", "K4", "prism", "A_f1", "P6"],
+)
+def test_power_chromatic_number_searches_nothing_past_the_period(monkeypatch, g, period, chi):
+    # the levels 2..N are searched, N the least with a_N = N·max(ω, V/α); every
+    # later level is copies of level N and one lower level, so χ(G^12) pops no
+    # more cover nodes than χ(G^4)
+    chi4, levels4, nodes4 = _searched(monkeypatch, g, 4)
+    chi12, levels12, nodes12 = _searched(monkeypatch, g, 12)
+    assert levels4 == levels12 == list(range(2, period + 1))
+    assert nodes12 == nodes4
+    assert (chi4, chi12) == (chi(4), chi(12))
+

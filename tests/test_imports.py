@@ -159,7 +159,7 @@ PUBLIC_API = [
     "fractional_entropy_lower_bound", "general_entropy_upper_bound", "gershgorin",
     "graph_spectrum", "graphs", "greedy_coloring", "hong_bound", "huffman_code",
     "is_valid_b_fold", "is_valid_coloring", "jacobi_eigenvalues", "lambda1_window",
-    "make_graph", "max_independent_set_size", "maximal_independent_sets", "odd_cycle_chi",
+    "make_graph", "max_independent_set_size", "maximal_independent_sets",
     "odd_cycle_entropy_upper_bound", "odd_cycle_power_coloring", "or_power",
     "or_power_degree", "orpower", "path_graph", "power_chromatic_number", "power_coloring",
     "prism_graph", "product_coloring", "resolve_guard", "roundtrip_exhaustive", "simulate",
