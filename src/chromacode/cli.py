@@ -133,9 +133,8 @@ def cmd_color(args):
     try:
         check_power_guard(g.vertex_count, n, args.guard)
     except GuardExceeded:
-        # `exact` and `odd-cycle` compose `_least_fold`, so past the power guard their χ comes
-        # from the base graph while χ(G^n) <= c^n, c the first-fit palette, prints within
-        # Python's 4 300 digits (n > 14 300 fails first, 2^14300 > 10^4300: no c^n is written)
+        # `exact` and `odd-cycle` read χ off the base (`_least_fold`) while χ(G^n) <= c^n, c the first-fit
+        # palette, prints within Python's 4 300 digits; n > 14 300 fails first (2^14300 > 10^4300)
         most = max(2, greedy_coloring(g).palette_size)
         if strategy not in ("exact", "odd-cycle") or n > 14_300 or most**n >= 10**4300:
             raise

@@ -8,12 +8,12 @@ engine, `_compose`, runs that recursion in plain Python on a *fold*: a
 function of b giving (a, per-vertex b-sequences).  `_least_fold` gives the
 least a:b colorings: the windows on a canonical odd cycle (Stahl 1976), else
 searched levels up to a period N with a_N = N·max(ω, V/α), past which each
-level is arithmetic.  Its palettes are χ(G^n) at every n
+level is copies of checked levels.  Its palettes are χ(G^n) at every n
 (`power_chromatic_number`); it is the `exact` and `odd-cycle` coloring, and
 the even-cycle parity and product schemes are folds too.  One dispatcher,
 `power_coloring`, picks a strategy (`auto`: the cycle scheme on a canonical
-cycle, else exact; `check_strategy`); every fold is checked level by level on
-the base graph (`_checked`), so no power is built but for `greedy`.
+cycle, else exact; `check_strategy`); every other level is checked on the
+base graph (`_checked`), so no power is built but for `greedy`.
 """
 
 import itertools
@@ -160,13 +160,8 @@ def exact_chromatic_number(g, guard=None):
     greedy = _first_fit(adj, order)
     if greedy.palette_size <= lb:
         return greedy.palette_size, greedy
-
-    def tick():
-        if (elapsed := time.monotonic() - start) > CHI_TIMEOUT_DEFAULT:
-            raise GuardExceeded("exact coloring time (s)", elapsed, CHI_TIMEOUT_DEFAULT)
-
     comp = _complement_rows(g)
-    alpha = _max_clique_size(comp, (1 << V) - 1, tick)
+    alpha = _max_clique_size(comp, (1 << V) - 1, lambda: _tick(start))
     lb = max(lb, -(-V // alpha))
     best, best_classes = greedy.palette_size, None
     refuted = {}  # uncolored set -> largest class count proven too few for it
@@ -182,7 +177,7 @@ def exact_chromatic_number(g, guard=None):
             return False
         if _greedy_clique_size(adj, order, U) > budget:
             return False
-        tick()
+        _tick(start)
         if budget <= 2:
             sides = _two_coloring(adj, U)
             if sides is None or (budget == 1 and sides[1]):
@@ -215,6 +210,12 @@ def exact_chromatic_number(g, guard=None):
     return best, Coloring.from_list(colors)
 
 
+def _tick(start):
+    """Raise GuardExceeded once CHI_TIMEOUT_DEFAULT seconds have passed since `start`."""
+    if (elapsed := time.monotonic() - start) > CHI_TIMEOUT_DEFAULT:
+        raise GuardExceeded("exact coloring time (s)", elapsed, CHI_TIMEOUT_DEFAULT)
+
+
 # -- OR-power colorings by composition ---------------------------------------
 
 STRATEGIES = ("exact", "greedy", "even-cycle", "odd-cycle", "product", "auto")
@@ -238,12 +239,12 @@ def _compose(fold, n):
 
 
 def _checked(g, fold):
-    """`fold` with each level (a, S) checked to be an a:b coloring of g (`is_valid_b_fold`,
-    else ChromacodeError): composing checked levels colors G^n validly, with no power built."""
+    """`fold` with each level (a, S) that lists S checked to be an a:b coloring of g (else
+    ChromacodeError): checked levels compose to a valid coloring of G^n, with no power built."""
 
-    def level(b):
-        a, S = fold(b)
-        if is_valid_b_fold(g, FractionalColoring(a, b, S)):
+    def level(b, *sequences):
+        a, S = fold(b, *sequences)
+        if S is None or is_valid_b_fold(g, FractionalColoring(a, b, S)):
             return a, S
         raise ChromacodeError(f"the {a}:{b} fold is not a valid coloring of the base graph")
 
@@ -264,11 +265,11 @@ def _least_fold(g, guard):
     max(ω, V/α), the least N that can meet a_N = N·max(ω, V/α), are `_b_fold_cover`s of the
     maximal independent sets, listed once.  χ_b is subadditive and at least ⌈b·a_N/N⌉, so past
     a met N level b = qN + r is q copies of level N on disjoint palettes and level r when that
-    makes ⌈b·a_N/N⌉ colors; other levels are searched.  Each search is checked (`_checked`),
-    and one clock and one node count span them all.
+    makes ⌈b·a_N/N⌉ colors; other levels are searched.  Searches and windows are checked
+    (`_checked`); one clock (ω's clique search's too) and one node count span the searches.
     """
     if _cycle_scheme(g) == "odd-cycle":
-        return _odd_cycle_fold(g.vertex_count // 2)
+        return _checked(g, _odd_cycle_fold(g.vertex_count // 2))
     V, start, nodes, mis = g.vertex_count, time.monotonic(), itertools.count(1), []
     levels, N, ratio = [(0, [()] * V)], None, None  # levels 0, 1, ..., the N met, max(ω, V/α)
 
@@ -284,13 +285,14 @@ def _least_fold(g, guard):
         nonlocal N, ratio
         if len(levels) == 1:
             levels.append(search(1))
-            ratio = _max_clique_size(g._rows, (1 << V) - 1)
+        if b > 1 and ratio is None:  # ω, the clique search stopping at χ = a_1 vertices
+            ratio = _max_clique_size(g._rows, (1 << V) - 1, lambda: _tick(start), levels[1][0])
             N = 1 if levels[1][0] == ratio else None
         if b > 1 and not N and not mis:
             mis.extend(sum(1 << v for v in s) for s in maximal_independent_sets(g))
             mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
             ratio = max(ratio, Fraction(V, mis[-1].bit_count()))
-        while not N and len(levels) <= min(b, ratio.denominator):
+        while not N and b >= len(levels) <= ratio.denominator:
             levels.append(search(m := len(levels)))
             N = m if levels[m][0] == m * ratio else None
         if b < len(levels):
@@ -375,13 +377,13 @@ def power_coloring(g, n, strategy="auto", guard=None):
     if strategy == "greedy":
         return greedy_coloring(or_power(g, n, guard=guard))
     check_power_guard(g.vertex_count, n, guard)
-    if strategy in ("exact", "odd-cycle"):
+    if strategy in ("exact", "odd-cycle"):  # checks the levels it does not compose itself
         fold = _least_fold(g, guard)
     elif strategy == "even-cycle":
-        fold = _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)]))
+        fold = _checked(g, _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)])))
     elif strategy == "product":
-        fold = _vector_fold(exact_chromatic_number(g, guard=guard)[1])
-    return Coloring.from_list(_compose(_checked(g, fold), n))
+        fold = _checked(g, _vector_fold(exact_chromatic_number(g, guard=guard)[1]))
+    return Coloring.from_list(_compose(fold, n))
 
 
 def power_chromatic_number(g, n):
@@ -412,8 +414,7 @@ def _b_fold_cover(g, mis, b, start, nodes):
         top = max(demand)
         if used + max(top, -(-sum(demand) // alpha)) >= best or fewest.get(demand, best) <= used:
             continue
-        if (elapsed := time.monotonic() - start) > CHI_TIMEOUT_DEFAULT:  # one clock over all levels
-            raise GuardExceeded("exact coloring time (s)", elapsed, CHI_TIMEOUT_DEFAULT)
+        _tick(start)  # one clock over all levels
         fewest[demand] = used
         if not top:
             best, cover = used, chain

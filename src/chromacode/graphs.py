@@ -219,9 +219,9 @@ def _maximal_cliques(adj, candidates, min_size=0):
     return out
 
 
-def _max_clique_size(adj, candidates, tick=lambda: None):
-    """ω of the subgraph induced on `candidates` (adjacency bitsets `adj`),
-    by branch and bound on the candidate count; `tick` runs at every node."""
+def _max_clique_size(adj, candidates, tick=lambda: None, cap=-1):
+    """ω of the subgraph induced on `candidates` (adjacency bitsets `adj`), by branch and
+    bound on the candidate count, stopping at a clique of `cap` vertices; `tick` runs at every node."""
     best = 0
 
     def expand(size, p):
@@ -230,7 +230,7 @@ def _max_clique_size(adj, candidates, tick=lambda: None):
         if p == 0:
             best = max(best, size)
             return
-        while p and size + p.bit_count() > best:
+        while p and best != cap and size + p.bit_count() > best:
             v = p.bit_length() - 1
             p &= ~(1 << v)
             expand(size + 1, p & adj[v])

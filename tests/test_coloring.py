@@ -767,14 +767,17 @@ def test_b_fold_cover_is_the_least_a_of_the_exhaustive_search(g, b):
 def test_power_chromatic_number_refusals(monkeypatch):
     # a clock that moves 100 s a read: on the relabeled C5 the exact χ of the base
     # runs out at its first tick (100 s after its own start); when the base's χ
-    # takes one read instead, the cover search runs out 200 s after the shared start
+    # takes one read instead, the next search runs out 200 s after the shared
+    # start: ω's clique search, or with ω given the cover search
     witness = exact_chromatic_number(RELABELED_C5)
-    for one_read, elapsed in ((False, 100.0), (True, 200.0)):
+    for mocked, elapsed in ((0, 100.0), (1, 200.0), (2, 200.0)):
         clock = SimpleNamespace(monotonic=itertools.count(0.0, 100.0).__next__)
         monkeypatch.setattr(chromacode.coloring, "time", clock)
-        if one_read:
+        if mocked:
             monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number",
                                 lambda g, guard=None: (clock.monotonic(), witness)[1])
+        if mocked == 2:
+            monkeypatch.setattr(chromacode.coloring, "_max_clique_size", lambda *args: 2)
         with pytest.raises(GuardExceeded) as info:
             power_chromatic_number(RELABELED_C5, 3)
         assert info.value.what == "exact coloring time (s)"
@@ -789,6 +792,21 @@ def test_power_chromatic_number_refusals(monkeypatch):
     for n in (0, -1):
         with pytest.raises(UsageError, match="n must be >= 1"):
             power_chromatic_number(cycle_graph(5), n)
+
+
+def test_power_chromatic_number_of_a_dense_base_stops_its_clique_search_at_chi(monkeypatch):
+    # K_{4×16}, 16 parts of 4 vertices: greedy palette = greedy clique = 16 settles the exact
+    # search at once, and ω's clique search stops at its first clique of χ = 16 vertices where
+    # a full branch and bound meets 4^16 maximal cliques; a clock that moves 1 s a read gives
+    # the two searches 60 reads
+    g = Graph.from_edges(64, [(u, v) for u, v in combinations(range(64), 2) if u // 4 != v // 4])
+    monkeypatch.setattr(chromacode.coloring, "time", SimpleNamespace(monotonic=itertools.count(0.0, 1.0).__next__))
+    for n in (1, 2, 3):
+        assert power_chromatic_number(g, n) == 16**n
+    for n in (1, 2):
+        c = power_coloring(g, n, "exact")
+        assert c.palette_size == 16**n
+    assert is_valid_coloring(or_power(g, 2), c)
 
 
 # C5 plus an isolated vertex: χ_f = 5/2 > max(ω, V/α) = 2, so no level meets the counting
