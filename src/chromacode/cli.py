@@ -129,18 +129,18 @@ def cmd_color(args):
         _emit({"chi_b": res["chi_b"], "chi_b_lower": res["chi_b_lower"],
                "chi_f": str(res["chi_f"]), "b": args.fold})
         return 0
-    strategy = check_strategy(args.scheme, g)
+    check_strategy(args.scheme, g)
     try:
         check_power_guard(g.vertex_count, n, args.guard)
     except GuardExceeded:
-        # `exact` and `odd-cycle` read χ off the base (`_least_fold`) while χ(G^n) <= c^n, c the first-fit
-        # palette, prints within Python's 4 300 digits; n > 14 300 fails first (2^14300 > 10^4300)
+        # all but `greedy` color with χ(G^n), read off the base (`_least_fold`), while χ(G^n) <= c^n, c the
+        # first-fit palette, prints within Python's 4 300 digits; n > 14 300 fails first (2^14300 > 10^4300)
         most = max(2, greedy_coloring(g).palette_size)
-        if strategy not in ("exact", "odd-cycle") or n > 14_300 or most**n >= 10**4300:
+        if args.scheme == "greedy" or n > 14_300 or most**n >= 10**4300:
             raise
         _emit({"chi": power_chromatic_number(g, n)})
         return 0
-    c = power_coloring(g, n, strategy, guard=args.guard)
+    c = power_coloring(g, n, args.scheme, guard=args.guard)
     _emit({"chi": c.palette_size, **c.to_dict()})
     return 0
 

@@ -177,11 +177,11 @@ def _integer_pmf(pmf):
 def _color_symbols(g, strategy, guard):
     """A validated coloring of g by `strategy` (`coloring.check_strategy`):
     first-fit in vertex order under `greedy`, else the exact solver's witness
-    under `guard`.  These are `power_coloring`'s colorings at n = 1: on a
-    canonical cycle the exact witness is its first-fit seed, the cycle
-    scheme's base coloring, and `product` is the exact coloring's vector."""
-    greedy = check_strategy(strategy, g) == "greedy"
-    c = _first_fit(g._rows, range(g.vertex_count)) if greedy else exact_chromatic_number(g, guard)[1]
+    under `guard`.  Within that guard these are `power_coloring`'s colorings at
+    n = 1, the least fold's level 1: on a canonical cycle the exact witness is
+    its first-fit seed, the parity or window coloring; `product` lifts it as is."""
+    check_strategy(strategy, g)
+    c = _first_fit(g._rows, range(g.vertex_count)) if strategy == "greedy" else exact_chromatic_number(g, guard)[1]
     if not is_valid_coloring(g, c):
         raise ChromacodeError(f"the {strategy} coloring of a characteristic graph is not valid")
     return c

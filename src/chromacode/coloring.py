@@ -6,13 +6,13 @@ coloring of the base (b colors per vertex, disjoint on edges) composed with a
 b-coloring of G^{n-1} colors G^n with a colors (Geller & Stahl 1975).  One
 engine, `_compose`, runs that recursion in plain Python on a *fold*: a
 function of b giving (a, per-vertex b-sequences).  `_least_fold` gives the
-least a:b colorings: the windows on a canonical odd cycle (Stahl 1976), else
-searched levels up to a period N with a_N = N·max(ω, V/α), past which each
-level is copies of checked levels.  Its palettes are χ(G^n) at every n
-(`power_chromatic_number`); it is the `exact` and `odd-cycle` coloring, and
-the even-cycle parity and product schemes are folds too.  One dispatcher,
-`power_coloring`, picks a strategy (`auto`: the cycle scheme on a canonical
-cycle, else exact; `check_strategy`); every other level is checked on the
+least a:b colorings: the parity vectors on a canonical even cycle, the
+windows on a canonical odd cycle (Stahl 1976), else searched levels up to a
+period N with a_N = N·max(ω, V/α), past which each level is copies of checked
+levels.  Its palettes are χ(G^n) at every n (`power_chromatic_number`).
+`power_coloring` gives three colorings: first-fit on the power (`greedy`),
+the least fold (`exact`, `auto` and the two cycle names) and the vector of
+the least fold's base coloring (`product`); every level is checked on the
 base graph (`_checked`), so no power is built but for `greedy`.
 """
 
@@ -251,24 +251,28 @@ def _checked(g, fold):
     return level
 
 
-def _vector_fold(base):
-    """S_x = c(x)·b + j: the vector of the base coloring c over the
-    coordinates.  On an even cycle with c = parity this is 2^n colors."""
-    return lambda b: (base.palette_size * b, [range(c * b, c * b + b) for c in base.assignment])
+def _vector_fold(a, S):
+    """The vector over the coordinates of the a-coloring whose level-1 sequences are S
+    (S[x] = (c(x),)): fold(b, sequences=True) -> (a·b, S_x = c(x)·b + j), S None unless
+    asked.  With c the parity of an even cycle, a·b = 2b is least, as ω = 2."""
+    return lambda b, sequences=True: (a * b, [range(s[0] * b, s[0] * b + b) for s in S] if sequences else None)
 
 
 def _least_fold(g, guard):
     """The least a:b colorings of g: fold(b, sequences=True) -> (a, S), S None unless asked.
 
-    The windows on a canonical odd cycle (`_odd_cycle_fold`).  Else level 1 is the exact
-    witness under `guard`, closing (N = 1) if χ = ω; levels 2, 3, ... up to the denominator of
-    max(ω, V/α), the least N that can meet a_N = N·max(ω, V/α), are `_b_fold_cover`s of the
-    maximal independent sets, listed once.  χ_b is subadditive and at least ⌈b·a_N/N⌉, so past
-    a met N level b = qN + r is q copies of level N on disjoint palettes and level r when that
-    makes ⌈b·a_N/N⌉ colors; other levels are searched.  Searches and windows are checked
-    (`_checked`); one clock (ω's clique search's too) and one node count span the searches.
+    The parity vectors on a canonical even cycle (`_vector_fold`), the windows on a canonical
+    odd cycle (`_odd_cycle_fold`).  Else level 1 is the exact witness under `guard`, closing
+    (N = 1) if χ = ω; levels 2, 3, ... up to the denominator of max(ω, V/α), the least N that
+    can meet a_N = N·max(ω, V/α), are `_b_fold_cover`s of the maximal independent sets, listed
+    once.  χ_b is subadditive and at least ⌈b·a_N/N⌉, so past a met N level b = qN + r is q
+    copies of level N on disjoint palettes and level r when that makes ⌈b·a_N/N⌉ colors;
+    other levels are searched.  All but the copies are checked (`_checked`); one clock (ω's
+    clique search's too) and one node count span the searches.
     """
-    if _cycle_scheme(g) == "odd-cycle":
+    if (scheme := _cycle_scheme(g)) == "even-cycle":
+        return _checked(g, _vector_fold(2, [(v % 2,) for v in range(g.vertex_count)]))
+    if scheme == "odd-cycle":
         return _checked(g, _odd_cycle_fold(g.vertex_count // 2))
     V, start, nodes, mis = g.vertex_count, time.monotonic(), itertools.count(1), []
     levels, N, ratio = [(0, [()] * V)], None, None  # levels 0, 1, ..., the N met, max(ω, V/α)
@@ -290,8 +294,7 @@ def _least_fold(g, guard):
             N = 1 if levels[1][0] == ratio else None
         if b > 1 and not N and not mis:
             mis.extend(sum(1 << v for v in s) for s in maximal_independent_sets(g))
-            mis.sort(key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
-            ratio = max(ratio, Fraction(V, mis[-1].bit_count()))
+            ratio = max(ratio, Fraction(V, max(s.bit_count() for s in mis)))
         while not N and b >= len(levels) <= ratio.denominator:
             levels.append(search(m := len(levels)))
             N = m if levels[m][0] == m * ratio else None
@@ -350,39 +353,31 @@ def _cycle_scheme(g):
 
 
 def check_strategy(strategy, g=None):
-    """Raise UsageError unless `strategy` is one of STRATEGIES.  Given g,
-    return the strategy that colors it: `auto` is the cycle scheme on a
-    canonical cycle (`_cycle_scheme`), else `exact`, and a cycle scheme that
-    does not fit g raises UsageError."""
+    """Raise UsageError unless `strategy` is one of STRATEGIES and, given g,
+    a cycle name names g's own cycle scheme (`_cycle_scheme`)."""
     if strategy not in STRATEGIES:
         raise UsageError(f"unknown coloring strategy {strategy!r}")
-    if strategy == "auto" and g is not None:
-        return _cycle_scheme(g) or "exact"
     if strategy in ("even-cycle", "odd-cycle") and g is not None and strategy != _cycle_scheme(g):
         need = "odd V >= 5" if strategy == "odd-cycle" else "even V >= 4"
         raise UsageError(f"{strategy} strategy needs the canonical cycle C_V with {need}")
-    return strategy
 
 
 def power_coloring(g, n, strategy="auto", guard=None):
-    """A valid coloring of G^n by one of STRATEGIES (`check_strategy` reads
-    `auto` and refuses a misfit cycle name).  `greedy` colors the materialized
-    power first-fit; the others compose their fold of the base (module
-    docstring), each level checked on the base graph (`_checked`), and build no
-    power.  `guard` bounds the V^n colors listed, checked first whatever the
-    strategy, and the exact solver on the base; `exact`'s searched covers are
-    held to the MIS guard, COVER_NODES and the clock.
+    """A valid coloring of G^n by one of STRATEGIES (`check_strategy` refuses a misfit
+    cycle name).  `greedy` colors the materialized power first-fit; `product` composes the
+    vector of the least fold's level-1 coloring, χ(G)^n colors; the others compose the least
+    fold (`_least_fold`), χ(G^n) colors, checked level by level on the base graph with no
+    power built.  `guard` bounds the V^n colors listed, checked first whatever the strategy,
+    and the exact solver on the base; searched covers are held to the MIS guard, COVER_NODES
+    and the clock.
     """
-    strategy = check_strategy(strategy, g)
+    check_strategy(strategy, g)
     if strategy == "greedy":
         return greedy_coloring(or_power(g, n, guard=guard))
     check_power_guard(g.vertex_count, n, guard)
-    if strategy in ("exact", "odd-cycle"):  # checks the levels it does not compose itself
-        fold = _least_fold(g, guard)
-    elif strategy == "even-cycle":
-        fold = _checked(g, _vector_fold(Coloring.from_list([v % 2 for v in range(g.vertex_count)])))
-    elif strategy == "product":
-        fold = _checked(g, _vector_fold(exact_chromatic_number(g, guard=guard)[1]))
+    fold = _least_fold(g, guard)  # checks its levels
+    if strategy == "product":
+        fold = _checked(g, _vector_fold(*fold(1)))
     return Coloring.from_list(_compose(fold, n))
 
 
@@ -405,7 +400,8 @@ def _b_fold_cover(g, mis, b, start, nodes):
     reaches the best or the same demand was met with no more sets.  Each node popped takes
     the next number of the count `nodes`, checked against COVER_NODES."""
     V = g.vertex_count
-    alpha, best, cover, fewest = max(s.bit_count() for s in mis), b * V + 1, None, {}
+    mis = sorted(mis, key=lambda s: (s.bit_count(), -s))  # equal children pop the larger set first: C9^4 2 ms, not 25
+    alpha, best, cover, fewest = mis[-1].bit_count(), b * V + 1, None, {}
     stack = [(0, (b,) * V, None)]
     while stack:
         if (visited := next(nodes)) > COVER_NODES:
@@ -453,8 +449,8 @@ def odd_cycle_power_coloring(i, n, guard=None):
 
 def product_coloring(g, n, guard=None):
     """The coordinate-wise product coloring of g^n: a tuple's color is the
-    vector of an exact base coloring over its coordinates, so the palette is
-    at most χ(g)^n.  The `product` strategy of `power_coloring`."""
+    vector of a least base coloring over its coordinates, so the palette is
+    χ(g)^n.  The `product` strategy of `power_coloring`."""
     return power_coloring(g, n, "product", guard)
 
 
@@ -488,7 +484,7 @@ def fractional_chromatic_cycle(k, b, guard=None):
       chi_b:       ⌈(2k+1)b/k⌉, the least a for which an a:b coloring exists:
                    the counting bound from α = k (each color class is an
                    independent set of size ≤ k), met by `coloring`;
-      coloring:    a chi_b : b coloring, the `odd-cycle` fold at b (windows
+      coloring:    a chi_b : b coloring, level b of `_least_fold` (windows
                    for b > 1), checked by `_checked`;
       chi_f:       (2k+1)/k as an exact rational.
     """
@@ -496,6 +492,6 @@ def fractional_chromatic_cycle(k, b, guard=None):
         raise UsageError("need k >= 2 and b >= 1")
     V = 2 * k + 1
     check_guard("fractional coloring set entries V*b", V * b, guard, POWER_GUARD_DEFAULT)
-    a, S = _checked(make_graph("cycle", V), _odd_cycle_fold(k))(b)
+    a, S = _least_fold(make_graph("cycle", V), None)(b)
     fc = FractionalColoring(a, b, tuple(frozenset(s) for s in S))
     return {"chi_b_lower": 2 * b + 1, "chi_b": a, "coloring": fc, "chi_f": Fraction(2 * k + 1, k)}

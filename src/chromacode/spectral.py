@@ -337,7 +337,8 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of the power if
                     given, else the Hong bound.
     gct-split:      λ1(a_gr) + λ1(a_fc) of the power's split; λ_min Hong.
-    lambda1-window: the refined window of `lambda1_window`.
+    lambda1-window: λ1 the refined window's low edge, λ_min Hong; upper the
+                    window's high edge, Wilf's bound on the split sum.
     """
     gn = power if power is not None else g
     upper = None
@@ -374,8 +375,8 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
         lv = hong_bound(power.vertex_count)
         details = {"lambda_1_gr": rep.lam_gr[0], "lambda_1_fc": rep.lam_fc[0], "sum": l1}
     elif variant == "lambda1-window":
-        w = lambda1_window(g, n, power=power)
-        return BoundReport("lambda1-window", w["refined"][0], w["refined"][1], w)
+        details = lambda1_window(g, n, power=power)
+        (l1, upper), lv = details["refined"], hong_bound(g.vertex_count**n)
     else:
         raise UsageError(f"unknown bound variant {variant!r}")
     lower = 1.0 - l1 / lv if lv < 0 else 1.0

@@ -134,16 +134,16 @@ def test_color_exact_past_the_exact_search_guard(capsys):
         (["--size", "5", "--power", "13", "--scheme", "odd-cycle"], 0, {"chi": 191220}),
         (["--size", "101", "--power", "3", "--scheme", "exact"], 0, {"chi": 15}),
         (["--size", "5", "--power", "9013", "--scheme", "exact"], 3, None),
-        (["--size", "6", "--power", "6", "--scheme", "even-cycle"], 3, None),
+        (["--size", "6", "--power", "6", "--scheme", "even-cycle"], 0, {"chi": 64}),
         (["--size", "5", "--power", "6", "--scheme", "greedy"], 3, None),
     ],
     ids=["exact-C5^6", "exact-past-the-exponent-guard", "exact-C5^13", "odd-cycle-C5^13",
          "exact-C101^3", "exact-past-the-digit-bound", "even-cycle-C6^6", "greedy-C5^6"],
 )
 def test_color_past_the_power_guard(capsys, argv, rc, out):
-    # past the power guard, `exact` and `odd-cycle` print χ from the base graph
+    # past the power guard, every scheme but `greedy` prints χ from the base graph
     # while χ(G)^n has at most 4 300 digits (3^9012 does, 3^9013 does not);
-    # schemes whose palette is not χ exit 3
+    # `greedy`, whose palette is not χ, exits 3
     got = main(["color", "--kind", "cycle", *argv])
     stdout, stderr = capsys.readouterr()
     assert got == rc
@@ -152,6 +152,13 @@ def test_color_past_the_power_guard(capsys, argv, rc, out):
     else:
         err = json.loads(stderr)
         assert err["error"] == "guard" and "power" in err["what"]
+
+
+def test_color_of_a_cycle_past_the_exact_solvers_guard(capsys):
+    # C100 has 100 vertices, past the exact search's 64: its parity coloring is the least fold
+    rc, out = run(capsys, "color", "--kind", "cycle", "--size", "100")
+    d = json.loads(out)
+    assert rc == 0 and d["chi"] == d["palette"] == 2
 
 
 def test_color_exact_past_the_power_guard_keeps_the_mis_guard(capsys):
@@ -243,7 +250,7 @@ def test_spectral_bounds(capsys):
     )
     assert rc == 0
     d = json.loads(out)
-    assert d["lower"] <= 12 <= d["upper"]
+    assert d["lower"] <= 8 <= d["upper"]  # χ(C5^2)
 
 
 def test_degree_bounds_of_an_edgeless_graph_are_positive_zero(capsys):

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -468,7 +468,7 @@ def _block_colorings(plan):
     symbol colorings, built by the composition engine."""
     return tuple(
         Coloring(
-            tuple(coloring._compose(coloring._vector_fold(c), plan.n)),
+            tuple(coloring._compose(coloring._vector_fold(c.palette_size, [(x,) for x in c.assignment]), plan.n)),
             c.palette_size**plan.n,
         )
         for c in plan.symbol_colorings
@@ -1251,11 +1251,13 @@ def test_zero_cell_plans_build_no_power_and_compose_no_fold(monkeypatch, strateg
 
 
 def test_color_symbols_is_the_power_coloring_at_n1():
-    # C4-C15 under all six strategies: the same coloring, or the same
-    # misfit UsageError, as `power_coloring` at n = 1
+    # every labelled graph on 1-4 vertices and C4-C15, under all six strategies: the same
+    # coloring, or the same misfit UsageError, as `power_coloring` at n = 1, which reads
+    # the least fold's level 1 where the codec runs the exact solver
+    graphs = [Graph.from_edges(V, [e for i, e in enumerate(combinations(range(V), 2)) if mask >> i & 1])
+              for V in range(1, 5) for mask in range(1 << V * (V - 1) // 2)]
     misfits = 0
-    for V in range(4, 16):
-        g = cycle_graph(V)
+    for g in graphs + [cycle_graph(V) for V in range(4, 16)]:
         for strategy in STRATEGIES:
             try:
                 want = power_coloring(g, 1, strategy, None)
@@ -1266,7 +1268,7 @@ def test_color_symbols_is_the_power_coloring_at_n1():
                 misfits += 1
                 continue
             assert codec._color_symbols(g, strategy, None) == want
-    assert misfits == 12  # one cycle scheme per V
+    assert misfits == 2 * 75 - 1 + 12  # both cycle schemes on 74 labelled graphs, one on C4-C15
 
 
 def test_build_codec_explicit_guard():

@@ -594,21 +594,58 @@ BAD_FOLDS = {
 
 
 def test_power_coloring_refuses_an_invalid_fold(monkeypatch):
-    # both level sources spoiled: the windows of a canonical odd cycle, which the two
-    # strategies compose, and the cover search, whose levels χ reads on any other base
-    cover = chromacode.coloring._b_fold_cover
+    # every level source spoiled: the windows of a canonical odd cycle, the vectors (the
+    # parity levels of a canonical even cycle), and the cover search, whose levels χ
+    # reads on any other base
+    cover, vector = chromacode.coloring._b_fold_cover, chromacode.coloring._vector_fold
     for spoil in BAD_FOLDS.values():
         bad = _spoiled(spoil)
         monkeypatch.setattr(chromacode.coloring, "_odd_cycle_fold", lambda k: bad)
         monkeypatch.setattr(chromacode.coloring, "_b_fold_cover", lambda *args: spoil(*cover(*args)))
+        monkeypatch.setattr(chromacode.coloring, "_vector_fold",
+                            lambda a, S, spoil=spoil: lambda b, *seq: spoil(*vector(a, S)(b, *seq)))
         for refused in (
             lambda: power_coloring(cycle_graph(5), 2, "odd-cycle"),
             lambda: power_coloring(cycle_graph(5), 2, "exact"),
+            lambda: power_coloring(cycle_graph(6), 2, "even-cycle"),
+            lambda: power_coloring(cycle_graph(6), 2, "exact"),
             lambda: power_coloring(RELABELED_C5, 2, "exact"),
             lambda: power_chromatic_number(RELABELED_C5, 2),
         ):
             with pytest.raises(ChromacodeError, match=r"fold is not a valid coloring of the base graph$"):
                 refused()
+
+
+@pytest.mark.parametrize("V", range(4, 13))
+def test_cycle_strategies_give_the_least_fold(V):
+    # `auto`, `exact`, the cycle's own scheme and, on an even cycle, `product` all
+    # compose one coloring, with χ(C_V^n) colors, at every n with V^n <= 10 000
+    g = cycle_graph(V)
+    names = ("auto", "exact", _cycle_scheme(g)) + (("product",) if V % 2 == 0 else ())
+    n = 1
+    while V**n <= 10_000:
+        c, *others = (power_coloring(g, n, s) for s in names)
+        assert others == [c] * len(others)
+        assert c.palette_size == power_chromatic_number(g, n)
+        if V**n <= 1_000:
+            assert is_valid_coloring(or_power(g, n), c)
+        n += 1
+
+
+def test_cycle_powers_run_no_exact_search(monkeypatch):
+    # the least fold of a canonical cycle is arithmetic: past the exact solver's
+    # 64-vertex guard, and at n = 40, no search runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_chromatic_number called")
+
+    monkeypatch.setattr(chromacode.coloring, "exact_chromatic_number", refuse)
+    for V in (66, 100):
+        for n in (1, 2):
+            assert power_chromatic_number(cycle_graph(V), n) == 2**n
+    assert power_chromatic_number(cycle_graph(6), 40) == 2**40
+    c = power_coloring(cycle_graph(100), 2, "exact")
+    assert c.palette_size == 4
+    assert is_valid_coloring(or_power(cycle_graph(100), 2), c)
 
 
 def test_fold_schemes_build_no_power(monkeypatch):
@@ -742,10 +779,11 @@ def _cover(g, b):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_b_fold_cover_of_odd_cycles_is_the_window_count(k):
     # the windows are the levels `odd-cycle`, `exact` and χ read on a canonical odd
-    # cycle: each palette is the least a of the cover search, with sequences or without
+    # cycle: each palette is the least a of the cover search, with sequences or without;
+    # the sets come in `maximal_independent_sets`' order, which the search sorts itself
     g = cycle_graph(2 * k + 1)
     windows = chromacode.coloring._least_fold(g, None)
-    for b in range(1, 13 if k < 5 else 7):
+    for b in range(1, 13):
         fc = _cover(g, b)
         assert fc.a == fractional_chromatic_cycle(k, b)["chi_b"] == windows(b)[0] == windows(b, False)[0]
         assert fc.b == b and is_valid_b_fold(g, fc)

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from chromacode import (
     lambda1_window,
     or_power,
     path_graph,
+    power_chromatic_number,
     prism_graph,
     smallest_eig_lower_bounds,
     split_decomposition,
     symmetric_eigenvalues,
 )
-from chromacode.spectral import _eigvalsh, brigham_bound
+from chromacode.coloring import _cycle_scheme
+from chromacode.spectral import BOUND_VARIANTS, _eigvalsh, brigham_bound
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -363,3 +367,31 @@ def test_every_variant_applies_hoffman_and_wilf_to_its_estimates(g):
         assert rep.lower == (1.0 - l1 / lv if lv < 0 else 1.0), variant
         wilf = max(g2.degrees()) + 1 if variant == "degree" else math.floor(l1 + 1e-9) + 1
         assert rep.upper == wilf, variant
+
+
+def _bound_bases():
+    """The `bounds` benchmark's six bases, then 60 seeded graphs on 2-6 vertices."""
+    rng = random.Random("spectral-bound-bases")
+    graphs = [cycle_graph(5), cycle_graph(7), prism_graph(), AF1, path_graph(6), complete_graph(4)]
+    for _ in range(60):
+        V = rng.randint(2, 6)
+        graphs.append(Graph.from_edges(V, [e for e in combinations(range(V), 2) if rng.random() < 0.5]))
+    return graphs
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+def test_every_variant_contains_the_power_chi(variant):
+    # `lambda1-window` reported the λ1 window's low edge as χ's lower bound (10 > χ(C5^2) = 8)
+    checked = 0
+    for g in _bound_bases():
+        for n in (1, 2):
+            if variant in ("lambda1-window", "gct-split") and n == 1:
+                continue
+            if variant == "cycle-power" and _cycle_scheme(g) is None:
+                continue
+            power = or_power(g, n) if n > 1 else None
+            rep = chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count, power=power)
+            chi = power_chromatic_number(g, n)
+            assert rep.lower - 1e-9 <= chi <= rep.upper + 1e-9, (variant, g.edges(), n, rep.lower, rep.upper)
+            checked += 1
+    assert checked >= 4
