@@ -5,8 +5,9 @@
   block pair in (b1, b2) order, or GuardExceeded when V1^n or V2^n is past
   the power guard.  Each source colors its single symbols: under full
   support by the parts of f's rows (source 1) or columns (source 2), with no
-  graph built, else its characteristic graph, first-fit under `greedy` and
-  by the exact solver's witness otherwise (`_color_symbols`).  A block's
+  graph built, else its characteristic graph, by `power_coloring(g, 1, s)`:
+  first-fit under `greedy`, else the least fold's level 1 (a canonical
+  cycle's parity or window coloring, or the exact solver's witness).  A block's
   color is the big-endian vector of its symbols' colors, in base the palette
   size k, out of k^n.  Vector colorings are
   valid on the n-block characteristic graph and decode at n exactly when
@@ -41,7 +42,7 @@ from itertools import accumulate
 from math import ceil, inf, lcm
 
 from .chargraph import _characteristic_rows, _check_dims, _positive_cells
-from .coloring import Coloring, _first_fit, check_strategy, exact_chromatic_number, is_valid_coloring
+from .coloring import Coloring, check_strategy, power_coloring
 from .entropy import _huffman, entropy_bits
 from .errors import ChromacodeError, UsageError
 from .graphs import Graph
@@ -174,19 +175,6 @@ def _integer_pmf(pmf):
     return D, weights, ([sum(row) for row in weights], [sum(col) for col in zip(*weights)])
 
 
-def _color_symbols(g, strategy, guard):
-    """A validated coloring of g by `strategy` (`coloring.check_strategy`):
-    first-fit in vertex order under `greedy`, else the exact solver's witness
-    under `guard`.  Within that guard these are `power_coloring`'s colorings at
-    n = 1, the least fold's level 1: on a canonical cycle the exact witness is
-    its first-fit seed, the parity or window coloring; `product` lifts it as is."""
-    check_strategy(strategy, g)
-    c = _first_fit(g._rows, range(g.vertex_count)) if strategy == "greedy" else exact_chromatic_number(g, guard)[1]
-    if not is_valid_coloring(g, c):
-        raise ChromacodeError(f"the {strategy} coloring of a characteristic graph is not valid")
-    return c
-
-
 def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     """Codec plan for length-n blocks.  Each cell of `pmf` counts at its exact
     value `Fraction(p)`, a float at its binary value: the color PMFs of float
@@ -196,8 +184,8 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
     symbols' colors (module docstring).  Under full support the symbol
     coloring is the part coloring whatever the strategy; `coloring_strategy`
     must still name one of `coloring.STRATEGIES`.  With zero cells each
-    characteristic graph is colored first-fit under `greedy`, else by the
-    exact solver's witness (`_color_symbols`).  One list of the positive cells
+    characteristic graph is colored by `power_coloring(g, 1, coloring_strategy,
+    guard)`, the one entry for symbol colorings.  One list of the positive cells
     decides full support, gives both characteristic graphs when there are zero
     cells, and fills the receiver table.  Raises GuardExceeded when V1^n or
     V2^n is past the power guard, before any coloring, and AmbiguityError when
@@ -218,7 +206,7 @@ def build_codec(spec, pmf, n, coloring_strategy="auto", guard=None):
         c1, c2 = (Coloring.from_list(lines) for lines in (spec.table, zip(*spec.table)))
     else:
         c1, c2 = (
-            _color_symbols(Graph(len(rows), rows), coloring_strategy, guard)
+            power_coloring(Graph(len(rows), rows), 1, coloring_strategy, guard)
             for rows in _characteristic_rows(cells, spec.n1, spec.n2)
         )
     decoder = _cell_receiver(cells, c1, c2, n)

@@ -12,8 +12,9 @@ period N with a_N = N·max(ω, V/α), past which each level is copies of checked
 levels.  Its palettes are χ(G^n) at every n (`power_chromatic_number`).
 `power_coloring` gives three colorings: first-fit on the power (`greedy`),
 the least fold (`exact`, `auto` and the two cycle names) and the vector of
-the least fold's base coloring (`product`); every level is checked on the
-base graph (`_checked`), so no power is built but for `greedy`.
+the least fold's base coloring (`product`), at n = 1 the codec's symbol
+colorings; every level is checked on the base graph by one bitset rule, so no
+power is built but for `greedy`.
 """
 
 import itertools
@@ -240,7 +241,7 @@ def _compose(fold, n):
 
 def _checked(g, fold):
     """`fold` with each level (a, S) that lists S checked to be an a:b coloring of g (else
-    ChromacodeError): checked levels compose to a valid coloring of G^n, with no power built."""
+    ChromacodeError, `is_valid_b_fold`): checked levels compose to a valid coloring of G^n."""
 
     def level(b, *sequences):
         a, S = fold(b, *sequences)
@@ -259,36 +260,35 @@ def _vector_fold(a, S):
 
 
 def _least_fold(g, guard):
-    """The least a:b colorings of g: fold(b, sequences=True) -> (a, S), S None unless asked.
+    """(level-1 Coloring, fold) for the least a:b colorings of g: fold(b, sequences=True) ->
+    (a, S), S None unless asked.
 
     The parity vectors on a canonical even cycle (`_vector_fold`), the windows on a canonical
-    odd cycle (`_odd_cycle_fold`).  Else level 1 is the exact witness under `guard`, closing
-    (N = 1) if χ = ω; levels 2, 3, ... up to the denominator of max(ω, V/α), the least N that
-    can meet a_N = N·max(ω, V/α), are `_b_fold_cover`s of the maximal independent sets, listed
-    once.  χ_b is subadditive and at least ⌈b·a_N/N⌉, so past a met N level b = qN + r is q
-    copies of level N on disjoint palettes and level r when that makes ⌈b·a_N/N⌉ colors;
-    other levels are searched.  All but the copies are checked (`_checked`); one clock (ω's
-    clique search's too) and one node count span the searches.
+    odd cycle (`_odd_cycle_fold`).  Else level 1 is the exact witness under `guard`, checked
+    (`is_valid_coloring`) as the fold is made, closing (N = 1) if χ = ω; levels 2, 3, ... up
+    to the denominator of max(ω, V/α), the least N that can meet a_N = N·max(ω, V/α), are
+    `_b_fold_cover`s of the maximal independent sets, listed once.  χ_b is subadditive and
+    at least ⌈b·a_N/N⌉, so past a met N level b = qN + r is q copies of level N on disjoint
+    palettes and level r when that makes ⌈b·a_N/N⌉ colors; other levels are searched.  All
+    but the copies are checked (`_checked`); one clock (ω's clique search's too) and one node
+    count span the searches.
     """
-    if (scheme := _cycle_scheme(g)) == "even-cycle":
-        return _checked(g, _vector_fold(2, [(v % 2,) for v in range(g.vertex_count)]))
-    if scheme == "odd-cycle":
-        return _checked(g, _odd_cycle_fold(g.vertex_count // 2))
-    V, start, nodes, mis = g.vertex_count, time.monotonic(), itertools.count(1), []
+    V = g.vertex_count
+    if scheme := _cycle_scheme(g):
+        fold = _checked(g, _vector_fold(2, [(v % 2,) for v in range(V)]) if scheme == "even-cycle"
+                        else _odd_cycle_fold(V // 2))
+        return Coloring.from_list(s[0] for s in fold(1)[1]), fold
+    start, nodes, mis = time.monotonic(), itertools.count(1), []
+    chi, witness = exact_chromatic_number(g, guard)
+    if not is_valid_coloring(g, witness):
+        raise ChromacodeError(f"the {chi}:1 fold is not a valid coloring of the base graph")
     levels, N, ratio = [(0, [()] * V)], None, None  # levels 0, 1, ..., the N met, max(ω, V/α)
-
-    def search(b):
-        if b == 1:
-            chi, c = exact_chromatic_number(g, guard)
-            return chi, [(x,) for x in c.assignment]
-        return _b_fold_cover(g, mis, b, start, nodes)
-
-    search = _checked(g, search)
+    search = _checked(g, lambda b: _b_fold_cover(g, mis, b, start, nodes))
 
     def fold(b, sequences=True):
         nonlocal N, ratio
         if len(levels) == 1:
-            levels.append(search(1))
+            levels.append((chi, [(x,) for x in witness.assignment]))
         if b > 1 and ratio is None:  # ω, the clique search stopping at χ = a_1 vertices
             ratio = _max_clique_size(g._rows, (1 << V) - 1, lambda: _tick(start), levels[1][0])
             N = 1 if levels[1][0] == ratio else None
@@ -309,7 +309,7 @@ def _least_fold(g, guard):
                 return q * aN + ar, S or None
         return search(b)
 
-    return fold
+    return witness, fold
 
 
 def _odd_cycle_fold(k):
@@ -343,10 +343,10 @@ def _cycle_scheme(g):
     """The cycle strategy that fits g, if g is the canonical cycle C_V with
     V >= 4 (as `make_graph` builds it, vertex v joined to v ± 1 mod V):
     `even-cycle` or `odd-cycle`; else None.  Each adjacency row is compared
-    with the cycle's two-bit row; no cycle graph is built."""
-    V = g.vertex_count
-    if V >= 4 and all(
-        g.neighbors_bitset(v) == (1 << (v - 1) % V | 1 << (v + 1) % V) for v in range(V)
+    with the cycle's two-bit row, row 0 before the scan; no cycle graph is built."""
+    V, rows = g.vertex_count, g._rows
+    if V >= 4 and rows[0] == 2 | 1 << V - 1 and all(
+        row == (1 << (v - 1) % V | 1 << (v + 1) % V) for v, row in enumerate(rows)
     ):
         return "odd-cycle" if V % 2 else "even-cycle"
     return None
@@ -367,15 +367,17 @@ def power_coloring(g, n, strategy="auto", guard=None):
     cycle name).  `greedy` colors the materialized power first-fit; `product` composes the
     vector of the least fold's level-1 coloring, χ(G)^n colors; the others compose the least
     fold (`_least_fold`), χ(G^n) colors, checked level by level on the base graph with no
-    power built.  `guard` bounds the V^n colors listed, checked first whatever the strategy,
-    and the exact solver on the base; searched covers are held to the MIS guard, COVER_NODES
-    and the clock.
+    power built; at n = 1 all but `greedy` give its level 1, with nothing composed.  `guard`
+    bounds the V^n colors listed, checked first whatever the strategy, and the exact solver
+    on the base; searched covers are held to the MIS guard, COVER_NODES and the clock.
     """
     check_strategy(strategy, g)
     if strategy == "greedy":
         return greedy_coloring(or_power(g, n, guard=guard))
     check_power_guard(g.vertex_count, n, guard)
-    fold = _least_fold(g, guard)  # checks its levels
+    level1, fold = _least_fold(g, guard)  # checks its levels
+    if n == 1:
+        return level1
     if strategy == "product":
         fold = _checked(g, _vector_fold(*fold(1)))
     return Coloring.from_list(_compose(fold, n))
@@ -386,7 +388,7 @@ def power_chromatic_number(g, n):
     sequences built past the levels it searches, each of them checked."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    fold, b = _least_fold(g, None), 1
+    (_, fold), b = _least_fold(g, None), 1
     for _ in range(n):
         b = fold(b, False)[0]
     return b
@@ -465,12 +467,21 @@ class FractionalColoring:
 
 
 def is_valid_b_fold(g, fc):
+    """True iff fc gives each vertex of g b distinct colors in range(a), and no edge a shared
+    color: as in `is_valid_coloring`, each color's vertices are ORed into one bitset (a color
+    met twice at a vertex repeats), and each vertex's row is ANDed with its colors' sets."""
     if len(fc.sets) != g.vertex_count:
         raise UsageError("set count != vertex count")
-    sets = [frozenset(s) for s in fc.sets]
-    ok = all(len(s) == len(t) == fc.b for s, t in zip(fc.sets, sets))
-    ok = ok and frozenset().union(*sets) <= frozenset(range(fc.a))
-    return ok and not any(sets[u] & sets[v] for u, v in g.edges())
+    classes = {}
+    for v, s in enumerate(fc.sets):
+        for color in s:
+            members = classes.get(color, 0)
+            if not 0 <= color < fc.a or members >> v & 1:
+                return False
+            classes[color] = members | 1 << v
+    return all(len(s) == fc.b for s in fc.sets) and not any(
+        row & classes[color] for row, s in zip(g._rows, fc.sets) for color in s
+    )
 
 
 def fractional_chromatic_cycle(k, b, guard=None):
@@ -492,6 +503,6 @@ def fractional_chromatic_cycle(k, b, guard=None):
         raise UsageError("need k >= 2 and b >= 1")
     V = 2 * k + 1
     check_guard("fractional coloring set entries V*b", V * b, guard, POWER_GUARD_DEFAULT)
-    a, S = _least_fold(make_graph("cycle", V), None)(b)
+    a, S = _least_fold(make_graph("cycle", V), None)[1](b)
     fc = FractionalColoring(a, b, tuple(frozenset(s) for s in S))
     return {"chi_b_lower": 2 * b + 1, "chi_b": a, "coloring": fc, "chi_f": Fraction(2 * k + 1, k)}

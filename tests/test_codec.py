@@ -8,7 +8,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -525,8 +525,8 @@ def _assert_matches_reference(spec, pmf, n, strategy="auto"):
 @pytest.mark.parametrize("strategy", ["auto", "exact", "greedy", "product"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_build_codec_matches_per_pair_reference(n, strategy):
-    # the reference colors through `power_coloring(g, 1, strategy)`, an
-    # oracle apart from the codec's own `_color_symbols`
+    # the reference colors through `power_coloring(g, 1, strategy)`, as the
+    # codec does, and checks the table, PMFs and codes built on it
     rng = random.Random(f"decoder-oracle:{n}")
     refused = [
         _assert_matches_reference(*_random_zero_cell_spec(rng, n), n, strategy) for _ in range(40)
@@ -1018,8 +1018,7 @@ def test_full_support_builds_no_graph_and_runs_no_solver(ex1, monkeypatch):
         raise RuntimeError("called under full support")
 
     monkeypatch.setattr(codec, "_characteristic_rows", refuse)
-    monkeypatch.setattr(codec, "_color_symbols", refuse)
-    monkeypatch.setattr(codec, "exact_chromatic_number", refuse)
+    monkeypatch.setattr(codec, "power_coloring", refuse)
     monkeypatch.setattr(coloring, "or_power", refuse)
     monkeypatch.setattr(coloring, "exact_chromatic_number", refuse)
     monkeypatch.setattr(orpower, "or_power", refuse)
@@ -1226,14 +1225,23 @@ def test_every_color_of_a_plan_has_positive_weight():
     assert len(planned) == 8 and min(planned.values()) >= 50
 
 
+def _refused_past_n1(f):
+    """`f(graph or fold, n, ...)`, refused at n >= 2: no work of size V^n past the symbols."""
+
+    def call(x, n, *args, **kwargs):
+        if n >= 2:
+            raise RuntimeError("a zero-cell plan built an OR power or composed a fold")
+        return f(x, n, *args, **kwargs)
+
+    return call
+
+
 @pytest.mark.parametrize("strategy", ["auto", "exact", "greedy", "product"])
 def test_zero_cell_plans_build_no_power_and_compose_no_fold(monkeypatch, strategy):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("a zero-cell plan built an OR power or composed a fold")
-
-    monkeypatch.setattr(coloring, "or_power", refuse)
-    monkeypatch.setattr(orpower, "or_power", refuse)
-    monkeypatch.setattr(coloring, "_compose", refuse)
+    # the symbols are colored by `power_coloring(g, 1, strategy)`; an OR power or a
+    # composition may run there at n = 1, never past it
+    for module, name in ((coloring, "or_power"), (orpower, "or_power"), (coloring, "_compose")):
+        monkeypatch.setattr(module, name, _refused_past_n1(getattr(module, name)))
     rng = random.Random(f"no-power:{strategy}")
     # canonical cycles, where `auto` reads a cycle scheme, then random specs
     specs = [(_edge_spec(cycle_graph(V).edges(), V), 2) for V in range(4, 8)]
@@ -1250,25 +1258,35 @@ def test_zero_cell_plans_build_no_power_and_compose_no_fold(monkeypatch, strateg
     assert planned >= 20
 
 
-def test_color_symbols_is_the_power_coloring_at_n1():
-    # every labelled graph on 1-4 vertices and C4-C15, under all six strategies: the same
-    # coloring, or the same misfit UsageError, as `power_coloring` at n = 1, which reads
-    # the least fold's level 1 where the codec runs the exact solver
-    graphs = [Graph.from_edges(V, [e for i, e in enumerate(combinations(range(V), 2)) if mask >> i & 1])
-              for V in range(1, 5) for mask in range(1 << V * (V - 1) // 2)]
-    misfits = 0
-    for g in graphs + [cycle_graph(V) for V in range(4, 16)]:
+def test_symbol_colorings_are_the_power_coloring_at_n1():
+    # the random zero-cell specs and the edge specs of C4-C9, under all six strategies:
+    # each plan's symbol colorings are `power_coloring` of its characteristic graphs at
+    # n = 1, and a cycle name that does not fit raises the same UsageError
+    rng = random.Random("symbol-colorings")
+    specs = [_random_zero_cell_spec(rng, 1) for _ in range(80)]
+    specs = [(spec, pmf) for spec, pmf in specs if not all(map(all, pmf.probs))]  # full support colors parts
+    specs += [_edge_spec(cycle_graph(V).edges(), V) for V in range(4, 10)]
+    planned, misfits = Counter(), 0
+    for spec, pmf in specs:
+        graphs = [build_characteristic_graph(spec, pmf, s) for s in (1, 2)]
         for strategy in STRATEGIES:
             try:
-                want = power_coloring(g, 1, strategy, None)
+                want = tuple(power_coloring(g, 1, strategy) for g in graphs)
             except UsageError as exc:
                 with pytest.raises(UsageError) as got:
-                    codec._color_symbols(g, strategy, None)
+                    build_codec(spec, pmf, 1, strategy)
                 assert str(got.value) == str(exc)
                 misfits += 1
                 continue
-            assert codec._color_symbols(g, strategy, None) == want
-    assert misfits == 2 * 75 - 1 + 12  # both cycle schemes on 74 labelled graphs, one on C4-C15
+            try:
+                plan = build_codec(spec, pmf, 1, strategy)
+            except AmbiguityError:
+                continue
+            assert plan.symbol_colorings == want
+            planned[strategy] += 1
+    # no spec here has two canonical cycles of one parity, so each misfits both cycle names
+    assert sorted(planned) == ["auto", "exact", "greedy", "product"] and min(planned.values()) >= 50
+    assert misfits == 2 * len(specs)
 
 
 def test_build_codec_explicit_guard():
@@ -1287,6 +1305,43 @@ def test_build_codec_explicit_guard():
     with pytest.raises(GuardExceeded, match="vertex count = 65 exceeds guard 64"):
         build_codec(wide, JointPMF(probs), 1, "exact")
     assert build_codec(wide, JointPMF(probs), 1, "greedy").n == 1
+
+
+def _cycle_spec(V):
+    """V x V/2 symbols for even V: x2 = j has mass on x1 = 2j, 2j + 1, 2j + 2 (mod V),
+    uniform over those 3V/2 cells, and f is 1 at the centre 2j + 1 only.  So G_X1 is the
+    canonical cycle C_V and G_X2 is edgeless."""
+    table = [[int(x1 == 2 * j + 1) for j in range(V // 2)] for x1 in range(V)]
+    mass = Fraction(2, 3 * V)
+    probs = tuple(
+        tuple(mass if (x1 - 2 * j) % V <= 2 else Fraction(0) for j in range(V // 2)) for x1 in range(V)
+    )
+    return FunctionSpec.from_table(table), JointPMF(probs)
+
+
+@pytest.mark.parametrize("V", [66, 100])
+@pytest.mark.parametrize("strategy", ["auto", "exact", "product"])
+def test_zero_cell_plan_of_a_cycle_past_the_exact_solvers_guard(V, strategy):
+    # G_X1 = C66 or C100, past the exact solver's 64-vertex guard: the least fold's
+    # level 1 is the parity coloring, read with no exact search
+    spec, pmf = _cycle_spec(V)
+    assert build_characteristic_graph(spec, pmf, 1) == cycle_graph(V)
+    assert build_characteristic_graph(spec, pmf, 2).edge_count == 0
+    for n in (1, 2):
+        plan = build_codec(spec, pmf, n, strategy)
+        assert [c.palette_size for c in plan.symbol_colorings] == [2, 1]
+        assert roundtrip_exhaustive(plan) == (3 * V // 2) ** n
+
+
+def test_edge_spec_of_c66_is_refused_by_its_second_source():
+    # G_X1 = C66 plans, but G_X2 has 66 vertices and 62 edges, is no cycle and meets the
+    # exact solver's guard under `auto` (ROADMAP item 16); `greedy` plans it
+    spec, pmf = _edge_spec(cycle_graph(66).edges(), 66)
+    g2 = build_characteristic_graph(spec, pmf, 2)
+    assert (g2.vertex_count, g2.edge_count) == (66, 62)
+    with pytest.raises(GuardExceeded, match="^instance too large: vertex count = 66 exceeds guard 64$"):
+        build_codec(spec, pmf, 1)
+    assert roundtrip_exhaustive(build_codec(spec, pmf, 1, "greedy")) == 2 * 66
 
 
 def _injective_one_zero_cell(V=32):

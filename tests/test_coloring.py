@@ -433,6 +433,53 @@ def test_is_valid_coloring_matches_edge_scan(data):
         assert not _edge_check(g, Coloring.from_list(merged))
 
 
+def _frozenset_b_fold_check(g, fc):
+    """`is_valid_b_fold`'s contract read set by set: b distinct colors per vertex, each in
+    range(a), none shared across an edge; UsageError when the set count is not V."""
+    if len(fc.sets) != g.vertex_count:
+        raise UsageError("set count != vertex count")
+    sets = [frozenset(s) for s in fc.sets]
+    ok = all(len(s) == len(t) == fc.b for s, t in zip(fc.sets, sets))
+    ok = ok and frozenset().union(*sets) <= frozenset(range(fc.a))
+    return ok and not any(sets[u] & sets[v] for u, v in g.edges())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_is_valid_b_fold_matches_the_frozenset_rule(data):
+    # graphs on 1-8 vertices, b = 0..3, and per-vertex collections that are b distinct
+    # colors below a, or any list (repeats, negative colors, colors >= a, wrong lengths),
+    # as tuples, lists or frozensets; half the draws start from a valid fold (b colors per
+    # class of a greedy coloring) and replace some of its sets; a set too few or too many
+    # in some draws
+    V = data.draw(st.integers(1, 8))
+    pairs = list(combinations(range(V), 2))
+    g = Graph.from_edges(V, data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])))
+    b, valid = data.draw(st.integers(0, 3)), data.draw(st.booleans())
+    if valid:
+        c = greedy_coloring(g)
+        a = c.palette_size * b + data.draw(st.integers(0, 2))
+        sets = [range(x * b, x * b + b) for x in c.assignment]
+    else:
+        a, sets = data.draw(st.integers(0, 6)), [()] * V
+    collection = st.one_of(
+        st.permutations(range(a)).map(lambda p: p[:b]),
+        st.lists(st.integers(-2, a + 1), max_size=4),
+    )
+    kinds = st.sampled_from((tuple, list, frozenset))
+    for v in data.draw(st.lists(st.integers(0, V - 1), max_size=2 if valid else V, unique=True)):
+        sets[v] = data.draw(kinds)(data.draw(collection))
+    count = data.draw(st.sampled_from((V,) * 8 + (V - 1, V + 1)))
+    fc = FractionalColoring(a, b, tuple(sets + [()])[:count])
+    try:
+        want = _frozenset_b_fold_check(g, fc)
+    except UsageError as exc:
+        with pytest.raises(UsageError, match=f"^{exc}$"):
+            is_valid_b_fold(g, fc)
+        return
+    assert is_valid_b_fold(g, fc) is want
+
+
 # -- the composition engine against the per-family index loops it replaced ----
 
 
@@ -782,7 +829,7 @@ def test_b_fold_cover_of_odd_cycles_is_the_window_count(k):
     # cycle: each palette is the least a of the cover search, with sequences or without;
     # the sets come in `maximal_independent_sets`' order, which the search sorts itself
     g = cycle_graph(2 * k + 1)
-    windows = chromacode.coloring._least_fold(g, None)
+    windows = chromacode.coloring._least_fold(g, None)[1]
     for b in range(1, 13):
         fc = _cover(g, b)
         assert fc.a == fractional_chromatic_cycle(k, b)["chi_b"] == windows(b)[0] == windows(b, False)[0]
