@@ -208,9 +208,7 @@ def cmd_spectral(args):
             }
         )
         return 0
-    report = chromatic_bounds_spectral(
-        args.variant, g=g, n=args.power, V=g.vertex_count, power=gn if args.power > 1 else None
-    )
+    report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, power=gn if args.power > 1 else None)
     _emit(
         {
             "variant": report.variant,
@@ -380,10 +378,8 @@ def _rows_example5(tol):
         ("example5", "scalar GCT intervals",
          sorted([(-2.0, 2.0)] * 3 + [(-3.0, 3.0)] * 2), sorted(scalar.intervals), 0)
     )
-    g2 = or_power(af1, 2)
-    block = gershgorin(g2.adjacency_matrix(), "block", block_size=5)
-    rows.append(("example5", "block GCT envelope", (-18.0, 18.0), block.scalar_envelope, tol))
-    w = lambda1_window(af1, 2, power=g2)
+    w = lambda1_window(af1, 2)
+    rows.append(("example5", "block GCT envelope", (-18.0, 18.0), w["gct"].scalar_envelope, tol))
     rows.append(("example5", "lambda_1 window", (12.0, 18.0), tuple(map(float, w["window"])), tol))
     rows.append(("example5", "refined lambda_1 window", (12.0, 15.0), tuple(map(float, w["refined"])), tol))
     inside = w["refined"][0] - 1e-9 <= w["lambda_1"] <= w["refined"][1] + 1e-9

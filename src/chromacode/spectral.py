@@ -1,7 +1,7 @@
-"""Symmetric eigensolving (LAPACK through numpy, with a cyclic Jacobi solver
-kept as the hand-written reference), Gershgorin enclosures, closed-form
-largest eigenvalues of cycle powers, the split decomposition of OR-power
-adjacency matrices, and the eigenvalue-based chromatic bounds."""
+"""Symmetric eigensolving (LAPACK through numpy, the cyclic Jacobi solver its
+tested reference), Gershgorin discs, the split of OR-power adjacency matrices,
+chromatic bounds from eigenvalues, and closed forms: λ1 of cycle powers, and
+spectra of OR powers Gⁿ = G[Gⁿ⁻¹] from λ(G) and λ(Gⁿ⁻¹) (`_lex_spectra`)."""
 
 import math
 from dataclasses import dataclass, field
@@ -124,7 +124,34 @@ def symmetric_eigenvalues(matrix, guard=None):
 
 
 def graph_spectrum(g, guard=None):
+    """Spectrum of g: of an OR power of a regular base (a regular power), the lexicographic closed form."""
+    if isinstance(g, PowerGraph) and len(set(g.degrees())) == 1:
+        check_guard("matrix dimension", g.vertex_count, guard, DENSE_GUARD_DEFAULT)
+        return Spectrum(tuple(map(float, _lex_spectra(g)[4])))
     return symmetric_eigenvalues(g.adjacency_matrix(), guard=guard)
+
+
+def _lex_spectra(power, g=None, n=None):
+    """(G, Gⁿ⁻¹, λ(G), λ(Gⁿ⁻¹), λ(Gⁿ)), spectra descending, of an OR power Gⁿ = G[Gⁿ⁻¹]: base row l
+    is the bits at l'·Vⁿ⁻¹ of row l·Vⁿ⁻¹, Gⁿ⁻¹ the low Vⁿ⁻¹ bits of rows 0..Vⁿ⁻¹ − 1 (UsageError unless
+    they are g and n, when g is given).  On a d-regular base λ(G^{m+1}) is λ_i(G)·V^m + d(G^m) for each i
+    with λ_j(G^m), j >= 2, each V times (Schwenk 1974); else λ(Gⁿ⁻¹) is eigvalsh's and λ(Gⁿ) None."""
+    if not isinstance(power, PowerGraph):
+        raise UsageError("power must be an OR power, a PowerGraph with provenance")
+    V, m, rows = power.tuple_base, power.tuple_len, power._rows
+    size = V ** (m - 1)
+    base = PowerGraph(V, [int(f"{rows[l * size]:b}"[::-1][::size][::-1], 2) for l in range(V)], V, 1)
+    if g is not None and (base, m) != (g, n):
+        raise UsageError(f"power must be or_power(g, n) with n = {n}")
+    sub = PowerGraph(size, [r & (1 << size) - 1 for r in rows[:size]], V, m - 1)
+    lam_g = _eigvalsh(base.adjacency_matrix()).tolist()
+    if len(set(base.degrees())) > 1:  # at n = 2, Gⁿ⁻¹ is G
+        return base, sub, lam_g, lam_g if m == 2 else _eigvalsh(sub.adjacency_matrix()).tolist(), None
+    lam_g[0] = base.degree(0)
+    prev = lam = [0]
+    for k in range(m):
+        prev, lam = lam, sorted([x * V**k + lam[0] for x in lam_g] + lam[1:] * V, reverse=True)
+    return base, sub, lam_g, prev, lam
 
 
 # -- Gershgorin ---------------------------------------------------------------
@@ -293,23 +320,22 @@ def _wilf_upper(l1):
 
 
 def lambda1_window(g, n, power=None):
-    """Enclosures of λ1(G^n): the coarse window [d_avg·V^{n-1}, block-GCT
-    envelope] and the refined window [d_avg·V^{n-1}, ⌊λ1(gr)+λ1(fc)⌋+1]."""
+    """Enclosures of λ1(G^n), `power` being or_power(g, n): the window [d_avg·V^{n-1}, Δ(G^n)], the block
+    GCT's scalar envelope (discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}), and the refined window
+    [d_avg·V^{n-1}, ⌊λ1(gr) + λ1(fc)⌋ + 1] on the split sum λ1(G^{n-1}) + λ1(G)·V^{n-1}."""
     if n < 2:
         raise UsageError("lambda1 window needs n >= 2")
-    V = g.vertex_count
-    d_avg = 2 * g.edge_count / V
-    lo = d_avg * V ** (n - 1)
-    if power is None:
-        power = or_power(g, n)
-    gct = gershgorin(power.adjacency_matrix(), "block", block_size=V ** (n - 1))
-    rep = split_decomposition(power)
-    s = rep.lam_gr[0] + rep.lam_fc[0]
+    size = g.vertex_count ** (n - 1)
+    lo = 2 * g.edge_count / g.vertex_count * size  # d_avg·V^{n-1}
+    power = or_power(g, n) if power is None else power
+    _, _, lam_g, lam_h, lam = _lex_spectra(power, g, n)
+    discs = tuple((x - d * size, x + d * size) for d in g.degrees() for x in map(float, lam_h))
+    env = float(or_power_degree(max(g.degrees()), g.vertex_count, n))
     return {
-        "window": (lo, gct.scalar_envelope[1]),
-        "refined": (lo, _wilf_upper(s)),
-        "lambda_1": rep.lam_full[0],
-        "gct": gct,
+        "window": (lo, env),
+        "refined": (lo, _wilf_upper(lam_h[0] + lam_g[0] * size)),
+        "lambda_1": float(lam[0] if lam is not None else _eigvalsh(power.adjacency_matrix())[0]),
+        "gct": GershgorinIntervals("block", discs, (min(discs)[0], max(d[1] for d in discs)), (0.0 - env, env)),
     }
 
 
@@ -321,6 +347,10 @@ BOUND_VARIANTS = (
     "lambda1-window",
     "gct-split",
 )
+
+
+# the argument groups a variant reads, one name of each to be given ("g power" when not listed)
+_NEEDS = {"cycle-power": ("n", "g V"), "general": ("g", "n"), "lambda1-window": ("g", "n"), "gct-split": ()}
 
 
 def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
@@ -340,6 +370,12 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     lambda1-window: λ1 the refined window's low edge, λ_min Hong; upper the
                     window's high edge, Wilf's bound on the split sum.
     """
+    if variant not in BOUND_VARIANTS:
+        raise UsageError(f"unknown bound variant {variant!r}")
+    given = {"g": g, "n": n, "V": V, "power": power}
+    for names in _NEEDS.get(variant, ("g power",)):
+        if all(given[k] is None for k in names.split()):
+            raise UsageError(f"{variant} bound needs {names.replace(' ', ' or ')}")
     gn = power if power is not None else g
     upper = None
     if variant == "hoffman-direct":
@@ -370,14 +406,12 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     elif variant == "gct-split":
         if power is None:
             raise UsageError("gct-split bound needs the power G^n, n >= 2")
-        rep = split_decomposition(power)
-        l1 = rep.lam_gr[0] + rep.lam_fc[0]
-        lv = hong_bound(power.vertex_count)
-        details = {"lambda_1_gr": rep.lam_gr[0], "lambda_1_fc": rep.lam_fc[0], "sum": l1}
-    elif variant == "lambda1-window":
+        _, _, lam_g, lam_h, _ = _lex_spectra(power, g, n)
+        gr, fc = float(lam_h[0]), float(lam_g[0] * len(lam_h))
+        l1, lv = gr + fc, hong_bound(power.vertex_count)
+        details = {"lambda_1_gr": gr, "lambda_1_fc": fc, "sum": l1}
+    else:  # lambda1-window
         details = lambda1_window(g, n, power=power)
         (l1, upper), lv = details["refined"], hong_bound(g.vertex_count**n)
-    else:
-        raise UsageError(f"unknown bound variant {variant!r}")
     lower = 1.0 - l1 / lv if lv < 0 else 1.0
     return BoundReport(variant, lower, _wilf_upper(l1) if upper is None else upper, details)

@@ -165,6 +165,66 @@ CASES = {
         lambda: chromatic_bounds_spectral("nope", g=C5, n=1, V=5),
         "unknown bound variant 'nope'",
     ),
+    "bound-cycle-power-V": (
+        lambda: chromatic_bounds_spectral("cycle-power", n=2),
+        "cycle-power bound needs g or V",
+    ),
+    "bound-cycle-power-n": (
+        lambda: chromatic_bounds_spectral("cycle-power", V=5),
+        "cycle-power bound needs n",
+    ),
+    "bound-hoffman-direct-g": (
+        lambda: chromatic_bounds_spectral("hoffman-direct"),
+        "hoffman-direct bound needs g or power",
+    ),
+    "bound-degree-g": (
+        lambda: chromatic_bounds_spectral("degree", n=2),
+        "degree bound needs g or power",
+    ),
+    "bound-general-g": (
+        lambda: chromatic_bounds_spectral("general", n=2, V=5),
+        "general bound needs g",
+    ),
+    "bound-general-n": (
+        lambda: chromatic_bounds_spectral("general", g=C5),
+        "general bound needs n",
+    ),
+    "bound-lambda1-window-g": (
+        lambda: chromatic_bounds_spectral("lambda1-window", n=2, power=or_power(C5, 2)),
+        "lambda1-window bound needs g",
+    ),
+    "bound-lambda1-window-n": (
+        lambda: chromatic_bounds_spectral("lambda1-window", g=C5),
+        "lambda1-window bound needs n",
+    ),
+    "lambda1-window-power-exponent": (
+        lambda: lambda1_window(C5, 2, power=or_power(C5, 3)),
+        "power must be or_power(g, n) with n = 2",
+    ),
+    "lambda1-window-power-base": (
+        lambda: lambda1_window(C5, 2, power=or_power(cycle_graph(7), 2)),
+        "power must be or_power(g, n) with n = 2",
+    ),
+    "bound-lambda1-window-power-exponent": (
+        lambda: chromatic_bounds_spectral("lambda1-window", g=C5, n=2, power=or_power(C5, 3)),
+        "power must be or_power(g, n) with n = 2",
+    ),
+    "bound-gct-split-power-base": (
+        lambda: chromatic_bounds_spectral("gct-split", g=C5, n=2, power=or_power(cycle_graph(7), 2)),
+        "power must be or_power(g, n) with n = 2",
+    ),
+    "bound-gct-split-plain-graph": (
+        lambda: chromatic_bounds_spectral("gct-split", power=C5),
+        "power must be an OR power, a PowerGraph with provenance",
+    ),
+    "lambda1-window-plain-graph": (
+        lambda: lambda1_window(C5, 2, power=C5),
+        "power must be an OR power, a PowerGraph with provenance",
+    ),
+    "bound-gct-split-power-exponent": (
+        lambda: chromatic_bounds_spectral("gct-split", g=C5, n=3, power=or_power(C5, 2)),
+        "power must be or_power(g, n) with n = 3",
+    ),
     "decode-not-a-codeword": (
         lambda: decode_pair(_one_color_plan(), "11", ""),
         "bit string '11' is not a codeword",

@@ -253,6 +253,21 @@ def test_spectral_bounds(capsys):
     assert d["lower"] <= 8 <= d["upper"]  # χ(C5^2)
 
 
+@pytest.mark.parametrize("variant", ["gct-split", "lambda1-window", "hoffman-direct"])
+def test_spectral_bounds_of_c5_to_the_fifth_read_the_base(capsys, variant):
+    # 3 125 vertices: the split sum and λ1 are 2·5^4 + λ1(C5^4) = 1250 + 312, the degree
+    rc, out = run(
+        capsys, "spectral", "--kind", "cycle", "--size", "5", "--power", "5", "--op", "bounds", "--variant", variant,
+    )
+    assert rc == 0
+    d = json.loads(out)
+    assert d["upper"] == 1563
+    if variant == "gct-split":
+        assert d["details"]["sum"] == "1562.0"
+    else:
+        assert d["lower"] <= 125 <= d["upper"]  # χ(C5^5)
+
+
 def test_degree_bounds_of_an_edgeless_graph_are_positive_zero(capsys):
     # Das's and Brigham's bounds are minus a square root, of 0 when E = 0
     rc, out = run(

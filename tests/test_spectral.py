@@ -21,6 +21,7 @@ from chromacode import (
     jacobi_eigenvalues,
     lambda1_window,
     or_power,
+    or_power_degree,
     path_graph,
     power_chromatic_number,
     prism_graph,
@@ -29,7 +30,8 @@ from chromacode import (
     symmetric_eigenvalues,
 )
 from chromacode.coloring import _cycle_scheme
-from chromacode.spectral import BOUND_VARIANTS, _eigvalsh, brigham_bound
+from chromacode import spectral
+from chromacode.spectral import BOUND_VARIANTS, _eigvalsh, _lex_spectra, brigham_bound
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -395,3 +397,93 @@ def test_every_variant_contains_the_power_chi(variant):
             assert rep.lower - 1e-9 <= chi <= rep.upper + 1e-9, (variant, g.edges(), n, rep.lower, rep.upper)
             checked += 1
     assert checked >= 4
+
+
+# -- spectra of OR powers from the base -----------------------------------------
+
+
+def _regular_bases():
+    """C3-C8, K1-K5, the prism, 2·C3, an edgeless graph and the 3-regular cube Q3 on 8 vertices."""
+    two_triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    cube = [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]
+    return (
+        [cycle_graph(V) for V in range(3, 9)]
+        + [complete_graph(V) for V in range(1, 6)]
+        + [prism_graph(), Graph.from_edges(6, two_triangles), Graph.from_edges(4, []), Graph.from_edges(8, cube)]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_graph_spectrum_of_a_regular_power_is_the_lexicographic_closed_form(n):
+    for g in _regular_bases():
+        gn = or_power(g, n)  # under the power guard: at most 8^3 vertices
+        values = graph_spectrum(gn).values
+        assert all(type(v) is float for v in values)
+        assert values[0] == or_power_degree(g.degree(0), g.vertex_count, n)
+        assert np.allclose(values, _eigvalsh(gn.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_base_and_the_previous_power_are_read_from_the_power_rows(n):
+    for g in _bound_bases() + _regular_bases():
+        base, sub = _lex_spectra(or_power(g, n))[:2]
+        assert base == g
+        assert sub == (or_power(g, n - 1) if n > 1 else Graph(1, [0]))
+
+
+def _materialized_window(g, n, power):
+    """The λ1 window and split sum as built on the power's Vⁿ x Vⁿ adjacency: the block GCT and
+    the split decomposition of the whole matrix (the reference for the base-quantity forms)."""
+    size = g.vertex_count ** (n - 1)
+    lo = 2 * g.edge_count / g.vertex_count * size
+    gct = gershgorin(power.adjacency_matrix(), "block", block_size=size)
+    rep = split_decomposition(power)
+    s = rep.lam_gr[0] + rep.lam_fc[0]
+    return {
+        "window": (lo, gct.scalar_envelope[1]),
+        "refined": (lo, math.floor(s + 1e-9) + 1),
+        "lambda_1": rep.lam_full[0],
+        "gct": gct,
+        "split": (rep.lam_gr[0], rep.lam_fc[0]),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_window_and_gct_split_match_the_materialized_reference(n):
+    for g in _bound_bases():
+        power = or_power(g, n)
+        ref = _materialized_window(g, n, power)
+        w = lambda1_window(g, n, power=power)
+        where = (g.edges(), n)
+        assert np.allclose(w["gct"].intervals, ref["gct"].intervals, rtol=0, atol=1e-9), where
+        assert np.allclose(w["gct"].envelope, ref["gct"].envelope, rtol=0, atol=1e-9), where
+        top = or_power_degree(max(g.degrees()), g.vertex_count, n)
+        assert w["gct"].scalar_envelope == (-top, top), where
+        assert np.allclose(ref["gct"].scalar_envelope, (-top, top), rtol=0, atol=1e-9), where
+        assert w["window"] == (ref["window"][0], top), where
+        assert w["refined"] == ref["refined"], where
+        assert w["lambda_1"] == pytest.approx(ref["lambda_1"], abs=1e-9), where
+        rep = chromatic_bounds_spectral("gct-split", g=g, n=n, power=power)
+        gr, fc = ref["split"]
+        assert rep.details["lambda_1_gr"] == pytest.approx(gr, abs=1e-9), where
+        assert rep.details["lambda_1_fc"] == pytest.approx(fc, abs=1e-9), where
+        assert rep.details["sum"] == pytest.approx(gr + fc, abs=1e-9), where
+        assert rep.upper == ref["refined"][1], where
+
+
+def test_window_and_gct_split_eigensolve_no_power_sized_matrix_on_a_regular_base(monkeypatch):
+    sizes = []
+    eigvalsh = spectral._eigvalsh
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    for g in (cycle_graph(5), prism_graph(), AF1, path_graph(4)):
+        power = or_power(g, 3)
+        sizes.clear()
+        lambda1_window(g, 3, power=power)
+        chromatic_bounds_spectral("gct-split", g=g, n=3, power=power)
+        regular = len(set(g.degrees())) == 1
+        # only the window's λ1 of a non-regular power needs the whole matrix
+        assert sizes.count(power.vertex_count) == (0 if regular else 1), g.edges()
+        assert max(s for s in sizes if s != power.vertex_count) <= g.vertex_count**2
+        sizes.clear()
+        graph_spectrum(power)
+        assert sizes == ([g.vertex_count] if regular else [power.vertex_count])
