@@ -209,14 +209,10 @@ def cmd_spectral(args):
         )
         return 0
     report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, power=gn if args.power > 1 else None)
-    _emit(
-        {
-            "variant": report.variant,
-            "lower": report.lower,
-            "upper": report.upper,
-            "details": {k: str(v) for k, v in report.details.items()},
-        }
-    )
+    details = dict(report.details)
+    if "gct" in details:  # its envelopes only: the discs are what --op gct prints
+        details["gct"] = {"envelope": details["gct"].envelope, "scalar_envelope": details["gct"].scalar_envelope}
+    _emit({"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": details})
     return 0
 
 

@@ -21,14 +21,19 @@ POWER_GUARD_DEFAULT = 10_000
 
 
 class PowerGraph(Graph):
-    """OR power with recorded provenance (base size and exponent)."""
+    """OR power Gⁿ with its provenance: the base graph G (`base`), the exponent n
+    (`tuple_len`) and V = |G| (`tuple_base`); it has Vⁿ vertices."""
 
-    __slots__ = ("tuple_base", "tuple_len")
+    __slots__ = ("base", "tuple_len")
 
-    def __init__(self, vertex_count, rows, tuple_base, tuple_len):
-        super().__init__(vertex_count, rows)
-        self.tuple_base = tuple_base
+    def __init__(self, rows, base, tuple_len):
+        super().__init__(base.vertex_count**tuple_len, rows)
+        self.base = base
         self.tuple_len = tuple_len
+
+    @property
+    def tuple_base(self):
+        return self.base.vertex_count
 
     def to_dict(self):
         d = super().to_dict()
@@ -87,7 +92,7 @@ def or_power(g, n, guard=None):
             for t in range(V1):
                 new_rows.append(cross | (rows[t] << (l * V1)))
         rows = new_rows
-    return PowerGraph(V**n, rows, V, n)
+    return PowerGraph(rows, g, n)
 
 
 def or_power_degree(d, V, n):

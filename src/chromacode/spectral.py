@@ -1,14 +1,15 @@
 """Symmetric eigensolving (LAPACK through numpy, the cyclic Jacobi solver its
-tested reference), Gershgorin discs, the split of OR-power adjacency matrices,
-chromatic bounds from eigenvalues, and closed forms: λ1 of cycle powers, and
-spectra of OR powers Gⁿ = G[Gⁿ⁻¹] from λ(G) and λ(Gⁿ⁻¹) (`_lex_spectra`)."""
+tested reference), Gershgorin discs, chromatic bounds from eigenvalues, and
+closed forms: λ1 of cycle powers, and the spectra of an OR power
+Gⁿ = G[Gⁿ⁻¹] from its recorded base G (`_lex_spectra`), which the split
+A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window and `gct-split` read."""
 
 import math
 from dataclasses import dataclass, field
 
 from .errors import ChromacodeError, UsageError, check_guard
 from .coloring import _cycle_scheme
-from .orpower import PowerGraph, or_power, or_power_degree
+from .orpower import PowerGraph, check_power_guard, or_power, or_power_degree
 
 DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
@@ -124,34 +125,38 @@ def symmetric_eigenvalues(matrix, guard=None):
 
 
 def graph_spectrum(g, guard=None):
-    """Spectrum of g: of an OR power of a regular base (a regular power), the lexicographic closed form."""
-    if isinstance(g, PowerGraph) and len(set(g.degrees())) == 1:
+    """Spectrum of g: of an OR power of a regular base, the lexicographic closed form."""
+    if isinstance(g, PowerGraph) and len(set(g.base.degrees())) == 1:
         check_guard("matrix dimension", g.vertex_count, guard, DENSE_GUARD_DEFAULT)
-        return Spectrum(tuple(map(float, _lex_spectra(g)[4])))
+        return Spectrum(tuple(map(float, _lex_spectra(g.base, g.tuple_len)[2])))
     return symmetric_eigenvalues(g.adjacency_matrix(), guard=guard)
 
 
-def _lex_spectra(power, g=None, n=None):
-    """(G, Gⁿ⁻¹, λ(G), λ(Gⁿ⁻¹), λ(Gⁿ)), spectra descending, of an OR power Gⁿ = G[Gⁿ⁻¹]: base row l
-    is the bits at l'·Vⁿ⁻¹ of row l·Vⁿ⁻¹, Gⁿ⁻¹ the low Vⁿ⁻¹ bits of rows 0..Vⁿ⁻¹ − 1 (UsageError unless
-    they are g and n, when g is given).  On a d-regular base λ(G^{m+1}) is λ_i(G)·V^m + d(G^m) for each i
-    with λ_j(G^m), j >= 2, each V times (Schwenk 1974); else λ(Gⁿ⁻¹) is eigvalsh's and λ(Gⁿ) None."""
+def _power_base(power, g=None, n=None, refusal="power must be an OR power,"):
+    """(G, n) recorded on power = or_power(G, n); UsageError unless power is a PowerGraph and,
+    when g is given, G is g and n is n."""
     if not isinstance(power, PowerGraph):
-        raise UsageError("power must be an OR power, a PowerGraph with provenance")
-    V, m, rows = power.tuple_base, power.tuple_len, power._rows
-    size = V ** (m - 1)
-    base = PowerGraph(V, [int(f"{rows[l * size]:b}"[::-1][::size][::-1], 2) for l in range(V)], V, 1)
-    if g is not None and (base, m) != (g, n):
+        raise UsageError(f"{refusal} a PowerGraph with provenance")
+    if g is not None and (power.base, power.tuple_len) != (g, n):
         raise UsageError(f"power must be or_power(g, n) with n = {n}")
-    sub = PowerGraph(size, [r & (1 << size) - 1 for r in rows[:size]], V, m - 1)
-    lam_g = _eigvalsh(base.adjacency_matrix()).tolist()
-    if len(set(base.degrees())) > 1:  # at n = 2, Gⁿ⁻¹ is G
-        return base, sub, lam_g, lam_g if m == 2 else _eigvalsh(sub.adjacency_matrix()).tolist(), None
-    lam_g[0] = base.degree(0)
+    return power.base, power.tuple_len
+
+
+def _lex_spectra(g, n):
+    """λ(G), λ(Gⁿ⁻¹) and λ(Gⁿ), descending, of the OR power Gⁿ = G[Gⁿ⁻¹], from G alone.  On a
+    d-regular base λ(G^{m+1}) is λ_i(G)·V^m + d(G^m) for each i with λ_j(G^m), j >= 2, each V
+    times (Schwenk 1974), its top value the integer degree; else λ(Gⁿ⁻¹) is eigvalsh's of
+    or_power(g, n − 1) and λ(Gⁿ) None."""
+    V = g.vertex_count
+    lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
+    if len(set(g.degrees())) > 1:  # Gⁿ⁻¹ is K1 at n = 1, G at n = 2
+        prev = [0.0] if n == 1 else lam_g if n == 2 else _eigvalsh(or_power(g, n - 1).adjacency_matrix()).tolist()
+        return lam_g, prev, None
+    lam_g[0] = g.degree(0)
     prev = lam = [0]
-    for k in range(m):
+    for k in range(n):
         prev, lam = lam, sorted([x * V**k + lam[0] for x in lam_g] + lam[1:] * V, reverse=True)
-    return base, sub, lam_g, prev, lam
+    return lam_g, prev, lam
 
 
 # -- Gershgorin ---------------------------------------------------------------
@@ -262,8 +267,6 @@ def hong_bound(V):
 
 @dataclass
 class SplitReport:
-    a_gr: object  # numpy arrays, the split of the power's adjacency
-    a_fc: object
     lam_gr: tuple
     lam_fc: tuple
     lam_full: tuple
@@ -272,35 +275,19 @@ class SplitReport:
 
 
 def split_decomposition(gn, guard=None):
-    """Split an OR-power adjacency into block-diagonal previous-power copies
-    (a_gr, the diagonal blocks sliced out of the full adjacency) plus the
-    cross-block remainder (a_fc), with an eigen-sum report pairing sorted
-    λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
+    """Spectra of the split A(Gⁿ) = a_gr + a_fc of an OR power, read from its recorded base G:
+    a_gr = I ⊗ A(Gⁿ⁻¹), the V diagonal blocks, has λ(Gⁿ⁻¹), each value V times; a_fc = A(G) ⊗ J,
+    the cross blocks, has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros; λ(full) is `graph_spectrum`'s.  With an
+    eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
     import numpy as np
-    if not isinstance(gn, PowerGraph):
-        raise UsageError("split decomposition needs a PowerGraph with provenance")
-    check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
-    V, n = gn.tuple_base, gn.tuple_len
-    size = V ** (n - 1)
-    full = gn.adjacency_matrix()
-    a_gr = np.zeros_like(full)
-    for l in range(V):
-        block = slice(l * size, (l + 1) * size)
-        a_gr[block, block] = full[block, block]
-    a_fc = full - a_gr
-    lam_gr = _eigvalsh(a_gr)
-    lam_fc = _eigvalsh(a_fc)
-    lam_full = _eigvalsh(full)
+    g, n = _power_base(gn, refusal="split decomposition needs")
+    lam_full = np.array(graph_spectrum(gn, guard=guard).values)
+    lam_g, lam_h, _ = _lex_spectra(g, n)
+    lam_gr = np.repeat(np.array(lam_h, dtype=float), g.vertex_count)
+    cross = np.array(lam_g, dtype=float) * len(lam_h)
+    lam_fc = np.sort(np.concatenate([cross, np.zeros(gn.vertex_count - len(cross))]))[::-1]
     sums = lam_gr + lam_fc
-    return SplitReport(
-        a_gr,
-        a_fc,
-        tuple(lam_gr.tolist()),
-        tuple(lam_fc.tolist()),
-        tuple(lam_full.tolist()),
-        tuple(sums.tolist()),
-        tuple(np.abs(sums - lam_full).tolist()),
-    )
+    return SplitReport(*(tuple(a.tolist()) for a in (lam_gr, lam_fc, lam_full, sums, np.abs(sums - lam_full))))
 
 
 # -- chromatic bounds ---------------------------------------------------------
@@ -320,21 +307,27 @@ def _wilf_upper(l1):
 
 
 def lambda1_window(g, n, power=None):
-    """Enclosures of λ1(G^n), `power` being or_power(g, n): the window [d_avg·V^{n-1}, Δ(G^n)], the block
-    GCT's scalar envelope (discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}), and the refined window
-    [d_avg·V^{n-1}, ⌊λ1(gr) + λ1(fc)⌋ + 1] on the split sum λ1(G^{n-1}) + λ1(G)·V^{n-1}."""
+    """Enclosures of λ1(G^n), read from g (`power`, if given, must be or_power(g, n)): the window
+    [d_avg·V^{n-1}, Δ(G^n)], the block GCT's scalar envelope (discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}),
+    and the refined window [d_avg·V^{n-1}, ⌊λ1(gr) + λ1(fc)⌋ + 1] on the split sum
+    λ1(G^{n-1}) + λ1(G)·V^{n-1}.  Only λ1 of a power of a non-regular base reads the power."""
     if n < 2:
         raise UsageError("lambda1 window needs n >= 2")
+    if power is None:
+        check_power_guard(g.vertex_count, n)
+    else:
+        _power_base(power, g, n)
     size = g.vertex_count ** (n - 1)
     lo = 2 * g.edge_count / g.vertex_count * size  # d_avg·V^{n-1}
-    power = or_power(g, n) if power is None else power
-    _, _, lam_g, lam_h, lam = _lex_spectra(power, g, n)
+    lam_g, lam_h, lam = _lex_spectra(g, n)
+    if lam is None:
+        lam = graph_spectrum(or_power(g, n) if power is None else power).values
     discs = tuple((x - d * size, x + d * size) for d in g.degrees() for x in map(float, lam_h))
     env = float(or_power_degree(max(g.degrees()), g.vertex_count, n))
     return {
         "window": (lo, env),
         "refined": (lo, _wilf_upper(lam_h[0] + lam_g[0] * size)),
-        "lambda_1": float(lam[0] if lam is not None else _eigvalsh(power.adjacency_matrix())[0]),
+        "lambda_1": float(lam[0]),
         "gct": GershgorinIntervals("block", discs, (min(discs)[0], max(d[1] for d in discs)), (0.0 - env, env)),
     }
 
@@ -356,7 +349,8 @@ _NEEDS = {"cycle-power": ("n", "g V"), "general": ("g", "n"), "lambda1-window": 
 def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     """Hoffman's χ >= 1 − λ1/λ_min and Wilf's χ <= ⌊λ1⌋ + 1 on the λ1 and
     λ_min, or bounds on them (above λ1, below λ_min), of one variant; a
-    λ_min bound that is not negative gives lower 1.
+    λ_min bound that is not negative gives lower 1.  A power given with g
+    must be or_power(g, n) (UsageError otherwise).
 
     hoffman-direct: the spectrum of the power if given, else of g.
     cycle-power:    C_V^n: λ1 its degree, λ_min the better of the Brigham and
@@ -376,6 +370,8 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     for names in _NEEDS.get(variant, ("g power",)):
         if all(given[k] is None for k in names.split()):
             raise UsageError(f"{variant} bound needs {names.replace(' ', ' or ')}")
+    if power is not None and (g is not None or variant == "gct-split"):
+        g, n = _power_base(power, g, n)
     gn = power if power is not None else g
     upper = None
     if variant == "hoffman-direct":
@@ -404,9 +400,9 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
         lv = graph_spectrum(power).lambda_min if power is not None else hong_bound(V**n)
         details = {"lambda_1_estimate": l1, "lambda_V": lv}
     elif variant == "gct-split":
-        if power is None:
+        if power is None or n < 2:
             raise UsageError("gct-split bound needs the power G^n, n >= 2")
-        _, _, lam_g, lam_h, _ = _lex_spectra(power, g, n)
+        lam_g, lam_h, _ = _lex_spectra(g, n)
         gr, fc = float(lam_h[0]), float(lam_g[0] * len(lam_h))
         l1, lv = gr + fc, hong_bound(power.vertex_count)
         details = {"lambda_1_gr": gr, "lambda_1_fc": fc, "sum": l1}

@@ -225,6 +225,13 @@ CASES = {
         lambda: chromatic_bounds_spectral("gct-split", g=C5, n=3, power=or_power(C5, 2)),
         "power must be or_power(g, n) with n = 3",
     ),
+    **{
+        f"bound-{variant}-power-base": (
+            lambda variant=variant: chromatic_bounds_spectral(variant, g=C5, n=2, power=or_power(cycle_graph(7), 2)),
+            "power must be or_power(g, n) with n = 2",
+        )
+        for variant in ("general", "hoffman-direct", "degree")
+    },
     "decode-not-a-codeword": (
         lambda: decode_pair(_one_color_plan(), "11", ""),
         "bit string '11' is not a codeword",

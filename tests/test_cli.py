@@ -12,7 +12,7 @@ import chromacode.coloring
 from chromacode import FunctionSpec, GuardExceeded, JointPMF, example1_spec
 from chromacode.cli import COMMANDS, build_parser, main
 from chromacode.errors import UsageError
-from chromacode.spectral import brigham_bound, smallest_eig_lower_bounds
+from chromacode.spectral import BOUND_VARIANTS, brigham_bound, smallest_eig_lower_bounds
 
 
 @pytest.fixture()
@@ -263,9 +263,35 @@ def test_spectral_bounds_of_c5_to_the_fifth_read_the_base(capsys, variant):
     d = json.loads(out)
     assert d["upper"] == 1563
     if variant == "gct-split":
-        assert d["details"]["sum"] == "1562.0"
+        assert d["details"]["sum"] == 1562.0
     else:
         assert d["lower"] <= 125 <= d["upper"]  # χ(C5^5)
+
+
+def _json_numbers(value):
+    """True when value is a number, or a list or dict of them, all the way down."""
+    if isinstance(value, (list, dict)):
+        return all(map(_json_numbers, value.values() if isinstance(value, dict) else value))
+    return type(value) in (int, float)
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+@pytest.mark.parametrize(
+    "graph", [("--kind", "cycle"), ("--kind", "custom", "--edges", "0-1,0-4,1-2,1-3,2-3,3-4")], ids=["C5", "A_f1"]
+)
+def test_spectral_bounds_details_are_json_data(capsys, graph, variant):
+    # details were printed as str(v): the window's gct entry was the repr of a GershgorinIntervals
+    rc, out = run(capsys, "spectral", *graph, "--size", "5", "--power", "2", "--op", "bounds", "--variant", variant)
+    if variant == "cycle-power" and "custom" in graph:
+        assert (rc, out) == (2, "")  # the closed form describes the canonical cycle only
+        return
+    assert rc == 0
+    details = json.loads(out)["details"]
+    assert details and _json_numbers(details), details
+    if variant == "lambda1-window":
+        assert sorted(details) == ["gct", "lambda_1", "refined", "window"]
+        assert sorted(details["gct"]) == ["envelope", "scalar_envelope"]
+        assert all(len(pair) == 2 for pair in (*details["gct"].values(), details["window"], details["refined"]))
 
 
 def test_degree_bounds_of_an_edgeless_graph_are_positive_zero(capsys):
@@ -274,7 +300,7 @@ def test_degree_bounds_of_an_edgeless_graph_are_positive_zero(capsys):
         capsys, "spectral", "--kind", "edgeless", "--size", "4", "--op", "bounds", "--variant", "degree",
     )
     assert rc == 0
-    assert json.loads(out)["details"]["das"] == "0.0" and "-0.0" not in out
+    assert json.loads(out)["details"]["das"] == 0.0 and "-0.0" not in out
     bounds = smallest_eig_lower_bounds(4, 0, [0] * 4)
     for value in (brigham_bound(4, 0), bounds["brigham"], bounds["das"]):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0

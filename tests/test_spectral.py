@@ -238,6 +238,17 @@ def test_gershgorin_refuses_asymmetric_matrices():
         gershgorin(m, "block", block_size=2)
 
 
+def _materialized_split(gn):
+    """(within, full): the block diagonal of the power's Vⁿ x Vⁿ adjacency, built from the sub-graph views,
+    and the adjacency itself."""
+    size = gn.vertex_count // gn.tuple_base
+    within = np.zeros((gn.vertex_count, gn.vertex_count), dtype=np.int64)
+    for l in range(gn.tuple_base):
+        block = slice(l * size, (l + 1) * size)
+        within[block, block] = subgraph_view(gn, l).adjacency_matrix()
+    return within, gn.adjacency_matrix()
+
+
 def subgraph_view(gn, l):
     """Induced graph on sub-graph block l of an OR power (identity on tails)."""
     if not isinstance(gn, PowerGraph):
@@ -251,7 +262,7 @@ def subgraph_view(gn, l):
     rows = [(gn.neighbors_bitset(lo + t) >> lo) & mask for t in range(size)]
     if n == 2:
         return Graph(size, rows)
-    return PowerGraph(size, rows, V, n - 1)
+    return PowerGraph(rows, gn.base, n - 1)
 
 
 @pytest.mark.parametrize(
@@ -260,19 +271,11 @@ def subgraph_view(gn, l):
     ids=["C5^3", "prism^2", "A_f1^2"],
 )
 def test_split_decomposition_slices_the_subgraph_blocks(gn):
-    # oracle: the block diagonal of the sub-graph views' adjacencies
-    size = gn.vertex_count // gn.tuple_base
-    within = np.zeros((gn.vertex_count, gn.vertex_count), dtype=np.int64)
-    for l in range(gn.tuple_base):
-        block = slice(l * size, (l + 1) * size)
-        within[block, block] = subgraph_view(gn, l).adjacency_matrix()
-    full = gn.adjacency_matrix()
+    # oracle: eigvalsh of the block diagonal of the sub-graph views' adjacencies, and of the rest
+    within, full = _materialized_split(gn)
     rep = split_decomposition(gn)
-    assert rep.a_gr.dtype == np.int64 and np.array_equal(rep.a_gr, within)
-    assert np.array_equal(rep.a_fc, full - within)
-    assert rep.lam_gr == tuple(_eigvalsh(within).tolist())
-    assert rep.lam_fc == tuple(_eigvalsh(full - within).tolist())
-    assert rep.lam_full == tuple(_eigvalsh(full).tolist())
+    for got, matrix in ((rep.lam_gr, within), (rep.lam_fc, full - within), (rep.lam_full, full)):
+        assert np.allclose(got, _eigvalsh(matrix), rtol=0, atol=1e-9)
 
 
 def test_split_decomposition_af1_squared():
@@ -424,27 +427,33 @@ def test_graph_spectrum_of_a_regular_power_is_the_lexicographic_closed_form(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_base_and_the_previous_power_are_read_from_the_power_rows(n):
+def test_an_or_power_records_its_base(n):
     for g in _bound_bases() + _regular_bases():
-        base, sub = _lex_spectra(or_power(g, n))[:2]
-        assert base == g
-        assert sub == (or_power(g, n - 1) if n > 1 else Graph(1, [0]))
+        gn = or_power(g, n)
+        assert gn.base is g and (gn.tuple_base, gn.tuple_len) == (g.vertex_count, n)
+        assert gn.to_dict() == {**Graph(gn.vertex_count, gn._rows).to_dict(), "tuple_base": g.vertex_count, "tuple_len": n}
+        lam_g, lam_h, lam = _lex_spectra(g, n)
+        prev = _eigvalsh(or_power(g, n - 1).adjacency_matrix()) if n > 1 else [0.0]
+        assert np.allclose(lam_g, _eigvalsh(g.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), n)
+        assert np.allclose(lam_h, prev, rtol=0, atol=1e-9), (g.edges(), n)
+        assert lam is None or np.allclose(lam, _eigvalsh(gn.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), n)
+        assert (lam is None) == (len(set(g.degrees())) > 1)
 
 
 def _materialized_window(g, n, power):
     """The λ1 window and split sum as built on the power's Vⁿ x Vⁿ adjacency: the block GCT and
-    the split decomposition of the whole matrix (the reference for the base-quantity forms)."""
+    the eigenvalues of its materialized split (the reference for the base-quantity forms)."""
     size = g.vertex_count ** (n - 1)
     lo = 2 * g.edge_count / g.vertex_count * size
     gct = gershgorin(power.adjacency_matrix(), "block", block_size=size)
-    rep = split_decomposition(power)
-    s = rep.lam_gr[0] + rep.lam_fc[0]
+    within, full = _materialized_split(power)
+    gr, fc, lam_1 = (_eigvalsh(m)[0] for m in (within, full - within, full))
     return {
         "window": (lo, gct.scalar_envelope[1]),
-        "refined": (lo, math.floor(s + 1e-9) + 1),
-        "lambda_1": rep.lam_full[0],
+        "refined": (lo, math.floor(gr + fc + 1e-9) + 1),
+        "lambda_1": lam_1,
         "gct": gct,
-        "split": (rep.lam_gr[0], rep.lam_fc[0]),
+        "split": (gr, fc),
     }
 
 
@@ -475,15 +484,22 @@ def test_window_and_gct_split_eigensolve_no_power_sized_matrix_on_a_regular_base
     sizes = []
     eigvalsh = spectral._eigvalsh
     monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    built = []  # the sizes of the adjacency matrices of powers built
+    monkeypatch.setattr(PowerGraph, "adjacency_matrix", lambda p: built.append(p.vertex_count) or Graph.adjacency_matrix(p))
     for g in (cycle_graph(5), prism_graph(), AF1, path_graph(4)):
         power = or_power(g, 3)
-        sizes.clear()
-        lambda1_window(g, 3, power=power)
-        chromatic_bounds_spectral("gct-split", g=g, n=3, power=power)
         regular = len(set(g.degrees())) == 1
-        # only the window's λ1 of a non-regular power needs the whole matrix
-        assert sizes.count(power.vertex_count) == (0 if regular else 1), g.edges()
-        assert max(s for s in sizes if s != power.vertex_count) <= g.vertex_count**2
+        # only λ1 of a non-regular power needs the whole matrix: the window's, and the split's full spectrum
+        for call, wide in (
+            (lambda: lambda1_window(g, 3, power=power), 0 if regular else 1),
+            (lambda: chromatic_bounds_spectral("gct-split", g=g, n=3, power=power), 0),
+            (lambda: split_decomposition(power), 0 if regular else 1),
+        ):
+            sizes.clear()
+            built.clear()
+            call()
+            assert sizes.count(power.vertex_count) == built.count(power.vertex_count) == wide, g.edges()
+            assert max(s for s in sizes if s != power.vertex_count) <= g.vertex_count**2
         sizes.clear()
         graph_spectrum(power)
         assert sizes == ([g.vertex_count] if regular else [power.vertex_count])
