@@ -50,7 +50,7 @@ rep = split_decomposition(p2)
 print(f"\nsplit: lambda_1(cross-block) = {rep.lam_gr[0]:.4f},"
       f" lambda_1(block-diagonal) = {rep.lam_fc[0]:.4f},"
       f" true lambda_1 = {rep.lam_full[0]:.4f}")
-w = lambda1_window(af1, 2, power=p2)
+w = lambda1_window(af1, 2)
 print("lambda_1 window:", w["window"], " refined:", w["refined"],
       f" (solver: {w['lambda_1']:.4f})")
 

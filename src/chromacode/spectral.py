@@ -1,8 +1,9 @@
 """Symmetric eigensolving (LAPACK through numpy, the cyclic Jacobi solver its
 tested reference), Gershgorin discs, chromatic bounds from eigenvalues, and
-closed forms: λ1 of cycle powers, and the spectra of an OR power
-Gⁿ = G[Gⁿ⁻¹] from its recorded base G (`_lex_spectra`), which the split
-A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window and `gct-split` read."""
+closed forms: λ1 of cycle powers, and λ(G) with λ(Gᵐ) of an OR power
+Gᵐ = G[Gᵐ⁻¹] from the base G alone (`_lex_spectra`).  The split
+A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window and `gct-split` read it at m = n − 1,
+`graph_spectrum` of a power of a regular base at m = n."""
 
 import math
 from dataclasses import dataclass, field
@@ -125,10 +126,11 @@ def symmetric_eigenvalues(matrix, guard=None):
 
 
 def graph_spectrum(g, guard=None):
-    """Spectrum of g: of an OR power of a regular base, the lexicographic closed form."""
+    """Spectrum of g: of an OR power of a regular base, the lexicographic closed form.  The
+    dense guard is checked on g's vertex count before any matrix is built."""
+    check_guard("matrix dimension", g.vertex_count, guard, DENSE_GUARD_DEFAULT)
     if isinstance(g, PowerGraph) and len(set(g.base.degrees())) == 1:
-        check_guard("matrix dimension", g.vertex_count, guard, DENSE_GUARD_DEFAULT)
-        return Spectrum(tuple(map(float, _lex_spectra(g.base, g.tuple_len)[2])))
+        return Spectrum(tuple(map(float, _lex_spectra(g.base, g.tuple_len)[1])))
     return symmetric_eigenvalues(g.adjacency_matrix(), guard=guard)
 
 
@@ -142,21 +144,20 @@ def _power_base(power, g=None, n=None, refusal="power must be an OR power,"):
     return power.base, power.tuple_len
 
 
-def _lex_spectra(g, n):
-    """λ(G), λ(Gⁿ⁻¹) and λ(Gⁿ), descending, of the OR power Gⁿ = G[Gⁿ⁻¹], from G alone.  On a
-    d-regular base λ(G^{m+1}) is λ_i(G)·V^m + d(G^m) for each i with λ_j(G^m), j >= 2, each V
-    times (Schwenk 1974), its top value the integer degree; else λ(Gⁿ⁻¹) is eigvalsh's of
-    or_power(g, n − 1) and λ(Gⁿ) None."""
+def _lex_spectra(g, m):
+    """λ(G) and λ(Gᵐ), descending, of the OR power Gᵐ = G[Gᵐ⁻¹], from G alone.  On a d-regular
+    base λ(G^{k+1}) is λ_i(G)·V^k + d(G^k) for each i with λ_j(G^k), j >= 2, each V times
+    (Schwenk 1974), its top value the integer degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m)
+    ([0.0] at m = 0, λ(G) at m = 1)."""
     V = g.vertex_count
     lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
-    if len(set(g.degrees())) > 1:  # Gⁿ⁻¹ is K1 at n = 1, G at n = 2
-        prev = [0.0] if n == 1 else lam_g if n == 2 else _eigvalsh(or_power(g, n - 1).adjacency_matrix()).tolist()
-        return lam_g, prev, None
+    if len(set(g.degrees())) > 1:
+        return lam_g, [0.0] if m == 0 else lam_g if m == 1 else _eigvalsh(or_power(g, m).adjacency_matrix()).tolist()
     lam_g[0] = g.degree(0)
-    prev = lam = [0]
-    for k in range(n):
-        prev, lam = lam, sorted([x * V**k + lam[0] for x in lam_g] + lam[1:] * V, reverse=True)
-    return lam_g, prev, lam
+    lam = [0]
+    for k in range(m):
+        lam = sorted([x * V**k + lam[0] for x in lam_g] + lam[1:] * V, reverse=True)
+    return lam_g, lam
 
 
 # -- Gershgorin ---------------------------------------------------------------
@@ -277,12 +278,13 @@ class SplitReport:
 def split_decomposition(gn, guard=None):
     """Spectra of the split A(Gⁿ) = a_gr + a_fc of an OR power, read from its recorded base G:
     a_gr = I ⊗ A(Gⁿ⁻¹), the V diagonal blocks, has λ(Gⁿ⁻¹), each value V times; a_fc = A(G) ⊗ J,
-    the cross blocks, has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros; λ(full) is `graph_spectrum`'s.  With an
-    eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
+    the cross blocks, has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros (both from `_lex_spectra(G, n − 1)`);
+    λ(full) is `graph_spectrum`'s.  With an eigen-sum report pairing sorted λ(a_gr) + sorted
+    λ(a_fc) against sorted λ(full)."""
     import numpy as np
     g, n = _power_base(gn, refusal="split decomposition needs")
     lam_full = np.array(graph_spectrum(gn, guard=guard).values)
-    lam_g, lam_h, _ = _lex_spectra(g, n)
+    lam_g, lam_h = _lex_spectra(g, n - 1)
     lam_gr = np.repeat(np.array(lam_h, dtype=float), g.vertex_count)
     cross = np.array(lam_g, dtype=float) * len(lam_h)
     lam_fc = np.sort(np.concatenate([cross, np.zeros(gn.vertex_count - len(cross))]))[::-1]
@@ -306,29 +308,27 @@ def _wilf_upper(l1):
     return math.floor(l1 + 1e-9) + 1
 
 
-def lambda1_window(g, n, power=None):
-    """Enclosures of λ1(G^n), read from g (`power`, if given, must be or_power(g, n)): the window
-    [d_avg·V^{n-1}, Δ(G^n)], the block GCT's scalar envelope (discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}),
-    and the refined window [d_avg·V^{n-1}, ⌊λ1(gr) + λ1(fc)⌋ + 1] on the split sum
-    λ1(G^{n-1}) + λ1(G)·V^{n-1}.  Only λ1 of a power of a non-regular base reads the power."""
+def lambda1_window(g, n):
+    """Enclosures of λ1(G^n), read from G and λ(G^{n-1}): the window [d_avg·V^{n-1}, Δ(G^n)]; the
+    block GCT's `envelope`, the hull of its discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}, and its
+    `scalar_envelope` ±Δ(G^n); the refined window [d_avg·V^{n-1}, ⌊λ1(G^{n-1}) + λ1(G)·V^{n-1}⌋ + 1].
+    λ1(G^n) is Δ(G^n) on a regular base, else eigvalsh's of or_power(g, n).  The power guard holds
+    on the largest graph read, G^{n-1} or G^n, and is checked before any eigensolve."""
     if n < 2:
         raise UsageError("lambda1 window needs n >= 2")
-    if power is None:
-        check_power_guard(g.vertex_count, n)
-    else:
-        _power_base(power, g, n)
-    size = g.vertex_count ** (n - 1)
-    lo = 2 * g.edge_count / g.vertex_count * size  # d_avg·V^{n-1}
-    lam_g, lam_h, lam = _lex_spectra(g, n)
-    if lam is None:
-        lam = graph_spectrum(or_power(g, n) if power is None else power).values
-    discs = tuple((x - d * size, x + d * size) for d in g.degrees() for x in map(float, lam_h))
-    env = float(or_power_degree(max(g.degrees()), g.vertex_count, n))
+    V, degrees = g.vertex_count, g.degrees()
+    regular = len(set(degrees)) == 1
+    check_power_guard(V, n - 1 if regular else n)
+    size = V ** (n - 1)
+    lo = 2 * g.edge_count / V * size  # d_avg·V^{n-1}
+    lam_g, lam_h = _lex_spectra(g, n - 1)
+    top = float(or_power_degree(max(degrees), V, n))
+    reach = max(degrees) * size
     return {
-        "window": (lo, env),
+        "window": (lo, top),
         "refined": (lo, _wilf_upper(lam_h[0] + lam_g[0] * size)),
-        "lambda_1": float(lam[0]),
-        "gct": GershgorinIntervals("block", discs, (min(discs)[0], max(d[1] for d in discs)), (0.0 - env, env)),
+        "lambda_1": top if regular else graph_spectrum(or_power(g, n)).lambda_1,
+        "gct": {"envelope": (float(lam_h[-1]) - reach, float(lam_h[0]) + reach), "scalar_envelope": (0.0 - top, top)},
     }
 
 
@@ -402,12 +402,12 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
     elif variant == "gct-split":
         if power is None or n < 2:
             raise UsageError("gct-split bound needs the power G^n, n >= 2")
-        lam_g, lam_h, _ = _lex_spectra(g, n)
+        lam_g, lam_h = _lex_spectra(g, n - 1)
         gr, fc = float(lam_h[0]), float(lam_g[0] * len(lam_h))
         l1, lv = gr + fc, hong_bound(power.vertex_count)
         details = {"lambda_1_gr": gr, "lambda_1_fc": fc, "sum": l1}
     else:  # lambda1-window
-        details = lambda1_window(g, n, power=power)
+        details = lambda1_window(g, n)
         (l1, upper), lv = details["refined"], hong_bound(g.vertex_count**n)
     lower = 1.0 - l1 / lv if lv < 0 else 1.0
     return BoundReport(variant, lower, _wilf_upper(l1) if upper is None else upper, details)

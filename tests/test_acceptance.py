@@ -310,7 +310,7 @@ def test_criterion_7_block_envelope_and_window():
     g2 = or_power(AF1, 2)
     block = gershgorin(g2.adjacency_matrix(), "block", block_size=5)
     assert block.scalar_envelope == (-18.0, 18.0)
-    w = lambda1_window(AF1, 2, power=g2)
+    w = lambda1_window(AF1, 2)
     assert w["refined"] == (12.0, 15)
     assert w["refined"][0] - 1e-9 <= w["lambda_1"] <= w["refined"][1] + 1e-9
 

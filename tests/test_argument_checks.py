@@ -197,14 +197,6 @@ CASES = {
         lambda: chromatic_bounds_spectral("lambda1-window", g=C5),
         "lambda1-window bound needs n",
     ),
-    "lambda1-window-power-exponent": (
-        lambda: lambda1_window(C5, 2, power=or_power(C5, 3)),
-        "power must be or_power(g, n) with n = 2",
-    ),
-    "lambda1-window-power-base": (
-        lambda: lambda1_window(C5, 2, power=or_power(cycle_graph(7), 2)),
-        "power must be or_power(g, n) with n = 2",
-    ),
     "bound-lambda1-window-power-exponent": (
         lambda: chromatic_bounds_spectral("lambda1-window", g=C5, n=2, power=or_power(C5, 3)),
         "power must be or_power(g, n) with n = 2",
@@ -217,8 +209,8 @@ CASES = {
         lambda: chromatic_bounds_spectral("gct-split", power=C5),
         "power must be an OR power, a PowerGraph with provenance",
     ),
-    "lambda1-window-plain-graph": (
-        lambda: lambda1_window(C5, 2, power=C5),
+    "bound-lambda1-window-plain-graph": (
+        lambda: chromatic_bounds_spectral("lambda1-window", g=C5, n=2, power=C5),
         "power must be an OR power, a PowerGraph with provenance",
     ),
     "bound-gct-split-power-exponent": (
@@ -230,7 +222,7 @@ CASES = {
             lambda variant=variant: chromatic_bounds_spectral(variant, g=C5, n=2, power=or_power(cycle_graph(7), 2)),
             "power must be or_power(g, n) with n = 2",
         )
-        for variant in ("general", "hoffman-direct", "degree")
+        for variant in ("general", "hoffman-direct", "degree", "lambda1-window")
     },
     "decode-not-a-codeword": (
         lambda: decode_pair(_one_color_plan(), "11", ""),

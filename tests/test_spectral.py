@@ -8,6 +8,7 @@ import pytest
 from chromacode import (
     ChromacodeError,
     Graph,
+    GuardExceeded,
     PowerGraph,
     UsageError,
     chromatic_bounds_spectral,
@@ -72,6 +73,7 @@ class _MatrixGraph:
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self.vertex_count = len(matrix)
 
     def adjacency_matrix(self):
         return self.matrix
@@ -432,12 +434,11 @@ def test_an_or_power_records_its_base(n):
         gn = or_power(g, n)
         assert gn.base is g and (gn.tuple_base, gn.tuple_len) == (g.vertex_count, n)
         assert gn.to_dict() == {**Graph(gn.vertex_count, gn._rows).to_dict(), "tuple_base": g.vertex_count, "tuple_len": n}
-        lam_g, lam_h, lam = _lex_spectra(g, n)
-        prev = _eigvalsh(or_power(g, n - 1).adjacency_matrix()) if n > 1 else [0.0]
-        assert np.allclose(lam_g, _eigvalsh(g.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), n)
-        assert np.allclose(lam_h, prev, rtol=0, atol=1e-9), (g.edges(), n)
-        assert lam is None or np.allclose(lam, _eigvalsh(gn.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), n)
-        assert (lam is None) == (len(set(g.degrees())) > 1)
+        for m in (n - 1, n):
+            lam_g, lam = _lex_spectra(g, m)
+            want = _eigvalsh(or_power(g, m).adjacency_matrix()) if m else [0.0]
+            assert np.allclose(lam_g, _eigvalsh(g.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), m)
+            assert np.allclose(lam, want, rtol=0, atol=1e-9), (g.edges(), m)
 
 
 def _materialized_window(g, n, power):
@@ -462,12 +463,11 @@ def test_window_and_gct_split_match_the_materialized_reference(n):
     for g in _bound_bases():
         power = or_power(g, n)
         ref = _materialized_window(g, n, power)
-        w = lambda1_window(g, n, power=power)
+        w = lambda1_window(g, n)
         where = (g.edges(), n)
-        assert np.allclose(w["gct"].intervals, ref["gct"].intervals, rtol=0, atol=1e-9), where
-        assert np.allclose(w["gct"].envelope, ref["gct"].envelope, rtol=0, atol=1e-9), where
+        assert np.allclose(w["gct"]["envelope"], ref["gct"].envelope, rtol=0, atol=1e-9), where
         top = or_power_degree(max(g.degrees()), g.vertex_count, n)
-        assert w["gct"].scalar_envelope == (-top, top), where
+        assert w["gct"]["scalar_envelope"] == (-top, top), where
         assert np.allclose(ref["gct"].scalar_envelope, (-top, top), rtol=0, atol=1e-9), where
         assert w["window"] == (ref["window"][0], top), where
         assert w["refined"] == ref["refined"], where
@@ -491,7 +491,7 @@ def test_window_and_gct_split_eigensolve_no_power_sized_matrix_on_a_regular_base
         regular = len(set(g.degrees())) == 1
         # only λ1 of a non-regular power needs the whole matrix: the window's, and the split's full spectrum
         for call, wide in (
-            (lambda: lambda1_window(g, 3, power=power), 0 if regular else 1),
+            (lambda: lambda1_window(g, 3), 0 if regular else 1),
             (lambda: chromatic_bounds_spectral("gct-split", g=g, n=3, power=power), 0),
             (lambda: split_decomposition(power), 0 if regular else 1),
         ):
@@ -503,3 +503,29 @@ def test_window_and_gct_split_eigensolve_no_power_sized_matrix_on_a_regular_base
         sizes.clear()
         graph_spectrum(power)
         assert sizes == ([g.vertex_count] if regular else [power.vertex_count])
+
+
+def test_the_window_reads_g_and_n_alone_and_guards_the_largest_graph_it_reads(monkeypatch):
+    sizes = []
+    eigvalsh = spectral._eigvalsh
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    # C5^6 is past the power guard, but a regular base reads λ(C5^5) from λ(C5)
+    w = lambda1_window(cycle_graph(5), 6)
+    assert (w["window"], w["refined"], w["lambda_1"]) == ((6250.0, 7812.0), (6250.0, 7813), 7812.0)
+    assert sizes == [5]
+    sizes.clear()
+    # C5^7 reads C5^6, and the non-regular AF1^6 reads itself: both are past the power guard
+    for g, n in ((cycle_graph(5), 7), (AF1, 6)):
+        with pytest.raises(GuardExceeded, match="power vertex count"):
+            lambda1_window(g, n)
+    assert sizes == []
+
+
+def test_graph_spectrum_refuses_past_the_dense_guard_before_building_a_matrix(monkeypatch):
+    built = []
+    adjacency = Graph.adjacency_matrix
+    monkeypatch.setattr(Graph, "adjacency_matrix", lambda g: built.append(g.vertex_count) or adjacency(g))
+    for g in (cycle_graph(300), path_graph(101), or_power(cycle_graph(11), 2)):
+        with pytest.raises(GuardExceeded, match="matrix dimension"):
+            graph_spectrum(g, guard=100)
+    assert built == []
