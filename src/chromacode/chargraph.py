@@ -7,20 +7,17 @@ strict positivity and must not be subject to rounding.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import UsageError, load_json
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """f(x1, x2) over alphabets [n1] x [n2]; outcomes normalized to 0-based ids."""
+class FunctionSpec(namedtuple("FunctionSpec", "n1 n2 table")):
+    """f(x1, x2) over alphabets [n1] x [n2]: `table`, n1 rows of n2 outcome ids, 0-based."""
 
-    n1: int
-    n2: int
-    table: tuple  # n1 rows of n2 outcome ids
+    __slots__ = ()
 
     @classmethod
     def from_table(cls, table):
@@ -70,18 +67,22 @@ def _parse_rational(v):
     raise UsageError(f"probability {v!r} must be an exact rational ('num/den' or int)")
 
 
-@dataclass(frozen=True)
-class JointPMF:
-    """Exact-rational joint distribution over [n1] x [n2]."""
+class JointPMF(namedtuple("JointPMF", "probs")):
+    """Exact-rational joint distribution over [n1] x [n2]: `probs`, n1 rows of n2 Fractions."""
 
-    probs: tuple  # n1 rows of n2 Fractions
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = sum(p for row in self.probs for p in row)
+    def __new__(cls, probs):
+        total = sum(p for row in probs for p in row)
         if total != 1:
             raise UsageError(f"joint PMF sums to {total}, not 1")
-        if any(p < 0 for row in self.probs for p in row):
+        if any(p < 0 for row in probs for p in row):
             raise UsageError("joint PMF has a negative entry")
+        return super().__new__(cls, probs)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it: check the copy too
+        return cls(*iterable)
 
     @classmethod
     def uniform(cls, n1, n2):

@@ -182,7 +182,9 @@ def cmd_entropy(args):
 
 def cmd_spectral(args):
     g = _load_graph(args)
-    gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
+    # the λ1 window reads (g, n) alone, and guards the largest graph it reads itself
+    window = args.op == "bounds" and args.variant == "lambda1-window"
+    gn = or_power(g, args.power, guard=args.guard) if args.power > 1 and not window else g
     if args.op == "eig":
         spec = graph_spectrum(gn)
         _emit({"eigenvalues": list(spec.values), "distinct": list(spec.distinct())})
@@ -208,7 +210,7 @@ def cmd_spectral(args):
             }
         )
         return 0
-    report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, power=gn if args.power > 1 else None)
+    report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, power=None if gn is g else gn)
     _emit({"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": report.details})
     return 0
 

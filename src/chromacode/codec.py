@@ -35,7 +35,7 @@
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -62,17 +62,27 @@ class AmbiguityError(ChromacodeError):
 SIMULATE_CHUNK = 4096  # block pairs per array pass of `simulate` and `roundtrip_exhaustive`
 
 
-@dataclass(frozen=True, eq=False)
 class Receiver:
     """The receiver at block length n: `table` is the k1 x k2 int64 table of
     the symbol colorings, whose entry [a, b] is the outcome of symbol colors
     a, b, or -1 where no positive cell has that pair.  A block color pair is
     read as n big-endian digit pairs (`_digits`) and decodes when every
     digit pair has an outcome, to the tuple of those outcomes; `len` counts
-    these m^n pairs, for the m entries of `table` that are not -1."""
+    these m^n pairs, for the m entries of `table` that are not -1.  Read-only."""
 
-    table: object  # numpy int64 array, k1 x k2
-    n: int
+    __slots__ = ("table", "n")
+
+    def __init__(self, table, n):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Receiver is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"Receiver(table={self.table!r}, n={self.n!r})"
 
     def __len__(self):
         return int((self.table >= 0).sum()) ** self.n
@@ -84,18 +94,16 @@ class Receiver:
         return self.n == other.n and a.shape == b.shape and bool((a == b).all())
 
 
-@dataclass
-class CodecPlan:
-    spec: object
-    pmf: object
-    n: int
-    symbol_colorings: tuple  # per source, the Coloring of single symbols, palette size k
-    codes: tuple  # Huffman code dicts keyed by block color, out of k^n per source
-    color_weights: tuple  # {color: integer weight over `scale`} per source, in color order
-    scale: int  # D^n, for the common denominator D of the joint PMF
-    avg_lengths: tuple  # exact Fractions, bits per block
-    decoder: Receiver  # the k1 x k2 table of the symbol colorings, read digit by digit
-    inverses: tuple  # {codeword: color} per source, the receiver's codebooks
+class CodecPlan(namedtuple(
+    "CodecPlan",
+    "spec pmf n symbol_colorings codes color_weights scale avg_lengths decoder inverses",
+)):
+    """The codec at block length `n` for `spec` under `pmf`.  Per source: `symbol_colorings`, the
+    Coloring of single symbols, palette size k; `codes`, Huffman code dicts keyed by block color,
+    out of k^n; `color_weights`, {color: integer weight over `scale`} in color order;
+    `avg_lengths`, exact Fractions, bits per block; `inverses`, the receiver's {codeword: color}
+    codebooks.  `scale` is D^n, for the common denominator D of the joint PMF; `decoder` is the
+    Receiver.  A plan keeps a `__dict__`, for `color_pmfs`."""
 
     @cached_property
     def color_pmfs(self):
@@ -370,30 +378,19 @@ def roundtrip_exhaustive(plan):
     return pairs
 
 
-@dataclass
-class RateReport:
-    n: int
-    samples: int
-    seed: int
-    strategy: str
-    rates: tuple  # empirical bits per source symbol, per source
-    expected_rates: tuple  # exact avg Huffman length / n, per source
-    coloring_entropies: tuple  # bits per symbol of the color PMFs
-    source_entropies: tuple  # H(X1), H(X2)
-    lossless: bool
+class RateReport(namedtuple(
+    "RateReport",
+    "n samples seed strategy rates expected_rates coloring_entropies source_entropies lossless",
+)):
+    """One `simulate` run.  Per source: `rates`, empirical bits per source symbol; `expected_rates`,
+    the exact average Huffman length / n; `coloring_entropies`, bits per symbol of the color PMFs;
+    `source_entropies`, H(X1), H(X2)."""
+
+    __slots__ = ()
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "rates": list(self.rates),
-            "expected_rates": [float(r) for r in self.expected_rates],
-            "coloring_entropies": list(self.coloring_entropies),
-            "source_entropies": list(self.source_entropies),
-            "lossless": self.lossless,
-        }
+        """The fields by name, the exact expected rates as floats."""
+        return {**self._asdict(), "expected_rates": [float(r) for r in self.expected_rates]}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)

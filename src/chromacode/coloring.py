@@ -19,7 +19,7 @@ power is built but for `greedy`.
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ChromacodeError, GuardExceeded, UsageError, check_guard
@@ -34,12 +34,10 @@ CHI_TIMEOUT_DEFAULT = 60.0
 COVER_NODES = 500_000
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "assignment palette_size")):
     """Vertex -> color assignment with a contiguous 0-based palette."""
 
-    assignment: tuple
-    palette_size: int
+    __slots__ = ()
 
     @classmethod
     def from_list(cls, colors):
@@ -459,11 +457,11 @@ def product_coloring(g, n, guard=None):
 # -- fractional colorings ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FractionalColoring:
-    a: int  # total colors
-    b: int  # fold size
-    sets: tuple  # per-vertex collections of color ids
+class FractionalColoring(namedtuple("FractionalColoring", "a b sets")):
+    """An a:b coloring: `a` colors in total, a fold of `b` at each vertex;
+    `sets` holds the per-vertex collections of color ids."""
+
+    __slots__ = ()
 
 
 def is_valid_b_fold(g, fc):

@@ -12,7 +12,7 @@ PMFs stay exact rationals; entropies are floats (comparison tolerance 1e-9).
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm, log2
 
@@ -97,14 +97,12 @@ def chromatic_entropy_bruteforce(g, vertex_pmf=None, guard=None):
 # -- alpha-profile upper bounds ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
+class AlphaProfile(namedtuple("AlphaProfile", "alphas mis_sizes total")):
     """alphas[t] = number of color classes realized as independent sets of
-    size mis_sizes[t] = |MIS_{G^t}| in a coloring of G^n."""
+    size mis_sizes[t] = |MIS_{G^t}| in a coloring of G^n, t = 0..n; `total`
+    is V^n."""
 
-    alphas: tuple  # alpha_0 .. alpha_n
-    mis_sizes: tuple  # |MIS_{G^t}| for t = 0..n
-    total: int  # V^n
+    __slots__ = ()
 
     def pmf(self):
         out = {}

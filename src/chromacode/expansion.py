@@ -1,6 +1,6 @@
 """Neighborhood expansion rates and their spectral bounds for OR powers."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import UsageError
@@ -38,15 +38,12 @@ def tanner_lower_bound(degree, total, y_size, lam):
     return d2 / (lam2 + (d2 - lam2) * y_size / total)
 
 
-@dataclass(frozen=True)
-class ExpansionBounds:
-    family: str
-    total: int  # V^n
-    y_size: int
-    lower: float
-    upper: float
-    lam: float
-    lam_is_bound: bool  # True when Λ was substituted by a spectral bound
+class ExpansionBounds(namedtuple("ExpansionBounds", "family total y_size lower upper lam lam_is_bound")):
+    """Expansion-rate bounds of a |Y| = `y_size` subset of the n-fold power,
+    `total` = V^n vertices; `lam_is_bound` is True when Λ was substituted by
+    a spectral bound."""
+
+    __slots__ = ()
 
 
 def expansion_bounds(family, V, n, y_size, d=None, lam=None):

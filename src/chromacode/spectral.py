@@ -6,7 +6,7 @@ A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window and `gct-split` read it a
 `graph_spectrum` of a power of a regular base at m = n."""
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ChromacodeError, UsageError, check_guard
 from .coloring import _cycle_scheme
@@ -89,11 +89,10 @@ def jacobi_eigenvalues(matrix, max_sweeps=60):
     return diag[np.argsort(diag)[::-1]]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "values")):
     """Eigenvalues sorted descending, with clustering into distinct values."""
 
-    values: tuple
+    __slots__ = ()
 
     @property
     def lambda_1(self):
@@ -146,29 +145,36 @@ def _power_base(power, g=None, n=None, refusal="power must be an OR power,"):
 
 def _lex_spectra(g, m):
     """λ(G) and λ(Gᵐ), descending, of the OR power Gᵐ = G[Gᵐ⁻¹], from G alone.  On a d-regular
-    base λ(G^{k+1}) is λ_i(G)·V^k + d(G^k) for each i with λ_j(G^k), j >= 2, each V times
-    (Schwenk 1974), its top value the integer degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m)
-    ([0.0] at m = 0, λ(G) at m = 1)."""
-    V = g.vertex_count
+    base λ(G^{k+1}) is `_lex_step` of λ(G) and λ(G^k) (Schwenk 1974), its top value the integer
+    degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m) ([0.0] at m = 0, λ(G) at m = 1)."""
     lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
     if len(set(g.degrees())) > 1:
         return lam_g, [0.0] if m == 0 else lam_g if m == 1 else _eigvalsh(or_power(g, m).adjacency_matrix()).tolist()
     lam_g[0] = g.degree(0)
     lam = [0]
-    for k in range(m):
-        lam = sorted([x * V**k + lam[0] for x in lam_g] + lam[1:] * V, reverse=True)
+    for _ in range(m):
+        lam = _lex_step(lam_g, lam)
     return lam_g, lam
+
+
+def _lex_step(lam_g, lam_h):
+    """λ(G[H]), descending, from λ(G) of a regular G, its top value the degree, and λ(H) of a
+    regular H, its top value the degree: λ_i(G)·|H| + d(H) for each i, with λ_j(H), j >= 2, each
+    |G| times."""
+    size = len(lam_h)
+    return sorted([x * size + lam_h[0] for x in lam_g] + lam_h[1:] * len(lam_g), reverse=True)
 
 
 # -- Gershgorin ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GershgorinIntervals:
-    mode: str
-    intervals: tuple  # (lo, hi) pairs
-    envelope: tuple  # (lo, hi) hull of the intervals
-    scalar_envelope: tuple = None  # block mode only: scalar-GCT-centered hull
+class GershgorinIntervals(
+    namedtuple("GershgorinIntervals", "mode intervals envelope scalar_envelope", defaults=(None,))
+):
+    """Gershgorin enclosures of one `mode`: `intervals` holds (lo, hi) pairs and `envelope` their
+    (lo, hi) hull; `scalar_envelope`, block mode only, is the scalar-GCT-centered hull."""
+
+    __slots__ = ()
 
     def contains(self, value, tol=1e-9):
         return any(lo - tol <= value <= hi + tol for lo, hi in self.intervals)
@@ -266,25 +272,25 @@ def hong_bound(V):
 # -- split decomposition ------------------------------------------------------
 
 
-@dataclass
-class SplitReport:
-    lam_gr: tuple
-    lam_fc: tuple
-    lam_full: tuple
-    lam_sums: tuple
-    deviations: tuple  # per-index |lam_sums - lam_full|
+class SplitReport(namedtuple("SplitReport", "lam_gr lam_fc lam_full lam_sums deviations")):
+    """Spectra of the split of an OR power, descending, with `deviations` the per-index
+    |lam_sums - lam_full|."""
+
+    __slots__ = ()
 
 
 def split_decomposition(gn, guard=None):
     """Spectra of the split A(Gⁿ) = a_gr + a_fc of an OR power, read from its recorded base G:
     a_gr = I ⊗ A(Gⁿ⁻¹), the V diagonal blocks, has λ(Gⁿ⁻¹), each value V times; a_fc = A(G) ⊗ J,
     the cross blocks, has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros (both from `_lex_spectra(G, n − 1)`);
-    λ(full) is `graph_spectrum`'s.  With an eigen-sum report pairing sorted λ(a_gr) + sorted
-    λ(a_fc) against sorted λ(full)."""
+    λ(full) is `graph_spectrum`'s, read on a regular base by one more `_lex_step` from λ(Gⁿ⁻¹).
+    With an eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
     import numpy as np
     g, n = _power_base(gn, refusal="split decomposition needs")
-    lam_full = np.array(graph_spectrum(gn, guard=guard).values)
+    check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
     lam_g, lam_h = _lex_spectra(g, n - 1)
+    regular = len(set(g.degrees())) == 1
+    lam_full = np.array(_lex_step(lam_g, lam_h) if regular else graph_spectrum(gn, guard=guard).values, dtype=float)
     lam_gr = np.repeat(np.array(lam_h, dtype=float), g.vertex_count)
     cross = np.array(lam_g, dtype=float) * len(lam_h)
     lam_fc = np.sort(np.concatenate([cross, np.zeros(gn.vertex_count - len(cross))]))[::-1]
@@ -295,12 +301,10 @@ def split_decomposition(gn, guard=None):
 # -- chromatic bounds ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    variant: str
-    lower: float
-    upper: float
-    details: dict = field(default_factory=dict)
+class BoundReport(namedtuple("BoundReport", "variant lower upper details")):
+    """Chromatic bounds of one spectral `variant`, with the `details` dict they were read from."""
+
+    __slots__ = ()
 
 
 def _wilf_upper(l1):

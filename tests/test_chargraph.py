@@ -38,6 +38,11 @@ def test_pmf_must_sum_to_one():
         JointPMF.from_rows([["1/2", "1/4"]])
     with pytest.raises(UsageError):
         JointPMF.from_rows([["3/2", "-1/2"]])
+    # a copy with a change is checked as well
+    pmf = JointPMF.uniform(1, 2)
+    for probs in (((Fraction(1, 2), Fraction(1, 4)),), ((Fraction(3, 2), Fraction(-1, 2)),)):
+        with pytest.raises(UsageError):
+            pmf._replace(probs=probs)
 
 
 def test_pmf_uniform_and_marginals():

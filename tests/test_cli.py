@@ -268,6 +268,17 @@ def test_spectral_bounds_of_c5_to_the_fifth_read_the_base(capsys, variant):
         assert d["lower"] <= 125 <= d["upper"]  # χ(C5^5)
 
 
+def test_spectral_lambda1_window_of_c5_to_the_sixth_builds_no_power(capsys):
+    # the window reads (C5, 6) alone: C5^6, 15 625 vertices, is past the power guard
+    rc, out = run(
+        capsys, "spectral", "--kind", "cycle", "--size", "5", "--power", "6", "--op", "bounds",
+        "--variant", "lambda1-window",
+    )
+    assert rc == 0
+    d = json.loads(out)
+    assert (d["upper"], d["details"]["lambda_1"], d["details"]["window"]) == (7813, 7812.0, [6250.0, 7812.0])
+
+
 def _json_numbers(value):
     """True when value is a number, or a list or dict of them, all the way down."""
     if isinstance(value, (list, dict)):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -36,6 +35,7 @@ from chromacode import (
 )
 from chromacode import codec, coloring, encode_tuple, huffman_code, orpower
 from chromacode.chargraph import _positive_cells
+from chromacode.codec import Receiver
 from chromacode.coloring import STRATEGIES, Coloring, power_coloring
 
 
@@ -348,7 +348,7 @@ def test_simulate_catches_a_lossy_plan(ex1, monkeypatch):
         # the first color pair's outcome, in base 2, flipped in the n = 1 table
         table = plan.decoder.table.copy()
         table[0, 0] = 1 - table[0, 0]
-        return dataclasses.replace(plan, decoder=dataclasses.replace(plan.decoder, table=table))
+        return plan._replace(decoder=Receiver(table, plan.decoder.n))
 
     monkeypatch.setattr(codec, "build_codec", lossy)
     spec, pmf = ex1
@@ -371,7 +371,7 @@ def test_simulate_reads_blocks_that_decode_to_another_color(monkeypatch):
         inverse = dict(plan.inverses[0])
         (w1, c1), (w2, c2) = ((w, c) for w, c in inverse.items() if c in (1, 2))
         inverse[w1], inverse[w2] = c2, c1
-        return dataclasses.replace(plan, inverses=(inverse, plan.inverses[1]))
+        return plan._replace(inverses=(inverse, plan.inverses[1]))
 
     monkeypatch.setattr(codec, "build_codec", swapped)
     spec, pmf = _example1_weighted()
@@ -682,9 +682,7 @@ def test_roundtrip_exhaustive_matches_the_every_pair_walk():
             # reported at the same first pair
             table = plan.decoder.table.copy()
             table.flat[np.argmax(table.ravel() >= 0)] += 1
-            plan = dataclasses.replace(
-                plan, decoder=dataclasses.replace(plan.decoder, table=table)
-            )
+            plan = plan._replace(decoder=Receiver(table, plan.decoder.n))
             with pytest.raises(AssertionError) as got:
                 roundtrip_exhaustive(plan)
             with pytest.raises(AssertionError) as ref:
@@ -708,7 +706,7 @@ def _swap_codewords(plan, swaps):
     codes = tuple(map(dict, plan.codes))
     for code, (a, b) in zip(codes, swaps):
         code[a], code[b] = code[b], code[a]
-    return dataclasses.replace(plan, codes=codes)
+    return plan._replace(codes=codes)
 
 
 def test_roundtrip_exhaustive_reports_swapped_codewords_in_pair_order():
@@ -813,9 +811,7 @@ def test_pair_check_agrees_with_decode_pair_on_every_table_entry():
                 for value in sorted(outcomes - {entry}):
                     table = plan.decoder.table.copy()
                     table.flat[index] = value
-                    bad = dataclasses.replace(
-                        plan, decoder=dataclasses.replace(plan.decoder, table=table)
-                    )
+                    bad = plan._replace(decoder=Receiver(table, plan.decoder.n))
                     wrong = codec._pair_check(bad)[0](cells)[0]
                     assert wrong.tolist() == _decode_verdicts(bad, cells), (n, index, value)
                     changed += wrong.any()
@@ -835,7 +831,7 @@ def test_pair_check_flags_every_pair_of_a_color_without_a_codeword():
                 for color, word in plan.codes[s].items():
                     codes, inverses = list(map(dict, plan.codes)), list(map(dict, plan.inverses))
                     del codes[s][color], inverses[s][word]
-                    bad = dataclasses.replace(plan, codes=tuple(codes), inverses=tuple(inverses))
+                    bad = plan._replace(codes=tuple(codes), inverses=tuple(inverses))
                     wrong = codec._pair_check(bad)[0](cells)[0]
                     assert (wrong == (colors[s] == color)).all(), (n, s, color)
 
@@ -849,7 +845,7 @@ def test_roundtrip_exhaustive_flags_a_codeword_decoded_outside_the_palette():
     for outside in (2**2 + 1, -1):
         inverse = dict(plan.inverses[0])
         inverse[plan.codes[0][1]] = outside
-        bad = dataclasses.replace(plan, inverses=(inverse, plan.inverses[1]))
+        bad = plan._replace(inverses=(inverse, plan.inverses[1]))
         assert codec._color_tables(bad, 1)[1].tolist() == [True, False, True, True]
         got = _roundtrip_outcome(roundtrip_exhaustive, bad)
         assert got == _roundtrip_outcome(_reference_roundtrip, bad)
@@ -914,11 +910,11 @@ def test_decode_pair_reads_the_table_and_refuses_colors_it_cannot_decode():
         inverses = tuple(
             {**inverse, code[0]: c} for inverse, code, c in zip(plan.inverses, plan.codes, key)
         )
-        tampered = dataclasses.replace(plan, inverses=inverses)
+        tampered = plan._replace(inverses=inverses)
         with pytest.raises(UsageError) as exc:
             decode_pair(tampered, plan.codes[0][0], plan.codes[1][0])
         assert str(exc.value) == f"unsupported input: color pair {key} has zero probability"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         plan.decoder.table = plan.decoder.table[::-1]
 
 
@@ -1389,14 +1385,14 @@ def test_receivers_compare_by_their_tables():
     assert time.perf_counter() - start < 0.5
     table = again.decoder.table.copy()
     table[3, 5] = -1
-    changed = dataclasses.replace(again.decoder, table=table)
-    assert plan.decoder != changed and plan != dataclasses.replace(again, decoder=changed)
+    changed = Receiver(table, again.decoder.n)
+    assert plan.decoder != changed and plan != again._replace(decoder=changed)
     # another n, or another table shape, compares unequal: a column of -1
     # adds no decodable pair at n = 1, but at n = 2 it changes color2's digits
     small = build_codec(*_zero_cell(), 1).decoder
-    assert small != dataclasses.replace(small, n=2)
+    assert small != Receiver(small.table, 2)
     wider = np.pad(small.table, ((0, 0), (0, 1)), constant_values=-1)
-    assert len(small) == len(dataclasses.replace(small, table=wider))
-    assert small != dataclasses.replace(small, table=wider)
-    two = dataclasses.replace(small, n=2)
-    assert two != dataclasses.replace(two, table=wider)
+    assert len(small) == len(Receiver(wider, small.n))
+    assert small != Receiver(wider, small.n)
+    two = Receiver(small.table, 2)
+    assert two != Receiver(wider, two.n)

@@ -3,7 +3,8 @@
 A standard-library scan, so it needs no linter.  The package's
 `__init__.py` is left out: its imports are the public API.  Also: no library
 module has an assert statement or reads the environment, and importing the
-package loads no numpy, which only the commands that need it load.
+package loads no numpy, which only the commands that need it load, and no
+`dataclasses` or `inspect`: the result types are read-only named tuples.
 """
 
 import ast
@@ -250,6 +251,59 @@ def fresh(code, *args):
 def test_importing_the_package_and_its_cli_loads_no_numpy():
     out, _ = fresh('import sys, chromacode, chromacode.cli; print("numpy" in sys.modules)')
     assert out == "False\n"
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses_or_inspect():
+    # the result types are named tuples, which need neither
+    out, _ = fresh(
+        'import sys, chromacode, chromacode.cli; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))'
+    )
+    assert out == "[]\n"
+
+
+RECORDS = (
+    "FunctionSpec JointPMF Coloring FractionalColoring AlphaProfile ExpansionBounds Spectrum "
+    "GershgorinIntervals SplitReport BoundReport CodecPlan RateReport Receiver"
+).split()
+
+
+@pytest.fixture(scope="module")
+def records():
+    """{type name: (record, its fields in order)}, one instance of each result type."""
+    spec, pmf = chromacode.example1_spec()
+    plan = chromacode.build_codec(spec, pmf, 1)
+    c5 = chromacode.cycle_graph(5)
+    pairs = [
+        (spec, "n1 n2 table"),
+        (pmf, "probs"),
+        (chromacode.greedy_coloring(c5), "assignment palette_size"),
+        (chromacode.fractional_chromatic_cycle(2, 2)["coloring"], "a b sets"),
+        (chromacode.odd_cycle_entropy_upper_bound(2, 2)["hi_profile"], "alphas mis_sizes total"),
+        (chromacode.expansion_bounds("general", 5, 2, 3), "family total y_size lower upper lam lam_is_bound"),
+        (chromacode.graph_spectrum(c5), "values"),
+        (chromacode.gershgorin(c5.adjacency_matrix()), "mode intervals envelope scalar_envelope"),
+        (chromacode.split_decomposition(chromacode.or_power(c5, 2)), "lam_gr lam_fc lam_full lam_sums deviations"),
+        (chromacode.chromatic_bounds_spectral("hoffman-direct", g=c5), "variant lower upper details"),
+        (plan, "spec pmf n symbol_colorings codes color_weights scale avg_lengths decoder inverses"),
+        (
+            chromacode.simulate(spec, pmf, 1, 100, 0),
+            "n samples seed strategy rates expected_rates coloring_entropies source_entropies lossless",
+        ),
+        (plan.decoder, "table n"),
+    ]
+    return {type(record).__name__: (record, fields.split()) for record, fields in pairs}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_result_types_are_read_only_records(records, name):
+    record, fields = records[name]
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    values = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+    assert repr(record) == f"{name}({values})"
+    if isinstance(record, chromacode.CodecPlan):
+        assert record.color_pmfs is record.color_pmfs
 
 
 @pytest.fixture

@@ -521,6 +521,24 @@ def test_the_window_reads_g_and_n_alone_and_guards_the_largest_graph_it_reads(mo
     assert sizes == []
 
 
+def test_the_split_of_a_regular_power_eigensolves_the_base_once(monkeypatch):
+    sizes = []
+    eigvalsh = spectral._eigvalsh
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    # λ(C5^3) is one lexicographic step from λ(C5^2), read off the one 5 x 5 solve of λ(C5)
+    split_decomposition(or_power(cycle_graph(5), 3))
+    assert sizes == [5]
+    # and it is graph_spectrum's, to the bit, on every regular base
+    for g in (cycle_graph(5), prism_graph(), complete_graph(3), Graph.from_edges(3, [])):
+        for n in (2, 3):
+            power = or_power(g, n)
+            assert split_decomposition(power).lam_full == graph_spectrum(power).values, (g.edges(), n)
+    sizes.clear()
+    with pytest.raises(GuardExceeded, match="matrix dimension"):
+        split_decomposition(or_power(cycle_graph(11), 2), guard=100)
+    assert sizes == []
+
+
 def test_graph_spectrum_refuses_past_the_dense_guard_before_building_a_matrix(monkeypatch):
     built = []
     adjacency = Graph.adjacency_matrix
