@@ -71,7 +71,6 @@ from .spectral import (
     lambda1_window,
     smallest_eig_lower_bounds,
     split_decomposition,
-    symmetric_eigenvalues,
 )
 from .expansion import (
     ExpansionBounds,

@@ -182,11 +182,13 @@ def cmd_entropy(args):
 
 def cmd_spectral(args):
     g = _load_graph(args)
-    # the λ1 window reads (g, n) alone, and guards the largest graph it reads itself
-    window = args.op == "bounds" and args.variant == "lambda1-window"
-    gn = or_power(g, args.power, guard=args.guard) if args.power > 1 and not window else g
+    if args.op == "bounds":
+        report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, guard=args.guard)
+        _emit({"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": report.details})
+        return 0
+    gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
     if args.op == "eig":
-        spec = graph_spectrum(gn)
+        spec = graph_spectrum(gn, guard=args.guard)
         _emit({"eigenvalues": list(spec.values), "distinct": list(spec.distinct())})
         return 0
     if args.op == "gct":
@@ -197,21 +199,18 @@ def cmd_spectral(args):
             out["scalar_envelope"] = list(res.scalar_envelope)
         _emit(out)
         return 0
-    if args.op == "split":
-        if args.power < 2:
-            raise UsageError("split needs --power >= 2")
-        rep = split_decomposition(gn)
-        _emit(
-            {
-                "lambda_gr": list(rep.lam_gr),
-                "lambda_fc": list(rep.lam_fc),
-                "lambda_full": list(rep.lam_full),
-                "deviations": list(rep.deviations),
-            }
-        )
-        return 0
-    report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, power=None if gn is g else gn)
-    _emit({"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": report.details})
+    # --op split
+    if args.power < 2:
+        raise UsageError("split needs --power >= 2")
+    rep = split_decomposition(gn, guard=args.guard)
+    _emit(
+        {
+            "lambda_gr": list(rep.lam_gr),
+            "lambda_fc": list(rep.lam_fc),
+            "lambda_full": list(rep.lam_full),
+            "deviations": list(rep.deviations),
+        }
+    )
     return 0
 
 

@@ -116,40 +116,35 @@ class Spectrum(namedtuple("Spectrum", "values")):
         return [(v, m) for v, m in out]
 
 
-def symmetric_eigenvalues(matrix, guard=None):
-    """Spectrum of a symmetric matrix (LAPACK eigvalsh), as plain floats."""
-    import numpy as np
-    m = np.asarray(matrix)
-    check_guard("matrix dimension", m.shape[0], guard, DENSE_GUARD_DEFAULT)
-    return Spectrum(tuple(_eigvalsh(m).tolist()))
-
-
 def graph_spectrum(g, guard=None):
-    """Spectrum of g: of an OR power of a regular base, the lexicographic closed form.  The
-    dense guard is checked on g's vertex count before any matrix is built."""
+    """Spectrum of g, as plain floats: of an OR power of a regular base, the lexicographic closed
+    form, else LAPACK's.  The dense guard is checked on g's vertex count before any matrix is
+    built."""
     check_guard("matrix dimension", g.vertex_count, guard, DENSE_GUARD_DEFAULT)
     if isinstance(g, PowerGraph) and len(set(g.base.degrees())) == 1:
         return Spectrum(tuple(map(float, _lex_spectra(g.base, g.tuple_len)[1])))
-    return symmetric_eigenvalues(g.adjacency_matrix(), guard=guard)
+    return Spectrum(tuple(_eigvalsh(g.adjacency_matrix()).tolist()))
 
 
-def _power_base(power, g=None, n=None, refusal="power must be an OR power,"):
-    """(G, n) recorded on power = or_power(G, n); UsageError unless power is a PowerGraph and,
-    when g is given, G is g and n is n."""
+def _power_base(power, g=None, n=None):
+    """(G, n) recorded on power = or_power(G, n); UsageError unless power is a PowerGraph, n is
+    its exponent when given, and G is g when g is given."""
     if not isinstance(power, PowerGraph):
-        raise UsageError(f"{refusal} a PowerGraph with provenance")
-    if g is not None and (power.base, power.tuple_len) != (g, n):
+        raise UsageError("power must be an OR power, a PowerGraph with provenance")
+    if n is not None and n != power.tuple_len or g is not None and (g, n) != (power.base, power.tuple_len):
         raise UsageError(f"power must be or_power(g, n) with n = {n}")
     return power.base, power.tuple_len
 
 
-def _lex_spectra(g, m):
+def _lex_spectra(g, m, guard=None):
     """λ(G) and λ(Gᵐ), descending, of the OR power Gᵐ = G[Gᵐ⁻¹], from G alone.  On a d-regular
     base λ(G^{k+1}) is `_lex_step` of λ(G) and λ(G^k) (Schwenk 1974), its top value the integer
-    degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m) ([0.0] at m = 0, λ(G) at m = 1)."""
+    degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m, guard) ([0.0] at m = 0, λ(G) at m = 1)."""
     lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
     if len(set(g.degrees())) > 1:
-        return lam_g, [0.0] if m == 0 else lam_g if m == 1 else _eigvalsh(or_power(g, m).adjacency_matrix()).tolist()
+        if m < 2:
+            return lam_g, [0.0] if m == 0 else lam_g
+        return lam_g, _eigvalsh(or_power(g, m, guard=guard).adjacency_matrix()).tolist()
     lam_g[0] = g.degree(0)
     lam = [0]
     for _ in range(m):
@@ -286,9 +281,9 @@ def split_decomposition(gn, guard=None):
     λ(full) is `graph_spectrum`'s, read on a regular base by one more `_lex_step` from λ(Gⁿ⁻¹).
     With an eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
     import numpy as np
-    g, n = _power_base(gn, refusal="split decomposition needs")
+    g, n = _power_base(gn)
     check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
-    lam_g, lam_h = _lex_spectra(g, n - 1)
+    lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
     regular = len(set(g.degrees())) == 1
     lam_full = np.array(_lex_step(lam_g, lam_h) if regular else graph_spectrum(gn, guard=guard).values, dtype=float)
     lam_gr = np.repeat(np.array(lam_h, dtype=float), g.vertex_count)
@@ -312,26 +307,27 @@ def _wilf_upper(l1):
     return math.floor(l1 + 1e-9) + 1
 
 
-def lambda1_window(g, n):
+def lambda1_window(g, n, guard=None):
     """Enclosures of λ1(G^n), read from G and λ(G^{n-1}): the window [d_avg·V^{n-1}, Δ(G^n)]; the
     block GCT's `envelope`, the hull of its discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}, and its
     `scalar_envelope` ±Δ(G^n); the refined window [d_avg·V^{n-1}, ⌊λ1(G^{n-1}) + λ1(G)·V^{n-1}⌋ + 1].
     λ1(G^n) is Δ(G^n) on a regular base, else eigvalsh's of or_power(g, n).  The power guard holds
-    on the largest graph read, G^{n-1} or G^n, and is checked before any eigensolve."""
+    on the largest graph read, G^{n-1} or G^n, and is checked before any eigensolve; `guard` sets
+    it, and the dense guard on G^n."""
     if n < 2:
         raise UsageError("lambda1 window needs n >= 2")
     V, degrees = g.vertex_count, g.degrees()
     regular = len(set(degrees)) == 1
-    check_power_guard(V, n - 1 if regular else n)
+    check_power_guard(V, n - 1 if regular else n, guard)
     size = V ** (n - 1)
     lo = 2 * g.edge_count / V * size  # d_avg·V^{n-1}
-    lam_g, lam_h = _lex_spectra(g, n - 1)
+    lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
     top = float(or_power_degree(max(degrees), V, n))
     reach = max(degrees) * size
     return {
         "window": (lo, top),
         "refined": (lo, _wilf_upper(lam_h[0] + lam_g[0] * size)),
-        "lambda_1": top if regular else graph_spectrum(or_power(g, n)).lambda_1,
+        "lambda_1": top if regular else graph_spectrum(or_power(g, n, guard=guard), guard=guard).lambda_1,
         "gct": {"envelope": (float(lam_h[-1]) - reach, float(lam_h[0]) + reach), "scalar_envelope": (0.0 - top, top)},
     }
 
@@ -346,40 +342,38 @@ BOUND_VARIANTS = (
 )
 
 
-# the argument groups a variant reads, one name of each to be given ("g power" when not listed)
-_NEEDS = {"cycle-power": ("n", "g V"), "general": ("g", "n"), "lambda1-window": ("g", "n"), "gct-split": ()}
+def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard=None):
+    """Hoffman's χ >= 1 − λ1/λ_min and Wilf's χ <= ⌊λ1⌋ + 1 on the λ1 and λ_min, or bounds on
+    them (above λ1, below λ_min), of one variant on Gⁿ; a λ_min bound that is not negative gives
+    lower 1.  G and n are power's recorded base and exponent when power is given (UsageError
+    unless g and n, where given too, are those), else g and n, with n = 1 when omitted.  `guard`
+    holds for every power and matrix a variant builds or reads.
 
-
-def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
-    """Hoffman's χ >= 1 − λ1/λ_min and Wilf's χ <= ⌊λ1⌋ + 1 on the λ1 and
-    λ_min, or bounds on them (above λ1, below λ_min), of one variant; a
-    λ_min bound that is not negative gives lower 1.  A power given with g
-    must be or_power(g, n) (UsageError otherwise).
-
-    hoffman-direct: the spectrum of the power if given, else of g.
+    hoffman-direct: the spectrum of Gⁿ: power, or else or_power(g, n).
     cycle-power:    C_V^n: λ1 its degree, λ_min the better of the Brigham and
-                    Hong closed forms; upper λ1 + 1.  V comes from g when g
-                    is given, and g must be the canonical cycle C_V, V >= 4.
-    degree:         λ1 of the power if given, else of g; λ_min the Das bound;
+                    Hong closed forms; upper λ1 + 1.  V comes from G when G is
+                    given, and G must be the canonical cycle C_V, V >= 4.
+    degree:         λ1 of Gⁿ, read as hoffman-direct's; λ_min the Das bound;
                     upper d_max + 1.
-    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of the power if
-                    given, else the Hong bound.
-    gct-split:      λ1(a_gr) + λ1(a_fc) of the power's split; λ_min Hong.
+    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of Gⁿ.
+    gct-split:      λ1(a_gr) + λ1(a_fc) of the split of Gⁿ, n >= 2, from λ(G)
+                    and λ(Gⁿ⁻¹); λ_min Hong.
     lambda1-window: λ1 the refined window's low edge, λ_min Hong; upper the
                     window's high edge, Wilf's bound on the split sum.
+    cycle-power, gct-split and lambda1-window build no power.
     """
     if variant not in BOUND_VARIANTS:
         raise UsageError(f"unknown bound variant {variant!r}")
-    given = {"g": g, "n": n, "V": V, "power": power}
-    for names in _NEEDS.get(variant, ("g power",)):
-        if all(given[k] is None for k in names.split()):
-            raise UsageError(f"{variant} bound needs {names.replace(' ', ' or ')}")
-    if power is not None and (g is not None or variant == "gct-split"):
+    if power is not None:
         g, n = _power_base(power, g, n)
-    gn = power if power is not None else g
+    n = 1 if n is None else n
+    if g is None and (variant != "cycle-power" or V is None):
+        raise UsageError(f"{variant} bound needs g or {'V' if variant == 'cycle-power' else 'power'}")
     upper = None
+    if variant in ("hoffman-direct", "degree", "general"):
+        gn = power if power is not None else or_power(g, n, guard=guard) if n > 1 else g
+        spec = graph_spectrum(gn, guard=guard)
     if variant == "hoffman-direct":
-        spec = graph_spectrum(gn)
         l1, lv = spec.lambda_1, spec.lambda_min
         details = {"lambda_1": l1, "lambda_V": lv}
     elif variant == "cycle-power":
@@ -393,25 +387,26 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None):
         details = {"lambda_1": l1, "lambda_V_bound": lv}
     elif variant == "degree":
         degrees = gn.degrees()
-        l1 = graph_spectrum(gn).lambda_1
+        l1 = spec.lambda_1
         lv = smallest_eig_lower_bounds(gn.vertex_count, gn.edge_count, degrees)["das"]
         upper = max(degrees) + 1
         details = {"lambda_1": l1, "das": lv}
     elif variant == "general":
         V = g.vertex_count
         dmax = max(g.degrees())
-        l1 = graph_spectrum(g).lambda_1 + (or_power_degree(dmax, V, n) - dmax)
-        lv = graph_spectrum(power).lambda_min if power is not None else hong_bound(V**n)
+        l1 = graph_spectrum(g, guard=guard).lambda_1 + (or_power_degree(dmax, V, n) - dmax)
+        lv = spec.lambda_min
         details = {"lambda_1_estimate": l1, "lambda_V": lv}
     elif variant == "gct-split":
-        if power is None or n < 2:
-            raise UsageError("gct-split bound needs the power G^n, n >= 2")
-        lam_g, lam_h = _lex_spectra(g, n - 1)
+        if n < 2:
+            raise UsageError("gct-split bound needs n >= 2")
+        check_power_guard(g.vertex_count, n - 1, guard)
+        lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
         gr, fc = float(lam_h[0]), float(lam_g[0] * len(lam_h))
-        l1, lv = gr + fc, hong_bound(power.vertex_count)
+        l1, lv = gr + fc, hong_bound(g.vertex_count**n)
         details = {"lambda_1_gr": gr, "lambda_1_fc": fc, "sum": l1}
     else:  # lambda1-window
-        details = lambda1_window(g, n)
+        details = lambda1_window(g, n, guard=guard)
         (l1, upper), lv = details["refined"], hong_bound(g.vertex_count**n)
     lower = 1.0 - l1 / lv if lv < 0 else 1.0
     return BoundReport(variant, lower, _wilf_upper(l1) if upper is None else upper, details)

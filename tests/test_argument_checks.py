@@ -158,7 +158,7 @@ CASES = {
     "smallest-eig-empty": (lambda: smallest_eig_lower_bounds(0, 0, []), "inconsistent V, E, degree list"),
     "split-plain-graph": (
         lambda: split_decomposition(C5),
-        "split decomposition needs a PowerGraph with provenance",
+        "power must be an OR power, a PowerGraph with provenance",
     ),
     "lambda1-window-n": (lambda: lambda1_window(C5, 1), "lambda1 window needs n >= 2"),
     "bound-variant": (
@@ -168,10 +168,6 @@ CASES = {
     "bound-cycle-power-V": (
         lambda: chromatic_bounds_spectral("cycle-power", n=2),
         "cycle-power bound needs g or V",
-    ),
-    "bound-cycle-power-n": (
-        lambda: chromatic_bounds_spectral("cycle-power", V=5),
-        "cycle-power bound needs n",
     ),
     "bound-hoffman-direct-g": (
         lambda: chromatic_bounds_spectral("hoffman-direct"),
@@ -185,17 +181,13 @@ CASES = {
         lambda: chromatic_bounds_spectral("general", n=2, V=5),
         "general bound needs g",
     ),
-    "bound-general-n": (
-        lambda: chromatic_bounds_spectral("general", g=C5),
-        "general bound needs n",
-    ),
-    "bound-lambda1-window-g": (
-        lambda: chromatic_bounds_spectral("lambda1-window", n=2, power=or_power(C5, 2)),
-        "lambda1-window bound needs g",
-    ),
     "bound-lambda1-window-n": (
         lambda: chromatic_bounds_spectral("lambda1-window", g=C5),
-        "lambda1-window bound needs n",
+        "lambda1 window needs n >= 2",
+    ),
+    "bound-power-exponent-without-g": (
+        lambda: chromatic_bounds_spectral("hoffman-direct", n=3, power=or_power(C5, 2)),
+        "power must be or_power(g, n) with n = 3",
     ),
     "bound-lambda1-window-power-exponent": (
         lambda: chromatic_bounds_spectral("lambda1-window", g=C5, n=2, power=or_power(C5, 3)),
@@ -239,6 +231,28 @@ CASES = {
 def test_argument_check_raises_usage_error(call, message):
     with pytest.raises(UsageError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,lower,upper,details",
+    [
+        # n = 1 when omitted: C5 itself, λ1 its degree 2 and λ_min above Hong's -sqrt(7.5)
+        (lambda: chromatic_bounds_spectral("cycle-power", V=5), 1 + 2 / 7.5**0.5, 3,
+         {"lambda_1": 2, "lambda_V_bound": -(7.5**0.5)}),
+        # λ_min(C5) = -(1 + sqrt(5))/2, so Hoffman gives 1 + 2/λ_min = sqrt(5)
+        (lambda: chromatic_bounds_spectral("general", g=C5), 5**0.5, 3,
+         {"lambda_1_estimate": 2.0, "lambda_V": -(1 + 5**0.5) / 2}),
+        # G is the power's recorded base: the window of C5^2, its low edge 10 over Hong's -sqrt(162.5)
+        (lambda: chromatic_bounds_spectral("lambda1-window", n=2, power=or_power(C5, 2)), 1 + 10 / 162.5**0.5, 13,
+         {"window": (10.0, 12.0), "refined": (10.0, 13), "lambda_1": 12.0}),
+    ],
+    ids=["bound-cycle-power-n", "bound-general-n", "bound-lambda1-window-g"],
+)
+def test_bound_reads_g_and_n_from_the_power_or_takes_n_one(call, lower, upper, details):
+    rep = call()
+    assert (rep.lower, rep.upper) == pytest.approx((lower, upper), abs=1e-12)
+    for key, value in details.items():
+        assert rep.details[key] == pytest.approx(value, abs=1e-12), key
 
 
 def test_is_valid_b_fold_refuses_a_wrong_fold_size_or_color():

@@ -9,6 +9,7 @@ import pytest
 
 import chromacode.cli
 import chromacode.coloring
+import chromacode.spectral
 from chromacode import FunctionSpec, GuardExceeded, JointPMF, example1_spec
 from chromacode.cli import COMMANDS, build_parser, main
 from chromacode.errors import UsageError
@@ -277,6 +278,48 @@ def test_spectral_lambda1_window_of_c5_to_the_sixth_builds_no_power(capsys):
     assert rc == 0
     d = json.loads(out)
     assert (d["upper"], d["details"]["lambda_1"], d["details"]["window"]) == (7813, 7812.0, [6250.0, 7812.0])
+
+
+@pytest.mark.parametrize("variant", BOUND_VARIANTS)
+def test_spectral_bounds_of_c5_to_the_sixth_build_the_power_only_to_read_its_spectrum(capsys, monkeypatch, variant):
+    # C5^6, 15 625 vertices, is past the power guard; cycle-power, gct-split and the window read (C5, 6) alone
+    built = []
+    or_power = chromacode.spectral.or_power
+    for module in (chromacode.cli, chromacode.spectral):
+        monkeypatch.setattr(module, "or_power", lambda g, n, guard=None: built.append(n) or or_power(g, n, guard))
+    rc, out = run(
+        capsys, "spectral", "--kind", "cycle", "--size", "5", "--power", "6", "--op", "bounds", "--variant", variant,
+    )
+    if variant in ("hoffman-direct", "degree", "general"):
+        assert (rc, built) == (3, [6])
+        return
+    assert (rc, built) == (0, [])
+    d = json.loads(out)
+    assert d["upper"] == 7813
+    if variant == "gct-split":
+        assert d["details"]["sum"] == 7812.0
+    if variant == "cycle-power":
+        assert d["details"]["lambda_1"] == 7812
+
+
+def test_spectral_guard_reaches_the_window_the_spectrum_and_the_split(capsys, monkeypatch):
+    # the window of C5^7 reads C5^6: past the default power guard, within --guard 100000
+    window = ["spectral", "--kind", "cycle", "--size", "5", "--power", "7", "--op", "bounds",
+              "--variant", "lambda1-window"]
+    assert main(window) == 3
+    rc, out = run(capsys, *window, "--guard", "100000")
+    assert (rc, json.loads(out)["upper"]) == (0, 39063)
+    # under --guard 20000 the spectrum of C5^6 is the closed form, read from one 5 x 5 eigensolve
+    sizes = []
+    eigvalsh = chromacode.spectral._eigvalsh
+    monkeypatch.setattr(chromacode.spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    c5_6 = ["spectral", "--kind", "cycle", "--size", "5", "--power", "6", "--guard", "20000", "--op"]
+    rc, out = run(capsys, *c5_6, "eig")
+    d = json.loads(out)
+    assert (rc, len(d["eigenvalues"]), d["eigenvalues"][0], sizes) == (0, 15625, 7812.0, [5])
+    rc, out = run(capsys, *c5_6, "split")
+    d = json.loads(out)
+    assert (rc, len(d["lambda_full"]), d["lambda_full"][0]) == (0, 15625, 7812.0)
 
 
 def _json_numbers(value):
@@ -826,7 +869,7 @@ def test_spectral_scalar_gct_of_a_f1(capsys):
         ),
         (
             ["spectral", "--op", "bounds", "--variant", "gct-split", "--kind", "cycle", "--size", "4"],
-            "gct-split bound needs the power G^n, n >= 2",
+            "gct-split bound needs n >= 2",
         ),
     ],
     ids=[

@@ -164,7 +164,7 @@ PUBLIC_API = [
     "odd_cycle_entropy_upper_bound", "odd_cycle_power_coloring", "or_power",
     "or_power_degree", "orpower", "path_graph", "power_chromatic_number", "power_coloring",
     "prism_graph", "product_coloring", "resolve_guard", "roundtrip_exhaustive", "simulate",
-    "smallest_eig_lower_bounds", "spectral", "split_decomposition", "symmetric_eigenvalues",
+    "smallest_eig_lower_bounds", "spectral", "split_decomposition",
     "tanner_lower_bound",
 ]
 

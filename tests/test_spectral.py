@@ -28,7 +28,6 @@ from chromacode import (
     prism_graph,
     smallest_eig_lower_bounds,
     split_decomposition,
-    symmetric_eigenvalues,
 )
 from chromacode.coloring import _cycle_scheme
 from chromacode import spectral
@@ -84,7 +83,7 @@ class _MatrixGraph:
 )
 def test_lapack_path_rejects_malformed_matrices(matrix):
     with pytest.raises(UsageError):
-        symmetric_eigenvalues(matrix)
+        _eigvalsh(matrix)
     with pytest.raises(UsageError):
         graph_spectrum(_MatrixGraph(matrix))
 
@@ -128,7 +127,7 @@ def test_cycle_power_largest_eig(V, n):
 
 
 def test_all_ones_spectrum():
-    got = symmetric_eigenvalues(np.ones((5, 5))).values
+    got = _eigvalsh(np.ones((5, 5)))
     assert got[0] == pytest.approx(5.0, abs=1e-9)
     assert np.allclose(got[1:], 0.0, atol=1e-9)
 
@@ -329,6 +328,15 @@ def test_general_bound_variant_sandwiches_power_chi(g):
     assert rep.lower - 1e-9 <= chi <= rep.upper + 1e-9
 
 
+def test_general_reads_lambda_min_of_the_power_without_one_given():
+    # the Hong bound -sqrt(V(V+1))/2 stood in for λ_min when no power was passed: -2.7386 on C5
+    rep = chromatic_bounds_spectral("general", g=cycle_graph(5), n=1)
+    assert rep.details["lambda_V"] == pytest.approx(-(1 + 5**0.5) / 2, abs=1e-12)
+    for g in (cycle_graph(5), AF1, path_graph(4)):
+        rep = chromatic_bounds_spectral("general", g=g, n=2)
+        assert rep.details["lambda_V"] == graph_spectrum(or_power(g, 2)).lambda_min, g.edges()
+
+
 def test_degree_and_gct_split_variants():
     g2 = or_power(cycle_graph(5), 2)
     chi, _ = exact_chromatic_number(g2)
@@ -396,8 +404,9 @@ def test_every_variant_contains_the_power_chi(variant):
                 continue
             if variant == "cycle-power" and _cycle_scheme(g) is None:
                 continue
-            power = or_power(g, n) if n > 1 else None
-            rep = chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count, power=power)
+            rep = chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count)
+            if n > 1:  # a power given reads as the (g, n) it records
+                assert chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count, power=or_power(g, n)) == rep
             chi = power_chromatic_number(g, n)
             assert rep.lower - 1e-9 <= chi <= rep.upper + 1e-9, (variant, g.edges(), n, rep.lower, rep.upper)
             checked += 1
@@ -518,7 +527,12 @@ def test_the_window_reads_g_and_n_alone_and_guards_the_largest_graph_it_reads(mo
     for g, n in ((cycle_graph(5), 7), (AF1, 6)):
         with pytest.raises(GuardExceeded, match="power vertex count"):
             lambda1_window(g, n)
+    # gct-split reads λ(G^{n-1}), and builds no power to do so
+    with pytest.raises(GuardExceeded, match="power vertex count"):
+        chromatic_bounds_spectral("gct-split", g=cycle_graph(5), n=7)
     assert sizes == []
+    rep = chromatic_bounds_spectral("gct-split", g=cycle_graph(5), n=7, guard=20_000)
+    assert (rep.details["sum"], rep.upper, sizes) == (39062.0, 39063, [5])
 
 
 def test_the_split_of_a_regular_power_eigensolves_the_base_once(monkeypatch):
