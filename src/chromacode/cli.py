@@ -150,8 +150,7 @@ def cmd_entropy(args):
     V = g.vertex_count
     if args.bound == "brute":
         # per symbol, like the windows' lo/hi: H_χ(G^n) / n
-        gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
-        h = chromatic_entropy_bruteforce(gn, guard=args.guard) / args.power
+        h = chromatic_entropy_bruteforce(or_power(g, args.power, guard=args.guard), guard=args.guard) / args.power
         _emit({"lo": h, "hi": h, "bound": "brute"})
         return 0
     if args.bound in ("odd-cycle", "fractional") and _cycle_scheme(g) != "odd-cycle":
@@ -186,23 +185,20 @@ def cmd_spectral(args):
         report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, guard=args.guard)
         _emit({"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": report.details})
         return 0
-    gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
     if args.op == "eig":
-        spec = graph_spectrum(gn, guard=args.guard)
+        spec = graph_spectrum(g, args.power, guard=args.guard)
         _emit({"eigenvalues": list(spec.values), "distinct": list(spec.distinct())})
         return 0
     if args.op == "gct":
         # block mode takes one block per vertex of the base; scalar mode ignores block_size
+        gn = or_power(g, args.power, guard=args.guard)
         res = gershgorin(gn.adjacency_matrix(), args.mode, block_size=g.vertex_count ** (args.power - 1))
         out = {"intervals": [list(i) for i in res.intervals], "envelope": list(res.envelope)}
         if args.mode == "block":
             out["scalar_envelope"] = list(res.scalar_envelope)
         _emit(out)
         return 0
-    # --op split
-    if args.power < 2:
-        raise UsageError("split needs --power >= 2")
-    rep = split_decomposition(gn, guard=args.guard)
+    rep = split_decomposition(g, args.power, guard=args.guard)
     _emit(
         {
             "lambda_gr": list(rep.lam_gr),
@@ -218,7 +214,7 @@ def cmd_expansion(args):
     import random as _random
 
     g = _load_graph(args)
-    gn = or_power(g, args.power, guard=args.guard) if args.power > 1 else g
+    gn = or_power(g, args.power, guard=args.guard)
     if args.subset is not None:
         try:
             subset = [int(v) for v in args.subset.split(",")]
@@ -237,8 +233,8 @@ def cmd_expansion(args):
     degrees = g.degrees()  # Gⁿ is regular exactly when G is
     regular = min(degrees) == max(degrees)
     lam = None
-    if gn.vertex_count <= 400:
-        spec = graph_spectrum(gn)
+    if (g.vertex_count if regular else gn.vertex_count) <= 400:  # the one matrix graph_spectrum solves
+        spec = graph_spectrum(gn, guard=args.guard)
         # Λ = max(λ_2, |λ_min|); a one-vertex graph has no λ_2
         lam = max(spec.values[1:2] + (abs(spec.values[-1]),))
     family = "regular" if (regular and lam is not None) else "general"

@@ -50,14 +50,13 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     """Spectral expansion bounds for the n-fold OR power.
 
     The upper bound is the complete-graph rate (V^n - |Y|)/|Y|, the maximum
-    any graph achieves.  `regular`, which needs the base degree d and Λ,
-    takes Tanner's bound minus one (the exclusive-neighborhood correction,
-    see tanner_lower_bound), clamped at zero, at the power's degree
-    (`or_power_degree`) of d; Tanner's bound holds for regular graphs only.
-    `general` takes d as the base graph's minimum degree δ, so that every
-    vertex of the power has at least D = `or_power_degree(δ, V, n)`
-    neighbours, at most |Y| - 1 of them in Y: lower = max(0, D + 1 - |Y|)/|Y|,
-    and 0 when d is not given.  Λ = |λ_{V^n}| when supplied, else the hong
+    any graph achieves.  With d the base's least degree, every vertex of the
+    power has at least D = `or_power_degree(d, V, n)` neighbours, at most
+    |Y| - 1 of them in Y: `general` takes max(0, D + 1 - |Y|)/|Y| (0 without
+    d).  `regular`, which needs d and Λ, takes the larger of that and
+    Tanner's bound minus one (the exclusive-neighborhood correction, see
+    tanner_lower_bound) at degree D; Tanner's bound holds for regular graphs
+    only, and neither dominates.  Λ = |λ_{V^n}| when supplied, else the hong
     magnitude as a conservative stand-in (flagged lam_is_bound); `general`
     reports it but does not use it.
     """
@@ -73,10 +72,8 @@ def expansion_bounds(family, V, n, y_size, d=None, lam=None):
     lam_is_bound = lam is None
     if lam_is_bound:
         lam = -hong_bound(total)
-    if family == "general":
-        least = 0 if d is None else or_power_degree(d, V, n)
-        lower = max(0, least + 1 - y_size) / y_size
-    else:
-        deg = or_power_degree(d, V, n)
-        lower = max(tanner_lower_bound(deg, total, y_size, lam) - 1.0, 0.0)
+    least = 0 if d is None else or_power_degree(d, V, n)
+    lower = max(0, least + 1 - y_size) / y_size
+    if family == "regular":
+        lower = max(lower, tanner_lower_bound(least, total, y_size, lam) - 1.0)
     return ExpansionBounds(family, total, y_size, lower, (total - y_size) / y_size, lam, lam_is_bound)

@@ -1,9 +1,8 @@
-"""Symmetric eigensolving (LAPACK through numpy, the cyclic Jacobi solver its
-tested reference), Gershgorin discs, chromatic bounds from eigenvalues, and
-closed forms: λ1 of cycle powers, and λ(G) with λ(Gᵐ) of an OR power
-Gᵐ = G[Gᵐ⁻¹] from the base G alone (`_lex_spectra`).  The split
+"""Symmetric eigensolving (LAPACK through numpy, the cyclic Jacobi solver its tested reference),
+Gershgorin discs, chromatic bounds from eigenvalues, and closed forms: λ1 of cycle powers, and
+λ(G) with λ(Gᵐ) of an OR power Gᵐ = G[Gᵐ⁻¹] from the base G alone (`_lex_spectra`).  The split
 A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window and `gct-split` read it at m = n − 1,
-`graph_spectrum` of a power of a regular base at m = n."""
+`graph_spectrum(g, n)` of a regular base at m = n."""
 
 import math
 from collections import namedtuple
@@ -116,30 +115,32 @@ class Spectrum(namedtuple("Spectrum", "values")):
         return [(v, m) for v, m in out]
 
 
-def graph_spectrum(g, guard=None):
-    """Spectrum of g, as plain floats: of an OR power of a regular base, the lexicographic closed
-    form, else LAPACK's.  The dense guard is checked on g's vertex count before any matrix is
-    built."""
-    check_guard("matrix dimension", g.vertex_count, guard, DENSE_GUARD_DEFAULT)
-    if isinstance(g, PowerGraph) and len(set(g.base.degrees())) == 1:
-        return Spectrum(tuple(map(float, _lex_spectra(g.base, g.tuple_len)[1])))
-    return Spectrum(tuple(_eigvalsh(g.adjacency_matrix()).tolist()))
+def graph_spectrum(g, n=1, guard=None):
+    """Spectrum of Gⁿ as plain floats, of (G, n) as `_read_power` reads g and n: on a regular base
+    `_lex_spectra`'s closed form, its Vⁿ values under the power guard, the dense guard on the V x V
+    matrix solved; else LAPACK's, of g at n = 1 and of or_power(g, n) past it, under the dense guard."""
+    base, m = _read_power(g, n)
+    if len(set(base.degrees())) == 1:
+        check_guard("matrix dimension", base.vertex_count, guard, DENSE_GUARD_DEFAULT)
+        return Spectrum(tuple(map(float, _lex_spectra(base, m, guard=guard)[1])))
+    gn = g if n == 1 else or_power(g, n, guard=guard)
+    check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
+    return Spectrum(tuple(_eigvalsh(gn.adjacency_matrix()).tolist()))
 
 
-def _power_base(power, g=None, n=None):
-    """(G, n) recorded on power = or_power(G, n); UsageError unless power is a PowerGraph, n is
-    its exponent when given, and G is g when g is given."""
-    if not isinstance(power, PowerGraph):
-        raise UsageError("power must be an OR power, a PowerGraph with provenance")
-    if n is not None and n != power.tuple_len or g is not None and (g, n) != (power.base, power.tuple_len):
-        raise UsageError(f"power must be or_power(g, n) with n = {n}")
-    return power.base, power.tuple_len
+def _read_power(g, n=1):
+    """(G, m·n) of an OR power g = Gᵐ, as (Gᵐ)ⁿ is G^{mn} in the same tuple order; else (g, n)."""
+    while isinstance(g, PowerGraph):
+        g, n = g.base, g.tuple_len * n
+    return g, n
 
 
 def _lex_spectra(g, m, guard=None):
     """λ(G) and λ(Gᵐ), descending, of the OR power Gᵐ = G[Gᵐ⁻¹], from G alone.  On a d-regular
     base λ(G^{k+1}) is `_lex_step` of λ(G) and λ(G^k) (Schwenk 1974), its top value the integer
-    degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m, guard) ([0.0] at m = 0, λ(G) at m = 1)."""
+    degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m, guard) ([0.0] at m = 0, λ(G) at m = 1);
+    the power guard on Gᵐ (G at m = 0) is checked before any eigensolve."""
+    check_power_guard(g.vertex_count, max(m, 1), guard)
     lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
     if len(set(g.degrees())) > 1:
         if m < 2:
@@ -274,21 +275,23 @@ class SplitReport(namedtuple("SplitReport", "lam_gr lam_fc lam_full lam_sums dev
     __slots__ = ()
 
 
-def split_decomposition(gn, guard=None):
-    """Spectra of the split A(Gⁿ) = a_gr + a_fc of an OR power, read from its recorded base G:
-    a_gr = I ⊗ A(Gⁿ⁻¹), the V diagonal blocks, has λ(Gⁿ⁻¹), each value V times; a_fc = A(G) ⊗ J,
-    the cross blocks, has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros (both from `_lex_spectra(G, n − 1)`);
+def split_decomposition(g, n=1, guard=None):
+    """Spectra of the split A(Gⁿ) = a_gr + a_fc, n >= 2, of (G, n) as `graph_spectrum` reads it,
+    under the power guard on Gⁿ before any eigensolve: a_gr = I ⊗ A(Gⁿ⁻¹) has λ(Gⁿ⁻¹), each value
+    V times; a_fc = A(G) ⊗ J has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros (both from `_lex_spectra(G, n − 1)`);
     λ(full) is `graph_spectrum`'s, read on a regular base by one more `_lex_step` from λ(Gⁿ⁻¹).
     With an eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
     import numpy as np
-    g, n = _power_base(gn)
-    check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
-    lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
-    regular = len(set(g.degrees())) == 1
-    lam_full = np.array(_lex_step(lam_g, lam_h) if regular else graph_spectrum(gn, guard=guard).values, dtype=float)
-    lam_gr = np.repeat(np.array(lam_h, dtype=float), g.vertex_count)
+    base, m = _read_power(g, n)
+    if m < 2:
+        raise UsageError("split needs n >= 2")
+    check_power_guard(base.vertex_count, m, guard)
+    lam_g, lam_h = _lex_spectra(base, m - 1, guard=guard)
+    regular = len(set(base.degrees())) == 1
+    lam_full = np.array(_lex_step(lam_g, lam_h) if regular else graph_spectrum(g, n, guard=guard).values, dtype=float)
+    lam_gr = np.repeat(np.array(lam_h, dtype=float), base.vertex_count)
     cross = np.array(lam_g, dtype=float) * len(lam_h)
-    lam_fc = np.sort(np.concatenate([cross, np.zeros(gn.vertex_count - len(cross))]))[::-1]
+    lam_fc = np.sort(np.concatenate([cross, np.zeros(len(lam_gr) - len(cross))]))[::-1]
     sums = lam_gr + lam_fc
     return SplitReport(*(tuple(a.tolist()) for a in (lam_gr, lam_fc, lam_full, sums, np.abs(sums - lam_full))))
 
@@ -311,7 +314,7 @@ def lambda1_window(g, n, guard=None):
     """Enclosures of λ1(G^n), read from G and λ(G^{n-1}): the window [d_avg·V^{n-1}, Δ(G^n)]; the
     block GCT's `envelope`, the hull of its discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}, and its
     `scalar_envelope` ±Δ(G^n); the refined window [d_avg·V^{n-1}, ⌊λ1(G^{n-1}) + λ1(G)·V^{n-1}⌋ + 1].
-    λ1(G^n) is Δ(G^n) on a regular base, else eigvalsh's of or_power(g, n).  The power guard holds
+    λ1(G^n) is Δ(G^n) on a regular base, else `graph_spectrum`'s.  The power guard holds
     on the largest graph read, G^{n-1} or G^n, and is checked before any eigensolve; `guard` sets
     it, and the dense guard on G^n."""
     if n < 2:
@@ -327,7 +330,7 @@ def lambda1_window(g, n, guard=None):
     return {
         "window": (lo, top),
         "refined": (lo, _wilf_upper(lam_h[0] + lam_g[0] * size)),
-        "lambda_1": top if regular else graph_spectrum(or_power(g, n, guard=guard), guard=guard).lambda_1,
+        "lambda_1": top if regular else graph_spectrum(g, n, guard=guard).lambda_1,
         "gct": {"envelope": (float(lam_h[-1]) - reach, float(lam_h[0]) + reach), "scalar_envelope": (0.0 - top, top)},
     }
 
@@ -349,30 +352,33 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
     unless g and n, where given too, are those), else g and n, with n = 1 when omitted.  `guard`
     holds for every power and matrix a variant builds or reads.
 
-    hoffman-direct: the spectrum of Gⁿ: power, or else or_power(g, n).
+    hoffman-direct: the spectrum of Gⁿ, `graph_spectrum(g, n)`.
     cycle-power:    C_V^n: λ1 its degree, λ_min the better of the Brigham and
                     Hong closed forms; upper λ1 + 1.  V comes from G when G is
                     given, and G must be the canonical cycle C_V, V >= 4.
-    degree:         λ1 of Gⁿ, read as hoffman-direct's; λ_min the Das bound;
-                    upper d_max + 1.
+    degree:         λ1 of Gⁿ, read as hoffman-direct's; λ_min the Das bound on
+                    Gⁿ's degree list, read from G's; upper d_max + 1.
     general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of Gⁿ.
     gct-split:      λ1(a_gr) + λ1(a_fc) of the split of Gⁿ, n >= 2, from λ(G)
                     and λ(Gⁿ⁻¹); λ_min Hong.
     lambda1-window: λ1 the refined window's low edge, λ_min Hong; upper the
                     window's high edge, Wilf's bound on the split sum.
-    cycle-power, gct-split and lambda1-window build no power.
+    None builds Gⁿ on a regular base; cycle-power, gct-split and lambda1-window build no power.
     """
     if variant not in BOUND_VARIANTS:
         raise UsageError(f"unknown bound variant {variant!r}")
     if power is not None:
-        g, n = _power_base(power, g, n)
+        if not isinstance(power, PowerGraph):
+            raise UsageError("power must be an OR power, a PowerGraph with provenance")
+        if n is not None and n != power.tuple_len or g is not None and (g, n) != (power.base, power.tuple_len):
+            raise UsageError(f"power must be or_power(g, n) with n = {n}")
+        g, n = power.base, power.tuple_len
     n = 1 if n is None else n
     if g is None and (variant != "cycle-power" or V is None):
         raise UsageError(f"{variant} bound needs g or {'V' if variant == 'cycle-power' else 'power'}")
     upper = None
     if variant in ("hoffman-direct", "degree", "general"):
-        gn = power if power is not None else or_power(g, n, guard=guard) if n > 1 else g
-        spec = graph_spectrum(gn, guard=guard)
+        spec = graph_spectrum(g, n, guard=guard)
     if variant == "hoffman-direct":
         l1, lv = spec.lambda_1, spec.lambda_min
         details = {"lambda_1": l1, "lambda_V": lv}
@@ -386,9 +392,11 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
         upper = l1 + 1
         details = {"lambda_1": l1, "lambda_V_bound": lv}
     elif variant == "degree":
-        degrees = gn.degrees()
+        base, degrees = g.degrees(), [0]
+        for _ in range(n):  # deg of (v, w) in G[Gᵏ]: deg_G(v)·Vᵏ + deg_{Gᵏ}(w)
+            degrees = [d * len(degrees) + e for d in base for e in degrees]
         l1 = spec.lambda_1
-        lv = smallest_eig_lower_bounds(gn.vertex_count, gn.edge_count, degrees)["das"]
+        lv = smallest_eig_lower_bounds(len(degrees), sum(degrees) // 2, degrees)["das"]
         upper = max(degrees) + 1
         details = {"lambda_1": l1, "das": lv}
     elif variant == "general":
@@ -400,7 +408,6 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
     elif variant == "gct-split":
         if n < 2:
             raise UsageError("gct-split bound needs n >= 2")
-        check_power_guard(g.vertex_count, n - 1, guard)
         lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
         gr, fc = float(lam_h[0]), float(lam_g[0] * len(lam_h))
         l1, lv = gr + fc, hong_bound(g.vertex_count**n)

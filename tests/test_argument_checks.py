@@ -156,10 +156,7 @@ CASES = {
         "inconsistent V, E, degree list",
     ),
     "smallest-eig-empty": (lambda: smallest_eig_lower_bounds(0, 0, []), "inconsistent V, E, degree list"),
-    "split-plain-graph": (
-        lambda: split_decomposition(C5),
-        "power must be an OR power, a PowerGraph with provenance",
-    ),
+    "split-plain-graph": (lambda: split_decomposition(C5), "split needs n >= 2"),
     "lambda1-window-n": (lambda: lambda1_window(C5, 1), "lambda1 window needs n >= 2"),
     "bound-variant": (
         lambda: chromatic_bounds_spectral("nope", g=C5, n=1, V=5),

@@ -282,7 +282,8 @@ def test_spectral_lambda1_window_of_c5_to_the_sixth_builds_no_power(capsys):
 
 @pytest.mark.parametrize("variant", BOUND_VARIANTS)
 def test_spectral_bounds_of_c5_to_the_sixth_build_the_power_only_to_read_its_spectrum(capsys, monkeypatch, variant):
-    # C5^6, 15 625 vertices, is past the power guard; cycle-power, gct-split and the window read (C5, 6) alone
+    # C5^6, 15 625 vertices, is past the power guard; every variant reads (C5, 6) alone, and the three
+    # that read λ(C5^6) are refused on the closed form's 15 625 values before anything is built
     built = []
     or_power = chromacode.spectral.or_power
     for module in (chromacode.cli, chromacode.spectral):
@@ -291,7 +292,7 @@ def test_spectral_bounds_of_c5_to_the_sixth_build_the_power_only_to_read_its_spe
         capsys, "spectral", "--kind", "cycle", "--size", "5", "--power", "6", "--op", "bounds", "--variant", variant,
     )
     if variant in ("hoffman-direct", "degree", "general"):
-        assert (rc, built) == (3, [6])
+        assert (rc, built) == (3, [])
         return
     assert (rc, built) == (0, [])
     d = json.loads(out)
@@ -300,6 +301,20 @@ def test_spectral_bounds_of_c5_to_the_sixth_build_the_power_only_to_read_its_spe
         assert d["details"]["sum"] == 7812.0
     if variant == "cycle-power":
         assert d["details"]["lambda_1"] == 7812
+
+
+@pytest.mark.parametrize("variant", ["hoffman-direct", "degree", "general"])
+def test_spectral_bounds_of_a_regular_power_build_no_power(capsys, monkeypatch, variant):
+    # under --guard 20000, λ(C5^6) is the closed form of one 5 x 5 solve, and degree's list is read from C5's
+    built = []
+    or_power = chromacode.spectral.or_power
+    for module in (chromacode.cli, chromacode.spectral):
+        monkeypatch.setattr(module, "or_power", lambda g, n, guard=None: built.append(n) or or_power(g, n, guard))
+    rc, out = run(
+        capsys, "spectral", "--kind", "cycle", "--size", "5", "--power", "6", "--guard", "20000",
+        "--op", "bounds", "--variant", variant,
+    )
+    assert (rc, json.loads(out)["upper"], built) == (0, 7813, [])
 
 
 def test_spectral_guard_reaches_the_window_the_spectrum_and_the_split(capsys, monkeypatch):
@@ -368,6 +383,22 @@ def test_expansion_subcommand(capsys):
     assert rc == 0
     d = json.loads(out)
     assert d["lower"] - 1e-9 <= d["rate_float"] <= d["upper"] + 1e-9
+
+
+@pytest.mark.parametrize("n,lam", [(4, 140.25424859373686), (5, 699.2712429686843)])
+def test_expansion_reads_lambda_of_a_regular_power_from_the_base(capsys, n, lam):
+    # 625 and 3 125 vertices, past 400, but the closed form solves only C5's 5 x 5 matrix
+    rc, out = run(capsys, "expansion", "--kind", "cycle", "--size", "5", "--power", str(n), "--sample", "1")
+    d = json.loads(out)
+    assert (rc, d["lam_is_bound"]) == (0, False)
+    assert d["lam"] == pytest.approx(lam, rel=1e-12)
+
+
+def test_expansion_of_a_regular_power_keeps_the_least_degree_bound(capsys):
+    # Tanner's bound alone gave 3.61 on C5^3 at |Y| = 1, where every vertex has 62 neighbours
+    rc, out = run(capsys, "expansion", "--kind", "cycle", "--size", "5", "--power", "3", "--subset", "0")
+    d = json.loads(out)
+    assert (rc, d["rate"], d["lower"]) == (0, "62", 62.0)
 
 
 def test_expansion_of_an_irregular_graph_keeps_its_lower_bound_under_the_rate(capsys):
@@ -865,7 +896,7 @@ def test_spectral_scalar_gct_of_a_f1(capsys):
         ),
         (
             ["spectral", "--op", "split", "--kind", "cycle", "--size", "5", "--power", "1"],
-            "split needs --power >= 2",
+            "split needs n >= 2",
         ),
         (
             ["spectral", "--op", "bounds", "--variant", "gct-split", "--kind", "cycle", "--size", "4"],

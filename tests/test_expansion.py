@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chromacode import (
     graph_spectrum,
     hong_bound,
     or_power,
+    prism_graph,
     tanner_lower_bound,
 )
 
@@ -71,6 +73,28 @@ def test_regular_family_bounds():
     b = expansion_bounds("regular", 4, 2, 4, d=3, lam=lam)
     rate = float(expansion_rate(g2, [0, 1, 2, 3]))
     assert b.lower - 1e-9 <= rate <= b.upper + 1e-9
+
+
+def test_regular_family_is_never_below_the_general_one():
+    # C5^3 at |Y| = 1: Tanner's bound gives 3.61, the least degree 62, the rate
+    spec = graph_spectrum(cycle_graph(5), 3)
+    lam = max(spec.values[1], abs(spec.values[-1]))
+    assert expansion_bounds("regular", 5, 3, 1, d=2, lam=lam).lower == 62.0
+    for y_size in (1, 2, 25, 100, 125):
+        regular = expansion_bounds("regular", 5, 3, y_size, d=2, lam=lam)
+        assert regular.lower >= expansion_bounds("general", 5, 3, y_size, d=2).lower
+
+
+@pytest.mark.parametrize("g", [cycle_graph(4), complete_graph(3), cycle_graph(5), prism_graph()], ids=["C4", "K3", "C5", "prism"])
+def test_regular_family_holds_on_every_small_subset_of_a_square(g):
+    g2 = or_power(g, 2)
+    spec = graph_spectrum(g2)
+    lam = max(spec.values[1], abs(spec.values[-1]))
+    for size in (1, 2, 3):
+        for y in combinations(range(g2.vertex_count), size):
+            rate = float(expansion_rate(g2, y))
+            b = expansion_bounds("regular", g.vertex_count, 2, size, d=g.degree(0), lam=lam)
+            assert b.lower - 1e-9 <= rate <= b.upper + 1e-9, y
 
 
 def test_expansion_bounds_usage_errors():

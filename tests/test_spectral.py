@@ -68,7 +68,7 @@ def test_jacobi_checks_convergence_after_the_last_sweep():
 
 
 class _MatrixGraph:
-    """Stands in for a graph whose adjacency matrix is malformed."""
+    """Stands in for a non-regular graph whose adjacency matrix is malformed."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -76,6 +76,9 @@ class _MatrixGraph:
 
     def adjacency_matrix(self):
         return self.matrix
+
+    def degrees(self):
+        return list(range(self.vertex_count))
 
 
 @pytest.mark.parametrize(
@@ -101,6 +104,21 @@ def test_c5_spectrum():
         sorted(spec.distinct()), [-1.618033988749895, 0.6180339887498949, 2.0], atol=1e-9
     )
     assert spec.lambda_1 == pytest.approx(2.0, abs=1e-9)
+
+
+def test_a_graph_and_its_first_or_power_have_one_spectrum():
+    # both read (C5, 1): the closed form, its top value the integer degree
+    plain, power = graph_spectrum(cycle_graph(5)), graph_spectrum(or_power(cycle_graph(5), 1))
+    assert plain == power
+    assert plain.lambda_1 == 2.0
+
+
+@pytest.mark.parametrize("g", [cycle_graph(3), path_graph(3), AF1])
+def test_a_power_of_a_power_reads_as_one_power(g):
+    # (Gᵐ)ⁿ is G^{mn}, with the same big-endian tuple order
+    assert np.array_equal(or_power(or_power(g, 2), 2).adjacency_matrix(), or_power(g, 4).adjacency_matrix())
+    assert graph_spectrum(or_power(g, 2), 2) == graph_spectrum(g, 4) == graph_spectrum(or_power(g, 4))
+    assert split_decomposition(or_power(g, 2)) == split_decomposition(g, 2)
 
 
 def test_c5_squared_spectrum():
@@ -405,8 +423,8 @@ def test_every_variant_contains_the_power_chi(variant):
             if variant == "cycle-power" and _cycle_scheme(g) is None:
                 continue
             rep = chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count)
-            if n > 1:  # a power given reads as the (g, n) it records
-                assert chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count, power=or_power(g, n)) == rep
+            # a power given reads as the (g, n) it records, at n = 1 too
+            assert chromatic_bounds_spectral(variant, g=g, n=n, V=g.vertex_count, power=or_power(g, n)) == rep
             chi = power_chromatic_number(g, n)
             assert rep.lower - 1e-9 <= chi <= rep.upper + 1e-9, (variant, g.edges(), n, rep.lower, rep.upper)
             checked += 1
@@ -548,7 +566,8 @@ def test_the_split_of_a_regular_power_eigensolves_the_base_once(monkeypatch):
             power = or_power(g, n)
             assert split_decomposition(power).lam_full == graph_spectrum(power).values, (g.edges(), n)
     sizes.clear()
-    with pytest.raises(GuardExceeded, match="matrix dimension"):
+    # the split's lists have 121 values, past the power guard of 100
+    with pytest.raises(GuardExceeded, match="power vertex count"):
         split_decomposition(or_power(cycle_graph(11), 2), guard=100)
     assert sizes == []
 
@@ -557,7 +576,10 @@ def test_graph_spectrum_refuses_past_the_dense_guard_before_building_a_matrix(mo
     built = []
     adjacency = Graph.adjacency_matrix
     monkeypatch.setattr(Graph, "adjacency_matrix", lambda g: built.append(g.vertex_count) or adjacency(g))
-    for g in (cycle_graph(300), path_graph(101), or_power(cycle_graph(11), 2)):
+    for g in (cycle_graph(300), path_graph(101)):
         with pytest.raises(GuardExceeded, match="matrix dimension"):
             graph_spectrum(g, guard=100)
+    # the closed form of C11^2 solves 11 x 11, but lists 121 values, past the power guard of 100
+    with pytest.raises(GuardExceeded, match="power vertex count"):
+        graph_spectrum(or_power(cycle_graph(11), 2), guard=100)
     assert built == []
