@@ -4,7 +4,8 @@ Subcommands: graph, chargraph, power, color, entropy, spectral, expansion,
 simulate, reproduce.  JSON output with sorted keys.  Exit codes:
 0 pass, 1 check failure, 2 usage error, 3 guard violation.
 
-`main` builds the parser of the one subcommand its argv names, not all nine.
+`main` builds the parser of the one subcommand its argv names, not all nine, and prints
+the dict its handler returns as one JSON line; `reproduce` prints its table, returns its exit code.
 """
 
 import argparse
@@ -46,10 +47,6 @@ from .spectral import (
     smallest_eig_lower_bounds,
     split_decomposition,
 )
-
-
-def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, default=str))
 
 
 def _parse_edges(text):
@@ -101,20 +98,17 @@ def _load_spec_pmf(args):
 
 
 def cmd_graph(args):
-    _emit(_load_graph(args).to_dict())
-    return 0
+    return _load_graph(args).to_dict()
 
 
 def cmd_chargraph(args):
     spec, pmf = _load_spec_pmf(args)
-    _emit(build_characteristic_graph(spec, pmf, args.source).to_dict())
-    return 0
+    return build_characteristic_graph(spec, pmf, args.source).to_dict()
 
 
 def cmd_power(args):
     g = _load_graph(args)
-    _emit(or_power(g, args.power, guard=args.guard).to_dict())
-    return 0
+    return or_power(g, args.power, guard=args.guard).to_dict()
 
 
 def cmd_color(args):
@@ -126,9 +120,8 @@ def cmd_color(args):
         if _cycle_scheme(g) != "odd-cycle":
             raise UsageError("fractional scheme implemented for odd cycles C_V with V >= 5")
         res = fractional_chromatic_cycle(g.vertex_count // 2, args.fold, guard=args.guard)
-        _emit({"chi_b": res["chi_b"], "chi_b_lower": res["chi_b_lower"],
-               "chi_f": str(res["chi_f"]), "b": args.fold})
-        return 0
+        return {"chi_b": res["chi_b"], "chi_b_lower": res["chi_b_lower"],
+                "chi_f": str(res["chi_f"]), "b": args.fold}
     check_strategy(args.scheme, g)
     try:
         check_power_guard(g.vertex_count, n, args.guard)
@@ -138,11 +131,9 @@ def cmd_color(args):
         most = max(2, greedy_coloring(g).palette_size)
         if args.scheme == "greedy" or n > 14_300 or most**n >= 10**4300:
             raise
-        _emit({"chi": power_chromatic_number(g, n)})
-        return 0
+        return {"chi": power_chromatic_number(g, n)}
     c = power_coloring(g, n, args.scheme, guard=args.guard)
-    _emit({"chi": c.palette_size, **c.to_dict()})
-    return 0
+    return {"chi": c.palette_size, **c.to_dict()}
 
 
 def cmd_entropy(args):
@@ -151,44 +142,37 @@ def cmd_entropy(args):
     if args.bound == "brute":
         # per symbol, like the windows' lo/hi: H_χ(G^n) / n
         h = chromatic_entropy_bruteforce(or_power(g, args.power, guard=args.guard), guard=args.guard) / args.power
-        _emit({"lo": h, "hi": h, "bound": "brute"})
-        return 0
+        return {"lo": h, "hi": h, "bound": "brute"}
     if args.bound in ("odd-cycle", "fractional") and _cycle_scheme(g) != "odd-cycle":
         raise UsageError(f"{args.bound} bound needs the canonical odd cycle C_V with V >= 5")
     if args.bound == "fractional":
-        _emit({"lo": fractional_entropy_lower_bound(V), "bound": "fractional"})
-        return 0
+        return {"lo": fractional_entropy_lower_bound(V), "bound": "fractional"}
     if args.bound == "odd-cycle":
         res = odd_cycle_entropy_upper_bound(V // 2, args.power, guard=args.guard)
     else:
         res = general_entropy_upper_bound(g, args.power, guard=args.guard)
     pmf = {str(c): str(p) for c, p in res["hi_profile"].pmf().items()}
-    _emit(
-        {
-            "lo": res["lo"],
-            "hi": res["hi"],
-            "alpha_n_window": list(res["alpha_n_window"]),
-            "alphas": {
-                "lo_profile": list(res["lo_profile"].alphas),
-                "hi_profile": list(res["hi_profile"].alphas),
-            },
-            "pmf": pmf,
-            "bound": args.bound,
-        }
-    )
-    return 0
+    return {
+        "lo": res["lo"],
+        "hi": res["hi"],
+        "alpha_n_window": list(res["alpha_n_window"]),
+        "alphas": {
+            "lo_profile": list(res["lo_profile"].alphas),
+            "hi_profile": list(res["hi_profile"].alphas),
+        },
+        "pmf": pmf,
+        "bound": args.bound,
+    }
 
 
 def cmd_spectral(args):
     g = _load_graph(args)
     if args.op == "bounds":
         report = chromatic_bounds_spectral(args.variant, g=g, n=args.power, guard=args.guard)
-        _emit({"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": report.details})
-        return 0
+        return {"variant": report.variant, "lower": report.lower, "upper": report.upper, "details": report.details}
     if args.op == "eig":
         spec = graph_spectrum(g, args.power, guard=args.guard)
-        _emit({"eigenvalues": list(spec.values), "distinct": list(spec.distinct())})
-        return 0
+        return {"eigenvalues": list(spec.values), "distinct": list(spec.distinct())}
     if args.op == "gct":
         # block mode takes one block per vertex of the base; scalar mode ignores block_size
         gn = or_power(g, args.power, guard=args.guard)
@@ -196,18 +180,14 @@ def cmd_spectral(args):
         out = {"intervals": [list(i) for i in res.intervals], "envelope": list(res.envelope)}
         if args.mode == "block":
             out["scalar_envelope"] = list(res.scalar_envelope)
-        _emit(out)
-        return 0
+        return out
     rep = split_decomposition(g, args.power, guard=args.guard)
-    _emit(
-        {
-            "lambda_gr": list(rep.lam_gr),
-            "lambda_fc": list(rep.lam_fc),
-            "lambda_full": list(rep.lam_full),
-            "deviations": list(rep.deviations),
-        }
-    )
-    return 0
+    return {
+        "lambda_gr": list(rep.lam_gr),
+        "lambda_fc": list(rep.lam_fc),
+        "lambda_full": list(rep.lam_full),
+        "deviations": list(rep.deviations),
+    }
 
 
 def cmd_expansion(args):
@@ -246,28 +226,23 @@ def cmd_expansion(args):
         d=min(degrees),
         lam=lam,
     )
-    _emit(
-        {
-            "subset": subset,
-            "rate": str(rate),
-            "rate_float": float(rate),
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "lam": bounds.lam,
-            "lam_is_bound": bounds.lam_is_bound,
-        }
-    )
-    return 0
+    return {
+        "subset": subset,
+        "rate": str(rate),
+        "rate_float": float(rate),
+        "lower": bounds.lower,
+        "upper": bounds.upper,
+        "lam": bounds.lam,
+        "lam_is_bound": bounds.lam_is_bound,
+    }
 
 
 def cmd_simulate(args):
     spec, pmf = _load_spec_pmf(args)
-    report = simulate(
+    return simulate(
         spec, pmf, args.n, args.samples, args.seed,
         coloring_strategy=args.strategy, guard=args.guard,
-    )
-    print(report.to_json())
-    return 0
+    ).to_dict()
 
 
 # -- reproduce ----------------------------------------------------------------
@@ -412,7 +387,7 @@ def cmd_reproduce(args):
             status = "pass" if ok else "FAIL"
             print(f"[{status}] {case}: {label}: expected {expected}, computed {computed} (tol {tol})")
     print(f"{'PASS' if failures == 0 else 'FAIL'}: {failures} failing check(s)")
-    return 0 if failures == 0 else 1
+    return 1 if failures else 0
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -522,7 +497,11 @@ def main(argv=None):
         args = build_parser(only).parse_args(argv)
         if getattr(args, "power", 1) < 1:
             raise UsageError("--power must be >= 1")
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # reproduce's exit code, its table printed
+            return result
+        print(json.dumps(result, sort_keys=True, default=str))
+        return 0
     except GuardExceeded as exc:
         print(
             json.dumps(

@@ -135,17 +135,19 @@ def _read_power(g, n=1):
     return g, n
 
 
-def _lex_spectra(g, m, guard=None):
+def _lex_spectra(g, m, guard=None, power=None):
     """λ(G) and λ(Gᵐ), descending, of the OR power Gᵐ = G[Gᵐ⁻¹], from G alone.  On a d-regular
     base λ(G^{k+1}) is `_lex_step` of λ(G) and λ(G^k) (Schwenk 1974), its top value the integer
-    degree; else λ(Gᵐ) is eigvalsh's of or_power(g, m, guard) ([0.0] at m = 0, λ(G) at m = 1);
-    the power guard on Gᵐ (G at m = 0) is checked before any eigensolve."""
+    degree; else λ(Gᵐ) is eigvalsh's of `power`, the caller's or_power(g, m), if given, else of
+    or_power(g, m, guard) ([0.0] at m = 0, λ(G) at m = 1); the power guard on Gᵐ (G at m = 0)
+    is checked before any eigensolve."""
     check_power_guard(g.vertex_count, max(m, 1), guard)
     lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
     if len(set(g.degrees())) > 1:
         if m < 2:
             return lam_g, [0.0] if m == 0 else lam_g
-        return lam_g, _eigvalsh(or_power(g, m, guard=guard).adjacency_matrix()).tolist()
+        gm = or_power(g, m, guard=guard) if power is None else power
+        return lam_g, _eigvalsh(gm.adjacency_matrix()).tolist()
     lam_g[0] = g.degree(0)
     lam = [0]
     for _ in range(m):
@@ -358,12 +360,12 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
                     given, and G must be the canonical cycle C_V, V >= 4.
     degree:         λ1 of Gⁿ, read as hoffman-direct's; λ_min the Das bound on
                     Gⁿ's degree list, read from G's; upper d_max + 1.
-    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of Gⁿ.
+    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of Gⁿ; both from one `_lex_spectra`.
     gct-split:      λ1(a_gr) + λ1(a_fc) of the split of Gⁿ, n >= 2, from λ(G)
                     and λ(Gⁿ⁻¹); λ_min Hong.
     lambda1-window: λ1 the refined window's low edge, λ_min Hong; upper the
                     window's high edge, Wilf's bound on the split sum.
-    None builds Gⁿ on a regular base; cycle-power, gct-split and lambda1-window build no power.
+    None builds Gⁿ on a regular base or when handed it; cycle-power, gct-split, lambda1-window never.
     """
     if variant not in BOUND_VARIANTS:
         raise UsageError(f"unknown bound variant {variant!r}")
@@ -377,8 +379,8 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
     if g is None and (variant != "cycle-power" or V is None):
         raise UsageError(f"{variant} bound needs g or {'V' if variant == 'cycle-power' else 'power'}")
     upper = None
-    if variant in ("hoffman-direct", "degree", "general"):
-        spec = graph_spectrum(g, n, guard=guard)
+    if variant in ("hoffman-direct", "degree"):  # a power given is read as (power, 1), not built again
+        spec = graph_spectrum(g, n, guard=guard) if power is None else graph_spectrum(power, guard=guard)
     if variant == "hoffman-direct":
         l1, lv = spec.lambda_1, spec.lambda_min
         details = {"lambda_1": l1, "lambda_V": lv}
@@ -400,10 +402,10 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
         upper = max(degrees) + 1
         details = {"lambda_1": l1, "das": lv}
     elif variant == "general":
-        V = g.vertex_count
         dmax = max(g.degrees())
-        l1 = graph_spectrum(g, guard=guard).lambda_1 + (or_power_degree(dmax, V, n) - dmax)
-        lv = spec.lambda_min
+        lam_g, lam = _lex_spectra(g, n, guard=guard, power=power)
+        l1 = float(max(lam_g)) + (or_power_degree(dmax, g.vertex_count, n) - dmax)
+        lv = float(lam[-1])
         details = {"lambda_1_estimate": l1, "lambda_V": lv}
     elif variant == "gct-split":
         if n < 2:

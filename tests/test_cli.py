@@ -1046,3 +1046,35 @@ def test_no_or_an_unknown_command_registers_every_command(capsys, registered, ar
     assert len(err) == 1
     assert detail in json.loads(err[0])["detail"]
     assert registered == list(COMMANDS)
+
+
+# one small argv per command; F and P stand for Example 1's function and PMF files
+HANDLER_CASES = {
+    "graph": ["--kind", "cycle", "--size", "4"],
+    "chargraph": ["--spec", "F", "--pmf", "P"],
+    "power": ["--kind", "cycle", "--size", "3", "--power", "2"],
+    "color": ["--kind", "cycle", "--size", "5", "--power", "2"],
+    "entropy": ["--kind", "cycle", "--size", "5", "--power", "2", "--bound", "odd-cycle"],
+    "spectral": ["--kind", "cycle", "--size", "5", "--power", "2", "--op", "split"],
+    "expansion": ["--kind", "cycle", "--size", "5", "--power", "2", "--subset", "0,1,7"],
+    "simulate": ["--spec", "F", "--pmf", "P", "--n", "2", "--samples", "200", "--seed", "3"],
+    "reproduce": ["--case", "example4"],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_handler_returns_its_result_and_main_alone_prints_it(ex1_files, capsys, name):
+    files = dict(zip("FP", ex1_files))
+    argv = [name] + [files.get(a, a) for a in HANDLER_CASES[name]]
+    args = build_parser(name).parse_args(argv)
+    result = args.func(args)
+    printed = capsys.readouterr().out
+    if name == "reproduce":
+        # its table is its output, and what it returns is the exit code
+        assert (type(result), result) == (int, 0)
+        assert printed.endswith("PASS: 0 failing check(s)\n")
+        return
+    assert printed == ""
+    assert type(result) is dict
+    line = json.dumps(result, sort_keys=True)  # no str() fallback needed
+    assert (main(argv), capsys.readouterr().out) == (0, line + "\n")

@@ -583,3 +583,30 @@ def test_graph_spectrum_refuses_past_the_dense_guard_before_building_a_matrix(mo
     with pytest.raises(GuardExceeded, match="power vertex count"):
         graph_spectrum(or_power(cycle_graph(11), 2), guard=100)
     assert built == []
+
+
+@pytest.mark.parametrize("variant", ["hoffman-direct", "degree", "general"])
+def test_a_power_handed_to_the_bounds_is_not_built_again(monkeypatch, variant):
+    built = []
+    build = spectral.or_power
+    monkeypatch.setattr(spectral, "or_power", lambda g, n, guard=None: built.append(n) or build(g, n, guard))
+    for g in (AF1, path_graph(6)):  # non-regular: λ(G²) is LAPACK's of G²'s own rows
+        power = or_power(g, 2)
+        built.clear()
+        rep = chromatic_bounds_spectral(variant, g=g, n=2, power=power)
+        assert built == [], g.edges()
+        assert chromatic_bounds_spectral(variant, g=g, n=2) == rep, g.edges()
+        assert built == [2], g.edges()
+
+
+def test_general_eigensolves_a_regular_base_once(monkeypatch):
+    sizes = []
+    eigvalsh = spectral._eigvalsh
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    c5 = cycle_graph(5)
+    rep = chromatic_bounds_spectral("general", g=c5, n=6, guard=20_000)
+    assert sizes == [5]
+    # λ1(C5) and λ_min(C5^6) as graph_spectrum reads them, to the bit
+    l1 = graph_spectrum(c5).lambda_1 + (or_power_degree(2, 5, 6) - 2)
+    lv = graph_spectrum(c5, 6, guard=20_000).lambda_min
+    assert rep == ("general", 1.0 - l1 / lv, math.floor(l1 + 1e-9) + 1, {"lambda_1_estimate": l1, "lambda_V": lv})
