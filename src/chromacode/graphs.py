@@ -13,14 +13,15 @@ MIS_GUARD_DEFAULT = 24
 
 
 class Graph:
-    """Immutable undirected simple graph."""
+    """Immutable undirected simple graph.  While it lives it keeps the spectra solved for it (`_spectra`, filled
+    on first use): λ(G), and λ(Gᵐ) of a non-regular G, each at most the dense guard's Vᵐ values."""
 
-    __slots__ = ("vertex_count", "_rows", "_hash")
+    __slots__ = ("vertex_count", "_rows", "_hash", "_spectra")
 
     def __init__(self, vertex_count, rows):
         self.vertex_count = vertex_count
         self._rows = tuple(rows)
-        self._hash = None
+        self._hash = self._spectra = None
 
     # -- construction -----------------------------------------------------
 

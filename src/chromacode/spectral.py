@@ -118,14 +118,12 @@ class Spectrum(namedtuple("Spectrum", "values")):
 def graph_spectrum(g, n=1, guard=None):
     """Spectrum of Gⁿ as plain floats, of (G, n) as `_read_power` reads g and n: on a regular base
     `_lex_spectra`'s closed form, its Vⁿ values under the power guard, the dense guard on the V x V
-    matrix solved; else LAPACK's, of g at n = 1 and of or_power(g, n) past it, under the dense guard."""
+    matrix solved; else `_spectrum`'s, of g itself at n = 1 and of or_power(G, n) past it."""
     base, m = _read_power(g, n)
     if len(set(base.degrees())) == 1:
         check_guard("matrix dimension", base.vertex_count, guard, DENSE_GUARD_DEFAULT)
         return Spectrum(tuple(map(float, _lex_spectra(base, m, guard=guard)[1])))
-    gn = g if n == 1 else or_power(g, n, guard=guard)
-    check_guard("matrix dimension", gn.vertex_count, guard, DENSE_GUARD_DEFAULT)
-    return Spectrum(tuple(_eigvalsh(gn.adjacency_matrix()).tolist()))
+    return Spectrum(_spectrum(base, m, guard, power=g if n == 1 else None))
 
 
 def _read_power(g, n=1):
@@ -135,20 +133,36 @@ def _read_power(g, n=1):
     return g, n
 
 
+def _spectrum(g, m=1, guard=None, power=None):
+    """λ(Gᵐ), descending, as floats: LAPACK's of G at m = 1, past it (G non-regular) of `power`, the caller's
+    or_power(g, m), if given, else of or_power(g, m, guard); solved once per graph, kept in g._spectra.  The
+    guards (power, on a power it would build; dense, on Vᵐ) are checked first, and refuse a kept one too."""
+    if m > 1 and power is None:
+        check_power_guard(g.vertex_count, m, guard)
+    check_guard("matrix dimension", g.vertex_count**m, guard, DENSE_GUARD_DEFAULT)
+    kept = getattr(g, "_spectra", None) or {}  # g may be any object with a graph's methods
+    if m not in kept:
+        gm = g if m == 1 else or_power(g, m, guard=guard) if power is None else power
+        kept[m] = tuple(_eigvalsh(gm.adjacency_matrix()).tolist())
+        g._spectra = kept
+    return kept[m]
+
+
 def _lex_spectra(g, m, guard=None, power=None):
-    """λ(G) and λ(Gᵐ), descending, of the OR power Gᵐ = G[Gᵐ⁻¹], from G alone.  On a d-regular
-    base λ(G^{k+1}) is `_lex_step` of λ(G) and λ(G^k) (Schwenk 1974), its top value the integer
-    degree; else λ(Gᵐ) is eigvalsh's of `power`, the caller's or_power(g, m), if given, else of
-    or_power(g, m, guard) ([0.0] at m = 0, λ(G) at m = 1); the power guard on Gᵐ (G at m = 0)
-    is checked before any eigensolve."""
+    """λ(g) and λ(gᵐ), descending, of the OR power gᵐ = g[gᵐ⁻¹], read from the base G of g = Gᵏ
+    (k = 1 for a plain g) as λ(Gᵏ) and λ(G^{k·m}).  On a d-regular base λ(H[K]) is `_lex_step` of
+    λ(H) and λ(K) (Schwenk 1974), its top value the integer degree, from the one solve of λ(G); else
+    each is `_spectrum`'s, λ(gᵐ) that of `power`, the caller's or_power(g, m), if given ([0.0] at
+    m = 0); the power guard on gᵐ (g at m = 0) is checked before any eigensolve."""
     check_power_guard(g.vertex_count, max(m, 1), guard)
-    lam_g = _eigvalsh(g.adjacency_matrix()).tolist()
-    if len(set(g.degrees())) > 1:
-        if m < 2:
-            return lam_g, [0.0] if m == 0 else lam_g
-        gm = or_power(g, m, guard=guard) if power is None else power
-        return lam_g, _eigvalsh(gm.adjacency_matrix()).tolist()
-    lam_g[0] = g.degree(0)
+    base, k = _read_power(g)
+    if len(set(base.degrees())) > 1:
+        lam_g = _spectrum(base, k, guard, power=g)
+        return lam_g, [0.0] if m == 0 else _spectrum(base, k * m, guard, power)
+    lam_1 = lam_g = list(_spectrum(base, 1, guard))
+    lam_1[0] = base.degree(0)
+    for _ in range(k - 1):
+        lam_g = _lex_step(lam_1, lam_g)
     lam = [0]
     for _ in range(m):
         lam = _lex_step(lam_g, lam)
@@ -249,12 +263,12 @@ def smallest_eig_lower_bounds(V, E, degrees):
     """Named lower bounds on the smallest adjacency eigenvalue."""
     if V < 1 or len(degrees) != V or sum(degrees) != 2 * E:
         raise UsageError("inconsistent V, E, degree list")
-    dmin, dmax = min(degrees), max(degrees)
-    return {
-        "brigham": brigham_bound(V, E),
-        "hong": hong_bound(V),
-        "das": 0.0 - math.sqrt(2 * E - (V - 1) * dmin + (dmin - 1) * dmax),
-    }
+    return {"brigham": brigham_bound(V, E), "hong": hong_bound(V), "das": das_bound(V, E, min(degrees), max(degrees))}
+
+
+def das_bound(V, E, dmin, dmax):
+    """Das's lower bound on λ_min of a graph with V vertices, E edges and degrees dmin to dmax."""
+    return 0.0 - math.sqrt(2 * E - (V - 1) * dmin + (dmin - 1) * dmax)
 
 
 def brigham_bound(V, E):
@@ -393,13 +407,12 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
         lv = max(brigham_bound(Vn, Vn * l1 // 2), hong_bound(Vn))
         upper = l1 + 1
         details = {"lambda_1": l1, "lambda_V_bound": lv}
-    elif variant == "degree":
-        base, degrees = g.degrees(), [0]
-        for _ in range(n):  # deg of (v, w) in G[Gᵏ]: deg_G(v)·Vᵏ + deg_{Gᵏ}(w)
-            degrees = [d * len(degrees) + e for d in base for e in degrees]
+    elif variant == "degree":  # Gⁿ's degrees d·(1 + V + … + Vⁿ⁻¹), its E·Vⁿ⁻¹·(1 + V + … + Vⁿ⁻¹) edges
+        V, degrees = g.vertex_count, g.degrees()
+        dmin, dmax = (or_power_degree(d, V, n) for d in (min(degrees), max(degrees)))
         l1 = spec.lambda_1
-        lv = smallest_eig_lower_bounds(len(degrees), sum(degrees) // 2, degrees)["das"]
-        upper = max(degrees) + 1
+        lv = das_bound(V**n, or_power_degree(g.edge_count, V, n) * V ** (n - 1), dmin, dmax)
+        upper = dmax + 1
         details = {"lambda_1": l1, "das": lv}
     elif variant == "general":
         dmax = max(g.degrees())

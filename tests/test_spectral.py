@@ -507,29 +507,38 @@ def test_window_and_gct_split_match_the_materialized_reference(n):
         assert rep.upper == ref["refined"][1], where
 
 
+def _fresh(g):
+    """A graph equal to g, but a distinct instance, so it keeps none of g's spectra."""
+    return Graph(g.vertex_count, g._rows)
+
+
 def test_window_and_gct_split_eigensolve_no_power_sized_matrix_on_a_regular_base(monkeypatch):
     sizes = []
     eigvalsh = spectral._eigvalsh
     monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
     built = []  # the sizes of the adjacency matrices of powers built
     monkeypatch.setattr(PowerGraph, "adjacency_matrix", lambda p: built.append(p.vertex_count) or Graph.adjacency_matrix(p))
-    for g in (cycle_graph(5), prism_graph(), AF1, path_graph(4)):
-        power = or_power(g, 3)
-        regular = len(set(g.degrees())) == 1
-        # only λ1 of a non-regular power needs the whole matrix: the window's, and the split's full spectrum
+    for base in (cycle_graph(5), prism_graph(), AF1, path_graph(4)):
+        wide_size = base.vertex_count**3
+        regular = len(set(base.degrees())) == 1
+        # only λ1 of a non-regular power needs the whole matrix: the window's, and the split's full spectrum;
+        # each call reads a fresh graph and its own power, as a graph keeps what it solved
         for call, wide in (
-            (lambda: lambda1_window(g, 3), 0 if regular else 1),
-            (lambda: chromatic_bounds_spectral("gct-split", g=g, n=3, power=power), 0),
-            (lambda: split_decomposition(power), 0 if regular else 1),
+            (lambda g, power: lambda1_window(g, 3), 0 if regular else 1),
+            (lambda g, power: chromatic_bounds_spectral("gct-split", g=g, n=3, power=power), 0),
+            (lambda g, power: split_decomposition(power), 0 if regular else 1),
         ):
+            g = _fresh(base)
+            power = or_power(g, 3)
             sizes.clear()
             built.clear()
-            call()
-            assert sizes.count(power.vertex_count) == built.count(power.vertex_count) == wide, g.edges()
-            assert max(s for s in sizes if s != power.vertex_count) <= g.vertex_count**2
+            call(g, power)
+            assert sizes.count(wide_size) == built.count(wide_size) == wide, base.edges()
+            assert max(s for s in sizes if s != wide_size) <= base.vertex_count**2
+        power = or_power(_fresh(base), 3)
         sizes.clear()
         graph_spectrum(power)
-        assert sizes == ([g.vertex_count] if regular else [power.vertex_count])
+        assert sizes == ([base.vertex_count] if regular else [wide_size])
 
 
 def test_the_window_reads_g_and_n_alone_and_guards_the_largest_graph_it_reads(monkeypatch):
@@ -590,13 +599,15 @@ def test_a_power_handed_to_the_bounds_is_not_built_again(monkeypatch, variant):
     built = []
     build = spectral.or_power
     monkeypatch.setattr(spectral, "or_power", lambda g, n, guard=None: built.append(n) or build(g, n, guard))
-    for g in (AF1, path_graph(6)):  # non-regular: λ(G²) is LAPACK's of G²'s own rows
+    for base in (AF1, path_graph(6)):  # non-regular: λ(G²) is LAPACK's of G²'s own rows
+        g = _fresh(base)
         power = or_power(g, 2)
         built.clear()
         rep = chromatic_bounds_spectral(variant, g=g, n=2, power=power)
-        assert built == [], g.edges()
-        assert chromatic_bounds_spectral(variant, g=g, n=2) == rep, g.edges()
-        assert built == [2], g.edges()
+        assert built == [], base.edges()
+        # a fresh equal graph has no λ(G²) kept, and no power handed: the bound builds G² once
+        assert chromatic_bounds_spectral(variant, g=_fresh(base), n=2) == rep, base.edges()
+        assert built == [2], base.edges()
 
 
 def test_general_eigensolves_a_regular_base_once(monkeypatch):
@@ -610,3 +621,131 @@ def test_general_eigensolves_a_regular_base_once(monkeypatch):
     l1 = graph_spectrum(c5).lambda_1 + (or_power_degree(2, 5, 6) - 2)
     lv = graph_spectrum(c5, 6, guard=20_000).lambda_min
     assert rep == ("general", 1.0 - l1 / lv, math.floor(l1 + 1e-9) + 1, {"lambda_1_estimate": l1, "lambda_V": lv})
+
+
+def _counted(monkeypatch):
+    """Lists that grow by the size of each eigensolve and by the exponent of each power the spectral
+    layer builds."""
+    sizes, built = [], []
+    eigvalsh, build = spectral._eigvalsh, spectral.or_power
+    monkeypatch.setattr(spectral, "_eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    monkeypatch.setattr(spectral, "or_power", lambda g, n, guard=None: built.append(n) or build(g, n, guard))
+    return sizes, built
+
+
+def _queries_of_the_square(g):
+    """Every spectral query on G², as the CLI and the `bounds` benchmark ask it, with and without
+    the power."""
+    queries = [
+        lambda: graph_spectrum(g, 2),
+        lambda: graph_spectrum(or_power(g, 2)),
+        lambda: split_decomposition(or_power(g, 2)),
+        lambda: split_decomposition(g, 2),
+        lambda: lambda1_window(g, 2),
+    ]
+    for variant in BOUND_VARIANTS:
+        if variant != "cycle-power" or _cycle_scheme(g) is not None:
+            queries.append(lambda variant=variant: chromatic_bounds_spectral(variant, g=g, n=2))
+            queries.append(lambda variant=variant: chromatic_bounds_spectral(variant, g=g, n=2, power=or_power(g, 2)))
+    return queries
+
+
+@pytest.mark.parametrize("base", [cycle_graph(5), prism_graph(), AF1, path_graph(6)], ids=["C5", "prism", "A_f1", "P6"])
+def test_a_second_query_on_the_same_graph_solves_nothing(monkeypatch, base):
+    g = _fresh(base)
+    first = [repr(query()) for query in _queries_of_the_square(g)]
+    sizes, built = _counted(monkeypatch)
+    again = [repr(query()) for query in _queries_of_the_square(g)]
+    assert (sizes, built) == ([], [])
+    # bit-identical to the answers of fresh equal graphs, one per query
+    fresh = [repr(_queries_of_the_square(_fresh(base))[i]()) for i in range(len(first))]
+    assert again == first == fresh
+
+
+def test_an_equal_but_distinct_graph_solves_again(monkeypatch):
+    sizes, built = _counted(monkeypatch)
+    for base, solves in ((cycle_graph(5), [5]), (AF1, [25])):
+        spectra = []
+        for g in (_fresh(base), _fresh(base)):
+            sizes.clear()
+            spectra.append(graph_spectrum(g, 2))
+            assert sizes == solves, base.edges()
+            graph_spectrum(g, 2)
+            assert sizes == solves, base.edges()
+        assert spectra[0] == spectra[1]
+    assert built == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g: graph_spectrum(g, 2, guard=20),
+        lambda g: graph_spectrum(or_power(g, 2), guard=20),
+        lambda g: graph_spectrum(g, guard=4),
+        lambda g: split_decomposition(g, 2, guard=20),
+        lambda g: lambda1_window(g, 2, guard=4),
+        lambda g: chromatic_bounds_spectral("hoffman-direct", g=g, n=2, guard=20),
+        lambda g: chromatic_bounds_spectral("degree", g=g, n=2, power=or_power(g, 2), guard=20),
+        lambda g: chromatic_bounds_spectral("general", g=g, n=2, guard=20),
+        lambda g: chromatic_bounds_spectral("gct-split", g=g, n=2, guard=4),
+    ],
+    ids=["eig", "eig-power", "eig-base", "split", "window", "hoffman", "degree-power", "general", "gct-split"],
+)
+def test_a_smaller_guard_refuses_a_kept_spectrum_before_building_a_matrix(monkeypatch, query):
+    for base in (cycle_graph(5), AF1):
+        g = _fresh(base)
+        for kept in _queries_of_the_square(g):
+            kept()
+        with pytest.raises(GuardExceeded) as fresh:
+            query(_fresh(base))
+        built = []
+        adjacency = Graph.adjacency_matrix
+        monkeypatch.setattr(Graph, "adjacency_matrix", lambda h: built.append(h.vertex_count) or adjacency(h))
+        with pytest.raises(GuardExceeded) as refused:
+            query(g)
+        monkeypatch.undo()
+        assert (str(refused.value), built) == (str(fresh.value), []), base.edges()
+
+
+@pytest.mark.parametrize("variant", ["gct-split", "lambda1-window", "general"])
+def test_a_g_that_is_an_or_power_is_read_from_its_base(monkeypatch, variant):
+    # g = C5² is read as (C5, 2): λ(g) and λ(g²) from the one 5 x 5 solve of λ(C5), where g's own
+    # 25 x 25 rows were solved; the report is the plain graph's with g's rows, to 1e-9
+    for base in (cycle_graph(5), AF1):
+        plain = chromatic_bounds_spectral(variant, g=Graph(25, or_power(base, 2)._rows), n=2)
+        sizes, _ = _counted(monkeypatch)
+        rep = chromatic_bounds_spectral(variant, g=or_power(_fresh(base), 2), n=2)
+        monkeypatch.undo()
+        if base is not AF1:
+            assert sizes == [5]
+        assert (rep.variant, rep.upper) == (plain.variant, plain.upper)
+        assert rep.lower == pytest.approx(plain.lower, rel=0, abs=1e-9)
+        flat = lambda d: {**d.get("gct", {}), **{k: v for k, v in d.items() if k != "gct"}}  # noqa: E731
+        got, want = flat(rep.details), flat(plain.details)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert np.allclose(got[key], value, rtol=0, atol=1e-9), (base.edges(), key)
+
+
+def _degree_bases():
+    """K1, edgeless graphs, and 40 seeded graphs on 1-5 vertices."""
+    rng = random.Random("spectral-degree-bases")
+    graphs = [complete_graph(1), Graph.from_edges(2, []), Graph.from_edges(4, [])]
+    for _ in range(40):
+        V = rng.randint(1, 5)
+        graphs.append(Graph.from_edges(V, [e for e in combinations(range(V), 2) if rng.random() < 0.5]))
+    return graphs
+
+
+def test_the_degree_bound_reads_the_power_degrees_in_closed_form():
+    for g in _degree_bases():
+        V, degrees = g.vertex_count, g.degrees()
+        for n in (1, 2, 3):
+            listed = or_power(g, n).degrees()
+            where = (V, g.edges(), n)
+            assert min(listed) == or_power_degree(min(degrees), V, n), where
+            assert max(listed) == or_power_degree(max(degrees), V, n), where
+            assert sum(listed) // 2 == or_power_degree(g.edge_count, V, n) * V ** (n - 1), where
+            rep = chromatic_bounds_spectral("degree", g=g, n=n)
+            das = smallest_eig_lower_bounds(len(listed), sum(listed) // 2, listed)["das"]
+            assert (repr(rep.details["das"]), rep.upper) == (repr(das), max(listed) + 1), where
