@@ -14,7 +14,7 @@ MIS_GUARD_DEFAULT = 24
 
 class Graph:
     """Immutable undirected simple graph.  While it lives it keeps the spectra solved for it (`_spectra`, filled
-    on first use): λ(G), and λ(Gᵐ) of a non-regular G, each at most the dense guard's Vᵐ values."""
+    on first use): λ(G), and λ(Gᵐ) of a non-regular G, each at most the power guard's Vᵐ values."""
 
     __slots__ = ("vertex_count", "_rows", "_hash", "_spectra")
 

@@ -1,17 +1,16 @@
 """Symmetric eigensolving (LAPACK through numpy, the cyclic Jacobi solver its tested reference),
-Gershgorin discs, chromatic bounds from eigenvalues, and closed forms: λ1 of cycle powers, and
-λ(G) with λ(Gᵐ) of an OR power Gᵐ = G[Gᵐ⁻¹] from the base G alone (`_lex_spectra`).  The split
-A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window and `gct-split` read it at m = n − 1,
-`graph_spectrum(g, n)` of a regular base at m = n."""
+Gershgorin discs, chromatic bounds from eigenvalues, and closed forms.  One reader, `_spectrum`,
+gives λ(Gᵐ) of every OR power Gᵐ = G[Gᵐ⁻¹] under one guard, the power guard: from λ(G) alone on a
+regular base, else by LAPACK; the spectrum, the split A(Gⁿ) = A ⊗ J + I ⊗ A(Gⁿ⁻¹), the λ1 window
+and the chromatic bounds read nothing else."""
 
 import math
 from collections import namedtuple
 
-from .errors import ChromacodeError, UsageError, check_guard
+from .errors import ChromacodeError, UsageError
 from .coloring import _cycle_scheme
 from .orpower import PowerGraph, check_power_guard, or_power, or_power_degree
 
-DENSE_GUARD_DEFAULT = 10_000
 DISTINCT_TOL = 1e-6
 JACOBI_TOL = 1e-10
 
@@ -116,14 +115,8 @@ class Spectrum(namedtuple("Spectrum", "values")):
 
 
 def graph_spectrum(g, n=1, guard=None):
-    """Spectrum of Gⁿ as plain floats, of (G, n) as `_read_power` reads g and n: on a regular base
-    `_lex_spectra`'s closed form, its Vⁿ values under the power guard, the dense guard on the V x V
-    matrix solved; else `_spectrum`'s, of g itself at n = 1 and of or_power(G, n) past it."""
-    base, m = _read_power(g, n)
-    if len(set(base.degrees())) == 1:
-        check_guard("matrix dimension", base.vertex_count, guard, DENSE_GUARD_DEFAULT)
-        return Spectrum(tuple(map(float, _lex_spectra(base, m, guard=guard)[1])))
-    return Spectrum(_spectrum(base, m, guard, power=g if n == 1 else None))
+    """Spectrum of gⁿ as plain floats, `_spectrum`'s."""
+    return Spectrum(tuple(map(float, _spectrum(g, n, guard))))
 
 
 def _read_power(g, n=1):
@@ -134,39 +127,27 @@ def _read_power(g, n=1):
 
 
 def _spectrum(g, m=1, guard=None, power=None):
-    """λ(Gᵐ), descending, as floats: LAPACK's of G at m = 1, past it (G non-regular) of `power`, the caller's
-    or_power(g, m), if given, else of or_power(g, m, guard); solved once per graph, kept in g._spectra.  The
-    guards (power, on a power it would build; dense, on Vᵐ) are checked first, and refuse a kept one too."""
-    if m > 1 and power is None:
-        check_power_guard(g.vertex_count, m, guard)
-    check_guard("matrix dimension", g.vertex_count**m, guard, DENSE_GUARD_DEFAULT)
-    kept = getattr(g, "_spectra", None) or {}  # g may be any object with a graph's methods
-    if m not in kept:
-        gm = g if m == 1 else or_power(g, m, guard=guard) if power is None else power
-        kept[m] = tuple(_eigvalsh(gm.adjacency_matrix()).tolist())
-        g._spectra = kept
-    return kept[m]
-
-
-def _lex_spectra(g, m, guard=None, power=None):
-    """λ(g) and λ(gᵐ), descending, of the OR power gᵐ = g[gᵐ⁻¹], read from the base G of g = Gᵏ
-    (k = 1 for a plain g) as λ(Gᵏ) and λ(G^{k·m}).  On a d-regular base λ(H[K]) is `_lex_step` of
-    λ(H) and λ(K) (Schwenk 1974), its top value the integer degree, from the one solve of λ(G); else
-    each is `_spectrum`'s, λ(gᵐ) that of `power`, the caller's or_power(g, m), if given ([0.0] at
-    m = 0); the power guard on gᵐ (g at m = 0) is checked before any eigensolve."""
-    check_power_guard(g.vertex_count, max(m, 1), guard)
-    base, k = _read_power(g)
-    if len(set(base.degrees())) > 1:
-        lam_g = _spectrum(base, k, guard, power=g)
-        return lam_g, [0.0] if m == 0 else _spectrum(base, k * m, guard, power)
-    lam_1 = lam_g = list(_spectrum(base, 1, guard))
+    """λ(gᵐ), descending, of (G, k) as `_read_power` reads g and m, under the power guard on Gᵏ (so
+    k >= 1), checked before any kept value is read.  On a d-regular G it is k `_lex_step`s from
+    λ(G), its top value set to d (Schwenk 1974); else LAPACK's λ(Gᵏ), of g itself at m = 1, past it
+    of `power`, the caller's or_power(g, m), if given, else of or_power(G, k).  λ(G), and λ(Gᵏ) of a
+    non-regular G, are solved once per graph and kept in G._spectra while G lives."""
+    base, k = _read_power(g, m)
+    check_power_guard(base.vertex_count, k, guard)
+    regular = len(set(base.degrees())) == 1
+    j = 1 if regular else k  # the power of G solved
+    kept = getattr(base, "_spectra", None) or {}  # base may be any object with a graph's methods
+    if j not in kept:
+        gj = base if regular else g if m == 1 else or_power(base, k, guard) if power is None else power
+        kept[j] = tuple(_eigvalsh(gj.adjacency_matrix()).tolist())
+        base._spectra = kept
+    if not regular:
+        return kept[k]
+    lam_1, lam = list(kept[1]), [0]
     lam_1[0] = base.degree(0)
-    for _ in range(k - 1):
-        lam_g = _lex_step(lam_1, lam_g)
-    lam = [0]
-    for _ in range(m):
-        lam = _lex_step(lam_g, lam)
-    return lam_g, lam
+    for _ in range(k):
+        lam = _lex_step(lam_1, lam)
+    return lam
 
 
 def _lex_step(lam_g, lam_h):
@@ -292,19 +273,16 @@ class SplitReport(namedtuple("SplitReport", "lam_gr lam_fc lam_full lam_sums dev
 
 
 def split_decomposition(g, n=1, guard=None):
-    """Spectra of the split A(Gⁿ) = a_gr + a_fc, n >= 2, of (G, n) as `graph_spectrum` reads it,
-    under the power guard on Gⁿ before any eigensolve: a_gr = I ⊗ A(Gⁿ⁻¹) has λ(Gⁿ⁻¹), each value
-    V times; a_fc = A(G) ⊗ J has λ(G)·Vⁿ⁻¹ and Vⁿ − V zeros (both from `_lex_spectra(G, n − 1)`);
-    λ(full) is `graph_spectrum`'s, read on a regular base by one more `_lex_step` from λ(Gⁿ⁻¹).
-    With an eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
+    """Spectra of the split A(Gⁿ) = a_gr + a_fc, n >= 2, of (G, n) as `_read_power` reads g and n,
+    all `_spectrum`'s, λ(full) = λ(Gⁿ) read first, so a refusal comes before any eigensolve:
+    a_gr = I ⊗ A(Gⁿ⁻¹) has λ(Gⁿ⁻¹), each value V times; a_fc = A(G) ⊗ J has λ(G)·Vⁿ⁻¹ and Vⁿ − V
+    zeros.  With an eigen-sum report pairing sorted λ(a_gr) + sorted λ(a_fc) against sorted λ(full)."""
     import numpy as np
     base, m = _read_power(g, n)
     if m < 2:
         raise UsageError("split needs n >= 2")
-    check_power_guard(base.vertex_count, m, guard)
-    lam_g, lam_h = _lex_spectra(base, m - 1, guard=guard)
-    regular = len(set(base.degrees())) == 1
-    lam_full = np.array(_lex_step(lam_g, lam_h) if regular else graph_spectrum(g, n, guard=guard).values, dtype=float)
+    lam_full = np.array(_spectrum(g, n, guard), dtype=float)
+    lam_h, lam_g = _spectrum(base, m - 1, guard), _spectrum(base, 1, guard)
     lam_gr = np.repeat(np.array(lam_h, dtype=float), base.vertex_count)
     cross = np.array(lam_g, dtype=float) * len(lam_h)
     lam_fc = np.sort(np.concatenate([cross, np.zeros(len(lam_gr) - len(cross))]))[::-1]
@@ -330,23 +308,22 @@ def lambda1_window(g, n, guard=None):
     """Enclosures of λ1(G^n), read from G and λ(G^{n-1}): the window [d_avg·V^{n-1}, Δ(G^n)]; the
     block GCT's `envelope`, the hull of its discs λ_j(G^{n-1}) ± deg_k(G)·V^{n-1}, and its
     `scalar_envelope` ±Δ(G^n); the refined window [d_avg·V^{n-1}, ⌊λ1(G^{n-1}) + λ1(G)·V^{n-1}⌋ + 1].
-    λ1(G^n) is Δ(G^n) on a regular base, else `graph_spectrum`'s.  The power guard holds
-    on the largest graph read, G^{n-1} or G^n, and is checked before any eigensolve; `guard` sets
-    it, and the dense guard on G^n."""
+    λ1(G^n) is Δ(G^n) on a regular base, else `_spectrum`'s, read first.  Every spectrum is
+    `_spectrum`'s, so the power guard holds on the largest graph read, G^{n-1} or G^n, and is
+    checked before any eigensolve."""
     if n < 2:
         raise UsageError("lambda1 window needs n >= 2")
     V, degrees = g.vertex_count, g.degrees()
-    regular = len(set(degrees)) == 1
-    check_power_guard(V, n - 1 if regular else n, guard)
+    top = float(or_power_degree(max(degrees), V, n))
+    lam_1 = top if len(set(degrees)) == 1 else _spectrum(g, n, guard)[0]
+    lam_h, lam_g = _spectrum(g, n - 1, guard), _spectrum(g, 1, guard)
     size = V ** (n - 1)
     lo = 2 * g.edge_count / V * size  # d_avg·V^{n-1}
-    lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
-    top = float(or_power_degree(max(degrees), V, n))
     reach = max(degrees) * size
     return {
         "window": (lo, top),
         "refined": (lo, _wilf_upper(lam_h[0] + lam_g[0] * size)),
-        "lambda_1": top if regular else graph_spectrum(g, n, guard=guard).lambda_1,
+        "lambda_1": lam_1,
         "gct": {"envelope": (float(lam_h[-1]) - reach, float(lam_h[0]) + reach), "scalar_envelope": (0.0 - top, top)},
     }
 
@@ -374,7 +351,7 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
                     given, and G must be the canonical cycle C_V, V >= 4.
     degree:         λ1 of Gⁿ, read as hoffman-direct's; λ_min the Das bound on
                     Gⁿ's degree list, read from G's; upper d_max + 1.
-    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of Gⁿ; both from one `_lex_spectra`.
+    general:        λ1(G) + d_max·(V + ... + V^{n-1}); λ_min of Gⁿ; both `_spectrum`'s.
     gct-split:      λ1(a_gr) + λ1(a_fc) of the split of Gⁿ, n >= 2, from λ(G)
                     and λ(Gⁿ⁻¹); λ_min Hong.
     lambda1-window: λ1 the refined window's low edge, λ_min Hong; upper the
@@ -416,14 +393,14 @@ def chromatic_bounds_spectral(variant, g=None, n=None, V=None, power=None, guard
         details = {"lambda_1": l1, "das": lv}
     elif variant == "general":
         dmax = max(g.degrees())
-        lam_g, lam = _lex_spectra(g, n, guard=guard, power=power)
-        l1 = float(max(lam_g)) + (or_power_degree(dmax, g.vertex_count, n) - dmax)
+        lam, lam_g = _spectrum(g, n, guard, power), _spectrum(g, 1, guard)
+        l1 = float(lam_g[0]) + (or_power_degree(dmax, g.vertex_count, n) - dmax)
         lv = float(lam[-1])
         details = {"lambda_1_estimate": l1, "lambda_V": lv}
     elif variant == "gct-split":
         if n < 2:
             raise UsageError("gct-split bound needs n >= 2")
-        lam_g, lam_h = _lex_spectra(g, n - 1, guard=guard)
+        lam_h, lam_g = _spectrum(g, n - 1, guard), _spectrum(g, 1, guard)
         gr, fc = float(lam_h[0]), float(lam_g[0] * len(lam_h))
         l1, lv = gr + fc, hong_bound(g.vertex_count**n)
         details = {"lambda_1_gr": gr, "lambda_1_fc": fc, "sum": l1}

@@ -28,6 +28,7 @@ from chromacode import (
     fractional_entropy_lower_bound,
     general_entropy_upper_bound,
     gershgorin,
+    graph_spectrum,
     greedy_coloring,
     huffman_code,
     is_valid_b_fold,
@@ -36,6 +37,7 @@ from chromacode import (
     odd_cycle_entropy_upper_bound,
     odd_cycle_power_coloring,
     or_power,
+    path_graph,
     power_chromatic_number,
     smallest_eig_lower_bounds,
     split_decomposition,
@@ -212,6 +214,18 @@ CASES = {
             "power must be or_power(g, n) with n = 2",
         )
         for variant in ("general", "hoffman-direct", "degree", "lambda1-window")
+    },
+    # every reader of λ(Gⁿ) refuses n < 1, on a regular base as on any other
+    **{
+        f"{name}-{base}-n{n}": (lambda read=read, g=g, n=n: read(g, n), "power n must be >= 1")
+        for name, read in (
+            ("graph-spectrum", graph_spectrum),
+            ("bound-hoffman-direct", lambda g, n: chromatic_bounds_spectral("hoffman-direct", g=g, n=n)),
+            ("bound-degree", lambda g, n: chromatic_bounds_spectral("degree", g=g, n=n)),
+            ("bound-general", lambda g, n: chromatic_bounds_spectral("general", g=g, n=n)),
+        )
+        for base, g in (("C5", C5), ("P3", path_graph(3)))
+        for n in (0, -1)
     },
     "decode-not-a-codeword": (
         lambda: decode_pair(_one_color_plan(), "11", ""),

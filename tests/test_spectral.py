@@ -31,7 +31,7 @@ from chromacode import (
 )
 from chromacode.coloring import _cycle_scheme
 from chromacode import spectral
-from chromacode.spectral import BOUND_VARIANTS, _eigvalsh, _lex_spectra, brigham_bound
+from chromacode.spectral import BOUND_VARIANTS, _eigvalsh, _spectrum, brigham_bound
 
 AF1 = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
 
@@ -461,11 +461,13 @@ def test_an_or_power_records_its_base(n):
         gn = or_power(g, n)
         assert gn.base is g and (gn.tuple_base, gn.tuple_len) == (g.vertex_count, n)
         assert gn.to_dict() == {**Graph(gn.vertex_count, gn._rows).to_dict(), "tuple_base": g.vertex_count, "tuple_len": n}
-        for m in (n - 1, n):
-            lam_g, lam = _lex_spectra(g, m)
-            want = _eigvalsh(or_power(g, m).adjacency_matrix()) if m else [0.0]
-            assert np.allclose(lam_g, _eigvalsh(g.adjacency_matrix()), rtol=0, atol=1e-9), (g.edges(), m)
-            assert np.allclose(lam, want, rtol=0, atol=1e-9), (g.edges(), m)
+        for m in range(1, n + 1):
+            want = _eigvalsh(or_power(g, m).adjacency_matrix())
+            assert np.allclose(_spectrum(g, m), want, rtol=0, atol=1e-9), (g.edges(), m)
+            # g² is read as (G, 2): λ((G²)ᵐ) is λ(G²ᵐ)
+            if g.vertex_count ** (2 * m) <= 400:
+                want = _eigvalsh(or_power(g, 2 * m).adjacency_matrix())
+                assert np.allclose(_spectrum(or_power(g, 2), m), want, rtol=0, atol=1e-9), (g.edges(), 2 * m)
 
 
 def _materialized_window(g, n, power):
@@ -581,13 +583,17 @@ def test_the_split_of_a_regular_power_eigensolves_the_base_once(monkeypatch):
     assert sizes == []
 
 
-def test_graph_spectrum_refuses_past_the_dense_guard_before_building_a_matrix(monkeypatch):
+def test_graph_spectrum_refuses_past_the_power_guard_before_building_a_matrix(monkeypatch):
+    af1_cubed = or_power(AF1, 3)
     built = []
     adjacency = Graph.adjacency_matrix
     monkeypatch.setattr(Graph, "adjacency_matrix", lambda g: built.append(g.vertex_count) or adjacency(g))
     for g in (cycle_graph(300), path_graph(101)):
-        with pytest.raises(GuardExceeded, match="matrix dimension"):
+        with pytest.raises(GuardExceeded, match=f"power vertex count = {g.vertex_count} "):
             graph_spectrum(g, guard=100)
+    # a handed non-regular power is solved as it is, but only under the guard
+    with pytest.raises(GuardExceeded, match="power vertex count = 125"):
+        graph_spectrum(af1_cubed, guard=100)
     # the closed form of C11^2 solves 11 x 11, but lists 121 values, past the power guard of 100
     with pytest.raises(GuardExceeded, match="power vertex count"):
         graph_spectrum(or_power(cycle_graph(11), 2), guard=100)
